@@ -207,12 +207,12 @@ packedGather(benchmark::State &state, SimdTarget target)
 
 /**
  * The zoo step cost at sweep granularity: one tier of TAGE or
- * perceptron configurations replayed per-config (runModelReplay, one
- * trace pass per lane) vs batched (runModelBatch, one decoded block
- * stepped by every lane).  Items processed counts model-steps
- * (branches x lanes), so the per-config/batched ratio is the batching
- * speedup per step.  A smaller trace than workload() keeps the
- * per-config rows affordable.
+ * perceptron configurations replayed per-config (one one-lane model
+ * group, so one trace pass, per lane) vs batched (the planned model
+ * groups, one decoded block stepped by every lane).  Items processed
+ * counts model-steps (branches x lanes), so the per-config/batched
+ * ratio is the batching speedup per step.  A smaller trace than
+ * workload() keeps the per-config rows affordable.
  */
 const PreparedTrace &
 zooPrepared()
@@ -238,15 +238,23 @@ zooModelStep(benchmark::State &state, SchemeKind kind, bool batched)
     SweepOptions o;
     o.minTotalBits = 12;
     o.maxTotalBits = 12;
-    o.fuseJobs = batched;
-    const std::size_t lanes = planSweep(kind, o).size();
+    const std::vector<ConfigJob> jobs = planSweep(kind, o);
     for (auto _ : state) {
-        SweepResult r = sweepScheme(t, kind, o);
-        benchmark::DoNotOptimize(r.bhtMissRate);
+        if (batched) {
+            SweepResult r = sweepScheme(t, kind, o);
+            benchmark::DoNotOptimize(r.bhtMissRate);
+        } else {
+            StreamCache cache(t, o);
+            std::vector<ConfigResult> slots(jobs.size());
+            for (std::size_t i = 0; i < jobs.size(); ++i)
+                runFusedGroup(singleJobGroup(jobs, i), jobs, cache,
+                              slots.data());
+            benchmark::DoNotOptimize(slots.front().mispRate);
+        }
     }
     state.SetItemsProcessed(
         state.iterations() *
-        static_cast<std::int64_t>(t.size() * lanes));
+        static_cast<std::int64_t>(t.size() * jobs.size()));
 }
 
 /**

@@ -3,12 +3,12 @@
  * Sweep throughput benchmark: wall-clock branch-config updates per
  * second for every sweep scheme, in these execution modes --
  *
- *   serial        per-config kernel, one trace replay per job
- *                 (threads=1, fuseJobs=off; the pre-fusion baseline)
- *   fused[T]      fused single-pass kernel (threads=1, fuseJobs=on),
+ *   serial        one-lane groups (singleJobGroup), one trace
+ *                 replay per job, threads=1: the no-fusion baseline
+ *   fused[T]      planned groups, one pass per group (threads=1),
  *                 once per SIMD dispatch target T this host supports
  *                 (scalar always; sse2/avx2 when the CPU has them)
- *   fused+threads fused kernel, auto dispatch, group-parallel
+ *   fused+threads planned groups, auto dispatch, group-parallel
  *                 execution (threads=0, one executor per hw thread)
  *
  * One unit of work is a single branch instance simulated through a
@@ -104,6 +104,31 @@ runOnce(SweepSession &session, const TraceHash &hash, SchemeKind kind,
         *surface_out = result.misprediction;
     if (kernel_out)
         *kernel_out = result.kernel;
+    return secs;
+}
+
+/**
+ * The serial baseline: every planned job replayed as its own one-lane
+ * group, one trace pass per configuration, on the calling thread.
+ * Returns wall seconds.
+ */
+double
+runOneLaneGroups(const PreparedTrace &trace, SchemeKind kind,
+                 const SweepOptions &opts, Surface *surface_out)
+{
+    WallTimer timer;
+    const std::vector<ConfigJob> jobs = planSweep(kind, opts);
+    StreamCache cache(trace, opts);
+    std::vector<ConfigResult> slots(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        runFusedGroup(singleJobGroup(jobs, i), jobs, cache, slots.data());
+    const double secs = timer.seconds();
+    if (surface_out) {
+        *surface_out = Surface("");
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            surface_out->add(jobs[i].totalBits, jobs[i].rowBits,
+                             jobs[i].colBits, slots[i].mispRate);
+    }
     return secs;
 }
 
@@ -208,9 +233,7 @@ main(int argc, char **argv)
     SweepOptions serial_opts = paperSweepOptions();
     serial_opts.trackAliasing = false;
     serial_opts.threads = 1;
-    serial_opts.fuseJobs = false;
     SweepOptions fused_threads_opts = serial_opts;
-    fused_threads_opts.fuseJobs = true;
     fused_threads_opts.threads = 0;
 
     const SchemeKind kinds[] = {
@@ -238,9 +261,8 @@ main(int argc, char **argv)
         // interference.
         Surface expect("");
         for (unsigned rep = 0; rep < reps; ++rep) {
-            const double s =
-                runOnce(session, handle.hash, kind, serial_opts,
-                        rep == 0 ? &expect : nullptr);
+            const double s = runOneLaneGroups(
+                *trace, kind, serial_opts, rep == 0 ? &expect : nullptr);
             if (rep == 0) {
                 r.serial.seconds = s;
                 // One surface point per swept configuration.
@@ -252,7 +274,6 @@ main(int argc, char **argv)
 
             for (std::size_t t = 0; t < targets.size(); ++t) {
                 SweepOptions fused_opts = serial_opts;
-                fused_opts.fuseJobs = true;
                 fused_opts.simd = targets[t];
                 Surface surface("");
                 const bool widest = t + 1 == targets.size();
@@ -346,8 +367,7 @@ main(int argc, char **argv)
     // against "hardware_threads" in the JSON).
     const SchemeKind matrix_kind = SchemeKind::GAs;
     const unsigned matrix_levels[] = {1, 2, 4, 8};
-    SweepOptions matrix_base = serial_opts;
-    matrix_base.fuseJobs = true;
+    const SweepOptions &matrix_base = serial_opts;
 
     std::printf("\n==== Within-group scaling: %s, fused_threads x "
                 "segments (warmup %u) ====\n",
@@ -405,11 +425,11 @@ main(int argc, char **argv)
     // ---- Zoo phase: batched model-lane replay vs per-config ------
     //
     // The modern-predictor zoo replays full TAGE/perceptron models,
-    // so its baseline is the per-config runModelReplay path -- one
-    // scalar trace pass per configuration.  The batched engine
-    // (runModelBatch) decodes each 2048-branch block once, shares the
-    // TAGE tag/index folds across lanes and steps perceptron lanes
-    // through the SIMD dot-product kernel.  This phase records the
+    // so its baseline is one one-lane model group per configuration --
+    // one trace pass each.  A batched model group decodes each
+    // 2048-branch block once, shares the TAGE tag/index folds across
+    // lanes and steps perceptron lanes through the SIMD dot-product
+    // kernel.  This phase records the
     // batched-vs-per-config matrix on a fig_tage_aliasing-sized
     // surface (tiers spanning the fig's entry 4..8 x base 6..10
     // budgets) with bit-identity asserted per dispatch target.
@@ -419,7 +439,6 @@ main(int argc, char **argv)
     zoo_serial.minTotalBits = 10;
     zoo_serial.maxTotalBits = 18;
     SweepOptions zoo_threads_opts = zoo_serial;
-    zoo_threads_opts.fuseJobs = true;
     zoo_threads_opts.threads = 0;
 
     std::printf("\n==== Zoo throughput: per-config vs batched model "
@@ -438,9 +457,8 @@ main(int argc, char **argv)
 
         Surface expect("");
         for (unsigned rep = 0; rep < reps; ++rep) {
-            const double s =
-                runOnce(session, handle.hash, kind, zoo_serial,
-                        rep == 0 ? &expect : nullptr);
+            const double s = runOneLaneGroups(
+                *trace, kind, zoo_serial, rep == 0 ? &expect : nullptr);
             if (rep == 0) {
                 r.serial.seconds = s;
                 for (const auto &tier : expect.tiers())
@@ -451,7 +469,6 @@ main(int argc, char **argv)
 
             for (std::size_t t = 0; t < targets.size(); ++t) {
                 SweepOptions batched_opts = zoo_serial;
-                batched_opts.fuseJobs = true;
                 batched_opts.simd = targets[t];
                 Surface surface("");
                 const bool widest = t + 1 == targets.size();
@@ -557,7 +574,7 @@ main(int argc, char **argv)
         std::fprintf(
             json,
             "     \"kernel\": {\"target\": \"%s\", "
-            "\"fused_groups\": %llu, \"fallback_jobs\": %llu,\n"
+            "\"fused_groups\": %llu,\n"
             "      \"lanes_per_group\": %.2f, \"lane_batches\": "
             "%llu, \"blocks_replayed\": %llu,\n"
             "      \"hot_bytes_per_branch\": %.2f, "
@@ -566,7 +583,6 @@ main(int argc, char **argv)
             "%llu, \"worker_utilization\": %.3f}}%s\n",
             simdTargetName(r.kernel.target),
             static_cast<unsigned long long>(r.kernel.fusedGroups),
-            static_cast<unsigned long long>(r.kernel.fallbackJobs),
             r.kernel.lanesPerGroup(),
             static_cast<unsigned long long>(r.kernel.laneBatches),
             static_cast<unsigned long long>(r.kernel.blocksReplayed),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <set>
 
 #include "common/logging.hh"
@@ -16,148 +15,31 @@ namespace bpsim {
 namespace {
 
 /**
- * The inner simulation kernel: one configuration, with the row index and
- * the all-ones-pattern flag supplied per instance by functors so each
- * scheme compiles to a tight loop.
+ * Trace tile of the block-decoded engines and the grain of segment
+ * cuts.  2048 * 4 bytes keeps a packed decoded block at 8 KiB -- small
+ * enough to share L1 with the largest packed table a paper sweep uses
+ * (2^15 counters = 8 KiB).  A multiple of 64 so blocks consume whole
+ * packed-outcome words.
  */
-template <typename RowFn, typename OnesFn>
-ConfigResult
-runKernel(const PreparedTrace &t, unsigned row_bits, unsigned col_bits,
-          bool track_aliasing, RowFn row_of, OnesFn all_ones_of)
+constexpr std::size_t kBlockSize = 2048;
+static_assert(kBlockSize % 64 == 0, "blocks must consume whole taken words");
+
+double
+secondsSince(std::chrono::steady_clock::time_point start)
 {
-    const std::uint64_t row_mask = mask(row_bits);
-    const std::uint64_t col_mask = mask(col_bits);
-    std::vector<TwoBitCounter> counters(
-        std::size_t{1} << (row_bits + col_bits));
-    AliasTracker tracker(track_aliasing ? counters.size() : 1);
-
-    std::uint64_t mispredicts = 0;
-    const std::size_t n = t.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t row = row_of(i) & row_mask;
-        std::uint64_t col = wordIndex(t.pc(i)) & col_mask;
-        auto idx =
-            static_cast<std::size_t>((row << col_bits) | col);
-        if (track_aliasing)
-            tracker.access(idx, t.pc(i),
-                           row_bits > 0 && all_ones_of(i));
-        bool taken = t.taken(i);
-        if (counters[idx].predict() != taken)
-            ++mispredicts;
-        counters[idx].update(taken);
-    }
-
-    ConfigResult out;
-    out.mispRate =
-        n ? static_cast<double>(mispredicts) / static_cast<double>(n)
-          : 0.0;
-    if (track_aliasing) {
-        out.aliasRate = tracker.aliasRate();
-        out.harmlessFraction = tracker.harmlessFraction();
-    }
-    return out;
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
 }
 
-/**
- * Replay a full multi-table model (TAGE / perceptron) over the trace.
- * These schemes have no packed-counter form, no AliasTracker hook (the
- * aliasing/harmless surfaces stay zero; analyzeInterference owns their
- * interference story), and no fused kernel -- one model, one pass.
- */
-template <typename Model>
-ConfigResult
-runModelReplay(const PreparedTrace &t, Model model)
+double
+ratio(std::uint64_t num, std::uint64_t den)
 {
-    std::uint64_t mispredicts = 0;
-    const std::size_t n = t.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        bool taken = t.taken(i);
-        if (model.step(t.pc(i), t.globalHistory(i), taken).prediction !=
-            taken)
-            ++mispredicts;
-    }
-    ConfigResult out;
-    out.mispRate =
-        n ? static_cast<double>(mispredicts) / static_cast<double>(n)
-          : 0.0;
-    return out;
+    return den ? static_cast<double>(num) / static_cast<double>(den)
+               : 0.0;
 }
 
-/** Dispatch the kernel for one configuration of one scheme. */
-ConfigResult
-runConfig(const PreparedTrace &t, SchemeKind kind, unsigned row_bits,
-          unsigned col_bits, const SweepOptions &opts,
-          const std::vector<std::uint64_t> *aux_stream)
-{
-    const bool track_aliasing = opts.trackAliasing;
-    const std::uint64_t row_mask = mask(row_bits);
-    auto never_ones = [](std::size_t) { return false; };
-
-    switch (kind) {
-      case SchemeKind::AddressIndexed:
-        bpsim_assert(row_bits == 0, "address-indexed tables have no "
-                     "rows");
-        return runKernel(t, row_bits, col_bits, track_aliasing,
-                         [](std::size_t) { return std::uint64_t{0}; },
-                         never_ones);
-
-      case SchemeKind::GAg:
-      case SchemeKind::GAs:
-        return runKernel(
-            t, row_bits, col_bits, track_aliasing,
-            [&](std::size_t i) { return t.globalHistory(i); },
-            [&](std::size_t i) {
-                return (t.globalHistory(i) & row_mask) == row_mask;
-            });
-
-      case SchemeKind::Gshare:
-        return runKernel(
-            t, row_bits, col_bits, track_aliasing,
-            [&](std::size_t i) {
-                return t.globalHistory(i) ^ wordIndex(t.pc(i));
-            },
-            [&](std::size_t i) {
-                // Harmlessness keys on the outcome pattern itself.
-                return (t.globalHistory(i) & row_mask) == row_mask;
-            });
-
-      case SchemeKind::Path:
-        bpsim_assert(aux_stream, "path sweep needs a history stream");
-        return runKernel(
-            t, row_bits, col_bits, track_aliasing,
-            [&](std::size_t i) { return (*aux_stream)[i]; },
-            never_ones);
-
-      case SchemeKind::PAsPerfect:
-        return runKernel(
-            t, row_bits, col_bits, track_aliasing,
-            [&](std::size_t i) { return t.selfHistory(i); },
-            [&](std::size_t i) {
-                return (t.selfHistory(i) & row_mask) == row_mask;
-            });
-
-      case SchemeKind::PAsFinite:
-        bpsim_assert(aux_stream, "finite-PAs sweep needs a BHT stream");
-        return runKernel(
-            t, row_bits, col_bits, track_aliasing,
-            [&](std::size_t i) { return (*aux_stream)[i]; },
-            [&](std::size_t i) {
-                return ((*aux_stream)[i] & row_mask) == row_mask;
-            });
-
-      case SchemeKind::Tage:
-        return runModelReplay(
-            t, TageModel(tageSweepParams(row_bits, col_bits, opts)));
-
-      case SchemeKind::Perceptron:
-        return runModelReplay(
-            t, PerceptronModel(
-                   perceptronSweepParams(row_bits, col_bits, opts)));
-    }
-    bpsim_panic("unreachable scheme kind");
-}
-
-/** Resolved within-group execution shape for one fused replay. */
+/** Resolved within-group execution shape for one group replay. */
 struct ReplayExec
 {
     /** Lane shard executors (resolveFusedThreads, >= 1). */
@@ -169,10 +51,156 @@ struct ReplayExec
 };
 
 /**
- * The fused replay: one trace pass updates every member configuration.
- * Per branch the raw row value and the pc word index are computed once
- * (the members share them by construction); each member then derives
- * its own table index by masking and trains its packed counter table.
+ * One lane's counts over one task's counted span.  The aliasing fields
+ * stay zero for engines that do not track last writers.
+ */
+struct LaneCounts
+{
+    std::uint64_t misses = 0;
+    std::uint64_t accesses = 0;
+    std::uint64_t conflicts = 0;
+    std::uint64_t harmless = 0;
+};
+
+/**
+ * One grid task: lanes [laneLo, laneHi) start from cold private state,
+ * replay [warmLo, segLo) uncounted, then count [segLo, segHi).
+ */
+struct TaskSpan
+{
+    std::size_t laneLo = 0;
+    std::size_t laneHi = 0;
+    std::size_t warmLo = 0;
+    std::size_t segLo = 0;
+    std::size_t segHi = 0;
+};
+
+/**
+ * The replay grid every group runs through (DESIGN.md "Segment-parallel
+ * replay").  A group's replay is decomposed into (shard x segment)
+ * tasks.  Shards partition the *lanes*: each task owns a disjoint,
+ * contiguous run of the engine's lane order with private state, so
+ * sharding never changes any lane's update sequence and results are
+ * bit-identical for any shard count -- the only cost is that each shard
+ * repeats its engine's per-branch decode.  Segments partition the
+ * *trace* at block boundaries: segment k > 0 starts from cold state,
+ * replays an uncounted warm-up window of exec.warmup branches before
+ * its range, then counts its own range.  Segment boundaries and warm-up
+ * depend only on (trace length, segments, warmup), so speculative
+ * results are deterministic and independent of shard/worker counts;
+ * segments == 1 replays [0, n) cold-started exactly.
+ *
+ * The per-(segment, lane) counts are reconciled in segment order into
+ * each lane's ConfigResult slot: misprediction over the trace length,
+ * aliasing over the counted accesses, harmless over the conflicts.
+ *
+ * An Engine provides
+ *   std::size_t lanes() const;          lanes in execution order
+ *   std::size_t member(std::size_t lane) const;   its job index
+ *   void run(const TaskSpan &, LaneCounts *, KernelTelemetry &) const;
+ * where run() steps lanes [laneLo, laneHi) over the task's spans,
+ * writes lane j's counts to counts[j - laneLo], and touches no state
+ * another task can see.  The returned telemetry carries the grid's
+ * shape, timing and the tasks' engine counters; callers add the
+ * population counters.
+ */
+template <typename Engine>
+KernelTelemetry
+runGrid(const Engine &engine, std::size_t n, const ReplayExec &exec,
+        ConfigResult *slots)
+{
+    // Segments never exceed the block count and shards never exceed
+    // the lane count.  Balanced integer splits keep both partitions
+    // deterministic.
+    const std::size_t lane_count = engine.lanes();
+    const std::size_t nblocks = (n + kBlockSize - 1) / kBlockSize;
+    const std::size_t shards = std::max<std::size_t>(
+        1, std::min<std::size_t>(exec.shards, lane_count));
+    const std::size_t segs = std::max<std::size_t>(
+        1, std::min<std::size_t>(exec.segments,
+                                 std::max<std::size_t>(nblocks, 1)));
+    const std::size_t tasks = shards * segs;
+    const auto shard_begin = [&](std::size_t s) {
+        return s * lane_count / shards;
+    };
+    const auto seg_begin = [&](std::size_t k) {
+        return std::min(n, k * nblocks / segs * kBlockSize);
+    };
+
+    // Task (s, k) writes only its shard's slice of row k, so placement
+    // is deterministic and unsynchronised.
+    std::vector<LaneCounts> seg_counts(segs * lane_count);
+    std::vector<KernelTelemetry> task_tel(tasks);
+    const auto run_task = [&](std::size_t task_idx) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const std::size_t s = task_idx / segs;
+        const std::size_t k = task_idx % segs;
+        TaskSpan span;
+        span.laneLo = shard_begin(s);
+        span.laneHi = shard_begin(s + 1);
+        span.segLo = seg_begin(k);
+        span.segHi = seg_begin(k + 1);
+        // Segment 0 starts at the true trace start and needs no
+        // warm-up.
+        span.warmLo =
+            span.segLo > exec.warmup ? span.segLo - exec.warmup : 0;
+        KernelTelemetry &tel = task_tel[task_idx];
+        tel.warmupBranches = span.segLo - span.warmLo;
+        engine.run(span, &seg_counts[k * lane_count + span.laneLo], tel);
+        tel.busySeconds = secondsSince(t0);
+    };
+
+    // Executors: the fusedThreads knob sizes the shard dimension, and
+    // a speculative request implies its segments want to run
+    // concurrently, so the task phase may use whichever is larger --
+    // purely an execution choice, results never depend on it.
+    const auto workers = static_cast<unsigned>(std::min<std::size_t>(
+        tasks,
+        std::max<std::size_t>(exec.shards, segs > 1 ? segs : 1)));
+    const auto span0 = std::chrono::steady_clock::now();
+    if (tasks == 1 || workers <= 1) {
+        for (std::size_t task_idx = 0; task_idx < tasks; ++task_idx)
+            run_task(task_idx);
+    } else {
+        ThreadPool::shared().parallelFor(tasks, workers, run_task);
+    }
+
+    KernelTelemetry counters;
+    for (const KernelTelemetry &tel : task_tel)
+        counters.merge(tel);
+    counters.segments = segs;
+    counters.laneShards = shards;
+    counters.shardTasks = tasks;
+    counters.shardWorkers = workers;
+    counters.spanSeconds = secondsSince(span0);
+
+    // Reconcile: for segs == 1 this is exactly the serial total; for
+    // segs > 1 it is the speculative estimate whose delta against
+    // exact mode the bench and differential tests report.
+    for (std::size_t j = 0; j < lane_count; ++j) {
+        LaneCounts total;
+        for (std::size_t k = 0; k < segs; ++k) {
+            const LaneCounts &c = seg_counts[k * lane_count + j];
+            total.misses += c.misses;
+            total.accesses += c.accesses;
+            total.conflicts += c.conflicts;
+            total.harmless += c.harmless;
+        }
+        ConfigResult &out = slots[engine.member(j)];
+        out = ConfigResult{};
+        out.mispRate = ratio(total.misses, n);
+        out.aliasRate = ratio(total.conflicts, total.accesses);
+        out.harmlessFraction = ratio(total.harmless, total.conflicts);
+    }
+    return counters;
+}
+
+/**
+ * The packed 2-bit engine: one trace pass updates every member
+ * configuration.  Per branch the raw row value and the pc word index
+ * are computed once (the members share them by construction); each
+ * member then derives its own table index by masking and trains its
+ * packed counter table.
  *
  * The pass is block-tiled for locality: a block of branches is decoded
  * once into a compact per-branch record, then every lane makes one
@@ -198,32 +226,66 @@ struct ReplayExec
  * 4-16 lanes' mask+gather+packed-counter-RMW in parallel, instead of
  * one scalar pass per lane.  Every dispatch target is bit-identical to
  * the scalar loop.
- *
- * Within the group the replay is decomposed into (shard x segment)
- * tasks (see DESIGN.md "Segment-parallel replay").  Shards partition
- * the *lanes*: each task owns a disjoint, contiguous run of the
- * colBits-sorted lane list with private packed tables, so sharding
- * never changes any lane's update sequence and results are
- * bit-identical for any shard count -- the only cost is that each
- * shard repeats the block decode.  Segments partition the *trace* at
- * block boundaries: segment k > 0 starts from cold counter state,
- * replays an uncounted warm-up window of exec.warmup branches before
- * its range to converge the counters, then counts its own range; the
- * per-(lane, segment) counts are summed in segment order.  Segment
- * boundaries and warm-up depend only on (trace length, segments,
- * warmup), so speculative results are deterministic and independent of
- * shard/worker counts; segments == 1 replays [0, n) cold-started
- * exactly like the serial engine.
  */
 template <typename RowFn>
-void
-runFusedReplay(const PreparedTrace &t,
-               const std::vector<ConfigJob> &jobs,
-               const std::vector<std::size_t> &members, RowFn row_of,
-               ConfigResult *slots, SimdTarget target,
-               const ReplayExec &exec, KernelTelemetry *telemetry)
+class PackedLanes
 {
-    struct LaneSpec
+  public:
+    PackedLanes(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
+                const std::vector<std::size_t> &members, RowFn row_of,
+                SimdTarget target)
+        : t_(t), rowOf_(row_of), target_(target)
+    {
+        specs_.reserve(members.size());
+        for (std::size_t member : members) {
+            const ConfigJob &job = jobs[member];
+            specs_.push_back(Spec{member, mask(job.rowBits),
+                                  mask(job.colBits), job.colBits});
+            if (job.rowBits > 15 || job.colBits > 15)
+                narrow_ = false;
+        }
+        // Keep column classes contiguous so each shard materialises as
+        // few per-column record streams as possible.  Stable: plan
+        // order is preserved within a class, and the sort affects
+        // execution placement only.
+        std::stable_sort(specs_.begin(), specs_.end(),
+                         [](const Spec &a, const Spec &b) {
+                             return a.colBits < b.colBits;
+                         });
+    }
+
+    std::size_t lanes() const { return specs_.size(); }
+    std::size_t member(std::size_t lane) const
+    {
+        return specs_[lane].member;
+    }
+    /** Whether every lane fits the packed 4-byte record. */
+    bool narrow() const { return narrow_; }
+
+    void
+    run(const TaskSpan &span, LaneCounts *counts,
+        KernelTelemetry &tel) const
+    {
+        // Private tables per task: shards must not share bytes (the
+        // SIMD kernels require disjoint lanes), and speculative
+        // segments must start cold by construction.
+        std::vector<Lane> lanes;
+        lanes.reserve(span.laneHi - span.laneLo);
+        for (std::size_t j = span.laneLo; j < span.laneHi; ++j)
+            lanes.emplace_back(specs_[j]);
+        if (narrow_) {
+            runNarrow(lanes, span.warmLo, span.segLo, false, tel);
+            runNarrow(lanes, span.segLo, span.segHi, true, tel);
+        } else {
+            runWide(lanes, span.warmLo, span.segLo, false, tel);
+            runWide(lanes, span.segLo, span.segHi, true, tel);
+        }
+        for (std::size_t j = 0; j < lanes.size(); ++j)
+            counts[j].misses = lanes[j].mispredicts;
+    }
+
+  private:
+    struct Spec
     {
         std::size_t member;
         std::uint64_t rowMask;
@@ -239,7 +301,7 @@ runFusedReplay(const PreparedTrace &t,
         std::uint64_t mispredicts = 0;
         PackedPht pht;
 
-        explicit Lane(const LaneSpec &spec)
+        explicit Lane(const Spec &spec)
             : rowMask(spec.rowMask), colMask(spec.colMask),
               colBits(spec.colBits),
               pht((static_cast<std::size_t>(spec.rowMask) + 1) *
@@ -248,695 +310,551 @@ runFusedReplay(const PreparedTrace &t,
         }
     };
 
-    std::vector<LaneSpec> specs;
-    specs.reserve(members.size());
-    bool narrow = true;
-    for (std::size_t member : members) {
-        const ConfigJob &job = jobs[member];
-        specs.push_back(LaneSpec{member, mask(job.rowBits),
-                                 mask(job.colBits), job.colBits});
-        if (job.rowBits > 15 || job.colBits > 15)
-            narrow = false;
-    }
-    // Keep column classes contiguous so each shard materialises as few
-    // per-column record streams as possible.  Stable: plan order is
-    // preserved within a class, and the sort affects execution
-    // placement only -- every lane's result lands in slots[member].
-    std::stable_sort(specs.begin(), specs.end(),
-                     [](const LaneSpec &a, const LaneSpec &b) {
-                         return a.colBits < b.colBits;
-                     });
+    void
+    runNarrow(std::vector<Lane> &lanes, std::size_t lo, std::size_t hi,
+              bool count, KernelTelemetry &tel) const
+    {
+        // Lanes sharing a column width share their fused record; the
+        // record for c occupies bits 0..29 (row << c tops out at bit
+        // 14 + 15), so the outcome bit in 31 never collides with any
+        // total-bits mask.
+        std::vector<std::vector<Lane *>> by_col(16);
+        for (Lane &lane : lanes)
+            by_col[lane.colBits].push_back(&lane);
 
-    // 2048 * 4 bytes keeps each decoded block at 8 KiB -- small enough
-    // to share L1 with the largest packed table a paper sweep uses
-    // (2^15 counters = 8 KiB).  A multiple of 64 so blocks consume
-    // whole packed-outcome words.
-    constexpr std::size_t blockSize = 2048;
-    static_assert(blockSize % 64 == 0,
-                  "blocks must consume whole taken words");
-    const std::size_t n = t.size();
-    const std::size_t nblocks = (n + blockSize - 1) / blockSize;
-
-    // Segments split at block boundaries (so counted tiles stay
-    // 64-aligned) and never exceed the block count; shards never
-    // exceed the lane count.  Balanced integer splits keep both
-    // partitions deterministic.
-    const std::size_t lane_count = specs.size();
-    const std::size_t shards = std::max<std::size_t>(
-        1, std::min<std::size_t>(exec.shards, lane_count));
-    const std::size_t segs = std::max<std::size_t>(
-        1, std::min<std::size_t>(exec.segments,
-                                 std::max<std::size_t>(nblocks, 1)));
-    const std::size_t tasks = shards * segs;
-    const auto shard_begin = [&](std::size_t s) {
-        return s * lane_count / shards;
-    };
-    const auto seg_begin = [&](std::size_t k) {
-        return std::min(n, k * nblocks / segs * blockSize);
-    };
-
-    // Per-(segment, lane) mispredict counts: task (s, k) writes only
-    // its shard's slice of row k, so placement is deterministic and
-    // unsynchronised.
-    std::vector<std::uint64_t> seg_misses(segs * lane_count, 0);
-    std::vector<KernelTelemetry> task_tel(tasks);
-
-    const auto run_task = [&](std::size_t task_idx) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::size_t s = task_idx / segs;
-        const std::size_t k = task_idx % segs;
-        const std::size_t lane_lo = shard_begin(s);
-        const std::size_t lane_hi = shard_begin(s + 1);
-        const std::size_t seg_lo = seg_begin(k);
-        const std::size_t seg_hi = seg_begin(k + 1);
-        // Segment 0 starts at the true trace start and needs no
-        // warm-up; later segments converge their cold counters on the
-        // window just before their range (uncounted).
-        const std::size_t warm_lo =
-            seg_lo > exec.warmup ? seg_lo - exec.warmup : 0;
-        KernelTelemetry &tel = task_tel[task_idx];
-        tel.warmupBranches += seg_lo - warm_lo;
-
-        // Private tables per task: shards must not share bytes (the
-        // SIMD kernels require disjoint lanes), and speculative
-        // segments must start cold by construction.
-        std::vector<Lane> lanes;
-        lanes.reserve(lane_hi - lane_lo);
-        for (std::size_t j = lane_lo; j < lane_hi; ++j)
-            lanes.emplace_back(specs[j]);
-
-        if (narrow) {
-            // Lanes sharing a column width share their fused record;
-            // the record for c occupies bits 0..29 (row << c tops out
-            // at bit 14 + 15), so the outcome bit in 31 never collides
-            // with any total-bits mask.
-            std::vector<std::vector<Lane *>> by_col(16);
-            for (Lane &lane : lanes)
-                by_col[lane.colBits].push_back(&lane);
-
-            // Raw decode: outcome in bit 31, row in bits 29..15,
-            // column in bits 14..0.  Lanes only read the row/column
-            // bits their masks cover, so the 15-bit truncation is
-            // lossless.
-            std::vector<std::uint32_t> decoded(blockSize);
-            std::vector<std::uint32_t> record(blockSize);
-            const auto replay_span = [&](std::size_t lo,
-                                         std::size_t hi, bool count) {
-                for (std::size_t base = lo; base < hi;
-                     base += blockSize) {
-                    const std::size_t m =
-                        std::min(blockSize, hi - base);
-                    if (count)
-                        ++tel.blocksReplayed;
-                    std::uint64_t taken_word = 0;
-                    for (std::size_t i = 0; i < m; ++i) {
-                        const std::size_t g = base + i;
-                        // Outcomes arrive packed, one 64-branch word
-                        // at a time; reload at word boundaries and on
-                        // the first (possibly unaligned, for warm-up
-                        // spans) branch.
-                        if (i == 0 || (g & 63) == 0)
-                            taken_word = t.takenWord(g >> 6);
-                        const auto tk = static_cast<std::uint32_t>(
-                            (taken_word >> (g & 63)) & 1u);
-                        decoded[i] =
-                            (tk << 31) |
-                            ((static_cast<std::uint32_t>(row_of(g)) &
-                              0x7FFFu) << 15) |
-                            (t.wordBits(g) & 0x7FFFu);
+        // Raw decode: outcome in bit 31, row in bits 29..15, column in
+        // bits 14..0.  Lanes only read the row/column bits their masks
+        // cover, so the 15-bit truncation is lossless.
+        std::vector<std::uint32_t> decoded(kBlockSize);
+        std::vector<std::uint32_t> record(kBlockSize);
+        for (std::size_t base = lo; base < hi; base += kBlockSize) {
+            const std::size_t m = std::min(kBlockSize, hi - base);
+            if (count)
+                ++tel.blocksReplayed;
+            std::uint64_t taken_word = 0;
+            for (std::size_t i = 0; i < m; ++i) {
+                const std::size_t g = base + i;
+                // Outcomes arrive packed, one 64-branch word at a time;
+                // reload at word boundaries and on the first (possibly
+                // unaligned, for warm-up spans) branch.
+                if (i == 0 || (g & 63) == 0)
+                    taken_word = t_.takenWord(g >> 6);
+                const auto tk = static_cast<std::uint32_t>(
+                    (taken_word >> (g & 63)) & 1u);
+                decoded[i] =
+                    (tk << 31) |
+                    ((static_cast<std::uint32_t>(rowOf_(g)) & 0x7FFFu)
+                     << 15) |
+                    (t_.wordBits(g) & 0x7FFFu);
+            }
+            for (unsigned c = 0; c < by_col.size(); ++c) {
+                std::vector<Lane *> &col_lanes = by_col[c];
+                if (col_lanes.empty())
+                    continue;
+                const auto col_mask = static_cast<std::uint32_t>(mask(c));
+                for (std::size_t i = 0; i < m; ++i) {
+                    const std::uint32_t d = decoded[i];
+                    record[i] = (d & 0x80000000u) |
+                                (((d >> 15) & 0x7FFFu) << c) |
+                                (d & col_mask);
+                }
+                // Replay the shared record stream through the lanes,
+                // LaneBatch::kMaxLanes at a time, on the dispatched
+                // SIMD kernel.
+                for (std::size_t first = 0; first < col_lanes.size();
+                     first += LaneBatch::kMaxLanes) {
+                    LaneBatch batch;
+                    batch.lanes = static_cast<unsigned>(
+                        std::min<std::size_t>(LaneBatch::kMaxLanes,
+                                              col_lanes.size() - first));
+                    for (unsigned l = 0; l < batch.lanes; ++l) {
+                        Lane *lane = col_lanes[first + l];
+                        batch.totalMask[l] = static_cast<std::uint32_t>(
+                            (lane->rowMask << c) | lane->colMask);
+                        batch.pht[l] = lane->pht.data();
                     }
-                    for (unsigned c = 0; c < by_col.size(); ++c) {
-                        std::vector<Lane *> &col_lanes = by_col[c];
-                        if (col_lanes.empty())
-                            continue;
-                        const auto col_mask =
-                            static_cast<std::uint32_t>(mask(c));
-                        for (std::size_t i = 0; i < m; ++i) {
-                            const std::uint32_t d = decoded[i];
-                            record[i] = (d & 0x80000000u) |
-                                        (((d >> 15) & 0x7FFFu) << c) |
-                                        (d & col_mask);
-                        }
-                        // Replay the shared record stream through the
-                        // lanes, LaneBatch::kMaxLanes at a time, on
-                        // the dispatched SIMD kernel.
-                        for (std::size_t first = 0;
-                             first < col_lanes.size();
-                             first += LaneBatch::kMaxLanes) {
-                            LaneBatch batch;
-                            batch.lanes = static_cast<unsigned>(
-                                std::min<std::size_t>(
-                                    LaneBatch::kMaxLanes,
-                                    col_lanes.size() - first));
-                            for (unsigned l = 0; l < batch.lanes; ++l) {
-                                Lane *lane = col_lanes[first + l];
-                                batch.totalMask[l] =
-                                    static_cast<std::uint32_t>(
-                                        (lane->rowMask << c) |
-                                        lane->colMask);
-                                batch.pht[l] = lane->pht.data();
-                            }
-                            replayLaneBatch(target, record.data(), m,
-                                            batch);
-                            if (count) {
-                                for (unsigned l = 0; l < batch.lanes;
-                                     ++l)
-                                    col_lanes[first + l]->mispredicts +=
-                                        batch.misses[l];
-                                ++tel.laneBatches;
-                            }
-                        }
+                    replayLaneBatch(target_, record.data(), m, batch);
+                    if (count) {
+                        for (unsigned l = 0; l < batch.lanes; ++l)
+                            col_lanes[first + l]->mispredicts +=
+                                batch.misses[l];
+                        ++tel.laneBatches;
                     }
                 }
-            };
-            replay_span(warm_lo, seg_lo, false);
-            replay_span(seg_lo, seg_hi, true);
-        } else {
-            // Wide fallback for configurations beyond the packed-
-            // record limits: same tiling, 64-bit row/column records.
-            std::vector<std::uint64_t> rows(blockSize),
-                cols(blockSize);
-            std::vector<std::uint8_t> takens(blockSize);
-            const auto replay_span = [&](std::size_t lo,
-                                         std::size_t hi, bool count) {
-                for (std::size_t base = lo; base < hi;
-                     base += blockSize) {
-                    const std::size_t m =
-                        std::min(blockSize, hi - base);
-                    if (count)
-                        ++tel.blocksReplayed;
-                    for (std::size_t i = 0; i < m; ++i) {
-                        const std::size_t g = base + i;
-                        rows[i] = row_of(g);
-                        cols[i] = wordIndex(t.pc(g));
-                        takens[i] =
-                            static_cast<std::uint8_t>(t.taken(g));
-                    }
-                    for (Lane &lane : lanes) {
-                        const std::uint64_t row_mask = lane.rowMask;
-                        const std::uint64_t col_mask = lane.colMask;
-                        const unsigned col_bits = lane.colBits;
-                        std::uint8_t *bytes = lane.pht.data();
-                        std::uint64_t misses = 0;
-                        for (std::size_t i = 0; i < m; ++i) {
-                            const auto idx = static_cast<std::size_t>(
-                                ((rows[i] & row_mask) << col_bits) |
-                                (cols[i] & col_mask));
-                            misses += PackedPht::predictAndUpdateRaw(
-                                bytes, idx, takens[i]);
-                        }
-                        if (count)
-                            lane.mispredicts += misses;
-                    }
-                }
-            };
-            replay_span(warm_lo, seg_lo, false);
-            replay_span(seg_lo, seg_hi, true);
+            }
         }
-
-        for (std::size_t j = 0; j < lanes.size(); ++j)
-            seg_misses[k * lane_count + lane_lo + j] =
-                lanes[j].mispredicts;
-        tel.busySeconds +=
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-    };
-
-    // Executors: the fusedThreads knob sizes the shard dimension, and
-    // a speculative request implies its segments want to run
-    // concurrently, so the task phase may use whichever is larger --
-    // purely an execution choice, results never depend on it.
-    const auto workers = static_cast<unsigned>(std::min<std::size_t>(
-        tasks,
-        std::max<std::size_t>(exec.shards, segs > 1 ? segs : 1)));
-    const auto span0 = std::chrono::steady_clock::now();
-    if (tasks == 1 || workers <= 1) {
-        for (std::size_t task_idx = 0; task_idx < tasks; ++task_idx)
-            run_task(task_idx);
-    } else {
-        ThreadPool::shared().parallelFor(tasks, workers, run_task);
     }
 
-    KernelTelemetry counters;
-    counters.target = target;
-    counters.fusedGroups = 1;
-    counters.lanes = lane_count;
-    counters.wideLanes = narrow ? 0 : lane_count;
-    counters.segments = segs;
-    counters.laneShards = shards;
-    counters.shardTasks = tasks;
-    counters.shardWorkers = workers;
-    counters.spanSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - span0)
-            .count();
-    for (const KernelTelemetry &tel : task_tel) {
-        counters.blocksReplayed += tel.blocksReplayed;
-        counters.laneBatches += tel.laneBatches;
-        counters.warmupBranches += tel.warmupBranches;
-        counters.busySeconds += tel.busySeconds;
+    /** Configurations beyond the packed-record limits: same tiling,
+     *  64-bit row/column records, one scalar pass per lane. */
+    void
+    runWide(std::vector<Lane> &lanes, std::size_t lo, std::size_t hi,
+            bool count, KernelTelemetry &tel) const
+    {
+        std::vector<std::uint64_t> rows(kBlockSize), cols(kBlockSize);
+        std::vector<std::uint8_t> takens(kBlockSize);
+        for (std::size_t base = lo; base < hi; base += kBlockSize) {
+            const std::size_t m = std::min(kBlockSize, hi - base);
+            if (count)
+                ++tel.blocksReplayed;
+            for (std::size_t i = 0; i < m; ++i) {
+                const std::size_t g = base + i;
+                rows[i] = rowOf_(g);
+                cols[i] = wordIndex(t_.pc(g));
+                takens[i] = static_cast<std::uint8_t>(t_.taken(g));
+            }
+            for (Lane &lane : lanes) {
+                std::uint8_t *bytes = lane.pht.data();
+                std::uint64_t misses = 0;
+                for (std::size_t i = 0; i < m; ++i) {
+                    const auto idx = static_cast<std::size_t>(
+                        ((rows[i] & lane.rowMask) << lane.colBits) |
+                        (cols[i] & lane.colMask));
+                    misses += PackedPht::predictAndUpdateRaw(bytes, idx,
+                                                             takens[i]);
+                }
+                if (count)
+                    lane.mispredicts += misses;
+            }
+        }
     }
 
-    // Reconcile: sum each lane's per-segment counts in segment order.
-    // For segs == 1 this is exactly the serial total; for segs > 1 it
-    // is the speculative estimate whose delta against exact mode the
-    // bench and differential tests report.
-    for (std::size_t j = 0; j < lane_count; ++j) {
-        std::uint64_t total = 0;
-        for (std::size_t k = 0; k < segs; ++k)
-            total += seg_misses[k * lane_count + j];
-        ConfigResult &out = slots[specs[j].member];
-        out = ConfigResult{};
-        out.mispRate =
-            n ? static_cast<double>(total) / static_cast<double>(n)
-              : 0.0;
-    }
-    if (telemetry)
-        telemetry->merge(counters);
-}
+    const PreparedTrace &t_;
+    RowFn rowOf_;
+    SimdTarget target_;
+    bool narrow_ = true;
+    std::vector<Spec> specs_;
+};
 
 /**
- * The batched model-lane replay: one trace pass steps every member
- * TAGE or perceptron model of a model group (DESIGN.md "Batched
- * model-lane replay").  The multi-table zoo has no packed-2-bit form,
- * but it shares the fused engine's two amortisable costs: the per-
- * branch decode (pc word index, global history, outcome) is identical
- * for every member, and the xorFold hash chains depend only on shared
+ * The aliasing 2-bit engine (Figure 5): each lane replays its spans
+ * branch by branch through a TwoBitCounter table shadowed by an
+ * AliasTracker that remembers each entry's last-writer pc, reading the
+ * prepared-trace columns inline.  It is lane-major -- one lane walks a
+ * whole span before the next starts -- and skips the block decode: the
+ * tracker needs every access's full pc, and tracker lanes inside the
+ * block-decoded loop measured slower than this loop (DESIGN.md
+ * "Segment-parallel replay").  Warm-up accesses train the counters and
+ * the last-writer state but are not counted.  A conflict is harmless
+ * when the low rowBits of pattern_of(i) -- the first-level history
+ * pattern in effect -- are all ones; schemes without such a pattern
+ * pass a constant 0.
+ */
+template <typename RowFn, typename PatternFn>
+class AliasLanes
+{
+  public:
+    AliasLanes(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
+               const std::vector<std::size_t> &members, RowFn row_of,
+               PatternFn pattern_of)
+        : t_(t), jobs_(jobs), members_(members), rowOf_(row_of),
+          patternOf_(pattern_of)
+    {
+    }
+
+    std::size_t lanes() const { return members_.size(); }
+    std::size_t member(std::size_t lane) const { return members_[lane]; }
+
+    void
+    run(const TaskSpan &span, LaneCounts *counts, KernelTelemetry &) const
+    {
+        // Locals, not members, in the hot loop: the compiler can then
+        // keep them in registers across the tracker call.
+        const PreparedTrace &t = t_;
+        const RowFn row_of = rowOf_;
+        const PatternFn pattern_of = patternOf_;
+        for (std::size_t j = span.laneLo; j < span.laneHi; ++j) {
+            const ConfigJob &job = jobs_[members_[j]];
+            const unsigned col_bits = job.colBits;
+            const std::uint64_t row_mask = mask(job.rowBits);
+            const std::uint64_t col_mask = mask(col_bits);
+            const bool has_rows = job.rowBits > 0;
+            std::vector<TwoBitCounter> counters(
+                std::size_t{1} << (job.rowBits + col_bits));
+            AliasTracker tracker(counters.size());
+
+            const auto replay = [&](std::size_t lo, std::size_t hi) {
+                std::uint64_t misses = 0;
+                for (std::size_t i = lo; i < hi; ++i) {
+                    const std::uint64_t row = row_of(i) & row_mask;
+                    const std::uint64_t col =
+                        wordIndex(t.pc(i)) & col_mask;
+                    const auto idx =
+                        static_cast<std::size_t>((row << col_bits) | col);
+                    tracker.access(idx, t.pc(i),
+                                   has_rows && (pattern_of(i) & row_mask) ==
+                                                   row_mask);
+                    const bool taken = t.taken(i);
+                    misses += counters[idx].predict() != taken;
+                    counters[idx].update(taken);
+                }
+                return misses;
+            };
+            replay(span.warmLo, span.segLo);
+            const std::uint64_t warm_accesses = tracker.accesses();
+            const std::uint64_t warm_conflicts = tracker.conflicts();
+            const std::uint64_t warm_harmless = tracker.harmlessConflicts();
+            LaneCounts &c = counts[j - span.laneLo];
+            c.misses = replay(span.segLo, span.segHi);
+            c.accesses = tracker.accesses() - warm_accesses;
+            c.conflicts = tracker.conflicts() - warm_conflicts;
+            c.harmless = tracker.harmlessConflicts() - warm_harmless;
+        }
+    }
+
+  private:
+    const PreparedTrace &t_;
+    const std::vector<ConfigJob> &jobs_;
+    const std::vector<std::size_t> &members_;
+    RowFn rowOf_;
+    PatternFn patternOf_;
+};
+
+/**
+ * The model engine: one trace pass steps every member TAGE or
+ * perceptron model of a model group (DESIGN.md "Batched model-lane
+ * replay").  The multi-table zoo has no packed-2-bit form, but it
+ * shares the packed engine's two amortisable costs: the per-branch
+ * decode (pc word index, global history, outcome) is identical for
+ * every member, and the xorFold hash chains depend only on shared
  * geometry -- every member of a sweep shares tagBits/histories (TAGE)
  * or the table count (perceptron), and members sharing an entry width
  * share their index folds exactly.  So the pass block-tiles the trace
- * like runFusedReplay (same 2048-branch tiles), decodes each block
- * once, materialises the hash keys once per (block, shared-geometry
- * class), and then:
+ * in the same 2048-branch tiles, decodes each block once, materialises
+ * the hash keys once per (block, shared-geometry class), and then:
  *
  *  - TAGE lanes replay through TageModel::stepWithKeys on the
  *    component-major key blocks -- the predict/train/allocate logic is
- *    the model's own, so batched and per-config replay cannot drift;
+ *    the model's own, so the batched replay and the model cannot drift;
  *  - perceptron lanes drop their weights into int8 structure-of-arrays
  *    banks and replay PerceptronBatch::kMaxLanes at a time through the
  *    runtime-dispatched SIMD dot-product/update kernel
  *    (common/simd.hh), bit-identical to PerceptronModel::step.
- *
- * The within-group execution shape is runFusedReplay's shard x segment
- * task grid verbatim: shards partition the lanes (private models and
- * banks, bit-identical for any shard count), segments partition the
- * trace at block boundaries with the same uncounted warm-up window,
- * and the per-(lane, segment) counts are summed in segment order.
- * Cache-key semantics are therefore identical to the fused 2-bit path:
- * results depend on (trace, geometry, segments, warmup), never on
- * shard or worker counts.
  */
-void
-runModelBatch(const PreparedTrace &t, const SweepOptions &opts,
-              const std::vector<ConfigJob> &jobs,
-              const std::vector<std::size_t> &members,
-              ConfigResult *slots, SimdTarget target,
-              const ReplayExec &exec, KernelTelemetry *telemetry)
+class ModelLanes
 {
-    static_assert(
-        PerceptronBatch::kWeightMin == PerceptronModel::kWeightMin &&
-            PerceptronBatch::kWeightMax == PerceptronModel::kWeightMax,
-        "the SIMD perceptron kernel clamps to the model's range");
+  public:
+    ModelLanes(const PreparedTrace &t, const SweepOptions &opts,
+               const std::vector<ConfigJob> &jobs,
+               const std::vector<std::size_t> &members, SimdTarget target)
+        : t_(t), opts_(opts), target_(target)
+    {
+        static_assert(
+            PerceptronBatch::kWeightMin == PerceptronModel::kWeightMin &&
+                PerceptronBatch::kWeightMax == PerceptronModel::kWeightMax,
+            "the SIMD perceptron kernel clamps to the model's range");
 
-    bpsim_assert(!members.empty(), "empty model group");
-    const SchemeKind kind = jobs[members.front()].kind;
-    bpsim_assert(kind == SchemeKind::Tage ||
-                     kind == SchemeKind::Perceptron,
-                 "model groups hold only multi-table schemes");
-    for (std::size_t member : members)
-        bpsim_assert(jobs[member].kind == kind,
-                     "model groups never mix schemes");
+        bpsim_assert(!members.empty(), "empty model group");
+        const SchemeKind kind = jobs[members.front()].kind;
+        bpsim_assert(kind == SchemeKind::Tage ||
+                         kind == SchemeKind::Perceptron,
+                     "model groups hold only multi-table schemes");
+        isTage_ = kind == SchemeKind::Tage;
+        specs_.reserve(members.size());
+        for (std::size_t member : members) {
+            bpsim_assert(jobs[member].kind == kind,
+                         "model groups never mix schemes");
+            specs_.push_back(Spec{member, jobs[member].rowBits,
+                                  jobs[member].colBits});
+        }
+        // Keep entry-width classes contiguous (TAGE components and
+        // perceptron tables are 2^entryBits entries: rowBits for TAGE,
+        // colBits for perceptron) so each shard materialises as few
+        // index folds as possible.  Stable, execution placement only.
+        const bool is_tage = isTage_;
+        std::stable_sort(specs_.begin(), specs_.end(),
+                         [is_tage](const Spec &a, const Spec &b) {
+                             return (is_tage ? a.rowBits : a.colBits) <
+                                    (is_tage ? b.rowBits : b.colBits);
+                         });
+    }
 
-    struct LaneSpec
+    std::size_t lanes() const { return specs_.size(); }
+    std::size_t member(std::size_t lane) const
+    {
+        return specs_[lane].member;
+    }
+
+    void
+    run(const TaskSpan &span, LaneCounts *counts,
+        KernelTelemetry &tel) const
+    {
+        // Shared per-block decode: full 64-bit pc word index (the zoo
+        // hashes fold all of it, unlike the 15-bit packed columns), the
+        // history register, and the unpacked outcome byte the
+        // perceptron kernel consumes directly.
+        Block block;
+        if (isTage_) {
+            runTage(span, block, counts, tel);
+        } else {
+            runPerceptron(span, block, counts, tel);
+        }
+    }
+
+  private:
+    struct Spec
     {
         std::size_t member;
         unsigned rowBits;
         unsigned colBits;
     };
-    std::vector<LaneSpec> specs;
-    specs.reserve(members.size());
-    for (std::size_t member : members)
-        specs.push_back(LaneSpec{member, jobs[member].rowBits,
-                                 jobs[member].colBits});
-    // Keep entry-width classes contiguous (TAGE components and
-    // perceptron tables are 2^entryBits entries: rowBits for TAGE,
-    // colBits for perceptron) so each shard materialises as few index
-    // folds as possible.  Stable, execution placement only.
-    const bool is_tage = kind == SchemeKind::Tage;
-    std::stable_sort(specs.begin(), specs.end(),
-                     [is_tage](const LaneSpec &a, const LaneSpec &b) {
-                         return (is_tage ? a.rowBits : a.colBits) <
-                                (is_tage ? b.rowBits : b.colBits);
-                     });
 
-    // Same tile size as the fused replay: the decoded block (8-byte
-    // word index + 8-byte history + outcome) stays L2-resident while
-    // every lane streams it.
-    constexpr std::size_t blockSize = 2048;
-    static_assert(blockSize % 64 == 0,
-                  "blocks must consume whole taken words");
-    const std::size_t n = t.size();
-    const std::size_t nblocks = (n + blockSize - 1) / blockSize;
-
-    const std::size_t lane_count = specs.size();
-    const std::size_t shards = std::max<std::size_t>(
-        1, std::min<std::size_t>(exec.shards, lane_count));
-    const std::size_t segs = std::max<std::size_t>(
-        1, std::min<std::size_t>(exec.segments,
-                                 std::max<std::size_t>(nblocks, 1)));
-    const std::size_t tasks = shards * segs;
-    const auto shard_begin = [&](std::size_t s) {
-        return s * lane_count / shards;
-    };
-    const auto seg_begin = [&](std::size_t k) {
-        return std::min(n, k * nblocks / segs * blockSize);
+    struct Block
+    {
+        std::vector<std::uint64_t> widx =
+            std::vector<std::uint64_t>(kBlockSize);
+        std::vector<std::uint64_t> gh =
+            std::vector<std::uint64_t>(kBlockSize);
+        std::vector<std::uint8_t> tk =
+            std::vector<std::uint8_t>(kBlockSize);
     };
 
-    std::vector<std::uint64_t> seg_misses(segs * lane_count, 0);
-    std::vector<KernelTelemetry> task_tel(tasks);
+    void
+    decode(Block &block, std::size_t base, std::size_t m) const
+    {
+        for (std::size_t i = 0; i < m; ++i) {
+            const std::size_t g = base + i;
+            block.widx[i] = wordIndex(t_.pc(g));
+            block.gh[i] = t_.globalHistory(g);
+            block.tk[i] = static_cast<std::uint8_t>(t_.taken(g));
+        }
+    }
 
-    const auto run_task = [&](std::size_t task_idx) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::size_t s = task_idx / segs;
-        const std::size_t k = task_idx % segs;
-        const std::size_t lane_lo = shard_begin(s);
-        const std::size_t lane_hi = shard_begin(s + 1);
-        const std::size_t seg_lo = seg_begin(k);
-        const std::size_t seg_hi = seg_begin(k + 1);
-        const std::size_t warm_lo =
-            seg_lo > exec.warmup ? seg_lo - exec.warmup : 0;
-        KernelTelemetry &tel = task_tel[task_idx];
-        tel.warmupBranches += seg_lo - warm_lo;
+    void
+    runTage(const TaskSpan &span, Block &block, LaneCounts *counts,
+            KernelTelemetry &tel) const
+    {
+        const std::vector<std::uint64_t> &widx = block.widx;
+        const std::vector<std::uint64_t> &gh = block.gh;
+        const auto ncomp =
+            static_cast<unsigned>(opts_.tageHistories.size());
+        const unsigned tag_bits = opts_.tageTagBits;
+        std::uint64_t hmask[8];
+        for (unsigned j = 0; j < ncomp && j < 8; ++j)
+            hmask[j] = mask(opts_.tageHistories[j]);
 
-        const std::size_t task_lanes = lane_hi - lane_lo;
-        std::vector<std::uint64_t> lane_misses(task_lanes, 0);
+        const std::size_t task_lanes = span.laneHi - span.laneLo;
+        std::vector<TageModel> models;
+        models.reserve(task_lanes);
+        for (std::size_t j = span.laneLo; j < span.laneHi; ++j)
+            models.emplace_back(tageSweepParams(
+                specs_[j].rowBits, specs_[j].colBits, opts_));
 
-        // Shared per-block decode: full 64-bit pc word index (the zoo
-        // hashes fold all of it, unlike the 15-bit packed columns),
-        // the history register, and the unpacked outcome byte the
-        // perceptron kernel consumes directly.
-        std::vector<std::uint64_t> widx(blockSize), gh(blockSize);
-        std::vector<std::uint8_t> tk(blockSize);
-        const auto decode_block = [&](std::size_t base,
-                                      std::size_t m) {
-            for (std::size_t i = 0; i < m; ++i) {
-                const std::size_t g = base + i;
-                widx[i] = wordIndex(t.pc(g));
-                gh[i] = t.globalHistory(g);
-                tk[i] = static_cast<std::uint8_t>(t.taken(g));
+        // Component-major key blocks, shared across lanes: tags depend
+        // only on (tagBits, histories) -- group-wide -- and entry
+        // indices additionally on entryBits, so they are materialised
+        // once per (block, entry-width class).
+        std::vector<std::uint16_t> tags(ncomp * kBlockSize);
+        std::vector<std::uint32_t> idxf(ncomp * kBlockSize);
+        std::vector<std::uint16_t> wtagf(kBlockSize);
+        std::vector<std::uint32_t> wfold(kBlockSize);
+
+        const auto replay_span = [&](std::size_t lo, std::size_t hi,
+                                     bool count) {
+            for (std::size_t base = lo; base < hi; base += kBlockSize) {
+                const std::size_t m = std::min(kBlockSize, hi - base);
+                if (count)
+                    ++tel.blocksReplayed;
+                decode(block, base, m);
+                for (std::size_t i = 0; i < m; ++i)
+                    wtagf[i] = static_cast<std::uint16_t>(
+                        xorFold(widx[i], tag_bits));
+                for (unsigned j = 0; j < ncomp; ++j) {
+                    std::uint16_t *out = tags.data() + j * kBlockSize;
+                    for (std::size_t i = 0; i < m; ++i) {
+                        const std::uint64_t h = gh[i] & hmask[j];
+                        out[i] = static_cast<std::uint16_t>(
+                            (wtagf[i] ^ xorFold(h, tag_bits) ^
+                             (xorFold(h, tag_bits - 1) << 1)) &
+                            mask(tag_bits));
+                    }
+                }
+                for (std::size_t first = 0; first < task_lanes;) {
+                    const unsigned eb = specs_[span.laneLo + first].rowBits;
+                    std::size_t last = first;
+                    while (last < task_lanes &&
+                           specs_[span.laneLo + last].rowBits == eb)
+                        ++last;
+                    if (count)
+                        ++tel.modelBatches;
+                    const std::uint64_t eb_mask = mask(eb);
+                    for (std::size_t i = 0; i < m; ++i)
+                        wfold[i] = static_cast<std::uint32_t>(
+                            xorFold(widx[i], eb));
+                    for (unsigned j = 0; j < ncomp; ++j) {
+                        std::uint32_t *out = idxf.data() + j * kBlockSize;
+                        for (std::size_t i = 0; i < m; ++i)
+                            out[i] = static_cast<std::uint32_t>(
+                                (xorFold(gh[i] & hmask[j], eb) ^
+                                 wfold[i]) &
+                                eb_mask);
+                    }
+                    for (std::size_t j = first; j < last; ++j) {
+                        TageModel &model = models[j];
+                        const std::uint64_t base_mask =
+                            mask(specs_[span.laneLo + j].colBits);
+                        std::uint64_t misses = 0;
+                        for (std::size_t i = 0; i < m; ++i) {
+                            const bool taken = block.tk[i] != 0;
+                            const bool pred =
+                                model
+                                    .stepWithKeys(
+                                        static_cast<std::size_t>(
+                                            widx[i] & base_mask),
+                                        idxf.data() + i, kBlockSize,
+                                        tags.data() + i, kBlockSize,
+                                        taken)
+                                    .prediction;
+                            misses += pred != taken;
+                        }
+                        if (count)
+                            counts[j].misses += misses;
+                    }
+                    first = last;
+                }
             }
         };
+        replay_span(span.warmLo, span.segLo, false);
+        replay_span(span.segLo, span.segHi, true);
+    }
 
-        if (is_tage) {
-            const auto ncomp =
-                static_cast<unsigned>(opts.tageHistories.size());
-            const unsigned tag_bits = opts.tageTagBits;
-            std::uint64_t hmask[8];
-            for (unsigned j = 0; j < ncomp && j < 8; ++j)
-                hmask[j] = mask(opts.tageHistories[j]);
-
-            std::vector<TageModel> models;
-            models.reserve(task_lanes);
-            for (std::size_t j = lane_lo; j < lane_hi; ++j)
-                models.emplace_back(tageSweepParams(
-                    specs[j].rowBits, specs[j].colBits, opts));
-
-            // Component-major key blocks, shared across lanes: tags
-            // depend only on (tagBits, histories) -- group-wide -- and
-            // entry indices additionally on entryBits, so they are
-            // materialised once per (block, entry-width class).
-            std::vector<std::uint16_t> tags(ncomp * blockSize);
-            std::vector<std::uint32_t> idxf(ncomp * blockSize);
-            std::vector<std::uint16_t> wtagf(blockSize);
-            std::vector<std::uint32_t> wfold(blockSize);
-
-            const auto replay_span = [&](std::size_t lo,
-                                         std::size_t hi, bool count) {
-                for (std::size_t base = lo; base < hi;
-                     base += blockSize) {
-                    const std::size_t m =
-                        std::min(blockSize, hi - base);
-                    if (count)
-                        ++tel.blocksReplayed;
-                    decode_block(base, m);
-                    for (std::size_t i = 0; i < m; ++i)
-                        wtagf[i] = static_cast<std::uint16_t>(
-                            xorFold(widx[i], tag_bits));
-                    for (unsigned j = 0; j < ncomp; ++j) {
-                        std::uint16_t *out = tags.data() +
-                                             j * blockSize;
-                        for (std::size_t i = 0; i < m; ++i) {
-                            const std::uint64_t h = gh[i] & hmask[j];
-                            out[i] = static_cast<std::uint16_t>(
-                                (wtagf[i] ^ xorFold(h, tag_bits) ^
-                                 (xorFold(h, tag_bits - 1) << 1)) &
-                                mask(tag_bits));
-                        }
-                    }
-                    for (std::size_t first = 0; first < task_lanes;) {
-                        const unsigned eb =
-                            specs[lane_lo + first].rowBits;
-                        std::size_t last = first;
-                        while (last < task_lanes &&
-                               specs[lane_lo + last].rowBits == eb)
-                            ++last;
-                        if (count)
-                            ++tel.modelBatches;
-                        const std::uint64_t eb_mask = mask(eb);
-                        for (std::size_t i = 0; i < m; ++i)
-                            wfold[i] = static_cast<std::uint32_t>(
-                                xorFold(widx[i], eb));
-                        for (unsigned j = 0; j < ncomp; ++j) {
-                            std::uint32_t *out = idxf.data() +
-                                                 j * blockSize;
-                            for (std::size_t i = 0; i < m; ++i)
-                                out[i] = static_cast<std::uint32_t>(
-                                    (xorFold(gh[i] & hmask[j], eb) ^
-                                     wfold[i]) &
-                                    eb_mask);
-                        }
-                        for (std::size_t j = first; j < last; ++j) {
-                            TageModel &model = models[j];
-                            const std::uint64_t base_mask =
-                                mask(specs[lane_lo + j].colBits);
-                            std::uint64_t misses = 0;
-                            for (std::size_t i = 0; i < m; ++i) {
-                                const bool taken = tk[i] != 0;
-                                const bool pred =
-                                    model
-                                        .stepWithKeys(
-                                            static_cast<std::size_t>(
-                                                widx[i] & base_mask),
-                                            idxf.data() + i,
-                                            blockSize,
-                                            tags.data() + i,
-                                            blockSize, taken)
-                                        .prediction;
-                                misses += pred != taken;
-                            }
-                            if (count)
-                                lane_misses[j] += misses;
-                        }
-                        first = last;
-                    }
-                }
-            };
-            replay_span(warm_lo, seg_lo, false);
-            replay_span(seg_lo, seg_hi, true);
-        } else {
-            const unsigned tables = opts.perceptronTables;
-            struct PerceptronLane
-            {
-                std::vector<std::int8_t> bank;
-                std::int32_t theta;
-                unsigned entryBits;
-            };
-            std::vector<PerceptronLane> lanes;
-            lanes.reserve(task_lanes);
-            for (std::size_t j = lane_lo; j < lane_hi; ++j) {
-                // Validate through the real params (geometry errors
-                // surface exactly as on the per-config path).
-                perceptronSweepParams(specs[j].rowBits,
-                                      specs[j].colBits, opts)
-                    .validate();
-                PerceptronLane lane;
-                lane.entryBits = specs[j].colBits;
-                // The SoA bank: table t's weight e at (t << eb) + e,
-                // gather slack past the last weight (simd.hh).
-                lane.bank.assign(
-                    (static_cast<std::size_t>(tables)
-                     << lane.entryBits) +
-                        PackedPht::kGatherSlack,
-                    0);
-                lane.theta = static_cast<std::int32_t>(
-                    (193u * specs[j].rowBits) / 100u + 14u);
-                lanes.push_back(std::move(lane));
-            }
-
-            // Sub-tile the block for the pre-offset index buffer:
-            // 64 branches x tables x kMaxLanes stays L1-resident.
-            constexpr std::size_t kTile = 64;
-            std::vector<std::uint32_t> idxbuf(
-                kTile * tables * PerceptronBatch::kMaxLanes);
-
-            const auto replay_span = [&](std::size_t lo,
-                                         std::size_t hi, bool count) {
-                for (std::size_t base = lo; base < hi;
-                     base += blockSize) {
-                    const std::size_t m =
-                        std::min(blockSize, hi - base);
-                    if (count)
-                        ++tel.blocksReplayed;
-                    decode_block(base, m);
-                    for (std::size_t b_lo = 0; b_lo < task_lanes;
-                         b_lo += PerceptronBatch::kMaxLanes) {
-                        PerceptronBatch batch;
-                        batch.lanes = static_cast<unsigned>(
-                            std::min<std::size_t>(
-                                PerceptronBatch::kMaxLanes,
-                                task_lanes - b_lo));
-                        batch.tables = tables;
-                        for (unsigned l = 0; l < batch.lanes; ++l) {
-                            PerceptronLane &lane = lanes[b_lo + l];
-                            batch.weights[l] = lane.bank.data();
-                            batch.theta[l] = lane.theta;
-                        }
-                        if (count)
-                            ++tel.modelBatches;
-                        std::uint32_t wfold[kTile];
-                        for (std::size_t off = 0; off < m;
-                             off += kTile) {
-                            const std::size_t mt =
-                                std::min(kTile, m - off);
-                            int cur_eb = -1;
-                            for (unsigned l = 0; l < batch.lanes;
-                                 ++l) {
-                                const PerceptronLane &lane =
-                                    lanes[b_lo + l];
-                                const unsigned eb = lane.entryBits;
-                                const auto eb_mask =
-                                    static_cast<std::uint32_t>(
-                                        mask(eb));
-                                if (static_cast<int>(eb) != cur_eb) {
-                                    cur_eb = static_cast<int>(eb);
-                                    for (std::size_t i = 0; i < mt;
-                                         ++i)
-                                        wfold[i] = static_cast<
-                                            std::uint32_t>(
-                                            xorFold(widx[off + i],
-                                                    eb));
-                                }
-                                const unsigned h =
-                                    specs[lane_lo + b_lo + l].rowBits;
-                                const std::size_t stride =
-                                    static_cast<std::size_t>(tables) *
-                                    PerceptronBatch::kMaxLanes;
-                                std::uint32_t *col = idxbuf.data() + l;
-                                for (std::size_t i = 0; i < mt; ++i)
-                                    col[i * stride] =
-                                        static_cast<std::uint32_t>(
-                                            widx[off + i]) &
-                                        eb_mask;
-                                const unsigned nseg = tables - 1;
-                                for (unsigned tb = 1; tb < tables;
-                                     ++tb) {
-                                    const unsigned seg_l =
-                                        (tb - 1) * h / nseg;
-                                    const unsigned seg_h =
-                                        tb * h / nseg;
-                                    const auto off_t =
-                                        static_cast<std::uint32_t>(
-                                            tb)
-                                        << eb;
-                                    std::uint32_t *out =
-                                        idxbuf.data() +
-                                        tb *
-                                            PerceptronBatch::
-                                                kMaxLanes +
-                                        l;
-                                    for (std::size_t i = 0; i < mt;
-                                         ++i) {
-                                        const std::uint64_t seg =
-                                            bitsAt(gh[off + i],
-                                                   seg_l,
-                                                   seg_h - seg_l);
-                                        out[i * stride] =
-                                            ((static_cast<
-                                                  std::uint32_t>(
-                                                  xorFold(seg, eb)) ^
-                                              wfold[i]) &
-                                             eb_mask) +
-                                            off_t;
-                                    }
-                                }
-                            }
-                            replayPerceptronBatch(target,
-                                                  idxbuf.data(),
-                                                  tk.data() + off, mt,
-                                                  batch);
-                        }
-                        if (count)
-                            for (unsigned l = 0; l < batch.lanes; ++l)
-                                lane_misses[b_lo + l] +=
-                                    batch.misses[l];
-                    }
-                }
-            };
-            replay_span(warm_lo, seg_lo, false);
-            replay_span(seg_lo, seg_hi, true);
+    void
+    runPerceptron(const TaskSpan &span, Block &block, LaneCounts *counts,
+                  KernelTelemetry &tel) const
+    {
+        const std::vector<std::uint64_t> &widx = block.widx;
+        const std::vector<std::uint64_t> &gh = block.gh;
+        const unsigned tables = opts_.perceptronTables;
+        struct PerceptronLane
+        {
+            std::vector<std::int8_t> bank;
+            std::int32_t theta;
+            unsigned entryBits;
+        };
+        const std::size_t task_lanes = span.laneHi - span.laneLo;
+        std::vector<PerceptronLane> lanes;
+        lanes.reserve(task_lanes);
+        for (std::size_t j = span.laneLo; j < span.laneHi; ++j) {
+            // Validate through the real params (geometry errors surface
+            // exactly as PerceptronModel would raise them).
+            perceptronSweepParams(specs_[j].rowBits, specs_[j].colBits,
+                                  opts_)
+                .validate();
+            PerceptronLane lane;
+            lane.entryBits = specs_[j].colBits;
+            // The SoA bank: table t's weight e at (t << eb) + e, gather
+            // slack past the last weight (simd.hh).
+            lane.bank.assign((static_cast<std::size_t>(tables)
+                              << lane.entryBits) +
+                                 PackedPht::kGatherSlack,
+                             0);
+            lane.theta = static_cast<std::int32_t>(
+                (193u * specs_[j].rowBits) / 100u + 14u);
+            lanes.push_back(std::move(lane));
         }
 
-        for (std::size_t j = 0; j < task_lanes; ++j)
-            seg_misses[k * lane_count + lane_lo + j] = lane_misses[j];
-        tel.busySeconds +=
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-    };
+        // Sub-tile the block for the pre-offset index buffer: 64
+        // branches x tables x kMaxLanes stays L1-resident.
+        constexpr std::size_t kTile = 64;
+        std::vector<std::uint32_t> idxbuf(kTile * tables *
+                                          PerceptronBatch::kMaxLanes);
 
-    const auto workers = static_cast<unsigned>(std::min<std::size_t>(
-        tasks,
-        std::max<std::size_t>(exec.shards, segs > 1 ? segs : 1)));
-    const auto span0 = std::chrono::steady_clock::now();
-    if (tasks == 1 || workers <= 1) {
-        for (std::size_t task_idx = 0; task_idx < tasks; ++task_idx)
-            run_task(task_idx);
-    } else {
-        ThreadPool::shared().parallelFor(tasks, workers, run_task);
+        const auto replay_span = [&](std::size_t lo, std::size_t hi,
+                                     bool count) {
+            for (std::size_t base = lo; base < hi; base += kBlockSize) {
+                const std::size_t m = std::min(kBlockSize, hi - base);
+                if (count)
+                    ++tel.blocksReplayed;
+                decode(block, base, m);
+                for (std::size_t b_lo = 0; b_lo < task_lanes;
+                     b_lo += PerceptronBatch::kMaxLanes) {
+                    PerceptronBatch batch;
+                    batch.lanes = static_cast<unsigned>(
+                        std::min<std::size_t>(PerceptronBatch::kMaxLanes,
+                                              task_lanes - b_lo));
+                    batch.tables = tables;
+                    for (unsigned l = 0; l < batch.lanes; ++l) {
+                        PerceptronLane &lane = lanes[b_lo + l];
+                        batch.weights[l] = lane.bank.data();
+                        batch.theta[l] = lane.theta;
+                    }
+                    if (count)
+                        ++tel.modelBatches;
+                    std::uint32_t wfold[kTile];
+                    for (std::size_t off = 0; off < m; off += kTile) {
+                        const std::size_t mt = std::min(kTile, m - off);
+                        int cur_eb = -1;
+                        for (unsigned l = 0; l < batch.lanes; ++l) {
+                            const unsigned eb = lanes[b_lo + l].entryBits;
+                            const auto eb_mask =
+                                static_cast<std::uint32_t>(mask(eb));
+                            if (static_cast<int>(eb) != cur_eb) {
+                                cur_eb = static_cast<int>(eb);
+                                for (std::size_t i = 0; i < mt; ++i)
+                                    wfold[i] = static_cast<std::uint32_t>(
+                                        xorFold(widx[off + i], eb));
+                            }
+                            const unsigned h =
+                                specs_[span.laneLo + b_lo + l].rowBits;
+                            const std::size_t stride =
+                                static_cast<std::size_t>(tables) *
+                                PerceptronBatch::kMaxLanes;
+                            std::uint32_t *col = idxbuf.data() + l;
+                            for (std::size_t i = 0; i < mt; ++i)
+                                col[i * stride] =
+                                    static_cast<std::uint32_t>(
+                                        widx[off + i]) &
+                                    eb_mask;
+                            const unsigned nseg = tables - 1;
+                            for (unsigned tb = 1; tb < tables; ++tb) {
+                                const unsigned seg_l = (tb - 1) * h / nseg;
+                                const unsigned seg_h = tb * h / nseg;
+                                const auto off_t =
+                                    static_cast<std::uint32_t>(tb) << eb;
+                                std::uint32_t *out =
+                                    idxbuf.data() +
+                                    tb * PerceptronBatch::kMaxLanes + l;
+                                for (std::size_t i = 0; i < mt; ++i) {
+                                    const std::uint64_t seg =
+                                        bitsAt(gh[off + i], seg_l,
+                                               seg_h - seg_l);
+                                    out[i * stride] =
+                                        ((static_cast<std::uint32_t>(
+                                              xorFold(seg, eb)) ^
+                                          wfold[i]) &
+                                         eb_mask) +
+                                        off_t;
+                                }
+                            }
+                        }
+                        replayPerceptronBatch(target_, idxbuf.data(),
+                                              block.tk.data() + off, mt,
+                                              batch);
+                    }
+                    if (count)
+                        for (unsigned l = 0; l < batch.lanes; ++l)
+                            counts[b_lo + l].misses += batch.misses[l];
+                }
+            }
+        };
+        replay_span(span.warmLo, span.segLo, false);
+        replay_span(span.segLo, span.segHi, true);
     }
 
-    KernelTelemetry counters;
-    counters.target = target;
-    counters.modelGroups = 1;
-    counters.modelLanes = lane_count;
-    counters.segments = segs;
-    counters.laneShards = shards;
-    counters.shardTasks = tasks;
-    counters.shardWorkers = workers;
-    counters.spanSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - span0)
-            .count();
-    for (const KernelTelemetry &tel : task_tel) {
-        counters.blocksReplayed += tel.blocksReplayed;
-        counters.modelBatches += tel.modelBatches;
-        counters.warmupBranches += tel.warmupBranches;
-        counters.busySeconds += tel.busySeconds;
-    }
+    const PreparedTrace &t_;
+    const SweepOptions &opts_;
+    SimdTarget target_;
+    bool isTage_ = false;
+    std::vector<Spec> specs_;
+};
 
-    for (std::size_t j = 0; j < lane_count; ++j) {
-        std::uint64_t total = 0;
-        for (std::size_t k = 0; k < segs; ++k)
-            total += seg_misses[k * lane_count + j];
-        ConfigResult &out = slots[specs[j].member];
-        out = ConfigResult{};
-        out.mispRate =
-            n ? static_cast<double>(total) / static_cast<double>(n)
-              : 0.0;
-    }
-    if (telemetry)
-        telemetry->merge(counters);
+/** StreamCache key of a job's first-level stream (FusedGroup). */
+unsigned
+streamKey(const ConfigJob &job)
+{
+    // Only PAsFinite streams depend on the row width (the 0xC3FF reset
+    // prefix differs); every other scheme shares one stream per kind.
+    return job.kind == SchemeKind::PAsFinite ? job.rowBits : 0;
 }
 
 } // namespace
@@ -970,8 +888,8 @@ KernelTelemetry::hotBytesPerBranch() const
 double
 KernelTelemetry::segmentsPerGroup() const
 {
-    // Fused and model groups both run the shard x segment grid, so
-    // the per-group means average over the combined population.
+    // Every group runs the shard x segment grid, so the per-group
+    // means average over the combined population.
     const std::uint64_t groups = fusedGroups + modelGroups;
     return groups ? static_cast<double>(segments) /
                         static_cast<double>(groups)
@@ -1001,7 +919,6 @@ KernelTelemetry::merge(const KernelTelemetry &other)
 {
     target = other.target;
     fusedGroups += other.fusedGroups;
-    fallbackJobs += other.fallbackJobs;
     lanes += other.lanes;
     wideLanes += other.wideLanes;
     laneBatches += other.laneBatches;
@@ -1029,27 +946,8 @@ resolveFusedThreads(const SweepOptions &opts)
 unsigned
 resolveSegments(const SweepOptions &opts)
 {
-    unsigned segs = opts.segments;
-    if (segs == 0) {
-        // Read fresh on every call: tests and long-lived services
-        // toggle BPSIM_SEGMENTS between sweeps.
-        segs = 1;
-        if (const char *env = std::getenv("BPSIM_SEGMENTS")) {
-            char *end = nullptr;
-            const unsigned long v = std::strtoul(env, &end, 10);
-            if (end && *end == '\0' && end != env && v >= 1 &&
-                v <= SweepOptions::kMaxSegments) {
-                segs = static_cast<unsigned>(v);
-            } else {
-                bpsim_warn("ignoring unrecognised BPSIM_SEGMENTS ",
-                           "value '", env,
-                           "' (expected an integer in [1, ",
-                           SweepOptions::kMaxSegments, "])");
-            }
-        }
-    }
-    return std::max(1u,
-                    std::min(segs, SweepOptions::kMaxSegments));
+    return std::max(1u, std::min(opts.segments,
+                                 SweepOptions::kMaxSegments));
 }
 
 const char *
@@ -1123,77 +1021,41 @@ planSweep(SchemeKind kind, const SweepOptions &opts)
     return jobs;
 }
 
+FusedGroup
+singleJobGroup(const std::vector<ConfigJob> &jobs, std::size_t index)
+{
+    return FusedGroup{jobs[index].kind, streamKey(jobs[index]), {index}};
+}
+
 std::vector<FusedGroup>
 planFusedGroups(const std::vector<ConfigJob> &jobs,
                 const SweepOptions &opts, unsigned threads)
 {
-    std::vector<FusedGroup> groups;
-
-    // AliasTracker needs the per-access branch address, which the
-    // packed kernel deliberately does not thread through -- the 2-bit
-    // family falls back to one per-config replay per job when aliasing
-    // is tracked (Figure 5 semantics untouched).  The zoo is exempt
-    // from that fallback: its aliasing surfaces are identically zero
-    // whether tracked or not (analyzeInterference owns its
-    // interference story), so zoo jobs batch whenever fusion is on.
-    const auto zoo = [](SchemeKind kind) {
-        return kind == SchemeKind::Tage ||
-               kind == SchemeKind::Perceptron;
-    };
-    if (!opts.fuseJobs ||
-        (opts.trackAliasing &&
-         std::none_of(jobs.begin(), jobs.end(),
-                      [&](const ConfigJob &j) { return zoo(j.kind); }))) {
-        groups.reserve(jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            FusedGroup g;
-            g.kind = jobs[i].kind;
-            g.streamRowBits = jobs[i].rowBits;
-            g.fused = false;
-            g.jobs.push_back(i);
-            groups.push_back(std::move(g));
-        }
-        return groups;
-    }
-
     // Bucket by shared first-level stream, in first-appearance order.
-    // Only PAsFinite streams depend on the row width (the 0xC3FF reset
-    // prefix differs); every other scheme shares one bucket per kind.
-    struct Bucket
-    {
-        SchemeKind kind;
-        unsigned streamRowBits;
-        std::vector<std::size_t> jobs;
-    };
-    std::vector<Bucket> buckets;
+    // Aliasing-tracked 2-bit jobs run the lane-major aliasing engine,
+    // which gains nothing from sharing a pass, so each is a bucket of
+    // its own and the pool spreads them across executors.  Zoo jobs
+    // bucket by kind whether or not aliasing is tracked: their
+    // aliasing surfaces are identically zero (analyzeInterference owns
+    // their interference story), and one sweep's members share
+    // tagBits/histories/tables by construction.
+    std::vector<FusedGroup> buckets;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const ConfigJob &job = jobs[i];
-        // Aliasing-tracked 2-bit jobs still take the per-config
-        // fallback (only reachable in a mixed plan alongside zoo
-        // jobs); zoo jobs bucket into model groups by kind -- one
-        // sweep's members share tagBits/histories/tables by
-        // construction, so any subset batches together.
-        if (opts.trackAliasing && !zoo(job.kind)) {
-            FusedGroup g;
-            g.kind = job.kind;
-            g.streamRowBits = job.rowBits;
-            g.fused = false;
-            g.jobs.push_back(i);
-            groups.push_back(std::move(g));
-            continue;
-        }
-        const unsigned key =
-            job.kind == SchemeKind::PAsFinite ? job.rowBits : 0;
-        Bucket *bucket = nullptr;
-        for (Bucket &b : buckets) {
-            if (b.kind == job.kind && b.streamRowBits == key) {
+        const bool one_lane = opts.trackAliasing &&
+                              job.kind != SchemeKind::Tage &&
+                              job.kind != SchemeKind::Perceptron;
+        FusedGroup *bucket = nullptr;
+        for (FusedGroup &b : buckets) {
+            if (!one_lane && b.kind == job.kind &&
+                b.streamRowBits == streamKey(job)) {
                 bucket = &b;
                 break;
             }
         }
-        if (!bucket) {
-            buckets.push_back(Bucket{job.kind, key, {}});
-            bucket = &buckets.back();
+        if (one_lane || !bucket) {
+            buckets.push_back(singleJobGroup(jobs, i));
+            continue;
         }
         bucket->jobs.push_back(i);
     }
@@ -1203,8 +1065,9 @@ planFusedGroups(const std::vector<ConfigJob> &jobs,
     // chunk replays the trace once; the per-job results are identical
     // for any chunking, so the split is free to vary with the thread
     // count.
+    std::vector<FusedGroup> groups;
     const std::size_t chunk_target = threads > 1 ? threads : 1;
-    for (Bucket &bucket : buckets) {
+    for (FusedGroup &bucket : buckets) {
         const std::size_t size = bucket.jobs.size();
         const std::size_t chunks = std::min(chunk_target, size);
         const std::size_t base = size / chunks;
@@ -1215,7 +1078,6 @@ planFusedGroups(const std::vector<ConfigJob> &jobs,
             FusedGroup g;
             g.kind = bucket.kind;
             g.streamRowBits = bucket.streamRowBits;
-            g.fused = true;
             g.jobs.assign(bucket.jobs.begin() +
                               static_cast<std::ptrdiff_t>(next),
                           bucket.jobs.begin() +
@@ -1482,108 +1344,93 @@ StreamCache::peakResidentStreams() const
     return peakResidentStreams_;
 }
 
-ConfigResult
-runConfigJob(const ConfigJob &job, StreamCache &cache)
-{
-    const std::vector<std::uint64_t> *aux =
-        cache.stream(job.kind, job.rowBits);
-    ConfigResult out =
-        runConfig(cache.trace(), job.kind, job.rowBits, job.colBits,
-                  cache.options(), aux);
-    if (job.kind == SchemeKind::PAsFinite)
-        out.bhtMissRate = cache.bhtMissRate(job.rowBits);
-    return out;
-}
-
 void
 runFusedGroup(const FusedGroup &group,
               const std::vector<ConfigJob> &jobs, StreamCache &cache,
               ConfigResult *slots, KernelTelemetry *telemetry)
 {
-    if (!group.fused) {
-        const auto start = std::chrono::steady_clock::now();
-        for (std::size_t member : group.jobs)
-            slots[member] = runConfigJob(jobs[member], cache);
-        if (telemetry) {
-            // Zero-lane groups still report a measured (busy, span)
-            // pair -- one serial executor, fully busy -- so sweep-level
-            // utilization stays well-defined when every group took the
-            // fallback path (aliasing-tracked or multi-table sweeps).
-            const double seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            KernelTelemetry counters;
-            counters.target = resolveSimdTarget(cache.options().simd);
-            counters.fallbackJobs = group.jobs.size();
-            counters.busySeconds = seconds;
-            counters.spanSeconds = seconds;
-            counters.shardWorkers = 1;
-            telemetry->merge(counters);
-        }
-        return;
-    }
-
     const PreparedTrace &t = cache.trace();
-    const SimdTarget target = resolveSimdTarget(cache.options().simd);
+    const SweepOptions &opts = cache.options();
+    const SimdTarget target = resolveSimdTarget(opts.simd);
     // The within-group execution shape: lane shards (always
     // bit-identical) and trace segments (speculative when > 1).
     ReplayExec exec;
-    exec.shards = resolveFusedThreads(cache.options());
-    exec.segments = resolveSegments(cache.options());
-    exec.warmup = cache.options().segmentWarmup;
+    exec.shards = resolveFusedThreads(opts);
+    exec.segments = resolveSegments(opts);
+    exec.warmup = opts.segmentWarmup;
     // One stream lookup per group, not per job or per branch.
     const std::vector<std::uint64_t> *aux =
         cache.stream(group.kind, group.streamRowBits);
 
+    // The 2-bit family: trackAliasing picks the engine.  row_of gives
+    // the raw row value before each branch, pattern_of the first-level
+    // pattern whose all-ones value makes a conflict harmless.
+    KernelTelemetry counters;
+    const auto two_bit = [&](auto row_of, auto pattern_of) {
+        if (opts.trackAliasing) {
+            const AliasLanes<decltype(row_of), decltype(pattern_of)>
+                engine(t, jobs, group.jobs, row_of, pattern_of);
+            counters = runGrid(engine, t.size(), exec, slots);
+            // Aliasing lanes read full-width row and pc columns.
+            counters.wideLanes = engine.lanes();
+        } else {
+            const PackedLanes<decltype(row_of)> engine(
+                t, jobs, group.jobs, row_of, target);
+            counters = runGrid(engine, t.size(), exec, slots);
+            counters.wideLanes = engine.narrow() ? 0 : engine.lanes();
+        }
+        counters.fusedGroups = 1;
+        counters.lanes = group.jobs.size();
+    };
+    const auto none = [](std::size_t) { return std::uint64_t{0}; };
+    const auto global = [&](std::size_t i) { return t.globalHistory(i); };
+    const auto stream = [&](std::size_t i) { return (*aux)[i]; };
+
     switch (group.kind) {
       case SchemeKind::AddressIndexed:
-        runFusedReplay(t, jobs, group.jobs,
-                       [](std::size_t) { return std::uint64_t{0}; },
-                       slots, target, exec, telemetry);
+        two_bit(none, none);
         break;
       case SchemeKind::GAg:
       case SchemeKind::GAs:
-        runFusedReplay(
-            t, jobs, group.jobs,
-            [&](std::size_t i) { return t.globalHistory(i); }, slots,
-            target, exec, telemetry);
+        two_bit(global, global);
         break;
       case SchemeKind::Gshare:
-        runFusedReplay(t, jobs, group.jobs,
-                       [&](std::size_t i) {
-                           return t.globalHistory(i) ^
-                                  wordIndex(t.pc(i));
-                       },
-                       slots, target, exec, telemetry);
+        // Harmlessness keys on the outcome pattern itself.
+        two_bit(
+            [&](std::size_t i) {
+                return t.globalHistory(i) ^ wordIndex(t.pc(i));
+            },
+            global);
         break;
       case SchemeKind::Path:
-        bpsim_assert(aux, "fused path group needs a history stream");
-        runFusedReplay(t, jobs, group.jobs,
-                       [&](std::size_t i) { return (*aux)[i]; },
-                       slots, target, exec, telemetry);
+        bpsim_assert(aux, "path group needs a history stream");
+        two_bit(stream, none);
         break;
-      case SchemeKind::PAsPerfect:
-        runFusedReplay(t, jobs, group.jobs,
-                       [&](std::size_t i) { return t.selfHistory(i); },
-                       slots, target, exec, telemetry);
+      case SchemeKind::PAsPerfect: {
+        const auto self = [&](std::size_t i) { return t.selfHistory(i); };
+        two_bit(self, self);
         break;
+      }
       case SchemeKind::PAsFinite: {
-        bpsim_assert(aux, "fused finite-PAs group needs a BHT stream");
-        runFusedReplay(t, jobs, group.jobs,
-                       [&](std::size_t i) { return (*aux)[i]; },
-                       slots, target, exec, telemetry);
+        bpsim_assert(aux, "finite-PAs group needs a BHT stream");
+        two_bit(stream, stream);
         const double miss = cache.bhtMissRate(group.streamRowBits);
         for (std::size_t member : group.jobs)
             slots[member].bhtMissRate = miss;
         break;
       }
       case SchemeKind::Tage:
-      case SchemeKind::Perceptron:
-        runModelBatch(t, cache.options(), jobs, group.jobs, slots,
-                      target, exec, telemetry);
+      case SchemeKind::Perceptron: {
+        const ModelLanes engine(t, opts, jobs, group.jobs, target);
+        counters = runGrid(engine, t.size(), exec, slots);
+        counters.modelGroups = 1;
+        counters.modelLanes = group.jobs.size();
         break;
+      }
     }
+    counters.target = target;
+    if (telemetry)
+        telemetry->merge(counters);
 }
 
 SweepResult::SweepResult(const std::string &scheme_name,
@@ -1600,7 +1447,7 @@ sweepScheme(const PreparedTrace &trace, SchemeKind kind,
 {
     SweepResult result(schemeKindName(kind), trace.name());
 
-    // Plan: enumerate the space, partition into fused groups, and
+    // Plan: enumerate the space, partition into groups, and
     // precompute shared inputs.  Serial sweeps skip the eager stream
     // prepare: groups run one at a time, so lazy builds plus
     // release-after-last-consumer keep at most the streams the current
@@ -1637,7 +1484,6 @@ sweepScheme(const PreparedTrace &trace, SchemeKind kind,
     }
     // Aggregate: every group resolved the same dispatch target, so
     // merging in any order yields one coherent telemetry record.
-    result.kernel.target = resolveSimdTarget(opts.simd);
     for (const KernelTelemetry &group : group_telemetry)
         result.kernel.merge(group);
     result.kernel.target = resolveSimdTarget(opts.simd);
@@ -1663,8 +1509,11 @@ ConfigResult
 simulateConfig(StreamCache &cache, SchemeKind kind, unsigned row_bits,
                unsigned col_bits)
 {
-    ConfigJob job{kind, row_bits + col_bits, row_bits, col_bits};
-    return runConfigJob(job, cache);
+    const std::vector<ConfigJob> jobs{
+        ConfigJob{kind, row_bits + col_bits, row_bits, col_bits}};
+    ConfigResult out;
+    runFusedGroup(singleJobGroup(jobs, 0), jobs, cache, &out);
+    return out;
 }
 
 ConfigResult

@@ -9,33 +9,37 @@
  * into FusedGroups of jobs sharing one first-level input stream, and a
  * StreamCache precomputes every shared immutable input (the path-history
  * stream and the per-row-width BHT streams with their miss rates).  The
- * *execute* phase replays the trace once per GROUP -- all member
- * configurations' packed pattern tables are updated in the same pass,
- * since every split of a tier reads the same per-branch row value and
- * word index -- serially or on the shared ThreadPool, governed by
- * SweepOptions::threads (which now distributes groups, not single
- * jobs).  Results land in per-job ConfigResult slots that are merged
- * into Surfaces in plan order, so parallel and fused results are both
- * bit-identical to the serial per-config ones.
+ * *execute* phase replays every group through one replay grid, serially
+ * or on the shared ThreadPool, governed by SweepOptions::threads (which
+ * distributes groups).  Results land in per-job ConfigResult slots that
+ * are merged into Surfaces in plan order, so every execution shape is
+ * bit-identical to the serial one.
  *
- * Within one group, two further axes of parallelism exist (see
- * DESIGN.md "Segment-parallel replay"):
+ * The grid steps a group's member configurations -- its *lanes* --
+ * through one of three lane engines:
  *
- *  - SweepOptions::fusedThreads lane-shards the group's block replay:
- *    each executor owns a disjoint subset of the member lanes with
- *    private packed tables, so any shard count is bit-identical to the
- *    serial fused pass.
+ *  - packed 2-bit: one block-decoded trace pass updates every member's
+ *    packed counter table through the SIMD lane kernel (every split of
+ *    a tier reads the same per-branch row value and word index);
+ *  - aliasing 2-bit: Figure 5's per-access last-writer test, one lane
+ *    at a time over the prepared-trace columns.  trackAliasing picks
+ *    this engine for the 2-bit family, and the planner gives each such
+ *    job a one-lane group;
+ *  - model: TAGE/perceptron lanes sharing the block decode and hash
+ *    folds.
+ *
+ * Within one group the grid has two axes of parallelism (see DESIGN.md
+ * "Segment-parallel replay"), shared by all three engines:
+ *
+ *  - SweepOptions::fusedThreads lane-shards the group: each executor
+ *    owns a disjoint subset of the member lanes with private state, so
+ *    any shard count is bit-identical to the serial pass.
  *  - SweepOptions::segments speculatively splits the *trace* into K
- *    ranges replayed concurrently from cold-start counter state behind
- *    a segmentWarmup-branch warm-up window.  K > 1 trades a bounded,
- *    auditable mispredict epsilon for parallelism; the exact K = 1
- *    mode stays the default and speculative results depend only on
- *    (K, warmup), never on shard/worker counts.
- *
- * Aliasing measurement (Figure 5) needs the per-access branch-address
- * comparison of AliasTracker, so aliasing-tracked sweeps fall back to
- * the original one-job-per-replay kernel; semantics there are
- * untouched.
+ *    ranges replayed concurrently from cold-start state behind a
+ *    segmentWarmup-branch warm-up window.  K > 1 trades a bounded,
+ *    auditable epsilon for parallelism; the exact K = 1 mode is the
+ *    default and speculative results depend only on (K, warmup), never
+ *    on shard/worker counts.
  *
  * The sweep path is the fast counterpart of the online TwoLevelPredictor
  * (see prepared_trace.hh); their equivalence is pinned by tests.
@@ -72,17 +76,16 @@ enum class SchemeKind
     /**
      * The multi-table zoo: these replay full TageModel /
      * PerceptronModel state per configuration (no packed-PHT form --
-     * the fused kernel's 2-bit-counter invariants do not hold for
-     * tagged entries or signed weights).  When fusion is enabled the
-     * planner batches them into MODEL groups: one trace pass decodes
-     * each block once and steps every member model, sharing the hash
-     * folds across members (and, for perceptron lanes, running the
-     * dot-product/update through the SIMD PerceptronBatch kernel).
-     * fuseJobs = false falls back to one per-config replay per job.
-     * Either way their aliasing/harmless surfaces stay zero --
-     * interference decomposition comes from analyzeInterference
-     * instead (see interference.hh) -- which is also why the
-     * trackAliasing fallback does not apply to them.
+     * the packed engine's 2-bit-counter invariants do not hold for
+     * tagged entries or signed weights).  The planner batches them
+     * into MODEL groups: one trace pass decodes each block once and
+     * steps every member model, sharing the hash folds across members
+     * (and, for perceptron lanes, running the dot-product/update
+     * through the SIMD PerceptronBatch kernel).  Their
+     * aliasing/harmless surfaces stay zero -- interference
+     * decomposition comes from analyzeInterference instead (see
+     * interference.hh) -- so trackAliasing does not change how they
+     * run.
      */
     Tage,       ///< tagged geometric-history components over a base
     Perceptron, ///< hashed perceptron (summed signed weight tables)
@@ -98,7 +101,10 @@ struct SweepOptions
     unsigned minTotalBits = 4;
     /** Largest tier: 2^maxTotalBits counters (paper: 32768). */
     unsigned maxTotalBits = 15;
-    /** Measure aliasing alongside misprediction (Figure 5). */
+    /**
+     * Measure aliasing alongside misprediction (Figure 5).  Selects the
+     * aliasing 2-bit lane engine instead of the packed one.
+     */
     bool trackAliasing = true;
     /** Path scheme: address bits contributed per branch. */
     unsigned pathBitsPerTarget = 2;
@@ -128,32 +134,22 @@ struct SweepOptions
      */
     unsigned threads = 1;
     /**
-     * Fuse jobs sharing a first-level stream into single-pass group
-     * replays: the packed-counter kernel for the 2-bit family, the
-     * batched model-lane replay for the zoo.  Aliasing-tracked 2-bit
-     * sweeps ignore this and always take the per-config AliasTracker
-     * path; zoo sweeps batch regardless of trackAliasing (their
-     * aliasing surfaces are identically zero either way).  Results are
-     * bit-identical either way; false forces the per-config kernel
-     * (the serial baseline the perf_sweep bench measures against).
-     */
-    bool fuseJobs = true;
-    /**
-     * Dispatch target for the lane-batched fused kernel.  Auto defers
-     * to the BPSIM_SIMD environment override, then to CPUID detection;
-     * explicit requests clamp down to the widest supported target.
+     * Dispatch target for the packed and perceptron SIMD lane
+     * kernels.  Auto defers to the BPSIM_SIMD environment override,
+     * then to CPUID detection; explicit requests clamp down to the
+     * widest supported target.
      * Every target is bit-identical (pinned by the forced-dispatch
      * differential tests), so this is a performance/debug knob only.
      */
     SimdTarget simd = SimdTarget::Auto;
     /**
-     * Executors *inside* one fused or model group: the group's member
-     * lanes are sharded across this many concurrent block-replay
-     * workers, each owning a disjoint lane subset with private packed
-     * tables (or private zoo models and weight banks) -- nothing is
-     * shared, so results are bit-identical for any value.
+     * Executors *inside* one group: the group's member lanes are
+     * sharded across this many concurrent replay workers, each owning
+     * a disjoint lane subset with private tables, trackers, models or
+     * weight banks -- nothing is shared, so results are bit-identical
+     * for any value.
      * 0 = one per hardware thread, 1 (default) reproduces the serial
-     * fused replay.  Composes with `threads`: groups distribute outer,
+     * group replay.  Composes with `threads`: groups distribute outer,
      * shards inner (the pool's nested parallelFor is deadlock-free).
      * Execution knob only: excluded from result-cache keys
      * (sweep_session.cc), exactly like `threads` and `simd`.
@@ -161,21 +157,20 @@ struct SweepOptions
     unsigned fusedThreads = 1;
     /**
      * Speculative segment replay: split the trace into this many
-     * ranges, replay them concurrently from cold-start counter state
-     * after a segmentWarmup-branch uncounted warm-up window, and sum
-     * the per-segment mispredict counts.  0 (default) defers to the
-     * BPSIM_SEGMENTS environment override, else exact; 1 is the exact
-     * single-segment replay (bit-identical to the serial engine);
-     * K > 1 trades a bounded mispredict epsilon (2-bit counters
-     * converge after a handful of same-direction updates, so only the
-     * few warm-up-resistant counters at each boundary can disagree;
-     * zoo model state converges more slowly, so the zoo epsilon runs
-     * larger at the same warmup -- see EXPERIMENTS.md) for segment
-     * parallelism.  Applies to fused AND model groups.  Speculative
-     * results depend only on (K, segmentWarmup) -- never on shard or
-     * worker counts -- and are cached under a distinct key
-     * (sweep_session.cc).  Clamped to kMaxSegments; see
-     * resolveSegments().
+     * ranges, replay them concurrently from cold-start state after a
+     * segmentWarmup-branch uncounted warm-up window, and sum the
+     * per-segment counts.  0 (default) and 1 are the exact
+     * single-segment replay; K > 1 trades a bounded epsilon (2-bit
+     * counters converge after a handful of same-direction updates, so
+     * only the few warm-up-resistant counters at each boundary can
+     * disagree; last-writer state converges within one access per
+     * entry; zoo model state converges more slowly, so the zoo epsilon
+     * runs larger at the same warmup -- see EXPERIMENTS.md) for
+     * segment parallelism.  Applies to every lane engine, aliasing
+     * and harmless counts included.  Speculative results depend only
+     * on (K, segmentWarmup) -- never on shard or worker counts -- and
+     * are cached under a distinct key (sweep_session.cc).  Clamped to
+     * kMaxSegments; see resolveSegments().
      */
     unsigned segments = 0;
     /**
@@ -197,13 +192,11 @@ struct SweepOptions
 unsigned resolveFusedThreads(const SweepOptions &opts);
 
 /**
- * The segment count a sweep actually uses: an explicit opts.segments
- * wins; 0 defers to the BPSIM_SEGMENTS environment override (a
- * positive integer; malformed values warn and fall back), else 1.
- * Clamped to [1, SweepOptions::kMaxSegments].  Read fresh per call so
- * tests can vary the environment.  Result-cache keys use the same
- * resolution (sweep_session.cc), so a speculative run can never be
- * served an exact result or vice versa.
+ * The segment count a sweep actually uses: opts.segments clamped to
+ * [1, SweepOptions::kMaxSegments], so 0 and 1 both mean exact.  It
+ * depends on the request alone -- no environment override.
+ * Result-cache keys use the same resolution (sweep_session.cc), so a
+ * speculative run can never be served an exact result or vice versa.
  */
 unsigned resolveSegments(const SweepOptions &opts);
 
@@ -216,33 +209,33 @@ struct KernelTelemetry
 {
     /** Resolved dispatch target the lane batches ran on. */
     SimdTarget target = SimdTarget::Scalar;
-    /** Fused groups replayed by the lane-batched kernel. */
+    /** 2-bit groups replayed by the packed or aliasing engine. */
     std::uint64_t fusedGroups = 0;
-    /** Jobs that took the per-config fallback (aliasing, fuseJobs). */
-    std::uint64_t fallbackJobs = 0;
-    /** Member configurations replayed by fused groups. */
+    /** Member configurations replayed by 2-bit groups. */
     std::uint64_t lanes = 0;
-    /** Lanes beyond the packed-record limits (64-bit fallback loop). */
+    /**
+     * Lanes reading full-width columns: packed lanes beyond the
+     * packed-record limits (64-bit wide loop) and aliasing lanes.
+     */
     std::uint64_t wideLanes = 0;
     /** Lane batches dispatched (at most LaneBatch::kMaxLanes each). */
     std::uint64_t laneBatches = 0;
     /** Decoded block tiles streamed through the lane batches. */
     std::uint64_t blocksReplayed = 0;
-    /** Trace segments across fused groups (1/group = exact replay). */
+    /** Trace segments across groups (1/group = exact replay). */
     std::uint64_t segments = 0;
-    /** Lane shards across fused groups (1/group = unsharded). */
+    /** Lane shards across groups (1/group = unsharded). */
     std::uint64_t laneShards = 0;
-    /** (shard x segment) replay tasks dispatched by fused groups. */
+    /** (shard x segment) replay tasks dispatched by groups. */
     std::uint64_t shardTasks = 0;
     /** Uncounted warm-up branches replayed by speculative segments. */
     std::uint64_t warmupBranches = 0;
     /**
-     * Model groups (TAGE/perceptron zoo) replayed by the batched
-     * model-lane engine.  Model groups reuse the fused machinery --
-     * their segments/shards/tasks/warm-up/blocks/timing fold into the
-     * shared counters above -- but step full predictor models instead
-     * of packed 2-bit tables, so their population is counted apart
-     * from fusedGroups/lanes.
+     * Model groups (TAGE/perceptron zoo) replayed by the model engine.
+     * They run the same grid -- their segments/shards/tasks/warm-up/
+     * blocks/timing fold into the shared counters above -- but step
+     * full predictor models instead of 2-bit tables, so their
+     * population is counted apart from fusedGroups/lanes.
      */
     std::uint64_t modelGroups = 0;
     /** Member configurations replayed as model lanes. */
@@ -260,13 +253,13 @@ struct KernelTelemetry
     /** Peak concurrent executors any group's task phase could use. */
     std::uint64_t shardWorkers = 0;
 
-    /** Mean member configurations per fused group. */
+    /** Mean member configurations per 2-bit group. */
     double lanesPerGroup() const;
     /** Mean member configurations per model group. */
     double modelLanesPerGroup() const;
-    /** Mean trace segments per fused group (1.0 = exact everywhere). */
+    /** Mean trace segments per group (1.0 = exact everywhere). */
     double segmentsPerGroup() const;
-    /** Mean lane shards per fused group (1.0 = unsharded). */
+    /** Mean lane shards per group (1.0 = unsharded). */
     double shardsPerGroup() const;
     /**
      * Fraction of the task phase's worker-seconds spent executing:
@@ -276,8 +269,8 @@ struct KernelTelemetry
     double workerUtilization() const;
     /**
      * Bytes the lane inner loop reads per branch per lane: 4 (one
-     * packed record) for narrow lanes, 17 (row, column, outcome) for
-     * wide-fallback lanes, averaged over the lane population.
+     * packed record) for narrow packed lanes, 17 (row, column or pc,
+     * outcome) for wide lanes, averaged over the lane population.
      */
     double hotBytesPerBranch() const;
     /** Fold one group's counters into a sweep-level aggregate. */
@@ -314,14 +307,11 @@ std::vector<ConfigJob> planSweep(SchemeKind kind,
                                  const SweepOptions &opts);
 
 /**
- * A unit of fused execution: jobs (indices into the planned job
- * vector) that replay the trace together because they read the same
- * per-branch first-level inputs.  A fused 2-bit group runs the packed
- * lane kernel; a fused zoo group (kind Tage/Perceptron) is a MODEL
- * group and runs the batched model-lane replay.  When fused is false
- * the group is a fallback wrapper and its members run through the
- * per-config kernel one at a time (the AliasTracker / runModelReplay
- * path).
+ * A unit of grid execution: jobs (indices into the planned job vector)
+ * that replay the trace together because they read the same
+ * per-branch first-level inputs.  A 2-bit group runs the packed or
+ * (when aliasing is tracked) the aliasing lane engine; a zoo group
+ * (kind Tage/Perceptron) is a MODEL group and runs the model engine.
  */
 struct FusedGroup
 {
@@ -332,28 +322,33 @@ struct FusedGroup
      * when they have one at all, are row-width independent).
      */
     unsigned streamRowBits = 0;
-    /** Single-pass packed kernel (true) or per-config fallback. */
-    bool fused = false;
     /** Member jobs, as indices into the planned job vector. */
     std::vector<std::size_t> jobs;
 };
 
 /**
- * Partition planned jobs into fused execution groups.  Jobs sharing a
+ * Partition planned jobs into grid execution groups.  Jobs sharing a
  * first-level stream (same scheme; same BHT row width for PAsFinite)
  * land in one group, split into at most @p threads chunks so the pool
  * can spread a large group across executors.  Zoo jobs bucket by
  * scheme into model groups under the same chunking.  When
- * !opts.fuseJobs every job becomes its own fallback group; when
- * opts.trackAliasing the 2-bit family falls back too (AliasTracker
- * needs per-access addresses) but zoo jobs still batch -- their
- * aliasing surfaces are identically zero on both paths.  Every job
- * index appears in exactly one group; results are bit-identical for
- * any grouping.
+ * opts.trackAliasing each 2-bit job becomes its own one-lane group
+ * (the aliasing engine replays one lane at a time anyway) while zoo
+ * jobs still batch -- their aliasing surfaces are identically zero.
+ * Every job index appears in exactly one group; results are
+ * bit-identical for any grouping.
  */
 std::vector<FusedGroup>
 planFusedGroups(const std::vector<ConfigJob> &jobs,
                 const SweepOptions &opts, unsigned threads);
+
+/**
+ * The one-lane group replaying planned job @p index alone: the shape
+ * the planner gives aliasing-tracked 2-bit jobs, simulateConfig runs,
+ * and the benches' per-configuration baselines time.
+ */
+FusedGroup singleJobGroup(const std::vector<ConfigJob> &jobs,
+                          std::size_t index);
 
 /**
  * Shared immutable first-level inputs for one (trace, options) pair:
@@ -484,20 +479,14 @@ class StreamCache
 };
 
 /**
- * Execute one planned job against @p cache's trace.  Thread-safe once
- * the cache is prepared for the job's scheme and row width.
- */
-ConfigResult runConfigJob(const ConfigJob &job, StreamCache &cache);
-
-/**
- * Execute one fused group, writing each member job's result into
- * slots[job index].  @p slots addresses the whole planned job vector.
- * Fused groups walk the trace once, updating every member's packed
- * pattern table per branch through the lane-batched SIMD kernel
- * (SweepOptions::simd picks the dispatch target); fallback groups
- * delegate to runConfigJob.  When @p telemetry is non-null the group's
- * kernel counters are accumulated into it.  Thread-safe once @p cache
- * is prepared for the group.
+ * Execute one group through the replay grid, writing each member
+ * job's result into slots[job index].  @p slots addresses the whole
+ * planned job vector.  The lane engine follows from the group's kind
+ * and the cache's options: model for the zoo, aliasing 2-bit when
+ * trackAliasing, else packed 2-bit (SweepOptions::simd picks its
+ * dispatch target).  When @p telemetry is non-null the group's kernel
+ * counters are accumulated into it.  Thread-safe once @p cache is
+ * prepared for the group.
  */
 void runFusedGroup(const FusedGroup &group,
                    const std::vector<ConfigJob> &jobs,
@@ -529,8 +518,9 @@ SweepResult sweepScheme(const PreparedTrace &trace, SchemeKind kind,
                         const SweepOptions &opts = {});
 
 /**
- * Measure a single configuration (2^row_bits x 2^col_bits) through a
- * caller-held cache, sharing first-level streams across calls.
+ * Measure a single configuration (2^row_bits x 2^col_bits) as a
+ * one-lane group through a caller-held cache, sharing first-level
+ * streams across calls.
  */
 ConfigResult simulateConfig(StreamCache &cache, SchemeKind kind,
                             unsigned row_bits, unsigned col_bits);

@@ -93,11 +93,9 @@ schemeOptionTokens(SchemeKind kind, const SweepOptions &opts)
     }
     // Speculative segment replay changes results, so a speculative
     // sweep must never serve (or be served by) an exact one.  The
-    // resolved count is keyed -- not the raw option -- so an explicit
-    // segments=4 and a BPSIM_SEGMENTS=4 run share an entry, and exact
-    // mode (the resolved default) keeps its historical key.  The
-    // warm-up width joins only alongside segments: it is read only
-    // when K > 1.
+    // resolved count is keyed -- not the raw option -- so segments=0
+    // and segments=1 share exact mode's historical key.  The warm-up
+    // width joins only alongside segments: it is read only when K > 1.
     const unsigned segments = resolveSegments(opts);
     if (segments > 1) {
         tokens.push_back("segments=" + std::to_string(segments));
@@ -114,7 +112,7 @@ SweepSession::cacheConfigKey(SchemeKind kind, const SweepOptions &opts)
 {
     // Only result-affecting options, and of those only the ones the
     // scheme reads: a gshare sweep must not miss because an unused
-    // BHT knob changed.  threads/fuseJobs/simd/fusedThreads are
+    // BHT knob changed.  threads/simd/fusedThreads are
     // bit-identical execution knobs (pinned by the differential
     // tests) and are deliberately absent; segments joins the key only
     // when it resolves speculative (see schemeOptionTokens).

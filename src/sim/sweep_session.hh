@@ -27,10 +27,10 @@
  *    per-scheme parameters the scheme actually reads, and -- only when
  *    a request resolves speculative (resolveSegments > 1) -- the
  *    segment count and warm-up width, so speculative and exact results
- *    never cross-serve.  Execution knobs (threads, fuseJobs, simd,
- *    fusedThreads) are bit-identical by construction -- pinned by the
- *    differential tests -- and are excluded, so a sweep computed with
- *    8 threads is a hit for a serial rerun.
+ *    never cross-serve.  Execution knobs (threads, simd, fusedThreads)
+ *    are bit-identical by construction -- pinned by the differential
+ *    tests -- and are excluded, so a sweep computed with 8 threads is
+ *    a hit for a serial rerun.
  *
  *  - kEngineVersion MUST be bumped whenever replay semantics change
  *    (new tie-breaking, counter init, history seeding, ...): old .bpc
@@ -73,8 +73,13 @@ namespace bpsim {
  *       served across the boundary).  Exact (segments==1) results are
  *       bit-identical to v2, but versioning is per-engine, not
  *       per-key.
+ *  - 4: one replay grid.  Aliasing-tracked 2-bit sweeps now honour
+ *       segments/segmentWarmup (v3 replayed them exactly while keying
+ *       them segments=K, so a v3 entry under such a key holds exact
+ *       numbers the v4 engine computes speculatively).  Exact results
+ *       are bit-identical to v3.
  */
-constexpr std::uint32_t kEngineVersion = 3;
+constexpr std::uint32_t kEngineVersion = 4;
 
 /** One declarative sweep: which trace, which scheme, which lattice. */
 struct SweepRequest

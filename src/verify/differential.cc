@@ -61,6 +61,54 @@ sweepKind(RefScheme scheme)
 
 } // namespace
 
+RefConfig
+sweepRefConfig(const ConfigJob &job, const SweepOptions &opts)
+{
+    RefConfig config;
+    switch (job.kind) {
+      case SchemeKind::AddressIndexed:
+        config.scheme = RefScheme::AddressIndexed;
+        break;
+      case SchemeKind::GAg: config.scheme = RefScheme::GAg; break;
+      case SchemeKind::GAs: config.scheme = RefScheme::GAs; break;
+      case SchemeKind::Gshare: config.scheme = RefScheme::Gshare; break;
+      case SchemeKind::Path: config.scheme = RefScheme::Path; break;
+      case SchemeKind::PAsPerfect:
+        config.scheme = RefScheme::PAsPerfect;
+        break;
+      case SchemeKind::PAsFinite:
+        config.scheme = RefScheme::PAsFinite;
+        break;
+      case SchemeKind::Tage: config.scheme = RefScheme::Tage; break;
+      case SchemeKind::Perceptron:
+        config.scheme = RefScheme::Perceptron;
+        break;
+    }
+    config.rowBits = job.rowBits;
+    config.colBits = job.colBits;
+    config.pathBitsPerTarget = opts.pathBitsPerTarget;
+    config.bhtEntries = opts.bhtEntries;
+    config.bhtAssoc = opts.bhtAssoc;
+    switch (opts.bhtResetPolicy) {
+      case BhtResetPolicy::C3ffPrefix:
+        config.bhtResetPolicy = RefResetPolicy::C3ffPrefix;
+        break;
+      case BhtResetPolicy::Zeros:
+        config.bhtResetPolicy = RefResetPolicy::Zeros;
+        break;
+      case BhtResetPolicy::Ones:
+        config.bhtResetPolicy = RefResetPolicy::Ones;
+        break;
+      case BhtResetPolicy::Hold:
+        config.bhtResetPolicy = RefResetPolicy::Hold;
+        break;
+    }
+    config.tagBits = opts.tageTagBits;
+    config.tageHistories = opts.tageHistories;
+    config.perceptronTables = opts.perceptronTables;
+    return config;
+}
+
 std::string
 DiffMismatch::describe() const
 {
@@ -509,14 +557,14 @@ runDifferentialFuzzer(const FuzzOptions &options)
         }
 
         // Layer 2: sweep fast paths vs reference misprediction rate.
-        // Both kernels are held to exact equality: the per-config
-        // AliasTracker-capable kernel (via simulateConfig) and the
-        // fused packed-counter kernel (via a one-job fused group).
+        // Every lane engine is held to exact equality: the aliasing
+        // 2-bit engine (simulateConfig with aliasing tracked; zoo
+        // schemes take the model engine either way) and the packed
+        // 2-bit engine (a one-job group without aliasing tracking).
         if (options.crossCheckFastPath) {
             if (auto kind = sweepKind(scheme)) {
                 SweepOptions sweep;
-                sweep.trackAliasing = false;
-                sweep.fuseJobs = false;
+                sweep.trackAliasing = true;
                 sweep.pathBitsPerTarget = config.pathBitsPerTarget;
                 sweep.bhtEntries = config.bhtEntries;
                 sweep.bhtAssoc = config.bhtAssoc;
@@ -547,32 +595,29 @@ runDifferentialFuzzer(const FuzzOptions &options)
                     report.fastPathProblems.push_back(os.str());
                 }
 
-                // The fused kernel is checked once per SIMD dispatch
+                // The packed engine is checked once per SIMD dispatch
                 // target the host supports: every target is forced
                 // explicitly (an explicit request beats the BPSIM_SIMD
                 // environment override) and held to exact equality
-                // with the reference rate, so scalar, SSE2 and AVX2
-                // lane batches are all proven bit-identical.
+                // with the reference rate, so every lane batch width
+                // is proven bit-identical.
                 for (SimdTarget target : supportedSimdTargets()) {
                     SweepOptions fused_opts = sweep;
-                    fused_opts.fuseJobs = true;
+                    fused_opts.trackAliasing = false;
                     fused_opts.simd = target;
                     const std::vector<ConfigJob> fused_jobs{ConfigJob{
                         *kind, config.rowBits + config.colBits,
                         config.rowBits, config.colBits}};
-                    const std::vector<FusedGroup> fused_groups =
-                        planFusedGroups(fused_jobs, fused_opts, 1);
                     StreamCache fused_cache(prepared, fused_opts);
                     fused_cache.prepare(fused_jobs, 1);
                     ConfigResult fused_result;
-                    for (const FusedGroup &group : fused_groups)
-                        runFusedGroup(group, fused_jobs, fused_cache,
-                                      &fused_result);
+                    runFusedGroup(singleJobGroup(fused_jobs, 0),
+                                  fused_jobs, fused_cache, &fused_result);
                     if (fused_result.mispRate != reference_rate &&
                         report.fastPathProblems.size() <
                             maxStoredProblems) {
                         std::ostringstream os;
-                        os << "fused kernel ("
+                        os << "packed engine ("
                            << simdTargetName(target)
                            << ") disagrees with reference for "
                            << schemeKindName(*kind) << " r="

@@ -10,7 +10,7 @@
  *    trace, branch by branch, and reports the FIRST diverging
  *    conditional-branch instance with the full reference state.
  *  - referenceMispRate() lets callers hold the sweep fast path
- *    (simulateConfig / runKernel) to the reference's misprediction
+ *    (simulateConfig / runFusedGroup) to the reference's misprediction
  *    rate, closing the triangle online-engine / sweep-kernel /
  *    reference.
  *  - runDifferentialFuzzer() drives both checks over many randomized
@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/sweep.hh"
 #include "trace/memory_trace.hh"
 #include "verify/reference_model.hh"
 
@@ -69,6 +70,12 @@ std::optional<DiffMismatch> diffPredictors(const RefConfig &config,
 double referenceMispRate(const RefConfig &config,
                          const MemoryTrace &trace);
 
+/**
+ * The reference twin of one planned sweep configuration: @p job's
+ * scheme and split under the per-scheme parameters of @p opts.
+ */
+RefConfig sweepRefConfig(const ConfigJob &job, const SweepOptions &opts);
+
 /** Knobs for the randomized fuzzing campaign. */
 struct FuzzOptions
 {
@@ -85,9 +92,9 @@ struct FuzzOptions
      */
     bool includeVariants = true;
     /**
-     * For core-scheme pairs, additionally check both sweep fast paths
-     * -- the per-config kernel (simulateConfig) and the fused
-     * packed-counter kernel (runFusedGroup) -- against the reference
+     * For core-scheme pairs, additionally check the sweep lane
+     * engines -- aliasing-tracked (simulateConfig) and packed, per
+     * SIMD target (a one-job runFusedGroup) -- against the reference
      * misprediction rate.
      */
     bool crossCheckFastPath = true;

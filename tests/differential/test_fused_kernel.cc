@@ -1,12 +1,12 @@
 /**
  * @file
- * Differential verification of the fused single-pass sweep kernel:
- * for fuzzed sets of (tier, split) configurations across all seven
- * sweep schemes, the fused packed-counter kernel, the per-config
- * kernel (runConfigJob) and the naive reference model must agree
- * bit-exactly on every misprediction rate.
+ * Differential verification of the 2-bit lane engines: for fuzzed
+ * sets of (tier, split) configurations across all seven sweep schemes,
+ * the packed engine on planned multi-lane groups, the same jobs as
+ * one-lane groups, the aliasing engine and the naive reference model
+ * must agree bit-exactly on every misprediction rate.
  *
- * This is the sweep-group-shaped complement of the per-pair fused
+ * This is the sweep-group-shaped complement of the per-pair engine
  * cross-check inside runDifferentialFuzzer (which the tier-1 campaign
  * in test_differential_fuzz.cc runs): here whole mixed-tier job lists
  * go through planFusedGroups/runFusedGroup exactly as sweepScheme
@@ -44,41 +44,6 @@ fuzzTrace(std::uint64_t seed, std::uint64_t conditionals)
     return generateTrace(p);
 }
 
-/** A job's reference-model twin under the given sweep options. */
-RefConfig
-refConfigFor(const ConfigJob &job, const SweepOptions &opts)
-{
-    RefConfig config;
-    switch (job.kind) {
-      case SchemeKind::AddressIndexed:
-        config.scheme = RefScheme::AddressIndexed;
-        break;
-      case SchemeKind::GAg: config.scheme = RefScheme::GAg; break;
-      case SchemeKind::GAs: config.scheme = RefScheme::GAs; break;
-      case SchemeKind::Gshare: config.scheme = RefScheme::Gshare; break;
-      case SchemeKind::Path: config.scheme = RefScheme::Path; break;
-      case SchemeKind::PAsPerfect:
-        config.scheme = RefScheme::PAsPerfect;
-        break;
-      case SchemeKind::PAsFinite:
-        config.scheme = RefScheme::PAsFinite;
-        break;
-      case SchemeKind::Tage: config.scheme = RefScheme::Tage; break;
-      case SchemeKind::Perceptron:
-        config.scheme = RefScheme::Perceptron;
-        break;
-    }
-    config.rowBits = job.rowBits;
-    config.colBits = job.colBits;
-    config.pathBitsPerTarget = opts.pathBitsPerTarget;
-    config.bhtEntries = opts.bhtEntries;
-    config.bhtAssoc = opts.bhtAssoc;
-    config.tagBits = opts.tageTagBits;
-    config.tageHistories = opts.tageHistories;
-    config.perceptronTables = opts.perceptronTables;
-    return config;
-}
-
 /** Run @p jobs through planFusedGroups/runFusedGroup. */
 std::vector<ConfigResult>
 runFused(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
@@ -93,12 +58,25 @@ runFused(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
     return slots;
 }
 
+/** Run every job of @p jobs as its own one-lane group. */
+std::vector<ConfigResult>
+runOneLane(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
+           const SweepOptions &opts)
+{
+    StreamCache cache(t, opts);
+    std::vector<ConfigResult> slots(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+        runFusedGroup(singleJobGroup(jobs, j), jobs, cache, slots.data());
+    return slots;
+}
+
 } // namespace
 
 TEST(FusedKernelDifferential, FuzzedGroupsAgreeWithPerConfigKernel)
 {
-    // Fuzzed mixed-tier job lists for every scheme: the fused group
-    // execution must match runConfigJob exactly, field for field.
+    // Fuzzed mixed-tier job lists for every scheme: planned multi-lane
+    // groups must match one-lane groups exactly, field for field, and
+    // the reference model and the aliasing engine on misprediction.
     Pcg32 rng(0xF05ED0BAULL, 11);
     for (int round = 0; round < 10; ++round) {
         const SchemeKind kind = allKinds[rng.nextBounded(7)];
@@ -108,9 +86,10 @@ TEST(FusedKernelDifferential, FuzzedGroupsAgreeWithPerConfigKernel)
 
         SweepOptions opts;
         opts.trackAliasing = false;
-        opts.fuseJobs = true;
         opts.bhtEntries = 32u << rng.nextBounded(3);
         opts.bhtAssoc = rng.nextBounded(2) ? 4 : 2;
+        SweepOptions aliasing = opts;
+        aliasing.trackAliasing = true;
 
         // A fuzzed (tier, split) set: random tiers 4..9, random
         // splits, duplicates of row width across tiers included.
@@ -130,10 +109,12 @@ TEST(FusedKernelDifferential, FuzzedGroupsAgreeWithPerConfigKernel)
         std::vector<ConfigResult> fused =
             runFused(prepared, jobs, opts, threads);
 
-        StreamCache per_config_cache(prepared, opts);
+        const std::vector<ConfigResult> one_lane =
+            runOneLane(prepared, jobs, opts);
+        const std::vector<ConfigResult> tracked =
+            runFused(prepared, jobs, aliasing, threads);
         for (std::size_t j = 0; j < jobs.size(); ++j) {
-            ConfigResult expected =
-                runConfigJob(jobs[j], per_config_cache);
+            const ConfigResult &expected = one_lane[j];
             EXPECT_EQ(fused[j].mispRate, expected.mispRate)
                 << schemeKindName(kind) << " r=" << jobs[j].rowBits
                 << " c=" << jobs[j].colBits << " round " << round;
@@ -142,6 +123,14 @@ TEST(FusedKernelDifferential, FuzzedGroupsAgreeWithPerConfigKernel)
             EXPECT_EQ(fused[j].aliasRate, expected.aliasRate);
             EXPECT_EQ(fused[j].harmlessFraction,
                       expected.harmlessFraction);
+            EXPECT_EQ(fused[j].mispRate,
+                      referenceMispRate(sweepRefConfig(jobs[j], opts),
+                                        trace))
+                << schemeKindName(kind) << " vs reference, round "
+                << round;
+            EXPECT_EQ(tracked[j].mispRate, fused[j].mispRate)
+                << schemeKindName(kind) << " aliasing engine, round "
+                << round;
         }
     }
 }
@@ -157,7 +146,6 @@ TEST(FusedKernelDifferential, AllSchemesAgreeWithReferenceModel)
     for (SchemeKind kind : allKinds) {
         SweepOptions opts;
         opts.trackAliasing = false;
-        opts.fuseJobs = true;
         opts.bhtEntries = 64;
         opts.bhtAssoc = 4;
 
@@ -175,7 +163,7 @@ TEST(FusedKernelDifferential, AllSchemesAgreeWithReferenceModel)
             runFused(prepared, jobs, opts, 1);
         for (std::size_t j = 0; j < jobs.size(); ++j) {
             const double reference =
-                referenceMispRate(refConfigFor(jobs[j], opts), trace);
+                referenceMispRate(sweepRefConfig(jobs[j], opts), trace);
             EXPECT_EQ(fused[j].mispRate, reference)
                 << schemeKindName(kind) << " r=" << jobs[j].rowBits
                 << " c=" << jobs[j].colBits;
@@ -188,9 +176,9 @@ TEST(FusedKernelDifferential, ForcedDispatchTargetsBitIdentical)
     // The SIMD dispatch campaign: >= 100 fuzzed group configurations,
     // each executed under EVERY dispatch target this host supports
     // (scalar always; SSE2/AVX2 when available), with every target
-    // held to exact equality against the per-config kernel -- and the
-    // first job of each round against the naive reference model, so a
-    // kernel bug that somehow fooled both fast paths still surfaces.
+    // held to exact equality against the naive reference model on
+    // every job, and against scalar one-lane groups on the BHT miss
+    // rate.
     const std::vector<SimdTarget> targets = supportedSimdTargets();
     ASSERT_GE(targets.size(), 1u);
     ASSERT_EQ(targets.front(), SimdTarget::Scalar);
@@ -206,7 +194,7 @@ TEST(FusedKernelDifferential, ForcedDispatchTargetsBitIdentical)
 
         SweepOptions opts;
         opts.trackAliasing = false;
-        opts.fuseJobs = true;
+        opts.simd = SimdTarget::Scalar;
         opts.bhtEntries = 32u << rng.nextBounded(3);
         opts.bhtAssoc = rng.nextBounded(2) ? 4 : 2;
 
@@ -222,12 +210,12 @@ TEST(FusedKernelDifferential, ForcedDispatchTargetsBitIdentical)
             jobs.push_back(ConfigJob{kind, total, r, total - r});
         }
 
-        StreamCache per_config_cache(prepared, opts);
-        std::vector<ConfigResult> expected(jobs.size());
+        const std::vector<ConfigResult> expected =
+            runOneLane(prepared, jobs, opts);
+        std::vector<double> reference(jobs.size());
         for (std::size_t j = 0; j < jobs.size(); ++j)
-            expected[j] = runConfigJob(jobs[j], per_config_cache);
-        const double reference =
-            referenceMispRate(refConfigFor(jobs[0], opts), trace);
+            reference[j] =
+                referenceMispRate(sweepRefConfig(jobs[j], opts), trace);
 
         for (SimdTarget target : targets) {
             SweepOptions forced = opts;
@@ -236,7 +224,7 @@ TEST(FusedKernelDifferential, ForcedDispatchTargetsBitIdentical)
                 runFused(prepared, jobs, forced,
                          1 + rng.nextBounded(2));
             for (std::size_t j = 0; j < jobs.size(); ++j) {
-                EXPECT_EQ(fused[j].mispRate, expected[j].mispRate)
+                EXPECT_EQ(fused[j].mispRate, reference[j])
                     << simdTargetName(target) << " "
                     << schemeKindName(kind) << " r=" << jobs[j].rowBits
                     << " c=" << jobs[j].colBits << " round " << round;
@@ -244,10 +232,6 @@ TEST(FusedKernelDifferential, ForcedDispatchTargetsBitIdentical)
                           expected[j].bhtMissRate)
                     << simdTargetName(target) << " round " << round;
             }
-            EXPECT_EQ(fused[0].mispRate, reference)
-                << simdTargetName(target) << " "
-                << schemeKindName(kind) << " vs reference, round "
-                << round;
         }
         configs_checked += jobs.size();
     }
@@ -256,8 +240,8 @@ TEST(FusedKernelDifferential, ForcedDispatchTargetsBitIdentical)
 
 TEST(FusedKernelDifferential, WholeSweepTriangleOnCoreSchemes)
 {
-    // sweepScheme end to end, fused vs per-config, with reference
-    // spot checks at the corners of each scheme's surface.
+    // sweepScheme end to end, packed engine vs aliasing engine, with
+    // reference spot checks at the corners of each scheme's surface.
     MemoryTrace trace = fuzzTrace(5, 4000);
     PreparedTrace prepared(trace);
 
@@ -267,12 +251,11 @@ TEST(FusedKernelDifferential, WholeSweepTriangleOnCoreSchemes)
         fused.maxTotalBits = 7;
         fused.trackAliasing = false;
         fused.bhtEntries = 64;
-        fused.fuseJobs = true;
-        SweepOptions per_config = fused;
-        per_config.fuseJobs = false;
+        SweepOptions aliasing = fused;
+        aliasing.trackAliasing = true;
 
         SweepResult rf = sweepScheme(prepared, kind, fused);
-        SweepResult rp = sweepScheme(prepared, kind, per_config);
+        SweepResult rp = sweepScheme(prepared, kind, aliasing);
         ASSERT_EQ(rf.misprediction.tiers().size(),
                   rp.misprediction.tiers().size());
         for (std::size_t t = 0; t < rf.misprediction.tiers().size();
@@ -294,7 +277,7 @@ TEST(FusedKernelDifferential, WholeSweepTriangleOnCoreSchemes)
             ConfigJob job{kind, pt.rowBits + pt.colBits, pt.rowBits,
                           pt.colBits};
             const double reference =
-                referenceMispRate(refConfigFor(job, fused), trace);
+                referenceMispRate(sweepRefConfig(job, fused), trace);
             EXPECT_EQ(pt.value, reference)
                 << schemeKindName(kind) << " r=" << pt.rowBits
                 << " c=" << pt.colBits;

@@ -1,11 +1,10 @@
 /**
  * @file
- * Differential verification of the batched model-lane replay
- * (runModelBatch in sweep.cc): a model group stepping the whole
- * TAGE/perceptron zoo in one trace pass must be bit-identical to the
- * per-config fallback (runConfigJob -> runModelReplay) and to the
- * naive reference mirrors, for every SIMD dispatch target, shard
- * count and fuzzed group composition; speculative segments must be
+ * Differential verification of the model lane engine (sweep.cc): a
+ * model group stepping the whole TAGE/perceptron zoo in one trace pass
+ * must be bit-identical to the naive reference mirrors, configuration
+ * by configuration, for every SIMD dispatch target, shard count and
+ * fuzzed group composition; speculative segments must be
  * deterministic with a bounded epsilon and exact under a covering
  * warm-up.
  *
@@ -89,22 +88,6 @@ fuzzZooJob(SchemeKind kind, unsigned total, Pcg32 &rng)
     return ConfigJob{kind, total, r, total - r};
 }
 
-/** A zoo job's naive reference-model twin under @p opts. */
-RefConfig
-refConfigFor(const ConfigJob &job, const SweepOptions &opts)
-{
-    RefConfig config;
-    config.scheme = job.kind == SchemeKind::Tage
-                        ? RefScheme::Tage
-                        : RefScheme::Perceptron;
-    config.rowBits = job.rowBits;
-    config.colBits = job.colBits;
-    config.tagBits = opts.tageTagBits;
-    config.tageHistories = opts.tageHistories;
-    config.perceptronTables = opts.perceptronTables;
-    return config;
-}
-
 /** Run @p jobs through planFusedGroups/runFusedGroup. */
 std::vector<ConfigResult>
 runGroups(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
@@ -141,6 +124,32 @@ expectSurfacesIdentical(const SweepResult &a, const SweepResult &b,
     ASSERT_EQ(a.bhtMissRate, b.bhtMissRate) << what;
 }
 
+/** The reference mirrors' misprediction surface for a sweep. */
+SweepResult
+referenceSweep(const MemoryTrace &trace, SchemeKind kind,
+               const SweepOptions &opts)
+{
+    SweepResult r(schemeKindName(kind), trace.name());
+    for (const ConfigJob &job : planSweep(kind, opts))
+        r.misprediction.add(
+            job.totalBits, job.rowBits, job.colBits,
+            referenceMispRate(sweepRefConfig(job, opts), trace));
+    return r;
+}
+
+/** Each job's reference misprediction rate. */
+std::vector<double>
+referenceRates(const MemoryTrace &trace,
+               const std::vector<ConfigJob> &jobs,
+               const SweepOptions &opts)
+{
+    std::vector<double> rates;
+    for (const ConfigJob &job : jobs)
+        rates.push_back(
+            referenceMispRate(sweepRefConfig(job, opts), trace));
+    return rates;
+}
+
 std::size_t
 pointCount(const SweepResult &r)
 {
@@ -168,11 +177,13 @@ maxPointDelta(const SweepResult &a, const SweepResult &b)
 /**
  * One fuzzed group composition: a job list executed through the
  * model-group path under (target, shards, threads), every slot held
- * to exact equality against the per-config kernel.
+ * to exact equality against its reference rate (@p expected) with
+ * zero aliasing surfaces.
  */
 void
 checkComposition(const PreparedTrace &prepared,
                  const std::vector<ConfigJob> &jobs,
+                 const std::vector<double> &expected,
                  const SweepOptions &base, SimdTarget target,
                  unsigned shards, unsigned threads, int round)
 {
@@ -182,18 +193,14 @@ checkComposition(const PreparedTrace &prepared,
     std::vector<ConfigResult> batched =
         runGroups(prepared, jobs, opts, threads);
 
-    StreamCache per_config_cache(prepared, base);
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        const ConfigResult expected =
-            runConfigJob(jobs[j], per_config_cache);
-        EXPECT_EQ(batched[j].mispRate, expected.mispRate)
+        EXPECT_EQ(batched[j].mispRate, expected[j])
             << schemeKindName(jobs[j].kind) << " r=" << jobs[j].rowBits
             << " c=" << jobs[j].colBits << " "
             << simdTargetName(target) << " shards=" << shards
             << " round " << round;
-        EXPECT_EQ(batched[j].aliasRate, expected.aliasRate);
-        EXPECT_EQ(batched[j].harmlessFraction,
-                  expected.harmlessFraction);
+        EXPECT_EQ(batched[j].aliasRate, 0.0);
+        EXPECT_EQ(batched[j].harmlessFraction, 0.0);
     }
 }
 
@@ -203,9 +210,10 @@ TEST(ModelBatchDifferential, BatchedSweepBitIdenticalToPerConfig)
 {
     // The tentpole invariant at sweep granularity: for fuzzed zoo
     // knobs, a batched sweep (one model group stepping every lane)
-    // must reproduce the per-config fallback exactly, on every SIMD
-    // target, for any lane shard count, with or without outer group
-    // parallelism.  >= 100 configurations accumulate across rounds.
+    // must reproduce the per-config reference mirrors exactly, on
+    // every SIMD target, for any lane shard count, with or without
+    // outer group parallelism.  >= 100 configurations accumulate
+    // across rounds.
     Pcg32 rng(0x300DE1B5ULL, 17);
     std::size_t configs_checked = 0;
     for (int round = 0; round < 6; ++round) {
@@ -219,10 +227,7 @@ TEST(ModelBatchDifferential, BatchedSweepBitIdenticalToPerConfig)
         base.maxTotalBits = base.minTotalBits + 2 + rng.nextBounded(2);
         fuzzZooKnobs(base, rng);
 
-        SweepOptions per_config = base;
-        per_config.fuseJobs = false;
-        const SweepResult serial =
-            sweepScheme(prepared, kind, per_config);
+        const SweepResult serial = referenceSweep(trace, kind, base);
         configs_checked += pointCount(serial);
 
         for (SimdTarget target : supportedSimdTargets()) {
@@ -264,7 +269,7 @@ TEST(ModelBatchDifferential, FuzzedGroupCompositionsAgreeWithPerConfig)
     std::size_t compositions = 0;
     for (int round = 0; round < 100; ++round) {
         const SchemeKind kind = kZooKinds[rng.nextBounded(2)];
-        const PreparedTrace &t = *prepared[rng.nextBounded(5)];
+        const std::size_t trace_idx = rng.nextBounded(5);
 
         SweepOptions opts;
         fuzzZooKnobs(opts, rng);
@@ -279,8 +284,9 @@ TEST(ModelBatchDifferential, FuzzedGroupCompositionsAgreeWithPerConfig)
             targets[rng.nextBounded(targets.size())];
         const unsigned shards = 1 + rng.nextBounded(8);
         const unsigned threads = 1 + rng.nextBounded(3);
-        checkComposition(t, jobs, opts, target, shards, threads,
-                         round);
+        checkComposition(*prepared[trace_idx], jobs,
+                         referenceRates(traces[trace_idx], jobs, opts),
+                         opts, target, shards, threads, round);
         ++compositions;
     }
     EXPECT_GE(compositions, 100u);
@@ -314,7 +320,7 @@ TEST(ModelBatchDifferential, BatchedReplayAgreesWithReferenceMirrors)
                     ConfigJob job{kind, tier.totalBits, pt.rowBits,
                                   tier.totalBits - pt.rowBits};
                     const double reference = referenceMispRate(
-                        refConfigFor(job, opts), trace);
+                        sweepRefConfig(job, opts), trace);
                     EXPECT_EQ(pt.value, reference)
                         << schemeKindName(kind) << " r=" << pt.rowBits
                         << " c=" << job.colBits << " variant "
@@ -527,9 +533,8 @@ TEST(ModelBatchSlow, CompositionCampaign)
     }
 
     // The long campaign: hundreds of fuzzed group compositions with
-    // longer traces, EVERY supported target per composition, and a
-    // naive reference mirror check of one slot per round so a bug
-    // that fooled both fast paths still surfaces.
+    // longer traces and EVERY supported target per composition, every
+    // slot held to the naive reference mirrors.
     Pcg32 rng(0x51077CA3ULL, 29);
 
     std::vector<MemoryTrace> traces;
@@ -558,14 +563,10 @@ TEST(ModelBatchSlow, CompositionCampaign)
 
         const unsigned shards = 1 + rng.nextBounded(8);
         const unsigned threads = 1 + rng.nextBounded(3);
+        const std::vector<double> expected =
+            referenceRates(traces[trace_idx], jobs, opts);
         for (SimdTarget target : targets)
-            checkComposition(t, jobs, opts, target, shards, threads,
-                             round);
-
-        const double reference = referenceMispRate(
-            refConfigFor(jobs[0], opts), traces[trace_idx]);
-        StreamCache cache(t, opts);
-        EXPECT_EQ(runConfigJob(jobs[0], cache).mispRate, reference)
-            << schemeKindName(kind) << " round " << round;
+            checkComposition(t, jobs, expected, opts, target, shards,
+                             threads, round);
     }
 }

@@ -1,11 +1,11 @@
 /**
  * @file
- * Differential verification of the segment-parallel fused replay
- * (sweep.cc): lane sharding must be bit-identical to the serial
- * engine for any shard count on every SIMD target, speculative
+ * Differential verification of the replay grid's shard x segment
+ * decomposition (sweep.cc): lane sharding must be bit-identical to the
+ * serial engine for any shard count on every SIMD target, speculative
  * segment replay must be deterministic with a bounded, auditable
- * epsilon against exact mode, and the exact path must be untouched by
- * every new execution knob.
+ * epsilon against exact mode -- for the packed and the aliasing 2-bit
+ * engines alike -- and nothing but the request may select it.
  *
  * The suite name is load-bearing: the tsan preset runs
  * "ThreadPool|Sweep|Experiment|ServiceStress|SegmentParallel", so the
@@ -21,6 +21,7 @@
 
 #include "common/random.hh"
 #include "sim/sweep.hh"
+#include "sim/sweep_session.hh"
 #include "workload/synthetic.hh"
 
 using namespace bpsim;
@@ -48,23 +49,31 @@ fuzzTrace(std::uint64_t seed, std::uint64_t conditionals)
 
 /** Exact equality on every surface point (bit-identity contract). */
 void
-expectSurfacesIdentical(const SweepResult &a, const SweepResult &b,
-                        const char *what)
+expectSurfaceIdentical(const Surface &a, const Surface &b,
+                       const char *what)
 {
-    ASSERT_EQ(a.misprediction.tiers().size(),
-              b.misprediction.tiers().size())
-        << what;
-    for (std::size_t t = 0; t < a.misprediction.tiers().size(); ++t) {
-        const SurfaceTier &ta = a.misprediction.tiers()[t];
-        const SurfaceTier &tb = b.misprediction.tiers()[t];
+    ASSERT_EQ(a.tiers().size(), b.tiers().size()) << what;
+    for (std::size_t t = 0; t < a.tiers().size(); ++t) {
+        const SurfaceTier &ta = a.tiers()[t];
+        const SurfaceTier &tb = b.tiers()[t];
         ASSERT_EQ(ta.points.size(), tb.points.size()) << what;
         for (std::size_t p = 0; p < ta.points.size(); ++p) {
             ASSERT_EQ(ta.points[p].rowBits, tb.points[p].rowBits);
             ASSERT_EQ(ta.points[p].value, tb.points[p].value)
-                << what << ": tier " << ta.totalBits << " row "
-                << ta.points[p].rowBits;
+                << what << ": " << a.name() << " tier " << ta.totalBits
+                << " row " << ta.points[p].rowBits;
         }
     }
+}
+
+/** All three surfaces and the BHT miss rate, bit for bit. */
+void
+expectSurfacesIdentical(const SweepResult &a, const SweepResult &b,
+                        const char *what)
+{
+    expectSurfaceIdentical(a.misprediction, b.misprediction, what);
+    expectSurfaceIdentical(a.aliasing, b.aliasing, what);
+    expectSurfaceIdentical(a.harmless, b.harmless, what);
     ASSERT_EQ(a.bhtMissRate, b.bhtMissRate) << what;
 }
 
@@ -77,20 +86,23 @@ pointCount(const SweepResult &r)
     return n;
 }
 
-/** Largest per-point |delta| between two sweeps of the same plan. */
+/** Largest per-point |delta| between two surfaces of the same plan. */
 double
-maxPointDelta(const SweepResult &a, const SweepResult &b)
+maxPointDelta(const Surface &a, const Surface &b)
 {
     double worst = 0.0;
-    for (std::size_t t = 0; t < a.misprediction.tiers().size(); ++t) {
-        const SurfaceTier &ta = a.misprediction.tiers()[t];
-        const SurfaceTier &tb = b.misprediction.tiers()[t];
+    for (std::size_t t = 0; t < a.tiers().size(); ++t) {
+        const SurfaceTier &ta = a.tiers()[t];
+        const SurfaceTier &tb = b.tiers()[t];
         for (std::size_t p = 0; p < ta.points.size(); ++p)
             worst = std::max(worst, std::abs(ta.points[p].value -
                                              tb.points[p].value));
     }
     return worst;
 }
+
+/** The environment override segments once had; results must ignore it. */
+constexpr const char *kRetiredSegmentsVar = "BPSIM_" "SEGMENTS";
 
 } // namespace
 
@@ -163,7 +175,8 @@ TEST(SegmentParallel, SpeculativeEpsilonBoundedAndDeterministic)
         spec.segments = 4;
         spec.segmentWarmup = 512;
         const SweepResult approx = sweepScheme(prepared, kind, spec);
-        EXPECT_LE(maxPointDelta(truth, approx), 0.02)
+        EXPECT_LE(maxPointDelta(truth.misprediction, approx.misprediction),
+                  0.02)
             << schemeKindName(kind);
 
         // Same K, different shard/worker shape: bit-identical to the
@@ -204,9 +217,8 @@ TEST(SegmentParallel, WarmupCoveringTheTraceReproducesExactResults)
 
 TEST(SegmentParallel, ExactModeUntouchedByKnobDefaults)
 {
-    // segments=0 (defer, no env) and segments=1 (explicit exact) must
+    // segments=0 (the default) and segments=1 (explicit exact) must
     // both take the historical exact path.
-    ::unsetenv("BPSIM_SEGMENTS");
     MemoryTrace trace = fuzzTrace(99, 10'000);
     PreparedTrace prepared(trace);
 
@@ -224,37 +236,146 @@ TEST(SegmentParallel, ExactModeUntouchedByKnobDefaults)
         "explicit segments=1");
 }
 
-TEST(SegmentParallel, EnvOverrideResolvesAndExplicitWins)
+TEST(SegmentParallel, EnvironmentChangesNeitherResultsNorKeys)
 {
-    const char *prev = std::getenv("BPSIM_SEGMENTS");
+    // A result depends only on the request: with the retired segments
+    // override set, a sweep that never asked for segments stays exact
+    // and keeps its cache key, for both 2-bit engines.
+    MemoryTrace trace = fuzzTrace(98, 10'000);
+    PreparedTrace prepared(trace);
+    const char *prev = std::getenv(kRetiredSegmentsVar);
     const std::string saved = prev ? prev : "";
 
-    SweepOptions opts;
-    ::setenv("BPSIM_SEGMENTS", "4", 1);
-    EXPECT_EQ(resolveSegments(opts), 4u);
+    for (bool aliasing : {true, false}) {
+        SweepOptions opts;
+        opts.trackAliasing = aliasing;
+        opts.minTotalBits = 4;
+        opts.maxTotalBits = 7;
+        ::unsetenv(kRetiredSegmentsVar);
+        const SweepResult truth =
+            sweepScheme(prepared, SchemeKind::GAs, opts);
+        const std::string key =
+            SweepSession::cacheConfigKey(SchemeKind::GAs, opts);
 
-    // An explicit option beats the environment.
-    opts.segments = 2;
-    EXPECT_EQ(resolveSegments(opts), 2u);
-    opts.segments = 0;
-
-    // Malformed or out-of-range values warn and fall back to exact.
-    for (const char *bad : {"zebra", "0", "100", "4x", "-2", ""}) {
-        ::setenv("BPSIM_SEGMENTS", bad, 1);
-        EXPECT_EQ(resolveSegments(opts), 1u) << "'" << bad << "'";
+        ::setenv(kRetiredSegmentsVar, "4", 1);
+        EXPECT_EQ(resolveSegments(opts), 1u);
+        expectSurfacesIdentical(truth,
+                                sweepScheme(prepared, SchemeKind::GAs,
+                                            opts),
+                                aliasing ? "aliasing" : "packed");
+        EXPECT_EQ(SweepSession::cacheConfigKey(SchemeKind::GAs, opts),
+                  key);
     }
 
-    ::setenv("BPSIM_SEGMENTS", "64", 1);
-    EXPECT_EQ(resolveSegments(opts), 64u);
-
-    // Explicit requests clamp to the documented ceiling.
+    // Explicit requests resolve as asked, clamped to the ceiling.
+    SweepOptions opts;
+    opts.segments = 2;
+    EXPECT_EQ(resolveSegments(opts), 2u);
     opts.segments = 1000;
     EXPECT_EQ(resolveSegments(opts), SweepOptions::kMaxSegments);
 
     if (prev)
-        ::setenv("BPSIM_SEGMENTS", saved.c_str(), 1);
+        ::setenv(kRetiredSegmentsVar, saved.c_str(), 1);
     else
-        ::unsetenv("BPSIM_SEGMENTS");
+        ::unsetenv(kRetiredSegmentsVar);
+}
+
+TEST(SegmentParallel, AliasingSegmentsIdenticalForAnyShardOrWorkerCount)
+{
+    // Segments reach aliasing-tracked sweeps: misprediction, aliasing
+    // and harmless counts reconcile per segment, so a speculative
+    // aliasing sweep has a bounded epsilon and depends only on
+    // (K, warmup) -- never on the worker count, nor on how a
+    // multi-lane aliasing group is sharded.
+    MemoryTrace trace = fuzzTrace(123, 24'000);
+    PreparedTrace prepared(trace);
+
+    SweepOptions exact;
+    exact.trackAliasing = true;
+    exact.minTotalBits = 4;
+    exact.maxTotalBits = 8;
+    exact.bhtEntries = 64;
+    for (SchemeKind kind :
+         {SchemeKind::GAs, SchemeKind::Gshare, SchemeKind::PAsFinite}) {
+        const char *name = schemeKindName(kind);
+        const SweepResult truth = sweepScheme(prepared, kind, exact);
+
+        SweepOptions spec = exact;
+        spec.segments = 4;
+        spec.segmentWarmup = 512;
+        const SweepResult approx = sweepScheme(prepared, kind, spec);
+        EXPECT_LE(maxPointDelta(truth.misprediction, approx.misprediction),
+                  0.02)
+            << name;
+        EXPECT_LE(maxPointDelta(truth.aliasing, approx.aliasing), 0.02)
+            << name;
+        EXPECT_GT(approx.kernel.warmupBranches, 0u) << name;
+
+        for (unsigned threads : {2u, 4u, 0u}) {
+            for (unsigned shards : {3u, 0u}) {
+                SweepOptions again = spec;
+                again.threads = threads;
+                again.fusedThreads = shards;
+                expectSurfacesIdentical(
+                    approx, sweepScheme(prepared, kind, again), name);
+            }
+        }
+
+        // A multi-lane aliasing group sharing one stream, sharded any
+        // way: every lane lands on its one-lane sweep value.
+        if (kind == SchemeKind::PAsFinite)
+            continue;
+        const std::vector<ConfigJob> jobs = planSweep(kind, spec);
+        FusedGroup all{kind, 0, {}};
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            all.jobs.push_back(i);
+        for (unsigned shards : {1u, 2u, 3u, 8u}) {
+            SweepOptions sharded = spec;
+            sharded.fusedThreads = shards;
+            StreamCache cache(prepared, sharded);
+            std::vector<ConfigResult> slots(jobs.size());
+            runFusedGroup(all, jobs, cache, slots.data());
+            for (std::size_t i = 0; i < jobs.size(); ++i) {
+                const ConfigJob &job = jobs[i];
+                EXPECT_EQ(slots[i].mispRate,
+                          *approx.misprediction.at(job.totalBits,
+                                                   job.rowBits))
+                    << name << " shards=" << shards;
+                EXPECT_EQ(slots[i].aliasRate,
+                          *approx.aliasing.at(job.totalBits, job.rowBits))
+                    << name << " shards=" << shards;
+                EXPECT_EQ(slots[i].harmlessFraction,
+                          *approx.harmless.at(job.totalBits, job.rowBits))
+                    << name << " shards=" << shards;
+            }
+        }
+    }
+}
+
+TEST(SegmentParallel, AliasingCoveringWarmupReproducesExactResults)
+{
+    // A warm-up window reaching the trace start replays each segment's
+    // whole prefix -- training the counters and the last-writer state
+    // without counting -- so an aliasing-tracked speculative sweep is
+    // bit-identical to exact mode on all three surfaces.
+    MemoryTrace trace = fuzzTrace(89, 12'000);
+    PreparedTrace prepared(trace);
+
+    SweepOptions exact;
+    exact.trackAliasing = true;
+    exact.minTotalBits = 4;
+    exact.maxTotalBits = 7;
+    exact.bhtEntries = 64;
+    for (SchemeKind kind : {SchemeKind::GAs, SchemeKind::Path,
+                            SchemeKind::PAsPerfect,
+                            SchemeKind::PAsFinite}) {
+        SweepOptions spec = exact;
+        spec.segments = 3;
+        spec.segmentWarmup = 1u << 20; // covers any segment start
+        expectSurfacesIdentical(sweepScheme(prepared, kind, exact),
+                                sweepScheme(prepared, kind, spec),
+                                schemeKindName(kind));
+    }
 }
 
 TEST(SegmentParallel, TelemetryReportsSegmentAndShardShape)

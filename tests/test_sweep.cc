@@ -10,6 +10,7 @@
 #include "predictor/two_level.hh"
 #include "sim/engine.hh"
 #include "sim/sweep.hh"
+#include "verify/differential.hh"
 #include "workload/synthetic.hh"
 
 using namespace bpsim;
@@ -374,26 +375,36 @@ TEST(Sweep, StreamCacheDoesNotRecomputeFirstLevelStreams)
 
 TEST(Sweep, FusedSweepBitIdenticalToPerConfigForEveryScheme)
 {
-    PreparedTrace t(sharedWorkload());
+    // Both 2-bit engines against the per-configuration reference
+    // model: the packed sweep (one pass per group) and the aliasing
+    // sweep (one lane per group) must reproduce every point exactly.
+    const MemoryTrace &trace = sharedWorkload();
+    PreparedTrace t(trace);
     for (SchemeKind kind :
          {SchemeKind::AddressIndexed, SchemeKind::GAg, SchemeKind::GAs,
           SchemeKind::Gshare, SchemeKind::Path, SchemeKind::PAsPerfect,
           SchemeKind::PAsFinite}) {
-        SweepOptions fused;
-        fused.minTotalBits = 4;
-        fused.maxTotalBits = 9;
-        fused.trackAliasing = false;
-        fused.bhtEntries = 64;
-        fused.fuseJobs = true;
-        SweepOptions per_config = fused;
-        per_config.fuseJobs = false;
+        SweepOptions packed;
+        packed.minTotalBits = 4;
+        packed.maxTotalBits = 9;
+        packed.trackAliasing = false;
+        packed.bhtEntries = 64;
+        SweepOptions aliasing = packed;
+        aliasing.trackAliasing = true;
 
-        SweepResult rf = sweepScheme(t, kind, fused);
-        SweepResult rp = sweepScheme(t, kind, per_config);
+        SweepResult rp = sweepScheme(t, kind, packed);
+        SweepResult ra = sweepScheme(t, kind, aliasing);
         const char *name = schemeKindName(kind);
-        expectSurfacesIdentical(rf.misprediction, rp.misprediction,
+        expectSurfacesIdentical(rp.misprediction, ra.misprediction,
                                 name);
-        EXPECT_EQ(rf.bhtMissRate, rp.bhtMissRate) << name;
+        EXPECT_EQ(rp.bhtMissRate, ra.bhtMissRate) << name;
+        for (const ConfigJob &job : planSweep(kind, packed)) {
+            EXPECT_EQ(*rp.misprediction.at(job.totalBits, job.rowBits),
+                      verify::referenceMispRate(
+                          verify::sweepRefConfig(job, packed), trace))
+                << name << " 2^" << job.rowBits << " x 2^"
+                << job.colBits;
+        }
     }
 }
 
@@ -413,24 +424,37 @@ TEST(Sweep, FusedParallelBitIdenticalToFusedSerial)
                             "gshare fused threads");
 }
 
-TEST(Sweep, AliasingSweepIgnoresFusionKnob)
+TEST(Sweep, AliasingSweepMatchesOnlinePredictor)
 {
-    // AliasTracker sweeps always take the per-config fallback; the
-    // knob must not perturb Figure 5 semantics.
+    // Figure 5's surfaces, point by point, against the online
+    // TwoLevelPredictor's own AliasTracker: the SweepEquivalence
+    // contract at whole-sweep granularity.
     PreparedTrace t(sharedWorkload());
-    SweepOptions on;
-    on.minTotalBits = 4;
-    on.maxTotalBits = 7;
-    on.trackAliasing = true;
-    on.fuseJobs = true;
-    SweepOptions off = on;
-    off.fuseJobs = false;
-    SweepResult ra = sweepScheme(t, SchemeKind::GAs, on);
-    SweepResult rb = sweepScheme(t, SchemeKind::GAs, off);
-    expectSurfacesIdentical(ra.misprediction, rb.misprediction,
-                            "aliasing misp");
-    expectSurfacesIdentical(ra.aliasing, rb.aliasing, "aliasing rate");
-    expectSurfacesIdentical(ra.harmless, rb.harmless, "harmless");
+    SweepOptions o;
+    o.minTotalBits = 4;
+    o.maxTotalBits = 7;
+    o.trackAliasing = true;
+    for (SchemeKind kind : {SchemeKind::GAs, SchemeKind::Gshare}) {
+        SweepResult r = sweepScheme(t, kind, o);
+        for (const ConfigJob &job : planSweep(kind, o)) {
+            std::unique_ptr<TwoLevelPredictor> online =
+                kind == SchemeKind::GAs
+                    ? makeGAs(job.rowBits, job.colBits, true)
+                    : makeGshare(job.rowBits, job.colBits, true);
+            const double misp = onlineMisp(*online);
+            const AliasTracker *alias = online->pht().aliasStats();
+            ASSERT_NE(alias, nullptr);
+            const unsigned tb = job.totalBits;
+            EXPECT_NEAR(*r.misprediction.at(tb, job.rowBits), misp,
+                        1e-12);
+            EXPECT_NEAR(*r.aliasing.at(tb, job.rowBits),
+                        alias->aliasRate(), 1e-12)
+                << schemeKindName(kind) << " 2^" << job.rowBits;
+            EXPECT_NEAR(*r.harmless.at(tb, job.rowBits),
+                        alias->harmlessFraction(), 1e-12)
+                << schemeKindName(kind) << " 2^" << job.rowBits;
+        }
+    }
 }
 
 TEST(Sweep, FusedGroupPlanPartitionsJobsByStream)
@@ -445,7 +469,6 @@ TEST(Sweep, FusedGroupPlanPartitionsJobsByStream)
     auto jobs = planSweep(SchemeKind::GAs, o);
     auto groups = planFusedGroups(jobs, o, 1);
     ASSERT_EQ(groups.size(), 1u);
-    EXPECT_TRUE(groups[0].fused);
     EXPECT_EQ(groups[0].jobs.size(), jobs.size());
 
     // threads=3 chunks the group without losing or duplicating jobs.
@@ -453,7 +476,6 @@ TEST(Sweep, FusedGroupPlanPartitionsJobsByStream)
     EXPECT_EQ(chunked.size(), 3u);
     std::vector<bool> seen(jobs.size(), false);
     for (const auto &g : chunked) {
-        EXPECT_TRUE(g.fused);
         for (std::size_t idx : g.jobs) {
             ASSERT_LT(idx, jobs.size());
             EXPECT_FALSE(seen[idx]) << "job " << idx << " duplicated";
@@ -473,14 +495,16 @@ TEST(Sweep, FusedGroupPlanPartitionsJobsByStream)
             EXPECT_EQ(finite_jobs[idx].rowBits, g.streamRowBits);
     }
 
-    // Aliasing tracking forces one per-config fallback group per job.
+    // Aliasing tracking gives every job its own one-lane group, in
+    // plan order, keyed to its own stream.
     SweepOptions aliasing = o;
     aliasing.trackAliasing = true;
-    auto fallback = planFusedGroups(jobs, aliasing, 4);
-    ASSERT_EQ(fallback.size(), jobs.size());
-    for (const auto &g : fallback) {
-        EXPECT_FALSE(g.fused);
-        EXPECT_EQ(g.jobs.size(), 1u);
+    auto one_lane = planFusedGroups(finite_jobs, aliasing, 4);
+    ASSERT_EQ(one_lane.size(), finite_jobs.size());
+    for (std::size_t i = 0; i < one_lane.size(); ++i) {
+        ASSERT_EQ(one_lane[i].jobs.size(), 1u);
+        EXPECT_EQ(one_lane[i].jobs[0], i);
+        EXPECT_EQ(one_lane[i].streamRowBits, finite_jobs[i].rowBits);
     }
 }
 
@@ -567,7 +591,6 @@ TEST(Sweep, KernelTelemetryDescribesFusedExecution)
     const std::size_t jobs = planSweep(SchemeKind::GAs, o).size();
     EXPECT_EQ(r.kernel.target, resolveSimdTarget(o.simd));
     EXPECT_EQ(r.kernel.fusedGroups, 1u); // one stream, one thread
-    EXPECT_EQ(r.kernel.fallbackJobs, 0u);
     EXPECT_EQ(r.kernel.lanes, jobs);
     EXPECT_EQ(r.kernel.wideLanes, 0u); // paper tiers are all narrow
     EXPECT_GT(r.kernel.laneBatches, 0u);
@@ -578,14 +601,20 @@ TEST(Sweep, KernelTelemetryDescribesFusedExecution)
     // Narrow lanes read exactly one packed 4-byte record per branch.
     EXPECT_DOUBLE_EQ(r.kernel.hotBytesPerBranch(), 4.0);
 
-    // The per-config fallback path reports fallback jobs instead.
+    // Aliasing-tracked sweeps run one one-lane group per job through
+    // the aliasing engine: no block decode, no lane batches, and lanes
+    // that read the full-width row and pc columns.
     SweepOptions aliasing = o;
     aliasing.trackAliasing = true;
     SweepResult ra = sweepScheme(t, SchemeKind::GAs, aliasing);
-    EXPECT_EQ(ra.kernel.fusedGroups, 0u);
-    EXPECT_EQ(ra.kernel.lanes, 0u);
-    EXPECT_EQ(ra.kernel.fallbackJobs, jobs);
-    EXPECT_DOUBLE_EQ(ra.kernel.hotBytesPerBranch(), 0.0);
+    EXPECT_EQ(ra.kernel.fusedGroups, jobs);
+    EXPECT_EQ(ra.kernel.lanes, jobs);
+    EXPECT_EQ(ra.kernel.wideLanes, jobs);
+    EXPECT_EQ(ra.kernel.laneBatches, 0u);
+    EXPECT_EQ(ra.kernel.blocksReplayed, 0u);
+    EXPECT_EQ(ra.kernel.segments, jobs); // exact: one per group
+    EXPECT_DOUBLE_EQ(ra.kernel.lanesPerGroup(), 1.0);
+    EXPECT_DOUBLE_EQ(ra.kernel.hotBytesPerBranch(), 17.0);
 }
 
 TEST(Sweep, StreamCacheReleasesStreamsAfterLastConsumer)

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 
@@ -66,6 +65,24 @@ expectResultIdentical(const SweepResult &a, const SweepResult &b)
     EXPECT_EQ(
         std::memcmp(&a.bhtMissRate, &b.bhtMissRate, sizeof(double)),
         0);
+}
+
+/** Converts to any member type, so it can stand for any field. */
+struct AnyField
+{
+    template <typename T>
+    operator T() const;
+};
+
+/** How many members the aggregate @p T brace-initialises from. */
+template <typename T, typename... Fields>
+constexpr std::size_t
+aggregateFieldCount()
+{
+    if constexpr (requires { T{Fields{}..., AnyField{}}; })
+        return aggregateFieldCount<T, Fields..., AnyField>();
+    else
+        return sizeof...(Fields);
 }
 
 std::string
@@ -125,7 +142,7 @@ TEST(SweepSession, CacheHitIsBitIdenticalToBypass)
                           warm.value().result);
     // A hit reports no kernel execution.
     EXPECT_EQ(warm.value().result.kernel.fusedGroups, 0u);
-    EXPECT_EQ(warm.value().result.kernel.fallbackJobs, 0u);
+    EXPECT_EQ(warm.value().result.kernel.modelGroups, 0u);
 }
 
 TEST(SweepSession, DiskWarmSessionServesWithoutTracePreparation)
@@ -177,7 +194,6 @@ TEST(SweepSession, ConfigKeyExcludesExecutionKnobs)
     SweepOptions a = smallSweep();
     SweepOptions b = smallSweep();
     b.threads = 8;
-    b.fuseJobs = false;
     b.simd = SimdTarget::Scalar;
     // Execution knobs are bit-identical: same key, cache may serve.
     EXPECT_EQ(SweepSession::cacheConfigKey(SchemeKind::Gshare, a),
@@ -217,7 +233,6 @@ TEST(SweepSession, ConfigKeyExcludesExecutionKnobs)
 
 TEST(SweepSession, SpeculativeSegmentsSplitTheKey)
 {
-    ::unsetenv("BPSIM_SEGMENTS");
     const SweepOptions exact = smallSweep();
 
     // Explicit exact (segments=1) keeps the historical key, so old
@@ -240,19 +255,11 @@ TEST(SweepSession, SpeculativeSegmentsSplitTheKey)
         SweepSession::cacheConfigKey(SchemeKind::Gshare, spec),
         SweepSession::cacheConfigKey(SchemeKind::Gshare, spec_wide));
 
-    // An env-resolved speculative run shares the explicit key (the
-    // resolved count is keyed, not the raw option)...
-    ::setenv("BPSIM_SEGMENTS", "4", 1);
-    EXPECT_EQ(SweepSession::cacheConfigKey(SchemeKind::Gshare, exact),
-              SweepSession::cacheConfigKey(SchemeKind::Gshare, spec));
-    // ... and the batch-coalescing key splits the same way, so
-    // speculative and exact requests never share an envelope replay.
-    SweepRequest req_env{TraceHash{3, 4}, SchemeKind::Gshare, exact};
+    // The batch-coalescing key splits the same way, so speculative
+    // and exact requests never share an envelope replay.
+    SweepRequest req_exact{TraceHash{3, 4}, SchemeKind::Gshare, exact};
     SweepRequest req_spec{TraceHash{3, 4}, SchemeKind::Gshare, spec};
-    EXPECT_EQ(SweepSession::batchGroupKey(req_env),
-              SweepSession::batchGroupKey(req_spec));
-    ::unsetenv("BPSIM_SEGMENTS");
-    EXPECT_NE(SweepSession::batchGroupKey(req_env),
+    EXPECT_NE(SweepSession::batchGroupKey(req_exact),
               SweepSession::batchGroupKey(req_spec));
 }
 
@@ -343,34 +350,45 @@ TEST(SweepSession, RegistrySharesOneTraceAcrossRequests)
 
 TEST(SweepSession, StaleEngineVersionEntriesNeverServe)
 {
-    // Regression for the v1 -> v2 replay-semantics bump: an entry
-    // stored under an older engineVersion must never answer a current
-    // request, even when trace, scheme and config key all match.
+    // Regression for the replay-semantics bumps: an entry stored under
+    // an older engineVersion must never answer a current request, even
+    // when trace, scheme and config key all match.  Cases: a zoo sweep
+    // (v2 -> v3 batched the zoo) and an aliasing-tracked speculative
+    // sweep (v3 replayed it exactly under a segments=K key; v4 honours
+    // the segments).
     SweepSession session;
     auto handle = session.internProfile(kProfile, kBranches);
     ASSERT_TRUE(handle.ok());
-    SweepRequest request{handle.value().hash, SchemeKind::Tage,
-                         smallSweep()};
+    SweepOptions aliasing_spec = smallSweep();
+    aliasing_spec.segments = 4;
+    for (const SweepRequest &request :
+         {SweepRequest{handle.value().hash, SchemeKind::Tage,
+                       smallSweep()},
+          SweepRequest{handle.value().hash, SchemeKind::GAs,
+                       aliasing_spec}}) {
+        const char *scheme = schemeKindName(request.kind);
+        CacheKey stale = SweepSession::cacheKey(request);
+        ASSERT_EQ(stale.engineVersion, kEngineVersion);
+        stale.engineVersion = kEngineVersion - 1;
+        // Poison pill: a recognizably wrong payload under the stale
+        // key.
+        CachedSweep poison;
+        poison.bhtMissRate = 0.75;
+        poison.misprediction = Surface("poison");
+        ASSERT_TRUE(session.cache().store(stale, poison).ok());
 
-    CacheKey stale = SweepSession::cacheKey(request);
-    ASSERT_EQ(stale.engineVersion, kEngineVersion);
-    stale.engineVersion = kEngineVersion - 1;
-    // Poison pill: a recognizably wrong payload under the stale key.
-    CachedSweep poison;
-    poison.bhtMissRate = 0.75;
-    poison.misprediction = Surface("poison");
-    ASSERT_TRUE(session.cache().store(stale, poison).ok());
+        auto resp = session.sweep(request);
+        ASSERT_TRUE(resp.ok());
+        EXPECT_FALSE(resp.value().cacheHit)
+            << scheme << ": a stale-version entry served a current "
+            << "request";
+        EXPECT_NE(resp.value().result.misprediction.name(), "poison");
 
-    auto resp = session.sweep(request);
-    ASSERT_TRUE(resp.ok());
-    EXPECT_FALSE(resp.value().cacheHit)
-        << "a stale-version entry served a current request";
-    EXPECT_NE(resp.value().result.misprediction.name(), "poison");
-
-    // Sanity: the same payload stored under the CURRENT key does hit.
-    auto again = session.sweep(request);
-    ASSERT_TRUE(again.ok());
-    EXPECT_TRUE(again.value().cacheHit);
+        // Sanity: the same request under the CURRENT key does hit.
+        auto again = session.sweep(request);
+        ASSERT_TRUE(again.ok());
+        EXPECT_TRUE(again.value().cacheHit) << scheme;
+    }
 }
 
 TEST(SweepSession, ZooConfigKeysCoverSchemeParameters)
@@ -429,4 +447,89 @@ TEST(SweepSession, PointRejectsDegenerateZooGeometry)
         session.point(trace, SchemeKind::Tage, 5, 5).ok());
     EXPECT_TRUE(
         session.point(trace, SchemeKind::Perceptron, 8, 5).ok());
+}
+
+TEST(SweepSession, EveryOptionIsClassified)
+{
+    // Every SweepOptions field is either result-affecting -- changing
+    // it changes cacheConfigKey for some scheme -- or execution-only
+    // -- changing it leaves the key and every surface bit-identical.
+    // A field added to SweepOptions but to neither list fails the
+    // static_assert below.
+    struct Field
+    {
+        const char *name;
+        void (*change)(SweepOptions &);
+    };
+    const Field result_affecting[] = {
+        {"minTotalBits", [](SweepOptions &o) { o.minTotalBits = 5; }},
+        {"maxTotalBits", [](SweepOptions &o) { o.maxTotalBits = 7; }},
+        {"trackAliasing",
+         [](SweepOptions &o) { o.trackAliasing = false; }},
+        {"pathBitsPerTarget",
+         [](SweepOptions &o) { o.pathBitsPerTarget = 3; }},
+        {"bhtEntries", [](SweepOptions &o) { o.bhtEntries = 256; }},
+        {"bhtAssoc", [](SweepOptions &o) { o.bhtAssoc = 2; }},
+        {"bhtResetPolicy",
+         [](SweepOptions &o) { o.bhtResetPolicy = BhtResetPolicy::Zeros; }},
+        {"tageTagBits", [](SweepOptions &o) { o.tageTagBits = 10; }},
+        {"tageHistories",
+         [](SweepOptions &o) { o.tageHistories = {3, 9, 27}; }},
+        {"perceptronTables",
+         [](SweepOptions &o) { o.perceptronTables = 3; }},
+        {"segments", [](SweepOptions &o) { o.segments = 4; }},
+        {"segmentWarmup", [](SweepOptions &o) { o.segmentWarmup = 512; }},
+    };
+    const Field execution_only[] = {
+        {"threads", [](SweepOptions &o) { o.threads = 4; }},
+        {"simd", [](SweepOptions &o) { o.simd = SimdTarget::Scalar; }},
+        {"fusedThreads", [](SweepOptions &o) { o.fusedThreads = 3; }},
+    };
+    static_assert(aggregateFieldCount<SweepOptions>() ==
+                      sizeof(result_affecting) / sizeof(Field) +
+                          sizeof(execution_only) / sizeof(Field),
+                  "classify every SweepOptions field as result-affecting "
+                  "or execution-only");
+
+    const SchemeKind kinds[] = {
+        SchemeKind::AddressIndexed, SchemeKind::GAg,
+        SchemeKind::GAs,            SchemeKind::Gshare,
+        SchemeKind::Path,           SchemeKind::PAsPerfect,
+        SchemeKind::PAsFinite,      SchemeKind::Tage,
+        SchemeKind::Perceptron,
+    };
+    // A speculative base, so the warm-up width is read at all.
+    SweepOptions spec = smallSweep();
+    spec.segments = 2;
+    for (const Field &field : result_affecting) {
+        SweepOptions changed = spec;
+        field.change(changed);
+        bool splits = false;
+        for (SchemeKind kind : kinds)
+            splits |= SweepSession::cacheConfigKey(kind, spec) !=
+                      SweepSession::cacheConfigKey(kind, changed);
+        EXPECT_TRUE(splits) << field.name
+                            << " is result-affecting but no cache key "
+                               "sees it";
+    }
+
+    PreparedTrace trace(generateProfileTrace(kProfile, kBranches));
+    SweepOptions packed = smallSweep();
+    packed.trackAliasing = false;
+    for (const SweepOptions &base : {smallSweep(), packed, spec}) {
+        for (SchemeKind kind :
+             {SchemeKind::GAs, SchemeKind::PAsFinite, SchemeKind::Tage}) {
+            const SweepResult expected = sweepScheme(trace, kind, base);
+            for (const Field &field : execution_only) {
+                SCOPED_TRACE(std::string(field.name) + " " +
+                             schemeKindName(kind));
+                SweepOptions changed = base;
+                field.change(changed);
+                EXPECT_EQ(SweepSession::cacheConfigKey(kind, base),
+                          SweepSession::cacheConfigKey(kind, changed));
+                expectResultIdentical(sweepScheme(trace, kind, changed),
+                                      expected);
+            }
+        }
+    }
 }

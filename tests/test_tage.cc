@@ -291,9 +291,8 @@ TEST(TageZooInterference, TaggingConvertsAliasingIntoColdMisses)
 
 TEST(TageZooTelemetry, BatchedSweepReportsModelGroupCounters)
 {
-    // TAGE sweeps now run the batched model-lane engine by default:
-    // the jobs land in model groups (not 2-bit fused groups, not the
-    // per-config fallback), and the telemetry reports the model-side
+    // TAGE sweeps run the model lane engine: the jobs land in model
+    // groups (not 2-bit groups), and the telemetry reports the model-side
     // population -- groups, lanes, batches, blocks -- with measured
     // busy/span seconds and no NaNs from the zero-lane 2-bit
     // accessors.
@@ -306,7 +305,6 @@ TEST(TageZooTelemetry, BatchedSweepReportsModelGroupCounters)
     SweepResult r = sweepScheme(prepared, SchemeKind::Tage, o);
 
     EXPECT_EQ(r.kernel.fusedGroups, 0u);
-    EXPECT_EQ(r.kernel.fallbackJobs, 0u);
     EXPECT_EQ(r.kernel.lanes, 0u);
     EXPECT_GT(r.kernel.modelGroups, 0u);
     EXPECT_EQ(r.kernel.modelLanes, planned);
@@ -335,25 +333,37 @@ TEST(TageZooTelemetry, BatchedSweepReportsModelGroupCounters)
             EXPECT_EQ(pt.value, 0.0);
 }
 
-TEST(TageZooTelemetry, UnfusedSweepStillReportsFallbackShape)
+TEST(TageZooTelemetry, OneLaneGroupsReportModelShape)
 {
-    // fuseJobs = false is the per-config baseline the perf bench
-    // measures against: every zoo job becomes its own fallback group
-    // and the model-group counters stay zero.
+    // One-lane groups are the per-config baseline the perf bench
+    // measures against: each zoo job replays alone, still through the
+    // model engine, so the telemetry counts one model group and one
+    // model lane per job and no 2-bit groups.
     PreparedTrace prepared(sharedWorkload());
     SweepOptions o;
     o.minTotalBits = 6;
     o.maxTotalBits = 7;
-    o.fuseJobs = false;
-    SweepResult r = sweepScheme(prepared, SchemeKind::Tage, o);
+    const std::vector<ConfigJob> jobs = planSweep(SchemeKind::Tage, o);
+    StreamCache cache(prepared, o);
+    std::vector<ConfigResult> slots(jobs.size());
+    KernelTelemetry k;
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        runFusedGroup(singleJobGroup(jobs, i), jobs, cache, slots.data(),
+                      &k);
 
-    EXPECT_EQ(r.kernel.fusedGroups, 0u);
-    EXPECT_GT(r.kernel.fallbackJobs, 0u);
-    EXPECT_EQ(r.kernel.modelGroups, 0u);
-    EXPECT_EQ(r.kernel.modelLanes, 0u);
-    EXPECT_EQ(r.kernel.modelBatches, 0u);
-    EXPECT_GT(r.kernel.shardWorkers, 0u);
-    EXPECT_EQ(r.kernel.modelLanesPerGroup(), 0.0);
+    EXPECT_EQ(k.fusedGroups, 0u);
+    EXPECT_EQ(k.modelGroups, jobs.size());
+    EXPECT_EQ(k.modelLanes, jobs.size());
+    EXPECT_GT(k.modelBatches, 0u);
+    EXPECT_GT(k.shardWorkers, 0u);
+    EXPECT_EQ(k.modelLanesPerGroup(), 1.0);
+
+    // Each lane matches the same configuration inside a batched sweep.
+    SweepResult batched = sweepScheme(prepared, SchemeKind::Tage, o);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(*batched.misprediction.at(jobs[i].totalBits,
+                                            jobs[i].rowBits),
+                  slots[i].mispRate);
 }
 
 TEST(TageZooTelemetry, ZeroedCountersProduceFiniteRatios)
