@@ -7,6 +7,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 #include "common/packed_pht.hh"
 #include "common/random.hh"
@@ -317,6 +320,89 @@ perceptronBatchReplay(benchmark::State &state, SimdTarget target)
                             static_cast<std::int64_t>(n * lanes));
 }
 
+/**
+ * The aliasing inner loop in isolation: GAs-shaped alias records
+ * decoded from the shared workload (global-history rows, word-index
+ * columns, dense-id tags, outcome + trailing-ones flags) replayed
+ * through a batch of state.range(0) live tier-12 lanes (splits
+ * r = 2..12 in turn) on exactly one kernel.  Items processed counts
+ * lane-updates (branches x live lanes), so across the 1/2/4/8/16-lane
+ * rows the avx512/scalar ratio is the occupancy break-even that
+ * aliasBatchKernel's dispatch threshold comes from.
+ */
+void
+aliasBatchReplay(benchmark::State &state, SimdTarget kernel)
+{
+    if (!simdTargetSupported(kernel)) {
+        state.SkipWithError("dispatch target not supported on host");
+        return;
+    }
+    const PreparedTrace &t = prepared();
+    static const std::vector<std::uint32_t> rows = [&t] {
+        std::vector<std::uint32_t> v(t.size());
+        for (std::size_t i = 0; i < t.size(); ++i)
+            v[i] = static_cast<std::uint32_t>(t.globalHistory(i));
+        return v;
+    }();
+    static const std::vector<std::uint32_t> cols = [&t] {
+        std::vector<std::uint32_t> v(t.size());
+        for (std::size_t i = 0; i < t.size(); ++i)
+            v[i] = static_cast<std::uint32_t>(wordIndex(t.pc(i)));
+        return v;
+    }();
+    static const std::vector<std::uint32_t> tags = [&t] {
+        std::vector<std::uint32_t> v(t.size());
+        for (std::size_t i = 0; i < t.size(); ++i)
+            v[i] = (t.branchId(i) + 1) << 2;
+        return v;
+    }();
+    static const std::vector<std::uint8_t> flags = [&t] {
+        std::vector<std::uint8_t> v(t.size());
+        for (std::size_t i = 0; i < t.size(); ++i)
+            v[i] = static_cast<std::uint8_t>(
+                (static_cast<unsigned>(t.taken(i)) << 7) |
+                static_cast<unsigned>(
+                    std::countr_one(t.globalHistory(i))));
+        return v;
+    }();
+    const AliasRecords records{rows.data(), cols.data(), tags.data(),
+                               flags.data()};
+
+    constexpr unsigned totalBits = 12;
+    AliasBatch batch;
+    batch.lanes = static_cast<unsigned>(state.range(0));
+    for (unsigned l = 0; l < batch.lanes; ++l) {
+        const unsigned r = 2 + l % (totalBits - 1);
+        // Staggered like the sweep engine's arenas (sim/sweep.cc).
+        batch.offset[l] = l * ((1u << totalBits) + 16);
+        batch.rowMask[l] = (1u << r) - 1;
+        batch.colMask[l] = (1u << (totalBits - r)) - 1;
+        batch.colBits[l] = totalBits - r;
+        batch.harmlessOnes[l] = r;
+    }
+    std::vector<std::uint32_t> arena(std::size_t{batch.lanes} *
+                                         ((1u << totalBits) + 16),
+                                     AliasBatch::kFreshEntry);
+    batch.entries = arena.data();
+
+    // Replay in 2048-branch blocks, the sweep engine's tile.
+    for (auto _ : state) {
+        for (std::size_t base = 0; base < t.size(); base += 2048) {
+            const std::size_t m = std::min<std::size_t>(2048,
+                                                        t.size() - base);
+            const AliasRecords block{records.row + base,
+                                     records.col + base,
+                                     records.tag + base,
+                                     records.flags + base};
+            replayAliasBatchOn(kernel, block, m, batch);
+        }
+        benchmark::DoNotOptimize(batch.misses[0]);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(t.size()) *
+                            state.range(0));
+}
+
 void
 traceGeneration(benchmark::State &state)
 {
@@ -360,4 +446,10 @@ BENCHMARK_CAPTURE(zooModelStep, perceptron_batched,
 BENCHMARK_CAPTURE(perceptronBatchReplay, scalar, SimdTarget::Scalar);
 BENCHMARK_CAPTURE(perceptronBatchReplay, sse2, SimdTarget::SSE2);
 BENCHMARK_CAPTURE(perceptronBatchReplay, avx2, SimdTarget::AVX2);
+BENCHMARK_CAPTURE(aliasBatchReplay, scalar, SimdTarget::Scalar)
+    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(16)
+    ->ArgNames({"lanes"});
+BENCHMARK_CAPTURE(aliasBatchReplay, avx512, SimdTarget::AVX512)
+    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(16)
+    ->ArgNames({"lanes"});
 BENCHMARK(traceGeneration)->Arg(100'000);

@@ -35,6 +35,13 @@
  * grid, speedups and worker utilizations land in the same JSON under
  * "within_group_scaling".
  *
+ * A zoo phase times TAGE/perceptron model groups against one-lane
+ * model groups, and an aliasing phase times the default-option
+ * (aliasing-tracked) engine on the five 126-job schemes: one-lane
+ * groups vs batched alias lanes per dispatch target vs batched lanes
+ * with threads=0, all three surfaces asserted bit-identical.  Both
+ * land in the same JSON under "zoo" and "aliasing".
+ *
  * A second phase times the persistent result cache (sweep_session.hh):
  * the same table3-scale sweep set is run cold (compute + store), warm
  * (memory hits) and disk-warm (a fresh session reading .bpc files),
@@ -84,6 +91,14 @@ struct SchemeResult
     KernelTelemetry kernel;
 };
 
+/** A sweep's three surfaces (aliasing/harmless empty when untracked). */
+struct Surfaces
+{
+    Surface misprediction{""};
+    Surface aliasing{""};
+    Surface harmless{""};
+};
+
 /**
  * Time one sweep run under @p opts, returning wall seconds.  Routed
  * through the session with the cache bypassed, so the measurement is
@@ -91,7 +106,7 @@ struct SchemeResult
  */
 double
 runOnce(SweepSession &session, const TraceHash &hash, SchemeKind kind,
-        const SweepOptions &opts, Surface *surface_out,
+        const SweepOptions &opts, Surfaces *surfaces_out,
         KernelTelemetry *kernel_out = nullptr)
 {
     SweepRequest request{hash, kind, opts};
@@ -100,8 +115,11 @@ runOnce(SweepSession &session, const TraceHash &hash, SchemeKind kind,
     SweepResult result =
         cli::orFatal(session.sweep(request)).result;
     const double secs = timer.seconds();
-    if (surface_out)
-        *surface_out = result.misprediction;
+    if (surfaces_out) {
+        surfaces_out->misprediction = result.misprediction;
+        surfaces_out->aliasing = result.aliasing;
+        surfaces_out->harmless = result.harmless;
+    }
     if (kernel_out)
         *kernel_out = result.kernel;
     return secs;
@@ -114,7 +132,7 @@ runOnce(SweepSession &session, const TraceHash &hash, SchemeKind kind,
  */
 double
 runOneLaneGroups(const PreparedTrace &trace, SchemeKind kind,
-                 const SweepOptions &opts, Surface *surface_out)
+                 const SweepOptions &opts, Surfaces *surfaces_out)
 {
     WallTimer timer;
     const std::vector<ConfigJob> jobs = planSweep(kind, opts);
@@ -123,11 +141,22 @@ runOneLaneGroups(const PreparedTrace &trace, SchemeKind kind,
     for (std::size_t i = 0; i < jobs.size(); ++i)
         runFusedGroup(singleJobGroup(jobs, i), jobs, cache, slots.data());
     const double secs = timer.seconds();
-    if (surface_out) {
-        *surface_out = Surface("");
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            surface_out->add(jobs[i].totalBits, jobs[i].rowBits,
-                             jobs[i].colBits, slots[i].mispRate);
+    if (surfaces_out) {
+        *surfaces_out = Surfaces{};
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const ConfigJob &job = jobs[i];
+            surfaces_out->misprediction.add(job.totalBits, job.rowBits,
+                                            job.colBits,
+                                            slots[i].mispRate);
+            if (opts.trackAliasing) {
+                surfaces_out->aliasing.add(job.totalBits, job.rowBits,
+                                           job.colBits,
+                                           slots[i].aliasRate);
+                surfaces_out->harmless.add(job.totalBits, job.rowBits,
+                                           job.colBits,
+                                           slots[i].harmlessFraction);
+            }
+        }
     }
     return secs;
 }
@@ -153,6 +182,104 @@ checkSurface(SchemeKind kind, const Surface &expect,
                          " -- fused kernel is not bit-identical");
         }
     }
+}
+
+void
+checkSurfaces(SchemeKind kind, const Surfaces &expect,
+              const Surfaces &got)
+{
+    checkSurface(kind, expect.misprediction, got.misprediction);
+    checkSurface(kind, expect.aliasing, got.aliasing);
+    checkSurface(kind, expect.harmless, got.harmless);
+}
+
+/**
+ * One scheme's mode matrix: one-lane groups (serial), planned groups
+ * on one thread per SIMD target, and planned groups with threads=0
+ * (auto dispatch).  Modes interleave within each rep (serial, each
+ * target, threads, serial, ...) so slow host drift hits every mode
+ * alike; best-of-reps discards transient interference.  Every run's
+ * surfaces are asserted bit-identical to the serial run's.  The
+ * telemetry kept is the widest target's.
+ */
+SchemeResult
+timeModes(SweepSession &session, const TraceHash &hash,
+          const PreparedTrace &trace, SchemeKind kind,
+          const SweepOptions &serial_opts,
+          const std::vector<SimdTarget> &targets, unsigned reps)
+{
+    SchemeResult r;
+    r.kind = kind;
+    r.fused.resize(targets.size());
+    SweepOptions threaded_opts = serial_opts;
+    threaded_opts.threads = 0;
+
+    const auto keep_min = [](double &best, double s, unsigned rep) {
+        best = rep == 0 ? s : std::min(best, s);
+    };
+    Surfaces expect;
+    for (unsigned rep = 0; rep < reps; ++rep) {
+        keep_min(r.serial.seconds,
+                 runOneLaneGroups(trace, kind, serial_opts,
+                                  rep == 0 ? &expect : nullptr),
+                 rep);
+        for (std::size_t t = 0; t < targets.size(); ++t) {
+            SweepOptions opts = serial_opts;
+            opts.simd = targets[t];
+            Surfaces got;
+            const bool widest = t + 1 == targets.size();
+            keep_min(r.fused[t].seconds,
+                     runOnce(session, hash, kind, opts,
+                             rep == 0 ? &got : nullptr,
+                             rep == 0 && widest ? &r.kernel : nullptr),
+                     rep);
+            if (rep == 0)
+                checkSurfaces(kind, expect, got);
+        }
+        Surfaces threaded;
+        keep_min(r.fusedThreads.seconds,
+                 runOnce(session, hash, kind, threaded_opts,
+                         rep == 0 ? &threaded : nullptr),
+                 rep);
+        if (rep == 0)
+            checkSurfaces(kind, expect, threaded);
+    }
+    // One surface point per swept configuration.
+    for (const auto &tier : expect.misprediction.tiers())
+        r.configs += tier.points.size();
+
+    const double work = static_cast<double>(trace.size()) *
+                        static_cast<double>(r.configs);
+    r.serial.throughput = work / r.serial.seconds;
+    for (ModeResult &m : r.fused)
+        m.throughput = work / m.seconds;
+    r.fusedThreads.throughput = work / r.fusedThreads.seconds;
+    r.fusedThreadsSpeedup = r.serial.seconds / r.fusedThreads.seconds;
+    return r;
+}
+
+/** Header of a mode-matrix table. */
+void
+printModesHeader(const char *serial_name, const char *threads_name,
+                 const std::vector<SimdTarget> &targets)
+{
+    std::printf("%-10s %7s | %12s |", "scheme", "configs", serial_name);
+    for (SimdTarget t : targets)
+        std::printf(" %12s %6s |", simdTargetName(t), "spd");
+    std::printf(" %12s %6s\n", threads_name, "spd");
+}
+
+/** One row of a mode-matrix table. */
+void
+printModesRow(const SchemeResult &r)
+{
+    std::printf("%-10s %7zu | %12.3e |", schemeKindName(r.kind),
+                r.configs, r.serial.throughput);
+    for (const ModeResult &m : r.fused)
+        std::printf(" %12.3e %5.2fx |", m.throughput,
+                    r.serial.seconds / m.seconds);
+    std::printf(" %12.3e %5.2fx\n", r.fusedThreads.throughput,
+                r.fusedThreadsSpeedup);
 }
 
 /** Largest per-point |delta| between two surfaces of the same plan:
@@ -233,8 +360,6 @@ main(int argc, char **argv)
     SweepOptions serial_opts = paperSweepOptions();
     serial_opts.trackAliasing = false;
     serial_opts.threads = 1;
-    SweepOptions fused_threads_opts = serial_opts;
-    fused_threads_opts.threads = 0;
 
     const SchemeKind kinds[] = {
         SchemeKind::AddressIndexed, SchemeKind::GAg,
@@ -244,83 +369,11 @@ main(int argc, char **argv)
     };
 
     std::vector<SchemeResult> results;
-    std::printf("%-10s %7s | %12s |", "scheme", "configs",
-                "serial bc/s");
-    for (SimdTarget t : targets)
-        std::printf(" %12s %6s |", simdTargetName(t), "spd");
-    std::printf(" %12s %6s\n", "fused+t bc/s", "spd");
+    printModesHeader("serial bc/s", "fused+t bc/s", targets);
     for (SchemeKind kind : kinds) {
-        SchemeResult r;
-        r.kind = kind;
-        r.fused.resize(targets.size());
-
-        // Interleave the modes within each rep (serial, fused per
-        // target, fused+threads, serial, ...) so slow host drift
-        // during the run hits every mode alike instead of biasing
-        // the ratios; best-of-reps then discards transient
-        // interference.
-        Surface expect("");
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            const double s = runOneLaneGroups(
-                *trace, kind, serial_opts, rep == 0 ? &expect : nullptr);
-            if (rep == 0) {
-                r.serial.seconds = s;
-                // One surface point per swept configuration.
-                for (const auto &tier : expect.tiers())
-                    r.configs += tier.points.size();
-            } else {
-                r.serial.seconds = std::min(r.serial.seconds, s);
-            }
-
-            for (std::size_t t = 0; t < targets.size(); ++t) {
-                SweepOptions fused_opts = serial_opts;
-                fused_opts.simd = targets[t];
-                Surface surface("");
-                const bool widest = t + 1 == targets.size();
-                const double f = runOnce(
-                    session, handle.hash, kind, fused_opts,
-                    rep == 0 ? &surface : nullptr,
-                    rep == 0 && widest ? &r.kernel : nullptr);
-                if (rep == 0) {
-                    checkSurface(kind, expect, surface);
-                    r.fused[t].seconds = f;
-                } else {
-                    r.fused[t].seconds =
-                        std::min(r.fused[t].seconds, f);
-                }
-            }
-
-            Surface threaded_surface("");
-            const double ft =
-                runOnce(session, handle.hash, kind,
-                        fused_threads_opts,
-                        rep == 0 ? &threaded_surface : nullptr);
-            if (rep == 0) {
-                checkSurface(kind, expect, threaded_surface);
-                r.fusedThreads.seconds = ft;
-            } else {
-                r.fusedThreads.seconds =
-                    std::min(r.fusedThreads.seconds, ft);
-            }
-        }
-
-        const double work = static_cast<double>(trace->size()) *
-                            static_cast<double>(r.configs);
-        r.serial.throughput = work / r.serial.seconds;
-        for (ModeResult &m : r.fused)
-            m.throughput = work / m.seconds;
-        r.fusedThreads.throughput = work / r.fusedThreads.seconds;
-        r.fusedThreadsSpeedup =
-            r.serial.seconds / r.fusedThreads.seconds;
-        results.push_back(r);
-
-        std::printf("%-10s %7zu | %12.3e |", schemeKindName(kind),
-                    r.configs, r.serial.throughput);
-        for (const ModeResult &m : r.fused)
-            std::printf(" %12.3e %5.2fx |", m.throughput,
-                        r.serial.seconds / m.seconds);
-        std::printf(" %12.3e %5.2fx\n", r.fusedThreads.throughput,
-                    r.fusedThreadsSpeedup);
+        results.push_back(timeModes(session, handle.hash, *trace, kind,
+                                    serial_opts, targets, reps));
+        printModesRow(results.back());
     }
 
     // Geomeans: fused-vs-serial per target, vector-vs-scalar-fused
@@ -373,7 +426,7 @@ main(int argc, char **argv)
                 "segments (warmup %u) ====\n",
                 schemeKindName(matrix_kind),
                 matrix_base.segmentWarmup);
-    Surface matrix_exact("");
+    Surfaces matrix_exact;
     std::vector<MatrixCell> matrix;
     double matrix_base_s = 0.0;
     std::printf("%4s |", "ft\\K");
@@ -389,7 +442,7 @@ main(int argc, char **argv)
             SweepOptions opts = matrix_base;
             opts.fusedThreads = ft;
             opts.segments = segs;
-            Surface surface("");
+            Surfaces surface;
             KernelTelemetry kernel;
             for (unsigned rep = 0; rep < reps; ++rep) {
                 const double s = runOnce(
@@ -404,9 +457,10 @@ main(int argc, char **argv)
                 matrix_base_s = cell.seconds;
             }
             if (segs == 1)
-                checkSurface(matrix_kind, matrix_exact, surface);
+                checkSurfaces(matrix_kind, matrix_exact, surface);
             else
-                cell.epsilon = maxSurfaceDelta(matrix_exact, surface);
+                cell.epsilon = maxSurfaceDelta(
+                    matrix_exact.misprediction, surface.misprediction);
             cell.speedup = matrix_base_s / cell.seconds;
             cell.utilization = kernel.workerUtilization();
             matrix.push_back(cell);
@@ -438,86 +492,48 @@ main(int argc, char **argv)
     SweepOptions zoo_serial = serial_opts;
     zoo_serial.minTotalBits = 10;
     zoo_serial.maxTotalBits = 18;
-    SweepOptions zoo_threads_opts = zoo_serial;
-    zoo_threads_opts.threads = 0;
 
     std::printf("\n==== Zoo throughput: per-config vs batched model "
                 "replay (tiers 2^%u..2^%u) ====\n",
                 zoo_serial.minTotalBits, zoo_serial.maxTotalBits);
     std::vector<SchemeResult> zoo_results;
-    std::printf("%-10s %7s | %12s |", "scheme", "configs",
-                "percfg bc/s");
-    for (SimdTarget t : targets)
-        std::printf(" %12s %6s |", simdTargetName(t), "spd");
-    std::printf(" %12s %6s\n", "batch+t bc/s", "spd");
+    printModesHeader("percfg bc/s", "batch+t bc/s", targets);
     for (SchemeKind kind : zoo_kinds) {
-        SchemeResult r;
-        r.kind = kind;
-        r.fused.resize(targets.size());
-
-        Surface expect("");
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            const double s = runOneLaneGroups(
-                *trace, kind, zoo_serial, rep == 0 ? &expect : nullptr);
-            if (rep == 0) {
-                r.serial.seconds = s;
-                for (const auto &tier : expect.tiers())
-                    r.configs += tier.points.size();
-            } else {
-                r.serial.seconds = std::min(r.serial.seconds, s);
-            }
-
-            for (std::size_t t = 0; t < targets.size(); ++t) {
-                SweepOptions batched_opts = zoo_serial;
-                batched_opts.simd = targets[t];
-                Surface surface("");
-                const bool widest = t + 1 == targets.size();
-                const double f = runOnce(
-                    session, handle.hash, kind, batched_opts,
-                    rep == 0 ? &surface : nullptr,
-                    rep == 0 && widest ? &r.kernel : nullptr);
-                if (rep == 0) {
-                    checkSurface(kind, expect, surface);
-                    r.fused[t].seconds = f;
-                } else {
-                    r.fused[t].seconds =
-                        std::min(r.fused[t].seconds, f);
-                }
-            }
-
-            Surface threaded_surface("");
-            const double ft =
-                runOnce(session, handle.hash, kind, zoo_threads_opts,
-                        rep == 0 ? &threaded_surface : nullptr);
-            if (rep == 0) {
-                checkSurface(kind, expect, threaded_surface);
-                r.fusedThreads.seconds = ft;
-            } else {
-                r.fusedThreads.seconds =
-                    std::min(r.fusedThreads.seconds, ft);
-            }
-        }
-
-        const double work = static_cast<double>(trace->size()) *
-                            static_cast<double>(r.configs);
-        r.serial.throughput = work / r.serial.seconds;
-        for (ModeResult &m : r.fused)
-            m.throughput = work / m.seconds;
-        r.fusedThreads.throughput = work / r.fusedThreads.seconds;
-        r.fusedThreadsSpeedup =
-            r.serial.seconds / r.fusedThreads.seconds;
-        zoo_results.push_back(r);
-
-        std::printf("%-10s %7zu | %12.3e |", schemeKindName(kind),
-                    r.configs, r.serial.throughput);
-        for (const ModeResult &m : r.fused)
-            std::printf(" %12.3e %5.2fx |", m.throughput,
-                        r.serial.seconds / m.seconds);
-        std::printf(" %12.3e %5.2fx\n", r.fusedThreads.throughput,
-                    r.fusedThreadsSpeedup);
+        zoo_results.push_back(timeModes(session, handle.hash, *trace,
+                                        kind, zoo_serial, targets, reps));
+        printModesRow(zoo_results.back());
     }
     std::printf("(all zoo surfaces verified bit-identical across "
                 "modes and targets)\n");
+
+    // ---- Aliasing phase: one-lane groups vs batched alias lanes --
+    //
+    // Figure 5's default-option sweeps track aliasing, which runs the
+    // aliasing engine: lane batches of up to 16 configurations over a
+    // shared 13-byte decoded record, on the scalar or AVX-512 alias
+    // kernel.  Its baseline is one one-lane group per configuration
+    // (one trace pass each, the scalar kernel); the batched rows run
+    // the planned groups per dispatch target (SSE2/AVX2 resolve to
+    // the scalar kernel) and with threads=0.  The five 126-job
+    // schemes run tiers 2^4..2^15 with all three surfaces asserted
+    // bit-identical across modes.
+    const SchemeKind alias_kinds[] = {
+        SchemeKind::GAs, SchemeKind::Gshare, SchemeKind::Path,
+        SchemeKind::PAsPerfect, SchemeKind::PAsFinite};
+    SweepOptions alias_serial = serial_opts;
+    alias_serial.trackAliasing = true;
+    std::printf("\n==== Aliasing throughput: one-lane groups vs "
+                "batched alias lanes (tiers 2^4..2^15) ====\n");
+    std::vector<SchemeResult> alias_results;
+    printModesHeader("1-lane bc/s", "batch+t bc/s", targets);
+    for (SchemeKind kind : alias_kinds) {
+        alias_results.push_back(timeModes(session, handle.hash, *trace,
+                                          kind, alias_serial, targets,
+                                          reps));
+        printModesRow(alias_results.back());
+    }
+    std::printf("(misprediction, aliasing and harmless surfaces "
+                "verified bit-identical across modes and targets)\n");
 
     // Machine-readable record, consumed by CHANGES.md bookkeeping and
     // future perf-trajectory comparisons (see EXPERIMENTS.md).
@@ -666,6 +682,56 @@ main(int argc, char **argv)
             r.kernel.segmentsPerGroup(), r.kernel.shardsPerGroup(),
             r.kernel.workerUtilization(),
             i + 1 < zoo_results.size() ? "," : "");
+    }
+    std::fprintf(json, "  ]},\n");
+    std::fprintf(json,
+                 "  \"aliasing\": {\"tiers\": [%u, %u],\n"
+                 "   \"unit\": \"branch-config updates per second\",\n"
+                 "   \"schemes\": [\n",
+                 alias_serial.minTotalBits, alias_serial.maxTotalBits);
+    for (std::size_t i = 0; i < alias_results.size(); ++i) {
+        const SchemeResult &r = alias_results[i];
+        std::fprintf(json,
+                     "    {\"scheme\": \"%s\", \"configs\": %zu,\n",
+                     schemeKindName(r.kind), r.configs);
+        std::fprintf(json,
+                     "     \"one_lane\": {\"seconds\": %.6f, "
+                     "\"throughput\": %.3e},\n",
+                     r.serial.seconds, r.serial.throughput);
+        std::fprintf(json, "     \"batched\": {\n");
+        for (std::size_t t = 0; t < targets.size(); ++t) {
+            const ModeResult &m = r.fused[t];
+            std::fprintf(
+                json,
+                "      \"%s\": {\"seconds\": %.6f, \"throughput\": "
+                "%.3e,\n       \"speedup\": %.3f, "
+                "\"speedup_vs_scalar_batched\": %.3f}%s\n",
+                simdTargetName(targets[t]), m.seconds, m.throughput,
+                r.serial.seconds / m.seconds,
+                r.fused[0].seconds / m.seconds,
+                t + 1 < targets.size() ? "," : "");
+        }
+        std::fprintf(json, "     },\n");
+        std::fprintf(json,
+                     "     \"batched_threads\": {\"seconds\": %.6f, "
+                     "\"throughput\": %.3e, \"speedup\": %.3f},\n",
+                     r.fusedThreads.seconds, r.fusedThreads.throughput,
+                     r.fusedThreadsSpeedup);
+        std::fprintf(
+            json,
+            "     \"kernel\": {\"target\": \"%s\", "
+            "\"fused_groups\": %llu, \"alias_lanes\": %llu,\n"
+            "      \"lanes_per_group\": %.2f, \"lane_batches\": "
+            "%llu, \"blocks_replayed\": %llu,\n"
+            "      \"hot_bytes_per_branch\": %.2f}}%s\n",
+            simdTargetName(r.kernel.target),
+            static_cast<unsigned long long>(r.kernel.fusedGroups),
+            static_cast<unsigned long long>(r.kernel.aliasLanes),
+            r.kernel.lanesPerGroup(),
+            static_cast<unsigned long long>(r.kernel.laneBatches),
+            static_cast<unsigned long long>(r.kernel.blocksReplayed),
+            r.kernel.hotBytesPerBranch(),
+            i + 1 < alias_results.size() ? "," : "");
     }
     std::fprintf(json, "  ]},\n");
     std::fprintf(json, "  \"geomean_fused_speedup\": {");

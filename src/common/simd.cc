@@ -96,6 +96,55 @@ scatterLaneBytesScalar(std::uint8_t *const *bases,
 }
 
 /**
+ * The aliasing reference kernel, lane-major: each lane walks the whole
+ * decoded block against its own slots.  Branchless per branch -- the
+ * conflict, harmless and miss tests and the counter step all come from
+ * the one fused slot word.  The AVX-512 kernel is held to this loop
+ * bit for bit.
+ */
+void
+replayAliasBatchScalar(const AliasRecords &rec, std::size_t n,
+                       AliasBatch &batch)
+{
+    for (unsigned l = 0; l < batch.lanes; ++l) {
+        std::uint32_t *slots = batch.entries + batch.offset[l];
+        const std::uint32_t row_mask = batch.rowMask[l];
+        const std::uint32_t col_mask = batch.colMask[l];
+        const std::uint32_t col_bits = batch.colBits[l];
+        const std::uint32_t harmless_ones = batch.harmlessOnes[l];
+        std::uint64_t misses = 0;
+        std::uint64_t conflicts = 0;
+        std::uint64_t harmless = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint32_t idx =
+                ((rec.row[i] & row_mask) << col_bits) |
+                (rec.col[i] & col_mask);
+            const std::uint32_t entry = slots[idx];
+            const std::uint32_t tag = rec.tag[i];
+            const std::uint32_t flags = rec.flags[i];
+            const std::uint32_t taken = flags >> 7;
+            const std::uint32_t counter = entry & 3u;
+            const std::uint32_t conflict =
+                static_cast<std::uint32_t>(entry >= 4u) &
+                static_cast<std::uint32_t>((entry & ~3u) != tag);
+            conflicts += conflict;
+            harmless += conflict &
+                        static_cast<std::uint32_t>((flags & 0x7Fu) >=
+                                                   harmless_ones);
+            misses += (counter >> 1) ^ taken;
+            const std::uint32_t next =
+                counter +
+                (taken & static_cast<std::uint32_t>(counter != 3u)) -
+                ((taken ^ 1u) & static_cast<std::uint32_t>(counter != 0u));
+            slots[idx] = tag | next;
+        }
+        batch.misses[l] += misses;
+        batch.conflicts[l] += conflicts;
+        batch.harmless[l] += harmless;
+    }
+}
+
+/**
  * The perceptron reference kernel: the semantics of
  * PerceptronModel::step over a pre-hashed index stream, one lane at a
  * time.  Every vector variant below is held to this loop bit for bit.
@@ -988,6 +1037,103 @@ replayPerceptronBatchAvx512(const std::uint32_t *idx,
     }
 }
 
+/**
+ * The 16-lane aliasing kernel.  Per branch: the lanes' slot offsets
+ * come from per-lane masks and variable shifts over the broadcast row
+ * and column; one masked vpgatherdd reads every live lane's fused
+ * slot word; compare masks give conflict, harmless and miss; a
+ * clamped add steps the counter; one masked vpscatterdd writes
+ * tag | counter back.  Lanes own disjoint slots, so the scatter never
+ * collides within a branch, and x86 orders each branch's gather after
+ * the previous branch's scatter.  Counts accumulate in 32-bit vectors
+ * flushed every 2^30 branches.
+ */
+__attribute__((target("avx512f"))) void
+replayAliasBatchAvx512(const AliasRecords &rec, std::size_t n,
+                       AliasBatch &batch)
+{
+    const __mmask16 live =
+        static_cast<__mmask16>((1u << batch.lanes) - 1u);
+    const __m512i offset = _mm512_loadu_si512(batch.offset);
+    const __m512i row_mask = _mm512_loadu_si512(batch.rowMask);
+    const __m512i col_mask = _mm512_loadu_si512(batch.colMask);
+    const __m512i col_bits = _mm512_loadu_si512(batch.colBits);
+    const __m512i harmless_ones = _mm512_loadu_si512(batch.harmlessOnes);
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i one = _mm512_set1_epi32(1);
+    const __m512i three = _mm512_set1_epi32(3);
+    const __m512i not_three = _mm512_set1_epi32(~3);
+    int *const entries = reinterpret_cast<int *>(batch.entries);
+
+    alignas(64) std::uint32_t out[16];
+    std::size_t done = 0;
+    while (done < n) {
+        const std::size_t stop =
+            done + std::min<std::size_t>(n - done,
+                                         std::size_t{1} << 30);
+        __m512i acc_miss = zero;
+        __m512i acc_conflict = zero;
+        __m512i acc_harmless = zero;
+        for (std::size_t i = done; i < stop; ++i) {
+            const __m512i row = _mm512_set1_epi32(
+                static_cast<int>(rec.row[i]));
+            const __m512i col = _mm512_set1_epi32(
+                static_cast<int>(rec.col[i]));
+            const __m512i tag = _mm512_set1_epi32(
+                static_cast<int>(rec.tag[i]));
+            const std::uint32_t flags = rec.flags[i];
+            const auto taken = static_cast<int>(flags >> 7);
+
+            const __m512i slot = _mm512_add_epi32(
+                offset,
+                _mm512_or_si512(
+                    _mm512_sllv_epi32(_mm512_and_si512(row, row_mask),
+                                      col_bits),
+                    _mm512_and_si512(col, col_mask)));
+            const __m512i entry = _mm512_mask_i32gather_epi32(
+                zero, live, slot, entries, 4);
+
+            // Conflict: a last writer exists (tag != 0) and differs.
+            const __mmask16 conflict = _mm512_mask_cmpneq_epi32_mask(
+                _mm512_mask_cmpge_epu32_mask(live, entry,
+                                             _mm512_set1_epi32(4)),
+                _mm512_and_si512(entry, not_three), tag);
+            const __mmask16 harmless = _mm512_mask_cmple_epu32_mask(
+                conflict, harmless_ones,
+                _mm512_set1_epi32(static_cast<int>(flags & 0x7Fu)));
+            const __m512i counter = _mm512_and_si512(entry, three);
+            const __mmask16 miss = _mm512_mask_cmpneq_epi32_mask(
+                live, _mm512_srli_epi32(counter, 1),
+                _mm512_set1_epi32(taken));
+            // Saturating step: +1 toward taken, -1 toward not-taken.
+            const __m512i next = _mm512_min_epi32(
+                _mm512_max_epi32(
+                    _mm512_add_epi32(counter,
+                                     _mm512_set1_epi32(2 * taken - 1)),
+                    zero),
+                three);
+            _mm512_mask_i32scatter_epi32(entries, live, slot,
+                                         _mm512_or_si512(tag, next), 4);
+
+            acc_miss = _mm512_mask_add_epi32(acc_miss, miss, acc_miss, one);
+            acc_conflict = _mm512_mask_add_epi32(acc_conflict, conflict,
+                                                 acc_conflict, one);
+            acc_harmless = _mm512_mask_add_epi32(acc_harmless, harmless,
+                                                 acc_harmless, one);
+        }
+        _mm512_store_si512(out, acc_miss);
+        for (unsigned l = 0; l < batch.lanes; ++l)
+            batch.misses[l] += out[l];
+        _mm512_store_si512(out, acc_conflict);
+        for (unsigned l = 0; l < batch.lanes; ++l)
+            batch.conflicts[l] += out[l];
+        _mm512_store_si512(out, acc_harmless);
+        for (unsigned l = 0; l < batch.lanes; ++l)
+            batch.harmless[l] += out[l];
+        done = stop;
+    }
+}
+
 #endif // BPSIM_HAVE_AVX512
 
 #endif // BPSIM_SIMD_X86
@@ -1209,6 +1355,51 @@ replayPerceptronBatch(SimdTarget target, const std::uint32_t *idx,
         break;
     }
     replayPerceptronBatchScalar(idx, taken, n, batch);
+}
+
+SimdTarget
+aliasBatchKernel(SimdTarget target, unsigned lanes)
+{
+    bpsim_assert(target != SimdTarget::Auto,
+                 "aliasBatchKernel needs a resolved target");
+    // Occupancy break-even from the aliasBatchReplay rows of
+    // bench/micro_predictor_ops: the 16-wide gather/scatter costs the
+    // same per branch however many lanes are live, and it overtakes
+    // the scalar lane-major loop at kAliasAvx512MinLanes live lanes.
+    constexpr unsigned kAliasAvx512MinLanes = 3;
+#if defined(BPSIM_SIMD_X86) && defined(BPSIM_HAVE_AVX512)
+    if (target == SimdTarget::AVX512 && lanes >= kAliasAvx512MinLanes)
+        return SimdTarget::AVX512;
+#else
+    (void)lanes;
+#endif
+    return SimdTarget::Scalar;
+}
+
+void
+replayAliasBatchOn(SimdTarget kernel, const AliasRecords &records,
+                   std::size_t n, AliasBatch &batch)
+{
+    bpsim_assert(batch.lanes >= 1 && batch.lanes <= AliasBatch::kMaxLanes,
+                 "alias batch width ", batch.lanes, " out of range");
+#if defined(BPSIM_SIMD_X86) && defined(BPSIM_HAVE_AVX512)
+    if (kernel == SimdTarget::AVX512 &&
+        simdTargetSupported(SimdTarget::AVX512)) {
+        replayAliasBatchAvx512(records, n, batch);
+        return;
+    }
+#else
+    (void)kernel;
+#endif
+    replayAliasBatchScalar(records, n, batch);
+}
+
+void
+replayAliasBatch(SimdTarget target, const AliasRecords &records,
+                 std::size_t n, AliasBatch &batch)
+{
+    replayAliasBatchOn(aliasBatchKernel(target, batch.lanes), records, n,
+                       batch);
 }
 
 void

@@ -32,6 +32,13 @@
  *           otherwise the target reports unsupported and dispatch
  *           clamps to AVX2.
  *
+ * The aliasing lane kernel (AliasBatch, Figure 5) has only two
+ * implementations: the scalar reference and an AVX-512 kernel that
+ * steps 16 lanes per branch with one masked 32-bit gather and one
+ * masked scatter over fused last-writer+counter words.  SSE2 and AVX2
+ * run the scalar kernel: without a hardware scatter the per-lane
+ * read-modify-write is the whole cost.
+ *
  * Dispatch is runtime CPUID -- no ISA flags are baked into tier-1
  * builds, so one binary runs everywhere and selects the widest kernel
  * the host supports.  `BPSIM_SIMD=scalar|sse2|avx2|avx512` in the
@@ -201,6 +208,89 @@ struct PerceptronBatch
 void replayPerceptronBatch(SimdTarget target, const std::uint32_t *idx,
                            const std::uint8_t *taken, std::size_t n,
                            PerceptronBatch &batch);
+
+/**
+ * One decoded block of branches for the aliasing lane kernel, in
+ * structure-of-arrays form (sim/sweep.cc decodes each 2048-branch
+ * block once and replays every lane batch over it).  Per branch i:
+ * row[i] and col[i] are the low 32 bits of the raw row value and of
+ * the pc word index; tag[i] is (branchId + 1) << 2 for the branch's
+ * dense id (PreparedTrace::branchId); flags[i] carries the outcome in
+ * bit 7 and countr_one(first-level pattern) -- at most 64 -- in bits
+ * 0..6.
+ */
+struct AliasRecords
+{
+    const std::uint32_t *row = nullptr;
+    const std::uint32_t *col = nullptr;
+    const std::uint32_t *tag = nullptr;
+    const std::uint8_t *flags = nullptr;
+};
+
+/**
+ * One batch of aliasing 2-bit lanes (Figure 5) in structure-of-arrays
+ * form.  Every lane's table lives in one shared arena: lane l's slot
+ * s is entries[offset[l] + s], and lanes own pairwise-disjoint slot
+ * ranges.  A slot is one uint32 fusing the last writer and the 2-bit
+ * counter, tag | counter with tag = (branchId + 1) << 2, so tag 0
+ * means "never written"; a fresh slot holds kFreshEntry (untouched,
+ * weakly taken).  Per branch each lane indexes slot
+ * ((row & rowMask[l]) << colBits[l]) | (col & colMask[l]), counts a
+ * conflict when the slot was written by a different branch, counts
+ * it harmless as well when the branch's trailing-ones count reaches
+ * harmlessOnes[l] (the lane's row width; kNeverHarmless for
+ * row-less lanes), counts a misprediction when the counter's
+ * prediction differs from the outcome, and writes back its own tag
+ * with the trained counter.  The counters accumulate.
+ */
+struct AliasBatch
+{
+    static constexpr unsigned kMaxLanes = LaneBatch::kMaxLanes;
+    /** Initial slot value: no last writer, counter weakly taken. */
+    static constexpr std::uint32_t kFreshEntry = 2;
+    /** harmlessOnes for lanes whose conflicts are never harmless. */
+    static constexpr std::uint32_t kNeverHarmless = 128;
+    /** The arena; signed 32-bit slot offsets must reach every slot. */
+    std::uint32_t *entries = nullptr;
+    std::uint32_t offset[kMaxLanes] = {};
+    std::uint32_t rowMask[kMaxLanes] = {};
+    std::uint32_t colMask[kMaxLanes] = {};
+    std::uint32_t colBits[kMaxLanes] = {};
+    std::uint32_t harmlessOnes[kMaxLanes] = {};
+    std::uint64_t misses[kMaxLanes] = {};
+    std::uint64_t conflicts[kMaxLanes] = {};
+    std::uint64_t harmless[kMaxLanes] = {};
+    /** Live lanes (1..kMaxLanes). */
+    unsigned lanes = 0;
+};
+
+/**
+ * The kernel replayAliasBatch runs for a @p lanes-wide batch under the
+ * concrete @p target: AVX512 (one masked 16-wide gather and scatter
+ * per branch) once enough lanes are live to pay for the full-width
+ * gather, Scalar otherwise.  SSE2 and AVX2 resolve to Scalar: neither
+ * has a scatter, and without one the fused entry's read-modify-write
+ * stays scalar.
+ */
+SimdTarget aliasBatchKernel(SimdTarget target, unsigned lanes);
+
+/**
+ * Replay @p n decoded branches through every lane of @p batch on
+ * exactly the @p kernel implementation (Scalar or AVX512; other
+ * targets run Scalar).  Every kernel is bit-identical: identical final
+ * arena words and identical counts.  Tests and benches call this to
+ * exercise a kernel at any occupancy; the sweep engine calls
+ * replayAliasBatch.
+ */
+void replayAliasBatchOn(SimdTarget kernel, const AliasRecords &records,
+                        std::size_t n, AliasBatch &batch);
+
+/**
+ * Occupancy-aware replay: runs aliasBatchKernel(target, batch.lanes).
+ * @p target must be concrete (resolveSimdTarget).
+ */
+void replayAliasBatch(SimdTarget target, const AliasRecords &records,
+                      std::size_t n, AliasBatch &batch);
 
 /**
  * Gather one table byte per lane: out[l] = bases[l][byteIdx[l]] for

@@ -12,7 +12,7 @@ PreparedTrace::PreparedTrace(const MemoryTrace &trace,
     : name_(trace.name())
 {
     std::size_t n = trace.conditionalCount();
-    pcs.reserve(n);
+    ids_.reserve(n);
     wordBits_.reserve(n);
     if (need_path_history)
         succBits_.reserve(n);
@@ -20,16 +20,29 @@ PreparedTrace::PreparedTrace(const MemoryTrace &trace,
     ghist.reserve(n);
     shist.reserve(n);
 
+    // One hash probe per branch assigns the dense id; the self-history
+    // registers are then a plain vector indexed by it.
     std::uint64_t global = 0;
-    std::unordered_map<Addr, std::uint64_t> self;
-    self.reserve(n / 64 + 16);
+    std::unordered_map<Addr, std::uint32_t> id_of;
+    id_of.reserve(n / 64 + 16);
+    std::vector<std::uint64_t> self;
 
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const BranchRecord &rec = trace[i];
         if (!rec.isConditional())
             continue;
-        const std::size_t k = pcs.size();
-        pcs.push_back(rec.pc);
+        const std::size_t k = ids_.size();
+        const auto [slot, fresh] = id_of.try_emplace(
+            rec.pc, static_cast<std::uint32_t>(staticPcs_.size()));
+        if (fresh) {
+            bpsim_assert(staticPcs_.size() < kMaxStaticBranches,
+                         "trace exceeds ", kMaxStaticBranches,
+                         " static branches");
+            staticPcs_.push_back(rec.pc);
+            self.push_back(0);
+        }
+        const std::uint32_t id = slot->second;
+        ids_.push_back(id);
         wordBits_.push_back(static_cast<std::uint16_t>(
             bits(wordIndex(rec.pc), 16)));
         if (need_path_history) {
@@ -48,7 +61,7 @@ PreparedTrace::PreparedTrace(const MemoryTrace &trace,
         ghist.push_back(global);
         global = (global << 1) | (rec.taken ? 1u : 0u);
 
-        std::uint64_t &h = self[rec.pc];
+        std::uint64_t &h = self[id];
         shist.push_back(h);
         h = (h << 1) | (rec.taken ? 1u : 0u);
     }
@@ -59,7 +72,7 @@ PreparedTrace::bytesPerBranch() const
 {
     if (size() == 0)
         return 0.0;
-    const std::size_t bytes = pcs.size() * sizeof(Addr) +
+    const std::size_t bytes = ids_.size() * sizeof(std::uint32_t) +
         wordBits_.size() * sizeof(std::uint16_t) +
         succBits_.size() * sizeof(std::uint16_t) +
         takenBits_.size() * sizeof(std::uint64_t) +
@@ -96,8 +109,9 @@ PreparedTrace::bhtHistoryStream(std::size_t entries, unsigned assoc,
     std::vector<std::uint64_t> out;
     out.reserve(size());
     for (std::size_t i = 0; i < size(); ++i) {
-        out.push_back(bht.visit(pcs[i]).history);
-        bht.recordOutcome(pcs[i], taken(i));
+        const Addr pc_i = pc(i);
+        out.push_back(bht.visit(pc_i).history);
+        bht.recordOutcome(pc_i, taken(i));
     }
     if (miss_rate_out)
         *miss_rate_out = bht.missRate();

@@ -18,13 +18,15 @@
  *
  * Column layout is sized for replay throughput: outcomes are a packed
  * bit stream (one bit per branch, consumed 64 branches at a time by the
- * fused kernel), the fused narrow decode reads a 2-byte word-index
- * column (wordBits) instead of the 8-byte pc column, and the
- * path-history column stores only the low 16 successor word-index bits
- * per branch (pathHistoryStream never shifts in more -- bits_per_target
- * is capped at 16) instead of full 8-byte target addresses.
- * bytesPerBranch() reports the resulting resident footprint so tests
- * can pin it.
+ * fused kernel); branch addresses are a 4-byte dense branch-id column
+ * (ids in first-appearance order) over a static-pc table, so pc(i) is
+ * one indirection and the aliasing engine's last-writer test compares
+ * ids instead of 8-byte pcs; the fused narrow decode reads a 2-byte
+ * word-index column (wordBits); and the path-history column stores
+ * only the low 16 successor word-index bits per branch
+ * (pathHistoryStream never shifts in more -- bits_per_target is capped
+ * at 16) instead of full 8-byte target addresses.  bytesPerBranch()
+ * reports the resulting per-branch footprint so tests can pin it.
  *
  * A test (test_sweep_equivalence) pins the equivalence between this fast
  * path and the online TwoLevelPredictor.
@@ -59,10 +61,30 @@ class PreparedTrace
 
     const std::string &name() const { return name_; }
     /** Number of conditional branch instances. */
-    std::size_t size() const { return pcs.size(); }
+    std::size_t size() const { return ids_.size(); }
+
+    /**
+     * Ceiling on distinct static branches: ids stay below 2^30 - 1, so
+     * the aliasing engine's packed (id + 1) << 2 | counter entry fits
+     * 32 bits.
+     */
+    static constexpr std::size_t kMaxStaticBranches = (1u << 30) - 1;
 
     /** Branch address of conditional instance @p i. */
-    Addr pc(std::size_t i) const { return pcs[i]; }
+    Addr pc(std::size_t i) const { return staticPcs_[ids_[i]]; }
+
+    /**
+     * Dense id of instance @p i's static branch: ids number the
+     * distinct pcs 0, 1, 2, ... in order of first appearance, so two
+     * instances share an id exactly when they share a pc.
+     */
+    std::uint32_t branchId(std::size_t i) const { return ids_[i]; }
+
+    /** Address of the static branch with dense id @p id. */
+    Addr staticPc(std::uint32_t id) const { return staticPcs_[id]; }
+
+    /** Number of distinct static branches (one past the largest id). */
+    std::size_t staticBranches() const { return staticPcs_.size(); }
 
     /**
      * Low 16 bits of wordIndex(pc(i)), as a 2-byte column.  The fused
@@ -98,9 +120,11 @@ class PreparedTrace
     bool hasPathColumn() const { return !succBits_.empty() || size() == 0; }
 
     /**
-     * Resident column bytes divided by branch count: 8 (pc) + 2 (word
-     * bits) + 8 (ghist) + 8 (shist) + 1/8 (packed outcome bit) + 2
-     * when the path column is kept.  Zero for an empty trace.
+     * Per-branch column bytes divided by branch count: 4 (branch id) +
+     * 2 (word bits) + 8 (ghist) + 8 (shist) + 1/8 (packed outcome bit)
+     * + 2 when the path column is kept.  The static-pc table (8 bytes
+     * per staticBranches()) does not grow with the trace and is not
+     * counted.  Zero for an empty trace.
      */
     double bytesPerBranch() const;
 
@@ -128,7 +152,10 @@ class PreparedTrace
 
   private:
     std::string name_;
-    std::vector<Addr> pcs;
+    /** Dense static-branch id per branch (first-appearance order). */
+    std::vector<std::uint32_t> ids_;
+    /** Branch address per dense id. */
+    std::vector<Addr> staticPcs_;
     /** Low 16 word-index bits per branch (fused narrow decode). */
     std::vector<std::uint16_t> wordBits_;
     /** Low 16 successor word-index bits per branch (path schemes). */

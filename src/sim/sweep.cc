@@ -1,14 +1,13 @@
 #include "sim/sweep.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <set>
 
 #include "common/logging.hh"
 #include "common/packed_pht.hh"
-#include "common/sat_counter.hh"
 #include "common/thread_pool.hh"
-#include "stats/aliasing.hh"
 
 namespace bpsim {
 
@@ -427,18 +426,21 @@ class PackedLanes
 };
 
 /**
- * The aliasing 2-bit engine (Figure 5): each lane replays its spans
- * branch by branch through a TwoBitCounter table shadowed by an
- * AliasTracker that remembers each entry's last-writer pc, reading the
- * prepared-trace columns inline.  It is lane-major -- one lane walks a
- * whole span before the next starts -- and skips the block decode: the
- * tracker needs every access's full pc, and tracker lanes inside the
- * block-decoded loop measured slower than this loop (DESIGN.md
- * "Segment-parallel replay").  Warm-up accesses train the counters and
- * the last-writer state but are not counted.  A conflict is harmless
- * when the low rowBits of pattern_of(i) -- the first-level history
- * pattern in effect -- are all ones; schemes without such a pattern
- * pass a constant 0.
+ * The aliasing 2-bit engine (Figure 5): the packed engine's block
+ * tiling, with a record rich enough for the per-access last-writer
+ * test.  Each 2048-branch block is decoded once into AliasRecords --
+ * the low 32 bits of the row value and of the word index, the
+ * branch's tag ((dense id + 1) << 2) and a flags byte with the outcome
+ * and countr_one of the first-level pattern -- and then every lane
+ * batch of up to AliasBatch::kMaxLanes lanes replays the block through
+ * the dispatched alias kernel (common/simd.hh).  A lane's slot is one
+ * uint32 fusing its last writer and its 2-bit counter, so the
+ * conflict, harmless and miss tests and the counter update all come
+ * from one gathered word.  A conflict is harmless when the low rowBits
+ * of pattern_of(i) -- the first-level history pattern in effect --
+ * are all ones, i.e. countr_one(pattern) >= rowBits; schemes without
+ * such a pattern pass a constant 0.  Warm-up spans train the slots
+ * but are not counted.
  */
 template <typename RowFn, typename PatternFn>
 class AliasLanes
@@ -446,9 +448,9 @@ class AliasLanes
   public:
     AliasLanes(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
                const std::vector<std::size_t> &members, RowFn row_of,
-               PatternFn pattern_of)
+               PatternFn pattern_of, SimdTarget target)
         : t_(t), jobs_(jobs), members_(members), rowOf_(row_of),
-          patternOf_(pattern_of)
+          patternOf_(pattern_of), target_(target)
     {
     }
 
@@ -456,58 +458,129 @@ class AliasLanes
     std::size_t member(std::size_t lane) const { return members_[lane]; }
 
     void
-    run(const TaskSpan &span, LaneCounts *counts, KernelTelemetry &) const
+    run(const TaskSpan &span, LaneCounts *counts,
+        KernelTelemetry &tel) const
     {
-        // Locals, not members, in the hot loop: the compiler can then
-        // keep them in registers across the tracker call.
-        const PreparedTrace &t = t_;
-        const RowFn row_of = rowOf_;
-        const PatternFn pattern_of = patternOf_;
-        for (std::size_t j = span.laneLo; j < span.laneHi; ++j) {
-            const ConfigJob &job = jobs_[members_[j]];
-            const unsigned col_bits = job.colBits;
-            const std::uint64_t row_mask = mask(job.rowBits);
-            const std::uint64_t col_mask = mask(col_bits);
-            const bool has_rows = job.rowBits > 0;
-            std::vector<TwoBitCounter> counters(
-                std::size_t{1} << (job.rowBits + col_bits));
-            AliasTracker tracker(counters.size());
+        // Private arenas per task, one per lane batch: shards never
+        // share slots and speculative segments start cold.
+        const std::size_t task_lanes = span.laneHi - span.laneLo;
+        std::vector<AliasBatch> batches(
+            (task_lanes + AliasBatch::kMaxLanes - 1) /
+            AliasBatch::kMaxLanes);
+        std::vector<std::vector<std::uint32_t>> arenas(batches.size());
+        for (std::size_t b = 0; b < batches.size(); ++b) {
+            AliasBatch &batch = batches[b];
+            batch.lanes = static_cast<unsigned>(std::min<std::size_t>(
+                AliasBatch::kMaxLanes,
+                task_lanes - b * AliasBatch::kMaxLanes));
+            std::size_t slots = 0;
+            for (unsigned l = 0; l < batch.lanes; ++l) {
+                const ConfigJob &job = jobs_[members_[
+                    span.laneLo + b * AliasBatch::kMaxLanes + l]];
+                // The kernels index with signed 32-bit slot offsets,
+                // which also keeps every row and column value a lane
+                // reads inside the decoded 32 bits.
+                bpsim_assert(job.rowBits + job.colBits <= 30,
+                             "aliasing lane table exceeds 2^30 slots");
+                batch.offset[l] = static_cast<std::uint32_t>(slots);
+                batch.rowMask[l] =
+                    static_cast<std::uint32_t>(mask(job.rowBits));
+                batch.colMask[l] =
+                    static_cast<std::uint32_t>(mask(job.colBits));
+                batch.colBits[l] = job.colBits;
+                batch.harmlessOnes[l] = job.rowBits > 0
+                                            ? job.rowBits
+                                            : AliasBatch::kNeverHarmless;
+                // Pad each table by one cache line: power-of-two
+                // tables would otherwise put every lane's slot s at the
+                // same address modulo 4 KiB, and the CPU treats a
+                // gather behind a scatter to such an address as a
+                // possible store-forward hazard (4K aliasing) -- 2x
+                // slower at 16 lanes.
+                slots += (std::size_t{1} << (job.rowBits + job.colBits)) +
+                         kLanePad;
+                bpsim_assert(slots <= (std::size_t{1} << 31) - 1,
+                             "aliasing lane batch exceeds 2^31 slots");
+            }
+            arenas[b].assign(slots, AliasBatch::kFreshEntry);
+            batch.entries = arenas[b].data();
+        }
 
-            const auto replay = [&](std::size_t lo, std::size_t hi) {
-                std::uint64_t misses = 0;
-                for (std::size_t i = lo; i < hi; ++i) {
-                    const std::uint64_t row = row_of(i) & row_mask;
-                    const std::uint64_t col =
-                        wordIndex(t.pc(i)) & col_mask;
-                    const auto idx =
-                        static_cast<std::size_t>((row << col_bits) | col);
-                    tracker.access(idx, t.pc(i),
-                                   has_rows && (pattern_of(i) & row_mask) ==
-                                                   row_mask);
-                    const bool taken = t.taken(i);
-                    misses += counters[idx].predict() != taken;
-                    counters[idx].update(taken);
+        std::vector<std::uint32_t> rows(kBlockSize), cols(kBlockSize),
+            tags(kBlockSize);
+        std::vector<std::uint8_t> flags(kBlockSize);
+        const AliasRecords records{rows.data(), cols.data(), tags.data(),
+                                   flags.data()};
+        const auto replay = [&](std::size_t lo, std::size_t hi,
+                                bool count) {
+            for (std::size_t base = lo; base < hi; base += kBlockSize) {
+                const std::size_t m = std::min(kBlockSize, hi - base);
+                if (count)
+                    ++tel.blocksReplayed;
+                decode(base, m, rows.data(), cols.data(), tags.data(),
+                       flags.data());
+                for (AliasBatch &batch : batches) {
+                    replayAliasBatch(target_, records, m, batch);
+                    if (count)
+                        ++tel.laneBatches;
                 }
-                return misses;
-            };
-            replay(span.warmLo, span.segLo);
-            const std::uint64_t warm_accesses = tracker.accesses();
-            const std::uint64_t warm_conflicts = tracker.conflicts();
-            const std::uint64_t warm_harmless = tracker.harmlessConflicts();
-            LaneCounts &c = counts[j - span.laneLo];
-            c.misses = replay(span.segLo, span.segHi);
-            c.accesses = tracker.accesses() - warm_accesses;
-            c.conflicts = tracker.conflicts() - warm_conflicts;
-            c.harmless = tracker.harmlessConflicts() - warm_harmless;
+            }
+        };
+        replay(span.warmLo, span.segLo, false);
+        for (AliasBatch &batch : batches) {
+            std::fill(std::begin(batch.misses), std::end(batch.misses), 0);
+            std::fill(std::begin(batch.conflicts),
+                      std::end(batch.conflicts), 0);
+            std::fill(std::begin(batch.harmless), std::end(batch.harmless),
+                      0);
+        }
+        replay(span.segLo, span.segHi, true);
+
+        for (std::size_t j = 0; j < task_lanes; ++j) {
+            const AliasBatch &batch = batches[j / AliasBatch::kMaxLanes];
+            const std::size_t l = j % AliasBatch::kMaxLanes;
+            counts[j].misses = batch.misses[l];
+            counts[j].accesses = span.segHi - span.segLo;
+            counts[j].conflicts = batch.conflicts[l];
+            counts[j].harmless = batch.harmless[l];
         }
     }
 
   private:
+    /** Slots between consecutive lane tables in an arena (64 bytes). */
+    static constexpr std::size_t kLanePad = 16;
+
+    void
+    decode(std::size_t base, std::size_t m, std::uint32_t *rows,
+           std::uint32_t *cols, std::uint32_t *tags,
+           std::uint8_t *flags) const
+    {
+        std::uint64_t taken_word = 0;
+        for (std::size_t i = 0; i < m; ++i) {
+            const std::size_t g = base + i;
+            // Outcomes arrive packed; reload at word boundaries and on
+            // the first (possibly unaligned) branch.
+            if (i == 0 || (g & 63) == 0)
+                taken_word = t_.takenWord(g >> 6);
+            const auto taken =
+                static_cast<unsigned>((taken_word >> (g & 63)) & 1u);
+            const std::uint32_t id = t_.branchId(g);
+            rows[i] = static_cast<std::uint32_t>(rowOf_(g));
+            cols[i] =
+                static_cast<std::uint32_t>(wordIndex(t_.staticPc(id)));
+            tags[i] = (id + 1) << 2;
+            flags[i] = static_cast<std::uint8_t>(
+                (taken << 7) |
+                static_cast<unsigned>(std::countr_one(patternOf_(g))));
+        }
+    }
+
     const PreparedTrace &t_;
     const std::vector<ConfigJob> &jobs_;
     const std::vector<std::size_t> &members_;
     RowFn rowOf_;
     PatternFn patternOf_;
+    SimdTarget target_;
 };
 
 /**
@@ -880,8 +953,10 @@ KernelTelemetry::hotBytesPerBranch() const
 {
     if (lanes == 0)
         return 0.0;
-    return (4.0 * static_cast<double>(lanes - wideLanes) +
-            17.0 * static_cast<double>(wideLanes)) /
+    const std::uint64_t narrow = lanes - wideLanes - aliasLanes;
+    return (4.0 * static_cast<double>(narrow) +
+            17.0 * static_cast<double>(wideLanes) +
+            13.0 * static_cast<double>(aliasLanes)) /
            static_cast<double>(lanes);
 }
 
@@ -917,10 +992,14 @@ KernelTelemetry::workerUtilization() const
 void
 KernelTelemetry::merge(const KernelTelemetry &other)
 {
-    target = other.target;
+    // Only a record that replayed something knows its dispatch target;
+    // an empty one (a cache-hit-only drain) must not reset it.
+    if (other.fusedGroups + other.modelGroups > 0)
+        target = other.target;
     fusedGroups += other.fusedGroups;
     lanes += other.lanes;
     wideLanes += other.wideLanes;
+    aliasLanes += other.aliasLanes;
     laneBatches += other.laneBatches;
     blocksReplayed += other.blocksReplayed;
     segments += other.segments;
@@ -1032,44 +1111,43 @@ planFusedGroups(const std::vector<ConfigJob> &jobs,
                 const SweepOptions &opts, unsigned threads)
 {
     // Bucket by shared first-level stream, in first-appearance order.
-    // Aliasing-tracked 2-bit jobs run the lane-major aliasing engine,
-    // which gains nothing from sharing a pass, so each is a bucket of
-    // its own and the pool spreads them across executors.  Zoo jobs
-    // bucket by kind whether or not aliasing is tracked: their
+    // Zoo jobs bucket by kind whether or not aliasing is tracked: their
     // aliasing surfaces are identically zero (analyzeInterference owns
     // their interference story), and one sweep's members share
     // tagBits/histories/tables by construction.
     std::vector<FusedGroup> buckets;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const ConfigJob &job = jobs[i];
-        const bool one_lane = opts.trackAliasing &&
-                              job.kind != SchemeKind::Tage &&
-                              job.kind != SchemeKind::Perceptron;
         FusedGroup *bucket = nullptr;
         for (FusedGroup &b : buckets) {
-            if (!one_lane && b.kind == job.kind &&
-                b.streamRowBits == streamKey(job)) {
+            if (b.kind == job.kind && b.streamRowBits == streamKey(job)) {
                 bucket = &b;
                 break;
             }
         }
-        if (one_lane || !bucket) {
+        if (!bucket) {
             buckets.push_back(singleJobGroup(jobs, i));
             continue;
         }
         bucket->jobs.push_back(i);
     }
 
-    // Chunk each bucket into at most `threads` contiguous groups so
-    // the pool can spread one large bucket across executors.  Each
-    // chunk replays the trace once; the per-job results are identical
-    // for any chunking, so the split is free to vary with the thread
-    // count.
+    // Chunk each bucket into balanced contiguous groups; each chunk
+    // replays the trace once, and per-job results are identical for
+    // any chunking.  Packed and model buckets split into at most
+    // `threads` chunks so the pool can spread one large bucket across
+    // executors.  Aliasing-tracked 2-bit buckets split into one chunk
+    // per AliasBatch::kMaxLanes jobs, so each group is one full lane
+    // batch whatever the thread count (a 126-job sweep makes 8 groups).
     std::vector<FusedGroup> groups;
-    const std::size_t chunk_target = threads > 1 ? threads : 1;
     for (FusedGroup &bucket : buckets) {
         const std::size_t size = bucket.jobs.size();
-        const std::size_t chunks = std::min(chunk_target, size);
+        const bool zoo = bucket.kind == SchemeKind::Tage ||
+                         bucket.kind == SchemeKind::Perceptron;
+        const std::size_t chunks =
+            opts.trackAliasing && !zoo
+                ? (size + AliasBatch::kMaxLanes - 1) / AliasBatch::kMaxLanes
+                : std::min<std::size_t>(threads > 1 ? threads : 1, size);
         const std::size_t base = size / chunks;
         const std::size_t extra = size % chunks;
         std::size_t next = 0;
@@ -1369,10 +1447,9 @@ runFusedGroup(const FusedGroup &group,
     const auto two_bit = [&](auto row_of, auto pattern_of) {
         if (opts.trackAliasing) {
             const AliasLanes<decltype(row_of), decltype(pattern_of)>
-                engine(t, jobs, group.jobs, row_of, pattern_of);
+                engine(t, jobs, group.jobs, row_of, pattern_of, target);
             counters = runGrid(engine, t.size(), exec, slots);
-            // Aliasing lanes read full-width row and pc columns.
-            counters.wideLanes = engine.lanes();
+            counters.aliasLanes = engine.lanes();
         } else {
             const PackedLanes<decltype(row_of)> engine(
                 t, jobs, group.jobs, row_of, target);

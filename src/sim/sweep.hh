@@ -21,10 +21,11 @@
  *  - packed 2-bit: one block-decoded trace pass updates every member's
  *    packed counter table through the SIMD lane kernel (every split of
  *    a tier reads the same per-branch row value and word index);
- *  - aliasing 2-bit: Figure 5's per-access last-writer test, one lane
- *    at a time over the prepared-trace columns.  trackAliasing picks
- *    this engine for the 2-bit family, and the planner gives each such
- *    job a one-lane group;
+ *  - aliasing 2-bit: Figure 5's per-access last-writer test.  Each
+ *    block is decoded once into a 13-byte record per branch and lane
+ *    batches of up to 16 step fused last-writer+counter table words
+ *    through the SIMD alias kernel.  trackAliasing picks this engine
+ *    for the 2-bit family;
  *  - model: TAGE/perceptron lanes sharing the block decode and hash
  *    folds.
  *
@@ -134,8 +135,8 @@ struct SweepOptions
      */
     unsigned threads = 1;
     /**
-     * Dispatch target for the packed and perceptron SIMD lane
-     * kernels.  Auto defers to the BPSIM_SIMD environment override,
+     * Dispatch target for the packed, aliasing and perceptron SIMD
+     * lane kernels.  Auto defers to the BPSIM_SIMD environment override,
      * then to CPUID detection; explicit requests clamp down to the
      * widest supported target.
      * Every target is bit-identical (pinned by the forced-dispatch
@@ -145,7 +146,7 @@ struct SweepOptions
     /**
      * Executors *inside* one group: the group's member lanes are
      * sharded across this many concurrent replay workers, each owning
-     * a disjoint lane subset with private tables, trackers, models or
+     * a disjoint lane subset with private tables, slot arenas, models or
      * weight banks -- nothing is shared, so results are bit-identical
      * for any value.
      * 0 = one per hardware thread, 1 (default) reproduces the serial
@@ -214,11 +215,17 @@ struct KernelTelemetry
     /** Member configurations replayed by 2-bit groups. */
     std::uint64_t lanes = 0;
     /**
-     * Lanes reading full-width columns: packed lanes beyond the
-     * packed-record limits (64-bit wide loop) and aliasing lanes.
+     * Packed lanes beyond the packed-record limits, reading 64-bit
+     * row/column columns in the wide loop.
      */
     std::uint64_t wideLanes = 0;
-    /** Lane batches dispatched (at most LaneBatch::kMaxLanes each). */
+    /** Lanes replayed by the aliasing engine (AliasBatch kernels). */
+    std::uint64_t aliasLanes = 0;
+    /**
+     * Lane batches dispatched per counted block: packed batches (at
+     * most LaneBatch::kMaxLanes lanes each) and aliasing batches (at
+     * most AliasBatch::kMaxLanes).
+     */
     std::uint64_t laneBatches = 0;
     /** Decoded block tiles streamed through the lane batches. */
     std::uint64_t blocksReplayed = 0;
@@ -268,9 +275,11 @@ struct KernelTelemetry
      */
     double workerUtilization() const;
     /**
-     * Bytes the lane inner loop reads per branch per lane: 4 (one
-     * packed record) for narrow packed lanes, 17 (row, column or pc,
-     * outcome) for wide lanes, averaged over the lane population.
+     * Bytes of shared decoded record the lane inner loop reads per
+     * branch per lane: 4 (one packed record) for narrow packed lanes,
+     * 17 (64-bit row and column, outcome byte) for wide packed lanes,
+     * 13 (32-bit row, column and tag, flags byte) for aliasing lanes,
+     * averaged over the lane population.
      */
     double hotBytesPerBranch() const;
     /** Fold one group's counters into a sweep-level aggregate. */
@@ -332,9 +341,10 @@ struct FusedGroup
  * land in one group, split into at most @p threads chunks so the pool
  * can spread a large group across executors.  Zoo jobs bucket by
  * scheme into model groups under the same chunking.  When
- * opts.trackAliasing each 2-bit job becomes its own one-lane group
- * (the aliasing engine replays one lane at a time anyway) while zoo
- * jobs still batch -- their aliasing surfaces are identically zero.
+ * opts.trackAliasing, 2-bit buckets chunk into one balanced group
+ * per AliasBatch::kMaxLanes jobs instead, whatever @p threads is, so
+ * each group is one full aliasing lane batch; zoo jobs batch as
+ * without tracking -- their aliasing surfaces are identically zero.
  * Every job index appears in exactly one group; results are
  * bit-identical for any grouping.
  */
@@ -344,8 +354,8 @@ planFusedGroups(const std::vector<ConfigJob> &jobs,
 
 /**
  * The one-lane group replaying planned job @p index alone: the shape
- * the planner gives aliasing-tracked 2-bit jobs, simulateConfig runs,
- * and the benches' per-configuration baselines time.
+ * simulateConfig runs and the benches' per-configuration baselines
+ * time.
  */
 FusedGroup singleJobGroup(const std::vector<ConfigJob> &jobs,
                           std::size_t index);
@@ -483,8 +493,8 @@ class StreamCache
  * job's result into slots[job index].  @p slots addresses the whole
  * planned job vector.  The lane engine follows from the group's kind
  * and the cache's options: model for the zoo, aliasing 2-bit when
- * trackAliasing, else packed 2-bit (SweepOptions::simd picks its
- * dispatch target).  When @p telemetry is non-null the group's kernel
+ * trackAliasing, else packed 2-bit (SweepOptions::simd picks every
+ * engine's dispatch target).  When @p telemetry is non-null the group's kernel
  * counters are accumulated into it.  Thread-safe once @p cache is
  * prepared for the group.
  */

@@ -143,10 +143,9 @@ struct BatchCounters
         envelopeSweeps += other.envelopeSweeps;
         fusedGroupsFormed += other.fusedGroupsFormed;
         coalescedRequests += other.coalescedRequests;
-        // Only merge telemetry that describes an execution: a hit-only
-        // batch's zeroed record must not reset the dispatch target.
-        if (other.envelopeSweeps != 0)
-            kernel.merge(other.kernel);
+        // A hit-only batch's record is empty, and merging an empty
+        // record changes nothing (not even the dispatch target).
+        kernel.merge(other.kernel);
     }
 };
 

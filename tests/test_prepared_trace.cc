@@ -6,10 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <map>
+#include <set>
+#include <string>
 #include <unordered_map>
 
 #include "predictor/bht.hh"
 #include "sim/prepared_trace.hh"
+#include "trace/trace_io.hh"
 #include "workload/synthetic.hh"
 
 using namespace bpsim;
@@ -166,21 +173,22 @@ TEST(PreparedTrace, TakenWordsPackOutcomesSixtyFourPerWord)
 
 TEST(PreparedTrace, BytesPerBranchReflectsPackedColumns)
 {
-    // pc (8) + word bits (2) + ghist (8) + shist (8) + one outcome
-    // BIT + 2 bytes of successor path bits: ~28.13, not the 33 of the
-    // old layout with byte-wide outcomes and 8-byte targets.
+    // branch id (4) + word bits (2) + ghist (8) + shist (8) + one
+    // outcome BIT + 2 bytes of successor path bits: ~24.13, not the 33
+    // of the old layout with 8-byte pcs, byte-wide outcomes and 8-byte
+    // targets.
     MemoryTrace raw = smallWorkload();
     PreparedTrace with_path(raw);
     EXPECT_TRUE(with_path.hasPathColumn());
-    EXPECT_GE(with_path.bytesPerBranch(), 28.125);
-    EXPECT_LT(with_path.bytesPerBranch(), 28.2);
+    EXPECT_GE(with_path.bytesPerBranch(), 24.125);
+    EXPECT_LT(with_path.bytesPerBranch(), 24.2);
 
     // Dropping the path column saves its 2 bytes per branch; the rest
     // of the columns are untouched.
     PreparedTrace without_path(raw, false);
     EXPECT_FALSE(without_path.hasPathColumn());
-    EXPECT_GE(without_path.bytesPerBranch(), 26.125);
-    EXPECT_LT(without_path.bytesPerBranch(), 26.2);
+    EXPECT_GE(without_path.bytesPerBranch(), 22.125);
+    EXPECT_LT(without_path.bytesPerBranch(), 22.2);
     EXPECT_EQ(without_path.size(), with_path.size());
     for (std::size_t i = 0; i < without_path.size(); i += 97) {
         ASSERT_EQ(without_path.pc(i), with_path.pc(i));
@@ -189,6 +197,62 @@ TEST(PreparedTrace, BytesPerBranchReflectsPackedColumns)
                   with_path.globalHistory(i));
         ASSERT_EQ(without_path.selfHistory(i),
                   with_path.selfHistory(i));
+    }
+}
+
+TEST(PreparedTrace, BranchIdsAreDenseInFirstAppearanceOrder)
+{
+    MemoryTrace raw = smallWorkload(17);
+    PreparedTrace t(raw);
+    std::map<Addr, std::uint32_t> seen;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        const std::uint32_t id = t.branchId(i);
+        const auto it = seen.find(t.pc(i));
+        if (it == seen.end()) {
+            // A new pc takes the next id: dense, first-appearance.
+            ASSERT_EQ(id, seen.size()) << "instance " << i;
+            seen.emplace(t.pc(i), id);
+        } else {
+            ASSERT_EQ(id, it->second) << "instance " << i;
+        }
+        ASSERT_EQ(t.staticPc(id), t.pc(i));
+    }
+    EXPECT_EQ(t.staticBranches(), seen.size());
+    EXPECT_GT(t.staticBranches(), 1u);
+    EXPECT_LE(t.staticBranches(), 80u);
+}
+
+TEST(PreparedTrace, PcRoundTripsThroughBranchIds)
+{
+    // Synthetic profile: pc(i) is every conditional record's address.
+    MemoryTrace raw = smallWorkload(19);
+    PreparedTrace t(raw);
+    std::set<Addr> distinct;
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+        if (!raw[i].isConditional())
+            continue;
+        ASSERT_EQ(t.pc(j), raw[i].pc) << "conditional " << j;
+        distinct.insert(raw[i].pc);
+        ++j;
+    }
+    EXPECT_EQ(j, t.size());
+    EXPECT_EQ(t.staticBranches(), distinct.size());
+
+    // A .bpt fixture written and read back through the binary format.
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("bpsim_prepared_ids_" + std::to_string(::getpid()) + ".bpt");
+    ASSERT_TRUE(saveTrace(raw, path.string()).ok());
+    Result<MemoryTrace> loaded = loadTrace(path.string());
+    std::filesystem::remove(path);
+    ASSERT_TRUE(loaded.ok());
+    PreparedTrace from_file(loaded.value());
+    ASSERT_EQ(from_file.size(), t.size());
+    EXPECT_EQ(from_file.staticBranches(), t.staticBranches());
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        ASSERT_EQ(from_file.pc(i), t.pc(i)) << "instance " << i;
+        ASSERT_EQ(from_file.branchId(i), t.branchId(i));
     }
 }
 

@@ -539,4 +539,24 @@ TEST(Service, SpecStringSchemeNamesGetAHint)
     }
 }
 
+TEST(Service, KernelTargetSurvivesCacheHitDrains)
+{
+    // A cold sweep replays and records its dispatch target; the warm
+    // repeat is a drain of cache hits only, which replays nothing and
+    // so must not reset the reported target to the default.
+    SweepServer server;
+    const std::string line = sweepLine("GAs", 4, 6);
+    ASSERT_TRUE(isOk(handle(server, line)));
+    ASSERT_TRUE(isOk(handle(server, line)));
+
+    JsonValue stats = handle(server, "{\"op\":\"stats\"}");
+    ASSERT_TRUE(isOk(stats));
+    EXPECT_GE(stats.find("queue")->find("cache_hits")->asInt(), 1);
+    const JsonValue *kernel = stats.find("kernel");
+    ASSERT_NE(kernel, nullptr);
+    EXPECT_EQ(kernel->find("target")->asString(),
+              simdTargetName(resolveSimdTarget(SweepOptions{}.simd)));
+    EXPECT_GE(kernel->find("fused_groups")->asInt(), 1);
+}
+
 } // namespace

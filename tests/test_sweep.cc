@@ -495,16 +495,29 @@ TEST(Sweep, FusedGroupPlanPartitionsJobsByStream)
             EXPECT_EQ(finite_jobs[idx].rowBits, g.streamRowBits);
     }
 
-    // Aliasing tracking gives every job its own one-lane group, in
-    // plan order, keyed to its own stream.
+    // Aliasing-tracked 2-bit jobs bucket by stream too, but chunk into
+    // one group per AliasBatch::kMaxLanes jobs whatever the thread
+    // count: each PAsFinite width bucket (at most 5 jobs here) is one
+    // group, and GAs's 35 jobs are three balanced batches (12/12/11).
     SweepOptions aliasing = o;
     aliasing.trackAliasing = true;
-    auto one_lane = planFusedGroups(finite_jobs, aliasing, 4);
-    ASSERT_EQ(one_lane.size(), finite_jobs.size());
-    for (std::size_t i = 0; i < one_lane.size(); ++i) {
-        ASSERT_EQ(one_lane[i].jobs.size(), 1u);
-        EXPECT_EQ(one_lane[i].jobs[0], i);
-        EXPECT_EQ(one_lane[i].streamRowBits, finite_jobs[i].rowBits);
+    for (unsigned threads : {1u, 4u}) {
+        auto tracked = planFusedGroups(finite_jobs, aliasing, threads);
+        EXPECT_EQ(tracked.size(), 9u);
+        for (const auto &g : tracked) {
+            for (std::size_t idx : g.jobs)
+                EXPECT_EQ(finite_jobs[idx].rowBits, g.streamRowBits);
+        }
+        auto gas = planFusedGroups(jobs, aliasing, threads);
+        ASSERT_EQ(jobs.size(), 35u);
+        ASSERT_EQ(gas.size(), 3u);
+        std::size_t next = 0;
+        for (const auto &g : gas) {
+            EXPECT_EQ(g.jobs.size(), next < 24 ? 12u : 11u);
+            for (std::size_t idx : g.jobs)
+                EXPECT_EQ(idx, next++); // contiguous, plan order
+        }
+        EXPECT_EQ(next, jobs.size());
     }
 }
 
@@ -601,20 +614,52 @@ TEST(Sweep, KernelTelemetryDescribesFusedExecution)
     // Narrow lanes read exactly one packed 4-byte record per branch.
     EXPECT_DOUBLE_EQ(r.kernel.hotBytesPerBranch(), 4.0);
 
-    // Aliasing-tracked sweeps run one one-lane group per job through
-    // the aliasing engine: no block decode, no lane batches, and lanes
-    // that read the full-width row and pc columns.
+    // Aliasing-tracked sweeps run the aliasing engine: one group per
+    // lane batch (45 jobs -> 3 groups of 15), each decoding every
+    // block once and stepping its one batch per block, every lane
+    // reading the 13-byte alias record.
     SweepOptions aliasing = o;
     aliasing.trackAliasing = true;
     SweepResult ra = sweepScheme(t, SchemeKind::GAs, aliasing);
-    EXPECT_EQ(ra.kernel.fusedGroups, jobs);
+    const std::size_t groups =
+        (jobs + AliasBatch::kMaxLanes - 1) / AliasBatch::kMaxLanes;
+    const std::size_t blocks = (t.size() + 2047) / 2048;
+    EXPECT_EQ(ra.kernel.target, resolveSimdTarget(o.simd));
+    EXPECT_EQ(ra.kernel.fusedGroups, groups);
     EXPECT_EQ(ra.kernel.lanes, jobs);
-    EXPECT_EQ(ra.kernel.wideLanes, jobs);
-    EXPECT_EQ(ra.kernel.laneBatches, 0u);
-    EXPECT_EQ(ra.kernel.blocksReplayed, 0u);
-    EXPECT_EQ(ra.kernel.segments, jobs); // exact: one per group
-    EXPECT_DOUBLE_EQ(ra.kernel.lanesPerGroup(), 1.0);
-    EXPECT_DOUBLE_EQ(ra.kernel.hotBytesPerBranch(), 17.0);
+    EXPECT_EQ(ra.kernel.aliasLanes, jobs);
+    EXPECT_EQ(ra.kernel.wideLanes, 0u);
+    EXPECT_EQ(ra.kernel.laneBatches, groups * blocks);
+    EXPECT_EQ(ra.kernel.blocksReplayed, groups * blocks);
+    EXPECT_EQ(ra.kernel.segments, groups); // exact: one per group
+    EXPECT_DOUBLE_EQ(ra.kernel.lanesPerGroup(),
+                     static_cast<double>(jobs) /
+                         static_cast<double>(groups));
+    EXPECT_DOUBLE_EQ(ra.kernel.hotBytesPerBranch(), 13.0);
+}
+
+TEST(Sweep, TelemetryMergeKeepsTargetOfReplayedWork)
+{
+    // A record that replayed no group (a cache-hit-only drain) carries
+    // the default target; merging it must not overwrite the target of
+    // the work that did run.
+    KernelTelemetry ran;
+    ran.target = SimdTarget::AVX512;
+    ran.fusedGroups = 2;
+    ran.lanes = 20;
+    ran.aliasLanes = 20;
+    KernelTelemetry total;
+    total.merge(ran);
+    total.merge(KernelTelemetry{});
+    EXPECT_EQ(total.target, SimdTarget::AVX512);
+    EXPECT_EQ(total.fusedGroups, 2u);
+    EXPECT_EQ(total.aliasLanes, 20u);
+
+    KernelTelemetry model;
+    model.target = SimdTarget::AVX2;
+    model.modelGroups = 1;
+    total.merge(model);
+    EXPECT_EQ(total.target, SimdTarget::AVX2);
 }
 
 TEST(Sweep, StreamCacheReleasesStreamsAfterLastConsumer)
