@@ -11,7 +11,6 @@
 #include <bit>
 
 #include "common/logging.hh"
-#include "common/packed_pht.hh"
 #include "common/random.hh"
 #include "common/simd.hh"
 #include "predictor/factory.hh"
@@ -132,83 +131,6 @@ sweepKernelFiniteBht(benchmark::State &state)
 }
 
 /**
- * The fused inner loop in isolation: replay a synthetic decoded
- * record stream through a full 8-wide lane batch on one dispatch
- * target.  Items processed counts lane-updates (records x lanes), so
- * the scalar/sse2/avx2 rows are directly comparable and their ratio
- * is the pure kernel speedup with no sweep bookkeeping around it.
- */
-void
-laneBatchReplay(benchmark::State &state, SimdTarget target)
-{
-    if (!simdTargetSupported(target)) {
-        state.SkipWithError("dispatch target not supported on host");
-        return;
-    }
-    constexpr unsigned lanes = 8;
-    constexpr unsigned indexBits = 12; // 4K-counter PHT per lane
-    static const std::vector<std::uint32_t> records = [] {
-        Pcg32 rng(0xBE9CF00DULL, 5);
-        std::vector<std::uint32_t> r(1u << 16);
-        for (std::uint32_t &d : r)
-            d = rng.next(); // taken bit 31, index bits mixed below
-        return r;
-    }();
-
-    std::vector<PackedPht> tables;
-    LaneBatch batch;
-    for (unsigned l = 0; l < lanes; ++l)
-        tables.emplace_back(std::size_t{1} << indexBits);
-    for (unsigned l = 0; l < lanes; ++l) {
-        batch.totalMask[l] = (1u << indexBits) - 1;
-        batch.pht[l] = tables[l].data();
-        batch.misses[l] = 0;
-    }
-    batch.lanes = lanes;
-
-    for (auto _ : state) {
-        replayLaneBatch(target, records.data(), records.size(),
-                        batch);
-        benchmark::DoNotOptimize(batch.misses[0]);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(records.size() *
-                                                      lanes));
-}
-
-/**
- * The packed-counter gather primitive alone: fetch one byte per lane
- * from eight separately-allocated PHTs.  This is the memory-bound
- * half of the lane batch; compare with laneBatchReplay to see how
- * much of the kernel is gather latency vs counter arithmetic.
- */
-void
-packedGather(benchmark::State &state, SimdTarget target)
-{
-    if (!simdTargetSupported(target)) {
-        state.SkipWithError("dispatch target not supported on host");
-        return;
-    }
-    constexpr unsigned lanes = 8;
-    std::vector<PackedPht> tables;
-    const std::uint8_t *bases[lanes];
-    std::uint32_t idx[lanes];
-    std::uint8_t out[lanes];
-    for (unsigned l = 0; l < lanes; ++l)
-        tables.emplace_back(std::size_t{1} << 10);
-    for (unsigned l = 0; l < lanes; ++l) {
-        bases[l] = tables[l].data();
-        idx[l] = (l * 37u) & 0xFF;
-    }
-    for (auto _ : state) {
-        gatherLaneBytes(target, bases, idx, lanes, out);
-        benchmark::DoNotOptimize(out[0]);
-        idx[0] = (idx[0] + 1) & 0xFF; // defeat trivial caching
-    }
-    state.SetItemsProcessed(state.iterations() * lanes);
-}
-
-/**
  * The zoo step cost at sweep granularity: one tier of TAGE or
  * perceptron configurations replayed per-config (one one-lane model
  * group, so one trace pass, per lane) vs batched (the planned model
@@ -264,8 +186,7 @@ zooModelStep(benchmark::State &state, SchemeKind kind, bool batched)
  * The batched perceptron inner loop in isolation: a full 8-wide lane
  * batch over a synthetic pre-offset index stream on one dispatch
  * target.  Items processed counts lane-updates, so the rows are
- * directly comparable across targets (same convention as
- * laneBatchReplay).
+ * directly comparable across targets.
  */
 void
 perceptronBatchReplay(benchmark::State &state, SimdTarget target)
@@ -305,7 +226,7 @@ perceptronBatchReplay(benchmark::State &state, SimdTarget target)
     batch.tables = tables;
     for (unsigned l = 0; l < lanes; ++l) {
         banks[l].assign((std::size_t{tables} << entryBits) +
-                            PackedPht::kGatherSlack,
+                            PerceptronBatch::kGatherSlack,
                         0);
         batch.weights[l] = banks[l].data();
         batch.theta[l] = 60;
@@ -430,12 +351,6 @@ traceGeneration(benchmark::State &state)
 
 BENCHMARK(sweepKernel)->Arg(0)->Arg(1)->ArgNames({"aliasing"});
 BENCHMARK(sweepKernelFiniteBht)->Arg(0)->Arg(1)->ArgNames({"cached"});
-BENCHMARK_CAPTURE(laneBatchReplay, scalar, SimdTarget::Scalar);
-BENCHMARK_CAPTURE(laneBatchReplay, sse2, SimdTarget::SSE2);
-BENCHMARK_CAPTURE(laneBatchReplay, avx2, SimdTarget::AVX2);
-BENCHMARK_CAPTURE(packedGather, scalar, SimdTarget::Scalar);
-BENCHMARK_CAPTURE(packedGather, sse2, SimdTarget::SSE2);
-BENCHMARK_CAPTURE(packedGather, avx2, SimdTarget::AVX2);
 BENCHMARK_CAPTURE(zooModelStep, tage_per_config, SchemeKind::Tage,
                   false);
 BENCHMARK_CAPTURE(zooModelStep, tage_batched, SchemeKind::Tage, true);

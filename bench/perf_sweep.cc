@@ -3,13 +3,20 @@
  * Sweep throughput benchmark: wall-clock branch-config updates per
  * second for every sweep scheme, in these execution modes --
  *
- *   serial        one-lane groups (singleJobGroup), one trace
- *                 replay per job, threads=1: the no-fusion baseline
- *   fused[T]      planned groups, one pass per group (threads=1),
- *                 once per SIMD dispatch target T this host supports
- *                 (scalar always; sse2/avx2 when the CPU has them)
- *   fused+threads planned groups, auto dispatch, group-parallel
- *                 execution (threads=0, one executor per hw thread)
+ *   one-lane       one-lane groups (singleJobGroup), one trace
+ *                  replay per job, threads=1: the no-batching baseline
+ *   batched[T]     planned groups, one pass per group (threads=1),
+ *                  once per SIMD dispatch target T this host supports
+ *                  (scalar always; wider targets when the CPU has them)
+ *   batched+threads planned groups, auto dispatch, group-parallel
+ *                  execution (threads=0, one executor per hw thread)
+ *
+ * The 2-bit phase runs the default-option (aliasing-tracked) sweeps of
+ * all seven paper schemes, tiers 2^4..2^15, on the 2-bit lane engine:
+ * lane batches of up to 16 configurations over a shared 13-byte
+ * decoded record, on the scalar or AVX-512 alias kernel (SSE2/AVX2
+ * resolve to scalar).  Each scheme is also swept once untracked, and
+ * its misprediction surface is asserted identical to the tracked one.
  *
  * One unit of work is a single branch instance simulated through a
  * single configuration, so "branch-config updates/s" is comparable
@@ -36,11 +43,8 @@
  * "within_group_scaling".
  *
  * A zoo phase times TAGE/perceptron model groups against one-lane
- * model groups, and an aliasing phase times the default-option
- * (aliasing-tracked) engine on the five 126-job schemes: one-lane
- * groups vs batched alias lanes per dispatch target vs batched lanes
- * with threads=0, all three surfaces asserted bit-identical.  Both
- * land in the same JSON under "zoo" and "aliasing".
+ * model groups in the same modes; it lands in the same JSON under
+ * "zoo".
  *
  * A second phase times the persistent result cache (sweep_session.hh):
  * the same table3-scale sweep set is run cold (compute + store), warm
@@ -82,12 +86,12 @@ struct SchemeResult
 {
     SchemeKind kind;
     std::size_t configs = 0;
-    ModeResult serial;
-    /** One fused-mode measurement per supported dispatch target. */
-    std::vector<ModeResult> fused;
-    ModeResult fusedThreads;
-    double fusedThreadsSpeedup = 0.0;
-    /** Telemetry from the widest-target single-thread fused run. */
+    ModeResult oneLane;
+    /** One batched-mode measurement per supported dispatch target. */
+    std::vector<ModeResult> batched;
+    ModeResult batchedThreads;
+    double batchedThreadsSpeedup = 0.0;
+    /** Telemetry from the widest-target single-thread batched run. */
     KernelTelemetry kernel;
 };
 
@@ -179,7 +183,7 @@ checkSurface(SchemeKind kind, const Surface &expect,
                          schemeKindName(kind), " tier 2^",
                          a[t].totalBits, " rows 2^",
                          a[t].points[p].rowBits,
-                         " -- fused kernel is not bit-identical");
+                         " -- lane engine is not bit-identical");
         }
     }
 }
@@ -194,12 +198,13 @@ checkSurfaces(SchemeKind kind, const Surfaces &expect,
 }
 
 /**
- * One scheme's mode matrix: one-lane groups (serial), planned groups
- * on one thread per SIMD target, and planned groups with threads=0
- * (auto dispatch).  Modes interleave within each rep (serial, each
- * target, threads, serial, ...) so slow host drift hits every mode
- * alike; best-of-reps discards transient interference.  Every run's
- * surfaces are asserted bit-identical to the serial run's.  The
+ * One scheme's mode matrix: one-lane groups, planned groups on one
+ * thread per SIMD target, and planned groups with threads=0 (auto
+ * dispatch).  Modes interleave within each rep (one-lane, each target,
+ * threads, one-lane, ...) so slow host drift hits every mode alike;
+ * best-of-reps discards transient interference.  Every run's surfaces
+ * are asserted bit-identical to the one-lane run's, and a tracked
+ * scheme's misprediction surface to an untracked sweep's.  The
  * telemetry kept is the widest target's.
  */
 SchemeResult
@@ -210,7 +215,7 @@ timeModes(SweepSession &session, const TraceHash &hash,
 {
     SchemeResult r;
     r.kind = kind;
-    r.fused.resize(targets.size());
+    r.batched.resize(targets.size());
     SweepOptions threaded_opts = serial_opts;
     threaded_opts.threads = 0;
 
@@ -219,7 +224,7 @@ timeModes(SweepSession &session, const TraceHash &hash,
     };
     Surfaces expect;
     for (unsigned rep = 0; rep < reps; ++rep) {
-        keep_min(r.serial.seconds,
+        keep_min(r.oneLane.seconds,
                  runOneLaneGroups(trace, kind, serial_opts,
                                   rep == 0 ? &expect : nullptr),
                  rep);
@@ -228,7 +233,7 @@ timeModes(SweepSession &session, const TraceHash &hash,
             opts.simd = targets[t];
             Surfaces got;
             const bool widest = t + 1 == targets.size();
-            keep_min(r.fused[t].seconds,
+            keep_min(r.batched[t].seconds,
                      runOnce(session, hash, kind, opts,
                              rep == 0 ? &got : nullptr,
                              rep == 0 && widest ? &r.kernel : nullptr),
@@ -237,12 +242,23 @@ timeModes(SweepSession &session, const TraceHash &hash,
                 checkSurfaces(kind, expect, got);
         }
         Surfaces threaded;
-        keep_min(r.fusedThreads.seconds,
+        keep_min(r.batchedThreads.seconds,
                  runOnce(session, hash, kind, threaded_opts,
                          rep == 0 ? &threaded : nullptr),
                  rep);
         if (rep == 0)
             checkSurfaces(kind, expect, threaded);
+    }
+    if (serial_opts.trackAliasing) {
+        // trackAliasing filters output only: the untracked sweep's
+        // misprediction surface is the tracked one, bit for bit.
+        SweepOptions untracked = serial_opts;
+        untracked.trackAliasing = false;
+        Surfaces got;
+        runOnce(session, hash, kind, untracked, &got);
+        checkSurface(kind, expect.misprediction, got.misprediction);
+        bpsim_assert(got.aliasing.tiers().empty(),
+                     "untracked sweep reported aliasing");
     }
     // One surface point per swept configuration.
     for (const auto &tier : expect.misprediction.tiers())
@@ -250,11 +266,12 @@ timeModes(SweepSession &session, const TraceHash &hash,
 
     const double work = static_cast<double>(trace.size()) *
                         static_cast<double>(r.configs);
-    r.serial.throughput = work / r.serial.seconds;
-    for (ModeResult &m : r.fused)
+    r.oneLane.throughput = work / r.oneLane.seconds;
+    for (ModeResult &m : r.batched)
         m.throughput = work / m.seconds;
-    r.fusedThreads.throughput = work / r.fusedThreads.seconds;
-    r.fusedThreadsSpeedup = r.serial.seconds / r.fusedThreads.seconds;
+    r.batchedThreads.throughput = work / r.batchedThreads.seconds;
+    r.batchedThreadsSpeedup =
+        r.oneLane.seconds / r.batchedThreads.seconds;
     return r;
 }
 
@@ -274,12 +291,47 @@ void
 printModesRow(const SchemeResult &r)
 {
     std::printf("%-10s %7zu | %12.3e |", schemeKindName(r.kind),
-                r.configs, r.serial.throughput);
-    for (const ModeResult &m : r.fused)
+                r.configs, r.oneLane.throughput);
+    for (const ModeResult &m : r.batched)
         std::printf(" %12.3e %5.2fx |", m.throughput,
-                    r.serial.seconds / m.seconds);
-    std::printf(" %12.3e %5.2fx\n", r.fusedThreads.throughput,
-                r.fusedThreadsSpeedup);
+                    r.oneLane.seconds / m.seconds);
+    std::printf(" %12.3e %5.2fx\n", r.batchedThreads.throughput,
+                r.batchedThreadsSpeedup);
+}
+
+/**
+ * One JSON mode-matrix record body: the one-lane baseline under
+ * @p one_lane_key, per-target batched runs, batched+threads, then
+ * the caller's kernel object.
+ */
+void
+writeModes(FILE *json, const SchemeResult &r, const char *one_lane_key,
+           const std::vector<SimdTarget> &targets)
+{
+    std::fprintf(json, "    {\"scheme\": \"%s\", \"configs\": %zu,\n",
+                 schemeKindName(r.kind), r.configs);
+    std::fprintf(json,
+                 "     \"%s\": {\"seconds\": %.6f, "
+                 "\"throughput\": %.3e},\n",
+                 one_lane_key, r.oneLane.seconds, r.oneLane.throughput);
+    std::fprintf(json, "     \"batched\": {\n");
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+        const ModeResult &m = r.batched[t];
+        std::fprintf(json,
+                     "      \"%s\": {\"seconds\": %.6f, \"throughput\": "
+                     "%.3e,\n       \"speedup\": %.3f, "
+                     "\"speedup_vs_scalar_batched\": %.3f}%s\n",
+                     simdTargetName(targets[t]), m.seconds, m.throughput,
+                     r.oneLane.seconds / m.seconds,
+                     r.batched[0].seconds / m.seconds,
+                     t + 1 < targets.size() ? "," : "");
+    }
+    std::fprintf(json, "     },\n");
+    std::fprintf(json,
+                 "     \"batched_threads\": {\"seconds\": %.6f, "
+                 "\"throughput\": %.3e, \"speedup\": %.3f},\n",
+                 r.batchedThreads.seconds, r.batchedThreads.throughput,
+                 r.batchedThreadsSpeedup);
 }
 
 /** Largest per-point |delta| between two surfaces of the same plan:
@@ -341,7 +393,8 @@ main(int argc, char **argv)
 
     const std::vector<SimdTarget> targets = supportedSimdTargets();
 
-    banner("Sweep throughput: serial vs fused[simd] vs fused+threads");
+    banner("Sweep throughput: one-lane vs batched[simd] vs "
+           "batched+threads");
     std::printf("profile %s, %llu conditional branches, tiers 2^4.."
                 "2^15, best of %u rep%s, %u hardware thread%s, "
                 "dispatch targets:",
@@ -357,8 +410,9 @@ main(int argc, char **argv)
     TraceHandle handle = internProfile(session, profile, branches);
     auto trace = preparedTrace(session, handle);
 
+    // ---- 2-bit phase: the default-option (aliasing-tracked) sweeps
     SweepOptions serial_opts = paperSweepOptions();
-    serial_opts.trackAliasing = false;
+    serial_opts.trackAliasing = true;
     serial_opts.threads = 1;
 
     const SchemeKind kinds[] = {
@@ -369,43 +423,44 @@ main(int argc, char **argv)
     };
 
     std::vector<SchemeResult> results;
-    printModesHeader("serial bc/s", "fused+t bc/s", targets);
+    printModesHeader("1-lane bc/s", "batch+t bc/s", targets);
     for (SchemeKind kind : kinds) {
         results.push_back(timeModes(session, handle.hash, *trace, kind,
                                     serial_opts, targets, reps));
         printModesRow(results.back());
     }
 
-    // Geomeans: fused-vs-serial per target, vector-vs-scalar-fused
-    // per vector target, threads-vs-serial.
+    // Geomeans: batched-vs-one-lane per target, vector-vs-scalar
+    // batched per vector target, threads-vs-one-lane.
     std::vector<double> per_target_geo(targets.size());
     std::vector<double> vs_scalar_geo(targets.size());
     for (std::size_t t = 0; t < targets.size(); ++t) {
-        std::vector<double> vs_serial, vs_scalar;
+        std::vector<double> vs_one_lane, vs_scalar;
         for (const SchemeResult &r : results) {
-            vs_serial.push_back(r.serial.seconds /
-                                r.fused[t].seconds);
-            vs_scalar.push_back(r.fused[0].seconds /
-                                r.fused[t].seconds);
+            vs_one_lane.push_back(r.oneLane.seconds /
+                                  r.batched[t].seconds);
+            vs_scalar.push_back(r.batched[0].seconds /
+                                r.batched[t].seconds);
         }
-        per_target_geo[t] = geomean(vs_serial);
+        per_target_geo[t] = geomean(vs_one_lane);
         vs_scalar_geo[t] = geomean(vs_scalar);
     }
     std::vector<double> threaded_speedups;
     for (const SchemeResult &r : results)
-        threaded_speedups.push_back(r.fusedThreadsSpeedup);
+        threaded_speedups.push_back(r.batchedThreadsSpeedup);
     const double threaded_geo = geomean(threaded_speedups);
 
-    std::printf("\ngeomean speedups vs serial:");
+    std::printf("\ngeomean speedups vs one-lane:");
     for (std::size_t t = 0; t < targets.size(); ++t)
-        std::printf(" fused[%s] %.2fx", simdTargetName(targets[t]),
+        std::printf(" batched[%s] %.2fx", simdTargetName(targets[t]),
                     per_target_geo[t]);
-    std::printf(", fused+threads %.2fx\n", threaded_geo);
+    std::printf(", batched+threads %.2fx\n", threaded_geo);
     for (std::size_t t = 1; t < targets.size(); ++t)
-        std::printf("geomean fused[%s] vs fused[scalar]: %.2fx\n",
+        std::printf("geomean batched[%s] vs batched[scalar]: %.2fx\n",
                     simdTargetName(targets[t]), vs_scalar_geo[t]);
-    std::printf("(all surfaces verified bit-identical across modes "
-                "and targets)\n");
+    std::printf("(misprediction, aliasing and harmless surfaces "
+                "verified bit-identical across modes and targets; "
+                "untracked misprediction identical to tracked)\n");
 
     // ---- Within-group scaling: fused_threads x segments matrix ---
     //
@@ -483,13 +538,15 @@ main(int argc, char **argv)
     // one trace pass each.  A batched model group decodes each
     // 2048-branch block once, shares the TAGE tag/index folds across
     // lanes and steps perceptron lanes through the SIMD dot-product
-    // kernel.  This phase records the
-    // batched-vs-per-config matrix on a fig_tage_aliasing-sized
-    // surface (tiers spanning the fig's entry 4..8 x base 6..10
-    // budgets) with bit-identity asserted per dispatch target.
+    // kernel.  This phase records the batched-vs-per-config matrix on
+    // a fig_tage_aliasing-sized surface (tiers spanning the fig's
+    // entry 4..8 x base 6..10 budgets) with bit-identity asserted per
+    // dispatch target.  Zoo aliasing surfaces are identically zero,
+    // so the phase runs untracked.
     const SchemeKind zoo_kinds[] = {SchemeKind::Tage,
                                     SchemeKind::Perceptron};
     SweepOptions zoo_serial = serial_opts;
+    zoo_serial.trackAliasing = false;
     zoo_serial.minTotalBits = 10;
     zoo_serial.maxTotalBits = 18;
 
@@ -505,35 +562,6 @@ main(int argc, char **argv)
     }
     std::printf("(all zoo surfaces verified bit-identical across "
                 "modes and targets)\n");
-
-    // ---- Aliasing phase: one-lane groups vs batched alias lanes --
-    //
-    // Figure 5's default-option sweeps track aliasing, which runs the
-    // aliasing engine: lane batches of up to 16 configurations over a
-    // shared 13-byte decoded record, on the scalar or AVX-512 alias
-    // kernel.  Its baseline is one one-lane group per configuration
-    // (one trace pass each, the scalar kernel); the batched rows run
-    // the planned groups per dispatch target (SSE2/AVX2 resolve to
-    // the scalar kernel) and with threads=0.  The five 126-job
-    // schemes run tiers 2^4..2^15 with all three surfaces asserted
-    // bit-identical across modes.
-    const SchemeKind alias_kinds[] = {
-        SchemeKind::GAs, SchemeKind::Gshare, SchemeKind::Path,
-        SchemeKind::PAsPerfect, SchemeKind::PAsFinite};
-    SweepOptions alias_serial = serial_opts;
-    alias_serial.trackAliasing = true;
-    std::printf("\n==== Aliasing throughput: one-lane groups vs "
-                "batched alias lanes (tiers 2^4..2^15) ====\n");
-    std::vector<SchemeResult> alias_results;
-    printModesHeader("1-lane bc/s", "batch+t bc/s", targets);
-    for (SchemeKind kind : alias_kinds) {
-        alias_results.push_back(timeModes(session, handle.hash, *trace,
-                                          kind, alias_serial, targets,
-                                          reps));
-        printModesRow(alias_results.back());
-    }
-    std::printf("(misprediction, aliasing and harmless surfaces "
-                "verified bit-identical across modes and targets)\n");
 
     // Machine-readable record, consumed by CHANGES.md bookkeeping and
     // future perf-trajectory comparisons (see EXPERIMENTS.md).
@@ -560,33 +588,7 @@ main(int argc, char **argv)
     std::fprintf(json, "  \"schemes\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
         const SchemeResult &r = results[i];
-        std::fprintf(json, "    {\"scheme\": \"%s\", \"configs\": "
-                           "%zu,\n",
-                     schemeKindName(r.kind), r.configs);
-        std::fprintf(json,
-                     "     \"serial\": {\"seconds\": %.6f, "
-                     "\"throughput\": %.3e},\n",
-                     r.serial.seconds, r.serial.throughput);
-        std::fprintf(json, "     \"fused\": {\n");
-        for (std::size_t t = 0; t < targets.size(); ++t) {
-            const ModeResult &m = r.fused[t];
-            std::fprintf(
-                json,
-                "      \"%s\": {\"seconds\": %.6f, \"throughput\": "
-                "%.3e,\n       \"speedup\": %.3f, "
-                "\"speedup_vs_scalar_fused\": %.3f}%s\n",
-                simdTargetName(targets[t]), m.seconds, m.throughput,
-                r.serial.seconds / m.seconds,
-                r.fused[0].seconds / m.seconds,
-                t + 1 < targets.size() ? "," : "");
-        }
-        std::fprintf(json, "     },\n");
-        std::fprintf(json,
-                     "     \"fused_threads\": {\"seconds\": %.6f, "
-                     "\"throughput\": %.3e, \"speedup\": %.3f},\n",
-                     r.fusedThreads.seconds,
-                     r.fusedThreads.throughput,
-                     r.fusedThreadsSpeedup);
+        writeModes(json, r, "one_lane", targets);
         std::fprintf(
             json,
             "     \"kernel\": {\"target\": \"%s\", "
@@ -637,33 +639,7 @@ main(int argc, char **argv)
                  zoo_serial.minTotalBits, zoo_serial.maxTotalBits);
     for (std::size_t i = 0; i < zoo_results.size(); ++i) {
         const SchemeResult &r = zoo_results[i];
-        std::fprintf(json,
-                     "    {\"scheme\": \"%s\", \"configs\": %zu,\n",
-                     schemeKindName(r.kind), r.configs);
-        std::fprintf(json,
-                     "     \"per_config\": {\"seconds\": %.6f, "
-                     "\"throughput\": %.3e},\n",
-                     r.serial.seconds, r.serial.throughput);
-        std::fprintf(json, "     \"batched\": {\n");
-        for (std::size_t t = 0; t < targets.size(); ++t) {
-            const ModeResult &m = r.fused[t];
-            std::fprintf(
-                json,
-                "      \"%s\": {\"seconds\": %.6f, \"throughput\": "
-                "%.3e,\n       \"speedup\": %.3f, "
-                "\"speedup_vs_scalar_batched\": %.3f}%s\n",
-                simdTargetName(targets[t]), m.seconds, m.throughput,
-                r.serial.seconds / m.seconds,
-                r.fused[0].seconds / m.seconds,
-                t + 1 < targets.size() ? "," : "");
-        }
-        std::fprintf(json, "     },\n");
-        std::fprintf(json,
-                     "     \"batched_threads\": {\"seconds\": %.6f, "
-                     "\"throughput\": %.3e, \"speedup\": %.3f},\n",
-                     r.fusedThreads.seconds,
-                     r.fusedThreads.throughput,
-                     r.fusedThreadsSpeedup);
+        writeModes(json, r, "per_config", targets);
         std::fprintf(
             json,
             "     \"kernel\": {\"target\": \"%s\", "
@@ -684,70 +660,20 @@ main(int argc, char **argv)
             i + 1 < zoo_results.size() ? "," : "");
     }
     std::fprintf(json, "  ]},\n");
-    std::fprintf(json,
-                 "  \"aliasing\": {\"tiers\": [%u, %u],\n"
-                 "   \"unit\": \"branch-config updates per second\",\n"
-                 "   \"schemes\": [\n",
-                 alias_serial.minTotalBits, alias_serial.maxTotalBits);
-    for (std::size_t i = 0; i < alias_results.size(); ++i) {
-        const SchemeResult &r = alias_results[i];
-        std::fprintf(json,
-                     "    {\"scheme\": \"%s\", \"configs\": %zu,\n",
-                     schemeKindName(r.kind), r.configs);
-        std::fprintf(json,
-                     "     \"one_lane\": {\"seconds\": %.6f, "
-                     "\"throughput\": %.3e},\n",
-                     r.serial.seconds, r.serial.throughput);
-        std::fprintf(json, "     \"batched\": {\n");
-        for (std::size_t t = 0; t < targets.size(); ++t) {
-            const ModeResult &m = r.fused[t];
-            std::fprintf(
-                json,
-                "      \"%s\": {\"seconds\": %.6f, \"throughput\": "
-                "%.3e,\n       \"speedup\": %.3f, "
-                "\"speedup_vs_scalar_batched\": %.3f}%s\n",
-                simdTargetName(targets[t]), m.seconds, m.throughput,
-                r.serial.seconds / m.seconds,
-                r.fused[0].seconds / m.seconds,
-                t + 1 < targets.size() ? "," : "");
-        }
-        std::fprintf(json, "     },\n");
-        std::fprintf(json,
-                     "     \"batched_threads\": {\"seconds\": %.6f, "
-                     "\"throughput\": %.3e, \"speedup\": %.3f},\n",
-                     r.fusedThreads.seconds, r.fusedThreads.throughput,
-                     r.fusedThreadsSpeedup);
-        std::fprintf(
-            json,
-            "     \"kernel\": {\"target\": \"%s\", "
-            "\"fused_groups\": %llu, \"alias_lanes\": %llu,\n"
-            "      \"lanes_per_group\": %.2f, \"lane_batches\": "
-            "%llu, \"blocks_replayed\": %llu,\n"
-            "      \"hot_bytes_per_branch\": %.2f}}%s\n",
-            simdTargetName(r.kernel.target),
-            static_cast<unsigned long long>(r.kernel.fusedGroups),
-            static_cast<unsigned long long>(r.kernel.aliasLanes),
-            r.kernel.lanesPerGroup(),
-            static_cast<unsigned long long>(r.kernel.laneBatches),
-            static_cast<unsigned long long>(r.kernel.blocksReplayed),
-            r.kernel.hotBytesPerBranch(),
-            i + 1 < alias_results.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]},\n");
-    std::fprintf(json, "  \"geomean_fused_speedup\": {");
+    std::fprintf(json, "  \"geomean_batched_speedup\": {");
     for (std::size_t t = 0; t < targets.size(); ++t)
         std::fprintf(json, "\"%s\": %.3f%s",
                      simdTargetName(targets[t]), per_target_geo[t],
                      t + 1 < targets.size() ? ", " : "");
     std::fprintf(json, "},\n");
-    std::fprintf(json, "  \"geomean_simd_vs_scalar_fused\": {");
+    std::fprintf(json, "  \"geomean_simd_vs_scalar_batched\": {");
     for (std::size_t t = 1; t < targets.size(); ++t)
         std::fprintf(json, "\"%s\": %.3f%s",
                      simdTargetName(targets[t]), vs_scalar_geo[t],
                      t + 1 < targets.size() ? ", " : "");
     std::fprintf(json, "},\n");
     std::fprintf(json,
-                 "  \"geomean_fused_threads_speedup\": %.3f\n}\n",
+                 "  \"geomean_batched_threads_speedup\": %.3f\n}\n",
                  threaded_geo);
     std::fclose(json);
     std::printf("wrote %s\n", json_path.c_str());

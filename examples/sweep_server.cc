@@ -21,7 +21,8 @@
  *   cache_budget=N     on-disk LRU budget in bytes (0 = unbounded)
  *   threads=N          replay threads per sweep (0 = all cores)
  *   socket=PATH        serve a unix socket instead of stdin/stdout
- *   max_bits=N         largest tier a request may ask for
+ *   max_bits=N         largest tier a request may ask for (at most
+ *                      26, the engine's table ceiling)
  */
 
 #include <cstdio>
@@ -50,6 +51,7 @@ main(int argc, char **argv)
         static_cast<unsigned>(cli::requireInt(cfg, "threads", 1));
     opts.limits.maxTotalBits = static_cast<unsigned>(cli::requireInt(
         cfg, "max_bits", opts.limits.maxTotalBits));
+    cli::orFatal(service::checkLimits(opts.limits));
     const std::string socket = cfg.getString("socket", "");
 
     service::SweepServer server(opts);

@@ -1,47 +1,36 @@
 /**
  * @file
- * Portable lane-batched SIMD layer for the fused sweep kernel.
+ * Portable lane-batched SIMD layer for the sweep engine's lane kernels.
  *
- * The fused replay (sim/sweep.cc) trains one packed pattern table per
- * configuration "lane", and every lane in a group updates a *disjoint*
- * table from the same per-branch fused record -- so the per-branch work
- * is trivially data-parallel across lanes.  This header exposes that
- * parallelism behind a dispatch target chosen once at runtime:
+ * The sweep replay (sim/sweep.cc) trains one private table per
+ * configuration "lane", and every lane in a batch updates *disjoint*
+ * state from the same per-branch decoded record -- so the per-branch
+ * work is data-parallel across lanes.  This header exposes two such
+ * kernels behind a dispatch target chosen once at runtime:
  *
- *   Scalar  the reference implementation -- exactly the PR 3 fused
- *           inner loop (one load, one AND, one packed-counter RMW per
- *           lane).  Always available, and the semantics every vector
- *           kernel is held to, bit for bit (tests/test_simd.cc,
- *           tests/differential/test_fused_kernel.cc).
- *   SSE2    4 lanes per 128-bit vector.  No variable per-element
- *           shifts exist in SSE2, so counter extraction and insertion
- *           go through power-of-two multiplies (pmullw); table bytes
- *           are moved with scalar loads/stores.
- *   AVX2    8 lanes per 256-bit vector with hardware gathers
- *           (vpgatherqd on absolute byte addresses) and variable
- *           shifts (vpsrlvd/vpsllvd); stores remain scalar because x86
- *           has no AVX2 scatter.
- *   AVX512  16 lanes per 512-bit vector.  Gathers as AVX2 (two
- *           8-wide vpgatherqd on absolute addresses), but stores go
- *           through hardware scatters (vpscatterqd), which is safe
- *           precisely because lanes train disjoint tables -- the
- *           4-byte scatter element only ever lands inside the owning
- *           lane's allocation (table bytes + PackedPht slack).
- *           Compiled only when the toolchain understands the avx512f
- *           target attribute (CMake probe -> BPSIM_HAVE_AVX512);
- *           otherwise the target reports unsupported and dispatch
- *           clamps to AVX2.
+ *   AliasBatch       the 2-bit family (Figures 2-10): fused
+ *                    last-writer+counter slot words, misprediction,
+ *                    conflicts and harmless conflicts per lane.  Two
+ *                    implementations: the scalar reference and an
+ *                    AVX-512 kernel that steps 16 lanes per branch with
+ *                    one masked 32-bit gather and one masked scatter.
+ *                    SSE2 and AVX2 run the scalar kernel: without a
+ *                    hardware scatter the per-lane read-modify-write is
+ *                    the whole cost.
+ *   PerceptronBatch  the hashed-perceptron zoo: int8 weight banks, one
+ *                    kernel per target (Scalar, SSE2 at 4 lanes, AVX2 at
+ *                    8 with hardware gathers, AVX-512 at 16).
  *
- * The aliasing lane kernel (AliasBatch, Figure 5) has only two
- * implementations: the scalar reference and an AVX-512 kernel that
- * steps 16 lanes per branch with one masked 32-bit gather and one
- * masked scatter over fused last-writer+counter words.  SSE2 and AVX2
- * run the scalar kernel: without a hardware scatter the per-lane
- * read-modify-write is the whole cost.
+ * Every vector kernel is bit-identical to its scalar reference
+ * (tests/test_simd.cc, tests/differential/test_alias_batch.cc,
+ * tests/differential/test_model_batch.cc).
  *
  * Dispatch is runtime CPUID -- no ISA flags are baked into tier-1
  * builds, so one binary runs everywhere and selects the widest kernel
- * the host supports.  `BPSIM_SIMD=scalar|sse2|avx2|avx512` in the
+ * the host supports.  The AVX-512 kernels are compiled only when the
+ * toolchain understands the avx512f target attribute (CMake probe ->
+ * BPSIM_HAVE_AVX512); otherwise the target reports unsupported and
+ * dispatch clamps to AVX2.  `BPSIM_SIMD=scalar|sse2|avx2|avx512` in the
  * environment overrides auto-detection (the sanitizer CI presets force
  * `scalar` so they stay green on hardware without AVX2); an explicit
  * `SweepOptions::simd` request beats the environment.  Requests wider
@@ -50,12 +39,6 @@
  * it leniently to Auto (a library deep inside a sweep must not abort),
  * while CLI boundaries call simdEnvStatus() and surface the structured
  * Status before any work starts.
- *
- * AVX2/AVX-512 gathers load 4 bytes at the addressed table byte -- and
- * the AVX-512 replay scatters 4 bytes back -- so every buffer a
- * LaneBatch points at must carry PackedPht::kGatherSlack writable
- * padding bytes past its last addressable byte (PackedPht allocates
- * the slack itself).
  */
 
 #ifndef BPSIM_COMMON_SIMD_HH
@@ -69,7 +52,7 @@
 
 namespace bpsim {
 
-/** A fused-kernel dispatch target. */
+/** A lane-kernel dispatch target. */
 enum class SimdTarget
 {
     Auto,   ///< pick the widest target the host supports
@@ -118,51 +101,12 @@ SimdTarget resolveSimdTarget(SimdTarget requested = SimdTarget::Auto);
 std::vector<SimdTarget> supportedSimdTargets();
 
 /**
- * One batch of fused-kernel lanes in structure-of-arrays form.  Lane l
- * trains the packed 2-bit counter table at pht[l] (a PackedPht data()
- * pointer -- the table carries PackedPht::kGatherSlack writable bytes
- * of padding for the AVX2/AVX-512 gathers and scatters) with counter
- * index `record & totalMask[l]`; misses[l] accumulates its
- * mispredictions.  Live lanes must point at pairwise-disjoint
- * allocations: the AVX-512 replay kernel read-modify-writes a 4-byte
- * window around each addressed table byte, which is only race- and
- * clobber-free when no two lanes share bytes.
- */
-struct LaneBatch
-{
-    static constexpr unsigned kMaxLanes = 16;
-    std::uint32_t totalMask[kMaxLanes] = {};
-    std::uint8_t *pht[kMaxLanes] = {};
-    std::uint64_t misses[kMaxLanes] = {};
-    /** Live lanes (1..kMaxLanes); vector kernels pad the rest. */
-    unsigned lanes = 0;
-};
-
-/**
- * Replay @p n fused records through every lane of @p batch on
- * @p target.  A record carries the branch outcome in bit 31 and the
- * pre-shifted row|column index in bits 0..30 (see sim/sweep.cc); per
- * record each lane masks out its table index and performs one
- * predict-and-update, accumulating the misprediction into
- * batch.misses.  All targets are bit-identical: identical final table
- * bytes, identical miss counts.  @p target must be concrete
- * (resolveSimdTarget), not Auto.  @p target is a ceiling, not a
- * mandate: an under-occupied batch (fewer live lanes than a vector
- * kernel's break-even width) drops to the next narrower kernel,
- * because vector kernels pay for dead padding lanes.  Batches wider
- * than a kernel's native width are processed in native-width chunks
- * (16 lanes on an AVX2 host run as two 8-wide calls).
- */
-void replayLaneBatch(SimdTarget target, const std::uint32_t *records,
-                     std::size_t n, LaneBatch &batch);
-
-/**
  * One batch of hashed-perceptron model lanes in structure-of-arrays
  * form, for the batched zoo replay (sim/sweep.cc).  Lane l owns an
  * int8 weight bank at weights[l]: all of its tables concatenated, the
  * weight for (table t, entry e) at byte (t << entryBits) + e.  Banks
- * must be pairwise disjoint and carry PackedPht::kGatherSlack writable
- * padding bytes past the last weight (the AVX2/AVX-512 kernels gather
+ * must be pairwise disjoint and carry kGatherSlack writable padding
+ * bytes past the last weight (the AVX2/AVX-512 kernels gather
  * a 4-byte window at each addressed weight; updates are written back
  * as single-byte stores, so the padding is only ever read).  The bank
  * is int8 because the model clamps weights to [kWeightMin, kWeightMax]
@@ -175,6 +119,13 @@ struct PerceptronBatch
     static constexpr unsigned kMaxTables = 16;
     static constexpr int kWeightMin = -64;
     static constexpr int kWeightMax = 63;
+    /**
+     * Padding bytes every bank carries past its last weight: the
+     * AVX2/AVX-512 kernels read a 4-byte window at each addressed
+     * weight, so the highest weight needs 3 readable bytes after it.
+     * The slack's value is never interpreted.
+     */
+    static constexpr std::size_t kGatherSlack = 3;
     /** Live lanes (1..kMaxLanes); vector kernels pad the rest. */
     unsigned lanes = 0;
     /** Weight tables per lane -- shared across the batch (1..16). */
@@ -199,9 +150,11 @@ struct PerceptronBatch
  * PerceptronModel::step.  All targets are bit-identical: identical
  * final weight banks, identical miss counts (integer sums are
  * order-free and every update is a single-byte store).  @p target must
- * be concrete and is a ceiling as in replayLaneBatch: under-occupied
- * batches drop to the next narrower kernel (same break-evens), and
- * wider batches run in native-width chunks.  @p n must stay below
+ * be concrete (resolveSimdTarget) and is a ceiling, not a mandate: an
+ * under-occupied batch (fewer live lanes than a vector kernel's
+ * break-even width) drops to the next narrower kernel, because vector
+ * kernels pay for dead padding lanes, and batches wider than a
+ * kernel's native width run in native-width chunks.  @p n must stay below
  * 2^30 (per-call int32 miss accumulators); the sweep engine's block
  * tiles are 4 orders of magnitude smaller.
  */
@@ -245,7 +198,7 @@ struct AliasRecords
  */
 struct AliasBatch
 {
-    static constexpr unsigned kMaxLanes = LaneBatch::kMaxLanes;
+    static constexpr unsigned kMaxLanes = 16;
     /** Initial slot value: no last writer, counter weakly taken. */
     static constexpr std::uint32_t kFreshEntry = 2;
     /** harmlessOnes for lanes whose conflicts are never harmless. */
@@ -291,32 +244,6 @@ void replayAliasBatchOn(SimdTarget kernel, const AliasRecords &records,
  */
 void replayAliasBatch(SimdTarget target, const AliasRecords &records,
                       std::size_t n, AliasBatch &batch);
-
-/**
- * Gather one table byte per lane: out[l] = bases[l][byteIdx[l]] for
- * l < lanes (lanes <= LaneBatch::kMaxLanes).  The AVX2/AVX-512
- * variants use hardware gathers over absolute addresses, so each
- * bases[l] buffer must extend PackedPht::kGatherSlack bytes past
- * byteIdx[l].
- */
-void gatherLaneBytes(SimdTarget target,
-                     const std::uint8_t *const *bases,
-                     const std::uint32_t *byteIdx, unsigned lanes,
-                     std::uint8_t *out);
-
-/**
- * Scatter one table byte per lane: bases[l][byteIdx[l]] = in[l].
- * Every target issues scalar stores: AVX-512's vpscatterqd moves
- * 4-byte elements, so a byte-granular scatter would need a
- * read-modify-write round trip that costs more than four byte stores
- * (the replay kernel can use the hardware scatter only because it
- * already holds the gathered 4-byte window).  The helper exists so
- * gather/scatter round-trips are pinned per target (tests) and
- * measurable (bench/micro_predictor_ops).
- */
-void scatterLaneBytes(SimdTarget target, std::uint8_t *const *bases,
-                      const std::uint32_t *byteIdx, unsigned lanes,
-                      const std::uint8_t *in);
 
 } // namespace bpsim
 

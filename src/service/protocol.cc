@@ -254,6 +254,16 @@ requestOpName(RequestOp op)
     return "?";
 }
 
+Status
+checkLimits(const ProtocolLimits &limits)
+{
+    if (limits.maxTotalBits > SweepOptions::kMaxTotalBits)
+        return BPSIM_ERROR("max_bits ", limits.maxTotalBits,
+                           " exceeds the engine ceiling of ",
+                           SweepOptions::kMaxTotalBits);
+    return Status();
+}
+
 Result<Request>
 parseRequest(const JsonValue &root, const ProtocolLimits &limits)
 {

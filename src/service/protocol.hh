@@ -38,11 +38,22 @@ struct ProtocolLimits
     std::size_t maxIdBytes = 128;
     /** Longest accepted name (scheme, profile, file path). */
     std::size_t maxNameBytes = 4096;
-    /** Largest accepted sweep tier (2^bits counters). */
+    /**
+     * Largest accepted sweep tier (2^bits counters); at most
+     * SweepOptions::kMaxTotalBits (checkLimits).
+     */
     unsigned maxTotalBits = 24;
     /** Largest accepted synthetic trace length. */
     std::uint64_t maxBranches = 1ull << 28;
 };
+
+/**
+ * Validate daemon limits before serving: a maxTotalBits above
+ * SweepOptions::kMaxTotalBits is a structured error, so a daemon
+ * configured past the engine's table ceiling refuses to start instead
+ * of accepting requests it cannot replay.
+ */
+Status checkLimits(const ProtocolLimits &limits);
 
 /** The operations the daemon serves. */
 enum class RequestOp

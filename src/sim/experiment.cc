@@ -33,7 +33,7 @@ table3Plan(const Table3Options &opts)
     bpsim_assert(!opts.budgetBits.empty(), "no budgets requested");
 
     SweepOptions sweep_opts;
-    sweep_opts.trackAliasing = false; // misprediction only; faster
+    sweep_opts.trackAliasing = false; // Table 3 reports misprediction
     sweep_opts.threads = opts.threads;
     unsigned lo = opts.budgetBits.front();
     unsigned hi = opts.budgetBits.front();

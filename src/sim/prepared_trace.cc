@@ -13,7 +13,6 @@ PreparedTrace::PreparedTrace(const MemoryTrace &trace,
 {
     std::size_t n = trace.conditionalCount();
     ids_.reserve(n);
-    wordBits_.reserve(n);
     if (need_path_history)
         succBits_.reserve(n);
     takenBits_.reserve(n / 64 + 1);
@@ -43,8 +42,6 @@ PreparedTrace::PreparedTrace(const MemoryTrace &trace,
         }
         const std::uint32_t id = slot->second;
         ids_.push_back(id);
-        wordBits_.push_back(static_cast<std::uint16_t>(
-            bits(wordIndex(rec.pc), 16)));
         if (need_path_history) {
             // The successor already folds in the outcome, so the path
             // column replaces the full 8-byte target address with the
@@ -73,7 +70,6 @@ PreparedTrace::bytesPerBranch() const
     if (size() == 0)
         return 0.0;
     const std::size_t bytes = ids_.size() * sizeof(std::uint32_t) +
-        wordBits_.size() * sizeof(std::uint16_t) +
         succBits_.size() * sizeof(std::uint16_t) +
         takenBits_.size() * sizeof(std::uint64_t) +
         ghist.size() * sizeof(std::uint64_t) +

@@ -18,11 +18,10 @@
  *
  * Column layout is sized for replay throughput: outcomes are a packed
  * bit stream (one bit per branch, consumed 64 branches at a time by the
- * fused kernel); branch addresses are a 4-byte dense branch-id column
+ * lane engines); branch addresses are a 4-byte dense branch-id column
  * (ids in first-appearance order) over a static-pc table, so pc(i) is
- * one indirection and the aliasing engine's last-writer test compares
- * ids instead of 8-byte pcs; the fused narrow decode reads a 2-byte
- * word-index column (wordBits); and the path-history column stores
+ * one indirection and the 2-bit engine's last-writer test compares
+ * ids instead of 8-byte pcs; and the path-history column stores
  * only the low 16 successor word-index bits per branch
  * (pathHistoryStream never shifts in more -- bits_per_target is capped
  * at 16) instead of full 8-byte target addresses.  bytesPerBranch()
@@ -65,7 +64,7 @@ class PreparedTrace
 
     /**
      * Ceiling on distinct static branches: ids stay below 2^30 - 1, so
-     * the aliasing engine's packed (id + 1) << 2 | counter entry fits
+     * the 2-bit engine's packed (id + 1) << 2 | counter entry fits
      * 32 bits.
      */
     static constexpr std::size_t kMaxStaticBranches = (1u << 30) - 1;
@@ -86,15 +85,6 @@ class PreparedTrace
     /** Number of distinct static branches (one past the largest id). */
     std::size_t staticBranches() const { return staticPcs_.size(); }
 
-    /**
-     * Low 16 bits of wordIndex(pc(i)), as a 2-byte column.  The fused
-     * kernel's narrow decode masks the column index to 15 bits anyway,
-     * so reading this instead of the 8-byte pc column cuts the decode
-     * traffic per branch -- which matters more now that segment-
-     * parallel shards each run their own decode pass (sweep.cc).
-     */
-    std::uint16_t wordBits(std::size_t i) const { return wordBits_[i]; }
-
     /** Outcome of conditional instance @p i. */
     bool
     taken(std::size_t i) const
@@ -104,7 +94,7 @@ class PreparedTrace
 
     /**
      * Outcomes of instances [64w, 64w+63], instance 64w in bit 0.
-     * Bits past size() are zero.  The fused kernel consumes outcomes a
+     * Bits past size() are zero.  The lane engines consume outcomes a
      * word at a time through this.
      */
     std::uint64_t takenWord(std::size_t w) const { return takenBits_[w]; }
@@ -121,7 +111,7 @@ class PreparedTrace
 
     /**
      * Per-branch column bytes divided by branch count: 4 (branch id) +
-     * 2 (word bits) + 8 (ghist) + 8 (shist) + 1/8 (packed outcome bit)
+     * 8 (ghist) + 8 (shist) + 1/8 (packed outcome bit)
      * + 2 when the path column is kept.  The static-pc table (8 bytes
      * per staticBranches()) does not grow with the trace and is not
      * counted.  Zero for an empty trace.
@@ -156,8 +146,6 @@ class PreparedTrace
     std::vector<std::uint32_t> ids_;
     /** Branch address per dense id. */
     std::vector<Addr> staticPcs_;
-    /** Low 16 word-index bits per branch (fused narrow decode). */
-    std::vector<std::uint16_t> wordBits_;
     /** Low 16 successor word-index bits per branch (path schemes). */
     std::vector<std::uint16_t> succBits_;
     /** Packed outcomes, branch i at bit (i & 63) of word i / 64. */

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "common/logging.hh"
-#include "common/packed_pht.hh"
 #include "common/thread_pool.hh"
 
 namespace bpsim {
@@ -15,9 +14,9 @@ namespace {
 
 /**
  * Trace tile of the block-decoded engines and the grain of segment
- * cuts.  2048 * 4 bytes keeps a packed decoded block at 8 KiB -- small
- * enough to share L1 with the largest packed table a paper sweep uses
- * (2^15 counters = 8 KiB).  A multiple of 64 so blocks consume whole
+ * cuts.  2048 branches keep the 2-bit engine's decoded block at
+ * 26 KiB (13 bytes per branch), L1/L2-resident while every lane batch
+ * streams it.  A multiple of 64 so blocks consume whole
  * packed-outcome words.
  */
 constexpr std::size_t kBlockSize = 2048;
@@ -195,243 +194,15 @@ runGrid(const Engine &engine, std::size_t n, const ReplayExec &exec,
 }
 
 /**
- * The packed 2-bit engine: one trace pass updates every member
- * configuration.  Per branch the raw row value and the pc word index
- * are computed once (the members share them by construction); each
- * member then derives its own table index by masking and trains its
- * packed counter table.
- *
- * The pass is block-tiled for locality: a block of branches is decoded
- * once into a compact per-branch record, then every lane makes one
- * tight pass over the decoded block.  The decode cost (row functor,
- * word-index column, outcome bit) is amortised over all lanes, the
- * block stays L1-resident while the lanes stream it, and each lane's
- * packed table stays cache-hot for the whole block instead of being
- * evicted between branches by a hundred sibling tables.
- *
- * When every member fits narrow limits (row and column <= 15 bits --
- * always true for the paper's <= 2^15-counter tables), lanes are
- * further grouped by column width: every lane with colBits == c indexes
- * its table with ((row & rowMask) << c) | (col & colMask), which is
- * ((row << c) | (col & mask(c))) & mask(totalBits).  The c-dependent
- * part is shared, so it is materialised once per (block, c) as a
- * structure-of-arrays uint32 record stream carrying the outcome in bit
- * 31 (outcomes come from the prepared trace's packed bit stream, one
- * 64-branch word at a time), and the hot loop touches only that
- * stream, the outcome bits already folded into it, and the lane
- * tables.  Lanes sharing a record stream are then replayed
- * LaneBatch::kMaxLanes at a time through the runtime-dispatched SIMD
- * kernel (common/simd.hh): per record, one shared stream load feeds
- * 4-16 lanes' mask+gather+packed-counter-RMW in parallel, instead of
- * one scalar pass per lane.  Every dispatch target is bit-identical to
- * the scalar loop.
- */
-template <typename RowFn>
-class PackedLanes
-{
-  public:
-    PackedLanes(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
-                const std::vector<std::size_t> &members, RowFn row_of,
-                SimdTarget target)
-        : t_(t), rowOf_(row_of), target_(target)
-    {
-        specs_.reserve(members.size());
-        for (std::size_t member : members) {
-            const ConfigJob &job = jobs[member];
-            specs_.push_back(Spec{member, mask(job.rowBits),
-                                  mask(job.colBits), job.colBits});
-            if (job.rowBits > 15 || job.colBits > 15)
-                narrow_ = false;
-        }
-        // Keep column classes contiguous so each shard materialises as
-        // few per-column record streams as possible.  Stable: plan
-        // order is preserved within a class, and the sort affects
-        // execution placement only.
-        std::stable_sort(specs_.begin(), specs_.end(),
-                         [](const Spec &a, const Spec &b) {
-                             return a.colBits < b.colBits;
-                         });
-    }
-
-    std::size_t lanes() const { return specs_.size(); }
-    std::size_t member(std::size_t lane) const
-    {
-        return specs_[lane].member;
-    }
-    /** Whether every lane fits the packed 4-byte record. */
-    bool narrow() const { return narrow_; }
-
-    void
-    run(const TaskSpan &span, LaneCounts *counts,
-        KernelTelemetry &tel) const
-    {
-        // Private tables per task: shards must not share bytes (the
-        // SIMD kernels require disjoint lanes), and speculative
-        // segments must start cold by construction.
-        std::vector<Lane> lanes;
-        lanes.reserve(span.laneHi - span.laneLo);
-        for (std::size_t j = span.laneLo; j < span.laneHi; ++j)
-            lanes.emplace_back(specs_[j]);
-        if (narrow_) {
-            runNarrow(lanes, span.warmLo, span.segLo, false, tel);
-            runNarrow(lanes, span.segLo, span.segHi, true, tel);
-        } else {
-            runWide(lanes, span.warmLo, span.segLo, false, tel);
-            runWide(lanes, span.segLo, span.segHi, true, tel);
-        }
-        for (std::size_t j = 0; j < lanes.size(); ++j)
-            counts[j].misses = lanes[j].mispredicts;
-    }
-
-  private:
-    struct Spec
-    {
-        std::size_t member;
-        std::uint64_t rowMask;
-        std::uint64_t colMask;
-        unsigned colBits;
-    };
-
-    struct Lane
-    {
-        std::uint64_t rowMask;
-        std::uint64_t colMask;
-        unsigned colBits;
-        std::uint64_t mispredicts = 0;
-        PackedPht pht;
-
-        explicit Lane(const Spec &spec)
-            : rowMask(spec.rowMask), colMask(spec.colMask),
-              colBits(spec.colBits),
-              pht((static_cast<std::size_t>(spec.rowMask) + 1) *
-                  (static_cast<std::size_t>(spec.colMask) + 1))
-        {
-        }
-    };
-
-    void
-    runNarrow(std::vector<Lane> &lanes, std::size_t lo, std::size_t hi,
-              bool count, KernelTelemetry &tel) const
-    {
-        // Lanes sharing a column width share their fused record; the
-        // record for c occupies bits 0..29 (row << c tops out at bit
-        // 14 + 15), so the outcome bit in 31 never collides with any
-        // total-bits mask.
-        std::vector<std::vector<Lane *>> by_col(16);
-        for (Lane &lane : lanes)
-            by_col[lane.colBits].push_back(&lane);
-
-        // Raw decode: outcome in bit 31, row in bits 29..15, column in
-        // bits 14..0.  Lanes only read the row/column bits their masks
-        // cover, so the 15-bit truncation is lossless.
-        std::vector<std::uint32_t> decoded(kBlockSize);
-        std::vector<std::uint32_t> record(kBlockSize);
-        for (std::size_t base = lo; base < hi; base += kBlockSize) {
-            const std::size_t m = std::min(kBlockSize, hi - base);
-            if (count)
-                ++tel.blocksReplayed;
-            std::uint64_t taken_word = 0;
-            for (std::size_t i = 0; i < m; ++i) {
-                const std::size_t g = base + i;
-                // Outcomes arrive packed, one 64-branch word at a time;
-                // reload at word boundaries and on the first (possibly
-                // unaligned, for warm-up spans) branch.
-                if (i == 0 || (g & 63) == 0)
-                    taken_word = t_.takenWord(g >> 6);
-                const auto tk = static_cast<std::uint32_t>(
-                    (taken_word >> (g & 63)) & 1u);
-                decoded[i] =
-                    (tk << 31) |
-                    ((static_cast<std::uint32_t>(rowOf_(g)) & 0x7FFFu)
-                     << 15) |
-                    (t_.wordBits(g) & 0x7FFFu);
-            }
-            for (unsigned c = 0; c < by_col.size(); ++c) {
-                std::vector<Lane *> &col_lanes = by_col[c];
-                if (col_lanes.empty())
-                    continue;
-                const auto col_mask = static_cast<std::uint32_t>(mask(c));
-                for (std::size_t i = 0; i < m; ++i) {
-                    const std::uint32_t d = decoded[i];
-                    record[i] = (d & 0x80000000u) |
-                                (((d >> 15) & 0x7FFFu) << c) |
-                                (d & col_mask);
-                }
-                // Replay the shared record stream through the lanes,
-                // LaneBatch::kMaxLanes at a time, on the dispatched
-                // SIMD kernel.
-                for (std::size_t first = 0; first < col_lanes.size();
-                     first += LaneBatch::kMaxLanes) {
-                    LaneBatch batch;
-                    batch.lanes = static_cast<unsigned>(
-                        std::min<std::size_t>(LaneBatch::kMaxLanes,
-                                              col_lanes.size() - first));
-                    for (unsigned l = 0; l < batch.lanes; ++l) {
-                        Lane *lane = col_lanes[first + l];
-                        batch.totalMask[l] = static_cast<std::uint32_t>(
-                            (lane->rowMask << c) | lane->colMask);
-                        batch.pht[l] = lane->pht.data();
-                    }
-                    replayLaneBatch(target_, record.data(), m, batch);
-                    if (count) {
-                        for (unsigned l = 0; l < batch.lanes; ++l)
-                            col_lanes[first + l]->mispredicts +=
-                                batch.misses[l];
-                        ++tel.laneBatches;
-                    }
-                }
-            }
-        }
-    }
-
-    /** Configurations beyond the packed-record limits: same tiling,
-     *  64-bit row/column records, one scalar pass per lane. */
-    void
-    runWide(std::vector<Lane> &lanes, std::size_t lo, std::size_t hi,
-            bool count, KernelTelemetry &tel) const
-    {
-        std::vector<std::uint64_t> rows(kBlockSize), cols(kBlockSize);
-        std::vector<std::uint8_t> takens(kBlockSize);
-        for (std::size_t base = lo; base < hi; base += kBlockSize) {
-            const std::size_t m = std::min(kBlockSize, hi - base);
-            if (count)
-                ++tel.blocksReplayed;
-            for (std::size_t i = 0; i < m; ++i) {
-                const std::size_t g = base + i;
-                rows[i] = rowOf_(g);
-                cols[i] = wordIndex(t_.pc(g));
-                takens[i] = static_cast<std::uint8_t>(t_.taken(g));
-            }
-            for (Lane &lane : lanes) {
-                std::uint8_t *bytes = lane.pht.data();
-                std::uint64_t misses = 0;
-                for (std::size_t i = 0; i < m; ++i) {
-                    const auto idx = static_cast<std::size_t>(
-                        ((rows[i] & lane.rowMask) << lane.colBits) |
-                        (cols[i] & lane.colMask));
-                    misses += PackedPht::predictAndUpdateRaw(bytes, idx,
-                                                             takens[i]);
-                }
-                if (count)
-                    lane.mispredicts += misses;
-            }
-        }
-    }
-
-    const PreparedTrace &t_;
-    RowFn rowOf_;
-    SimdTarget target_;
-    bool narrow_ = true;
-    std::vector<Spec> specs_;
-};
-
-/**
- * The aliasing 2-bit engine (Figure 5): the packed engine's block
- * tiling, with a record rich enough for the per-access last-writer
- * test.  Each 2048-branch block is decoded once into AliasRecords --
- * the low 32 bits of the row value and of the word index, the
- * branch's tag ((dense id + 1) << 2) and a flags byte with the outcome
- * and countr_one of the first-level pattern -- and then every lane
+ * The 2-bit engine (Figures 2-10): one block-tiled trace pass updates
+ * every member configuration, with a record rich enough for Figure 5's
+ * per-access last-writer test.  Per branch the raw row value and the
+ * pc word index are computed once (the members share them by
+ * construction); each lane derives its own slot by masking.  Each
+ * 2048-branch block is decoded once into AliasRecords -- the low 32
+ * bits of the row value and of the word index, the branch's tag
+ * ((dense id + 1) << 2) and a flags byte with the outcome and
+ * countr_one of the first-level pattern -- and then every lane
  * batch of up to AliasBatch::kMaxLanes lanes replays the block through
  * the dispatched alias kernel (common/simd.hh).  A lane's slot is one
  * uint32 fusing its last writer and its 2-bit counter, so the
@@ -586,8 +357,8 @@ class AliasLanes
 /**
  * The model engine: one trace pass steps every member TAGE or
  * perceptron model of a model group (DESIGN.md "Batched model-lane
- * replay").  The multi-table zoo has no packed-2-bit form, but it
- * shares the packed engine's two amortisable costs: the per-branch
+ * replay").  The multi-table zoo has no 2-bit-counter form, but it
+ * shares the 2-bit engine's two amortisable costs: the per-branch
  * decode (pc word index, global history, outcome) is identical for
  * every member, and the xorFold hash chains depend only on shared
  * geometry -- every member of a sweep shares tagBits/histories (TAGE)
@@ -653,7 +424,7 @@ class ModelLanes
         KernelTelemetry &tel) const
     {
         // Shared per-block decode: full 64-bit pc word index (the zoo
-        // hashes fold all of it, unlike the 15-bit packed columns), the
+        // hashes fold all of it, unlike the 32-bit 2-bit columns), the
         // history register, and the unpacked outcome byte the
         // perceptron kernel consumes directly.
         Block block;
@@ -819,7 +590,7 @@ class ModelLanes
             // slack past the last weight (simd.hh).
             lane.bank.assign((static_cast<std::size_t>(tables)
                               << lane.entryBits) +
-                                 PackedPht::kGatherSlack,
+                                 PerceptronBatch::kGatherSlack,
                              0);
             lane.theta = static_cast<std::int32_t>(
                 (193u * specs_[j].rowBits) / 100u + 14u);
@@ -951,13 +722,8 @@ KernelTelemetry::modelLanesPerGroup() const
 double
 KernelTelemetry::hotBytesPerBranch() const
 {
-    if (lanes == 0)
-        return 0.0;
-    const std::uint64_t narrow = lanes - wideLanes - aliasLanes;
-    return (4.0 * static_cast<double>(narrow) +
-            17.0 * static_cast<double>(wideLanes) +
-            13.0 * static_cast<double>(aliasLanes)) /
-           static_cast<double>(lanes);
+    // Every 2-bit lane reads one 13-byte alias record per branch.
+    return lanes ? 13.0 : 0.0;
 }
 
 double
@@ -998,8 +764,6 @@ KernelTelemetry::merge(const KernelTelemetry &other)
         target = other.target;
     fusedGroups += other.fusedGroups;
     lanes += other.lanes;
-    wideLanes += other.wideLanes;
-    aliasLanes += other.aliasLanes;
     laneBatches += other.laneBatches;
     blocksReplayed += other.blocksReplayed;
     segments += other.segments;
@@ -1107,13 +871,10 @@ singleJobGroup(const std::vector<ConfigJob> &jobs, std::size_t index)
 }
 
 std::vector<FusedGroup>
-planFusedGroups(const std::vector<ConfigJob> &jobs,
-                const SweepOptions &opts, unsigned threads)
+planFusedGroups(const std::vector<ConfigJob> &jobs, unsigned threads)
 {
     // Bucket by shared first-level stream, in first-appearance order.
-    // Zoo jobs bucket by kind whether or not aliasing is tracked: their
-    // aliasing surfaces are identically zero (analyzeInterference owns
-    // their interference story), and one sweep's members share
+    // Zoo jobs bucket by kind: one sweep's members share
     // tagBits/histories/tables by construction.
     std::vector<FusedGroup> buckets;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -1134,20 +895,20 @@ planFusedGroups(const std::vector<ConfigJob> &jobs,
 
     // Chunk each bucket into balanced contiguous groups; each chunk
     // replays the trace once, and per-job results are identical for
-    // any chunking.  Packed and model buckets split into at most
-    // `threads` chunks so the pool can spread one large bucket across
-    // executors.  Aliasing-tracked 2-bit buckets split into one chunk
-    // per AliasBatch::kMaxLanes jobs, so each group is one full lane
-    // batch whatever the thread count (a 126-job sweep makes 8 groups).
+    // any chunking.  2-bit buckets split into one chunk per
+    // AliasBatch::kMaxLanes jobs, so each group is one full lane batch
+    // whatever the thread count (a 126-job sweep makes 8 groups).
+    // Model buckets split into at most `threads` chunks so the pool can
+    // spread one large bucket across executors.
     std::vector<FusedGroup> groups;
     for (FusedGroup &bucket : buckets) {
         const std::size_t size = bucket.jobs.size();
         const bool zoo = bucket.kind == SchemeKind::Tage ||
                          bucket.kind == SchemeKind::Perceptron;
         const std::size_t chunks =
-            opts.trackAliasing && !zoo
-                ? (size + AliasBatch::kMaxLanes - 1) / AliasBatch::kMaxLanes
-                : std::min<std::size_t>(threads > 1 ? threads : 1, size);
+            zoo ? std::min<std::size_t>(threads > 1 ? threads : 1, size)
+                : (size + AliasBatch::kMaxLanes - 1) /
+                      AliasBatch::kMaxLanes;
         const std::size_t base = size / chunks;
         const std::size_t extra = size % chunks;
         std::size_t next = 0;
@@ -1440,24 +1201,23 @@ runFusedGroup(const FusedGroup &group,
     const std::vector<std::uint64_t> *aux =
         cache.stream(group.kind, group.streamRowBits);
 
-    // The 2-bit family: trackAliasing picks the engine.  row_of gives
-    // the raw row value before each branch, pattern_of the first-level
-    // pattern whose all-ones value makes a conflict harmless.
+    // The 2-bit family.  row_of gives the raw row value before each
+    // branch, pattern_of the first-level pattern whose all-ones value
+    // makes a conflict harmless.  Aliasing is always measured;
+    // trackAliasing only decides whether it is reported.
     KernelTelemetry counters;
     const auto two_bit = [&](auto row_of, auto pattern_of) {
-        if (opts.trackAliasing) {
-            const AliasLanes<decltype(row_of), decltype(pattern_of)>
-                engine(t, jobs, group.jobs, row_of, pattern_of, target);
-            counters = runGrid(engine, t.size(), exec, slots);
-            counters.aliasLanes = engine.lanes();
-        } else {
-            const PackedLanes<decltype(row_of)> engine(
-                t, jobs, group.jobs, row_of, target);
-            counters = runGrid(engine, t.size(), exec, slots);
-            counters.wideLanes = engine.narrow() ? 0 : engine.lanes();
-        }
+        const AliasLanes<decltype(row_of), decltype(pattern_of)> engine(
+            t, jobs, group.jobs, row_of, pattern_of, target);
+        counters = runGrid(engine, t.size(), exec, slots);
         counters.fusedGroups = 1;
         counters.lanes = group.jobs.size();
+        if (!opts.trackAliasing) {
+            for (std::size_t member : group.jobs) {
+                slots[member].aliasRate = 0.0;
+                slots[member].harmlessFraction = 0.0;
+            }
+        }
     };
     const auto none = [](std::size_t) { return std::uint64_t{0}; };
     const auto global = [&](std::size_t i) { return t.globalHistory(i); };
@@ -1534,7 +1294,7 @@ sweepScheme(const PreparedTrace &trace, SchemeKind kind,
     const std::vector<ConfigJob> jobs = planSweep(kind, opts);
     const unsigned threads = ThreadPool::resolveThreads(opts.threads);
     const std::vector<FusedGroup> groups =
-        planFusedGroups(jobs, opts, threads);
+        planFusedGroups(jobs, threads);
     StreamCache cache(trace, opts);
     if (threads > 1)
         cache.prepare(jobs, threads);

@@ -16,21 +16,22 @@
  * bit-identical to the serial one.
  *
  * The grid steps a group's member configurations -- its *lanes* --
- * through one of three lane engines:
+ * through one of two lane engines:
  *
- *  - packed 2-bit: one block-decoded trace pass updates every member's
- *    packed counter table through the SIMD lane kernel (every split of
- *    a tier reads the same per-branch row value and word index);
- *  - aliasing 2-bit: Figure 5's per-access last-writer test.  Each
- *    block is decoded once into a 13-byte record per branch and lane
- *    batches of up to 16 step fused last-writer+counter table words
- *    through the SIMD alias kernel.  trackAliasing picks this engine
- *    for the 2-bit family;
+ *  - 2-bit: the paper's family.  One block-decoded trace pass updates
+ *    every member (every split of a tier reads the same per-branch row
+ *    value and word index): each block is decoded once into a 13-byte
+ *    record per branch, and lane batches of up to 16 step fused
+ *    last-writer+counter table words (one 4-byte slot per counter)
+ *    through the SIMD alias kernel.  Misprediction and Figure 5's
+ *    per-access aliasing come from the same pass, so aliasing is
+ *    always measured; trackAliasing only decides whether it is
+ *    reported.  Tables are capped at SweepOptions::kMaxTotalBits;
  *  - model: TAGE/perceptron lanes sharing the block decode and hash
  *    folds.
  *
  * Within one group the grid has two axes of parallelism (see DESIGN.md
- * "Segment-parallel replay"), shared by all three engines:
+ * "Segment-parallel replay"), shared by both engines:
  *
  *  - SweepOptions::fusedThreads lane-shards the group: each executor
  *    owns a disjoint subset of the member lanes with private state, so
@@ -76,9 +77,9 @@ enum class SchemeKind
     PAsFinite,      ///< self history through a real BHT (Figure 10)
     /**
      * The multi-table zoo: these replay full TageModel /
-     * PerceptronModel state per configuration (no packed-PHT form --
-     * the packed engine's 2-bit-counter invariants do not hold for
-     * tagged entries or signed weights).  The planner batches them
+     * PerceptronModel state per configuration (no 2-bit-counter form --
+     * the 2-bit engine's counter invariants do not hold for tagged
+     * entries or signed weights).  The planner batches them
      * into MODEL groups: one trace pass decodes each block once and
      * steps every member model, sharing the hash folds across members
      * (and, for perceptron lanes, running the dot-product/update
@@ -100,11 +101,16 @@ struct SweepOptions
 {
     /** Smallest tier: 2^minTotalBits counters (paper: 16). */
     unsigned minTotalBits = 4;
-    /** Largest tier: 2^maxTotalBits counters (paper: 32768). */
+    /**
+     * Largest tier: 2^maxTotalBits counters (paper: 32768).  At most
+     * kMaxTotalBits; SweepSession rejects larger requests.
+     */
     unsigned maxTotalBits = 15;
     /**
-     * Measure aliasing alongside misprediction (Figure 5).  Selects the
-     * aliasing 2-bit lane engine instead of the packed one.
+     * Report aliasing alongside misprediction (Figure 5): fill the
+     * aliasing and harmless surfaces and ConfigResult fields.  An
+     * output filter only -- the 2-bit engine measures aliasing either
+     * way, so misprediction and execution do not depend on it.
      */
     bool trackAliasing = true;
     /** Path scheme: address bits contributed per branch. */
@@ -135,8 +141,8 @@ struct SweepOptions
      */
     unsigned threads = 1;
     /**
-     * Dispatch target for the packed, aliasing and perceptron SIMD
-     * lane kernels.  Auto defers to the BPSIM_SIMD environment override,
+     * Dispatch target for the 2-bit (alias) and perceptron SIMD lane
+     * kernels.  Auto defers to the BPSIM_SIMD environment override,
      * then to CPUID detection; explicit requests clamp down to the
      * widest supported target.
      * Every target is bit-identical (pinned by the forced-dispatch
@@ -184,6 +190,14 @@ struct SweepOptions
 
     /** Hard ceiling on resolveSegments() (protocol limit too). */
     static constexpr unsigned kMaxSegments = 64;
+    /**
+     * Largest table (rowBits + colBits) the engine replays: a full
+     * 16-lane 2-bit batch keeps its slot arena (one 4-byte slot per
+     * counter) addressable by signed 32-bit offsets up to 2^26
+     * counters per lane.  SweepSession::sweep/point and the sweep
+     * service reject anything larger with a structured error.
+     */
+    static constexpr unsigned kMaxTotalBits = 26;
 };
 
 /**
@@ -210,21 +224,13 @@ struct KernelTelemetry
 {
     /** Resolved dispatch target the lane batches ran on. */
     SimdTarget target = SimdTarget::Scalar;
-    /** 2-bit groups replayed by the packed or aliasing engine. */
+    /** 2-bit groups replayed by the 2-bit engine. */
     std::uint64_t fusedGroups = 0;
     /** Member configurations replayed by 2-bit groups. */
     std::uint64_t lanes = 0;
     /**
-     * Packed lanes beyond the packed-record limits, reading 64-bit
-     * row/column columns in the wide loop.
-     */
-    std::uint64_t wideLanes = 0;
-    /** Lanes replayed by the aliasing engine (AliasBatch kernels). */
-    std::uint64_t aliasLanes = 0;
-    /**
-     * Lane batches dispatched per counted block: packed batches (at
-     * most LaneBatch::kMaxLanes lanes each) and aliasing batches (at
-     * most AliasBatch::kMaxLanes).
+     * 2-bit lane batches (at most AliasBatch::kMaxLanes lanes each)
+     * dispatched per counted block.
      */
     std::uint64_t laneBatches = 0;
     /** Decoded block tiles streamed through the lane batches. */
@@ -275,11 +281,9 @@ struct KernelTelemetry
      */
     double workerUtilization() const;
     /**
-     * Bytes of shared decoded record the lane inner loop reads per
-     * branch per lane: 4 (one packed record) for narrow packed lanes,
-     * 17 (64-bit row and column, outcome byte) for wide packed lanes,
-     * 13 (32-bit row, column and tag, flags byte) for aliasing lanes,
-     * averaged over the lane population.
+     * Bytes of shared decoded record the 2-bit lane inner loop reads
+     * per branch per lane: 13 (32-bit row, column and tag, flags byte)
+     * when any 2-bit lane ran, else 0.
      */
     double hotBytesPerBranch() const;
     /** Fold one group's counters into a sweep-level aggregate. */
@@ -318,9 +322,9 @@ std::vector<ConfigJob> planSweep(SchemeKind kind,
 /**
  * A unit of grid execution: jobs (indices into the planned job vector)
  * that replay the trace together because they read the same
- * per-branch first-level inputs.  A 2-bit group runs the packed or
- * (when aliasing is tracked) the aliasing lane engine; a zoo group
- * (kind Tage/Perceptron) is a MODEL group and runs the model engine.
+ * per-branch first-level inputs.  A 2-bit group runs the 2-bit lane
+ * engine; a zoo group (kind Tage/Perceptron) is a MODEL group and runs
+ * the model engine.
  */
 struct FusedGroup
 {
@@ -338,19 +342,15 @@ struct FusedGroup
 /**
  * Partition planned jobs into grid execution groups.  Jobs sharing a
  * first-level stream (same scheme; same BHT row width for PAsFinite)
- * land in one group, split into at most @p threads chunks so the pool
- * can spread a large group across executors.  Zoo jobs bucket by
- * scheme into model groups under the same chunking.  When
- * opts.trackAliasing, 2-bit buckets chunk into one balanced group
- * per AliasBatch::kMaxLanes jobs instead, whatever @p threads is, so
- * each group is one full aliasing lane batch; zoo jobs batch as
- * without tracking -- their aliasing surfaces are identically zero.
- * Every job index appears in exactly one group; results are
- * bit-identical for any grouping.
+ * share a bucket.  A 2-bit bucket chunks into one balanced group per
+ * AliasBatch::kMaxLanes jobs, whatever @p threads is, so each group is
+ * one full lane batch.  Zoo jobs bucket by scheme into model groups,
+ * split into at most @p threads chunks so the pool can spread a large
+ * group across executors.  Every job index appears in exactly one
+ * group; results are bit-identical for any grouping.
  */
 std::vector<FusedGroup>
-planFusedGroups(const std::vector<ConfigJob> &jobs,
-                const SweepOptions &opts, unsigned threads);
+planFusedGroups(const std::vector<ConfigJob> &jobs, unsigned threads);
 
 /**
  * The one-lane group replaying planned job @p index alone: the shape
@@ -491,12 +491,11 @@ class StreamCache
 /**
  * Execute one group through the replay grid, writing each member
  * job's result into slots[job index].  @p slots addresses the whole
- * planned job vector.  The lane engine follows from the group's kind
- * and the cache's options: model for the zoo, aliasing 2-bit when
- * trackAliasing, else packed 2-bit (SweepOptions::simd picks every
- * engine's dispatch target).  When @p telemetry is non-null the group's kernel
- * counters are accumulated into it.  Thread-safe once @p cache is
- * prepared for the group.
+ * planned job vector.  The lane engine follows from the group's kind:
+ * model for the zoo, 2-bit otherwise (SweepOptions::simd picks every
+ * engine's dispatch target).  When @p telemetry is non-null the
+ * group's kernel counters are accumulated into it.  Thread-safe once
+ * @p cache is prepared for the group.
  */
 void runFusedGroup(const FusedGroup &group,
                    const std::vector<ConfigJob> &jobs,

@@ -20,6 +20,17 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
+/** Reject a table larger than the engine replays (kMaxTotalBits). */
+Status
+checkTableCeiling(std::uint64_t total_bits)
+{
+    if (total_bits > SweepOptions::kMaxTotalBits)
+        return BPSIM_ERROR("table of 2^", total_bits,
+                           " counters exceeds the engine ceiling of 2^",
+                           SweepOptions::kMaxTotalBits);
+    return Status();
+}
+
 } // namespace
 
 SweepSession::SweepSession(std::string cache_dir,
@@ -170,6 +181,9 @@ Result<SweepResponse>
 SweepSession::sweep(const SweepRequest &request)
 {
     const auto start = std::chrono::steady_clock::now();
+    if (Status ceiling = checkTableCeiling(request.options.maxTotalBits);
+        !ceiling.ok())
+        return ceiling.error();
     const CacheKey key = cacheKey(request);
 
     if (!request.bypassCache) {
@@ -245,6 +259,11 @@ SweepSession::sweepBatch(const std::vector<SweepRequest> &requests,
     std::map<std::string, std::vector<std::size_t>> groups;
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const SweepRequest &req = requests[i];
+        if (Status ceiling = checkTableCeiling(req.options.maxTotalBits);
+            !ceiling.ok()) {
+            out[i] = Result<SweepResponse>(ceiling.error());
+            continue;
+        }
         if (!req.bypassCache) {
             bool from_disk = false;
             std::optional<CachedSweep> hit =
@@ -352,6 +371,9 @@ SweepSession::point(const TraceHash &trace, SchemeKind kind,
                            "bits) in 1..64 and cols (table entry "
                            "bits) <= 28; got rows=", row_bits,
                            " cols=", col_bits);
+    if (Status ceiling = checkTableCeiling(std::uint64_t{row_bits} + col_bits);
+        !ceiling.ok())
+        return ceiling.error();
     Result<std::shared_ptr<const PreparedTrace>> prep =
         prepared(trace);
     if (!prep.ok())

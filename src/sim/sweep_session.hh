@@ -184,7 +184,8 @@ class SweepSession
      * Serve one sweep request: result cache, then replay through the
      * plan/fuse/SIMD machinery.  Results are bit-identical to a
      * direct sweepScheme() call with the same options.  Errors when
-     * the trace key is not interned (and the cache cannot answer).
+     * the trace key is not interned (and the cache cannot answer), or
+     * when maxTotalBits exceeds SweepOptions::kMaxTotalBits.
      */
     Result<SweepResponse> sweep(const SweepRequest &request);
 
@@ -193,7 +194,7 @@ class SweepSession
      * that share a first-level input stream -- same trace, scheme,
      * aliasing mode and scheme parameters, any tier range -- are
      * answered by ONE envelope replay spanning the union of their
-     * tier ranges, then sliced per request.  The fused kernel's
+     * tier ranges, then sliced per request.  The replay grid's
      * grouping invariance makes every slice bit-identical to a
      * standalone sweep() of the same request (pinned by tests), so
      * coalescing is purely a throughput optimisation: M clients
@@ -221,7 +222,8 @@ class SweepSession
     /**
      * Probe a single configuration (uncached -- single points are
      * cheap and pollute the key space).  @p opts carries the
-     * per-scheme parameters; tier bounds are ignored.
+     * per-scheme parameters; tier bounds are ignored.  Errors when
+     * row_bits + col_bits exceeds SweepOptions::kMaxTotalBits.
      */
     Result<ConfigResult> point(const TraceHash &trace, SchemeKind kind,
                                unsigned row_bits, unsigned col_bits,

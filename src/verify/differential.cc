@@ -557,10 +557,10 @@ runDifferentialFuzzer(const FuzzOptions &options)
         }
 
         // Layer 2: sweep fast paths vs reference misprediction rate.
-        // Every lane engine is held to exact equality: the aliasing
-        // 2-bit engine (simulateConfig with aliasing tracked; zoo
-        // schemes take the model engine either way) and the packed
-        // 2-bit engine (a one-job group without aliasing tracking).
+        // Every lane engine is held to exact equality: simulateConfig
+        // with aliasing tracked (the 2-bit engine, or the model engine
+        // for zoo schemes), then an untracked full lane batch per
+        // kernel the host can run.
         if (options.crossCheckFastPath) {
             if (auto kind = sweepKind(scheme)) {
                 SweepOptions sweep;
@@ -595,39 +595,44 @@ runDifferentialFuzzer(const FuzzOptions &options)
                     report.fastPathProblems.push_back(os.str());
                 }
 
-                // The packed engine is checked once per SIMD dispatch
-                // target the host supports: every target is forced
-                // explicitly (an explicit request beats the BPSIM_SIMD
-                // environment override) and held to exact equality
-                // with the reference rate, so every lane batch width
-                // is proven bit-identical.
-                for (SimdTarget target : supportedSimdTargets()) {
-                    SweepOptions fused_opts = sweep;
-                    fused_opts.trackAliasing = false;
-                    fused_opts.simd = target;
-                    const std::vector<ConfigJob> fused_jobs{ConfigJob{
-                        *kind, config.rowBits + config.colBits,
-                        config.rowBits, config.colBits}};
-                    StreamCache fused_cache(prepared, fused_opts);
-                    fused_cache.prepare(fused_jobs, 1);
-                    ConfigResult fused_result;
-                    runFusedGroup(singleJobGroup(fused_jobs, 0),
-                                  fused_jobs, fused_cache, &fused_result);
-                    if (fused_result.mispRate != reference_rate &&
-                        report.fastPathProblems.size() <
-                            maxStoredProblems) {
+                // The untracked path is checked once per lane kernel
+                // the host can run: a full batch of copies of the
+                // config, forced onto each kernel (an explicit request
+                // beats the BPSIM_SIMD environment override), every
+                // lane held to exact equality with the reference rate.
+                std::set<SimdTarget> kernels;
+                for (SimdTarget target : supportedSimdTargets())
+                    kernels.insert(
+                        aliasBatchKernel(target, AliasBatch::kMaxLanes));
+                for (SimdTarget kernel : kernels) {
+                    SweepOptions untracked = sweep;
+                    untracked.trackAliasing = false;
+                    untracked.simd = kernel;
+                    const std::vector<ConfigJob> jobs(
+                        AliasBatch::kMaxLanes,
+                        ConfigJob{*kind, config.rowBits + config.colBits,
+                                  config.rowBits, config.colBits});
+                    StreamCache cache(prepared, untracked);
+                    std::vector<ConfigResult> slots(jobs.size());
+                    for (const FusedGroup &group : planFusedGroups(jobs, 1))
+                        runFusedGroup(group, jobs, cache, slots.data());
+                    for (const ConfigResult &lane : slots) {
+                        if (lane.mispRate == reference_rate ||
+                            report.fastPathProblems.size() >=
+                                maxStoredProblems)
+                            continue;
                         std::ostringstream os;
-                        os << "packed engine ("
-                           << simdTargetName(target)
-                           << ") disagrees with reference for "
+                        os << "untracked " << simdTargetName(kernel)
+                           << " lane batch disagrees with reference for "
                            << schemeKindName(*kind) << " r="
                            << config.rowBits << " c=" << config.colBits
                            << " policy="
                            << policyField(config.bhtResetPolicy)
                            << " on trace '" << trace.name()
-                           << "': fused " << fused_result.mispRate
+                           << "': kernel " << lane.mispRate
                            << " vs reference " << reference_rate;
                         report.fastPathProblems.push_back(os.str());
+                        break;
                     }
                 }
             }

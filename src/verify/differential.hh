@@ -93,9 +93,9 @@ struct FuzzOptions
     bool includeVariants = true;
     /**
      * For core-scheme pairs, additionally check the sweep lane
-     * engines -- aliasing-tracked (simulateConfig) and packed, per
-     * SIMD target (a one-job runFusedGroup) -- against the reference
-     * misprediction rate.
+     * engines -- aliasing-tracked (simulateConfig), then untracked as
+     * a full lane batch on each lane kernel the host can run --
+     * against the reference misprediction rate.
      */
     bool crossCheckFastPath = true;
     /**

@@ -1,10 +1,11 @@
 /**
  * @file
- * Differential verification of the batched aliasing lane engine
- * (Figure 5's aliasing and harmless-alias surfaces).
+ * Differential verification of the 2-bit lane engine: misprediction
+ * and Figure 5's aliasing and harmless-alias surfaces.
  *
  * Fuzzed group compositions -- 1-40 lanes of mixed row/column widths
- * (row width 0 included) over every 2-bit SchemeKind -- run through
+ * (row width 0 included) over every 2-bit SchemeKind, plus row-heavy
+ * and column-heavy splits at tiers 16-18 -- run through
  * runFusedGroup as one group (several lane batches per block) and as
  * the planner's groups, under every SIMD target this host supports
  * (forced through SweepOptions::simd), lane shard counts 1-4, and
@@ -12,14 +13,21 @@
  * bit-identical to the scalar unsharded one, and the exact results
  * must match the naive reference model (misprediction) and the online
  * TwoLevelPredictor's AliasTracker (aliasing and harmless fractions).
- * A kernel-level check replays random records with branch ids near
- * the 2^30 ceiling through every kernel and memcmps the final lane
- * arenas against the scalar kernel's.
+ * Untracked runs (trackAliasing false) must report the same
+ * misprediction with the aliasing fields zeroed: the option filters
+ * output and never changes execution.  A kernel-level check replays
+ * random records with branch ids near the 2^30 ceiling through every
+ * kernel and memcmps the final lane arenas against the scalar
+ * kernel's.
+ *
+ * The FusedKernelDifferential cases hold untracked mixed-tier job
+ * lists, planned exactly as sweepScheme plans them, to one-lane groups,
+ * the tracked engine and the reference model.
  *
  * The tsan test preset's name filter includes "AliasBatch", so the
  * shard x segment grid over alias lanes runs under the race detector.
  * The 1000-composition campaign at the bottom additionally needs
- * BPSIM_SLOW_TESTS=1.
+ * BPSIM_SLOW_TESTS=1 (ctest -L slow).
  */
 
 #include <gtest/gtest.h>
@@ -101,6 +109,37 @@ fuzzComposition(SchemeKind kind, Pcg32 &rng)
     return c;
 }
 
+/**
+ * Tables past 2^15 counters: row-heavy (all rows but one column bit)
+ * and column-heavy (one row bit) splits at tiers 16-18.  A PAsFinite
+ * group shares one BHT row width, so its row-heavy splits keep 15 row
+ * bits and widen the columns instead.
+ */
+std::vector<Composition>
+wideCompositions(SchemeKind kind)
+{
+    std::vector<Composition> out;
+    for (bool row_heavy : {true, false}) {
+        Composition c;
+        c.kind = kind;
+        c.opts.trackAliasing = true;
+        c.opts.simd = SimdTarget::Scalar;
+        c.opts.bhtEntries = 64;
+        for (unsigned total = 16; total <= 18; ++total) {
+            unsigned r = row_heavy ? total - 1 : 1;
+            if (kind == SchemeKind::AddressIndexed)
+                r = 0;
+            if (kind == SchemeKind::GAg)
+                r = total;
+            if (kind == SchemeKind::PAsFinite)
+                r = row_heavy ? 15 : 1;
+            c.jobs.push_back(ConfigJob{kind, total, r, total - r});
+        }
+        out.push_back(std::move(c));
+    }
+    return out;
+}
+
 /** Run every job of @p c as ONE group (several lane batches). */
 std::vector<ConfigResult>
 runOneGroup(const PreparedTrace &t, const Composition &c,
@@ -113,7 +152,7 @@ runOneGroup(const PreparedTrace &t, const Composition &c,
     std::vector<ConfigResult> slots(c.jobs.size());
     KernelTelemetry tel;
     runFusedGroup(group, c.jobs, cache, slots.data(), &tel);
-    EXPECT_EQ(tel.aliasLanes, c.jobs.size());
+    EXPECT_EQ(tel.lanes, c.jobs.size());
     EXPECT_EQ(tel.target, resolveSimdTarget(opts.simd));
     return slots;
 }
@@ -125,7 +164,7 @@ runPlanned(const PreparedTrace &t, const Composition &c,
 {
     StreamCache cache(t, opts);
     std::vector<ConfigResult> slots(c.jobs.size());
-    for (const FusedGroup &group : planFusedGroups(c.jobs, opts, 1)) {
+    for (const FusedGroup &group : planFusedGroups(c.jobs, 1)) {
         EXPECT_LE(group.jobs.size(), AliasBatch::kMaxLanes);
         runFusedGroup(group, c.jobs, cache, slots.data());
     }
@@ -202,6 +241,17 @@ checkComposition(const MemoryTrace &trace, const PreparedTrace &prepared,
                          what + " planned");
     if (oracles)
         expectMatchesOracles(trace, c, exact, what);
+
+    // Untracked: the same misprediction, the aliasing fields zeroed.
+    SweepOptions untracked = c.opts;
+    untracked.trackAliasing = false;
+    std::vector<ConfigResult> filtered = exact;
+    for (ConfigResult &slot : filtered) {
+        slot.aliasRate = 0.0;
+        slot.harmlessFraction = 0.0;
+    }
+    expectSlotsIdentical(filtered, runOneGroup(prepared, c, untracked),
+                         what + " untracked");
 
     SweepOptions speculative = c.opts;
     speculative.segments = 2 + rng.nextBounded(3);
@@ -284,6 +334,31 @@ randomRecords(Pcg32 &rng, std::size_t n, std::uint32_t id_floor,
             (rng.nextBounded(2) << 7) | rng.nextBounded(65)));
     }
     return b;
+}
+
+/** Run @p jobs through planFusedGroups/runFusedGroup. */
+std::vector<ConfigResult>
+runFused(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
+         const SweepOptions &opts, unsigned threads)
+{
+    StreamCache cache(t, opts);
+    cache.prepare(jobs, 1);
+    std::vector<ConfigResult> slots(jobs.size());
+    for (const FusedGroup &group : planFusedGroups(jobs, threads))
+        runFusedGroup(group, jobs, cache, slots.data());
+    return slots;
+}
+
+/** Run every job of @p jobs as its own one-lane group. */
+std::vector<ConfigResult>
+runOneLane(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
+           const SweepOptions &opts)
+{
+    StreamCache cache(t, opts);
+    std::vector<ConfigResult> slots(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+        runFusedGroup(singleJobGroup(jobs, j), jobs, cache, slots.data());
+    return slots;
 }
 
 } // namespace
@@ -417,6 +492,20 @@ TEST(AliasBatchDifferential, FuzzedCompositionsAgreeAcrossTargetsAndOracles)
     // held to the oracles and replayed under every supported target,
     // shard counts 1-4 and segments 1 and K > 1.
     runCampaign(0xA1A5BA7CULL, 105, 1200, 2000);
+
+    // Tables past 2^15 counters on a short trace.
+    Pcg32 rng(0x16171800ULL, 5);
+    const MemoryTrace trace = fuzzTrace(16, 1500);
+    const PreparedTrace prepared(trace);
+    for (SchemeKind kind : kTwoBitKinds) {
+        for (const Composition &c : wideCompositions(kind)) {
+            checkComposition(trace, prepared, c, rng, true,
+                             std::string("wide ") +
+                                 schemeKindName(kind));
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
 }
 
 TEST(AliasBatchDifferential, WholeSweepsMatchOnlinePredictorPerTarget)
@@ -433,7 +522,26 @@ TEST(AliasBatchDifferential, WholeSweepsMatchOnlinePredictorPerTarget)
         opts.bhtEntries = 64;
         opts.simd = SimdTarget::Scalar;
         const SweepResult base = sweepScheme(prepared, kind, opts);
-        EXPECT_EQ(base.kernel.aliasLanes, base.kernel.lanes);
+        EXPECT_EQ(base.kernel.lanes, planSweep(kind, opts).size());
+
+        // Untracked: identical misprediction, no aliasing surfaces.
+        SweepOptions untracked = opts;
+        untracked.trackAliasing = false;
+        const SweepResult filtered = sweepScheme(prepared, kind, untracked);
+        EXPECT_TRUE(filtered.aliasing.tiers().empty());
+        EXPECT_TRUE(filtered.harmless.tiers().empty());
+        EXPECT_EQ(filtered.bhtMissRate, base.bhtMissRate);
+        ASSERT_EQ(filtered.misprediction.tiers().size(),
+                  base.misprediction.tiers().size());
+        for (std::size_t t = 0; t < base.misprediction.tiers().size();
+             ++t) {
+            const auto &pa = base.misprediction.tiers()[t].points;
+            const auto &pb = filtered.misprediction.tiers()[t].points;
+            ASSERT_EQ(pa.size(), pb.size());
+            for (std::size_t p = 0; p < pa.size(); ++p)
+                EXPECT_EQ(pa[p].value, pb[p].value)
+                    << schemeKindName(kind) << " untracked";
+        }
         for (SimdTarget target : supportedSimdTargets()) {
             SweepOptions forced = opts;
             forced.simd = target;
@@ -475,11 +583,227 @@ TEST(AliasBatchDifferential, WholeSweepsMatchOnlinePredictorPerTarget)
     }
 }
 
+TEST(FusedKernelDifferential, FuzzedGroupsAgreeWithPerConfigKernel)
+{
+    // Fuzzed mixed-tier untracked job lists for every scheme: planned
+    // multi-lane groups must match one-lane groups exactly, field for
+    // field, and the reference model and the tracked run on
+    // misprediction.
+    Pcg32 rng(0xF05ED0BAULL, 11);
+    for (int round = 0; round < 10; ++round) {
+        const SchemeKind kind = kTwoBitKinds[rng.nextBounded(7)];
+        MemoryTrace trace =
+            fuzzTrace(1000 + round, 2000 + rng.nextBounded(3000));
+        PreparedTrace prepared(trace);
+
+        SweepOptions opts;
+        opts.trackAliasing = false;
+        opts.bhtEntries = 32u << rng.nextBounded(3);
+        opts.bhtAssoc = rng.nextBounded(2) ? 4 : 2;
+        SweepOptions aliasing = opts;
+        aliasing.trackAliasing = true;
+
+        // A fuzzed (tier, split) set: random tiers 4..9, random
+        // splits, duplicates of row width across tiers included.
+        std::vector<ConfigJob> jobs;
+        const std::size_t count = 3 + rng.nextBounded(6);
+        for (std::size_t j = 0; j < count; ++j) {
+            unsigned total = 4 + rng.nextBounded(6);
+            unsigned r = rng.nextBounded(total + 1);
+            if (kind == SchemeKind::AddressIndexed)
+                r = 0;
+            if (kind == SchemeKind::GAg)
+                r = total;
+            jobs.push_back(ConfigJob{kind, total, r, total - r});
+        }
+
+        const unsigned threads = 1 + rng.nextBounded(3);
+        std::vector<ConfigResult> fused =
+            runFused(prepared, jobs, opts, threads);
+
+        const std::vector<ConfigResult> one_lane =
+            runOneLane(prepared, jobs, opts);
+        const std::vector<ConfigResult> tracked =
+            runFused(prepared, jobs, aliasing, threads);
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            const ConfigResult &expected = one_lane[j];
+            EXPECT_EQ(fused[j].mispRate, expected.mispRate)
+                << schemeKindName(kind) << " r=" << jobs[j].rowBits
+                << " c=" << jobs[j].colBits << " round " << round;
+            EXPECT_EQ(fused[j].bhtMissRate, expected.bhtMissRate)
+                << schemeKindName(kind) << " round " << round;
+            EXPECT_EQ(fused[j].aliasRate, expected.aliasRate);
+            EXPECT_EQ(fused[j].harmlessFraction,
+                      expected.harmlessFraction);
+            EXPECT_EQ(fused[j].mispRate,
+                      referenceMispRate(sweepRefConfig(jobs[j], opts),
+                                        trace))
+                << schemeKindName(kind) << " vs reference, round "
+                << round;
+            EXPECT_EQ(tracked[j].mispRate, fused[j].mispRate)
+                << schemeKindName(kind) << " aliasing engine, round "
+                << round;
+        }
+    }
+}
+
+TEST(FusedKernelDifferential, AllSchemesAgreeWithReferenceModel)
+{
+    // Close the triangle: untracked planned groups vs the naive
+    // reference model, exact equality, on a fuzzed split per scheme
+    // per tier.
+    Pcg32 rng(0xD1FF05EDULL, 3);
+    MemoryTrace trace = fuzzTrace(77, 2500);
+    PreparedTrace prepared(trace);
+
+    for (SchemeKind kind : kTwoBitKinds) {
+        SweepOptions opts;
+        opts.trackAliasing = false;
+        opts.bhtEntries = 64;
+        opts.bhtAssoc = 4;
+
+        std::vector<ConfigJob> jobs;
+        for (unsigned total : {4u, 6u, 8u}) {
+            unsigned r = rng.nextBounded(total + 1);
+            if (kind == SchemeKind::AddressIndexed)
+                r = 0;
+            if (kind == SchemeKind::GAg)
+                r = total;
+            jobs.push_back(ConfigJob{kind, total, r, total - r});
+        }
+
+        std::vector<ConfigResult> fused =
+            runFused(prepared, jobs, opts, 1);
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            const double reference =
+                referenceMispRate(sweepRefConfig(jobs[j], opts), trace);
+            EXPECT_EQ(fused[j].mispRate, reference)
+                << schemeKindName(kind) << " r=" << jobs[j].rowBits
+                << " c=" << jobs[j].colBits;
+        }
+    }
+}
+
+TEST(FusedKernelDifferential, ForcedDispatchTargetsBitIdentical)
+{
+    // The SIMD dispatch campaign: >= 100 fuzzed group configurations,
+    // each executed untracked under EVERY dispatch target this host
+    // supports (scalar always; wider targets when available), with
+    // every target
+    // held to exact equality against the naive reference model on
+    // every job, and against scalar one-lane groups on the BHT miss
+    // rate.
+    const std::vector<SimdTarget> targets = supportedSimdTargets();
+    ASSERT_GE(targets.size(), 1u);
+    ASSERT_EQ(targets.front(), SimdTarget::Scalar);
+
+    Pcg32 rng(0x51D0F05EULL, 17);
+    std::size_t configs_checked = 0;
+    for (int round = 0; configs_checked < 100; ++round) {
+        ASSERT_LT(round, 64) << "fuzzer failed to reach 100 configs";
+        const SchemeKind kind = kTwoBitKinds[rng.nextBounded(7)];
+        MemoryTrace trace =
+            fuzzTrace(4000 + round, 1500 + rng.nextBounded(2500));
+        PreparedTrace prepared(trace);
+
+        SweepOptions opts;
+        opts.trackAliasing = false;
+        opts.simd = SimdTarget::Scalar;
+        opts.bhtEntries = 32u << rng.nextBounded(3);
+        opts.bhtAssoc = rng.nextBounded(2) ? 4 : 2;
+
+        std::vector<ConfigJob> jobs;
+        const std::size_t count = 4 + rng.nextBounded(5);
+        for (std::size_t j = 0; j < count; ++j) {
+            unsigned total = 4 + rng.nextBounded(7);
+            unsigned r = rng.nextBounded(total + 1);
+            if (kind == SchemeKind::AddressIndexed)
+                r = 0;
+            if (kind == SchemeKind::GAg)
+                r = total;
+            jobs.push_back(ConfigJob{kind, total, r, total - r});
+        }
+
+        const std::vector<ConfigResult> expected =
+            runOneLane(prepared, jobs, opts);
+        std::vector<double> reference(jobs.size());
+        for (std::size_t j = 0; j < jobs.size(); ++j)
+            reference[j] =
+                referenceMispRate(sweepRefConfig(jobs[j], opts), trace);
+
+        for (SimdTarget target : targets) {
+            SweepOptions forced = opts;
+            forced.simd = target;
+            std::vector<ConfigResult> fused =
+                runFused(prepared, jobs, forced,
+                         1 + rng.nextBounded(2));
+            for (std::size_t j = 0; j < jobs.size(); ++j) {
+                EXPECT_EQ(fused[j].mispRate, reference[j])
+                    << simdTargetName(target) << " "
+                    << schemeKindName(kind) << " r=" << jobs[j].rowBits
+                    << " c=" << jobs[j].colBits << " round " << round;
+                EXPECT_EQ(fused[j].bhtMissRate,
+                          expected[j].bhtMissRate)
+                    << simdTargetName(target) << " round " << round;
+            }
+        }
+        configs_checked += jobs.size();
+    }
+    EXPECT_GE(configs_checked, 100u);
+}
+
+TEST(FusedKernelDifferential, WholeSweepTriangleOnCoreSchemes)
+{
+    // sweepScheme end to end, untracked vs tracked, with reference
+    // spot checks at the corners of each scheme's surface.
+    MemoryTrace trace = fuzzTrace(5, 4000);
+    PreparedTrace prepared(trace);
+
+    for (SchemeKind kind : kTwoBitKinds) {
+        SweepOptions fused;
+        fused.minTotalBits = 4;
+        fused.maxTotalBits = 7;
+        fused.trackAliasing = false;
+        fused.bhtEntries = 64;
+        SweepOptions aliasing = fused;
+        aliasing.trackAliasing = true;
+
+        SweepResult rf = sweepScheme(prepared, kind, fused);
+        SweepResult rp = sweepScheme(prepared, kind, aliasing);
+        ASSERT_EQ(rf.misprediction.tiers().size(),
+                  rp.misprediction.tiers().size());
+        for (std::size_t t = 0; t < rf.misprediction.tiers().size();
+             ++t) {
+            const SurfaceTier &tf = rf.misprediction.tiers()[t];
+            const SurfaceTier &tp = rp.misprediction.tiers()[t];
+            ASSERT_EQ(tf.points.size(), tp.points.size());
+            for (std::size_t p = 0; p < tf.points.size(); ++p)
+                EXPECT_EQ(tf.points[p].value, tp.points[p].value)
+                    << schemeKindName(kind) << " tier 2^"
+                    << tf.totalBits << " rows 2^"
+                    << tf.points[p].rowBits;
+        }
+
+        // Reference spot check at both edges of the largest tier.
+        for (const SurfacePoint &pt :
+             {rf.misprediction.tiers().back().points.front(),
+              rf.misprediction.tiers().back().points.back()}) {
+            ConfigJob job{kind, pt.rowBits + pt.colBits, pt.rowBits,
+                          pt.colBits};
+            const double reference =
+                referenceMispRate(sweepRefConfig(job, fused), trace);
+            EXPECT_EQ(pt.value, reference)
+                << schemeKindName(kind) << " r=" << pt.rowBits
+                << " c=" << pt.colBits;
+        }
+    }
+}
+
 TEST(AliasBatchSlow, CompositionCampaign)
 {
     if (std::getenv("BPSIM_SLOW_TESTS") == nullptr) {
         GTEST_SKIP() << "set BPSIM_SLOW_TESTS=1 to run the long "
-                        "campaign (ctest -R AliasBatch)";
+                        "campaign (ctest -L slow)";
     }
     // The long campaign: 1000 compositions with longer traces.
     runCampaign(0x510A11A5ULL, 1000, 2000, 6000);

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "common/packed_pht.hh"
 #include "common/random.hh"
 #include "common/simd.hh"
 #include "sim/sweep.hh"
@@ -96,8 +95,7 @@ runGroups(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
     StreamCache cache(t, opts);
     cache.prepare(jobs, 1);
     std::vector<ConfigResult> slots(jobs.size());
-    for (const FusedGroup &group :
-         planFusedGroups(jobs, opts, threads))
+    for (const FusedGroup &group : planFusedGroups(jobs, threads))
         runFusedGroup(group, jobs, cache, slots.data());
     return slots;
 }
@@ -354,7 +352,7 @@ TEST(ModelBatchDifferential, PerceptronKernelTargetsMatchScalar)
         for (unsigned l = 0; l < lanes; ++l) {
             eb[l] = rng.nextBounded(7); // 0..6
             init[l].resize((std::size_t{tables} << eb[l]) +
-                           PackedPht::kGatherSlack);
+                           PerceptronBatch::kGatherSlack);
             for (std::size_t b = 0; b < init[l].size(); ++b)
                 init[l][b] = static_cast<std::int8_t>(
                     static_cast<int>(rng.nextBounded(128)) - 64);
@@ -494,7 +492,7 @@ TEST(ModelBatchDifferential, TelemetryReportsModelGroupShape)
     const SweepResult r =
         sweepScheme(prepared, SchemeKind::Tage, opts);
 
-    // Zoo groups are model groups, not packed-lane fused groups.
+    // Zoo groups are model groups, not 2-bit lane groups.
     EXPECT_EQ(r.kernel.fusedGroups, 0u);
     EXPECT_EQ(r.kernel.lanes, 0u);
     EXPECT_EQ(r.kernel.laneBatches, 0u);

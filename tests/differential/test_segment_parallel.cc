@@ -4,8 +4,8 @@
  * decomposition (sweep.cc): lane sharding must be bit-identical to the
  * serial engine for any shard count on every SIMD target, speculative
  * segment replay must be deterministic with a bounded, auditable
- * epsilon against exact mode -- for the packed and the aliasing 2-bit
- * engines alike -- and nothing but the request may select it.
+ * epsilon against exact mode -- for tracked and untracked 2-bit sweeps
+ * alike -- and nothing but the request may select it.
  *
  * The suite name is load-bearing: the tsan preset runs
  * "ThreadPool|Sweep|Experiment|ServiceStress|SegmentParallel", so the
@@ -240,7 +240,7 @@ TEST(SegmentParallel, EnvironmentChangesNeitherResultsNorKeys)
 {
     // A result depends only on the request: with the retired segments
     // override set, a sweep that never asked for segments stays exact
-    // and keeps its cache key, for both 2-bit engines.
+    // and keeps its cache key, tracked or not.
     MemoryTrace trace = fuzzTrace(98, 10'000);
     PreparedTrace prepared(trace);
     const char *prev = std::getenv(kRetiredSegmentsVar);
@@ -262,7 +262,7 @@ TEST(SegmentParallel, EnvironmentChangesNeitherResultsNorKeys)
         expectSurfacesIdentical(truth,
                                 sweepScheme(prepared, SchemeKind::GAs,
                                             opts),
-                                aliasing ? "aliasing" : "packed");
+                                aliasing ? "tracked" : "untracked");
         EXPECT_EQ(SweepSession::cacheConfigKey(SchemeKind::GAs, opts),
                   key);
     }

@@ -173,22 +173,21 @@ TEST(PreparedTrace, TakenWordsPackOutcomesSixtyFourPerWord)
 
 TEST(PreparedTrace, BytesPerBranchReflectsPackedColumns)
 {
-    // branch id (4) + word bits (2) + ghist (8) + shist (8) + one
-    // outcome BIT + 2 bytes of successor path bits: ~24.13, not the 33
-    // of the old layout with 8-byte pcs, byte-wide outcomes and 8-byte
-    // targets.
+    // branch id (4) + ghist (8) + shist (8) + one outcome BIT + 2
+    // bytes of successor path bits: ~22.13, not the 33 of the old
+    // layout with 8-byte pcs, byte-wide outcomes and 8-byte targets.
     MemoryTrace raw = smallWorkload();
     PreparedTrace with_path(raw);
     EXPECT_TRUE(with_path.hasPathColumn());
-    EXPECT_GE(with_path.bytesPerBranch(), 24.125);
-    EXPECT_LT(with_path.bytesPerBranch(), 24.2);
+    EXPECT_GE(with_path.bytesPerBranch(), 22.125);
+    EXPECT_LT(with_path.bytesPerBranch(), 22.2);
 
     // Dropping the path column saves its 2 bytes per branch; the rest
     // of the columns are untouched.
     PreparedTrace without_path(raw, false);
     EXPECT_FALSE(without_path.hasPathColumn());
-    EXPECT_GE(without_path.bytesPerBranch(), 22.125);
-    EXPECT_LT(without_path.bytesPerBranch(), 22.2);
+    EXPECT_GE(without_path.bytesPerBranch(), 20.125);
+    EXPECT_LT(without_path.bytesPerBranch(), 20.2);
     EXPECT_EQ(without_path.size(), with_path.size());
     for (std::size_t i = 0; i < without_path.size(); i += 97) {
         ASSERT_EQ(without_path.pc(i), with_path.pc(i));

@@ -177,6 +177,21 @@ parseLine(const std::string &text)
     return parseRequest(json.value());
 }
 
+TEST(Protocol, LimitsAboveTheEngineCeilingAreRejected)
+{
+    // A daemon configured with max_bits past the engine's table
+    // ceiling refuses to start (sweep_server checks this first).
+    ProtocolLimits limits;
+    EXPECT_TRUE(checkLimits(limits).ok());
+    limits.maxTotalBits = SweepOptions::kMaxTotalBits;
+    EXPECT_TRUE(checkLimits(limits).ok());
+    limits.maxTotalBits = SweepOptions::kMaxTotalBits + 2;
+    Status status = checkLimits(limits);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.error().message(),
+              "max_bits 28 exceeds the engine ceiling of 26");
+}
+
 TEST(Protocol, ParsesMinimalOps)
 {
     for (const char *op :

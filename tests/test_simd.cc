@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for the lane-batched SIMD layer: every operation on every
- * dispatch target this host supports must be bit-identical to a plain
- * scalar loop, on the boundary outcome patterns (all zeros, all ones,
- * alternating, saturating runs pinning counters at 0b00 and 0b11) and
- * under seeded fuzz across lane counts, masks and table sizes.
+ * Unit tests for the lane-batched SIMD layer: target naming, parsing
+ * and dispatch resolution, and the 2-bit alias lane kernel on every
+ * dispatch target this host supports, held bit for bit to a plain
+ * per-lane loop over SatCounter<2> tables and last-writer ids on the
+ * boundary outcome patterns (all zeros, all ones, alternating,
+ * saturating runs pinning counters at 0b00 and 0b11) and under seeded
+ * fuzz across lane counts and table geometries.
  */
 
 #include <gtest/gtest.h>
@@ -15,85 +17,157 @@
 #include <vector>
 
 #include "common/bitutil.hh"
-#include "common/packed_pht.hh"
 #include "common/random.hh"
+#include "common/sat_counter.hh"
 #include "common/simd.hh"
 
 using namespace bpsim;
 
 namespace {
 
-/** Fused record: outcome in bit 31, table index bits in 0..30. */
-std::uint32_t
-record(std::uint32_t index, bool taken)
+/** A decoded record block for the alias kernel (simd.hh AliasRecords). */
+struct RecordBlock
 {
-    return (static_cast<std::uint32_t>(taken) << 31) |
-           (index & 0x7FFFFFFFu);
-}
+    std::vector<std::uint32_t> row, col, tag;
+    std::vector<std::uint8_t> flags;
 
+    void
+    push(std::uint32_t r, std::uint32_t c, std::uint32_t id, bool taken,
+         unsigned ones)
+    {
+        row.push_back(r);
+        col.push_back(c);
+        tag.push_back((id + 1) << 2);
+        flags.push_back(static_cast<std::uint8_t>(
+            (static_cast<unsigned>(taken) << 7) | ones));
+    }
+
+    std::size_t size() const { return row.size(); }
+
+    AliasRecords
+    view() const
+    {
+        return AliasRecords{row.data(), col.data(), tag.data(),
+                            flags.data()};
+    }
+};
+
+/** Lane geometry: 2^rowBits x 2^colBits slots. */
+struct Geometry
+{
+    unsigned rowBits;
+    unsigned colBits;
+};
+
+/** One batch over a private arena, lane tables packed back to back. */
 struct LaneSetup
 {
-    std::vector<PackedPht> tables;
-    LaneBatch batch;
+    std::vector<std::uint32_t> arena;
+    AliasBatch batch;
 
-    /** One lane per entry of @p counter_bits, each table 2^bits. */
-    explicit LaneSetup(const std::vector<unsigned> &counter_bits)
+    explicit LaneSetup(const std::vector<Geometry> &lanes)
     {
-        tables.reserve(counter_bits.size());
-        batch.lanes = static_cast<unsigned>(counter_bits.size());
+        batch.lanes = static_cast<unsigned>(lanes.size());
+        std::size_t slots = 0;
         for (unsigned l = 0; l < batch.lanes; ++l) {
-            tables.emplace_back(std::size_t{1} << counter_bits[l]);
-            batch.totalMask[l] =
-                static_cast<std::uint32_t>(mask(counter_bits[l]));
-            batch.pht[l] = tables[l].data();
+            const Geometry &g = lanes[l];
+            batch.offset[l] = static_cast<std::uint32_t>(slots);
+            batch.rowMask[l] = static_cast<std::uint32_t>(mask(g.rowBits));
+            batch.colMask[l] = static_cast<std::uint32_t>(mask(g.colBits));
+            batch.colBits[l] = g.colBits;
+            batch.harmlessOnes[l] =
+                g.rowBits > 0 ? g.rowBits : AliasBatch::kNeverHarmless;
+            slots += std::size_t{1} << (g.rowBits + g.colBits);
+        }
+        arena.assign(slots, AliasBatch::kFreshEntry);
+        batch.entries = arena.data();
+    }
+
+    /** Lane @p l's slot @p s: its 2-bit counter. */
+    unsigned
+    counter(unsigned l, std::size_t s) const
+    {
+        return arena[batch.offset[l] + s] & 3u;
+    }
+};
+
+/**
+ * The independent reference the kernels are held to: per lane, a
+ * SatCounter<2> table and a last-writer id per slot, stepped one
+ * record at a time.
+ */
+struct Reference
+{
+    std::vector<std::vector<SatCounter<2>>> counters;
+    std::vector<std::vector<std::uint32_t>> writers;
+    std::vector<std::uint64_t> misses, conflicts, harmless;
+
+    Reference(const std::vector<Geometry> &lanes,
+              const RecordBlock &records)
+        : misses(lanes.size()), conflicts(lanes.size()),
+          harmless(lanes.size())
+    {
+        for (std::size_t l = 0; l < lanes.size(); ++l) {
+            const Geometry &g = lanes[l];
+            const std::size_t size = std::size_t{1}
+                                     << (g.rowBits + g.colBits);
+            counters.emplace_back(size);
+            writers.emplace_back(size, 0u);
+            for (std::size_t i = 0; i < records.size(); ++i) {
+                const std::size_t s =
+                    ((records.row[i] & mask(g.rowBits)) << g.colBits) |
+                    (records.col[i] & mask(g.colBits));
+                const std::uint32_t id = records.tag[i] >> 2;
+                const bool taken = (records.flags[i] >> 7) != 0;
+                const unsigned ones = records.flags[i] & 0x7Fu;
+                if (writers[l][s] != 0 && writers[l][s] != id) {
+                    ++conflicts[l];
+                    if (g.rowBits > 0 && ones >= g.rowBits)
+                        ++harmless[l];
+                }
+                misses[l] += counters[l][s].predict() != taken;
+                counters[l][s].update(taken);
+                writers[l][s] = id;
+            }
         }
     }
 };
 
-/** The independent reference loop the kernels are held to. */
+/** Run @p records on @p target and on the reference; compare every
+ *  slot and count exactly. */
 void
-referenceReplay(const std::vector<std::uint32_t> &records,
-                LaneSetup &setup)
+expectBitIdentical(SimdTarget target, const RecordBlock &records,
+                   const std::vector<Geometry> &lanes, const char *what)
 {
-    for (unsigned l = 0; l < setup.batch.lanes; ++l) {
-        for (std::uint32_t rc : records) {
-            setup.batch.misses[l] += PackedPht::predictAndUpdateRaw(
-                setup.batch.pht[l], rc & setup.batch.totalMask[l],
-                rc >> 31);
-        }
-    }
-}
-
-/** Run @p records on @p target and on the reference; compare all
- *  counter states and miss counts exactly. */
-void
-expectBitIdentical(SimdTarget target,
-                   const std::vector<std::uint32_t> &records,
-                   const std::vector<unsigned> &counter_bits,
-                   const char *what)
-{
-    LaneSetup actual(counter_bits);
-    LaneSetup expected(counter_bits);
-    replayLaneBatch(target, records.data(), records.size(),
-                    actual.batch);
-    referenceReplay(records, expected);
+    LaneSetup actual(lanes);
+    replayAliasBatch(target, records.view(), records.size(),
+                     actual.batch);
+    const Reference expected(lanes, records);
 
     for (unsigned l = 0; l < actual.batch.lanes; ++l) {
-        EXPECT_EQ(actual.batch.misses[l], expected.batch.misses[l])
-            << what << ": " << simdTargetName(target) << " lane " << l
-            << " miss count";
-        ASSERT_EQ(actual.tables[l].size(), expected.tables[l].size());
-        for (std::size_t i = 0; i < actual.tables[l].size(); ++i) {
-            ASSERT_EQ(actual.tables[l].counter(i),
-                      expected.tables[l].counter(i))
-                << what << ": " << simdTargetName(target) << " lane "
-                << l << " counter " << i;
+        const std::string where = std::string(what) + ": " +
+                                  simdTargetName(target) + " lane " +
+                                  std::to_string(l);
+        EXPECT_EQ(actual.batch.misses[l], expected.misses[l]) << where;
+        EXPECT_EQ(actual.batch.conflicts[l], expected.conflicts[l])
+            << where;
+        EXPECT_EQ(actual.batch.harmless[l], expected.harmless[l])
+            << where;
+        for (std::size_t s = 0; s < expected.counters[l].size(); ++s) {
+            const std::uint32_t word =
+                actual.arena[actual.batch.offset[l] + s];
+            ASSERT_EQ(word & 3u, expected.counters[l][s].raw())
+                << where << " counter " << s;
+            ASSERT_EQ(word >> 2, expected.writers[l][s])
+                << where << " writer " << s;
         }
     }
 }
 
-/** Mixed lane widths exercising every batch position. */
-const std::vector<unsigned> kMixedLanes = {4, 6, 8, 5, 10, 7, 9, 12};
+/** Mixed lane geometries exercising every batch position. */
+const std::vector<Geometry> kMixedLanes = {
+    {0, 4}, {2, 4}, {8, 0}, {3, 2}, {5, 5}, {0, 7}, {4, 5}, {6, 6},
+    {1, 3}, {7, 2}, {2, 2}, {0, 0}, {9, 1}, {3, 3}, {4, 4}, {1, 10}};
 
 } // namespace
 
@@ -198,25 +272,26 @@ TEST(Simd, UnsupportedRequestsClampDownNotUp)
 
 TEST(Simd, BoundaryPatternsBitIdenticalOnEveryTarget)
 {
-    // The ISSUE's boundary set.  "Saturating" drives one index with a
-    // constant outcome so counters pin at 0b11 (taken) / 0b00 (not
-    // taken) and every extra update exercises the saturation clamp.
+    // The boundary set.  "Saturating" drives one slot with a constant
+    // outcome so counters pin at 0b11 (taken) / 0b00 (not taken) and
+    // every extra update exercises the saturation clamp; the branch
+    // ids rotate so the last-writer test sees conflicts throughout.
     constexpr std::size_t n = 1024;
-    std::vector<std::uint32_t> all_zeros(n, record(0, false));
-    std::vector<std::uint32_t> all_ones(n, record(0x7FFFFFFFu, true));
-    std::vector<std::uint32_t> alternating(n);
-    std::vector<std::uint32_t> saturate_taken(n);
-    std::vector<std::uint32_t> saturate_not_taken(n);
+    RecordBlock all_zeros, all_ones, alternating, saturate_taken,
+        saturate_not_taken;
     for (std::size_t i = 0; i < n; ++i) {
-        alternating[i] = record(
-            (i & 1) ? 0x55555555u : 0x2AAAAAAAu, (i & 3) < 2);
-        saturate_taken[i] = record(7, true);
-        saturate_not_taken[i] = record(7, false);
+        const auto id = static_cast<std::uint32_t>(i % 3);
+        all_zeros.push(0, 0, id, false, 0);
+        all_ones.push(0xFFFFFFFFu, 0xFFFFFFFFu, id, true, 64);
+        const std::uint32_t bits = (i & 1) ? 0x55555555u : 0x2AAAAAAAu;
+        alternating.push(bits, ~bits, id, (i & 3) < 2,
+                         static_cast<unsigned>(i % 11));
+        saturate_taken.push(7, 7, id, true, 3);
+        saturate_not_taken.push(7, 7, id, false, 3);
     }
 
     for (SimdTarget target : supportedSimdTargets()) {
-        expectBitIdentical(target, all_zeros, kMixedLanes,
-                           "all-zeros");
+        expectBitIdentical(target, all_zeros, kMixedLanes, "all-zeros");
         expectBitIdentical(target, all_ones, kMixedLanes, "all-ones");
         expectBitIdentical(target, alternating, kMixedLanes,
                            "alternating");
@@ -231,20 +306,28 @@ TEST(Simd, SaturatedCountersLandOnTheRail)
 {
     // Beyond agreeing with the reference, the saturating runs must
     // actually end on the rails -- guards against a reference bug
-    // cancelling a kernel bug.
+    // cancelling a kernel bug.  Sixteen lanes so the vector kernel is
+    // the one dispatched.
+    const std::vector<Geometry> lanes(AliasBatch::kMaxLanes,
+                                      Geometry{2, 2});
     for (SimdTarget target : supportedSimdTargets()) {
-        std::vector<std::uint32_t> up(64, record(3, true));
-        std::vector<std::uint32_t> down(64, record(3, false));
-        LaneSetup taken({4, 4});
-        LaneSetup not_taken({4, 4});
-        replayLaneBatch(target, up.data(), up.size(), taken.batch);
-        replayLaneBatch(target, down.data(), down.size(),
-                        not_taken.batch);
-        for (unsigned l = 0; l < 2; ++l) {
-            EXPECT_EQ(taken.tables[l].counter(3), 3u)
+        RecordBlock up, down;
+        for (int i = 0; i < 64; ++i) {
+            up.push(0, 3, 5, true, 0);
+            down.push(0, 3, 5, false, 0);
+        }
+        LaneSetup taken(lanes);
+        LaneSetup not_taken(lanes);
+        replayAliasBatch(target, up.view(), up.size(), taken.batch);
+        replayAliasBatch(target, down.view(), down.size(),
+                         not_taken.batch);
+        for (unsigned l = 0; l < AliasBatch::kMaxLanes; ++l) {
+            EXPECT_EQ(taken.counter(l, 3), 3u) << simdTargetName(target);
+            EXPECT_EQ(not_taken.counter(l, 3), 0u)
                 << simdTargetName(target);
-            EXPECT_EQ(not_taken.tables[l].counter(3), 0u)
-                << simdTargetName(target);
+            EXPECT_EQ(taken.batch.misses[l], 0u);
+            // 2 -> 1 -> 0: only the first not-taken update misses.
+            EXPECT_EQ(not_taken.batch.misses[l], 1u);
         }
     }
 }
@@ -253,23 +336,25 @@ TEST(Simd, PartialBatchesLeaveTrailingLanesUntouched)
 {
     // Vector kernels pad to their native width internally; the padding
     // must never leak into the caller's unused lane slots.
-    std::vector<std::uint32_t> records;
+    RecordBlock records;
     for (std::uint32_t i = 0; i < 500; ++i)
-        records.push_back(record(i * 37, (i % 3) == 0));
+        records.push(i * 37, i * 11, i % 7, (i % 3) == 0, i % 9);
 
     for (SimdTarget target : supportedSimdTargets()) {
-        for (unsigned lanes = 1; lanes <= LaneBatch::kMaxLanes;
+        for (unsigned lanes = 1; lanes <= AliasBatch::kMaxLanes;
              ++lanes) {
-            std::vector<unsigned> bits(lanes, 6u);
-            expectBitIdentical(target, records, bits, "partial batch");
+            const std::vector<Geometry> geometry(lanes, Geometry{3, 3});
+            expectBitIdentical(target, records, geometry,
+                               "partial batch");
 
-            LaneSetup setup(bits);
-            replayLaneBatch(target, records.data(), records.size(),
-                            setup.batch);
-            for (unsigned l = lanes; l < LaneBatch::kMaxLanes; ++l) {
+            LaneSetup setup(geometry);
+            replayAliasBatchOn(target, records.view(), records.size(),
+                               setup.batch);
+            for (unsigned l = lanes; l < AliasBatch::kMaxLanes; ++l) {
                 EXPECT_EQ(setup.batch.misses[l], 0u)
                     << simdTargetName(target) << " lanes=" << lanes;
-                EXPECT_EQ(setup.batch.pht[l], nullptr);
+                EXPECT_EQ(setup.batch.conflicts[l], 0u);
+                EXPECT_EQ(setup.batch.harmless[l], 0u);
             }
         }
     }
@@ -280,85 +365,59 @@ TEST(Simd, FuzzedReplayBitIdenticalOnEveryTarget)
     Pcg32 rng(0x51D0CAFEULL, 23);
     for (int round = 0; round < 12; ++round) {
         const unsigned lanes =
-            1 + static_cast<unsigned>(rng.nextBounded(
-                    LaneBatch::kMaxLanes));
-        std::vector<unsigned> bits;
-        for (unsigned l = 0; l < lanes; ++l)
-            bits.push_back(
-                2 + static_cast<unsigned>(rng.nextBounded(12)));
+            1 + static_cast<unsigned>(
+                    rng.nextBounded(AliasBatch::kMaxLanes));
+        std::vector<Geometry> geometry;
+        for (unsigned l = 0; l < lanes; ++l) {
+            const unsigned total =
+                static_cast<unsigned>(rng.nextBounded(12));
+            const unsigned r =
+                static_cast<unsigned>(rng.nextBounded(total + 1));
+            geometry.push_back(Geometry{r, total - r});
+        }
 
         const std::size_t n = 500 + rng.nextBounded(4000);
-        std::vector<std::uint32_t> records;
-        records.reserve(n);
+        const std::uint32_t ids = 1 + rng.nextBounded(50);
+        RecordBlock records;
         for (std::size_t i = 0; i < n; ++i)
-            records.push_back(record(
-                static_cast<std::uint32_t>(rng.next()),
-                rng.nextBounded(2) != 0));
+            records.push(rng.next(), rng.next(), rng.nextBounded(ids),
+                         rng.nextBounded(2) != 0, rng.nextBounded(65));
 
         for (SimdTarget target : supportedSimdTargets())
-            expectBitIdentical(target, records, bits, "fuzz");
-    }
-}
-
-TEST(Simd, GatherScatterRoundTripOnEveryTarget)
-{
-    Pcg32 rng(0x6A77E12BULL, 5);
-    std::vector<std::vector<std::uint8_t>> buffers;
-    for (unsigned l = 0; l < LaneBatch::kMaxLanes; ++l) {
-        std::vector<std::uint8_t> buf(
-            256 + PackedPht::kGatherSlack);
-        for (std::size_t i = 0; i < buf.size(); ++i)
-            buf[i] = static_cast<std::uint8_t>(rng.next());
-        buffers.push_back(std::move(buf));
-    }
-
-    for (SimdTarget target : supportedSimdTargets()) {
-        for (unsigned lanes = 1; lanes <= LaneBatch::kMaxLanes;
-             ++lanes) {
-            const std::uint8_t *srcs[LaneBatch::kMaxLanes];
-            std::uint8_t *dsts[LaneBatch::kMaxLanes];
-            std::uint32_t idx[LaneBatch::kMaxLanes];
-            std::uint8_t got[LaneBatch::kMaxLanes];
-            for (unsigned l = 0; l < lanes; ++l) {
-                srcs[l] = buffers[l].data();
-                dsts[l] = buffers[l].data();
-                idx[l] = static_cast<std::uint32_t>(
-                    rng.nextBounded(256));
-            }
-
-            gatherLaneBytes(target, srcs, idx, lanes, got);
-            for (unsigned l = 0; l < lanes; ++l) {
-                EXPECT_EQ(got[l], buffers[l][idx[l]])
-                    << simdTargetName(target) << " lane " << l;
-            }
-
-            // Scatter complements back, gather again: round trip.
-            std::uint8_t flipped[LaneBatch::kMaxLanes];
-            for (unsigned l = 0; l < lanes; ++l)
-                flipped[l] = static_cast<std::uint8_t>(~got[l]);
-            scatterLaneBytes(target, dsts, idx, lanes, flipped);
-            gatherLaneBytes(target, srcs, idx, lanes, got);
-            for (unsigned l = 0; l < lanes; ++l) {
-                EXPECT_EQ(got[l], flipped[l])
-                    << simdTargetName(target) << " lane " << l;
-            }
-        }
+            expectBitIdentical(target, records, geometry, "fuzz");
     }
 }
 
 TEST(Simd, GatherReachesTheLastTableByte)
 {
-    // The highest counter byte is exactly where the AVX2 4-byte
-    // gather needs PackedPht::kGatherSlack padding; read it on every
-    // target to prove the slack is there (ASan would flag a miss).
-    PackedPht pht(64); // 16 counter bytes, slack after
-    std::uint8_t *base = pht.data();
-    base[15] = 0x5C;
+    // The highest weight of a perceptron bank is exactly where the
+    // AVX2/AVX-512 4-byte gathers need PerceptronBatch::kGatherSlack
+    // padding; address it on every target, with enough lanes to reach
+    // each vector kernel, to prove the slack is there (ASan would flag
+    // a miss).  One table of 16 weights per lane, every branch hitting
+    // weight 15.
+    constexpr unsigned kLanes = PerceptronBatch::kMaxLanes;
+    constexpr std::size_t kWeights = 16;
     for (SimdTarget target : supportedSimdTargets()) {
-        const std::uint8_t *bases[1] = {base};
-        const std::uint32_t idx[1] = {15};
-        std::uint8_t out[1] = {0};
-        gatherLaneBytes(target, bases, idx, 1, out);
-        EXPECT_EQ(out[0], 0x5C) << simdTargetName(target);
+        std::vector<std::vector<std::int8_t>> banks(
+            kLanes, std::vector<std::int8_t>(
+                        kWeights + PerceptronBatch::kGatherSlack, 0));
+        PerceptronBatch batch;
+        batch.lanes = kLanes;
+        batch.tables = 1;
+        for (unsigned l = 0; l < kLanes; ++l) {
+            banks[l][kWeights - 1] = 5;
+            batch.weights[l] = banks[l].data();
+            batch.theta[l] = 0;
+        }
+        const std::vector<std::uint32_t> idx(kLanes, kWeights - 1);
+        const std::uint8_t taken[1] = {1};
+        replayPerceptronBatch(target, idx.data(), taken, 1, batch);
+        for (unsigned l = 0; l < kLanes; ++l) {
+            // Sum 5 >= 0 predicts taken: a hit above theta, no train.
+            EXPECT_EQ(batch.misses[l], 0u) << simdTargetName(target);
+            EXPECT_EQ(banks[l][kWeights - 1], 5)
+                << simdTargetName(target);
+        }
     }
 }

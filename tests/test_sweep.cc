@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "predictor/factory.hh"
 #include "predictor/two_level.hh"
 #include "sim/engine.hh"
 #include "sim/sweep.hh"
@@ -375,35 +376,105 @@ TEST(Sweep, StreamCacheDoesNotRecomputeFirstLevelStreams)
 
 TEST(Sweep, FusedSweepBitIdenticalToPerConfigForEveryScheme)
 {
-    // Both 2-bit engines against the per-configuration reference
-    // model: the packed sweep (one pass per group) and the aliasing
-    // sweep (one lane per group) must reproduce every point exactly.
+    // Untracked and tracked sweeps against the per-configuration
+    // reference model: both must reproduce every point exactly
+    // (trackAliasing only filters the reported surfaces).
     const MemoryTrace &trace = sharedWorkload();
     PreparedTrace t(trace);
     for (SchemeKind kind :
          {SchemeKind::AddressIndexed, SchemeKind::GAg, SchemeKind::GAs,
           SchemeKind::Gshare, SchemeKind::Path, SchemeKind::PAsPerfect,
           SchemeKind::PAsFinite}) {
-        SweepOptions packed;
-        packed.minTotalBits = 4;
-        packed.maxTotalBits = 9;
-        packed.trackAliasing = false;
-        packed.bhtEntries = 64;
-        SweepOptions aliasing = packed;
+        SweepOptions untracked;
+        untracked.minTotalBits = 4;
+        untracked.maxTotalBits = 9;
+        untracked.trackAliasing = false;
+        untracked.bhtEntries = 64;
+        SweepOptions aliasing = untracked;
         aliasing.trackAliasing = true;
 
-        SweepResult rp = sweepScheme(t, kind, packed);
+        SweepResult ru = sweepScheme(t, kind, untracked);
         SweepResult ra = sweepScheme(t, kind, aliasing);
         const char *name = schemeKindName(kind);
-        expectSurfacesIdentical(rp.misprediction, ra.misprediction,
+        expectSurfacesIdentical(ru.misprediction, ra.misprediction,
                                 name);
-        EXPECT_EQ(rp.bhtMissRate, ra.bhtMissRate) << name;
-        for (const ConfigJob &job : planSweep(kind, packed)) {
-            EXPECT_EQ(*rp.misprediction.at(job.totalBits, job.rowBits),
+        EXPECT_TRUE(ru.aliasing.tiers().empty()) << name;
+        EXPECT_EQ(ru.bhtMissRate, ra.bhtMissRate) << name;
+        for (const ConfigJob &job : planSweep(kind, untracked)) {
+            EXPECT_EQ(*ru.misprediction.at(job.totalBits, job.rowBits),
                       verify::referenceMispRate(
-                          verify::sweepRefConfig(job, packed), trace))
+                          verify::sweepRefConfig(job, untracked), trace))
                 << name << " 2^" << job.rowBits << " x 2^"
                 << job.colBits;
+        }
+    }
+
+    // Tables past 2^15 counters: row-heavy and column-heavy splits at
+    // tiers 16-18 on a short trace, untracked and tracked, against the
+    // reference model and the online predictor's AliasTracker.
+    WorkloadParams p;
+    p.name = "sweep-wide";
+    p.seed = 16;
+    p.staticBranches = 120;
+    p.functionCount = 12;
+    p.targetConditionals = 2'000;
+    const MemoryTrace short_trace = generateTrace(p);
+    const PreparedTrace short_prepared(short_trace);
+    for (SchemeKind kind :
+         {SchemeKind::AddressIndexed, SchemeKind::GAg, SchemeKind::GAs,
+          SchemeKind::Gshare, SchemeKind::Path, SchemeKind::PAsPerfect,
+          SchemeKind::PAsFinite}) {
+        std::vector<ConfigJob> jobs;
+        for (unsigned total = 16; total <= 18; ++total) {
+            for (unsigned r : {total - 1, 1u}) {
+                if (kind == SchemeKind::AddressIndexed)
+                    r = 0;
+                if (kind == SchemeKind::GAg)
+                    r = total;
+                jobs.push_back(ConfigJob{kind, total, r, total - r});
+            }
+        }
+        const auto run = [&](bool track) {
+            SweepOptions o;
+            o.bhtEntries = 64;
+            o.trackAliasing = track;
+            StreamCache cache(short_prepared, o);
+            std::vector<ConfigResult> slots(jobs.size());
+            for (const FusedGroup &group : planFusedGroups(jobs, 1))
+                runFusedGroup(group, jobs, cache, slots.data());
+            return slots;
+        };
+        const std::vector<ConfigResult> with = run(true);
+        const std::vector<ConfigResult> without = run(false);
+        SweepOptions tracked;
+        tracked.bhtEntries = 64;
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            const ConfigJob &job = jobs[j];
+            const verify::RefConfig ref =
+                verify::sweepRefConfig(job, tracked);
+            const std::string where = std::string(schemeKindName(kind)) +
+                                      " 2^" + std::to_string(job.rowBits) +
+                                      " x 2^" + std::to_string(job.colBits);
+            const double reference =
+                verify::referenceMispRate(ref, short_trace);
+            EXPECT_EQ(with[j].mispRate, reference) << where;
+            EXPECT_EQ(without[j].mispRate, reference) << where;
+            EXPECT_EQ(without[j].aliasRate, 0.0) << where;
+            EXPECT_EQ(without[j].harmlessFraction, 0.0) << where;
+
+            std::unique_ptr<BranchPredictor> online =
+                makePredictor(verify::engineSpec(ref), true);
+            const auto *two_level =
+                dynamic_cast<const TwoLevelPredictor *>(online.get());
+            ASSERT_NE(two_level, nullptr) << where;
+            MemoryTrace replay = short_trace;
+            replay.reset();
+            runPredictor(replay, *online);
+            const AliasTracker *alias = two_level->pht().aliasStats();
+            ASSERT_NE(alias, nullptr) << where;
+            EXPECT_EQ(with[j].aliasRate, alias->aliasRate()) << where;
+            EXPECT_EQ(with[j].harmlessFraction, alias->harmlessFraction())
+                << where;
         }
     }
 }
@@ -462,53 +533,24 @@ TEST(Sweep, FusedGroupPlanPartitionsJobsByStream)
     SweepOptions o;
     o.minTotalBits = 4;
     o.maxTotalBits = 8;
-    o.trackAliasing = false;
 
-    // GAs: every job shares the global-history stream -> one fused
-    // group at threads=1, covering all jobs exactly once.
-    auto jobs = planSweep(SchemeKind::GAs, o);
-    auto groups = planFusedGroups(jobs, o, 1);
-    ASSERT_EQ(groups.size(), 1u);
-    EXPECT_EQ(groups[0].jobs.size(), jobs.size());
-
-    // threads=3 chunks the group without losing or duplicating jobs.
-    auto chunked = planFusedGroups(jobs, o, 3);
-    EXPECT_EQ(chunked.size(), 3u);
-    std::vector<bool> seen(jobs.size(), false);
-    for (const auto &g : chunked) {
-        for (std::size_t idx : g.jobs) {
-            ASSERT_LT(idx, jobs.size());
-            EXPECT_FALSE(seen[idx]) << "job " << idx << " duplicated";
-            seen[idx] = true;
-        }
-    }
-    for (std::size_t i = 0; i < seen.size(); ++i)
-        EXPECT_TRUE(seen[i]) << "job " << i << " dropped";
-
-    // PAsFinite streams depend on the row width: one group per
-    // distinct rowBits (widths 0..8 across tiers 4..8).
-    auto finite_jobs = planSweep(SchemeKind::PAsFinite, o);
-    auto finite_groups = planFusedGroups(finite_jobs, o, 1);
-    EXPECT_EQ(finite_groups.size(), 9u);
-    for (const auto &g : finite_groups) {
-        for (std::size_t idx : g.jobs)
-            EXPECT_EQ(finite_jobs[idx].rowBits, g.streamRowBits);
-    }
-
-    // Aliasing-tracked 2-bit jobs bucket by stream too, but chunk into
+    // 2-bit jobs bucket by shared first-level stream and chunk into
     // one group per AliasBatch::kMaxLanes jobs whatever the thread
-    // count: each PAsFinite width bucket (at most 5 jobs here) is one
-    // group, and GAs's 35 jobs are three balanced batches (12/12/11).
-    SweepOptions aliasing = o;
-    aliasing.trackAliasing = true;
-    for (unsigned threads : {1u, 4u}) {
-        auto tracked = planFusedGroups(finite_jobs, aliasing, threads);
-        EXPECT_EQ(tracked.size(), 9u);
-        for (const auto &g : tracked) {
+    // count.  GAs: every job shares the global-history stream, so its
+    // 35 jobs are three balanced batches (12/12/11), contiguous in
+    // plan order, covering every job exactly once.  PAsFinite streams
+    // depend on the row width: one group per distinct rowBits (widths
+    // 0..8 across tiers 4..8, at most 5 jobs each).
+    auto jobs = planSweep(SchemeKind::GAs, o);
+    auto finite_jobs = planSweep(SchemeKind::PAsFinite, o);
+    for (unsigned threads : {1u, 3u, 4u}) {
+        auto finite_groups = planFusedGroups(finite_jobs, threads);
+        EXPECT_EQ(finite_groups.size(), 9u);
+        for (const auto &g : finite_groups) {
             for (std::size_t idx : g.jobs)
                 EXPECT_EQ(finite_jobs[idx].rowBits, g.streamRowBits);
         }
-        auto gas = planFusedGroups(jobs, aliasing, threads);
+        auto gas = planFusedGroups(jobs, threads);
         ASSERT_EQ(jobs.size(), 35u);
         ASSERT_EQ(gas.size(), 3u);
         std::size_t next = 0;
@@ -533,7 +575,7 @@ TEST(Sweep, FusedExecutionDoesZeroLockedLookupsAfterPrepare)
     for (SchemeKind kind : {SchemeKind::Gshare, SchemeKind::Path,
                             SchemeKind::PAsFinite}) {
         auto jobs = planSweep(kind, o);
-        auto groups = planFusedGroups(jobs, o, 2);
+        auto groups = planFusedGroups(jobs, 2);
         StreamCache cache(t, o);
         cache.prepare(jobs, 1);
         EXPECT_EQ(cache.lockedLookups(), 0u) << schemeKindName(kind);
@@ -594,48 +636,33 @@ TEST(Sweep, ForcedSimdTargetsBitIdenticalThroughSweepScheme)
 
 TEST(Sweep, KernelTelemetryDescribesFusedExecution)
 {
+    // Every 2-bit sweep runs one group per lane batch (45 jobs -> 3
+    // groups of 15), each decoding every block once and stepping its
+    // one batch per block, every lane reading the 13-byte alias
+    // record -- tracked or not, the execution is the same.
     PreparedTrace t(sharedWorkload());
     SweepOptions o;
     o.minTotalBits = 4;
     o.maxTotalBits = 9;
-    o.trackAliasing = false;
-
-    SweepResult r = sweepScheme(t, SchemeKind::GAs, o);
     const std::size_t jobs = planSweep(SchemeKind::GAs, o).size();
-    EXPECT_EQ(r.kernel.target, resolveSimdTarget(o.simd));
-    EXPECT_EQ(r.kernel.fusedGroups, 1u); // one stream, one thread
-    EXPECT_EQ(r.kernel.lanes, jobs);
-    EXPECT_EQ(r.kernel.wideLanes, 0u); // paper tiers are all narrow
-    EXPECT_GT(r.kernel.laneBatches, 0u);
-    // 30k branches in 2 KiB blocks, one decode pass per group.
-    EXPECT_EQ(r.kernel.blocksReplayed, (t.size() + 2047) / 2048);
-    EXPECT_DOUBLE_EQ(r.kernel.lanesPerGroup(),
-                     static_cast<double>(jobs));
-    // Narrow lanes read exactly one packed 4-byte record per branch.
-    EXPECT_DOUBLE_EQ(r.kernel.hotBytesPerBranch(), 4.0);
-
-    // Aliasing-tracked sweeps run the aliasing engine: one group per
-    // lane batch (45 jobs -> 3 groups of 15), each decoding every
-    // block once and stepping its one batch per block, every lane
-    // reading the 13-byte alias record.
-    SweepOptions aliasing = o;
-    aliasing.trackAliasing = true;
-    SweepResult ra = sweepScheme(t, SchemeKind::GAs, aliasing);
     const std::size_t groups =
         (jobs + AliasBatch::kMaxLanes - 1) / AliasBatch::kMaxLanes;
+    // 30k branches in 2 KiB blocks, one decode pass per group.
     const std::size_t blocks = (t.size() + 2047) / 2048;
-    EXPECT_EQ(ra.kernel.target, resolveSimdTarget(o.simd));
-    EXPECT_EQ(ra.kernel.fusedGroups, groups);
-    EXPECT_EQ(ra.kernel.lanes, jobs);
-    EXPECT_EQ(ra.kernel.aliasLanes, jobs);
-    EXPECT_EQ(ra.kernel.wideLanes, 0u);
-    EXPECT_EQ(ra.kernel.laneBatches, groups * blocks);
-    EXPECT_EQ(ra.kernel.blocksReplayed, groups * blocks);
-    EXPECT_EQ(ra.kernel.segments, groups); // exact: one per group
-    EXPECT_DOUBLE_EQ(ra.kernel.lanesPerGroup(),
-                     static_cast<double>(jobs) /
-                         static_cast<double>(groups));
-    EXPECT_DOUBLE_EQ(ra.kernel.hotBytesPerBranch(), 13.0);
+    for (bool tracked : {false, true}) {
+        o.trackAliasing = tracked;
+        SweepResult r = sweepScheme(t, SchemeKind::GAs, o);
+        EXPECT_EQ(r.kernel.target, resolveSimdTarget(o.simd));
+        EXPECT_EQ(r.kernel.fusedGroups, groups);
+        EXPECT_EQ(r.kernel.lanes, jobs);
+        EXPECT_EQ(r.kernel.laneBatches, groups * blocks);
+        EXPECT_EQ(r.kernel.blocksReplayed, groups * blocks);
+        EXPECT_EQ(r.kernel.segments, groups); // exact: one per group
+        EXPECT_DOUBLE_EQ(r.kernel.lanesPerGroup(),
+                         static_cast<double>(jobs) /
+                             static_cast<double>(groups));
+        EXPECT_DOUBLE_EQ(r.kernel.hotBytesPerBranch(), 13.0);
+    }
 }
 
 TEST(Sweep, TelemetryMergeKeepsTargetOfReplayedWork)
@@ -647,13 +674,12 @@ TEST(Sweep, TelemetryMergeKeepsTargetOfReplayedWork)
     ran.target = SimdTarget::AVX512;
     ran.fusedGroups = 2;
     ran.lanes = 20;
-    ran.aliasLanes = 20;
     KernelTelemetry total;
     total.merge(ran);
     total.merge(KernelTelemetry{});
     EXPECT_EQ(total.target, SimdTarget::AVX512);
     EXPECT_EQ(total.fusedGroups, 2u);
-    EXPECT_EQ(total.aliasLanes, 20u);
+    EXPECT_EQ(total.lanes, 20u);
 
     KernelTelemetry model;
     model.target = SimdTarget::AVX2;
@@ -674,7 +700,7 @@ TEST(Sweep, StreamCacheReleasesStreamsAfterLastConsumer)
     // PAsFinite needs one stream per row width: tiers 4..8 use widths
     // 0..8, nine streams of 8 bytes per branch each.
     auto jobs = planSweep(SchemeKind::PAsFinite, o);
-    auto groups = planFusedGroups(jobs, o, 1);
+    auto groups = planFusedGroups(jobs, 1);
     ASSERT_EQ(groups.size(), 9u);
 
     // Without a release plan, eager preparation keeps all nine
@@ -724,7 +750,7 @@ TEST(Sweep, ReleasedStreamRebuildsOnLaterLookup)
     o.trackAliasing = false;
 
     auto jobs = planSweep(SchemeKind::Path, o);
-    auto groups = planFusedGroups(jobs, o, 1);
+    auto groups = planFusedGroups(jobs, 1);
     StreamCache cache(t, o);
     cache.planRelease(groups);
     std::vector<ConfigResult> slots(jobs.size());

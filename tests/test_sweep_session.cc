@@ -449,6 +449,46 @@ TEST(SweepSession, PointRejectsDegenerateZooGeometry)
         session.point(trace, SchemeKind::Perceptron, 8, 5).ok());
 }
 
+TEST(SweepSession, TablesAboveTheEngineCeilingAreErrors)
+{
+    // A 16-lane 2-bit batch past 2^26 counters per lane overflows the
+    // engine's slot arena: sweep, batched sweep and point answer with
+    // a structured error instead of replaying into an abort.
+    SweepSession session;
+    auto handle = session.internProfile(kProfile, kBranches);
+    ASSERT_TRUE(handle.ok());
+    const TraceHash trace = handle.value().hash;
+    const unsigned over = SweepOptions::kMaxTotalBits + 1;
+
+    SweepOptions big;
+    big.minTotalBits = over;
+    big.maxTotalBits = over;
+    big.trackAliasing = false;
+    for (bool bypass : {false, true}) {
+        Result<SweepResponse> r =
+            session.sweep(SweepRequest{trace, SchemeKind::GAs, big, bypass});
+        ASSERT_FALSE(r.ok());
+        EXPECT_NE(r.error().message().find("engine ceiling"),
+                  std::string::npos)
+            << r.error().message();
+    }
+
+    SweepOptions small;
+    small.minTotalBits = 4;
+    small.maxTotalBits = 5;
+    const std::vector<Result<SweepResponse>> batch = session.sweepBatch(
+        {SweepRequest{trace, SchemeKind::Gshare, small},
+         SweepRequest{trace, SchemeKind::Gshare, big}});
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_TRUE(batch[0].ok());
+    EXPECT_FALSE(batch[1].ok());
+
+    EXPECT_FALSE(
+        session.point(trace, SchemeKind::GAs, over - 1, 1).ok());
+    EXPECT_FALSE(session.point(trace, SchemeKind::Gshare, 0, over).ok());
+    EXPECT_TRUE(session.point(trace, SchemeKind::GAs, 4, 4).ok());
+}
+
 TEST(SweepSession, EveryOptionIsClassified)
 {
     // Every SweepOptions field is either result-affecting -- changing
@@ -514,9 +554,9 @@ TEST(SweepSession, EveryOptionIsClassified)
     }
 
     PreparedTrace trace(generateProfileTrace(kProfile, kBranches));
-    SweepOptions packed = smallSweep();
-    packed.trackAliasing = false;
-    for (const SweepOptions &base : {smallSweep(), packed, spec}) {
+    SweepOptions untracked = smallSweep();
+    untracked.trackAliasing = false;
+    for (const SweepOptions &base : {smallSweep(), untracked, spec}) {
         for (SchemeKind kind :
              {SchemeKind::GAs, SchemeKind::PAsFinite, SchemeKind::Tage}) {
             const SweepResult expected = sweepScheme(trace, kind, base);
