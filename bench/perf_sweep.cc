@@ -35,12 +35,12 @@
  * rerunning under a profiler.
  *
  * A within-group scaling phase then runs one representative scheme
- * (GAs) through the full fused_threads x segments knob matrix
- * (1/2/4/8 on each axis).  Lane-sharded cells (segments=1) are
- * asserted bit-identical to the exact surface; speculative cells
- * (segments>1) report their max per-point epsilon instead.  The cell
- * grid, speedups and worker utilizations land in the same JSON under
- * "within_group_scaling".
+ * (GAs) through the segments row (1/2/4/8) at threads=1, plus one
+ * exact group-parallel cell (threads=0, segments=1).  Speculative
+ * cells (segments>1) report their max per-point epsilon against the
+ * exact surface; the threads=0 cell is asserted bit-identical to it.
+ * The cells, speedups and worker utilizations land in the same JSON
+ * under "within_group_scaling".
  *
  * A zoo phase times TAGE/perceptron model groups against one-lane
  * model groups in the same modes; it lands in the same JSON under
@@ -350,10 +350,10 @@ maxSurfaceDelta(const Surface &expect, const Surface &got)
     return worst;
 }
 
-/** One cell of the within-group scaling matrix. */
+/** One cell of the within-group scaling row. */
 struct MatrixCell
 {
-    unsigned fusedThreads = 1;
+    unsigned threads = 1;
     unsigned segments = 1;
     double seconds = 0.0;
     double speedup = 0.0;
@@ -462,67 +462,59 @@ main(int argc, char **argv)
                 "verified bit-identical across modes and targets; "
                 "untracked misprediction identical to tracked)\n");
 
-    // ---- Within-group scaling: fused_threads x segments matrix ---
+    // ---- Within-group scaling: segments row + group parallelism ---
     //
     // One representative scheme (GAs, the paper's centerpiece) run
-    // through every combination of the two within-group knobs.  Lane
-    // sharding (fused_threads) must stay bit-identical at every cell;
-    // speculative segmentation (segments > 1) reports its max
-    // per-point epsilon against the exact surface instead.  The full
-    // 1/2/4/8 grid always runs -- on hosts with fewer hardware
-    // threads the extra cells still verify correctness, but their
-    // speedups measure oversubscription, not scaling (interpret
-    // against "hardware_threads" in the JSON).
+    // serially through every speculative segment count -- the only
+    // axis inside a group -- and once exact with its planner groups
+    // spread over every hardware thread (threads=0), the default
+    // parallel plan.  Speculative cells (segments > 1) report their
+    // max per-point epsilon against the exact surface; the threads=0
+    // cell must stay bit-identical.  The full 1/2/4/8 row always runs
+    // -- on hosts with fewer hardware threads the extra cells still
+    // verify determinism, but their speedups measure
+    // oversubscription, not scaling (interpret against
+    // "hardware_threads" in the JSON).
     const SchemeKind matrix_kind = SchemeKind::GAs;
-    const unsigned matrix_levels[] = {1, 2, 4, 8};
     const SweepOptions &matrix_base = serial_opts;
+    std::vector<MatrixCell> matrix;
+    for (unsigned segs : {1u, 2u, 4u, 8u})
+        matrix.push_back(MatrixCell{1, segs});
+    matrix.push_back(MatrixCell{0, 1});
 
-    std::printf("\n==== Within-group scaling: %s, fused_threads x "
-                "segments (warmup %u) ====\n",
+    std::printf("\n==== Within-group scaling: %s, segments at "
+                "threads=1, exact at threads=0 (warmup %u) ====\n",
                 schemeKindName(matrix_kind),
                 matrix_base.segmentWarmup);
     Surfaces matrix_exact;
-    std::vector<MatrixCell> matrix;
     double matrix_base_s = 0.0;
-    std::printf("%4s |", "ft\\K");
-    for (unsigned segs : matrix_levels)
-        std::printf("  %10s=%u |", "segments", segs);
-    std::printf("\n");
-    for (unsigned ft : matrix_levels) {
-        std::printf("%4u |", ft);
-        for (unsigned segs : matrix_levels) {
-            MatrixCell cell;
-            cell.fusedThreads = ft;
-            cell.segments = segs;
-            SweepOptions opts = matrix_base;
-            opts.fusedThreads = ft;
-            opts.segments = segs;
-            Surfaces surface;
-            KernelTelemetry kernel;
-            for (unsigned rep = 0; rep < reps; ++rep) {
-                const double s = runOnce(
-                    session, handle.hash, matrix_kind, opts,
-                    rep == 0 ? &surface : nullptr,
-                    rep == 0 ? &kernel : nullptr);
-                cell.seconds =
-                    rep == 0 ? s : std::min(cell.seconds, s);
-            }
-            if (ft == 1 && segs == 1) {
-                matrix_exact = surface;
-                matrix_base_s = cell.seconds;
-            }
-            if (segs == 1)
-                checkSurfaces(matrix_kind, matrix_exact, surface);
-            else
-                cell.epsilon = maxSurfaceDelta(
-                    matrix_exact.misprediction, surface.misprediction);
-            cell.speedup = matrix_base_s / cell.seconds;
-            cell.utilization = kernel.workerUtilization();
-            matrix.push_back(cell);
-            std::printf(" %6.3fs %4.2fx |", cell.seconds,
-                        cell.speedup);
+    for (MatrixCell &cell : matrix) {
+        SweepOptions opts = matrix_base;
+        opts.threads = cell.threads;
+        opts.segments = cell.segments;
+        Surfaces surface;
+        KernelTelemetry kernel;
+        for (unsigned rep = 0; rep < reps; ++rep) {
+            const double s = runOnce(session, handle.hash, matrix_kind,
+                                     opts, rep == 0 ? &surface : nullptr,
+                                     rep == 0 ? &kernel : nullptr);
+            cell.seconds = rep == 0 ? s : std::min(cell.seconds, s);
         }
-        std::printf("\n");
+        if (cell.threads == 1 && cell.segments == 1) {
+            matrix_exact = surface;
+            matrix_base_s = cell.seconds;
+        }
+        if (cell.segments == 1)
+            checkSurfaces(matrix_kind, matrix_exact, surface);
+        else
+            cell.epsilon = maxSurfaceDelta(matrix_exact.misprediction,
+                                           surface.misprediction);
+        cell.speedup = matrix_base_s / cell.seconds;
+        cell.utilization = kernel.workerUtilization();
+        std::printf("threads=%u segments=%u  %6.3fs %4.2fx  "
+                    "epsilon %.3e\n",
+                    cell.threads, cell.segments, cell.seconds,
+                    cell.speedup, cell.epsilon);
     }
     double matrix_max_eps = 0.0;
     for (const MatrixCell &cell : matrix)
@@ -597,15 +589,14 @@ main(int argc, char **argv)
             "%llu, \"blocks_replayed\": %llu,\n"
             "      \"hot_bytes_per_branch\": %.2f, "
             "\"segments_per_group\": %.2f,\n"
-            "      \"shards_per_group\": %.2f, \"warmup_branches\": "
-            "%llu, \"worker_utilization\": %.3f}}%s\n",
+            "      \"warmup_branches\": %llu, \"worker_utilization\": "
+            "%.3f}}%s\n",
             simdTargetName(r.kernel.target),
             static_cast<unsigned long long>(r.kernel.fusedGroups),
             r.kernel.lanesPerGroup(),
             static_cast<unsigned long long>(r.kernel.laneBatches),
             static_cast<unsigned long long>(r.kernel.blocksReplayed),
-            r.kernel.hotBytesPerBranch(),
-            r.kernel.segmentsPerGroup(), r.kernel.shardsPerGroup(),
+            r.kernel.hotBytesPerBranch(), r.kernel.segmentsPerGroup(),
             static_cast<unsigned long long>(r.kernel.warmupBranches),
             r.kernel.workerUtilization(),
             i + 1 < results.size() ? "," : "");
@@ -623,11 +614,11 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < matrix.size(); ++i) {
         const MatrixCell &cell = matrix[i];
         std::fprintf(json,
-                     "    {\"fused_threads\": %u, \"segments\": %u, "
+                     "    {\"threads\": %u, \"segments\": %u, "
                      "\"seconds\": %.6f, \"speedup\": %.3f, "
                      "\"epsilon\": %.3e, \"worker_utilization\": "
                      "%.3f}%s\n",
-                     cell.fusedThreads, cell.segments, cell.seconds,
+                     cell.threads, cell.segments, cell.seconds,
                      cell.speedup, cell.epsilon, cell.utilization,
                      i + 1 < matrix.size() ? "," : "");
     }
@@ -647,16 +638,14 @@ main(int argc, char **argv)
             "      \"model_lanes_per_group\": %.2f, "
             "\"model_batches\": %llu, \"blocks_replayed\": %llu,\n"
             "      \"segments_per_group\": %.2f, "
-            "\"shards_per_group\": %.2f, \"worker_utilization\": "
-            "%.3f}}%s\n",
+            "\"worker_utilization\": %.3f}}%s\n",
             simdTargetName(r.kernel.target),
             static_cast<unsigned long long>(r.kernel.modelGroups),
             static_cast<unsigned long long>(r.kernel.modelLanes),
             r.kernel.modelLanesPerGroup(),
             static_cast<unsigned long long>(r.kernel.modelBatches),
             static_cast<unsigned long long>(r.kernel.blocksReplayed),
-            r.kernel.segmentsPerGroup(), r.kernel.shardsPerGroup(),
-            r.kernel.workerUtilization(),
+            r.kernel.segmentsPerGroup(), r.kernel.workerUtilization(),
             i + 1 < zoo_results.size() ? "," : "");
     }
     std::fprintf(json, "  ]},\n");

@@ -4,12 +4,6 @@ namespace bpsim::service {
 
 namespace {
 
-bool
-isPowerOfTwo(std::uint64_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
 /** Required string member, length-capped. */
 Result<std::string>
 stringField(const JsonValue &obj, const char *key, std::size_t max_bytes)
@@ -135,10 +129,6 @@ parseOptions(const JsonValue &v, const ProtocolLimits &limits,
                 uintField(value, "bht_entries", 1, 1ull << 24);
             if (!n.ok())
                 return n.error();
-            if (!isPowerOfTwo(n.value()))
-                return BPSIM_ERROR("field \"bht_entries\" must be a "
-                                   "power of two, got ",
-                                   n.value());
             opts.bhtEntries = static_cast<std::size_t>(n.value());
         } else if (key == "bht_assoc") {
             Result<std::uint64_t> n =
@@ -155,14 +145,6 @@ parseOptions(const JsonValue &v, const ProtocolLimits &limits,
             if (!n.ok())
                 return n.error();
             opts.segments = static_cast<unsigned>(n.value());
-        } else if (key == "fused_threads") {
-            // Execution-only knob (bit-identical, not cache-keyed);
-            // 0 = all hardware threads.
-            Result<std::uint64_t> n =
-                uintField(value, "fused_threads", 0, 256);
-            if (!n.ok())
-                return n.error();
-            opts.fusedThreads = static_cast<unsigned>(n.value());
         } else if (key == "segment_warmup") {
             Result<std::uint64_t> n = uintField(
                 value, "segment_warmup", 0, 1ull << 20);
@@ -206,11 +188,7 @@ parseOptions(const JsonValue &v, const ProtocolLimits &limits,
             return BPSIM_ERROR("unknown options field \"", key, "\"");
         }
     }
-    if (opts.minTotalBits > opts.maxTotalBits)
-        return BPSIM_ERROR("options min_bits (", opts.minTotalBits,
-                           ") exceeds max_bits (", opts.maxTotalBits,
-                           ")");
-    return Status();
+    return SweepSession::validateOptions(opts);
 }
 
 bool

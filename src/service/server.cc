@@ -362,16 +362,8 @@ SweepServer::handleStats(const Request &req)
     kernelObj.emplace("segments",
                       JsonValue(static_cast<std::int64_t>(
                           kernel.segments)));
-    kernelObj.emplace("lane_shards",
-                      JsonValue(static_cast<std::int64_t>(
-                          kernel.laneShards)));
-    kernelObj.emplace("shard_tasks",
-                      JsonValue(static_cast<std::int64_t>(
-                          kernel.shardTasks)));
     kernelObj.emplace("segments_per_group",
                       JsonValue(kernel.segmentsPerGroup()));
-    kernelObj.emplace("shards_per_group",
-                      JsonValue(kernel.shardsPerGroup()));
     kernelObj.emplace("warmup_branches",
                       JsonValue(static_cast<std::int64_t>(
                           kernel.warmupBranches)));

@@ -68,9 +68,8 @@ struct Table3SchemeSpec
 
 /**
  * Expand @p opts into the concrete per-scheme sweeps of Table 3.
- * Shared by bestConfigTable and SweepSession::bestConfigs so the two
- * paths replay byte-identical configuration lattices (which is what
- * lets the session serve Table 3 from the result cache).
+ * SweepSession::bestConfigs runs these sweeps through the result cache
+ * and reduces each with bestConfigRowFromSweep.
  */
 std::vector<Table3SchemeSpec> table3Plan(const Table3Options &opts);
 
@@ -79,11 +78,6 @@ BestConfigRow
 bestConfigRowFromSweep(const Table3SchemeSpec &spec,
                        const SweepResult &sweep,
                        const std::vector<unsigned> &budget_bits);
-
-/** Compute the Table 3 rows for one prepared trace. */
-std::vector<BestConfigRow>
-bestConfigTable(const PreparedTrace &trace,
-                const Table3Options &opts = {});
 
 /** The paper's tier range: 2^4 (16) through 2^15 (32768) counters. */
 SweepOptions paperSweepOptions();

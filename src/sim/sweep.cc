@@ -40,8 +40,6 @@ ratio(std::uint64_t num, std::uint64_t den)
 /** Resolved within-group execution shape for one group replay. */
 struct ReplayExec
 {
-    /** Lane shard executors (resolveFusedThreads, >= 1). */
-    unsigned shards = 1;
     /** Trace segments (resolveSegments, >= 1; 1 = exact). */
     unsigned segments = 1;
     /** Warm-up branches before each speculative segment. */
@@ -61,13 +59,11 @@ struct LaneCounts
 };
 
 /**
- * One grid task: lanes [laneLo, laneHi) start from cold private state,
- * replay [warmLo, segLo) uncounted, then count [segLo, segHi).
+ * One grid task: every lane starts from cold private state, replays
+ * [warmLo, segLo) uncounted, then counts [segLo, segHi).
  */
 struct TaskSpan
 {
-    std::size_t laneLo = 0;
-    std::size_t laneHi = 0;
     std::size_t warmLo = 0;
     std::size_t segLo = 0;
     std::size_t segHi = 0;
@@ -75,18 +71,16 @@ struct TaskSpan
 
 /**
  * The replay grid every group runs through (DESIGN.md "Segment-parallel
- * replay").  A group's replay is decomposed into (shard x segment)
- * tasks.  Shards partition the *lanes*: each task owns a disjoint,
- * contiguous run of the engine's lane order with private state, so
- * sharding never changes any lane's update sequence and results are
- * bit-identical for any shard count -- the only cost is that each shard
- * repeats its engine's per-branch decode.  Segments partition the
- * *trace* at block boundaries: segment k > 0 starts from cold state,
- * replays an uncounted warm-up window of exec.warmup branches before
- * its range, then counts its own range.  Segment boundaries and warm-up
- * depend only on (trace length, segments, warmup), so speculative
- * results are deterministic and independent of shard/worker counts;
- * segments == 1 replays [0, n) cold-started exactly.
+ * replay").  A group's replay is decomposed into one task per trace
+ * segment; every task steps all of the group's lanes.  Segments
+ * partition the *trace* at block boundaries: segment k > 0 starts from
+ * cold state, replays an uncounted warm-up window of exec.warmup
+ * branches before its range, then counts its own range.  Segment
+ * boundaries and warm-up depend only on (trace length, segments,
+ * warmup), so speculative results are deterministic and independent of
+ * worker counts; segments == 1 replays [0, n) cold-started exactly.
+ * Parallelism across lanes comes from the planner's groups
+ * (planFusedGroups), which the pool spreads over SweepOptions::threads.
  *
  * The per-(segment, lane) counts are reconciled in segment order into
  * each lane's ConfigResult slot: misprediction over the trace length,
@@ -96,8 +90,8 @@ struct TaskSpan
  *   std::size_t lanes() const;          lanes in execution order
  *   std::size_t member(std::size_t lane) const;   its job index
  *   void run(const TaskSpan &, LaneCounts *, KernelTelemetry &) const;
- * where run() steps lanes [laneLo, laneHi) over the task's spans,
- * writes lane j's counts to counts[j - laneLo], and touches no state
+ * where run() steps every lane over the task's spans, writes lane j's
+ * counts to counts[j], and touches no state
  * another task can see.  The returned telemetry carries the grid's
  * shape, timing and the tasks' engine counters; callers add the
  * population counters.
@@ -107,69 +101,52 @@ KernelTelemetry
 runGrid(const Engine &engine, std::size_t n, const ReplayExec &exec,
         ConfigResult *slots)
 {
-    // Segments never exceed the block count and shards never exceed
-    // the lane count.  Balanced integer splits keep both partitions
-    // deterministic.
+    // Segments never exceed the block count.  A balanced integer split
+    // keeps the partition deterministic.
     const std::size_t lane_count = engine.lanes();
     const std::size_t nblocks = (n + kBlockSize - 1) / kBlockSize;
-    const std::size_t shards = std::max<std::size_t>(
-        1, std::min<std::size_t>(exec.shards, lane_count));
     const std::size_t segs = std::max<std::size_t>(
         1, std::min<std::size_t>(exec.segments,
                                  std::max<std::size_t>(nblocks, 1)));
-    const std::size_t tasks = shards * segs;
-    const auto shard_begin = [&](std::size_t s) {
-        return s * lane_count / shards;
-    };
     const auto seg_begin = [&](std::size_t k) {
         return std::min(n, k * nblocks / segs * kBlockSize);
     };
 
-    // Task (s, k) writes only its shard's slice of row k, so placement
-    // is deterministic and unsynchronised.
+    // Task k writes only row k, so placement is deterministic and
+    // unsynchronised.
     std::vector<LaneCounts> seg_counts(segs * lane_count);
-    std::vector<KernelTelemetry> task_tel(tasks);
-    const auto run_task = [&](std::size_t task_idx) {
+    std::vector<KernelTelemetry> task_tel(segs);
+    const auto run_task = [&](std::size_t k) {
         const auto t0 = std::chrono::steady_clock::now();
-        const std::size_t s = task_idx / segs;
-        const std::size_t k = task_idx % segs;
         TaskSpan span;
-        span.laneLo = shard_begin(s);
-        span.laneHi = shard_begin(s + 1);
         span.segLo = seg_begin(k);
         span.segHi = seg_begin(k + 1);
         // Segment 0 starts at the true trace start and needs no
         // warm-up.
         span.warmLo =
             span.segLo > exec.warmup ? span.segLo - exec.warmup : 0;
-        KernelTelemetry &tel = task_tel[task_idx];
+        KernelTelemetry &tel = task_tel[k];
         tel.warmupBranches = span.segLo - span.warmLo;
-        engine.run(span, &seg_counts[k * lane_count + span.laneLo], tel);
+        engine.run(span, &seg_counts[k * lane_count], tel);
         tel.busySeconds = secondsSince(t0);
     };
 
-    // Executors: the fusedThreads knob sizes the shard dimension, and
-    // a speculative request implies its segments want to run
-    // concurrently, so the task phase may use whichever is larger --
-    // purely an execution choice, results never depend on it.
-    const auto workers = static_cast<unsigned>(std::min<std::size_t>(
-        tasks,
-        std::max<std::size_t>(exec.shards, segs > 1 ? segs : 1)));
+    // A speculative request wants its segments to run concurrently:
+    // one executor per segment, an execution choice results never
+    // depend on.
     const auto span0 = std::chrono::steady_clock::now();
-    if (tasks == 1 || workers <= 1) {
-        for (std::size_t task_idx = 0; task_idx < tasks; ++task_idx)
-            run_task(task_idx);
+    if (segs == 1) {
+        run_task(0);
     } else {
-        ThreadPool::shared().parallelFor(tasks, workers, run_task);
+        ThreadPool::shared().parallelFor(
+            segs, static_cast<unsigned>(segs), run_task);
     }
 
     KernelTelemetry counters;
     for (const KernelTelemetry &tel : task_tel)
         counters.merge(tel);
     counters.segments = segs;
-    counters.laneShards = shards;
-    counters.shardTasks = tasks;
-    counters.shardWorkers = workers;
+    counters.taskWorkers = segs;
     counters.spanSeconds = secondsSince(span0);
 
     // Reconcile: for segs == 1 this is exactly the serial total; for
@@ -232,22 +209,22 @@ class AliasLanes
     run(const TaskSpan &span, LaneCounts *counts,
         KernelTelemetry &tel) const
     {
-        // Private arenas per task, one per lane batch: shards never
-        // share slots and speculative segments start cold.
-        const std::size_t task_lanes = span.laneHi - span.laneLo;
+        // Private arenas per task, one per lane batch: speculative
+        // segments start cold.
+        const std::size_t lane_count = lanes();
         std::vector<AliasBatch> batches(
-            (task_lanes + AliasBatch::kMaxLanes - 1) /
+            (lane_count + AliasBatch::kMaxLanes - 1) /
             AliasBatch::kMaxLanes);
         std::vector<std::vector<std::uint32_t>> arenas(batches.size());
         for (std::size_t b = 0; b < batches.size(); ++b) {
             AliasBatch &batch = batches[b];
             batch.lanes = static_cast<unsigned>(std::min<std::size_t>(
                 AliasBatch::kMaxLanes,
-                task_lanes - b * AliasBatch::kMaxLanes));
+                lane_count - b * AliasBatch::kMaxLanes));
             std::size_t slots = 0;
             for (unsigned l = 0; l < batch.lanes; ++l) {
-                const ConfigJob &job = jobs_[members_[
-                    span.laneLo + b * AliasBatch::kMaxLanes + l]];
+                const ConfigJob &job =
+                    jobs_[members_[b * AliasBatch::kMaxLanes + l]];
                 // The kernels index with signed 32-bit slot offsets,
                 // which also keeps every row and column value a lane
                 // reads inside the decoded 32 bits.
@@ -307,7 +284,7 @@ class AliasLanes
         }
         replay(span.segLo, span.segHi, true);
 
-        for (std::size_t j = 0; j < task_lanes; ++j) {
+        for (std::size_t j = 0; j < lane_count; ++j) {
             const AliasBatch &batch = batches[j / AliasBatch::kMaxLanes];
             const std::size_t l = j % AliasBatch::kMaxLanes;
             counts[j].misses = batch.misses[l];
@@ -403,7 +380,7 @@ class ModelLanes
         }
         // Keep entry-width classes contiguous (TAGE components and
         // perceptron tables are 2^entryBits entries: rowBits for TAGE,
-        // colBits for perceptron) so each shard materialises as few
+        // colBits for perceptron) so each task materialises as few
         // index folds as possible.  Stable, execution placement only.
         const bool is_tage = isTage_;
         std::stable_sort(specs_.begin(), specs_.end(),
@@ -477,12 +454,12 @@ class ModelLanes
         for (unsigned j = 0; j < ncomp && j < 8; ++j)
             hmask[j] = mask(opts_.tageHistories[j]);
 
-        const std::size_t task_lanes = span.laneHi - span.laneLo;
+        const std::size_t lane_count = specs_.size();
         std::vector<TageModel> models;
-        models.reserve(task_lanes);
-        for (std::size_t j = span.laneLo; j < span.laneHi; ++j)
-            models.emplace_back(tageSweepParams(
-                specs_[j].rowBits, specs_[j].colBits, opts_));
+        models.reserve(lane_count);
+        for (const Spec &spec : specs_)
+            models.emplace_back(
+                tageSweepParams(spec.rowBits, spec.colBits, opts_));
 
         // Component-major key blocks, shared across lanes: tags depend
         // only on (tagBits, histories) -- group-wide -- and entry
@@ -513,11 +490,10 @@ class ModelLanes
                             mask(tag_bits));
                     }
                 }
-                for (std::size_t first = 0; first < task_lanes;) {
-                    const unsigned eb = specs_[span.laneLo + first].rowBits;
+                for (std::size_t first = 0; first < lane_count;) {
+                    const unsigned eb = specs_[first].rowBits;
                     std::size_t last = first;
-                    while (last < task_lanes &&
-                           specs_[span.laneLo + last].rowBits == eb)
+                    while (last < lane_count && specs_[last].rowBits == eb)
                         ++last;
                     if (count)
                         ++tel.modelBatches;
@@ -536,7 +512,7 @@ class ModelLanes
                     for (std::size_t j = first; j < last; ++j) {
                         TageModel &model = models[j];
                         const std::uint64_t base_mask =
-                            mask(specs_[span.laneLo + j].colBits);
+                            mask(specs_[j].colBits);
                         std::uint64_t misses = 0;
                         for (std::size_t i = 0; i < m; ++i) {
                             const bool taken = block.tk[i] != 0;
@@ -575,17 +551,16 @@ class ModelLanes
             std::int32_t theta;
             unsigned entryBits;
         };
-        const std::size_t task_lanes = span.laneHi - span.laneLo;
+        const std::size_t lane_count = specs_.size();
         std::vector<PerceptronLane> lanes;
-        lanes.reserve(task_lanes);
-        for (std::size_t j = span.laneLo; j < span.laneHi; ++j) {
+        lanes.reserve(lane_count);
+        for (const Spec &spec : specs_) {
             // Validate through the real params (geometry errors surface
             // exactly as PerceptronModel would raise them).
-            perceptronSweepParams(specs_[j].rowBits, specs_[j].colBits,
-                                  opts_)
+            perceptronSweepParams(spec.rowBits, spec.colBits, opts_)
                 .validate();
             PerceptronLane lane;
-            lane.entryBits = specs_[j].colBits;
+            lane.entryBits = spec.colBits;
             // The SoA bank: table t's weight e at (t << eb) + e, gather
             // slack past the last weight (simd.hh).
             lane.bank.assign((static_cast<std::size_t>(tables)
@@ -593,7 +568,7 @@ class ModelLanes
                                  PerceptronBatch::kGatherSlack,
                              0);
             lane.theta = static_cast<std::int32_t>(
-                (193u * specs_[j].rowBits) / 100u + 14u);
+                (193u * spec.rowBits) / 100u + 14u);
             lanes.push_back(std::move(lane));
         }
 
@@ -610,12 +585,12 @@ class ModelLanes
                 if (count)
                     ++tel.blocksReplayed;
                 decode(block, base, m);
-                for (std::size_t b_lo = 0; b_lo < task_lanes;
+                for (std::size_t b_lo = 0; b_lo < lane_count;
                      b_lo += PerceptronBatch::kMaxLanes) {
                     PerceptronBatch batch;
                     batch.lanes = static_cast<unsigned>(
                         std::min<std::size_t>(PerceptronBatch::kMaxLanes,
-                                              task_lanes - b_lo));
+                                              lane_count - b_lo));
                     batch.tables = tables;
                     for (unsigned l = 0; l < batch.lanes; ++l) {
                         PerceptronLane &lane = lanes[b_lo + l];
@@ -638,8 +613,7 @@ class ModelLanes
                                     wfold[i] = static_cast<std::uint32_t>(
                                         xorFold(widx[off + i], eb));
                             }
-                            const unsigned h =
-                                specs_[span.laneLo + b_lo + l].rowBits;
+                            const unsigned h = specs_[b_lo + l].rowBits;
                             const std::size_t stride =
                                 static_cast<std::size_t>(tables) *
                                 PerceptronBatch::kMaxLanes;
@@ -729,8 +703,8 @@ KernelTelemetry::hotBytesPerBranch() const
 double
 KernelTelemetry::segmentsPerGroup() const
 {
-    // Every group runs the shard x segment grid, so the per-group
-    // means average over the combined population.
+    // Every group runs the segment grid, so the per-group mean
+    // averages over the combined population.
     const std::uint64_t groups = fusedGroups + modelGroups;
     return groups ? static_cast<double>(segments) /
                         static_cast<double>(groups)
@@ -738,21 +712,12 @@ KernelTelemetry::segmentsPerGroup() const
 }
 
 double
-KernelTelemetry::shardsPerGroup() const
-{
-    const std::uint64_t groups = fusedGroups + modelGroups;
-    return groups ? static_cast<double>(laneShards) /
-                        static_cast<double>(groups)
-                  : 0.0;
-}
-
-double
 KernelTelemetry::workerUtilization() const
 {
-    if (spanSeconds <= 0.0 || shardWorkers == 0)
+    if (spanSeconds <= 0.0 || taskWorkers == 0)
         return 0.0;
     return busySeconds /
-           (spanSeconds * static_cast<double>(shardWorkers));
+           (spanSeconds * static_cast<double>(taskWorkers));
 }
 
 void
@@ -767,8 +732,6 @@ KernelTelemetry::merge(const KernelTelemetry &other)
     laneBatches += other.laneBatches;
     blocksReplayed += other.blocksReplayed;
     segments += other.segments;
-    laneShards += other.laneShards;
-    shardTasks += other.shardTasks;
     warmupBranches += other.warmupBranches;
     modelGroups += other.modelGroups;
     modelLanes += other.modelLanes;
@@ -777,13 +740,7 @@ KernelTelemetry::merge(const KernelTelemetry &other)
     spanSeconds += other.spanSeconds;
     // The widest task phase seen; utilisation divides busy time by
     // span * this, so taking the max keeps the ratio conservative.
-    shardWorkers = std::max(shardWorkers, other.shardWorkers);
-}
-
-unsigned
-resolveFusedThreads(const SweepOptions &opts)
-{
-    return ThreadPool::resolveThreads(opts.fusedThreads);
+    taskWorkers = std::max(taskWorkers, other.taskWorkers);
 }
 
 unsigned
@@ -959,8 +916,6 @@ StreamCache::bhtStreamLocked(unsigned row_bits)
         if (it == bht_.end()) {
             it = bht_.emplace(row_bits, std::move(built)).first;
         } else {
-            // Rebuild in place: the node (and thus any prepared-table
-            // pointer to it) stays put.
             it->second = std::move(built);
         }
     }
@@ -1024,75 +979,32 @@ StreamCache::prepare(const std::vector<ConfigJob> &jobs,
         });
     }
 
-    if (!builds.empty()) {
-        if (threads <= 1 || builds.size() == 1) {
-            for (auto &build : builds)
-                build();
-        } else {
-            ThreadPool::shared().parallelFor(
-                builds.size(), threads,
-                [&](std::size_t i) { builds[i](); });
-        }
+    if (threads <= 1 || builds.size() <= 1) {
+        for (auto &build : builds)
+            build();
+    } else {
+        ThreadPool::shared().parallelFor(
+            builds.size(), threads, [&](std::size_t i) { builds[i](); });
     }
-
-    // Publish the lock-free lookup table -- even when nothing needed
-    // building, so a prepared cache never locks in the execution hot
-    // path.  The pointers are stable: path_ is emplaced once and map
-    // nodes never move, and lazy (post-prepare) inserts only add
-    // entries these tables do not reference.
-    std::lock_guard<std::mutex> lock(mutex_);
-    preparedPath_ = path_ ? &*path_ : nullptr;
-    preparedBht_.clear();
-    preparedBht_.reserve(bht_.size());
-    for (const auto &entry : bht_)
-        preparedBht_.emplace_back(entry.first, &entry.second);
-}
-
-const StreamCache::BhtStream *
-StreamCache::preparedBhtStream(unsigned row_bits) const
-{
-    for (const auto &entry : preparedBht_) {
-        if (entry.first == row_bits)
-            return entry.second;
-    }
-    return nullptr;
 }
 
 const std::vector<std::uint64_t> *
 StreamCache::stream(SchemeKind kind, unsigned row_bits)
 {
-    // Release tracking bypasses the lock-free table: a stream another
-    // group finished with may be freed (and rebuilt) at any moment, so
-    // the lookup must observe release state under the lock.  That is
-    // one short lock per group, not per branch.
-    if (kind == SchemeKind::Path) {
-        if (!releaseTracking_ && preparedPath_)
-            return preparedPath_;
-        lockedLookups_.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(mutex_);
+    // Every lookup takes the lock: a stream another group finished with
+    // may be freed (and rebuilt) at any moment.  That is one short lock
+    // per group, not per branch.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (kind == SchemeKind::Path)
         return &pathStreamLocked();
-    }
-    if (kind == SchemeKind::PAsFinite) {
-        if (!releaseTracking_) {
-            if (const BhtStream *prepared =
-                    preparedBhtStream(row_bits))
-                return &prepared->stream;
-        }
-        lockedLookups_.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(mutex_);
+    if (kind == SchemeKind::PAsFinite)
         return &bhtStreamLocked(row_bits).stream;
-    }
     return nullptr;
 }
 
 double
 StreamCache::bhtMissRate(unsigned row_bits)
 {
-    if (!releaseTracking_) {
-        if (const BhtStream *prepared = preparedBhtStream(row_bits))
-            return prepared->missRate;
-    }
-    lockedLookups_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(mutex_);
     // The rate is recorded at build time and survives release; only
     // rebuild when the entry has never been built at all.
@@ -1100,12 +1012,6 @@ StreamCache::bhtMissRate(unsigned row_bits)
     if (it != bht_.end())
         return it->second.missRate;
     return bhtStreamLocked(row_bits).missRate;
-}
-
-std::size_t
-StreamCache::lockedLookups() const
-{
-    return lockedLookups_.load(std::memory_order_relaxed);
 }
 
 std::size_t
@@ -1146,7 +1052,6 @@ StreamCache::groupFinished(const FusedGroup &group)
     if (group.kind == SchemeKind::Path) {
         if (pathConsumers_ > 0 && --pathConsumers_ == 0 && path_) {
             path_.reset();
-            preparedPath_ = nullptr;
             --residentStreams_;
         }
         return;
@@ -1159,9 +1064,7 @@ StreamCache::groupFinished(const FusedGroup &group)
     bhtConsumers_.erase(consumers);
     auto it = bht_.find(group.streamRowBits);
     if (it != bht_.end() && !it->second.released) {
-        // Free the buffer, keep the node: missRate stays readable and
-        // any prepared-table pointer to the node stays valid (though
-        // release tracking already routes lookups around that table).
+        // Free the buffer, keep the node: missRate stays readable.
         it->second.stream.clear();
         it->second.stream.shrink_to_fit();
         it->second.released = true;
@@ -1191,10 +1094,9 @@ runFusedGroup(const FusedGroup &group,
     const PreparedTrace &t = cache.trace();
     const SweepOptions &opts = cache.options();
     const SimdTarget target = resolveSimdTarget(opts.simd);
-    // The within-group execution shape: lane shards (always
-    // bit-identical) and trace segments (speculative when > 1).
+    // The within-group execution shape: trace segments (speculative
+    // when > 1).
     ReplayExec exec;
-    exec.shards = resolveFusedThreads(opts);
     exec.segments = resolveSegments(opts);
     exec.warmup = opts.segmentWarmup;
     // One stream lookup per group, not per job or per branch.

@@ -30,18 +30,15 @@
  *  - model: TAGE/perceptron lanes sharing the block decode and hash
  *    folds.
  *
- * Within one group the grid has two axes of parallelism (see DESIGN.md
- * "Segment-parallel replay"), shared by both engines:
- *
- *  - SweepOptions::fusedThreads lane-shards the group: each executor
- *    owns a disjoint subset of the member lanes with private state, so
- *    any shard count is bit-identical to the serial pass.
- *  - SweepOptions::segments speculatively splits the *trace* into K
- *    ranges replayed concurrently from cold-start state behind a
- *    segmentWarmup-branch warm-up window.  K > 1 trades a bounded,
- *    auditable epsilon for parallelism; the exact K = 1 mode is the
- *    default and speculative results depend only on (K, warmup), never
- *    on shard/worker counts.
+ * Exact work has one parallel axis: the planner's groups, spread over
+ * SweepOptions::threads.  Inside one group the only axis is
+ * SweepOptions::segments (see DESIGN.md "Segment-parallel replay"),
+ * shared by both engines: it speculatively splits the *trace* into K
+ * ranges replayed concurrently from cold-start state behind a
+ * segmentWarmup-branch warm-up window.  K > 1 trades a bounded,
+ * auditable epsilon for parallelism; the exact K = 1 mode is the
+ * default and speculative results depend only on (K, warmup), never on
+ * thread or worker counts.
  *
  * The sweep path is the fast counterpart of the online TwoLevelPredictor
  * (see prepared_trace.hh); their equivalence is pinned by tests.
@@ -50,7 +47,6 @@
 #ifndef BPSIM_SIM_SWEEP_HH
 #define BPSIM_SIM_SWEEP_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -136,8 +132,10 @@ struct SweepOptions
      */
     unsigned perceptronTables = 4;
     /**
-     * Concurrent trace replays during execution: 0 = one per hardware
-     * thread, 1 = serial.  Results are identical either way.
+     * Concurrent group replays during execution: 0 = one per hardware
+     * thread, 1 = serial.  The planner's groups (planFusedGroups) are
+     * the only partition of exact work, so this is the one parallel
+     * axis of an exact sweep.  Results are identical either way.
      */
     unsigned threads = 1;
     /**
@@ -149,19 +147,6 @@ struct SweepOptions
      * differential tests), so this is a performance/debug knob only.
      */
     SimdTarget simd = SimdTarget::Auto;
-    /**
-     * Executors *inside* one group: the group's member lanes are
-     * sharded across this many concurrent replay workers, each owning
-     * a disjoint lane subset with private tables, slot arenas, models or
-     * weight banks -- nothing is shared, so results are bit-identical
-     * for any value.
-     * 0 = one per hardware thread, 1 (default) reproduces the serial
-     * group replay.  Composes with `threads`: groups distribute outer,
-     * shards inner (the pool's nested parallelFor is deadlock-free).
-     * Execution knob only: excluded from result-cache keys
-     * (sweep_session.cc), exactly like `threads` and `simd`.
-     */
-    unsigned fusedThreads = 1;
     /**
      * Speculative segment replay: split the trace into this many
      * ranges, replay them concurrently from cold-start state after a
@@ -175,7 +160,7 @@ struct SweepOptions
      * runs larger at the same warmup -- see EXPERIMENTS.md) for
      * segment parallelism.  Applies to every lane engine, aliasing
      * and harmless counts included.  Speculative results depend only
-     * on (K, segmentWarmup) -- never on shard or worker counts -- and
+     * on (K, segmentWarmup) -- never on thread or worker counts -- and
      * are cached under a distinct key (sweep_session.cc).  Clamped to
      * kMaxSegments; see resolveSegments().
      */
@@ -199,12 +184,6 @@ struct SweepOptions
      */
     static constexpr unsigned kMaxTotalBits = 26;
 };
-
-/**
- * The within-group shard executor count a sweep actually uses:
- * opts.fusedThreads with 0 resolved to the hardware thread count.
- */
-unsigned resolveFusedThreads(const SweepOptions &opts);
 
 /**
  * The segment count a sweep actually uses: opts.segments clamped to
@@ -235,17 +214,16 @@ struct KernelTelemetry
     std::uint64_t laneBatches = 0;
     /** Decoded block tiles streamed through the lane batches. */
     std::uint64_t blocksReplayed = 0;
-    /** Trace segments across groups (1/group = exact replay). */
+    /**
+     * Trace segments across groups (1/group = exact replay); each
+     * segment is one replay task.
+     */
     std::uint64_t segments = 0;
-    /** Lane shards across groups (1/group = unsharded). */
-    std::uint64_t laneShards = 0;
-    /** (shard x segment) replay tasks dispatched by groups. */
-    std::uint64_t shardTasks = 0;
     /** Uncounted warm-up branches replayed by speculative segments. */
     std::uint64_t warmupBranches = 0;
     /**
      * Model groups (TAGE/perceptron zoo) replayed by the model engine.
-     * They run the same grid -- their segments/shards/tasks/warm-up/
+     * They run the same grid -- their segments/warm-up/
      * blocks/timing fold into the shared counters above -- but step
      * full predictor models instead of 2-bit tables, so their
      * population is counted apart from fusedGroups/lanes.
@@ -264,7 +242,7 @@ struct KernelTelemetry
     /** Summed per-group wall time of the task phase. */
     double spanSeconds = 0.0;
     /** Peak concurrent executors any group's task phase could use. */
-    std::uint64_t shardWorkers = 0;
+    std::uint64_t taskWorkers = 0;
 
     /** Mean member configurations per 2-bit group. */
     double lanesPerGroup() const;
@@ -272,11 +250,9 @@ struct KernelTelemetry
     double modelLanesPerGroup() const;
     /** Mean trace segments per group (1.0 = exact everywhere). */
     double segmentsPerGroup() const;
-    /** Mean lane shards per group (1.0 = unsharded). */
-    double shardsPerGroup() const;
     /**
      * Fraction of the task phase's worker-seconds spent executing:
-     * busySeconds / (spanSeconds * shardWorkers).  1.0 means every
+     * busySeconds / (spanSeconds * taskWorkers).  1.0 means every
      * executor was busy for the whole span; 0.0 when unmeasured.
      */
     double workerUtilization() const;
@@ -367,13 +343,10 @@ FusedGroup singleJobGroup(const std::vector<ConfigJob> &jobs,
  * their miss rates.
  *
  * prepare() builds every stream a job list needs up front -- in
- * parallel when asked -- and publishes a lock-free lookup table, after
- * which stream() and bhtMissRate() are read-only lookups that take no
- * lock at all (lockedLookups() counts the ones that did, so tests can
- * pin the fused hot path to zero).  Unprepared lookups build lazily
- * under a lock, which keeps one-off simulateConfig() calls cheap to
- * write.  prepare() must not race with concurrent lookups; the sweep
- * engine always finishes it before dispatching executors.
+ * parallel when asked.  Every lookup takes one short lock (a group
+ * looks its stream up once, not per branch) and builds a missing
+ * stream lazily, which keeps one-off simulateConfig() calls cheap to
+ * write.
  */
 class StreamCache
 {
@@ -389,24 +362,12 @@ class StreamCache
     /**
      * First-level stream feeding a job's row index, or nullptr for the
      * schemes that index rows straight from the prepared trace.
-     * Lock-free after prepare() covered the (kind, row_bits) pair.
      */
     const std::vector<std::uint64_t> *stream(SchemeKind kind,
                                              unsigned row_bits);
 
-    /**
-     * BHT miss rate observed building the width-@p row_bits stream.
-     * Lock-free after prepare() covered the width.
-     */
+    /** BHT miss rate observed building the width-@p row_bits stream. */
     double bhtMissRate(unsigned row_bits);
-
-    /**
-     * Lookups (stream() or bhtMissRate()) that missed the prepared
-     * lock-free table and had to take the lazy-build lock.  Fused
-     * execution after prepare() must leave this at zero -- the
-     * invariant pinned by test_sweep.
-     */
-    std::size_t lockedLookups() const;
 
     /**
      * Number of first-level streams computed so far (path stream plus
@@ -429,11 +390,8 @@ class StreamCache
      * consume each first-level stream so groupFinished() can free a
      * stream's buffer the moment its last consumer completes (a full
      * multi-scheme sweep would otherwise hold O(schemes x trace)
-     * bytes).  While tracking is on, stream() and bhtMissRate() bypass
-     * the lock-free prepared table -- a freed buffer must never be
-     * reachable through it -- and take the lazy lock instead: one
-     * short lock per group, not per branch.  Call before dispatching
-     * executors; not thread-safe against concurrent lookups.
+     * bytes).  A later lookup of a released stream rebuilds it.  Call
+     * before dispatching executors.
      */
     void planRelease(const std::vector<FusedGroup> &groups);
 
@@ -463,8 +421,6 @@ class StreamCache
     const BhtStream &bhtStreamLocked(unsigned row_bits);
     /** Count a freshly built stream toward the resident high-water. */
     void noteStreamResidentLocked();
-    /** Lock-free lookup in the prepared table; nullptr on miss. */
-    const BhtStream *preparedBhtStream(unsigned row_bits) const;
 
     const PreparedTrace &trace_;
     SweepOptions opts_;
@@ -472,14 +428,6 @@ class StreamCache
     std::optional<std::vector<std::uint64_t>> path_;
     std::map<unsigned, BhtStream> bht_;
     std::size_t streamBuilds_ = 0;
-    /**
-     * Lock-free lookup table published by prepare(): stable pointers
-     * into path_ / bht_ (map nodes never move, lazy inserts never
-     * touch these), read by stream()/bhtMissRate() without the lock.
-     */
-    const std::vector<std::uint64_t> *preparedPath_ = nullptr;
-    std::vector<std::pair<unsigned, const BhtStream *>> preparedBht_;
-    mutable std::atomic<std::size_t> lockedLookups_{0};
     /** Release-after-last-consumer state (planRelease). */
     bool releaseTracking_ = false;
     std::size_t pathConsumers_ = 0;
@@ -494,8 +442,7 @@ class StreamCache
  * planned job vector.  The lane engine follows from the group's kind:
  * model for the zoo, 2-bit otherwise (SweepOptions::simd picks every
  * engine's dispatch target).  When @p telemetry is non-null the
- * group's kernel counters are accumulated into it.  Thread-safe once
- * @p cache is prepared for the group.
+ * group's kernel counters are accumulated into it.  Thread-safe.
  */
 void runFusedGroup(const FusedGroup &group,
                    const std::vector<ConfigJob> &jobs,

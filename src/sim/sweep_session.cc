@@ -4,6 +4,7 @@
 #include <chrono>
 #include <optional>
 
+#include "common/bitutil.hh"
 #include "common/config.hh"
 #include "common/thread_pool.hh"
 #include "workload/trace_key.hh"
@@ -32,6 +33,26 @@ checkTableCeiling(std::uint64_t total_bits)
 }
 
 } // namespace
+
+Status
+SweepSession::validateOptions(const SweepOptions &opts)
+{
+    if (opts.minTotalBits > opts.maxTotalBits)
+        return BPSIM_ERROR("options min_bits (", opts.minTotalBits,
+                           ") exceeds max_bits (", opts.maxTotalBits,
+                           ")");
+    if (Status ceiling = checkTableCeiling(opts.maxTotalBits);
+        !ceiling.ok())
+        return ceiling;
+    if (!isPowerOfTwo(opts.bhtEntries))
+        return BPSIM_ERROR("options bht_entries must be a power of two, "
+                           "got ", opts.bhtEntries);
+    if (opts.bhtAssoc == 0 || opts.bhtEntries % opts.bhtAssoc != 0)
+        return BPSIM_ERROR("options bht_assoc (", opts.bhtAssoc,
+                           ") must divide bht_entries (",
+                           opts.bhtEntries, ")");
+    return Status();
+}
 
 SweepSession::SweepSession(std::string cache_dir,
                            std::uint64_t cache_budget_bytes)
@@ -123,10 +144,10 @@ SweepSession::cacheConfigKey(SchemeKind kind, const SweepOptions &opts)
 {
     // Only result-affecting options, and of those only the ones the
     // scheme reads: a gshare sweep must not miss because an unused
-    // BHT knob changed.  threads/simd/fusedThreads are
-    // bit-identical execution knobs (pinned by the differential
-    // tests) and are deliberately absent; segments joins the key only
-    // when it resolves speculative (see schemeOptionTokens).
+    // BHT knob changed.  threads/simd are bit-identical execution
+    // knobs (pinned by the differential tests) and are deliberately
+    // absent; segments joins the key only when it resolves
+    // speculative (see schemeOptionTokens).
     std::vector<std::string> tokens = schemeOptionTokens(kind, opts);
     tokens.push_back("min=" + std::to_string(opts.minTotalBits));
     tokens.push_back("max=" + std::to_string(opts.maxTotalBits));
@@ -181,9 +202,8 @@ Result<SweepResponse>
 SweepSession::sweep(const SweepRequest &request)
 {
     const auto start = std::chrono::steady_clock::now();
-    if (Status ceiling = checkTableCeiling(request.options.maxTotalBits);
-        !ceiling.ok())
-        return ceiling.error();
+    if (Status valid = validateOptions(request.options); !valid.ok())
+        return valid.error();
     const CacheKey key = cacheKey(request);
 
     if (!request.bypassCache) {
@@ -259,9 +279,8 @@ SweepSession::sweepBatch(const std::vector<SweepRequest> &requests,
     std::map<std::string, std::vector<std::size_t>> groups;
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const SweepRequest &req = requests[i];
-        if (Status ceiling = checkTableCeiling(req.options.maxTotalBits);
-            !ceiling.ok()) {
-            out[i] = Result<SweepResponse>(ceiling.error());
+        if (Status valid = validateOptions(req.options); !valid.ok()) {
+            out[i] = Result<SweepResponse>(valid.error());
             continue;
         }
         if (!req.bypassCache) {
@@ -371,6 +390,8 @@ SweepSession::point(const TraceHash &trace, SchemeKind kind,
                            "bits) in 1..64 and cols (table entry "
                            "bits) <= 28; got rows=", row_bits,
                            " cols=", col_bits);
+    if (Status valid = validateOptions(opts); !valid.ok())
+        return valid.error();
     if (Status ceiling = checkTableCeiling(std::uint64_t{row_bits} + col_bits);
         !ceiling.ok())
         return ceiling.error();

@@ -3,7 +3,7 @@
  * The session facade of the engine core.
  *
  * Everything outside src/sim used to drive sweeps by hand: generate a
- * trace, build a PreparedTrace, call sweepScheme/bestConfigTable, and
+ * trace, build a PreparedTrace, call sweepScheme, and
  * rebuild all of it on the next run.  A SweepSession packages that
  * pipeline behind declarative requests:
  *
@@ -27,8 +27,8 @@
  *    per-scheme parameters the scheme actually reads, and -- only when
  *    a request resolves speculative (resolveSegments > 1) -- the
  *    segment count and warm-up width, so speculative and exact results
- *    never cross-serve.  Execution knobs (threads, simd, fusedThreads)
- *    are bit-identical by construction -- pinned by the differential
+ *    never cross-serve.  Execution knobs (threads, simd) are
+ *    bit-identical by construction -- pinned by the differential
  *    tests -- and are excluded, so a sweep computed with 8 threads is
  *    a hit for a serial rerun.
  *
@@ -131,7 +131,7 @@ struct BatchCounters
      * Kernel telemetry summed over every envelope replay this batch
      * executed (cache hits contribute nothing -- nothing ran).  The
      * service stats op surfaces it so a long-lived daemon reports its
-     * cumulative dispatch target, segment/shard shape and worker
+     * cumulative dispatch target, segment shape and worker
      * utilisation.
      */
     KernelTelemetry kernel;
@@ -184,8 +184,8 @@ class SweepSession
      * Serve one sweep request: result cache, then replay through the
      * plan/fuse/SIMD machinery.  Results are bit-identical to a
      * direct sweepScheme() call with the same options.  Errors when
-     * the trace key is not interned (and the cache cannot answer), or
-     * when maxTotalBits exceeds SweepOptions::kMaxTotalBits.
+     * the options fail validateOptions(), or when the trace key is not
+     * interned (and the cache cannot answer).
      */
     Result<SweepResponse> sweep(const SweepRequest &request);
 
@@ -222,17 +222,19 @@ class SweepSession
     /**
      * Probe a single configuration (uncached -- single points are
      * cheap and pollute the key space).  @p opts carries the
-     * per-scheme parameters; tier bounds are ignored.  Errors when
-     * row_bits + col_bits exceeds SweepOptions::kMaxTotalBits.
+     * per-scheme parameters and must pass validateOptions(); its
+     * tier bounds are otherwise ignored.  Errors when row_bits +
+     * col_bits exceeds SweepOptions::kMaxTotalBits.
      */
     Result<ConfigResult> point(const TraceHash &trace, SchemeKind kind,
                                unsigned row_bits, unsigned col_bits,
                                const SweepOptions &opts = {});
 
     /**
-     * Table 3 for an interned trace: same rows as bestConfigTable(),
-     * but each underlying scheme sweep routes through the result
-     * cache.  Scheme sweeps run concurrently per Table3Options::threads.
+     * Table 3 for an interned trace: one table3Plan() sweep per
+     * scheme, each routed through the result cache and reduced by
+     * bestConfigRowFromSweep().  Scheme sweeps run concurrently per
+     * Table3Options::threads.
      */
     Result<std::vector<BestConfigRow>>
     bestConfigs(const TraceHash &trace, const Table3Options &opts = {});
@@ -244,6 +246,16 @@ class SweepSession
      */
     Result<std::shared_ptr<const PreparedTrace>>
     prepared(const TraceHash &trace);
+
+    /**
+     * Cross-field validity of @p opts, checked before any replay so a
+     * bad request is an error, not an abort: a tier range that is not
+     * reversed and stays within SweepOptions::kMaxTotalBits, and a BHT
+     * geometry the first level accepts (a power-of-two entry count
+     * that the associativity divides).  The service protocol calls it
+     * on every parsed options object.
+     */
+    static Status validateOptions(const SweepOptions &opts);
 
     /**
      * The canonical config-key fragment of a request (exposed for

@@ -424,6 +424,19 @@ fuzzRequestLines(service::SweepServer &server,
     mustError(server, "{\"op\":\"no_such_op\"}", "unknown op",
               report);
 
+    // Options valid field by field but not together, and the retired
+    // lane-shard key.
+    const std::string sweep_prefix =
+        "{\"op\":\"sweep\",\"trace\":{\"profile\":\"compress\","
+        "\"branches\":20000},\"scheme\":\"PAs(bht)\",\"options\":";
+    mustError(server, sweep_prefix + "{\"bht_assoc\":3}}",
+              "associativity not dividing the BHT", report);
+    mustError(server,
+              sweep_prefix + "{\"bht_entries\":2,\"bht_assoc\":4}}",
+              "associativity wider than the BHT", report);
+    mustError(server, sweep_prefix + "{\"fused_" "threads\":8}}",
+              "retired lane-shard options field", report);
+
     // The server must still be alive and serving.
     {
         std::optional<service::JsonValue> response = serveFuzzLine(

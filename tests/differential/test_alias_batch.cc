@@ -8,9 +8,9 @@
  * and column-heavy splits at tiers 16-18 -- run through
  * runFusedGroup as one group (several lane batches per block) and as
  * the planner's groups, under every SIMD target this host supports
- * (forced through SweepOptions::simd), lane shard counts 1-4, and
- * segment counts 1 and K > 1.  Every execution shape must be
- * bit-identical to the scalar unsharded one, and the exact results
+ * (forced through SweepOptions::simd), and segment counts 1 and
+ * K > 1.  Every execution shape must be bit-identical to the scalar
+ * one-group one, and the exact results
  * must match the naive reference model (misprediction) and the online
  * TwoLevelPredictor's AliasTracker (aliasing and harmless fractions).
  * Untracked runs (trackAliasing false) must report the same
@@ -25,7 +25,7 @@
  * the tracked engine and the reference model.
  *
  * The tsan test preset's name filter includes "AliasBatch", so the
- * shard x segment grid over alias lanes runs under the race detector.
+ * segment grid over alias lanes runs under the race detector.
  * The 1000-composition campaign at the bottom additionally needs
  * BPSIM_SLOW_TESTS=1 (ctest -L slow).
  */
@@ -226,9 +226,9 @@ expectMatchesOracles(const MemoryTrace &trace, const Composition &c,
 
 /**
  * The full check of one composition: the scalar one-group exact
- * replay is the baseline; planner groups, every target, lane shards
- * 1-4 and (speculative) segments must reproduce it or each other bit
- * for bit, and the baseline must match the oracles.
+ * replay is the baseline; planner groups, every target and
+ * (speculative) segments must reproduce it or each other bit for bit,
+ * and the baseline must match the oracles.
  */
 void
 checkComposition(const MemoryTrace &trace, const PreparedTrace &prepared,
@@ -263,16 +263,12 @@ checkComposition(const MemoryTrace &trace, const PreparedTrace &prepared,
         const std::string tag = what + " " + simdTargetName(target);
         SweepOptions forced = c.opts;
         forced.simd = target;
-        forced.fusedThreads = 1 + rng.nextBounded(4);
-        expectSlotsIdentical(exact, runOneGroup(prepared, c, forced),
-                             tag + " shards " +
-                                 std::to_string(forced.fusedThreads));
+        expectSlotsIdentical(exact, runOneGroup(prepared, c, forced), tag);
         expectSlotsIdentical(exact, runPlanned(prepared, c, forced),
                              tag + " planned");
 
         SweepOptions spec = speculative;
         spec.simd = target;
-        spec.fusedThreads = 1 + rng.nextBounded(4);
         expectSlotsIdentical(spec_scalar, runOneGroup(prepared, c, spec),
                              tag + " segments " +
                                  std::to_string(spec.segments));
@@ -282,7 +278,6 @@ checkComposition(const MemoryTrace &trace, const PreparedTrace &prepared,
     // segment exact by construction.
     SweepOptions covering = speculative;
     covering.segmentWarmup = static_cast<unsigned>(prepared.size());
-    covering.fusedThreads = 1 + rng.nextBounded(4);
     expectSlotsIdentical(exact, runOneGroup(prepared, c, covering),
                          what + " covering warm-up");
 }
@@ -489,8 +484,8 @@ TEST(AliasBatchKernel, SlotWordEncodesLastWriterAndCounter)
 TEST(AliasBatchDifferential, FuzzedCompositionsAgreeAcrossTargetsAndOracles)
 {
     // >= 100 fuzzed compositions, every 2-bit scheme in rotation, each
-    // held to the oracles and replayed under every supported target,
-    // shard counts 1-4 and segments 1 and K > 1.
+    // held to the oracles and replayed under every supported target
+    // and segments 1 and K > 1.
     runCampaign(0xA1A5BA7CULL, 105, 1200, 2000);
 
     // Tables past 2^15 counters on a short trace.

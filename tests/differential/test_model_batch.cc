@@ -3,14 +3,14 @@
  * Differential verification of the model lane engine (sweep.cc): a
  * model group stepping the whole TAGE/perceptron zoo in one trace pass
  * must be bit-identical to the naive reference mirrors, configuration
- * by configuration, for every SIMD dispatch target, shard count and
+ * by configuration, for every SIMD dispatch target, thread count and
  * fuzzed group composition; speculative segments must be
  * deterministic with a bounded epsilon and exact under a covering
  * warm-up.
  *
  * The suite name is load-bearing: the tsan preset runs
  * "...|SegmentParallel|TageZoo|PerceptronZoo|ModelBatch", so the
- * shards x segments task grid and the shared per-task key blocks are
+ * groups x segments task grid and the shared per-task key blocks are
  * replayed under the race detector.  The long campaign at the bottom
  * additionally needs BPSIM_SLOW_TESTS=1 (the executable carries the
  * `zoo` ctest label).
@@ -174,7 +174,7 @@ maxPointDelta(const SweepResult &a, const SweepResult &b)
 
 /**
  * One fuzzed group composition: a job list executed through the
- * model-group path under (target, shards, threads), every slot held
+ * model-group path under (target, threads), every slot held
  * to exact equality against its reference rate (@p expected) with
  * zero aliasing surfaces.
  */
@@ -183,11 +183,10 @@ checkComposition(const PreparedTrace &prepared,
                  const std::vector<ConfigJob> &jobs,
                  const std::vector<double> &expected,
                  const SweepOptions &base, SimdTarget target,
-                 unsigned shards, unsigned threads, int round)
+                 unsigned threads, int round)
 {
     SweepOptions opts = base;
     opts.simd = target;
-    opts.fusedThreads = shards;
     std::vector<ConfigResult> batched =
         runGroups(prepared, jobs, opts, threads);
 
@@ -195,7 +194,7 @@ checkComposition(const PreparedTrace &prepared,
         EXPECT_EQ(batched[j].mispRate, expected[j])
             << schemeKindName(jobs[j].kind) << " r=" << jobs[j].rowBits
             << " c=" << jobs[j].colBits << " "
-            << simdTargetName(target) << " shards=" << shards
+            << simdTargetName(target) << " threads=" << threads
             << " round " << round;
         EXPECT_EQ(batched[j].aliasRate, 0.0);
         EXPECT_EQ(batched[j].harmlessFraction, 0.0);
@@ -209,9 +208,9 @@ TEST(ModelBatchDifferential, BatchedSweepBitIdenticalToPerConfig)
     // The tentpole invariant at sweep granularity: for fuzzed zoo
     // knobs, a batched sweep (one model group stepping every lane)
     // must reproduce the per-config reference mirrors exactly, on
-    // every SIMD target, for any lane shard count, with or without
-    // outer group parallelism.  >= 100 configurations accumulate
-    // across rounds.
+    // every SIMD target, for any thread count (which also sets how
+    // the planner chunks the model groups).  >= 100 configurations
+    // accumulate across rounds.
     Pcg32 rng(0x300DE1B5ULL, 17);
     std::size_t configs_checked = 0;
     for (int round = 0; round < 6; ++round) {
@@ -229,15 +228,17 @@ TEST(ModelBatchDifferential, BatchedSweepBitIdenticalToPerConfig)
         configs_checked += pointCount(serial);
 
         for (SimdTarget target : supportedSimdTargets()) {
-            for (unsigned shards : {2u, 3u, 8u, 0u}) {
+            for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
                 SweepOptions opts = base;
                 opts.simd = target;
-                opts.fusedThreads = shards;
-                opts.threads = (round & 1) ? 2 : 1;
+                opts.threads = threads;
                 const SweepResult batched =
                     sweepScheme(prepared, kind, opts);
-                expectSurfacesIdentical(serial, batched,
-                                        simdTargetName(target));
+                expectSurfacesIdentical(
+                    serial, batched,
+                    (std::string(simdTargetName(target)) + " threads=" +
+                     std::to_string(threads))
+                        .c_str());
             }
         }
     }
@@ -249,7 +250,7 @@ TEST(ModelBatchDifferential, FuzzedGroupCompositionsAgreeWithPerConfig)
     // >= 100 fuzzed group compositions through the raw
     // planFusedGroups/runFusedGroup route: mixed tiers, duplicate
     // lanes, fuzzed model geometry, a random dispatch target and
-    // shard/chunk shape per composition.  Sorting lanes into
+    // chunk shape per composition.  Sorting lanes into
     // entry-width classes, chunked grouping and the shared key blocks
     // must never leak between lanes.
     Pcg32 rng(0xBA7C4ED5ULL, 11);
@@ -280,11 +281,10 @@ TEST(ModelBatchDifferential, FuzzedGroupCompositionsAgreeWithPerConfig)
 
         const SimdTarget target =
             targets[rng.nextBounded(targets.size())];
-        const unsigned shards = 1 + rng.nextBounded(8);
-        const unsigned threads = 1 + rng.nextBounded(3);
+        const unsigned threads = 1 + rng.nextBounded(8);
         checkComposition(*prepared[trace_idx], jobs,
                          referenceRates(traces[trace_idx], jobs, opts),
-                         opts, target, shards, threads, round);
+                         opts, target, threads, round);
         ++compositions;
     }
     EXPECT_GE(compositions, 100u);
@@ -428,7 +428,7 @@ TEST(ModelBatchDifferential, SpeculativeEpsilonBoundedAndDeterministic)
     // 2-bit counters -- see EXPERIMENTS.md "Zoo throughput"), so the
     // bound here is looser than test_segment_parallel's 0.02; the
     // determinism contract is identical: the epsilon depends only on
-    // (K, warmup), never on shard/worker/target shape.
+    // (K, warmup), never on thread/worker/target shape.
     MemoryTrace trace = fuzzTrace(6404, 24'000);
     PreparedTrace prepared(trace);
 
@@ -446,8 +446,7 @@ TEST(ModelBatchDifferential, SpeculativeEpsilonBoundedAndDeterministic)
             << schemeKindName(kind);
 
         SweepOptions spec2 = spec;
-        spec2.fusedThreads = 3;
-        spec2.threads = 2;
+        spec2.threads = 3;
         const SweepResult again = sweepScheme(prepared, kind, spec2);
         expectSurfacesIdentical(approx, again, schemeKindName(kind));
     }
@@ -486,7 +485,6 @@ TEST(ModelBatchDifferential, TelemetryReportsModelGroupShape)
     SweepOptions opts;
     opts.minTotalBits = 5;
     opts.maxTotalBits = 8;
-    opts.fusedThreads = 2;
     opts.segments = 3;
     opts.segmentWarmup = 512;
     const SweepResult r =
@@ -501,11 +499,10 @@ TEST(ModelBatchDifferential, TelemetryReportsModelGroupShape)
               planSweep(SchemeKind::Tage, opts).size());
     EXPECT_GT(r.kernel.modelBatches, 0u);
     EXPECT_GT(r.kernel.blocksReplayed, 0u);
+    // Per group, tasks = segments, one executor each.
     EXPECT_EQ(r.kernel.segmentsPerGroup(), 3.0);
-    EXPECT_GE(r.kernel.shardsPerGroup(), 1.0);
-    EXPECT_GE(r.kernel.shardTasks, r.kernel.segments);
-    EXPECT_LE(r.kernel.shardTasks,
-              r.kernel.segments * opts.fusedThreads);
+    EXPECT_EQ(r.kernel.segments, 3 * r.kernel.modelGroups);
+    EXPECT_EQ(r.kernel.taskWorkers, 3u);
     EXPECT_GT(r.kernel.warmupBranches, 0u);
     EXPECT_GT(r.kernel.modelLanesPerGroup(), 0.0);
     const double util = r.kernel.workerUtilization();
@@ -559,12 +556,11 @@ TEST(ModelBatchSlow, CompositionCampaign)
             jobs.push_back(
                 fuzzZooJob(kind, 5 + rng.nextBounded(6), rng));
 
-        const unsigned shards = 1 + rng.nextBounded(8);
-        const unsigned threads = 1 + rng.nextBounded(3);
+        const unsigned threads = 1 + rng.nextBounded(8);
         const std::vector<double> expected =
             referenceRates(traces[trace_idx], jobs, opts);
         for (SimdTarget target : targets)
-            checkComposition(t, jobs, expected, opts, target, shards,
-                             threads, round);
+            checkComposition(t, jobs, expected, opts, target, threads,
+                             round);
     }
 }

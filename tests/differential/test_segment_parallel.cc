@@ -1,15 +1,15 @@
 /**
  * @file
- * Differential verification of the replay grid's shard x segment
- * decomposition (sweep.cc): lane sharding must be bit-identical to the
- * serial engine for any shard count on every SIMD target, speculative
- * segment replay must be deterministic with a bounded, auditable
- * epsilon against exact mode -- for tracked and untracked 2-bit sweeps
- * alike -- and nothing but the request may select it.
+ * Differential verification of the replay grid's group x segment
+ * decomposition (sweep.cc): spreading planner groups over any thread
+ * count must be bit-identical to the serial sweep on every SIMD target,
+ * speculative segment replay must be deterministic with a bounded,
+ * auditable epsilon against exact mode -- for tracked and untracked
+ * 2-bit sweeps alike -- and nothing but the request may select it.
  *
  * The suite name is load-bearing: the tsan preset runs
  * "ThreadPool|Sweep|Experiment|ServiceStress|SegmentParallel", so the
- * nested groups-outer/shards-inner pool dispatch here is replayed
+ * nested groups-outer/segments-inner pool dispatch here is replayed
  * under the race detector.
  */
 
@@ -106,16 +106,20 @@ constexpr const char *kRetiredSegmentsVar = "BPSIM_" "SEGMENTS";
 
 } // namespace
 
-TEST(SegmentParallel, LaneShardingBitIdenticalAcrossFuzzedConfigs)
+TEST(SegmentParallel, ThreadCountsBitIdenticalAcrossFuzzedConfigs)
 {
-    // The tentpole invariant: sharding the lane dimension never
-    // changes any result, for any shard count, on any SIMD target,
-    // with or without outer group parallelism.  >= 100 fuzzed
-    // configurations accumulate across the rounds.
+    // Planner groups are the only lane partition: spreading them over
+    // any thread count never changes any result, on any SIMD target.
+    // The zoo rounds also pin model-group chunking, which follows the
+    // thread count.  >= 100 fuzzed configurations accumulate across
+    // the rounds.
     Pcg32 rng(0x5E63B0B5ULL, 17);
     std::size_t configs_checked = 0;
-    for (int round = 0; round < 8; ++round) {
-        const SchemeKind kind = kAllKinds[rng.nextBounded(7)];
+    for (int round = 0; round < 10; ++round) {
+        const SchemeKind kind =
+            round == 8   ? SchemeKind::Tage
+            : round == 9 ? SchemeKind::Perceptron
+                         : kAllKinds[rng.nextBounded(7)];
         MemoryTrace trace =
             fuzzTrace(4200 + round, 8000 + rng.nextBounded(8000));
         PreparedTrace prepared(trace);
@@ -127,24 +131,23 @@ TEST(SegmentParallel, LaneShardingBitIdenticalAcrossFuzzedConfigs)
         base.bhtEntries = 32u << rng.nextBounded(3);
         base.bhtAssoc = rng.nextBounded(2) ? 4 : 2;
         base.pathBitsPerTarget = 1 + rng.nextBounded(4);
-        base.fusedThreads = 1;
+        base.threads = 1;
 
         const SweepResult serial = sweepScheme(prepared, kind, base);
         configs_checked += pointCount(serial);
 
         for (SimdTarget target : supportedSimdTargets()) {
-            for (unsigned shards : {2u, 3u, 8u, 0u}) {
+            for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
                 SweepOptions opts = base;
                 opts.simd = target;
-                opts.fusedThreads = shards;
-                // Mix in outer group parallelism on some rounds: the
-                // nested groups x shards dispatch is the production
-                // shape.
-                opts.threads = (round & 1) ? 2 : 1;
-                const SweepResult sharded =
+                opts.threads = threads;
+                const SweepResult spread =
                     sweepScheme(prepared, kind, opts);
-                expectSurfacesIdentical(serial, sharded,
-                                        simdTargetName(target));
+                expectSurfacesIdentical(
+                    serial, spread,
+                    (std::string(simdTargetName(target)) + " threads=" +
+                     std::to_string(threads))
+                        .c_str());
             }
         }
     }
@@ -157,7 +160,7 @@ TEST(SegmentParallel, SpeculativeEpsilonBoundedAndDeterministic)
     // 2-bit counters converge within a few updates (DESIGN.md section
     // "Segment-parallel replay"), so a 512-branch warm-up window keeps
     // the per-point delta against exact mode small.  The delta is the
-    // auditable epsilon; determinism means it never depends on shard
+    // auditable epsilon; determinism means it never depends on thread
     // or worker counts.
     MemoryTrace trace = fuzzTrace(77, 24'000);
     PreparedTrace prepared(trace);
@@ -179,12 +182,11 @@ TEST(SegmentParallel, SpeculativeEpsilonBoundedAndDeterministic)
                   0.02)
             << schemeKindName(kind);
 
-        // Same K, different shard/worker shape: bit-identical to the
-        // first speculative run -- the epsilon is a property of
-        // (K, warmup), not of the execution.
+        // Same K, different thread count: bit-identical to the first
+        // speculative run -- the epsilon is a property of (K, warmup),
+        // not of the execution.
         SweepOptions spec2 = spec;
-        spec2.fusedThreads = 3;
-        spec2.threads = 2;
+        spec2.threads = 3;
         const SweepResult again = sweepScheme(prepared, kind, spec2);
         expectSurfacesIdentical(approx, again, schemeKindName(kind));
     }
@@ -280,13 +282,13 @@ TEST(SegmentParallel, EnvironmentChangesNeitherResultsNorKeys)
         ::unsetenv(kRetiredSegmentsVar);
 }
 
-TEST(SegmentParallel, AliasingSegmentsIdenticalForAnyShardOrWorkerCount)
+TEST(SegmentParallel, AliasingSegmentsIdenticalForAnyThreadCount)
 {
     // Segments reach aliasing-tracked sweeps: misprediction, aliasing
     // and harmless counts reconcile per segment, so a speculative
     // aliasing sweep has a bounded epsilon and depends only on
-    // (K, warmup) -- never on the worker count, nor on how a
-    // multi-lane aliasing group is sharded.
+    // (K, warmup) -- never on the thread count, nor on how the
+    // planner groups the lanes.
     MemoryTrace trace = fuzzTrace(123, 24'000);
     PreparedTrace prepared(trace);
 
@@ -312,42 +314,36 @@ TEST(SegmentParallel, AliasingSegmentsIdenticalForAnyShardOrWorkerCount)
         EXPECT_GT(approx.kernel.warmupBranches, 0u) << name;
 
         for (unsigned threads : {2u, 4u, 0u}) {
-            for (unsigned shards : {3u, 0u}) {
-                SweepOptions again = spec;
-                again.threads = threads;
-                again.fusedThreads = shards;
-                expectSurfacesIdentical(
-                    approx, sweepScheme(prepared, kind, again), name);
-            }
+            SweepOptions again = spec;
+            again.threads = threads;
+            expectSurfacesIdentical(
+                approx, sweepScheme(prepared, kind, again), name);
         }
 
-        // A multi-lane aliasing group sharing one stream, sharded any
-        // way: every lane lands on its one-lane sweep value.
+        // Every job of the sweep as one group sharing one stream --
+        // several lane batches in each task: every lane lands on its
+        // planner-grouped sweep value.
         if (kind == SchemeKind::PAsFinite)
             continue;
         const std::vector<ConfigJob> jobs = planSweep(kind, spec);
         FusedGroup all{kind, 0, {}};
         for (std::size_t i = 0; i < jobs.size(); ++i)
             all.jobs.push_back(i);
-        for (unsigned shards : {1u, 2u, 3u, 8u}) {
-            SweepOptions sharded = spec;
-            sharded.fusedThreads = shards;
-            StreamCache cache(prepared, sharded);
-            std::vector<ConfigResult> slots(jobs.size());
-            runFusedGroup(all, jobs, cache, slots.data());
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
-                const ConfigJob &job = jobs[i];
-                EXPECT_EQ(slots[i].mispRate,
-                          *approx.misprediction.at(job.totalBits,
-                                                   job.rowBits))
-                    << name << " shards=" << shards;
-                EXPECT_EQ(slots[i].aliasRate,
-                          *approx.aliasing.at(job.totalBits, job.rowBits))
-                    << name << " shards=" << shards;
-                EXPECT_EQ(slots[i].harmlessFraction,
-                          *approx.harmless.at(job.totalBits, job.rowBits))
-                    << name << " shards=" << shards;
-            }
+        ASSERT_GT(all.jobs.size(), AliasBatch::kMaxLanes) << name;
+        StreamCache cache(prepared, spec);
+        std::vector<ConfigResult> slots(jobs.size());
+        runFusedGroup(all, jobs, cache, slots.data());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const ConfigJob &job = jobs[i];
+            EXPECT_EQ(slots[i].mispRate,
+                      *approx.misprediction.at(job.totalBits, job.rowBits))
+                << name;
+            EXPECT_EQ(slots[i].aliasRate,
+                      *approx.aliasing.at(job.totalBits, job.rowBits))
+                << name;
+            EXPECT_EQ(slots[i].harmlessFraction,
+                      *approx.harmless.at(job.totalBits, job.rowBits))
+                << name;
         }
     }
 }
@@ -378,7 +374,7 @@ TEST(SegmentParallel, AliasingCoveringWarmupReproducesExactResults)
     }
 }
 
-TEST(SegmentParallel, TelemetryReportsSegmentAndShardShape)
+TEST(SegmentParallel, TelemetryReportsSegmentShape)
 {
     MemoryTrace trace = fuzzTrace(111, 10'000);
     PreparedTrace prepared(trace);
@@ -387,27 +383,19 @@ TEST(SegmentParallel, TelemetryReportsSegmentAndShardShape)
     opts.trackAliasing = false;
     opts.minTotalBits = 4;
     opts.maxTotalBits = 7;
-    opts.fusedThreads = 2;
     opts.segments = 3;
     opts.segmentWarmup = 512;
     const SweepResult r =
         sweepScheme(prepared, SchemeKind::GAs, opts);
 
+    // Per group, tasks = segments, one executor each.
     ASSERT_GT(r.kernel.fusedGroups, 0u);
     EXPECT_EQ(r.kernel.segmentsPerGroup(), 3.0);
-    // GAg-degenerate groups have a single lane, so shards clamp to
-    // the lane count; every group still reports at least one shard.
-    EXPECT_GE(r.kernel.shardsPerGroup(), 1.0);
-    // Per group, tasks = shards x segments; summed over groups that
-    // bounds the total by the segment sum on one side and the
-    // fusedThreads-scaled sum on the other.
-    EXPECT_GE(r.kernel.shardTasks, r.kernel.segments);
-    EXPECT_LE(r.kernel.shardTasks,
-              r.kernel.segments * opts.fusedThreads);
+    EXPECT_EQ(r.kernel.segments, 3 * r.kernel.fusedGroups);
+    EXPECT_EQ(r.kernel.taskWorkers, 3u);
     // Two speculative segments per group warm up, each over the full
     // configured window (the trace is long enough).
-    EXPECT_GT(r.kernel.warmupBranches, 0u);
-    EXPECT_GE(r.kernel.shardWorkers, 2u);
+    EXPECT_EQ(r.kernel.warmupBranches, 2 * 512 * r.kernel.fusedGroups);
     EXPECT_GT(r.kernel.busySeconds, 0.0);
     EXPECT_GT(r.kernel.spanSeconds, 0.0);
     const double util = r.kernel.workerUtilization();
@@ -422,6 +410,6 @@ TEST(SegmentParallel, TelemetryReportsSegmentAndShardShape)
     const SweepResult s =
         sweepScheme(prepared, SchemeKind::GAs, serial);
     EXPECT_EQ(s.kernel.segmentsPerGroup(), 1.0);
-    EXPECT_EQ(s.kernel.shardsPerGroup(), 1.0);
+    EXPECT_EQ(s.kernel.taskWorkers, 1u);
     EXPECT_EQ(s.kernel.warmupBranches, 0u);
 }

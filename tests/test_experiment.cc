@@ -1,19 +1,21 @@
 /**
  * @file
- * Tests for the experiment drivers (Table 3 best-config machinery).
+ * Tests for the experiment drivers (Table 3 best-config machinery,
+ * driven through SweepSession::bestConfigs).
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
+#include "sim/sweep_session.hh"
 #include "workload/synthetic.hh"
 
 using namespace bpsim;
 
 namespace {
 
-PreparedTrace
-smallPrepared()
+MemoryTrace
+smallTrace()
 {
     WorkloadParams p;
     p.name = "experiment-unit";
@@ -21,8 +23,20 @@ smallPrepared()
     p.staticBranches = 100;
     p.functionCount = 10;
     p.targetConditionals = 20'000;
-    MemoryTrace t = generateTrace(p);
-    return PreparedTrace(t);
+    return generateTrace(p);
+}
+
+/** Table 3 rows for the small trace, through a fresh session. */
+std::vector<BestConfigRow>
+bestConfigs(const Table3Options &opts)
+{
+    SweepSession session;
+    const TraceHandle trace = session.internTrace(smallTrace());
+    Result<std::vector<BestConfigRow>> rows =
+        session.bestConfigs(trace.hash, opts);
+    EXPECT_TRUE(rows.ok());
+    return rows.ok() ? std::move(rows).value()
+                     : std::vector<BestConfigRow>{};
 }
 
 } // namespace
@@ -44,11 +58,10 @@ TEST(Experiment, PrepareProfileProducesConditionalStream)
 
 TEST(Experiment, BestConfigTableHasPaperLineup)
 {
-    PreparedTrace t = smallPrepared();
     Table3Options opts;
     opts.budgetBits = {6, 8};
     opts.bhtSizes = {64, 32};
-    auto rows = bestConfigTable(t, opts);
+    auto rows = bestConfigs(opts);
 
     ASSERT_EQ(rows.size(), 5u); // GAs, gshare, PAs(inf), PAs x2
     EXPECT_EQ(rows[0].scheme, "GAs");
@@ -69,11 +82,10 @@ TEST(Experiment, BestConfigTableHasPaperLineup)
 
 TEST(Experiment, BestConfigGeometryAddsUp)
 {
-    PreparedTrace t = smallPrepared();
     Table3Options opts;
     opts.budgetBits = {7};
     opts.bhtSizes = {64};
-    auto rows = bestConfigTable(t, opts);
+    auto rows = bestConfigs(opts);
     for (const auto &row : rows) {
         ASSERT_TRUE(row.best[0].has_value());
         EXPECT_EQ(row.best[0]->rowBits + row.best[0]->colBits, 7u)
@@ -83,11 +95,10 @@ TEST(Experiment, BestConfigGeometryAddsUp)
 
 TEST(Experiment, FirstLevelMissRatesOnlyForFiniteBht)
 {
-    PreparedTrace t = smallPrepared();
     Table3Options opts;
     opts.budgetBits = {6};
     opts.bhtSizes = {16};
-    auto rows = bestConfigTable(t, opts);
+    auto rows = bestConfigs(opts);
     EXPECT_LT(rows[0].bhtMissRate, 0.0); // GAs: not applicable
     EXPECT_LT(rows[2].bhtMissRate, 0.0); // PAs(inf): not applicable
     EXPECT_GE(rows[3].bhtMissRate, 0.0); // PAs(16): reported
@@ -95,11 +106,10 @@ TEST(Experiment, FirstLevelMissRatesOnlyForFiniteBht)
 
 TEST(Experiment, KiloEntryBhtNamesUseKSuffix)
 {
-    PreparedTrace t = smallPrepared();
     Table3Options opts;
     opts.budgetBits = {6};
     opts.bhtSizes = {1024, 2048, 128};
-    auto rows = bestConfigTable(t, opts);
+    auto rows = bestConfigs(opts);
     EXPECT_EQ(rows[3].scheme, "PAs(1k)");
     EXPECT_EQ(rows[4].scheme, "PAs(2k)");
     EXPECT_EQ(rows[5].scheme, "PAs(128)");
@@ -107,7 +117,6 @@ TEST(Experiment, KiloEntryBhtNamesUseKSuffix)
 
 TEST(Experiment, BestConfigTableIdenticalAcrossThreadCounts)
 {
-    PreparedTrace t = smallPrepared();
     Table3Options serial;
     serial.budgetBits = {6, 8};
     serial.bhtSizes = {64, 32};
@@ -115,8 +124,8 @@ TEST(Experiment, BestConfigTableIdenticalAcrossThreadCounts)
     Table3Options parallel = serial;
     parallel.threads = 4;
 
-    auto rs = bestConfigTable(t, serial);
-    auto rp = bestConfigTable(t, parallel);
+    auto rs = bestConfigs(serial);
+    auto rp = bestConfigs(parallel);
     ASSERT_EQ(rs.size(), rp.size());
     for (std::size_t i = 0; i < rs.size(); ++i) {
         EXPECT_EQ(rs[i].scheme, rp[i].scheme);
@@ -140,7 +149,7 @@ TEST(Experiment, SmallerBhtIsNeverBetterThanBigger)
     // The paper's central PAs claim: first-level capacity is the
     // bottleneck.  With identical second levels, a 16-entry BHT must
     // not beat a 4096-entry one (allowing sampling noise epsilon).
-    PreparedTrace t = smallPrepared();
+    PreparedTrace t(smallTrace());
     SweepOptions big, small;
     big.minTotalBits = small.minTotalBits = 8;
     big.maxTotalBits = small.maxTotalBits = 8;

@@ -12,6 +12,7 @@
 #include "predictor/factory.hh"
 #include "sim/engine.hh"
 #include "sim/experiment.hh"
+#include "sim/sweep_session.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_stats.hh"
 #include "workload/profiles.hh"
@@ -158,12 +159,15 @@ TEST(Integration, TournamentTracksBestComponentOnRealWorkload)
 
 TEST(Integration, Table3PipelineRunsOnProfile)
 {
-    PreparedTrace t = prepareProfile("compress", 40'000);
+    SweepSession session;
+    auto trace = session.internProfile("compress", 40'000);
+    ASSERT_TRUE(trace.ok());
     Table3Options opts;
     opts.budgetBits = {9};
     opts.bhtSizes = {128};
-    auto rows = bestConfigTable(t, opts);
-    ASSERT_EQ(rows.size(), 4u);
-    for (const auto &row : rows)
+    auto rows = session.bestConfigs(trace.value().hash, opts);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows.value().size(), 4u);
+    for (const auto &row : rows.value())
         EXPECT_TRUE(row.best[0].has_value()) << row.scheme;
 }

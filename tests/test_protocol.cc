@@ -229,33 +229,69 @@ TEST(Protocol, ParsesSegmentParallelOptions)
     Result<Request> req = parseLine(
         "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
         "\"scheme\":\"gshare\",\"options\":{\"segments\":4,"
-        "\"fused_threads\":8,\"segment_warmup\":512}}");
+        "\"segment_warmup\":512}}");
     ASSERT_TRUE(req.ok()) << (req.ok() ? "" : req.error().message());
     EXPECT_EQ(req.value().options.segments, 4u);
-    EXPECT_EQ(req.value().options.fusedThreads, 8u);
     EXPECT_EQ(req.value().options.segmentWarmup, 512u);
 
-    // Unset, the defaults stay: exact replay, serial lane dimension.
+    // Unset, the default stays: exact replay.
     Result<Request> plain = parseLine(
         "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
         "\"scheme\":\"gshare\"}");
     ASSERT_TRUE(plain.ok());
     EXPECT_EQ(plain.value().options.segments, 0u);
-    EXPECT_EQ(plain.value().options.fusedThreads, 1u);
 
-    // Bounds: segments in [1, kMaxSegments], fused_threads capped.
+    // Lane sharding is not an option: planner groups are the only
+    // lane partition, so the retired lane-shard key is unknown.
+    const std::string retired = "fused_" "threads";
+    Result<Request> sharded = parseLine(
+        "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
+        "\"scheme\":\"gshare\",\"options\":{\"" +
+        retired + "\":8}}");
+    ASSERT_FALSE(sharded.ok());
+    EXPECT_NE(sharded.error().message().find("unknown options field \"" +
+                                             retired + "\""),
+              std::string::npos)
+        << sharded.error().message();
+
+    // Bounds: segments in [1, kMaxSegments].
     const char *bad[] = {
         "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
         "\"scheme\":\"g\",\"options\":{\"segments\":0}}",
         "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
         "\"scheme\":\"g\",\"options\":{\"segments\":65}}",
         "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
-        "\"scheme\":\"g\",\"options\":{\"fused_threads\":1000}}",
-        "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
         "\"scheme\":\"g\",\"options\":{\"segment_warmup\":-1}}",
     };
     for (const char *text : bad)
         EXPECT_FALSE(parseLine(text).ok()) << text;
+}
+
+TEST(Protocol, RejectsOptionsInvalidOnlyTogether)
+{
+    // Each field is in range alone; together they would abort the
+    // planner or the BHT, so the parser rejects them as a request.
+    const char *bad[] = {
+        "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
+        "\"scheme\":\"PAs(bht)\",\"options\":{\"bht_assoc\":3}}",
+        "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
+        "\"scheme\":\"PAs(bht)\",\"options\":{\"bht_entries\":2,"
+        "\"bht_assoc\":4}}",
+        "{\"op\":\"point\",\"trace\":{\"profile\":\"gcc\"},"
+        "\"scheme\":\"PAs(bht)\",\"row_bits\":2,\"col_bits\":2,"
+        "\"options\":{\"bht_assoc\":3}}",
+    };
+    for (const char *text : bad) {
+        Result<Request> req = parseLine(text);
+        ASSERT_FALSE(req.ok()) << text;
+        EXPECT_NE(req.error().message().find("must divide"),
+                  std::string::npos)
+            << req.error().message();
+    }
+    EXPECT_TRUE(parseLine("{\"op\":\"sweep\",\"trace\":{\"profile\":"
+                          "\"gcc\"},\"scheme\":\"PAs(bht)\",\"options\":"
+                          "{\"bht_entries\":2,\"bht_assoc\":2}}")
+                    .ok());
 }
 
 TEST(Protocol, ParsesTraceForms)

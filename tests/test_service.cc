@@ -270,6 +270,21 @@ TEST(Service, ErrorClassification)
                                   1,
                               ' '))),
               "oversized_line");
+    // Options invalid only together, and the retired lane-shard key,
+    // are bad requests -- never an abort.
+    for (const char *options :
+         {"{\"bht_assoc\":3}", "{\"bht_entries\":2,\"bht_assoc\":4}",
+          "{\"fused_" "threads\":8}"}) {
+        EXPECT_EQ(errorCode(handle(
+                      server,
+                      std::string("{\"op\":\"sweep\",\"trace\":{"
+                                  "\"profile\":\"compress\",\"branches\":"
+                                  "20000},\"scheme\":\"PAs(bht)\","
+                                  "\"options\":") +
+                          options + "}")),
+                  "bad_request")
+            << options;
+    }
 
     // The id is echoed even on malformed requests, and the server
     // keeps serving after every error.
@@ -314,12 +329,7 @@ TEST(Service, StatsAndCatalogReportState)
     EXPECT_GE(kernel->find("lanes")->asInt(), 1);
     EXPECT_GE(kernel->find("segments")->asInt(),
               kernel->find("fused_groups")->asInt());
-    EXPECT_GE(kernel->find("lane_shards")->asInt(),
-              kernel->find("fused_groups")->asInt());
-    EXPECT_GE(kernel->find("shard_tasks")->asInt(),
-              kernel->find("fused_groups")->asInt());
     EXPECT_GE(kernel->find("segments_per_group")->asDouble(), 1.0);
-    EXPECT_GE(kernel->find("shards_per_group")->asDouble(), 1.0);
     ASSERT_NE(kernel->find("worker_utilization"), nullptr);
     ASSERT_NE(kernel->find("warmup_branches"), nullptr);
 

@@ -563,49 +563,6 @@ TEST(Sweep, FusedGroupPlanPartitionsJobsByStream)
     }
 }
 
-TEST(Sweep, FusedExecutionDoesZeroLockedLookupsAfterPrepare)
-{
-    PreparedTrace t(sharedWorkload());
-    SweepOptions o;
-    o.minTotalBits = 4;
-    o.maxTotalBits = 7;
-    o.trackAliasing = false;
-    o.bhtEntries = 64;
-
-    for (SchemeKind kind : {SchemeKind::Gshare, SchemeKind::Path,
-                            SchemeKind::PAsFinite}) {
-        auto jobs = planSweep(kind, o);
-        auto groups = planFusedGroups(jobs, 2);
-        StreamCache cache(t, o);
-        cache.prepare(jobs, 1);
-        EXPECT_EQ(cache.lockedLookups(), 0u) << schemeKindName(kind);
-
-        std::vector<ConfigResult> slots(jobs.size());
-        for (const auto &group : groups)
-            runFusedGroup(group, jobs, cache, slots.data());
-        EXPECT_EQ(cache.lockedLookups(), 0u)
-            << schemeKindName(kind)
-            << ": fused execution took the lazy-build lock";
-    }
-
-    // Contrast: an unprepared cache must count its locked lookups.
-    StreamCache lazy(t, o);
-    lazy.stream(SchemeKind::Path, 3);
-    EXPECT_EQ(lazy.lockedLookups(), 1u);
-    lazy.bhtMissRate(4);
-    EXPECT_EQ(lazy.lockedLookups(), 2u);
-    // A prepare() over those same needs re-publishes the fast table;
-    // repeated lookups stop locking.
-    std::vector<ConfigJob> jobs{ConfigJob{SchemeKind::Path, 7, 3, 4},
-                                ConfigJob{SchemeKind::PAsFinite, 7, 4,
-                                          3}};
-    lazy.prepare(jobs, 1);
-    lazy.stream(SchemeKind::Path, 3);
-    lazy.stream(SchemeKind::PAsFinite, 4);
-    lazy.bhtMissRate(4);
-    EXPECT_EQ(lazy.lockedLookups(), 2u);
-}
-
 TEST(Sweep, ForcedSimdTargetsBitIdenticalThroughSweepScheme)
 {
     PreparedTrace t(sharedWorkload());

@@ -3,7 +3,7 @@
  * Tests for the SweepSession facade: cached results are bit-identical
  * to recomputed ones (the differential contract that makes the result
  * cache safe to use at all), disk-warm sessions serve without replay,
- * bestConfigs matches the direct bestConfigTable path, and the cache
+ * bestConfigs matches direct per-scheme sweeps, and the cache
  * key discipline separates what must be separated -- and nothing else.
  */
 
@@ -223,12 +223,6 @@ TEST(SweepSession, ConfigKeyExcludesExecutionKnobs)
               SweepSession::cacheConfigKey(SchemeKind::GAs, f));
     EXPECT_NE(SweepSession::cacheConfigKey(SchemeKind::Path, a),
               SweepSession::cacheConfigKey(SchemeKind::Path, f));
-
-    // fusedThreads is execution-only (lane sharding is bit-identical).
-    SweepOptions g = smallSweep();
-    g.fusedThreads = 8;
-    EXPECT_EQ(SweepSession::cacheConfigKey(SchemeKind::Gshare, a),
-              SweepSession::cacheConfigKey(SchemeKind::Gshare, g));
 }
 
 TEST(SweepSession, SpeculativeSegmentsSplitTheKey)
@@ -294,10 +288,14 @@ TEST(SweepSession, BestConfigsMatchesBestConfigTable)
     auto rows = session.bestConfigs(handle.value().hash, opts);
     ASSERT_TRUE(rows.ok());
 
+    // Independent reference: each Table 3 sweep run directly.
     PreparedTrace direct(
         generateProfileTrace(kProfile, kBranches));
-    std::vector<BestConfigRow> expected =
-        bestConfigTable(direct, opts);
+    std::vector<BestConfigRow> expected;
+    for (const Table3SchemeSpec &spec : table3Plan(opts))
+        expected.push_back(bestConfigRowFromSweep(
+            spec, sweepScheme(direct, spec.kind, spec.options),
+            opts.budgetBits));
 
     ASSERT_EQ(rows.value().size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -489,6 +487,54 @@ TEST(SweepSession, TablesAboveTheEngineCeilingAreErrors)
     EXPECT_TRUE(session.point(trace, SchemeKind::GAs, 4, 4).ok());
 }
 
+TEST(SweepSession, InvalidOptionsAreErrorsNotAborts)
+{
+    // Options valid field by field but not together would abort in
+    // the planner or the BHT; sweep, batched sweep and point answer
+    // them with a Status before any replay.
+    SweepSession session;
+    auto handle = session.internProfile(kProfile, kBranches);
+    ASSERT_TRUE(handle.ok());
+    const TraceHash trace = handle.value().hash;
+
+    SweepOptions reversed = smallSweep();
+    reversed.minTotalBits = 8;
+    reversed.maxTotalBits = 6;
+    SweepOptions odd_assoc = smallSweep();
+    odd_assoc.bhtAssoc = 3;
+    SweepOptions wide_assoc = smallSweep();
+    wide_assoc.bhtEntries = 2;
+    wide_assoc.bhtAssoc = 4;
+    SweepOptions odd_entries = smallSweep();
+    odd_entries.bhtEntries = 100;
+    const std::pair<SweepOptions, const char *> cases[] = {
+        {reversed, "exceeds max_bits"},
+        {odd_assoc, "must divide"},
+        {wide_assoc, "must divide"},
+        {odd_entries, "power of two"},
+    };
+    for (const auto &[opts, message] : cases) {
+        EXPECT_FALSE(SweepSession::validateOptions(opts).ok()) << message;
+        Result<SweepResponse> r = session.sweep(
+            SweepRequest{trace, SchemeKind::PAsFinite, opts});
+        ASSERT_FALSE(r.ok()) << message;
+        EXPECT_NE(r.error().message().find(message), std::string::npos)
+            << r.error().message();
+        const std::vector<Result<SweepResponse>> batch =
+            session.sweepBatch(
+                {SweepRequest{trace, SchemeKind::PAsFinite, opts},
+                 SweepRequest{trace, SchemeKind::PAsFinite,
+                              smallSweep()}});
+        ASSERT_EQ(batch.size(), 2u);
+        EXPECT_FALSE(batch[0].ok()) << message;
+        EXPECT_TRUE(batch[1].ok()) << message;
+        EXPECT_FALSE(
+            session.point(trace, SchemeKind::PAsFinite, 3, 3, opts).ok())
+            << message;
+    }
+    EXPECT_TRUE(SweepSession::validateOptions(smallSweep()).ok());
+}
+
 TEST(SweepSession, EveryOptionIsClassified)
 {
     // Every SweepOptions field is either result-affecting -- changing
@@ -523,7 +569,6 @@ TEST(SweepSession, EveryOptionIsClassified)
     const Field execution_only[] = {
         {"threads", [](SweepOptions &o) { o.threads = 4; }},
         {"simd", [](SweepOptions &o) { o.simd = SimdTarget::Scalar; }},
-        {"fusedThreads", [](SweepOptions &o) { o.fusedThreads = 3; }},
     };
     static_assert(aggregateFieldCount<SweepOptions>() ==
                       sizeof(result_affecting) / sizeof(Field) +

@@ -311,7 +311,7 @@ TEST(TageZooTelemetry, BatchedSweepReportsModelGroupCounters)
     EXPECT_GT(r.kernel.modelBatches, 0u);
     EXPECT_GT(r.kernel.blocksReplayed, 0u);
     EXPECT_EQ(r.kernel.laneBatches, 0u);
-    EXPECT_GT(r.kernel.shardWorkers, 0u);
+    EXPECT_GT(r.kernel.taskWorkers, 0u);
     EXPECT_GE(r.kernel.busySeconds, 0.0);
     EXPECT_GE(r.kernel.spanSeconds, 0.0);
 
@@ -355,7 +355,7 @@ TEST(TageZooTelemetry, OneLaneGroupsReportModelShape)
     EXPECT_EQ(k.modelGroups, jobs.size());
     EXPECT_EQ(k.modelLanes, jobs.size());
     EXPECT_GT(k.modelBatches, 0u);
-    EXPECT_GT(k.shardWorkers, 0u);
+    EXPECT_GT(k.taskWorkers, 0u);
     EXPECT_EQ(k.modelLanesPerGroup(), 1.0);
 
     // Each lane matches the same configuration inside a batched sweep.
@@ -374,7 +374,6 @@ TEST(TageZooTelemetry, ZeroedCountersProduceFiniteRatios)
     EXPECT_EQ(k.lanesPerGroup(), 0.0);
     EXPECT_EQ(k.modelLanesPerGroup(), 0.0);
     EXPECT_EQ(k.segmentsPerGroup(), 0.0);
-    EXPECT_EQ(k.shardsPerGroup(), 0.0);
     EXPECT_EQ(k.workerUtilization(), 0.0);
     EXPECT_EQ(k.hotBytesPerBranch(), 0.0);
 }

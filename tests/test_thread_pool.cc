@@ -129,7 +129,7 @@ TEST(ThreadPool, SerialPathPropagatesExceptionsToo)
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
 {
     // An outer batch whose jobs each run an inner batch on the same
-    // pool -- the bestConfigTable-over-sweepScheme shape.  The caller
+    // pool -- the bestConfigs-over-sweepScheme shape.  The caller
     // always participates in its own batch, so this must complete even
     // when every worker is occupied by outer jobs.
     ThreadPool pool(2);
@@ -169,7 +169,7 @@ TEST(ThreadPool, NestedGroupsTimesShardsShapeDrains)
 {
     // The segment-parallel sweep shape: sweepScheme distributes fused
     // groups on the shared pool (outer), and every group's replay
-    // distributes its shard x segment tasks on the same pool (inner).
+    // distributes its segment tasks on the same pool (inner).
     // Both levels go through ThreadPool::shared() -- exactly what the
     // tsan preset replays -- and must drain with every task run once.
     constexpr std::size_t groups = 6, tasks = 8;
