@@ -88,7 +88,7 @@ SetAssocBht::visit(Addr pc)
     victim->tag = tagOf(pc);
     victim->stamp = stampCounter;
     if (policy != BhtResetPolicy::Hold)
-        victim->history.set(resetValue());
+        victim->history.set(bhtResetValue(policy, historyBits_));
     return BhtLookup{victim->history.value(), true};
 }
 
@@ -99,22 +99,6 @@ SetAssocBht::recordOutcome(Addr pc, bool taken)
     bpsim_assert(e != nullptr,
                  "recordOutcome() without a preceding visit()");
     e->history.push(taken);
-}
-
-std::uint64_t
-SetAssocBht::resetValue() const
-{
-    switch (policy) {
-      case BhtResetPolicy::C3ffPrefix:
-        return c3ffPrefix(historyBits_);
-      case BhtResetPolicy::Zeros:
-        return 0;
-      case BhtResetPolicy::Ones:
-        return mask(historyBits_);
-      case BhtResetPolicy::Hold:
-        break;
-    }
-    bpsim_panic("resetValue() with no-reset policy");
 }
 
 std::optional<std::uint64_t>

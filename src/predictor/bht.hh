@@ -37,6 +37,23 @@ enum class BhtResetPolicy
 /** @return a short display name for a reset policy. */
 const char *bhtResetPolicyName(BhtResetPolicy policy);
 
+/**
+ * The width-@p width register value @p policy installs in a displaced
+ * entry.  Hold installs nothing (the victim keeps its history); 0 is
+ * returned for it.
+ */
+constexpr std::uint64_t
+bhtResetValue(BhtResetPolicy policy, unsigned width)
+{
+    switch (policy) {
+      case BhtResetPolicy::C3ffPrefix: return c3ffPrefix(width);
+      case BhtResetPolicy::Ones: return mask(width);
+      case BhtResetPolicy::Zeros:
+      case BhtResetPolicy::Hold: break;
+    }
+    return 0;
+}
+
 /** Result of one BHT visit. */
 struct BhtLookup
 {
@@ -61,8 +78,10 @@ class SetAssocBht
 
     /**
      * Find (or allocate) the entry for @p pc, update LRU, and return its
-     * current history.  A miss resets the victim's history to the 0xC3FF
-     * prefix before returning it.
+     * current history.  A miss re-tags the LRU victim and, unless the
+     * policy is Hold (the victim keeps its history), installs the
+     * policy's bhtResetValue() -- the 0xC3FF prefix for C3ffPrefix --
+     * before returning it.
      */
     BhtLookup visit(Addr pc);
 
@@ -110,9 +129,6 @@ class SetAssocBht
 
     /** Find a valid matching way in the pc's set, or nullptr. */
     Entry *find(Addr pc);
-
-    /** History value installed on a miss (per the reset policy). */
-    std::uint64_t resetValue() const;
 
     std::vector<Entry> entries;
     unsigned assoc;

@@ -14,7 +14,7 @@ PerceptronParams::validate() const
                  "perceptron history length out of range (1..64)");
     bpsim_assert(entryBits <= 28,
                  "perceptron table size out of range");
-    bpsim_assert(tables >= 2 && tables <= 16,
+    bpsim_assert(tables >= kMinTables && tables <= kMaxTables,
                  "perceptron needs 2..16 tables (bias + history)");
 }
 

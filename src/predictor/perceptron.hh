@@ -36,8 +36,14 @@ struct PerceptronParams
     unsigned historyBits = 16;
     /** log2 entries of EACH weight table. */
     unsigned entryBits = 10;
-    /** Weight tables including the pc-indexed bias table (2..16). */
+    /**
+     * Weight tables including the pc-indexed bias table
+     * (kMinTables..kMaxTables).
+     */
     unsigned tables = 4;
+
+    static constexpr unsigned kMinTables = 2;
+    static constexpr unsigned kMaxTables = 16;
 
     /** bpsim_assert that the geometry is well-formed. */
     void validate() const;

@@ -14,12 +14,12 @@ TageParams::validate() const
                  "tage base table size out of range");
     bpsim_assert(entryBits >= 1 && entryBits <= 28,
                  "tage component size out of range");
-    bpsim_assert(tagBits >= 2 && tagBits <= 16,
+    bpsim_assert(tagBits >= kMinTagBits && tagBits <= kMaxTagBits,
                  "tage tag width out of range (2..16)");
-    bpsim_assert(!histories.empty() && histories.size() <= 8,
+    bpsim_assert(!histories.empty() && histories.size() <= kMaxComponents,
                  "tage needs 1..8 tagged components");
     for (std::size_t i = 0; i < histories.size(); ++i) {
-        bpsim_assert(histories[i] >= 1 && histories[i] <= 64,
+        bpsim_assert(histories[i] >= 1 && histories[i] <= kMaxHistory,
                      "tage history length out of range (1..64)");
         bpsim_assert(i == 0 || histories[i] > histories[i - 1],
                      "tage history lengths must be strictly ascending");

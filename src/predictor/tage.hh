@@ -41,10 +41,18 @@ struct TageParams
     unsigned baseBits = 12;
     /** log2 entries of EACH tagged component. */
     unsigned entryBits = 10;
-    /** Tag width in bits (2..16). */
+    /** Tag width in bits (kMinTagBits..kMaxTagBits). */
     unsigned tagBits = 8;
-    /** History length per tagged component, strictly ascending, 1..64. */
+    /**
+     * History length per tagged component (1..kMaxComponents of them),
+     * strictly ascending, each 1..kMaxHistory.
+     */
     std::vector<unsigned> histories = {4, 8, 16, 32};
+
+    static constexpr unsigned kMinTagBits = 2;
+    static constexpr unsigned kMaxTagBits = 16;
+    static constexpr std::size_t kMaxComponents = 8;
+    static constexpr unsigned kMaxHistory = 64;
 
     /** bpsim_assert that the geometry is well-formed. */
     void validate() const;

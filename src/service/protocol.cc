@@ -120,19 +120,22 @@ parseOptions(const JsonValue &v, const ProtocolLimits &limits,
             opts.trackAliasing = b.value();
         } else if (key == "path_bits") {
             Result<std::uint64_t> n =
-                uintField(value, "path_bits", 1, 16);
+                uintField(value, "path_bits", 1,
+                          PreparedTrace::kMaxPathBitsPerTarget);
             if (!n.ok())
                 return n.error();
             opts.pathBitsPerTarget = static_cast<unsigned>(n.value());
         } else if (key == "bht_entries") {
             Result<std::uint64_t> n =
-                uintField(value, "bht_entries", 1, 1ull << 24);
+                uintField(value, "bht_entries", 1,
+                          SweepOptions::kMaxBhtEntries);
             if (!n.ok())
                 return n.error();
             opts.bhtEntries = static_cast<std::size_t>(n.value());
         } else if (key == "bht_assoc") {
             Result<std::uint64_t> n =
-                uintField(value, "bht_assoc", 1, 64);
+                uintField(value, "bht_assoc", 1,
+                          SweepOptions::kMaxBhtAssoc);
             if (!n.ok())
                 return n.error();
             opts.bhtAssoc = static_cast<unsigned>(n.value());
@@ -147,14 +150,15 @@ parseOptions(const JsonValue &v, const ProtocolLimits &limits,
             opts.segments = static_cast<unsigned>(n.value());
         } else if (key == "segment_warmup") {
             Result<std::uint64_t> n = uintField(
-                value, "segment_warmup", 0, 1ull << 20);
+                value, "segment_warmup", 0, SweepOptions::kMaxSegmentWarmup);
             if (!n.ok())
                 return n.error();
             opts.segmentWarmup =
                 static_cast<unsigned>(n.value());
         } else if (key == "tage_tag_bits") {
             Result<std::uint64_t> n =
-                uintField(value, "tage_tag_bits", 2, 16);
+                uintField(value, "tage_tag_bits", TageParams::kMinTagBits,
+                          TageParams::kMaxTagBits);
             if (!n.ok())
                 return n.error();
             opts.tageTagBits = static_cast<unsigned>(n.value());
@@ -162,13 +166,14 @@ parseOptions(const JsonValue &v, const ProtocolLimits &limits,
             // A JSON array of per-component history lengths, strictly
             // ascending -- the one list-valued option in the protocol.
             if (!value.isArray() || value.array().empty() ||
-                value.array().size() > 8)
+                value.array().size() > TageParams::kMaxComponents)
                 return BPSIM_ERROR("field \"tage_histories\" must be "
                                    "an array of 1..8 lengths");
             std::vector<unsigned> lengths;
             for (const JsonValue &item : value.array()) {
                 Result<std::uint64_t> n =
-                    uintField(item, "tage_histories[]", 1, 64);
+                    uintField(item, "tage_histories[]", 1,
+                              TageParams::kMaxHistory);
                 if (!n.ok())
                     return n.error();
                 if (!lengths.empty() && n.value() <= lengths.back())
@@ -180,7 +185,9 @@ parseOptions(const JsonValue &v, const ProtocolLimits &limits,
             opts.tageHistories = std::move(lengths);
         } else if (key == "perceptron_tables") {
             Result<std::uint64_t> n =
-                uintField(value, "perceptron_tables", 2, 16);
+                uintField(value, "perceptron_tables",
+                          PerceptronParams::kMinTables,
+                          PerceptronParams::kMaxTables);
             if (!n.ok())
                 return n.error();
             opts.perceptronTables = static_cast<unsigned>(n.value());

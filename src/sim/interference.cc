@@ -109,22 +109,13 @@ analyzeInterference(const PreparedTrace &trace, SchemeKind kind,
 
     // First-level streams, shared with the sweep semantics (and pinned
     // equivalent by the sweep tests).
-    std::vector<std::uint64_t> aux;
-    bool use_aux = false;
-    switch (kind) {
-      case SchemeKind::Path:
-        aux = trace.pathHistoryStream(opts.pathBitsPerTarget);
-        use_aux = true;
-        break;
-      case SchemeKind::PAsFinite:
-        aux = trace.bhtHistoryStream(opts.bhtEntries, opts.bhtAssoc,
-                                     row_bits, nullptr,
-                                     opts.bhtResetPolicy);
-        use_aux = true;
-        break;
-      default:
-        break;
-    }
+    std::vector<std::uint64_t> path;
+    BhtStream bht;
+    if (kind == SchemeKind::Path)
+        path = trace.pathHistoryStream(opts.pathBitsPerTarget);
+    if (kind == SchemeKind::PAsFinite)
+        bht = trace.bhtStream(opts.bhtEntries, opts.bhtAssoc,
+                              opts.bhtResetPolicy);
 
     auto row_of = [&](std::size_t i) -> std::uint64_t {
         switch (kind) {
@@ -138,15 +129,15 @@ analyzeInterference(const PreparedTrace &trace, SchemeKind kind,
           case SchemeKind::PAsPerfect:
             return trace.selfHistory(i);
           case SchemeKind::Path:
+            return path[i];
           case SchemeKind::PAsFinite:
-            return aux[i];
+            return bht.row(i, row_bits);
           case SchemeKind::Tage:
           case SchemeKind::Perceptron:
             break; // handled by the model path above
         }
         bpsim_panic("unreachable scheme kind");
     };
-    (void)use_aux;
 
     std::vector<TwoBitCounter> shared(
         std::size_t{1} << (row_bits + col_bits));

@@ -80,7 +80,8 @@ PreparedTrace::bytesPerBranch() const
 std::vector<std::uint64_t>
 PreparedTrace::pathHistoryStream(unsigned bits_per_target) const
 {
-    bpsim_assert(bits_per_target >= 1 && bits_per_target <= 16,
+    bpsim_assert(bits_per_target >= 1 &&
+                     bits_per_target <= kMaxPathBitsPerTarget,
                  "bits per target out of range");
     bpsim_assert(hasPathColumn(),
                  "trace was prepared without the path column");
@@ -95,22 +96,44 @@ PreparedTrace::pathHistoryStream(unsigned bits_per_target) const
     return out;
 }
 
-std::vector<std::uint64_t>
-PreparedTrace::bhtHistoryStream(std::size_t entries, unsigned assoc,
-                                unsigned history_bits,
-                                double *miss_rate_out,
-                                BhtResetPolicy policy) const
+BhtStream
+PreparedTrace::bhtStream(std::size_t entries, unsigned assoc,
+                         BhtResetPolicy policy) const
 {
-    SetAssocBht bht(entries, assoc, history_bits, policy);
-    std::vector<std::uint64_t> out;
-    out.reserve(size());
+    // Hold keeps a displaced entry's register, so the 64-bit register
+    // already holds every width.  The other policies reset to zeros
+    // here: after k pushes the register is exactly the k outcomes, and
+    // row() puts the width's reset value above them.
+    SetAssocBht bht(entries, assoc, 64,
+                    policy == BhtResetPolicy::Hold ? BhtResetPolicy::Hold
+                                                   : BhtResetPolicy::Zeros);
+    BhtStream out;
+    out.policy_ = policy;
+    out.raw_.reserve(size());
+    out.pushes_.reserve(size());
+    // SetAssocBht tags an entry by word index, so pcs in one word
+    // share it: the pushes since an entry's reset are counted per
+    // word, through a dense word id per static branch.
+    std::vector<std::uint32_t> word_of(staticBranches());
+    std::unordered_map<Addr, std::uint32_t> word_id;
+    for (std::size_t id = 0; id < staticBranches(); ++id)
+        word_of[id] = word_id.try_emplace(
+            wordIndex(staticPcs_[id]),
+            static_cast<std::uint32_t>(word_id.size())).first->second;
+    std::vector<std::uint8_t> pushes(word_id.size(), 0);
     for (std::size_t i = 0; i < size(); ++i) {
         const Addr pc_i = pc(i);
-        out.push_back(bht.visit(pc_i).history);
+        const BhtLookup lookup = bht.visit(pc_i);
+        std::uint8_t &k = pushes[word_of[ids_[i]]];
+        if (lookup.miss)
+            k = 0;
+        out.raw_.push_back(lookup.history);
+        out.pushes_.push_back(k);
+        if (k < 64)
+            ++k;
         bht.recordOutcome(pc_i, taken(i));
     }
-    if (miss_rate_out)
-        *miss_rate_out = bht.missRate();
+    out.missRate_ = bht.missRate();
     return out;
 }
 

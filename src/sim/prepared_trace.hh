@@ -13,8 +13,11 @@
  *  - the per-branch self history before each branch (perfect first
  *    level: one stream serves every row width, since narrower registers
  *    are the low bits of wider ones);
- *  - finite-BHT self history (per BHT configuration and row width,
- *    because the 0xC3FF reset prefix differs by width).
+ *  - finite-BHT self history (one BhtStream per BHT configuration:
+ *    hits, misses and LRU depend only on the pc, so one simulation
+ *    serves every row width, and BhtStream::row() re-inserts the
+ *    width's reset prefix below the outcomes pushed since the entry's
+ *    last reset).
  *
  * Column layout is sized for replay throughput: outcomes are a packed
  * bit stream (one bit per branch, consumed 64 branches at a time by the
@@ -44,6 +47,49 @@
 
 namespace bpsim {
 
+/**
+ * Finite-BHT self history for every register width at once
+ * (PreparedTrace::bhtStream).  Per branch it keeps the entry's 64-bit
+ * register before the branch and the outcomes pushed since that
+ * entry's last reset, saturating at 64.
+ */
+class BhtStream
+{
+  public:
+    /**
+     * The width-@p r register of branch @p i's BHT entry before the
+     * branch: exactly what SetAssocBht(entries, assoc, r, policy)
+     * returns from visit().  The one place the derivation lives.
+     */
+    std::uint64_t
+    row(std::size_t i, unsigned r) const
+    {
+        const std::uint64_t raw = raw_[i];
+        const unsigned k = pushes_[i];
+        if (k >= r || policy_ == BhtResetPolicy::Hold)
+            return raw & mask(r);
+        // Fewer than r pushes since the reset: the width's reset
+        // value still fills the bits above them.
+        return ((bhtResetValue(policy_, r) << k) | (raw & mask(k))) &
+               mask(r);
+    }
+
+    /** Number of branches (the trace's size()). */
+    std::size_t size() const { return raw_.size(); }
+    /** Tag miss rate, identical at every width (Table 3). */
+    double missRate() const { return missRate_; }
+
+  private:
+    friend class PreparedTrace;
+
+    BhtResetPolicy policy_ = BhtResetPolicy::C3ffPrefix;
+    /** 64-bit register value before each branch. */
+    std::vector<std::uint64_t> raw_;
+    /** Outcomes pushed since the entry's last reset (at most 64). */
+    std::vector<std::uint8_t> pushes_;
+    double missRate_ = 0.0;
+};
+
 /** Conditional-branch columns of a trace plus precomputed histories. */
 class PreparedTrace
 {
@@ -68,6 +114,12 @@ class PreparedTrace
      * 32 bits.
      */
     static constexpr std::size_t kMaxStaticBranches = (1u << 30) - 1;
+
+    /**
+     * Widest pathHistoryStream() shift: the path column keeps 16
+     * successor bits per branch.
+     */
+    static constexpr unsigned kMaxPathBitsPerTarget = 16;
 
     /** Branch address of conditional instance @p i. */
     Addr pc(std::size_t i) const { return staticPcs_[ids_[i]]; }
@@ -127,18 +179,14 @@ class PreparedTrace
     pathHistoryStream(unsigned bits_per_target) const;
 
     /**
-     * Self-history stream through a finite BHT.
-     * @param entries BHT entries (power of two)
-     * @param assoc associativity
-     * @param history_bits register width (0xC3FF prefix length)
-     * @param miss_rate_out when non-null, receives the BHT miss rate
+     * Self history through a finite BHT of @p entries entries (power
+     * of two) and associativity @p assoc under @p policy, for every
+     * register width: one 64-bit simulation whose displaced entries
+     * reset to zeros (or hold, for Hold), with BhtStream::row()
+     * deriving each width.
      */
-    std::vector<std::uint64_t>
-    bhtHistoryStream(std::size_t entries, unsigned assoc,
-                     unsigned history_bits,
-                     double *miss_rate_out = nullptr,
-                     BhtResetPolicy policy =
-                         BhtResetPolicy::C3ffPrefix) const;
+    BhtStream bhtStream(std::size_t entries, unsigned assoc,
+                        BhtResetPolicy policy) const;
 
   private:
     std::string name_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <set>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -666,12 +665,14 @@ class ModelLanes
     std::vector<Spec> specs_;
 };
 
-/** StreamCache key of a job's first-level stream (FusedGroup). */
+/**
+ * Planner bucket width of a job: PAsFinite groups decode one row
+ * width's BHT rows, so they bucket by it; every other scheme buckets
+ * by kind alone.
+ */
 unsigned
-streamKey(const ConfigJob &job)
+bucketWidth(const ConfigJob &job)
 {
-    // Only PAsFinite streams depend on the row width (the 0xC3FF reset
-    // prefix differs); every other scheme shares one stream per kind.
     return job.kind == SchemeKind::PAsFinite ? job.rowBits : 0;
 }
 
@@ -824,21 +825,22 @@ planSweep(SchemeKind kind, const SweepOptions &opts)
 FusedGroup
 singleJobGroup(const std::vector<ConfigJob> &jobs, std::size_t index)
 {
-    return FusedGroup{jobs[index].kind, streamKey(jobs[index]), {index}};
+    return FusedGroup{jobs[index].kind, {index}};
 }
 
 std::vector<FusedGroup>
 planFusedGroups(const std::vector<ConfigJob> &jobs, unsigned threads)
 {
-    // Bucket by shared first-level stream, in first-appearance order.
-    // Zoo jobs bucket by kind: one sweep's members share
+    // Bucket by kind (and PAsFinite row width), in first-appearance
+    // order.  Zoo jobs bucket by kind: one sweep's members share
     // tagBits/histories/tables by construction.
     std::vector<FusedGroup> buckets;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const ConfigJob &job = jobs[i];
         FusedGroup *bucket = nullptr;
         for (FusedGroup &b : buckets) {
-            if (b.kind == job.kind && b.streamRowBits == streamKey(job)) {
+            if (b.kind == job.kind &&
+                bucketWidth(jobs[b.jobs.front()]) == bucketWidth(job)) {
                 bucket = &b;
                 break;
             }
@@ -873,7 +875,6 @@ planFusedGroups(const std::vector<ConfigJob> &jobs, unsigned threads)
             const std::size_t take = base + (c < extra ? 1 : 0);
             FusedGroup g;
             g.kind = bucket.kind;
-            g.streamRowBits = bucket.streamRowBits;
             g.jobs.assign(bucket.jobs.begin() +
                               static_cast<std::ptrdiff_t>(next),
                           bucket.jobs.begin() +
@@ -892,126 +893,37 @@ StreamCache::StreamCache(const PreparedTrace &trace,
 }
 
 const std::vector<std::uint64_t> &
-StreamCache::pathStreamLocked()
+StreamCache::pathStream()
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     if (!path_) {
         path_ = trace_.pathHistoryStream(opts_.pathBitsPerTarget);
         ++streamBuilds_;
-        noteStreamResidentLocked();
     }
     return *path_;
 }
 
-const StreamCache::BhtStream &
-StreamCache::bhtStreamLocked(unsigned row_bits)
+const BhtStream &
+StreamCache::bhtStream()
 {
-    auto it = bht_.find(row_bits);
-    if (it == bht_.end() || it->second.released) {
-        BhtStream built;
-        built.stream = trace_.bhtHistoryStream(
-            opts_.bhtEntries, opts_.bhtAssoc, row_bits,
-            &built.missRate, opts_.bhtResetPolicy);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!bht_) {
+        bht_ = trace_.bhtStream(opts_.bhtEntries, opts_.bhtAssoc,
+                                opts_.bhtResetPolicy);
         ++streamBuilds_;
-        noteStreamResidentLocked();
-        if (it == bht_.end()) {
-            it = bht_.emplace(row_bits, std::move(built)).first;
-        } else {
-            it->second = std::move(built);
-        }
     }
-    return it->second;
+    return *bht_;
 }
 
 void
-StreamCache::noteStreamResidentLocked()
+StreamCache::prepare(const std::vector<ConfigJob> &jobs, unsigned)
 {
-    ++residentStreams_;
-    peakResidentStreams_ =
-        std::max(peakResidentStreams_, residentStreams_);
-}
-
-void
-StreamCache::prepare(const std::vector<ConfigJob> &jobs,
-                     unsigned threads)
-{
-    bool need_path = false;
-    std::set<unsigned> widths;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const ConfigJob &job : jobs) {
-            if (job.kind == SchemeKind::Path && !path_) {
-                need_path = true;
-            } else if (job.kind == SchemeKind::PAsFinite) {
-                auto it = bht_.find(job.rowBits);
-                if (it == bht_.end() || it->second.released)
-                    widths.insert(job.rowBits);
-            }
-        }
+    for (const ConfigJob &job : jobs) {
+        if (job.kind == SchemeKind::Path)
+            pathStream();
+        else if (job.kind == SchemeKind::PAsFinite)
+            bhtStream();
     }
-
-    std::vector<std::function<void()>> builds;
-    if (need_path) {
-        builds.push_back([this] {
-            auto stream =
-                trace_.pathHistoryStream(opts_.pathBitsPerTarget);
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++streamBuilds_;
-            if (!path_) {
-                path_ = std::move(stream);
-                noteStreamResidentLocked();
-            }
-        });
-    }
-    for (unsigned width : widths) {
-        builds.push_back([this, width] {
-            BhtStream built;
-            built.stream = trace_.bhtHistoryStream(
-                opts_.bhtEntries, opts_.bhtAssoc, width,
-                &built.missRate, opts_.bhtResetPolicy);
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++streamBuilds_;
-            noteStreamResidentLocked();
-            auto it = bht_.find(width);
-            if (it == bht_.end())
-                bht_.emplace(width, std::move(built));
-            else
-                it->second = std::move(built);
-        });
-    }
-
-    if (threads <= 1 || builds.size() <= 1) {
-        for (auto &build : builds)
-            build();
-    } else {
-        ThreadPool::shared().parallelFor(
-            builds.size(), threads, [&](std::size_t i) { builds[i](); });
-    }
-}
-
-const std::vector<std::uint64_t> *
-StreamCache::stream(SchemeKind kind, unsigned row_bits)
-{
-    // Every lookup takes the lock: a stream another group finished with
-    // may be freed (and rebuilt) at any moment.  That is one short lock
-    // per group, not per branch.
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (kind == SchemeKind::Path)
-        return &pathStreamLocked();
-    if (kind == SchemeKind::PAsFinite)
-        return &bhtStreamLocked(row_bits).stream;
-    return nullptr;
-}
-
-double
-StreamCache::bhtMissRate(unsigned row_bits)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    // The rate is recorded at build time and survives release; only
-    // rebuild when the entry has never been built at all.
-    auto it = bht_.find(row_bits);
-    if (it != bht_.end())
-        return it->second.missRate;
-    return bhtStreamLocked(row_bits).missRate;
 }
 
 std::size_t
@@ -1019,71 +931,6 @@ StreamCache::streamBuilds() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return streamBuilds_;
-}
-
-double
-StreamCache::sweepBhtMissRate() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return bht_.empty() ? -1.0 : bht_.rbegin()->second.missRate;
-}
-
-void
-StreamCache::planRelease(const std::vector<FusedGroup> &groups)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    releaseTracking_ = true;
-    pathConsumers_ = 0;
-    bhtConsumers_.clear();
-    for (const FusedGroup &group : groups) {
-        if (group.kind == SchemeKind::Path)
-            ++pathConsumers_;
-        else if (group.kind == SchemeKind::PAsFinite)
-            ++bhtConsumers_[group.streamRowBits];
-    }
-}
-
-void
-StreamCache::groupFinished(const FusedGroup &group)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!releaseTracking_)
-        return;
-    if (group.kind == SchemeKind::Path) {
-        if (pathConsumers_ > 0 && --pathConsumers_ == 0 && path_) {
-            path_.reset();
-            --residentStreams_;
-        }
-        return;
-    }
-    if (group.kind != SchemeKind::PAsFinite)
-        return;
-    auto consumers = bhtConsumers_.find(group.streamRowBits);
-    if (consumers == bhtConsumers_.end() || --consumers->second > 0)
-        return;
-    bhtConsumers_.erase(consumers);
-    auto it = bht_.find(group.streamRowBits);
-    if (it != bht_.end() && !it->second.released) {
-        // Free the buffer, keep the node: missRate stays readable.
-        it->second.stream.clear();
-        it->second.stream.shrink_to_fit();
-        it->second.released = true;
-        --residentStreams_;
-    }
-}
-
-std::size_t
-StreamCache::residentStreams() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return residentStreams_;
-}
-
-std::size_t
-StreamCache::peakResidentStreams() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return peakResidentStreams_;
 }
 
 void
@@ -1099,10 +946,6 @@ runFusedGroup(const FusedGroup &group,
     ReplayExec exec;
     exec.segments = resolveSegments(opts);
     exec.warmup = opts.segmentWarmup;
-    // One stream lookup per group, not per job or per branch.
-    const std::vector<std::uint64_t> *aux =
-        cache.stream(group.kind, group.streamRowBits);
-
     // The 2-bit family.  row_of gives the raw row value before each
     // branch, pattern_of the first-level pattern whose all-ones value
     // makes a conflict harmless.  Aliasing is always measured;
@@ -1123,7 +966,6 @@ runFusedGroup(const FusedGroup &group,
     };
     const auto none = [](std::size_t) { return std::uint64_t{0}; };
     const auto global = [&](std::size_t i) { return t.globalHistory(i); };
-    const auto stream = [&](std::size_t i) { return (*aux)[i]; };
 
     switch (group.kind) {
       case SchemeKind::AddressIndexed:
@@ -1141,21 +983,28 @@ runFusedGroup(const FusedGroup &group,
             },
             global);
         break;
-      case SchemeKind::Path:
-        bpsim_assert(aux, "path group needs a history stream");
-        two_bit(stream, none);
+      case SchemeKind::Path: {
+        const std::vector<std::uint64_t> &path = cache.pathStream();
+        two_bit([&](std::size_t i) { return path[i]; }, none);
         break;
+      }
       case SchemeKind::PAsPerfect: {
         const auto self = [&](std::size_t i) { return t.selfHistory(i); };
         two_bit(self, self);
         break;
       }
       case SchemeKind::PAsFinite: {
-        bpsim_assert(aux, "finite-PAs group needs a BHT stream");
-        two_bit(stream, stream);
-        const double miss = cache.bhtMissRate(group.streamRowBits);
+        // The decode derives one width's rows, so every member must
+        // share it (planFusedGroups buckets them so).
+        const BhtStream &bht = cache.bhtStream();
+        const unsigned width = jobs[group.jobs.front()].rowBits;
         for (std::size_t member : group.jobs)
-            slots[member].bhtMissRate = miss;
+            bpsim_assert(jobs[member].rowBits == width,
+                         "finite-PAs group mixes row widths");
+        const auto rows = [&](std::size_t i) { return bht.row(i, width); };
+        two_bit(rows, rows);
+        for (std::size_t member : group.jobs)
+            slots[member].bhtMissRate = bht.missRate();
         break;
       }
       case SchemeKind::Tage:
@@ -1186,41 +1035,25 @@ sweepScheme(const PreparedTrace &trace, SchemeKind kind,
 {
     SweepResult result(schemeKindName(kind), trace.name());
 
-    // Plan: enumerate the space, partition into groups, and
-    // precompute shared inputs.  Serial sweeps skip the eager stream
-    // prepare: groups run one at a time, so lazy builds plus
-    // release-after-last-consumer keep at most the streams the current
-    // group needs resident.  Parallel sweeps still prepare up front
-    // (concurrent groups need their streams simultaneously) and
-    // release as groups drain.
+    // Plan: enumerate the space and partition it into groups.  The
+    // sweep's one first-level stream is built lazily by the first group
+    // that needs it, and freed with the cache when the sweep returns.
     const std::vector<ConfigJob> jobs = planSweep(kind, opts);
     const unsigned threads = ThreadPool::resolveThreads(opts.threads);
     const std::vector<FusedGroup> groups =
         planFusedGroups(jobs, threads);
     StreamCache cache(trace, opts);
-    if (threads > 1)
-        cache.prepare(jobs, threads);
-    cache.planRelease(groups);
 
     // Execute: the pool distributes whole groups; every group writes
     // only its own members' slots (and telemetry slot), so placement
     // stays deterministic.
     std::vector<ConfigResult> slots(jobs.size());
     std::vector<KernelTelemetry> group_telemetry(groups.size());
-    if (threads <= 1) {
-        for (std::size_t g = 0; g < groups.size(); ++g) {
+    ThreadPool::shared().parallelFor(
+        groups.size(), threads, [&](std::size_t g) {
             runFusedGroup(groups[g], jobs, cache, slots.data(),
                           &group_telemetry[g]);
-            cache.groupFinished(groups[g]);
-        }
-    } else {
-        ThreadPool::shared().parallelFor(
-            groups.size(), threads, [&](std::size_t g) {
-                runFusedGroup(groups[g], jobs, cache, slots.data(),
-                              &group_telemetry[g]);
-                cache.groupFinished(groups[g]);
-            });
-    }
+        });
     // Aggregate: every group resolved the same dispatch target, so
     // merging in any order yields one coherent telemetry record.
     for (const KernelTelemetry &group : group_telemetry)
@@ -1240,7 +1073,7 @@ sweepScheme(const PreparedTrace &trace, SchemeKind kind,
         }
     }
     if (kind == SchemeKind::PAsFinite)
-        result.bhtMissRate = cache.sweepBhtMissRate();
+        result.bhtMissRate = cache.bhtStream().missRate();
     return result;
 }
 

@@ -7,13 +7,14 @@
  * Sweeps run in two phases.  The *plan* phase (planSweep) enumerates the
  * configuration space into ConfigJobs, planFusedGroups partitions them
  * into FusedGroups of jobs sharing one first-level input stream, and a
- * StreamCache precomputes every shared immutable input (the path-history
- * stream and the per-row-width BHT streams with their miss rates).  The
- * *execute* phase replays every group through one replay grid, serially
- * or on the shared ThreadPool, governed by SweepOptions::threads (which
- * distributes groups).  Results land in per-job ConfigResult slots that
- * are merged into Surfaces in plan order, so every execution shape is
- * bit-identical to the serial one.
+ * StreamCache builds every shared immutable input once, on first use
+ * (the path-history stream, and one finite-BHT stream whose rows and
+ * miss rate serve every row width).  The *execute* phase replays every
+ * group through one replay grid, serially or on the shared ThreadPool,
+ * governed by SweepOptions::threads (which distributes groups).
+ * Results land in per-job ConfigResult slots that are merged into
+ * Surfaces in plan order, so every execution shape is bit-identical to
+ * the serial one.
  *
  * The grid steps a group's member configurations -- its *lanes* --
  * through one of two lane engines:
@@ -48,7 +49,6 @@
 #define BPSIM_SIM_SWEEP_HH
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -109,11 +109,14 @@ struct SweepOptions
      * way, so misprediction and execution do not depend on it.
      */
     bool trackAliasing = true;
-    /** Path scheme: address bits contributed per branch. */
+    /**
+     * Path scheme: address bits contributed per branch
+     * (1..PreparedTrace::kMaxPathBitsPerTarget).
+     */
     unsigned pathBitsPerTarget = 2;
-    /** PAsFinite: BHT entry count (power of two). */
+    /** PAsFinite: BHT entry count (power of two, <= kMaxBhtEntries). */
     std::size_t bhtEntries = 1024;
-    /** PAsFinite: BHT associativity. */
+    /** PAsFinite: BHT associativity (1..kMaxBhtAssoc, divides entries). */
     unsigned bhtAssoc = 4;
     /** PAsFinite: BHT miss-reset policy (ablation knob). */
     BhtResetPolicy bhtResetPolicy = BhtResetPolicy::C3ffPrefix;
@@ -169,7 +172,8 @@ struct SweepOptions
      * Warm-up branches replayed (uncounted) before each speculative
      * segment to converge its cold counters; ignored when the
      * resolved segment count is 1.  A window reaching back to the
-     * trace start makes the segment exact by construction.
+     * trace start makes the segment exact by construction.  At most
+     * kMaxSegmentWarmup.
      */
     unsigned segmentWarmup = 2048;
 
@@ -183,6 +187,10 @@ struct SweepOptions
      * service reject anything larger with a structured error.
      */
     static constexpr unsigned kMaxTotalBits = 26;
+    /** Request limits on the BHT geometry and the warm-up window. */
+    static constexpr std::size_t kMaxBhtEntries = std::size_t{1} << 24;
+    static constexpr unsigned kMaxBhtAssoc = 64;
+    static constexpr unsigned kMaxSegmentWarmup = 1u << 20;
 };
 
 /**
@@ -298,27 +306,23 @@ std::vector<ConfigJob> planSweep(SchemeKind kind,
 /**
  * A unit of grid execution: jobs (indices into the planned job vector)
  * that replay the trace together because they read the same
- * per-branch first-level inputs.  A 2-bit group runs the 2-bit lane
+ * per-branch first-level inputs (for PAsFinite, the same row width).
+ * A 2-bit group runs the 2-bit lane
  * engine; a zoo group (kind Tage/Perceptron) is a MODEL group and runs
  * the model engine.
  */
 struct FusedGroup
 {
     SchemeKind kind = SchemeKind::GAs;
-    /**
-     * Stream key for StreamCache::stream(): the shared BHT row width
-     * for PAsFinite groups, 0 for every other scheme (whose streams,
-     * when they have one at all, are row-width independent).
-     */
-    unsigned streamRowBits = 0;
     /** Member jobs, as indices into the planned job vector. */
     std::vector<std::size_t> jobs;
 };
 
 /**
- * Partition planned jobs into grid execution groups.  Jobs sharing a
- * first-level stream (same scheme; same BHT row width for PAsFinite)
- * share a bucket.  A 2-bit bucket chunks into one balanced group per
+ * Partition planned jobs into grid execution groups.  Jobs of one
+ * scheme share a bucket; PAsFinite jobs also bucket by row width,
+ * because a group's decode derives one width's rows from the BHT
+ * stream (BhtStream::row).  A 2-bit bucket chunks into one balanced group per
  * AliasBatch::kMaxLanes jobs, whatever @p threads is, so each group is
  * one full lane batch.  Zoo jobs bucket by scheme into model groups,
  * split into at most @p threads chunks so the pool can spread a large
@@ -338,15 +342,15 @@ FusedGroup singleJobGroup(const std::vector<ConfigJob> &jobs,
 
 /**
  * Shared immutable first-level inputs for one (trace, options) pair:
- * the path-history stream and the finite-BHT history streams (one per
- * row width, because the 0xC3FF reset prefix differs by width) with
- * their miss rates.
+ * at most one path-history stream and one finite-BHT stream (a
+ * BhtStream, whose row() serves every row width and whose missRate()
+ * is the sweep's one BHT miss rate).
  *
- * prepare() builds every stream a job list needs up front -- in
- * parallel when asked.  Every lookup takes one short lock (a group
- * looks its stream up once, not per branch) and builds a missing
- * stream lazily, which keeps one-off simulateConfig() calls cheap to
- * write.
+ * Each stream is built once, on first use, under the cache's lock, and
+ * kept for the cache's lifetime (sweepScheme holds one cache per sweep,
+ * so it is freed when the sweep returns).  Concurrent first lookups
+ * wait for the one build.  prepare() builds what a job list needs up
+ * front.
  */
 class StreamCache
 {
@@ -356,84 +360,34 @@ class StreamCache
     const PreparedTrace &trace() const { return trace_; }
     const SweepOptions &options() const { return opts_; }
 
-    /** Precompute the streams @p jobs need, @p threads at a time. */
+    /**
+     * Build the streams @p jobs need.  At most two builds, both under
+     * the one lock, so they run in the calling thread; @p threads is
+     * accepted for callers that pass their pool width.
+     */
     void prepare(const std::vector<ConfigJob> &jobs, unsigned threads);
 
-    /**
-     * First-level stream feeding a job's row index, or nullptr for the
-     * schemes that index rows straight from the prepared trace.
-     */
-    const std::vector<std::uint64_t> *stream(SchemeKind kind,
-                                             unsigned row_bits);
+    /** Path-history stream at opts.pathBitsPerTarget (Path groups). */
+    const std::vector<std::uint64_t> &pathStream();
 
-    /** BHT miss rate observed building the width-@p row_bits stream. */
-    double bhtMissRate(unsigned row_bits);
+    /** Finite-BHT stream for the options' BHT (PAsFinite groups). */
+    const BhtStream &bhtStream();
 
     /**
-     * Number of first-level streams computed so far (path stream plus
-     * one per distinct BHT row width).  Repeated probes of the same
-     * configuration must not grow this -- the reuse invariant the
-     * differential tests pin.
+     * Number of first-level stream builds so far.  Each stream is
+     * built at most once, so repeated probes of any configuration must
+     * not grow this -- the reuse invariant the differential tests pin.
      */
     std::size_t streamBuilds() const;
 
-    /**
-     * The miss rate a whole-sweep result reports: the widest stream
-     * built so far (all widths measure the same tag misses).  Negative
-     * until a BHT stream exists.  Survives stream release -- the rate
-     * is a scalar recorded at build time, not the buffer.
-     */
-    double sweepBhtMissRate() const;
-
-    /**
-     * Enable release-after-last-consumer: record how many of @p groups
-     * consume each first-level stream so groupFinished() can free a
-     * stream's buffer the moment its last consumer completes (a full
-     * multi-scheme sweep would otherwise hold O(schemes x trace)
-     * bytes).  A later lookup of a released stream rebuilds it.  Call
-     * before dispatching executors.
-     */
-    void planRelease(const std::vector<FusedGroup> &groups);
-
-    /**
-     * One group of the planned release set finished executing: drop
-     * any stream whose consumers are all done.  No-op without
-     * planRelease().  Thread-safe.
-     */
-    void groupFinished(const FusedGroup &group);
-
-    /** First-level stream buffers currently resident. */
-    std::size_t residentStreams() const;
-    /** High-water mark of residentStreams() over the cache lifetime. */
-    std::size_t peakResidentStreams() const;
-
   private:
-    struct BhtStream
-    {
-        std::vector<std::uint64_t> stream;
-        double missRate = -1.0;
-        /** Buffer freed by groupFinished(); missRate still valid.  A
-         *  later lookup rebuilds the stream (counted as a build). */
-        bool released = false;
-    };
-
-    const std::vector<std::uint64_t> &pathStreamLocked();
-    const BhtStream &bhtStreamLocked(unsigned row_bits);
-    /** Count a freshly built stream toward the resident high-water. */
-    void noteStreamResidentLocked();
-
     const PreparedTrace &trace_;
     SweepOptions opts_;
+    /** Guards the two streams; a stream, once built, never changes. */
     mutable std::mutex mutex_;
     std::optional<std::vector<std::uint64_t>> path_;
-    std::map<unsigned, BhtStream> bht_;
+    std::optional<BhtStream> bht_;
     std::size_t streamBuilds_ = 0;
-    /** Release-after-last-consumer state (planRelease). */
-    bool releaseTracking_ = false;
-    std::size_t pathConsumers_ = 0;
-    std::map<unsigned, std::size_t> bhtConsumers_;
-    std::size_t residentStreams_ = 0;
-    std::size_t peakResidentStreams_ = 0;
 };
 
 /**

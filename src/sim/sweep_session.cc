@@ -32,6 +32,17 @@ checkTableCeiling(std::uint64_t total_bits)
     return Status();
 }
 
+/** Reject option @p field when @p value lies outside [lo, hi]. */
+Status
+checkRange(const char *field, std::uint64_t value, std::uint64_t lo,
+           std::uint64_t hi)
+{
+    if (value < lo || value > hi)
+        return BPSIM_ERROR("options ", field, " must be in [", lo, ", ",
+                           hi, "], got ", value);
+    return Status();
+}
+
 } // namespace
 
 Status
@@ -44,6 +55,36 @@ SweepSession::validateOptions(const SweepOptions &opts)
     if (Status ceiling = checkTableCeiling(opts.maxTotalBits);
         !ceiling.ok())
         return ceiling;
+    const std::vector<unsigned> &histories = opts.tageHistories;
+    for (const Status &range : {
+             checkRange("path_bits", opts.pathBitsPerTarget, 1,
+                        PreparedTrace::kMaxPathBitsPerTarget),
+             checkRange("bht_entries", opts.bhtEntries, 1,
+                        SweepOptions::kMaxBhtEntries),
+             checkRange("bht_assoc", opts.bhtAssoc, 1,
+                        SweepOptions::kMaxBhtAssoc),
+             checkRange("segment_warmup", opts.segmentWarmup, 0,
+                        SweepOptions::kMaxSegmentWarmup),
+             checkRange("tage_tag_bits", opts.tageTagBits,
+                        TageParams::kMinTagBits, TageParams::kMaxTagBits),
+             checkRange("tage_histories count", histories.size(), 1,
+                        TageParams::kMaxComponents),
+             checkRange("perceptron_tables", opts.perceptronTables,
+                        PerceptronParams::kMinTables,
+                        PerceptronParams::kMaxTables),
+         }) {
+        if (!range.ok())
+            return range;
+    }
+    for (std::size_t i = 0; i < histories.size(); ++i) {
+        if (Status length = checkRange("tage_histories[]", histories[i],
+                                       1, TageParams::kMaxHistory);
+            !length.ok())
+            return length;
+        if (i > 0 && histories[i] <= histories[i - 1])
+            return BPSIM_ERROR("options tage_histories must be strictly "
+                               "ascending");
+    }
     if (!isPowerOfTwo(opts.bhtEntries))
         return BPSIM_ERROR("options bht_entries must be a power of two, "
                            "got ", opts.bhtEntries);

@@ -248,9 +248,12 @@ class SweepSession
     prepared(const TraceHash &trace);
 
     /**
-     * Cross-field validity of @p opts, checked before any replay so a
-     * bad request is an error, not an abort: a tier range that is not
-     * reversed and stays within SweepOptions::kMaxTotalBits, and a BHT
+     * Validity of @p opts, checked before any replay so a bad request
+     * is an error, not an abort: a tier range that is not reversed and
+     * stays within SweepOptions::kMaxTotalBits; every per-field range
+     * the protocol documents (path bits, BHT size and associativity,
+     * segment warm-up, TAGE tag bits and history lengths, perceptron
+     * tables), from the constants the protocol shares; and a BHT
      * geometry the first level accepts (a power-of-two entry count
      * that the associativity divides).  The service protocol calls it
      * on every parsed options object.

@@ -4,9 +4,11 @@
  * and Figure 5's aliasing and harmless-alias surfaces.
  *
  * Fuzzed group compositions -- 1-40 lanes of mixed row/column widths
- * (row width 0 included) over every 2-bit SchemeKind, plus row-heavy
- * and column-heavy splits at tiers 16-18 -- run through
- * runFusedGroup as one group (several lane batches per block) and as
+ * (row width 0 included) over every 2-bit SchemeKind (finite-BHT
+ * groups under every reset policy, direct-mapped to fully
+ * associative), plus row-heavy and column-heavy splits at tiers
+ * 16-18, on traces with one or several branch pcs per instruction
+ * word -- run through runFusedGroup as one group (several lane batches per block) and as
  * the planner's groups, under every SIMD target this host supports
  * (forced through SweepOptions::simd), and segment counts 1 and
  * K > 1.  Every execution shape must be bit-identical to the scalar
@@ -41,6 +43,7 @@
 #include "common/random.hh"
 #include "common/simd.hh"
 #include "predictor/factory.hh"
+#include "predictor/row_selector.hh"
 #include "predictor/two_level.hh"
 #include "sim/engine.hh"
 #include "sim/sweep.hh"
@@ -60,6 +63,63 @@ constexpr SchemeKind kTwoBitKinds[] = {
     SchemeKind::PAsFinite,
 };
 
+/**
+ * A fuzzed first-level BHT: 32-128 entries, direct-mapped, 2-way,
+ * 4-way or fully associative, under any reset policy.
+ */
+void
+fuzzBht(SweepOptions &opts, Pcg32 &rng)
+{
+    opts.bhtEntries = 32u << rng.nextBounded(3);
+    const unsigned assoc[] = {1, 2, 4,
+                              static_cast<unsigned>(opts.bhtEntries)};
+    opts.bhtAssoc = assoc[rng.nextBounded(4)];
+    const BhtResetPolicy policies[] = {
+        BhtResetPolicy::C3ffPrefix, BhtResetPolicy::Zeros,
+        BhtResetPolicy::Ones, BhtResetPolicy::Hold};
+    opts.bhtResetPolicy = policies[rng.nextBounded(4)];
+}
+
+/**
+ * BhtPerAddressSelector under any reset policy: the oracle's finite
+ * first level (the library selector keeps the paper's 0xC3FF reset).
+ */
+class PolicyBhtSelector : public RowSelector
+{
+  public:
+    PolicyBhtSelector(const SweepOptions &opts, unsigned history_bits)
+        : bht(opts.bhtEntries, opts.bhtAssoc, history_bits,
+              opts.bhtResetPolicy)
+    {
+    }
+
+    std::uint64_t selectRow(const BranchRecord &rec) override
+    {
+        return bht.visit(rec.pc).history;
+    }
+    void recordOutcome(const BranchRecord &rec) override
+    {
+        bht.recordOutcome(rec.pc, rec.taken);
+    }
+    bool patternAllOnes(const BranchRecord &rec,
+                        unsigned row_bits) const override
+    {
+        const auto hist = bht.peek(rec.pc);
+        return hist && row_bits != 0 &&
+               bits(*hist, row_bits) == mask(row_bits);
+    }
+    std::string schemeName() const override { return "PAs(bht)"; }
+    void reset() override { bht.reset(); }
+
+  private:
+    SetAssocBht bht;
+};
+
+/**
+ * A synthetic trace; odd seeds move each conditional branch to a
+ * pseudo-random byte of its instruction word, as in a variable-length
+ * ISA's trace, so distinct pcs share a word (and a BHT entry).
+ */
 MemoryTrace
 fuzzTrace(std::uint64_t seed, std::uint64_t conditionals)
 {
@@ -69,7 +129,17 @@ fuzzTrace(std::uint64_t seed, std::uint64_t conditionals)
     p.staticBranches = 60 + seed % 90;
     p.functionCount = 8;
     p.targetConditionals = conditionals;
-    return generateTrace(p);
+    MemoryTrace aligned = generateTrace(p);
+    if (seed % 2 == 0)
+        return aligned;
+    MemoryTrace split(aligned.name());
+    for (std::size_t i = 0; i < aligned.size(); ++i) {
+        BranchRecord rec = aligned[i];
+        if (rec.isConditional())
+            rec.pc += ((i * 2654435761u) >> 7) & 3;
+        split.append(rec);
+    }
+    return split;
 }
 
 /** One fuzzed group: a scheme, its options and 1-40 member jobs. */
@@ -88,10 +158,9 @@ fuzzComposition(SchemeKind kind, Pcg32 &rng)
     c.opts.trackAliasing = true;
     c.opts.simd = SimdTarget::Scalar;
     c.opts.pathBitsPerTarget = 1 + rng.nextBounded(3);
-    c.opts.bhtEntries = 32u << rng.nextBounded(3);
-    c.opts.bhtAssoc = rng.nextBounded(2) ? 4 : 2;
+    fuzzBht(c.opts, rng);
     const std::size_t lanes = 1 + rng.nextBounded(40);
-    // A PAsFinite group shares one BHT stream, i.e. one row width.
+    // A PAsFinite group decodes one row width from the BHT stream.
     const unsigned bht_rows = rng.nextBounded(9);
     for (std::size_t j = 0; j < lanes; ++j) {
         unsigned total = rng.nextBounded(12);
@@ -207,8 +276,15 @@ expectMatchesOracles(const MemoryTrace &trace, const Composition &c,
         EXPECT_EQ(exact[j].mispRate, referenceMispRate(ref, trace))
             << where;
 
+        // The spec grammar spells only the default BHT reset policy,
+        // so finite-PAs lanes build their online predictor directly.
         std::unique_ptr<BranchPredictor> online =
-            makePredictor(engineSpec(ref), true);
+            c.kind == SchemeKind::PAsFinite
+                ? std::make_unique<TwoLevelPredictor>(
+                      std::make_unique<PolicyBhtSelector>(c.opts,
+                                                          job.rowBits),
+                      job.rowBits, job.colBits, true)
+                : makePredictor(engineSpec(ref), true);
         const auto *two_level =
             dynamic_cast<const TwoLevelPredictor *>(online.get());
         ASSERT_NE(two_level, nullptr) << where;
@@ -593,8 +669,7 @@ TEST(FusedKernelDifferential, FuzzedGroupsAgreeWithPerConfigKernel)
 
         SweepOptions opts;
         opts.trackAliasing = false;
-        opts.bhtEntries = 32u << rng.nextBounded(3);
-        opts.bhtAssoc = rng.nextBounded(2) ? 4 : 2;
+        fuzzBht(opts, rng);
         SweepOptions aliasing = opts;
         aliasing.trackAliasing = true;
 
@@ -704,8 +779,7 @@ TEST(FusedKernelDifferential, ForcedDispatchTargetsBitIdentical)
         SweepOptions opts;
         opts.trackAliasing = false;
         opts.simd = SimdTarget::Scalar;
-        opts.bhtEntries = 32u << rng.nextBounded(3);
-        opts.bhtAssoc = rng.nextBounded(2) ? 4 : 2;
+        fuzzBht(opts, rng);
 
         std::vector<ConfigJob> jobs;
         const std::size_t count = 4 + rng.nextBounded(5);

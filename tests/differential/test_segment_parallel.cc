@@ -128,8 +128,16 @@ TEST(SegmentParallel, ThreadCountsBitIdenticalAcrossFuzzedConfigs)
         base.trackAliasing = false;
         base.minTotalBits = 4 + rng.nextBounded(2);
         base.maxTotalBits = base.minTotalBits + 3 + rng.nextBounded(3);
+        // Every BHT shape class (direct-mapped, 2-way, 4-way, fully
+        // associative) under every reset policy.
         base.bhtEntries = 32u << rng.nextBounded(3);
-        base.bhtAssoc = rng.nextBounded(2) ? 4 : 2;
+        const unsigned assoc[] = {1, 2, 4,
+                                  static_cast<unsigned>(base.bhtEntries)};
+        base.bhtAssoc = assoc[rng.nextBounded(4)];
+        const BhtResetPolicy policies[] = {
+            BhtResetPolicy::C3ffPrefix, BhtResetPolicy::Zeros,
+            BhtResetPolicy::Ones, BhtResetPolicy::Hold};
+        base.bhtResetPolicy = policies[rng.nextBounded(4)];
         base.pathBitsPerTarget = 1 + rng.nextBounded(4);
         base.threads = 1;
 
@@ -326,7 +334,7 @@ TEST(SegmentParallel, AliasingSegmentsIdenticalForAnyThreadCount)
         if (kind == SchemeKind::PAsFinite)
             continue;
         const std::vector<ConfigJob> jobs = planSweep(kind, spec);
-        FusedGroup all{kind, 0, {}};
+        FusedGroup all{kind, {}};
         for (std::size_t i = 0; i < jobs.size(); ++i)
             all.jobs.push_back(i);
         ASSERT_GT(all.jobs.size(), AliasBatch::kMaxLanes) << name;

@@ -16,6 +16,7 @@
 
 #include "predictor/bht.hh"
 #include "sim/prepared_trace.hh"
+#include "sim/sweep.hh"
 #include "trace/trace_io.hh"
 #include "workload/synthetic.hh"
 
@@ -33,6 +34,24 @@ smallWorkload(std::uint64_t seed = 3, std::uint64_t target = 5'000)
     p.functionCount = 8;
     p.targetConditionals = target;
     return generateTrace(p);
+}
+
+/**
+ * @p raw with each conditional branch moved to a pseudo-random byte of
+ * its instruction word, as in a variable-length ISA's trace: up to four
+ * distinct pcs then share one BHT entry, which is tagged by word index.
+ */
+MemoryTrace
+splitWords(const MemoryTrace &raw)
+{
+    MemoryTrace out(raw.name());
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+        BranchRecord rec = raw[i];
+        if (rec.isConditional())
+            rec.pc += ((i * 2654435761u) >> 7) & 3;
+        out.append(rec);
+    }
+    return out;
 }
 
 } // namespace
@@ -108,35 +127,62 @@ TEST(PreparedTrace, PathStreamMatchesOnlineRegister)
 
 TEST(PreparedTrace, BhtStreamMatchesOnlineBht)
 {
-    MemoryTrace raw = smallWorkload();
-    PreparedTrace t(raw);
-
-    const std::size_t entries = 64;
-    const unsigned assoc = 4;
-    const unsigned bits_ = 7;
-    SetAssocBht ref(entries, assoc, bits_);
-    double miss_rate = 0.0;
-    auto stream = t.bhtHistoryStream(entries, assoc, bits_, &miss_rate);
-    ASSERT_EQ(stream.size(), t.size());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        ASSERT_EQ(stream[i], ref.visit(t.pc(i)).history)
-            << "instance " << i;
-        ref.recordOutcome(t.pc(i), t.taken(i));
+    // One width-free simulation must reproduce, at every width, the
+    // online BHT of that width: every row and the miss rate.  Shapes:
+    // the paper's 1024x4, a 64x4, a thrashing 16x4, a direct-mapped
+    // 32x1 and a fully associative 32x32 (80 static branches, so all
+    // but the first evict constantly); widths up to the table ceiling
+    // plus the 64-bit register, where the push count saturates.  The
+    // second trace puts several branches in one word (0x1000 and
+    // 0x1002, say), so they share an entry and its pushes.
+    const MemoryTrace aligned = smallWorkload();
+    const PreparedTrace traces[] = {PreparedTrace(aligned),
+                                    PreparedTrace(splitWords(aligned))};
+    ASSERT_GT(traces[1].staticBranches(), traces[0].staticBranches());
+    const std::pair<std::size_t, unsigned> shapes[] = {
+        {1024, 4}, {64, 4}, {16, 4}, {32, 1}, {32, 32}};
+    std::vector<unsigned> widths;
+    for (unsigned r = 0; r <= SweepOptions::kMaxTotalBits; ++r)
+        widths.push_back(r);
+    widths.push_back(64);
+    for (const PreparedTrace &t : traces) {
+        for (const auto &[entries, assoc] : shapes) {
+            for (BhtResetPolicy policy :
+                 {BhtResetPolicy::C3ffPrefix, BhtResetPolicy::Zeros,
+                  BhtResetPolicy::Ones, BhtResetPolicy::Hold}) {
+                const BhtStream stream =
+                    t.bhtStream(entries, assoc, policy);
+                ASSERT_EQ(stream.size(), t.size());
+                for (unsigned r : widths) {
+                    SetAssocBht ref(entries, assoc, r, policy);
+                    for (std::size_t i = 0; i < t.size(); ++i) {
+                        ASSERT_EQ(stream.row(i, r),
+                                  ref.visit(t.pc(i)).history)
+                            << t.staticBranches() << " pcs " << entries
+                            << "x" << assoc << " "
+                            << bhtResetPolicyName(policy) << " width "
+                            << r << " instance " << i;
+                        ref.recordOutcome(t.pc(i), t.taken(i));
+                    }
+                    EXPECT_EQ(stream.missRate(), ref.missRate())
+                        << entries << "x" << assoc << " width " << r;
+                }
+            }
+        }
     }
-    EXPECT_DOUBLE_EQ(miss_rate, ref.missRate());
 }
 
 TEST(PreparedTrace, BhtStreamsDifferByHistoryWidth)
 {
-    // The 0xC3FF reset prefix depends on the register width, so streams
-    // for different widths are NOT suffixes of one another.
+    // The 0xC3FF reset prefix depends on the register width, so the
+    // rows of different widths are NOT suffixes of one another.
     MemoryTrace raw = smallWorkload(7);
     PreparedTrace t(raw);
-    auto narrow = t.bhtHistoryStream(32, 2, 4);
-    auto wide = t.bhtHistoryStream(32, 2, 12);
+    const BhtStream stream =
+        t.bhtStream(32, 2, BhtResetPolicy::C3ffPrefix);
     bool low_bits_differ = false;
     for (std::size_t i = 0; i < t.size(); ++i) {
-        if ((wide[i] & mask(4)) != narrow[i]) {
+        if ((stream.row(i, 12) & mask(4)) != stream.row(i, 4)) {
             low_bits_differ = true;
             break;
         }
@@ -150,7 +196,12 @@ TEST(PreparedTrace, EmptyTrace)
     PreparedTrace t(raw);
     EXPECT_EQ(t.size(), 0u);
     EXPECT_TRUE(t.pathHistoryStream(2).empty());
-    EXPECT_TRUE(t.bhtHistoryStream(16, 4, 4).empty());
+    for (BhtResetPolicy policy :
+         {BhtResetPolicy::C3ffPrefix, BhtResetPolicy::Hold}) {
+        const BhtStream stream = t.bhtStream(16, 4, policy);
+        EXPECT_EQ(stream.size(), 0u);
+        EXPECT_EQ(stream.missRate(), 0.0);
+    }
     EXPECT_DOUBLE_EQ(t.bytesPerBranch(), 0.0);
 }
 

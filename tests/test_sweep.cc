@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hh"
 #include "predictor/factory.hh"
 #include "predictor/two_level.hh"
 #include "sim/engine.hh"
@@ -346,32 +347,32 @@ TEST(Sweep, StreamCacheDoesNotRecomputeFirstLevelStreams)
     EXPECT_EQ(cache.streamBuilds(), 0u);
 
     // First probes build exactly one stream each: the path stream and
-    // one BHT stream per distinct row width.
+    // the one BHT stream, which serves every row width.
     simulateConfig(cache, SchemeKind::Path, 4, 3);
     EXPECT_EQ(cache.streamBuilds(), 1u);
     simulateConfig(cache, SchemeKind::PAsFinite, 4, 3);
     EXPECT_EQ(cache.streamBuilds(), 2u);
     simulateConfig(cache, SchemeKind::PAsFinite, 6, 2);
-    EXPECT_EQ(cache.streamBuilds(), 3u);
+    EXPECT_EQ(cache.streamBuilds(), 2u);
 
-    // Repeated probes -- same widths, different column splits, plus
+    // Repeated probes -- other widths, other column splits, plus
     // schemes that need no first-level stream -- reuse what exists.
     for (int round = 0; round < 3; ++round) {
         simulateConfig(cache, SchemeKind::Path, 4, 2);
         simulateConfig(cache, SchemeKind::PAsFinite, 4, 5);
-        simulateConfig(cache, SchemeKind::PAsFinite, 6, 0);
+        simulateConfig(cache, SchemeKind::PAsFinite, 9, 0);
         simulateConfig(cache, SchemeKind::GAs, 5, 5);
         simulateConfig(cache, SchemeKind::Gshare, 5, 5);
     }
-    EXPECT_EQ(cache.streamBuilds(), 3u);
+    EXPECT_EQ(cache.streamBuilds(), 2u);
 
     // prepare() for already-covered jobs is a no-op too.
     std::vector<ConfigJob> jobs{
         ConfigJob{SchemeKind::Path, 7, 4, 3},
-        ConfigJob{SchemeKind::PAsFinite, 7, 6, 1},
+        ConfigJob{SchemeKind::PAsFinite, 7, 7, 0},
     };
     cache.prepare(jobs, 2);
-    EXPECT_EQ(cache.streamBuilds(), 3u);
+    EXPECT_EQ(cache.streamBuilds(), 2u);
 }
 
 TEST(Sweep, FusedSweepBitIdenticalToPerConfigForEveryScheme)
@@ -538,9 +539,10 @@ TEST(Sweep, FusedGroupPlanPartitionsJobsByStream)
     // one group per AliasBatch::kMaxLanes jobs whatever the thread
     // count.  GAs: every job shares the global-history stream, so its
     // 35 jobs are three balanced batches (12/12/11), contiguous in
-    // plan order, covering every job exactly once.  PAsFinite streams
-    // depend on the row width: one group per distinct rowBits (widths
-    // 0..8 across tiers 4..8, at most 5 jobs each).
+    // plan order, covering every job exactly once.  PAsFinite groups
+    // decode one row width from the shared BHT stream: one group per
+    // distinct rowBits (widths 0..8 across tiers 4..8, at most 5 jobs
+    // each).
     auto jobs = planSweep(SchemeKind::GAs, o);
     auto finite_jobs = planSweep(SchemeKind::PAsFinite, o);
     for (unsigned threads : {1u, 3u, 4u}) {
@@ -548,7 +550,8 @@ TEST(Sweep, FusedGroupPlanPartitionsJobsByStream)
         EXPECT_EQ(finite_groups.size(), 9u);
         for (const auto &g : finite_groups) {
             for (std::size_t idx : g.jobs)
-                EXPECT_EQ(finite_jobs[idx].rowBits, g.streamRowBits);
+                EXPECT_EQ(finite_jobs[idx].rowBits,
+                          finite_jobs[g.jobs.front()].rowBits);
         }
         auto gas = planFusedGroups(jobs, threads);
         ASSERT_EQ(jobs.size(), 35u);
@@ -645,86 +648,50 @@ TEST(Sweep, TelemetryMergeKeepsTargetOfReplayedWork)
     EXPECT_EQ(total.target, SimdTarget::AVX2);
 }
 
-TEST(Sweep, StreamCacheReleasesStreamsAfterLastConsumer)
+TEST(Sweep, ConcurrentGroupsBuildEachStreamOnce)
 {
+    // A threads=8 sweep's groups look their stream up concurrently:
+    // the first lookup builds it, the others wait for that build.  Run
+    // the sweep's own execution shape over a visible cache, then hold
+    // the threads=8 sweep to the serial one.
     PreparedTrace t(sharedWorkload());
-    SweepOptions o;
-    o.minTotalBits = 4;
-    o.maxTotalBits = 8;
-    o.trackAliasing = false;
-    o.bhtEntries = 64;
+    for (SchemeKind kind : {SchemeKind::PAsFinite, SchemeKind::Path}) {
+        SweepOptions o;
+        o.minTotalBits = 4;
+        o.maxTotalBits = 10;
+        o.bhtEntries = 64;
+        o.threads = 8;
+        const std::vector<ConfigJob> jobs = planSweep(kind, o);
+        const std::vector<FusedGroup> groups = planFusedGroups(jobs, 8);
+        ASSERT_GE(groups.size(), 4u);
+        StreamCache cache(t, o);
+        std::vector<ConfigResult> slots(jobs.size());
+        ThreadPool::shared().parallelFor(
+            groups.size(), 8, [&](std::size_t g) {
+                runFusedGroup(groups[g], jobs, cache, slots.data());
+            });
+        EXPECT_EQ(cache.streamBuilds(), 1u) << schemeKindName(kind);
 
-    // PAsFinite needs one stream per row width: tiers 4..8 use widths
-    // 0..8, nine streams of 8 bytes per branch each.
-    auto jobs = planSweep(SchemeKind::PAsFinite, o);
-    auto groups = planFusedGroups(jobs, 1);
-    ASSERT_EQ(groups.size(), 9u);
-
-    // Without a release plan, eager preparation keeps all nine
-    // resident for the cache's whole lifetime.
-    {
-        StreamCache eager(t, o);
-        eager.prepare(jobs, 1);
-        EXPECT_EQ(eager.residentStreams(), 9u);
-        EXPECT_EQ(eager.peakResidentStreams(), 9u);
+        SweepOptions serial = o;
+        serial.threads = 1;
+        const SweepResult rs = sweepScheme(t, kind, serial);
+        const SweepResult rp = sweepScheme(t, kind, o);
+        const char *name = schemeKindName(kind);
+        expectSurfacesIdentical(rs.misprediction, rp.misprediction,
+                                name);
+        expectSurfacesIdentical(rs.aliasing, rp.aliasing, name);
+        expectSurfacesIdentical(rs.harmless, rp.harmless, name);
+        EXPECT_EQ(rs.bhtMissRate, rp.bhtMissRate) << name;
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            EXPECT_EQ(slots[i].mispRate,
+                      *rs.misprediction.at(jobs[i].totalBits,
+                                           jobs[i].rowBits))
+                << name << " job " << i;
+            if (kind == SchemeKind::PAsFinite) {
+                EXPECT_EQ(slots[i].bhtMissRate, rs.bhtMissRate) << i;
+            }
+        }
     }
-
-    // With the release plan and lazy serial execution, a stream dies
-    // the moment its last consuming group finishes: peak residency is
-    // ONE stream, not nine.
-    StreamCache cache(t, o);
-    cache.planRelease(groups);
-    std::vector<ConfigResult> slots(jobs.size());
-    for (const FusedGroup &group : groups) {
-        runFusedGroup(group, jobs, cache, slots.data());
-        cache.groupFinished(group);
-        EXPECT_LE(cache.residentStreams(), 1u);
-    }
-    EXPECT_EQ(cache.residentStreams(), 0u);
-    EXPECT_EQ(cache.peakResidentStreams(), 1u);
-    // The sweep-level miss rate is recorded at build time and must
-    // survive the buffers being freed.
-    EXPECT_GT(cache.sweepBhtMissRate(), 0.0);
-
-    // Releasing must not change any result.
-    StreamCache keep(t, o);
-    keep.prepare(jobs, 1);
-    std::vector<ConfigResult> expected(jobs.size());
-    for (const FusedGroup &group : groups)
-        runFusedGroup(group, jobs, keep, expected.data());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(slots[i].mispRate, expected[i].mispRate) << i;
-        EXPECT_EQ(slots[i].bhtMissRate, expected[i].bhtMissRate) << i;
-    }
-}
-
-TEST(Sweep, ReleasedStreamRebuildsOnLaterLookup)
-{
-    PreparedTrace t(sharedWorkload());
-    SweepOptions o;
-    o.minTotalBits = 5;
-    o.maxTotalBits = 5;
-    o.trackAliasing = false;
-
-    auto jobs = planSweep(SchemeKind::Path, o);
-    auto groups = planFusedGroups(jobs, 1);
-    StreamCache cache(t, o);
-    cache.planRelease(groups);
-    std::vector<ConfigResult> slots(jobs.size());
-    for (const FusedGroup &group : groups) {
-        runFusedGroup(group, jobs, cache, slots.data());
-        cache.groupFinished(group);
-    }
-    EXPECT_EQ(cache.residentStreams(), 0u);
-    const std::size_t builds = cache.streamBuilds();
-
-    // A post-release lookup transparently rebuilds the stream.
-    const std::vector<std::uint64_t> *stream =
-        cache.stream(SchemeKind::Path, 3);
-    ASSERT_NE(stream, nullptr);
-    EXPECT_EQ(stream->size(), t.size());
-    EXPECT_EQ(cache.streamBuilds(), builds + 1);
-    EXPECT_EQ(cache.residentStreams(), 1u);
 }
 
 TEST(Sweep, SweepAgreesWithSimulateConfig)

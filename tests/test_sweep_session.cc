@@ -489,9 +489,11 @@ TEST(SweepSession, TablesAboveTheEngineCeilingAreErrors)
 
 TEST(SweepSession, InvalidOptionsAreErrorsNotAborts)
 {
-    // Options valid field by field but not together would abort in
-    // the planner or the BHT; sweep, batched sweep and point answer
-    // them with a Status before any replay.
+    // Options outside a field's range, or valid field by field but not
+    // together, would abort in the planner, the trace, the BHT or a
+    // zoo model; sweep, batched sweep and point answer them with a
+    // Status before any replay.  One case per range the protocol
+    // checks, each at the first value past an end of the range.
     SweepSession session;
     auto handle = session.internProfile(kProfile, kBranches);
     ASSERT_TRUE(handle.ok());
@@ -507,29 +509,81 @@ TEST(SweepSession, InvalidOptionsAreErrorsNotAborts)
     wide_assoc.bhtAssoc = 4;
     SweepOptions odd_entries = smallSweep();
     odd_entries.bhtEntries = 100;
-    const std::pair<SweepOptions, const char *> cases[] = {
-        {reversed, "exceeds max_bits"},
-        {odd_assoc, "must divide"},
-        {wide_assoc, "must divide"},
-        {odd_entries, "power of two"},
+    const auto with = [](void (*change)(SweepOptions &)) {
+        SweepOptions o = smallSweep();
+        change(o);
+        return o;
     };
-    for (const auto &[opts, message] : cases) {
+    struct Case
+    {
+        SweepOptions opts;
+        SchemeKind kind; ///< the scheme the bad field feeds
+        const char *message;
+    };
+    const SchemeKind bht = SchemeKind::PAsFinite;
+    const Case cases[] = {
+        {reversed, bht, "exceeds max_bits"},
+        {odd_assoc, bht, "must divide"},
+        {wide_assoc, bht, "must divide"},
+        {odd_entries, bht, "power of two"},
+        {with([](SweepOptions &o) { o.pathBitsPerTarget = 0; }),
+         SchemeKind::Path, "path_bits must be in [1, 16], got 0"},
+        {with([](SweepOptions &o) { o.pathBitsPerTarget = 17; }),
+         SchemeKind::Path, "path_bits must be in [1, 16], got 17"},
+        {with([](SweepOptions &o) { o.bhtEntries = 1u << 25; }),
+         bht, "bht_entries must be in [1, 16777216]"},
+        {with([](SweepOptions &o) { o.bhtAssoc = 0; }),
+         bht, "bht_assoc must be in [1, 64], got 0"},
+        {with([](SweepOptions &o) {
+             o.bhtEntries = 1024;
+             o.bhtAssoc = 128;
+         }),
+         bht, "bht_assoc must be in [1, 64], got 128"},
+        {with([](SweepOptions &o) { o.segmentWarmup = (1u << 20) + 1; }),
+         SchemeKind::GAs, "segment_warmup must be in [0, 1048576]"},
+        {with([](SweepOptions &o) { o.tageTagBits = 1; }),
+         SchemeKind::Tage, "tage_tag_bits must be in [2, 16], got 1"},
+        {with([](SweepOptions &o) { o.tageTagBits = 17; }),
+         SchemeKind::Tage, "tage_tag_bits must be in [2, 16], got 17"},
+        {with([](SweepOptions &o) { o.tageHistories = {}; }),
+         SchemeKind::Tage,
+         "tage_histories count must be in [1, 8], got 0"},
+        {with([](SweepOptions &o) {
+             o.tageHistories = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+         }),
+         SchemeKind::Tage,
+         "tage_histories count must be in [1, 8], got 9"},
+        {with([](SweepOptions &o) { o.tageHistories = {0, 4}; }),
+         SchemeKind::Tage, "tage_histories[] must be in [1, 64], got 0"},
+        {with([](SweepOptions &o) { o.tageHistories = {4, 65}; }),
+         SchemeKind::Tage,
+         "tage_histories[] must be in [1, 64], got 65"},
+        {with([](SweepOptions &o) { o.tageHistories = {8, 4}; }),
+         SchemeKind::Tage, "strictly ascending"},
+        {with([](SweepOptions &o) { o.tageHistories = {4, 4}; }),
+         SchemeKind::Tage, "strictly ascending"},
+        {with([](SweepOptions &o) { o.perceptronTables = 1; }),
+         SchemeKind::Perceptron,
+         "perceptron_tables must be in [2, 16], got 1"},
+        {with([](SweepOptions &o) { o.perceptronTables = 17; }),
+         SchemeKind::Perceptron,
+         "perceptron_tables must be in [2, 16], got 17"},
+    };
+    for (const auto &[opts, kind, message] : cases) {
         EXPECT_FALSE(SweepSession::validateOptions(opts).ok()) << message;
-        Result<SweepResponse> r = session.sweep(
-            SweepRequest{trace, SchemeKind::PAsFinite, opts});
+        Result<SweepResponse> r =
+            session.sweep(SweepRequest{trace, kind, opts});
         ASSERT_FALSE(r.ok()) << message;
         EXPECT_NE(r.error().message().find(message), std::string::npos)
             << r.error().message();
         const std::vector<Result<SweepResponse>> batch =
             session.sweepBatch(
-                {SweepRequest{trace, SchemeKind::PAsFinite, opts},
-                 SweepRequest{trace, SchemeKind::PAsFinite,
-                              smallSweep()}});
+                {SweepRequest{trace, kind, opts},
+                 SweepRequest{trace, kind, smallSweep()}});
         ASSERT_EQ(batch.size(), 2u);
         EXPECT_FALSE(batch[0].ok()) << message;
         EXPECT_TRUE(batch[1].ok()) << message;
-        EXPECT_FALSE(
-            session.point(trace, SchemeKind::PAsFinite, 3, 3, opts).ok())
+        EXPECT_FALSE(session.point(trace, kind, 3, 3, opts).ok())
             << message;
     }
     EXPECT_TRUE(SweepSession::validateOptions(smallSweep()).ok());
