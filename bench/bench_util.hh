@@ -31,7 +31,6 @@
 #include "common/cli.hh"
 #include "common/config.hh"
 #include "common/logging.hh"
-#include "common/simd.hh"
 #include "common/thread_pool.hh"
 #include "sim/experiment.hh"
 #include "sim/sweep_session.hh"
@@ -76,9 +75,6 @@ struct BenchOptions
     parse(int argc, const char *const *argv)
     {
         Config cfg = Config::parseArgs(argc, argv);
-        // A typo'd BPSIM_SIMD override should fail loudly before any
-        // sweep runs, not silently fall back to auto-detection.
-        cli::orFatal(simdEnvStatus());
         BenchOptions o;
         o.branches =
             static_cast<std::uint64_t>(cli::requireInt(cfg, "branches", 0));

@@ -183,19 +183,21 @@ zooModelStep(benchmark::State &state, SchemeKind kind, bool batched)
 }
 
 /**
- * The batched perceptron inner loop in isolation: a full 8-wide lane
- * batch over a synthetic pre-offset index stream on one dispatch
- * target.  Items processed counts lane-updates, so the rows are
- * directly comparable across targets.
+ * The batched perceptron inner loop in isolation: a batch of
+ * state.range(0) live lanes over a synthetic pre-offset index stream
+ * on exactly one kernel.  Items processed counts lane-updates
+ * (branches x live lanes), so across the 1..5/8/9/16-lane rows the
+ * kernel ratios are the occupancy break-evens that
+ * perceptronBatchKernel's dispatch thresholds come from.
  */
 void
-perceptronBatchReplay(benchmark::State &state, SimdTarget target)
+perceptronBatchReplay(benchmark::State &state, SimdTarget kernel)
 {
-    if (!simdTargetSupported(target)) {
+    if (!simdTargetSupported(kernel)) {
         state.SkipWithError("dispatch target not supported on host");
         return;
     }
-    constexpr unsigned lanes = 8;
+    const auto lanes = static_cast<unsigned>(state.range(0));
     constexpr unsigned tables = 4;
     constexpr unsigned entryBits = 10;
     constexpr std::size_t n = 1u << 14;
@@ -233,12 +235,12 @@ perceptronBatchReplay(benchmark::State &state, SimdTarget target)
     }
 
     for (auto _ : state) {
-        replayPerceptronBatch(target, idx.data(), taken.data(), n,
-                              batch);
+        replayPerceptronBatchOn(kernel, idx.data(), taken.data(), n,
+                                batch);
         benchmark::DoNotOptimize(batch.misses[0]);
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(n * lanes));
+                            static_cast<std::int64_t>(n) * state.range(0));
 }
 
 /**
@@ -358,9 +360,15 @@ BENCHMARK_CAPTURE(zooModelStep, perceptron_per_config,
                   SchemeKind::Perceptron, false);
 BENCHMARK_CAPTURE(zooModelStep, perceptron_batched,
                   SchemeKind::Perceptron, true);
-BENCHMARK_CAPTURE(perceptronBatchReplay, scalar, SimdTarget::Scalar);
-BENCHMARK_CAPTURE(perceptronBatchReplay, sse2, SimdTarget::SSE2);
-BENCHMARK_CAPTURE(perceptronBatchReplay, avx2, SimdTarget::AVX2);
+BENCHMARK_CAPTURE(perceptronBatchReplay, scalar, SimdTarget::Scalar)
+    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8)->Arg(9)->Arg(16)
+    ->ArgNames({"lanes"});
+BENCHMARK_CAPTURE(perceptronBatchReplay, avx2, SimdTarget::AVX2)
+    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8)->Arg(9)->Arg(16)
+    ->ArgNames({"lanes"});
+BENCHMARK_CAPTURE(perceptronBatchReplay, avx512, SimdTarget::AVX512)
+    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8)->Arg(9)->Arg(16)
+    ->ArgNames({"lanes"});
 BENCHMARK_CAPTURE(aliasBatchReplay, scalar, SimdTarget::Scalar)
     ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(16)
     ->ArgNames({"lanes"});

@@ -5,17 +5,16 @@
  *
  *   one-lane       one-lane groups (singleJobGroup), one trace
  *                  replay per job, threads=1: the no-batching baseline
- *   batched[T]     planned groups, one pass per group (threads=1),
- *                  once per SIMD dispatch target T this host supports
- *                  (scalar always; wider targets when the CPU has them)
- *   batched+threads planned groups, auto dispatch, group-parallel
- *                  execution (threads=0, one executor per hw thread)
+ *   batched        planned groups, one pass per group (threads=1), on
+ *                  the kernels the host dispatches
+ *   batched+threads planned groups, group-parallel execution
+ *                  (threads=0, one executor per hw thread)
  *
  * The 2-bit phase runs the default-option (aliasing-tracked) sweeps of
  * all seven paper schemes, tiers 2^4..2^15, on the 2-bit lane engine:
  * lane batches of up to 16 configurations over a shared 13-byte
- * decoded record, on the scalar or AVX-512 alias kernel (SSE2/AVX2
- * resolve to scalar).  Each scheme is also swept once untracked, and
+ * decoded record, on the scalar or AVX-512 alias kernel (AVX2 resolves
+ * to scalar).  Each scheme is also swept once untracked, and
  * its misprediction surface is asserted identical to the tracked one.
  *
  * One unit of work is a single branch instance simulated through a
@@ -29,7 +28,7 @@
  * smoke of this binary.  Speedups are *reported*, never asserted --
  * the committed BENCH_sweep.json seeds the perf trajectory, CI only
  * checks that the report is produced.  Each scheme's record carries
- * the kernel telemetry of its widest-target run (dispatch target,
+ * the kernel telemetry of its batched run (dispatch target,
  * lanes per group, blocks replayed, hot bytes per branch) so a perf
  * regression can be traced to a dispatch or fusion change without
  * rerunning under a profiler.
@@ -64,7 +63,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -87,11 +88,12 @@ struct SchemeResult
     SchemeKind kind;
     std::size_t configs = 0;
     ModeResult oneLane;
-    /** One batched-mode measurement per supported dispatch target. */
-    std::vector<ModeResult> batched;
+    ModeResult batched;
     ModeResult batchedThreads;
     double batchedThreadsSpeedup = 0.0;
-    /** Telemetry from the widest-target single-thread batched run. */
+    /** Process CPU seconds per wall second of the kept threaded run. */
+    double batchedThreadsCores = 0.0;
+    /** Telemetry from the single-thread batched run. */
     KernelTelemetry kernel;
 };
 
@@ -199,23 +201,20 @@ checkSurfaces(SchemeKind kind, const Surfaces &expect,
 
 /**
  * One scheme's mode matrix: one-lane groups, planned groups on one
- * thread per SIMD target, and planned groups with threads=0 (auto
- * dispatch).  Modes interleave within each rep (one-lane, each target,
- * threads, one-lane, ...) so slow host drift hits every mode alike;
- * best-of-reps discards transient interference.  Every run's surfaces
- * are asserted bit-identical to the one-lane run's, and a tracked
- * scheme's misprediction surface to an untracked sweep's.  The
- * telemetry kept is the widest target's.
+ * thread, and planned groups with threads=0.  Modes interleave within
+ * each rep (one-lane, batched, threads, one-lane, ...) so slow host
+ * drift hits every mode alike; best-of-reps discards transient
+ * interference.  Every run's surfaces are asserted bit-identical to
+ * the one-lane run's, and a tracked scheme's misprediction surface to
+ * an untracked sweep's.  The telemetry kept is the batched run's.
  */
 SchemeResult
 timeModes(SweepSession &session, const TraceHash &hash,
           const PreparedTrace &trace, SchemeKind kind,
-          const SweepOptions &serial_opts,
-          const std::vector<SimdTarget> &targets, unsigned reps)
+          const SweepOptions &serial_opts, unsigned reps)
 {
     SchemeResult r;
     r.kind = kind;
-    r.batched.resize(targets.size());
     SweepOptions threaded_opts = serial_opts;
     threaded_opts.threads = 0;
 
@@ -228,24 +227,24 @@ timeModes(SweepSession &session, const TraceHash &hash,
                  runOneLaneGroups(trace, kind, serial_opts,
                                   rep == 0 ? &expect : nullptr),
                  rep);
-        for (std::size_t t = 0; t < targets.size(); ++t) {
-            SweepOptions opts = serial_opts;
-            opts.simd = targets[t];
-            Surfaces got;
-            const bool widest = t + 1 == targets.size();
-            keep_min(r.batched[t].seconds,
-                     runOnce(session, hash, kind, opts,
-                             rep == 0 ? &got : nullptr,
-                             rep == 0 && widest ? &r.kernel : nullptr),
-                     rep);
-            if (rep == 0)
-                checkSurfaces(kind, expect, got);
-        }
-        Surfaces threaded;
-        keep_min(r.batchedThreads.seconds,
-                 runOnce(session, hash, kind, threaded_opts,
-                         rep == 0 ? &threaded : nullptr),
+        Surfaces batched;
+        keep_min(r.batched.seconds,
+                 runOnce(session, hash, kind, serial_opts,
+                         rep == 0 ? &batched : nullptr,
+                         rep == 0 ? &r.kernel : nullptr),
                  rep);
+        if (rep == 0)
+            checkSurfaces(kind, expect, batched);
+        Surfaces threaded;
+        const std::clock_t cpu_start = std::clock();
+        const double threaded_s = runOnce(
+            session, hash, kind, threaded_opts,
+            rep == 0 ? &threaded : nullptr);
+        if (rep == 0 || threaded_s < r.batchedThreads.seconds)
+            r.batchedThreadsCores =
+                static_cast<double>(std::clock() - cpu_start) /
+                CLOCKS_PER_SEC / threaded_s;
+        keep_min(r.batchedThreads.seconds, threaded_s, rep);
         if (rep == 0)
             checkSurfaces(kind, expect, threaded);
     }
@@ -267,8 +266,7 @@ timeModes(SweepSession &session, const TraceHash &hash,
     const double work = static_cast<double>(trace.size()) *
                         static_cast<double>(r.configs);
     r.oneLane.throughput = work / r.oneLane.seconds;
-    for (ModeResult &m : r.batched)
-        m.throughput = work / m.seconds;
+    r.batched.throughput = work / r.batched.seconds;
     r.batchedThreads.throughput = work / r.batchedThreads.seconds;
     r.batchedThreadsSpeedup =
         r.oneLane.seconds / r.batchedThreads.seconds;
@@ -277,36 +275,31 @@ timeModes(SweepSession &session, const TraceHash &hash,
 
 /** Header of a mode-matrix table. */
 void
-printModesHeader(const char *serial_name, const char *threads_name,
-                 const std::vector<SimdTarget> &targets)
+printModesHeader(const char *serial_name, const char *threads_name)
 {
-    std::printf("%-10s %7s | %12s |", "scheme", "configs", serial_name);
-    for (SimdTarget t : targets)
-        std::printf(" %12s %6s |", simdTargetName(t), "spd");
-    std::printf(" %12s %6s\n", threads_name, "spd");
+    std::printf("%-10s %7s | %12s | %12s %6s | %12s %6s\n", "scheme",
+                "configs", serial_name, "batch bc/s", "spd",
+                threads_name, "spd");
 }
 
 /** One row of a mode-matrix table. */
 void
 printModesRow(const SchemeResult &r)
 {
-    std::printf("%-10s %7zu | %12.3e |", schemeKindName(r.kind),
-                r.configs, r.oneLane.throughput);
-    for (const ModeResult &m : r.batched)
-        std::printf(" %12.3e %5.2fx |", m.throughput,
-                    r.oneLane.seconds / m.seconds);
-    std::printf(" %12.3e %5.2fx\n", r.batchedThreads.throughput,
-                r.batchedThreadsSpeedup);
+    std::printf("%-10s %7zu | %12.3e | %12.3e %5.2fx | %12.3e %5.2fx\n",
+                schemeKindName(r.kind), r.configs, r.oneLane.throughput,
+                r.batched.throughput,
+                r.oneLane.seconds / r.batched.seconds,
+                r.batchedThreads.throughput, r.batchedThreadsSpeedup);
 }
 
 /**
  * One JSON mode-matrix record body: the one-lane baseline under
- * @p one_lane_key, per-target batched runs, batched+threads, then
- * the caller's kernel object.
+ * @p one_lane_key, the batched run, batched+threads, then the
+ * caller's kernel object.
  */
 void
-writeModes(FILE *json, const SchemeResult &r, const char *one_lane_key,
-           const std::vector<SimdTarget> &targets)
+writeModes(FILE *json, const SchemeResult &r, const char *one_lane_key)
 {
     std::fprintf(json, "    {\"scheme\": \"%s\", \"configs\": %zu,\n",
                  schemeKindName(r.kind), r.configs);
@@ -314,24 +307,17 @@ writeModes(FILE *json, const SchemeResult &r, const char *one_lane_key,
                  "     \"%s\": {\"seconds\": %.6f, "
                  "\"throughput\": %.3e},\n",
                  one_lane_key, r.oneLane.seconds, r.oneLane.throughput);
-    std::fprintf(json, "     \"batched\": {\n");
-    for (std::size_t t = 0; t < targets.size(); ++t) {
-        const ModeResult &m = r.batched[t];
-        std::fprintf(json,
-                     "      \"%s\": {\"seconds\": %.6f, \"throughput\": "
-                     "%.3e,\n       \"speedup\": %.3f, "
-                     "\"speedup_vs_scalar_batched\": %.3f}%s\n",
-                     simdTargetName(targets[t]), m.seconds, m.throughput,
-                     r.oneLane.seconds / m.seconds,
-                     r.batched[0].seconds / m.seconds,
-                     t + 1 < targets.size() ? "," : "");
-    }
-    std::fprintf(json, "     },\n");
+    std::fprintf(json,
+                 "     \"batched\": {\"seconds\": %.6f, \"throughput\": "
+                 "%.3e, \"speedup\": %.3f},\n",
+                 r.batched.seconds, r.batched.throughput,
+                 r.oneLane.seconds / r.batched.seconds);
     std::fprintf(json,
                  "     \"batched_threads\": {\"seconds\": %.6f, "
-                 "\"throughput\": %.3e, \"speedup\": %.3f},\n",
+                 "\"throughput\": %.3e, \"speedup\": %.3f, "
+                 "\"cores_used\": %.2f},\n",
                  r.batchedThreads.seconds, r.batchedThreads.throughput,
-                 r.batchedThreadsSpeedup);
+                 r.batchedThreadsSpeedup, r.batchedThreadsCores);
 }
 
 /** Largest per-point |delta| between two surfaces of the same plan:
@@ -363,6 +349,20 @@ struct MatrixCell
     double utilization = 0.0;
 };
 
+/** The host CPU's model name ("unknown" off Linux). */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        const std::size_t colon = line.find(':');
+        if (line.rfind("model name", 0) == 0 && colon != std::string::npos)
+            return line.substr(line.find_first_not_of(' ', colon + 1));
+    }
+    return "unknown";
+}
+
 double
 geomean(const std::vector<double> &values)
 {
@@ -391,20 +391,17 @@ main(int argc, char **argv)
     std::string cache_dir = cfg.getString("cache_dir", "");
     const std::string profile = cfg.getString("profile", "mpeg_play");
 
-    const std::vector<SimdTarget> targets = supportedSimdTargets();
+    const SimdTarget target = detectSimdTarget();
 
-    banner("Sweep throughput: one-lane vs batched[simd] vs "
-           "batched+threads");
+    banner("Sweep throughput: one-lane vs batched vs batched+threads");
     std::printf("profile %s, %llu conditional branches, tiers 2^4.."
                 "2^15, best of %u rep%s, %u hardware thread%s, "
-                "dispatch targets:",
+                "dispatch target %s\n\n",
                 profile.c_str(),
                 static_cast<unsigned long long>(branches), reps,
                 reps == 1 ? "" : "s", ThreadPool::hardwareThreads(),
-                ThreadPool::hardwareThreads() == 1 ? "" : "s");
-    for (SimdTarget t : targets)
-        std::printf(" %s", simdTargetName(t));
-    std::printf("\n\n");
+                ThreadPool::hardwareThreads() == 1 ? "" : "s",
+                simdTargetName(target));
 
     SweepSession session;
     TraceHandle handle = internProfile(session, profile, branches);
@@ -423,44 +420,28 @@ main(int argc, char **argv)
     };
 
     std::vector<SchemeResult> results;
-    printModesHeader("1-lane bc/s", "batch+t bc/s", targets);
+    printModesHeader("1-lane bc/s", "batch+t bc/s");
     for (SchemeKind kind : kinds) {
         results.push_back(timeModes(session, handle.hash, *trace, kind,
-                                    serial_opts, targets, reps));
+                                    serial_opts, reps));
         printModesRow(results.back());
     }
 
-    // Geomeans: batched-vs-one-lane per target, vector-vs-scalar
-    // batched per vector target, threads-vs-one-lane.
-    std::vector<double> per_target_geo(targets.size());
-    std::vector<double> vs_scalar_geo(targets.size());
-    for (std::size_t t = 0; t < targets.size(); ++t) {
-        std::vector<double> vs_one_lane, vs_scalar;
-        for (const SchemeResult &r : results) {
-            vs_one_lane.push_back(r.oneLane.seconds /
-                                  r.batched[t].seconds);
-            vs_scalar.push_back(r.batched[0].seconds /
-                                r.batched[t].seconds);
-        }
-        per_target_geo[t] = geomean(vs_one_lane);
-        vs_scalar_geo[t] = geomean(vs_scalar);
-    }
-    std::vector<double> threaded_speedups;
-    for (const SchemeResult &r : results)
+    // Geomeans: batched-vs-one-lane and threads-vs-one-lane.
+    std::vector<double> batched_speedups, threaded_speedups;
+    for (const SchemeResult &r : results) {
+        batched_speedups.push_back(r.oneLane.seconds / r.batched.seconds);
         threaded_speedups.push_back(r.batchedThreadsSpeedup);
+    }
+    const double batched_geo = geomean(batched_speedups);
     const double threaded_geo = geomean(threaded_speedups);
 
-    std::printf("\ngeomean speedups vs one-lane:");
-    for (std::size_t t = 0; t < targets.size(); ++t)
-        std::printf(" batched[%s] %.2fx", simdTargetName(targets[t]),
-                    per_target_geo[t]);
-    std::printf(", batched+threads %.2fx\n", threaded_geo);
-    for (std::size_t t = 1; t < targets.size(); ++t)
-        std::printf("geomean batched[%s] vs batched[scalar]: %.2fx\n",
-                    simdTargetName(targets[t]), vs_scalar_geo[t]);
+    std::printf("\ngeomean speedups vs one-lane: batched %.2fx, "
+                "batched+threads %.2fx\n",
+                batched_geo, threaded_geo);
     std::printf("(misprediction, aliasing and harmless surfaces "
-                "verified bit-identical across modes and targets; "
-                "untracked misprediction identical to tracked)\n");
+                "verified bit-identical across modes; untracked "
+                "misprediction identical to tracked)\n");
 
     // ---- Within-group scaling: segments row + group parallelism ---
     //
@@ -533,7 +514,7 @@ main(int argc, char **argv)
     // kernel.  This phase records the batched-vs-per-config matrix on
     // a fig_tage_aliasing-sized surface (tiers spanning the fig's
     // entry 4..8 x base 6..10 budgets) with bit-identity asserted per
-    // dispatch target.  Zoo aliasing surfaces are identically zero,
+    // mode.  Zoo aliasing surfaces are identically zero,
     // so the phase runs untracked.
     const SchemeKind zoo_kinds[] = {SchemeKind::Tage,
                                     SchemeKind::Perceptron};
@@ -546,14 +527,14 @@ main(int argc, char **argv)
                 "replay (tiers 2^%u..2^%u) ====\n",
                 zoo_serial.minTotalBits, zoo_serial.maxTotalBits);
     std::vector<SchemeResult> zoo_results;
-    printModesHeader("percfg bc/s", "batch+t bc/s", targets);
+    printModesHeader("percfg bc/s", "batch+t bc/s");
     for (SchemeKind kind : zoo_kinds) {
         zoo_results.push_back(timeModes(session, handle.hash, *trace,
-                                        kind, zoo_serial, targets, reps));
+                                        kind, zoo_serial, reps));
         printModesRow(zoo_results.back());
     }
     std::printf("(all zoo surfaces verified bit-identical across "
-                "modes and targets)\n");
+                "modes)\n");
 
     // Machine-readable record, consumed by CHANGES.md bookkeeping and
     // future perf-trajectory comparisons (see EXPERIMENTS.md).
@@ -566,21 +547,19 @@ main(int argc, char **argv)
                  static_cast<unsigned long long>(trace->size()));
     std::fprintf(json, "  \"tiers\": [4, 15],\n");
     std::fprintf(json, "  \"reps\": %u,\n", reps);
+    std::fprintf(json, "  \"cpu_model\": \"%s\",\n", cpuModel().c_str());
     std::fprintf(json, "  \"hardware_threads\": %u,\n",
                  ThreadPool::hardwareThreads());
     std::fprintf(json, "  \"trace_bytes_per_branch\": %.3f,\n",
                  trace->bytesPerBranch());
-    std::fprintf(json, "  \"simd_targets\": [");
-    for (std::size_t t = 0; t < targets.size(); ++t)
-        std::fprintf(json, "\"%s\"%s", simdTargetName(targets[t]),
-                     t + 1 < targets.size() ? ", " : "");
-    std::fprintf(json, "],\n");
+    std::fprintf(json, "  \"simd_target\": \"%s\",\n",
+                 simdTargetName(target));
     std::fprintf(json, "  \"unit\": \"branch-config updates per "
                        "second\",\n");
     std::fprintf(json, "  \"schemes\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
         const SchemeResult &r = results[i];
-        writeModes(json, r, "one_lane", targets);
+        writeModes(json, r, "one_lane");
         std::fprintf(
             json,
             "     \"kernel\": {\"target\": \"%s\", "
@@ -630,7 +609,7 @@ main(int argc, char **argv)
                  zoo_serial.minTotalBits, zoo_serial.maxTotalBits);
     for (std::size_t i = 0; i < zoo_results.size(); ++i) {
         const SchemeResult &r = zoo_results[i];
-        writeModes(json, r, "per_config", targets);
+        writeModes(json, r, "per_config");
         std::fprintf(
             json,
             "     \"kernel\": {\"target\": \"%s\", "
@@ -649,18 +628,8 @@ main(int argc, char **argv)
             i + 1 < zoo_results.size() ? "," : "");
     }
     std::fprintf(json, "  ]},\n");
-    std::fprintf(json, "  \"geomean_batched_speedup\": {");
-    for (std::size_t t = 0; t < targets.size(); ++t)
-        std::fprintf(json, "\"%s\": %.3f%s",
-                     simdTargetName(targets[t]), per_target_geo[t],
-                     t + 1 < targets.size() ? ", " : "");
-    std::fprintf(json, "},\n");
-    std::fprintf(json, "  \"geomean_simd_vs_scalar_batched\": {");
-    for (std::size_t t = 1; t < targets.size(); ++t)
-        std::fprintf(json, "\"%s\": %.3f%s",
-                     simdTargetName(targets[t]), vs_scalar_geo[t],
-                     t + 1 < targets.size() ? ", " : "");
-    std::fprintf(json, "},\n");
+    std::fprintf(json, "  \"geomean_batched_speedup\": %.3f,\n",
+                 batched_geo);
     std::fprintf(json,
                  "  \"geomean_batched_threads_speedup\": %.3f\n}\n",
                  threaded_geo);

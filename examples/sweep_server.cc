@@ -29,7 +29,6 @@
 
 #include "common/cli.hh"
 #include "common/config.hh"
-#include "common/simd.hh"
 #include "service/server.hh"
 
 using namespace bpsim;
@@ -38,10 +37,6 @@ int
 main(int argc, char **argv)
 {
     Config cfg = Config::parseArgs(argc, argv);
-    // Reject a typo'd BPSIM_SIMD override at startup: a daemon that
-    // silently served every sweep with auto-detection would be much
-    // harder to notice than one that refuses to start.
-    cli::orFatal(simdEnvStatus());
 
     service::ServerOptions opts;
     opts.cacheDir = cfg.getString("cache", "");

@@ -1,8 +1,6 @@
 #include "common/simd.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 
 #include "common/logging.hh"
 
@@ -21,38 +19,8 @@ narrower(SimdTarget target)
 {
     switch (target) {
       case SimdTarget::AVX512: return SimdTarget::AVX2;
-      case SimdTarget::AVX2: return SimdTarget::SSE2;
       default: return SimdTarget::Scalar;
     }
-}
-
-/**
- * Lenient BPSIM_SIMD read for the resolve path: Auto for unset or
- * unrecognised.  A kernel deep inside a sweep must not abort on a
- * typo'd environment; boundaries surface the structured error via
- * simdEnvStatus() instead.
- */
-SimdTarget
-parseEnvTarget()
-{
-    const char *env = std::getenv("BPSIM_SIMD");
-    if (!env || !*env)
-        return SimdTarget::Auto;
-    const Result<SimdTarget> parsed = parseSimdTargetName(env);
-    if (!parsed.ok()) {
-        bpsim_warn("ignoring BPSIM_SIMD: ",
-                   parsed.error().message());
-        return SimdTarget::Auto;
-    }
-    return parsed.value();
-}
-
-/** Cached environment override (read once, first use). */
-SimdTarget
-envTarget()
-{
-    static const SimdTarget cached = parseEnvTarget();
-    return cached;
 }
 
 // ---------------------------------------------------------------------
@@ -153,136 +121,6 @@ replayPerceptronBatchScalar(const std::uint32_t *idx,
 }
 
 #if BPSIM_SIMD_X86
-
-// ---------------------------------------------------------------------
-// SSE2: 4 lanes per 128-bit vector, 32-bit elements.  Weight bytes
-// move through scalar loads/stores (no gather before AVX2).
-
-/**
- * 4-lane perceptron inner body.  Weight bytes move through scalar
- * loads/stores (no gather before AVX2); the dot product, the
- * mispredict/low-confidence train decision and the clamped update run
- * vectorised.  Lanes beyond `live_v` have their indices masked to 0
- * and their train mask forced off, so they only ever READ the caller's
- * dummy bank.
- */
-__attribute__((target("sse2"))) void
-perceptronLanes4Sse2(const std::uint32_t *idx, unsigned tables,
-                     const std::uint8_t *taken, std::size_t n,
-                     std::int8_t *const bases[4],
-                     const std::uint32_t live[4],
-                     const std::int32_t thetas[4],
-                     std::uint64_t misses[4])
-{
-    const __m128i live_v = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(live));
-    const __m128i theta_v = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(thetas));
-    const __m128i zero = _mm_setzero_si128();
-    const __m128i one = _mm_set1_epi32(1);
-    const __m128i allones = _mm_set1_epi32(-1);
-    // Weights live in [-64, 63] and train by +/-1, so the only
-    // out-of-range sums are exactly kWeightMax + 1 and kWeightMin - 1:
-    // clamping is one compare-and-correct per bound.
-    const __m128i over =
-        _mm_set1_epi32(PerceptronBatch::kWeightMax + 1);
-    const __m128i under =
-        _mm_set1_epi32(PerceptronBatch::kWeightMin - 1);
-
-    alignas(16) std::uint32_t ixa[PerceptronBatch::kMaxTables][4];
-    alignas(16) std::int32_t wa[PerceptronBatch::kMaxTables][4];
-    alignas(16) std::int32_t nb[4];
-    alignas(16) std::uint32_t acc_out[4];
-
-    const std::size_t stride =
-        static_cast<std::size_t>(tables) * PerceptronBatch::kMaxLanes;
-    __m128i acc = zero;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t *row = idx + i * stride;
-        __m128i sum = zero;
-        for (unsigned t = 0; t < tables; ++t) {
-            const __m128i iv = _mm_and_si128(
-                _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                    row + t * PerceptronBatch::kMaxLanes)),
-                live_v);
-            _mm_store_si128(reinterpret_cast<__m128i *>(ixa[t]), iv);
-            // int8 -> int32 sign extension is the scalar load itself.
-            wa[t][0] = bases[0][ixa[t][0]];
-            wa[t][1] = bases[1][ixa[t][1]];
-            wa[t][2] = bases[2][ixa[t][2]];
-            wa[t][3] = bases[3][ixa[t][3]];
-            sum = _mm_add_epi32(
-                sum, _mm_load_si128(
-                         reinterpret_cast<const __m128i *>(wa[t])));
-        }
-        const std::uint32_t tk = taken[i] & 1u;
-        // prediction = (sum >= 0) = NOT sign bit, so
-        // mispredict01 = sign(sum) xor (taken ^ 1).
-        const __m128i miss01 = _mm_xor_si128(
-            _mm_srli_epi32(sum, 31),
-            _mm_set1_epi32(static_cast<int>(tk ^ 1u)));
-        acc = _mm_add_epi32(acc, miss01);
-        // |sum| without SSSE3: (sum ^ s) - s with s = sum >> 31.
-        const __m128i s = _mm_srai_epi32(sum, 31);
-        const __m128i abs = _mm_sub_epi32(_mm_xor_si128(sum, s), s);
-        const __m128i missm = _mm_sub_epi32(zero, miss01);
-        const __m128i lowconf =
-            _mm_xor_si128(_mm_cmpgt_epi32(abs, theta_v), allones);
-        const __m128i trainm = _mm_and_si128(
-            _mm_or_si128(missm, lowconf), live_v);
-        if (_mm_movemask_epi8(trainm) == 0)
-            continue;
-        const __m128i delta = _mm_and_si128(
-            _mm_set1_epi32(tk ? 1 : -1), trainm);
-        for (unsigned t = 0; t < tables; ++t) {
-            __m128i next = _mm_add_epi32(
-                _mm_load_si128(
-                    reinterpret_cast<const __m128i *>(wa[t])),
-                delta);
-            next = _mm_sub_epi32(
-                next,
-                _mm_and_si128(_mm_cmpeq_epi32(next, over), one));
-            next = _mm_add_epi32(
-                next,
-                _mm_and_si128(_mm_cmpeq_epi32(next, under), one));
-            _mm_store_si128(reinterpret_cast<__m128i *>(nb), next);
-            // Untrained lanes store their weight back unchanged --
-            // single-threaded within a task, so the dead store is
-            // cheaper than a branch per lane.
-            bases[0][ixa[t][0]] = static_cast<std::int8_t>(nb[0]);
-            bases[1][ixa[t][1]] = static_cast<std::int8_t>(nb[1]);
-            bases[2][ixa[t][2]] = static_cast<std::int8_t>(nb[2]);
-            bases[3][ixa[t][3]] = static_cast<std::int8_t>(nb[3]);
-        }
-    }
-    _mm_store_si128(reinterpret_cast<__m128i *>(acc_out), acc);
-    for (unsigned l = 0; l < 4; ++l)
-        misses[l] += acc_out[l];
-}
-
-void
-replayPerceptronBatchSse2(const std::uint32_t *idx,
-                          const std::uint8_t *taken, std::size_t n,
-                          PerceptronBatch &batch)
-{
-    for (unsigned l0 = 0; l0 < batch.lanes; l0 += 4) {
-        alignas(16) std::int8_t dummy[8] = {};
-        std::int8_t *bases[4];
-        alignas(16) std::uint32_t live[4];
-        alignas(16) std::int32_t thetas[4];
-        std::uint64_t misses[4] = {};
-        const unsigned live_count = std::min(4u, batch.lanes - l0);
-        for (unsigned l = 0; l < 4; ++l) {
-            bases[l] = l < live_count ? batch.weights[l0 + l] : dummy;
-            live[l] = l < live_count ? 0xFFFFFFFFu : 0u;
-            thetas[l] = l < live_count ? batch.theta[l0 + l] : -1;
-        }
-        perceptronLanes4Sse2(idx + l0, batch.tables, taken, n, bases,
-                             live, thetas, misses);
-        for (unsigned l = 0; l < live_count; ++l)
-            batch.misses[l0 + l] += misses[l];
-    }
-}
 
 // ---------------------------------------------------------------------
 // AVX2: 8 lanes per 256-bit vector with variable shifts and hardware
@@ -685,42 +523,10 @@ simdTargetName(SimdTarget target)
     switch (target) {
       case SimdTarget::Auto: return "auto";
       case SimdTarget::Scalar: return "scalar";
-      case SimdTarget::SSE2: return "sse2";
       case SimdTarget::AVX2: return "avx2";
       case SimdTarget::AVX512: return "avx512";
     }
     return "?";
-}
-
-Result<SimdTarget>
-parseSimdTargetName(const std::string &name)
-{
-    if (name == "auto")
-        return SimdTarget::Auto;
-    if (name == "scalar")
-        return SimdTarget::Scalar;
-    if (name == "sse2")
-        return SimdTarget::SSE2;
-    if (name == "avx2")
-        return SimdTarget::AVX2;
-    if (name == "avx512")
-        return SimdTarget::AVX512;
-    return BPSIM_ERROR("unrecognised SIMD target '", name,
-                       "' (expected scalar, sse2, avx2, avx512 or "
-                       "auto)");
-}
-
-Status
-simdEnvStatus()
-{
-    const char *env = std::getenv("BPSIM_SIMD");
-    if (!env || !*env)
-        return Status();
-    const Result<SimdTarget> parsed = parseSimdTargetName(env);
-    if (!parsed.ok())
-        return BPSIM_ERROR("invalid BPSIM_SIMD value: ",
-                           parsed.error().message());
-    return Status();
 }
 
 bool
@@ -731,8 +537,6 @@ simdTargetSupported(SimdTarget target)
       case SimdTarget::Scalar:
         return true;
 #if BPSIM_SIMD_X86
-      case SimdTarget::SSE2:
-        return __builtin_cpu_supports("sse2") != 0;
       case SimdTarget::AVX2:
         return __builtin_cpu_supports("avx2") != 0;
       case SimdTarget::AVX512:
@@ -763,8 +567,6 @@ detectSimdTarget()
 #endif
         if (__builtin_cpu_supports("avx2"))
             return SimdTarget::AVX2;
-        if (__builtin_cpu_supports("sse2"))
-            return SimdTarget::SSE2;
 #endif
         return SimdTarget::Scalar;
     }();
@@ -776,8 +578,6 @@ resolveSimdTarget(SimdTarget requested)
 {
     SimdTarget want = requested;
     if (want == SimdTarget::Auto)
-        want = envTarget();
-    if (want == SimdTarget::Auto)
         want = detectSimdTarget();
     while (want != SimdTarget::Scalar && !simdTargetSupported(want))
         want = narrower(want);
@@ -788,21 +588,40 @@ std::vector<SimdTarget>
 supportedSimdTargets()
 {
     std::vector<SimdTarget> targets{SimdTarget::Scalar};
-    for (SimdTarget t : {SimdTarget::SSE2, SimdTarget::AVX2,
-                         SimdTarget::AVX512}) {
+    for (SimdTarget t : {SimdTarget::AVX2, SimdTarget::AVX512}) {
         if (simdTargetSupported(t))
             targets.push_back(t);
     }
     return targets;
 }
 
-void
-replayPerceptronBatch(SimdTarget target, const std::uint32_t *idx,
-                      const std::uint8_t *taken, std::size_t n,
-                      PerceptronBatch &batch)
+SimdTarget
+perceptronBatchKernel(SimdTarget target, unsigned lanes)
 {
     bpsim_assert(target != SimdTarget::Auto,
-                 "replayPerceptronBatch needs a resolved target");
+                 "perceptronBatchKernel needs a resolved target");
+    // Occupancy break-evens from the perceptronBatchReplay rows of
+    // bench/micro_predictor_ops: the 8-wide AVX2 kernel overtakes the
+    // scalar lane-major loop at 4 live lanes, and the 16-wide AVX-512
+    // kernel overtakes AVX2 once more than one 8-lane chunk is live.
+    constexpr unsigned kPerceptronAvx2MinLanes = 4;
+    constexpr unsigned kPerceptronAvx512MinLanes = 9;
+#if defined(BPSIM_HAVE_AVX512)
+    if (target == SimdTarget::AVX512 &&
+        lanes >= kPerceptronAvx512MinLanes)
+        return SimdTarget::AVX512;
+#endif
+    if ((target == SimdTarget::AVX512 || target == SimdTarget::AVX2) &&
+        lanes >= kPerceptronAvx2MinLanes)
+        return SimdTarget::AVX2;
+    return SimdTarget::Scalar;
+}
+
+void
+replayPerceptronBatchOn(SimdTarget kernel, const std::uint32_t *idx,
+                        const std::uint8_t *taken, std::size_t n,
+                        PerceptronBatch &batch)
+{
     bpsim_assert(batch.lanes >= 1 &&
                      batch.lanes <= PerceptronBatch::kMaxLanes,
                  "perceptron batch width ", batch.lanes,
@@ -814,41 +633,32 @@ replayPerceptronBatch(SimdTarget target, const std::uint32_t *idx,
     bpsim_assert(n < (std::size_t{1} << 30),
                  "perceptron batch span ", n,
                  " overflows the per-call miss accumulator");
-    // Occupancy-aware dispatch: a vector kernel pays for its full
-    // width no matter how many lanes are live (dead padding lanes still
-    // pay gathers and stores), so an under-occupied batch drops to the
-    // next narrower kernel.  The 8-wide AVX2 kernel breaks even at 5
-    // live lanes, the 4-wide SSE2 kernel at 3, and the 16-wide AVX-512
-    // kernel only beats two AVX2 passes once more than one 8-lane
-    // chunk is live, at 9.  Every path is bit-identical, so this is
-    // purely a cost choice.
-    switch (target) {
-#if BPSIM_SIMD_X86
-      case SimdTarget::AVX512:
+#if defined(BPSIM_SIMD_X86)
 #if defined(BPSIM_HAVE_AVX512)
-        if (batch.lanes >= 9) {
-            replayPerceptronBatchAvx512(idx, taken, n, batch);
-            return;
-        }
-#endif
-        [[fallthrough]];
-      case SimdTarget::AVX2:
-        if (batch.lanes >= 5) {
-            replayPerceptronBatchAvx2(idx, taken, n, batch);
-            return;
-        }
-        [[fallthrough]];
-      case SimdTarget::SSE2:
-        if (batch.lanes >= 3) {
-            replayPerceptronBatchSse2(idx, taken, n, batch);
-            return;
-        }
-        break;
-#endif
-      default:
-        break;
+    if (kernel == SimdTarget::AVX512 &&
+        simdTargetSupported(SimdTarget::AVX512)) {
+        replayPerceptronBatchAvx512(idx, taken, n, batch);
+        return;
     }
+#endif
+    if (kernel == SimdTarget::AVX2 &&
+        simdTargetSupported(SimdTarget::AVX2)) {
+        replayPerceptronBatchAvx2(idx, taken, n, batch);
+        return;
+    }
+#else
+    (void)kernel;
+#endif
     replayPerceptronBatchScalar(idx, taken, n, batch);
+}
+
+void
+replayPerceptronBatch(SimdTarget target, const std::uint32_t *idx,
+                      const std::uint8_t *taken, std::size_t n,
+                      PerceptronBatch &batch)
+{
+    replayPerceptronBatchOn(perceptronBatchKernel(target, batch.lanes),
+                            idx, taken, n, batch);
 }
 
 SimdTarget

@@ -14,41 +14,35 @@
  *                    implementations: the scalar reference and an
  *                    AVX-512 kernel that steps 16 lanes per branch with
  *                    one masked 32-bit gather and one masked scatter.
- *                    SSE2 and AVX2 run the scalar kernel: without a
- *                    hardware scatter the per-lane read-modify-write is
- *                    the whole cost.
+ *                    AVX2 runs the scalar kernel: without a hardware
+ *                    scatter the per-lane read-modify-write is the
+ *                    whole cost.
  *   PerceptronBatch  the hashed-perceptron zoo: int8 weight banks, one
- *                    kernel per target (Scalar, SSE2 at 4 lanes, AVX2 at
- *                    8 with hardware gathers, AVX-512 at 16).
+ *                    kernel per target (Scalar, AVX2 at 8 lanes with
+ *                    hardware gathers, AVX-512 at 16).
  *
  * Every vector kernel is bit-identical to its scalar reference
  * (tests/test_simd.cc, tests/differential/test_alias_batch.cc,
  * tests/differential/test_model_batch.cc).
  *
- * Dispatch is runtime CPUID -- no ISA flags are baked into tier-1
- * builds, so one binary runs everywhere and selects the widest kernel
- * the host supports.  The AVX-512 kernels are compiled only when the
- * toolchain understands the avx512f target attribute (CMake probe ->
+ * Only the host and the batch occupancy choose a kernel.  Dispatch is
+ * runtime CPUID -- no ISA flags are baked into any build, so one
+ * binary runs everywhere and selects the widest kernel the host
+ * supports -- and each batch then drops to the narrowest kernel that
+ * pays for its live lanes (aliasBatchKernel, perceptronBatchKernel).
+ * The AVX-512 kernels are compiled only when the toolchain
+ * understands the avx512f target attribute (CMake probe ->
  * BPSIM_HAVE_AVX512); otherwise the target reports unsupported and
- * dispatch clamps to AVX2.  `BPSIM_SIMD=scalar|sse2|avx2|avx512` in the
- * environment overrides auto-detection (the sanitizer CI presets force
- * `scalar` so they stay green on hardware without AVX2); an explicit
- * `SweepOptions::simd` request beats the environment.  Requests wider
- * than the host supports clamp down to the widest available target.
- * A malformed BPSIM_SIMD value is reported two ways: kernels resolve
- * it leniently to Auto (a library deep inside a sweep must not abort),
- * while CLI boundaries call simdEnvStatus() and surface the structured
- * Status before any work starts.
+ * dispatch clamps to AVX2.  Tests and benches reach one kernel
+ * directly through replayAliasBatchOn / replayPerceptronBatchOn.
  */
 
 #ifndef BPSIM_COMMON_SIMD_HH
 #define BPSIM_COMMON_SIMD_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "common/error.hh"
 
 namespace bpsim {
 
@@ -57,31 +51,12 @@ enum class SimdTarget
 {
     Auto,   ///< pick the widest target the host supports
     Scalar, ///< reference loop, always available
-    SSE2,   ///< 4 lanes per vector
     AVX2,   ///< 8 lanes per vector, hardware gathers
     AVX512, ///< 16 lanes per vector, hardware gathers and scatters
 };
 
-/** @return "auto", "scalar", "sse2", "avx2" or "avx512". */
+/** @return "auto", "scalar", "avx2" or "avx512". */
 const char *simdTargetName(SimdTarget target);
-
-/**
- * Parse a target name as accepted by BPSIM_SIMD.  Unknown names are a
- * structured error naming the offending value and the accepted set;
- * tests pin the message (tests/test_simd.cc).
- */
-Result<SimdTarget> parseSimdTargetName(const std::string &name);
-
-/**
- * Validate the BPSIM_SIMD environment override.  Success when the
- * variable is unset, empty, or a recognised target name; otherwise the
- * same structured error parseSimdTargetName() raises.  CLI boundaries
- * (bench drivers, the sweep service) check this once at startup so a
- * typo'd override fails loudly instead of silently running Auto.
- * Reads the environment on every call so it observes setenv() from
- * tests; resolveSimdTarget() keeps its own first-use cache.
- */
-Status simdEnvStatus();
 
 /** @return whether this host can execute @p target (Auto: true). */
 bool simdTargetSupported(SimdTarget target);
@@ -90,10 +65,10 @@ bool simdTargetSupported(SimdTarget target);
 SimdTarget detectSimdTarget();
 
 /**
- * The target a kernel invocation actually runs: an explicit request
- * wins, then the BPSIM_SIMD environment override, then detection.
- * Unsupported requests clamp to the widest supported narrower target,
- * so the result is always executable.  Never returns Auto.
+ * The target a kernel invocation may run: Auto is the host's own
+ * (detectSimdTarget); an unsupported request clamps to the widest
+ * supported narrower target, so the result is always executable.
+ * Never returns Auto.
  */
 SimdTarget resolveSimdTarget(SimdTarget requested = SimdTarget::Auto);
 
@@ -138,7 +113,18 @@ struct PerceptronBatch
 };
 
 /**
- * Replay @p n branches through every lane of @p batch on @p target.
+ * The kernel replayPerceptronBatch runs for a @p lanes-wide batch
+ * under the concrete @p target.  A vector kernel pays for its full
+ * width however many lanes are live, so an under-occupied batch drops
+ * to the next narrower kernel: AVX512 from 9 live lanes, AVX2 from 4,
+ * Scalar below (the perceptronBatchReplay rows of
+ * bench/micro_predictor_ops set both break-evens).
+ */
+SimdTarget perceptronBatchKernel(SimdTarget target, unsigned lanes);
+
+/**
+ * Replay @p n branches through every lane of @p batch on exactly the
+ * @p kernel implementation (an unsupported kernel runs Scalar).
  * idx[(i * batch.tables + t) * PerceptronBatch::kMaxLanes + l] holds
  * lane l's PRE-OFFSET weight index for branch i and table t -- i.e.
  * (t << entryBits_l) + tableIndex -- so the kernel needs no per-lane
@@ -149,14 +135,20 @@ struct PerceptronBatch
  * weight by +/-1 clamped to [kWeightMin, kWeightMax] -- exactly
  * PerceptronModel::step.  All targets are bit-identical: identical
  * final weight banks, identical miss counts (integer sums are
- * order-free and every update is a single-byte store).  @p target must
- * be concrete (resolveSimdTarget) and is a ceiling, not a mandate: an
- * under-occupied batch (fewer live lanes than a vector kernel's
- * break-even width) drops to the next narrower kernel, because vector
- * kernels pay for dead padding lanes, and batches wider than a
- * kernel's native width run in native-width chunks.  @p n must stay below
- * 2^30 (per-call int32 miss accumulators); the sweep engine's block
- * tiles are 4 orders of magnitude smaller.
+ * order-free and every update is a single-byte store).  Batches wider
+ * than a kernel's native width run in native-width chunks.  @p n must
+ * stay below 2^30 (per-call int32 miss accumulators); the sweep
+ * engine's block tiles are 4 orders of magnitude smaller.  Tests and
+ * benches call this to exercise a kernel at any occupancy; the sweep
+ * engine calls replayPerceptronBatch.
+ */
+void replayPerceptronBatchOn(SimdTarget kernel, const std::uint32_t *idx,
+                             const std::uint8_t *taken, std::size_t n,
+                             PerceptronBatch &batch);
+
+/**
+ * Occupancy-aware replay: runs perceptronBatchKernel(target,
+ * batch.lanes).  @p target must be concrete (resolveSimdTarget).
  */
 void replayPerceptronBatch(SimdTarget target, const std::uint32_t *idx,
                            const std::uint8_t *taken, std::size_t n,
@@ -221,9 +213,9 @@ struct AliasBatch
  * The kernel replayAliasBatch runs for a @p lanes-wide batch under the
  * concrete @p target: AVX512 (one masked 16-wide gather and scatter
  * per branch) once enough lanes are live to pay for the full-width
- * gather, Scalar otherwise.  SSE2 and AVX2 resolve to Scalar: neither
- * has a scatter, and without one the fused entry's read-modify-write
- * stays scalar.
+ * gather, Scalar otherwise.  AVX2 resolves to Scalar: it has no
+ * scatter, and without one the fused entry's read-modify-write stays
+ * scalar.
  */
 SimdTarget aliasBatchKernel(SimdTarget target, unsigned lanes);
 

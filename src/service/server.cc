@@ -564,6 +564,16 @@ SweepServer::serveConnection(int fd)
     std::FILE *out = wfd >= 0 ? ::fdopen(wfd, "w") : nullptr;
     if (in && out)
         static_cast<void>(servePipe(in, out));
+
+    // Forget the descriptor while it is still open: once it is closed,
+    // accept may hand its number to a new connection, and that
+    // connection's entry must stay for interruptTransports to find.
+    {
+        std::lock_guard<std::mutex> lock(connMutex_);
+        connFds_.erase(
+            std::remove(connFds_.begin(), connFds_.end(), fd),
+            connFds_.end());
+    }
     if (in)
         std::fclose(in);
     else
@@ -572,11 +582,6 @@ SweepServer::serveConnection(int fd)
         std::fclose(out);
     else if (wfd >= 0)
         ::close(wfd);
-
-    std::lock_guard<std::mutex> lock(connMutex_);
-    connFds_.erase(
-        std::remove(connFds_.begin(), connFds_.end(), fd),
-        connFds_.end());
 }
 
 void

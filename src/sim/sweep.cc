@@ -940,7 +940,7 @@ runFusedGroup(const FusedGroup &group,
 {
     const PreparedTrace &t = cache.trace();
     const SweepOptions &opts = cache.options();
-    const SimdTarget target = resolveSimdTarget(opts.simd);
+    const SimdTarget target = detectSimdTarget();
     // The within-group execution shape: trace segments (speculative
     // when > 1).
     ReplayExec exec;
@@ -1058,7 +1058,7 @@ sweepScheme(const PreparedTrace &trace, SchemeKind kind,
     // merging in any order yields one coherent telemetry record.
     for (const KernelTelemetry &group : group_telemetry)
         result.kernel.merge(group);
-    result.kernel.target = resolveSimdTarget(opts.simd);
+    result.kernel.target = detectSimdTarget();
 
     // Merge in plan order: bit-identical to the serial sweep.
     for (std::size_t i = 0; i < jobs.size(); ++i) {

@@ -142,15 +142,6 @@ struct SweepOptions
      */
     unsigned threads = 1;
     /**
-     * Dispatch target for the 2-bit (alias) and perceptron SIMD lane
-     * kernels.  Auto defers to the BPSIM_SIMD environment override,
-     * then to CPUID detection; explicit requests clamp down to the
-     * widest supported target.
-     * Every target is bit-identical (pinned by the forced-dispatch
-     * differential tests), so this is a performance/debug knob only.
-     */
-    SimdTarget simd = SimdTarget::Auto;
-    /**
      * Speculative segment replay: split the trace into this many
      * ranges, replay them concurrently from cold-start state after a
      * segmentWarmup-branch uncounted warm-up window, and sum the
@@ -209,7 +200,8 @@ unsigned resolveSegments(const SweepOptions &opts);
  */
 struct KernelTelemetry
 {
-    /** Resolved dispatch target the lane batches ran on. */
+    /** The host's dispatch target (detectSimdTarget); each lane batch
+     *  runs it or, when under-occupied, a narrower kernel. */
     SimdTarget target = SimdTarget::Scalar;
     /** 2-bit groups replayed by the 2-bit engine. */
     std::uint64_t fusedGroups = 0;
@@ -394,8 +386,8 @@ class StreamCache
  * Execute one group through the replay grid, writing each member
  * job's result into slots[job index].  @p slots addresses the whole
  * planned job vector.  The lane engine follows from the group's kind:
- * model for the zoo, 2-bit otherwise (SweepOptions::simd picks every
- * engine's dispatch target).  When @p telemetry is non-null the
+ * model for the zoo, 2-bit otherwise; the host picks every engine's
+ * dispatch target.  When @p telemetry is non-null the
  * group's kernel counters are accumulated into it.  Thread-safe.
  */
 void runFusedGroup(const FusedGroup &group,

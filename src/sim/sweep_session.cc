@@ -185,10 +185,10 @@ SweepSession::cacheConfigKey(SchemeKind kind, const SweepOptions &opts)
 {
     // Only result-affecting options, and of those only the ones the
     // scheme reads: a gshare sweep must not miss because an unused
-    // BHT knob changed.  threads/simd are bit-identical execution
-    // knobs (pinned by the differential tests) and are deliberately
-    // absent; segments joins the key only when it resolves
-    // speculative (see schemeOptionTokens).
+    // BHT knob changed.  threads is a bit-identical execution knob
+    // (pinned by the differential tests) and is deliberately absent;
+    // segments joins the key only when it resolves speculative (see
+    // schemeOptionTokens).
     std::vector<std::string> tokens = schemeOptionTokens(kind, opts);
     tokens.push_back("min=" + std::to_string(opts.minTotalBits));
     tokens.push_back("max=" + std::to_string(opts.maxTotalBits));

@@ -559,8 +559,7 @@ runDifferentialFuzzer(const FuzzOptions &options)
         // Layer 2: sweep fast paths vs reference misprediction rate.
         // Every lane engine is held to exact equality: simulateConfig
         // with aliasing tracked (the 2-bit engine, or the model engine
-        // for zoo schemes), then an untracked full lane batch per
-        // kernel the host can run.
+        // for zoo schemes), then an untracked full lane batch.
         if (options.crossCheckFastPath) {
             if (auto kind = sweepKind(scheme)) {
                 SweepOptions sweep;
@@ -595,45 +594,37 @@ runDifferentialFuzzer(const FuzzOptions &options)
                     report.fastPathProblems.push_back(os.str());
                 }
 
-                // The untracked path is checked once per lane kernel
-                // the host can run: a full batch of copies of the
-                // config, forced onto each kernel (an explicit request
-                // beats the BPSIM_SIMD environment override), every
+                // The untracked path is checked on a full lane batch
+                // of copies of the config, on the host's kernel, every
                 // lane held to exact equality with the reference rate.
-                std::set<SimdTarget> kernels;
-                for (SimdTarget target : supportedSimdTargets())
-                    kernels.insert(
-                        aliasBatchKernel(target, AliasBatch::kMaxLanes));
-                for (SimdTarget kernel : kernels) {
-                    SweepOptions untracked = sweep;
-                    untracked.trackAliasing = false;
-                    untracked.simd = kernel;
-                    const std::vector<ConfigJob> jobs(
-                        AliasBatch::kMaxLanes,
-                        ConfigJob{*kind, config.rowBits + config.colBits,
-                                  config.rowBits, config.colBits});
-                    StreamCache cache(prepared, untracked);
-                    std::vector<ConfigResult> slots(jobs.size());
-                    for (const FusedGroup &group : planFusedGroups(jobs, 1))
-                        runFusedGroup(group, jobs, cache, slots.data());
-                    for (const ConfigResult &lane : slots) {
-                        if (lane.mispRate == reference_rate ||
-                            report.fastPathProblems.size() >=
-                                maxStoredProblems)
-                            continue;
-                        std::ostringstream os;
-                        os << "untracked " << simdTargetName(kernel)
-                           << " lane batch disagrees with reference for "
-                           << schemeKindName(*kind) << " r="
-                           << config.rowBits << " c=" << config.colBits
-                           << " policy="
-                           << policyField(config.bhtResetPolicy)
-                           << " on trace '" << trace.name()
-                           << "': kernel " << lane.mispRate
-                           << " vs reference " << reference_rate;
-                        report.fastPathProblems.push_back(os.str());
-                        break;
-                    }
+                SweepOptions untracked = sweep;
+                untracked.trackAliasing = false;
+                const std::vector<ConfigJob> jobs(
+                    AliasBatch::kMaxLanes,
+                    ConfigJob{*kind, config.rowBits + config.colBits,
+                              config.rowBits, config.colBits});
+                StreamCache cache(prepared, untracked);
+                std::vector<ConfigResult> slots(jobs.size());
+                for (const FusedGroup &group : planFusedGroups(jobs, 1))
+                    runFusedGroup(group, jobs, cache, slots.data());
+                for (const ConfigResult &lane : slots) {
+                    if (lane.mispRate == reference_rate ||
+                        report.fastPathProblems.size() >=
+                            maxStoredProblems)
+                        continue;
+                    std::ostringstream os;
+                    os << "untracked "
+                       << simdTargetName(detectSimdTarget())
+                       << " lane batch disagrees with reference for "
+                       << schemeKindName(*kind) << " r="
+                       << config.rowBits << " c=" << config.colBits
+                       << " policy="
+                       << policyField(config.bhtResetPolicy)
+                       << " on trace '" << trace.name()
+                       << "': kernel " << lane.mispRate
+                       << " vs reference " << reference_rate;
+                    report.fastPathProblems.push_back(os.str());
+                    break;
                 }
             }
         }

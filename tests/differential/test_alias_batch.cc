@@ -8,13 +8,14 @@
  * groups under every reset policy, direct-mapped to fully
  * associative), plus row-heavy and column-heavy splits at tiers
  * 16-18, on traces with one or several branch pcs per instruction
- * word -- run through runFusedGroup as one group (several lane batches per block) and as
- * the planner's groups, under every SIMD target this host supports
- * (forced through SweepOptions::simd), and segment counts 1 and
- * K > 1.  Every execution shape must be bit-identical to the scalar
- * one-group one, and the exact results
- * must match the naive reference model (misprediction) and the online
- * TwoLevelPredictor's AliasTracker (aliasing and harmless fractions).
+ * word -- run through runFusedGroup as one group (several lane
+ * batches per block) and as the planner's groups, on the host's
+ * kernels, with segment counts 1 and K > 1.  The two group shapes
+ * batch lanes differently, so occupancy-aware dispatch runs a
+ * composition on different kernels in each; both must be
+ * bit-identical, and the exact results must match the naive reference
+ * model (misprediction) and the online TwoLevelPredictor's
+ * AliasTracker (aliasing and harmless fractions).
  * Untracked runs (trackAliasing false) must report the same
  * misprediction with the aliasing fields zeroed: the option filters
  * output and never changes execution.  A kernel-level check replays
@@ -156,7 +157,6 @@ fuzzComposition(SchemeKind kind, Pcg32 &rng)
     Composition c;
     c.kind = kind;
     c.opts.trackAliasing = true;
-    c.opts.simd = SimdTarget::Scalar;
     c.opts.pathBitsPerTarget = 1 + rng.nextBounded(3);
     fuzzBht(c.opts, rng);
     const std::size_t lanes = 1 + rng.nextBounded(40);
@@ -192,7 +192,6 @@ wideCompositions(SchemeKind kind)
         Composition c;
         c.kind = kind;
         c.opts.trackAliasing = true;
-        c.opts.simd = SimdTarget::Scalar;
         c.opts.bhtEntries = 64;
         for (unsigned total = 16; total <= 18; ++total) {
             unsigned r = row_heavy ? total - 1 : 1;
@@ -222,7 +221,7 @@ runOneGroup(const PreparedTrace &t, const Composition &c,
     KernelTelemetry tel;
     runFusedGroup(group, c.jobs, cache, slots.data(), &tel);
     EXPECT_EQ(tel.lanes, c.jobs.size());
-    EXPECT_EQ(tel.target, resolveSimdTarget(opts.simd));
+    EXPECT_EQ(tel.target, detectSimdTarget());
     return slots;
 }
 
@@ -301,10 +300,10 @@ expectMatchesOracles(const MemoryTrace &trace, const Composition &c,
 }
 
 /**
- * The full check of one composition: the scalar one-group exact
- * replay is the baseline; planner groups, every target and
- * (speculative) segments must reproduce it or each other bit for bit,
- * and the baseline must match the oracles.
+ * The full check of one composition: the one-group exact replay is
+ * the baseline; planner groups and a covering warm-up must reproduce
+ * it bit for bit, speculative planner groups the speculative
+ * one-group replay, and the baseline must match the oracles.
  */
 void
 checkComposition(const MemoryTrace &trace, const PreparedTrace &prepared,
@@ -332,23 +331,10 @@ checkComposition(const MemoryTrace &trace, const PreparedTrace &prepared,
     SweepOptions speculative = c.opts;
     speculative.segments = 2 + rng.nextBounded(3);
     speculative.segmentWarmup = 64u << rng.nextBounded(5);
-    const std::vector<ConfigResult> spec_scalar =
-        runOneGroup(prepared, c, speculative);
-
-    for (SimdTarget target : supportedSimdTargets()) {
-        const std::string tag = what + " " + simdTargetName(target);
-        SweepOptions forced = c.opts;
-        forced.simd = target;
-        expectSlotsIdentical(exact, runOneGroup(prepared, c, forced), tag);
-        expectSlotsIdentical(exact, runPlanned(prepared, c, forced),
-                             tag + " planned");
-
-        SweepOptions spec = speculative;
-        spec.simd = target;
-        expectSlotsIdentical(spec_scalar, runOneGroup(prepared, c, spec),
-                             tag + " segments " +
-                                 std::to_string(spec.segments));
-    }
+    expectSlotsIdentical(runOneGroup(prepared, c, speculative),
+                         runPlanned(prepared, c, speculative),
+                         what + " planned segments " +
+                             std::to_string(speculative.segments));
 
     // A warm-up window reaching back to the trace start makes every
     // segment exact by construction.
@@ -440,8 +426,6 @@ TEST(AliasBatchKernel, DispatchIsOccupancyAware)
         EXPECT_EQ(aliasBatchKernel(SimdTarget::Scalar, lanes),
                   SimdTarget::Scalar);
         // No scatter below AVX-512: the fused slot update stays scalar.
-        EXPECT_EQ(aliasBatchKernel(SimdTarget::SSE2, lanes),
-                  SimdTarget::Scalar);
         EXPECT_EQ(aliasBatchKernel(SimdTarget::AVX2, lanes),
                   SimdTarget::Scalar);
     }
@@ -560,8 +544,9 @@ TEST(AliasBatchKernel, SlotWordEncodesLastWriterAndCounter)
 TEST(AliasBatchDifferential, FuzzedCompositionsAgreeAcrossTargetsAndOracles)
 {
     // >= 100 fuzzed compositions, every 2-bit scheme in rotation, each
-    // held to the oracles and replayed under every supported target
-    // and segments 1 and K > 1.
+    // held to the oracles and replayed as one group and as planner
+    // groups (different batch occupancies, so different kernels on a
+    // vector host), with segments 1 and K > 1.
     runCampaign(0xA1A5BA7CULL, 105, 1200, 2000);
 
     // Tables past 2^15 counters on a short trace.
@@ -581,9 +566,9 @@ TEST(AliasBatchDifferential, FuzzedCompositionsAgreeAcrossTargetsAndOracles)
 
 TEST(AliasBatchDifferential, WholeSweepsMatchOnlinePredictorPerTarget)
 {
-    // sweepScheme end to end: every target and thread count gives the
-    // same three surfaces, and every point's aliasing and harmless
-    // values equal the online predictor's tracker.
+    // sweepScheme end to end: serial and threaded sweeps give the same
+    // three surfaces on the host's kernels, and every point's aliasing
+    // and harmless values equal the online predictor's tracker.
     const MemoryTrace trace = fuzzTrace(91, 3000);
     const PreparedTrace prepared(trace);
     for (SchemeKind kind : kTwoBitKinds) {
@@ -591,7 +576,6 @@ TEST(AliasBatchDifferential, WholeSweepsMatchOnlinePredictorPerTarget)
         opts.minTotalBits = 3;
         opts.maxTotalBits = 8;
         opts.bhtEntries = 64;
-        opts.simd = SimdTarget::Scalar;
         const SweepResult base = sweepScheme(prepared, kind, opts);
         EXPECT_EQ(base.kernel.lanes, planSweep(kind, opts).size());
 
@@ -613,26 +597,22 @@ TEST(AliasBatchDifferential, WholeSweepsMatchOnlinePredictorPerTarget)
                 EXPECT_EQ(pa[p].value, pb[p].value)
                     << schemeKindName(kind) << " untracked";
         }
-        for (SimdTarget target : supportedSimdTargets()) {
-            SweepOptions forced = opts;
-            forced.simd = target;
-            forced.threads = 3;
-            const SweepResult r = sweepScheme(prepared, kind, forced);
-            EXPECT_EQ(r.kernel.target, target);
-            for (const auto &[a, b] :
-                 {std::pair{&base.misprediction, &r.misprediction},
-                  std::pair{&base.aliasing, &r.aliasing},
-                  std::pair{&base.harmless, &r.harmless}}) {
-                ASSERT_EQ(a->tiers().size(), b->tiers().size());
-                for (std::size_t t = 0; t < a->tiers().size(); ++t) {
-                    const auto &pa = a->tiers()[t].points;
-                    const auto &pb = b->tiers()[t].points;
-                    ASSERT_EQ(pa.size(), pb.size());
-                    for (std::size_t p = 0; p < pa.size(); ++p)
-                        EXPECT_EQ(pa[p].value, pb[p].value)
-                            << schemeKindName(kind) << " "
-                            << simdTargetName(target);
-                }
+        SweepOptions threaded = opts;
+        threaded.threads = 3;
+        const SweepResult r = sweepScheme(prepared, kind, threaded);
+        EXPECT_EQ(r.kernel.target, detectSimdTarget());
+        for (const auto &[a, b] :
+             {std::pair{&base.misprediction, &r.misprediction},
+              std::pair{&base.aliasing, &r.aliasing},
+              std::pair{&base.harmless, &r.harmless}}) {
+            ASSERT_EQ(a->tiers().size(), b->tiers().size());
+            for (std::size_t t = 0; t < a->tiers().size(); ++t) {
+                const auto &pa = a->tiers()[t].points;
+                const auto &pb = b->tiers()[t].points;
+                ASSERT_EQ(pa.size(), pb.size());
+                for (std::size_t p = 0; p < pa.size(); ++p)
+                    EXPECT_EQ(pa[p].value, pb[p].value)
+                        << schemeKindName(kind) << " threads=3";
             }
         }
 
@@ -757,16 +737,11 @@ TEST(FusedKernelDifferential, AllSchemesAgreeWithReferenceModel)
 TEST(FusedKernelDifferential, ForcedDispatchTargetsBitIdentical)
 {
     // The SIMD dispatch campaign: >= 100 fuzzed group configurations,
-    // each executed untracked under EVERY dispatch target this host
-    // supports (scalar always; wider targets when available), with
-    // every target
-    // held to exact equality against the naive reference model on
-    // every job, and against scalar one-lane groups on the BHT miss
-    // rate.
-    const std::vector<SimdTarget> targets = supportedSimdTargets();
-    ASSERT_GE(targets.size(), 1u);
-    ASSERT_EQ(targets.front(), SimdTarget::Scalar);
-
+    // each executed untracked as planned groups of up to 8 lanes (on
+    // a vector host, the vector kernel for every group of 3 or more)
+    // and as one-lane groups (always the scalar kernel), every job
+    // held to exact equality against the naive reference model and
+    // the one-lane result.
     Pcg32 rng(0x51D0F05EULL, 17);
     std::size_t configs_checked = 0;
     for (int round = 0; configs_checked < 100; ++round) {
@@ -778,7 +753,6 @@ TEST(FusedKernelDifferential, ForcedDispatchTargetsBitIdentical)
 
         SweepOptions opts;
         opts.trackAliasing = false;
-        opts.simd = SimdTarget::Scalar;
         fuzzBht(opts, rng);
 
         std::vector<ConfigJob> jobs;
@@ -800,21 +774,16 @@ TEST(FusedKernelDifferential, ForcedDispatchTargetsBitIdentical)
             reference[j] =
                 referenceMispRate(sweepRefConfig(jobs[j], opts), trace);
 
-        for (SimdTarget target : targets) {
-            SweepOptions forced = opts;
-            forced.simd = target;
-            std::vector<ConfigResult> fused =
-                runFused(prepared, jobs, forced,
-                         1 + rng.nextBounded(2));
-            for (std::size_t j = 0; j < jobs.size(); ++j) {
-                EXPECT_EQ(fused[j].mispRate, reference[j])
-                    << simdTargetName(target) << " "
-                    << schemeKindName(kind) << " r=" << jobs[j].rowBits
-                    << " c=" << jobs[j].colBits << " round " << round;
-                EXPECT_EQ(fused[j].bhtMissRate,
-                          expected[j].bhtMissRate)
-                    << simdTargetName(target) << " round " << round;
-            }
+        const std::vector<ConfigResult> fused =
+            runFused(prepared, jobs, opts, 1 + rng.nextBounded(2));
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            EXPECT_EQ(fused[j].mispRate, reference[j])
+                << schemeKindName(kind) << " r=" << jobs[j].rowBits
+                << " c=" << jobs[j].colBits << " round " << round;
+            EXPECT_EQ(expected[j].mispRate, reference[j])
+                << "one-lane round " << round;
+            EXPECT_EQ(fused[j].bhtMissRate, expected[j].bhtMissRate)
+                << "round " << round;
         }
         configs_checked += jobs.size();
     }

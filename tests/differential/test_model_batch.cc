@@ -3,8 +3,8 @@
  * Differential verification of the model lane engine (sweep.cc): a
  * model group stepping the whole TAGE/perceptron zoo in one trace pass
  * must be bit-identical to the naive reference mirrors, configuration
- * by configuration, for every SIMD dispatch target, thread count and
- * fuzzed group composition; speculative segments must be
+ * by configuration, for every thread count and fuzzed group
+ * composition; speculative segments must be
  * deterministic with a bounded epsilon and exact under a covering
  * warm-up.
  *
@@ -174,27 +174,23 @@ maxPointDelta(const SweepResult &a, const SweepResult &b)
 
 /**
  * One fuzzed group composition: a job list executed through the
- * model-group path under (target, threads), every slot held
- * to exact equality against its reference rate (@p expected) with
- * zero aliasing surfaces.
+ * model-group path under @p threads, every slot held to exact
+ * equality against its reference rate (@p expected) with zero
+ * aliasing surfaces.
  */
 void
 checkComposition(const PreparedTrace &prepared,
                  const std::vector<ConfigJob> &jobs,
                  const std::vector<double> &expected,
-                 const SweepOptions &base, SimdTarget target,
-                 unsigned threads, int round)
+                 const SweepOptions &opts, unsigned threads, int round)
 {
-    SweepOptions opts = base;
-    opts.simd = target;
     std::vector<ConfigResult> batched =
         runGroups(prepared, jobs, opts, threads);
 
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         EXPECT_EQ(batched[j].mispRate, expected[j])
             << schemeKindName(jobs[j].kind) << " r=" << jobs[j].rowBits
-            << " c=" << jobs[j].colBits << " "
-            << simdTargetName(target) << " threads=" << threads
+            << " c=" << jobs[j].colBits << " threads=" << threads
             << " round " << round;
         EXPECT_EQ(batched[j].aliasRate, 0.0);
         EXPECT_EQ(batched[j].harmlessFraction, 0.0);
@@ -207,9 +203,9 @@ TEST(ModelBatchDifferential, BatchedSweepBitIdenticalToPerConfig)
 {
     // The tentpole invariant at sweep granularity: for fuzzed zoo
     // knobs, a batched sweep (one model group stepping every lane)
-    // must reproduce the per-config reference mirrors exactly, on
-    // every SIMD target, for any thread count (which also sets how
-    // the planner chunks the model groups).  >= 100 configurations
+    // must reproduce the per-config reference mirrors exactly for any
+    // thread count (which also sets how the planner chunks the model
+    // groups).  >= 100 configurations
     // accumulate across rounds.
     Pcg32 rng(0x300DE1B5ULL, 17);
     std::size_t configs_checked = 0;
@@ -227,19 +223,13 @@ TEST(ModelBatchDifferential, BatchedSweepBitIdenticalToPerConfig)
         const SweepResult serial = referenceSweep(trace, kind, base);
         configs_checked += pointCount(serial);
 
-        for (SimdTarget target : supportedSimdTargets()) {
-            for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
-                SweepOptions opts = base;
-                opts.simd = target;
-                opts.threads = threads;
-                const SweepResult batched =
-                    sweepScheme(prepared, kind, opts);
-                expectSurfacesIdentical(
-                    serial, batched,
-                    (std::string(simdTargetName(target)) + " threads=" +
-                     std::to_string(threads))
-                        .c_str());
-            }
+        for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
+            SweepOptions opts = base;
+            opts.threads = threads;
+            const SweepResult batched = sweepScheme(prepared, kind, opts);
+            expectSurfacesIdentical(
+                serial, batched,
+                ("threads=" + std::to_string(threads)).c_str());
         }
     }
     EXPECT_GE(configs_checked, 100u);
@@ -249,8 +239,8 @@ TEST(ModelBatchDifferential, FuzzedGroupCompositionsAgreeWithPerConfig)
 {
     // >= 100 fuzzed group compositions through the raw
     // planFusedGroups/runFusedGroup route: mixed tiers, duplicate
-    // lanes, fuzzed model geometry, a random dispatch target and
-    // chunk shape per composition.  Sorting lanes into
+    // lanes, fuzzed model geometry and a random chunk shape per
+    // composition.  Sorting lanes into
     // entry-width classes, chunked grouping and the shared key blocks
     // must never leak between lanes.
     Pcg32 rng(0xBA7C4ED5ULL, 11);
@@ -264,7 +254,6 @@ TEST(ModelBatchDifferential, FuzzedGroupCompositionsAgreeWithPerConfig)
             std::make_unique<PreparedTrace>(traces.back()));
     }
 
-    const std::vector<SimdTarget> targets = supportedSimdTargets();
     std::size_t compositions = 0;
     for (int round = 0; round < 100; ++round) {
         const SchemeKind kind = kZooKinds[rng.nextBounded(2)];
@@ -279,12 +268,10 @@ TEST(ModelBatchDifferential, FuzzedGroupCompositionsAgreeWithPerConfig)
             jobs.push_back(
                 fuzzZooJob(kind, 5 + rng.nextBounded(5), rng));
 
-        const SimdTarget target =
-            targets[rng.nextBounded(targets.size())];
         const unsigned threads = 1 + rng.nextBounded(8);
         checkComposition(*prepared[trace_idx], jobs,
                          referenceRates(traces[trace_idx], jobs, opts),
-                         opts, target, threads, round);
+                         opts, threads, round);
         ++compositions;
     }
     EXPECT_GE(compositions, 100u);
@@ -329,20 +316,45 @@ TEST(ModelBatchDifferential, BatchedReplayAgreesWithReferenceMirrors)
     }
 }
 
+TEST(PerceptronBatchKernel, DispatchIsOccupancyAware)
+{
+    for (unsigned lanes = 1; lanes <= PerceptronBatch::kMaxLanes;
+         ++lanes) {
+        EXPECT_EQ(perceptronBatchKernel(SimdTarget::Scalar, lanes),
+                  SimdTarget::Scalar);
+        // The 8-wide AVX2 kernel pays for itself from 4 live lanes.
+        EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX2, lanes),
+                  lanes >= 4 ? SimdTarget::AVX2 : SimdTarget::Scalar);
+    }
+    if (!simdTargetSupported(SimdTarget::AVX512))
+        GTEST_SKIP() << "host has no AVX-512 kernel";
+    EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX512, 1),
+              SimdTarget::Scalar);
+    EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX512, 3),
+              SimdTarget::Scalar);
+    EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX512, 4),
+              SimdTarget::AVX2);
+    EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX512, 8),
+              SimdTarget::AVX2);
+    EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX512, 9),
+              SimdTarget::AVX512);
+    EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX512, 16),
+              SimdTarget::AVX512);
+}
+
 TEST(ModelBatchDifferential, PerceptronKernelTargetsMatchScalar)
 {
-    // The SIMD kernel in isolation: replayPerceptronBatch on every
-    // supported target must leave bit-identical weight banks
-    // (gather-slack padding included -- it is read-only by contract)
-    // and miss counts against the scalar kernel, for fuzzed lane
-    // counts, table counts, per-lane entry widths, weights and
-    // outcomes.
+    // The SIMD kernels in isolation: replayPerceptronBatchOn on every
+    // supported kernel, at every lane count from 1 to 16, must leave
+    // bit-identical weight banks (gather-slack padding included -- it
+    // is read-only by contract) and miss counts against the scalar
+    // kernel, for fuzzed table counts, per-lane entry widths, weights
+    // and outcomes.
     const std::vector<SimdTarget> targets = supportedSimdTargets();
     Pcg32 rng(0x9E2CE974ULL, 7);
 
-    for (int round = 0; round < 40; ++round) {
-        const unsigned lanes =
-            1 + rng.nextBounded(PerceptronBatch::kMaxLanes);
+    for (int round = 0; round < 48; ++round) {
+        const unsigned lanes = 1 + round % PerceptronBatch::kMaxLanes;
         const unsigned tables = 2 + rng.nextBounded(7); // 2..8
         const std::size_t n = 64 + rng.nextBounded(512);
 
@@ -388,8 +400,8 @@ TEST(ModelBatchDifferential, PerceptronKernelTargetsMatchScalar)
                 batch.weights[l] = banks[l].data();
                 batch.theta[l] = theta[l];
             }
-            replayPerceptronBatch(target, idx.data(), taken.data(), n,
-                                  batch);
+            replayPerceptronBatchOn(target, idx.data(), taken.data(), n,
+                                    batch);
             for (unsigned l = 0; l < lanes; ++l)
                 misses[l] = batch.misses[l];
         };
@@ -528,8 +540,7 @@ TEST(ModelBatchSlow, CompositionCampaign)
     }
 
     // The long campaign: hundreds of fuzzed group compositions with
-    // longer traces and EVERY supported target per composition, every
-    // slot held to the naive reference mirrors.
+    // longer traces, every slot held to the naive reference mirrors.
     Pcg32 rng(0x51077CA3ULL, 29);
 
     std::vector<MemoryTrace> traces;
@@ -541,7 +552,6 @@ TEST(ModelBatchSlow, CompositionCampaign)
             std::make_unique<PreparedTrace>(traces.back()));
     }
 
-    const std::vector<SimdTarget> targets = supportedSimdTargets();
     for (int round = 0; round < 200; ++round) {
         const SchemeKind kind = kZooKinds[rng.nextBounded(2)];
         const std::size_t trace_idx = rng.nextBounded(8);
@@ -559,8 +569,6 @@ TEST(ModelBatchSlow, CompositionCampaign)
         const unsigned threads = 1 + rng.nextBounded(8);
         const std::vector<double> expected =
             referenceRates(traces[trace_idx], jobs, opts);
-        for (SimdTarget target : targets)
-            checkComposition(t, jobs, expected, opts, target, threads,
-                             round);
+        checkComposition(t, jobs, expected, opts, threads, round);
     }
 }

@@ -109,7 +109,7 @@ constexpr const char *kRetiredSegmentsVar = "BPSIM_" "SEGMENTS";
 TEST(SegmentParallel, ThreadCountsBitIdenticalAcrossFuzzedConfigs)
 {
     // Planner groups are the only lane partition: spreading them over
-    // any thread count never changes any result, on any SIMD target.
+    // any thread count never changes any result.
     // The zoo rounds also pin model-group chunking, which follows the
     // thread count.  >= 100 fuzzed configurations accumulate across
     // the rounds.
@@ -144,19 +144,13 @@ TEST(SegmentParallel, ThreadCountsBitIdenticalAcrossFuzzedConfigs)
         const SweepResult serial = sweepScheme(prepared, kind, base);
         configs_checked += pointCount(serial);
 
-        for (SimdTarget target : supportedSimdTargets()) {
-            for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
-                SweepOptions opts = base;
-                opts.simd = target;
-                opts.threads = threads;
-                const SweepResult spread =
-                    sweepScheme(prepared, kind, opts);
-                expectSurfacesIdentical(
-                    serial, spread,
-                    (std::string(simdTargetName(target)) + " threads=" +
-                     std::to_string(threads))
-                        .c_str());
-            }
+        for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
+            SweepOptions opts = base;
+            opts.threads = threads;
+            const SweepResult spread = sweepScheme(prepared, kind, opts);
+            expectSurfacesIdentical(
+                serial, spread,
+                ("threads=" + std::to_string(threads)).c_str());
         }
     }
     EXPECT_GE(configs_checked, 100u);

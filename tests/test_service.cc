@@ -565,7 +565,7 @@ TEST(Service, KernelTargetSurvivesCacheHitDrains)
     const JsonValue *kernel = stats.find("kernel");
     ASSERT_NE(kernel, nullptr);
     EXPECT_EQ(kernel->find("target")->asString(),
-              simdTargetName(resolveSimdTarget(SweepOptions{}.simd)));
+              simdTargetName(detectSimdTarget()));
     EXPECT_GE(kernel->find("fused_groups")->asInt(), 1);
 }
 

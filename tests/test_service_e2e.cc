@@ -12,7 +12,9 @@
  * so the test library still works in unusual build setups.
  *
  * Also covers the unix-socket transport: one daemon, two concurrent
- * socket clients, both answered, shutdown via the protocol.
+ * socket clients, both answered, shutdown via the protocol; and an
+ * in-process SweepServer whose shutdown must reach idle connections
+ * however connection churn has reused their descriptor numbers.
  */
 
 #include <gtest/gtest.h>
@@ -20,10 +22,13 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <thread>
+#include <vector>
 
 #include "service/client.hh"
 #include "service/json.hh"
+#include "service/server.hh"
 #include "sim/sweep_session.hh"
 
 using namespace bpsim;
@@ -250,6 +255,68 @@ TEST(ServiceE2e, SocketServerServesConcurrentClientsAndShutsDown)
     clientB.close();
     EXPECT_EQ(server.wait(), 0);
     EXPECT_FALSE(std::filesystem::exists(socketPath));
+}
+
+TEST(ServiceE2e, ShutdownReachesIdleConnectionsAfterFdReuse)
+{
+    // A finished connection must forget its descriptor before closing
+    // it: once closed, accept may hand the same number to a new
+    // connection, whose entry must survive for shutdown to wake it.
+    // Churn short-lived connections, opening an idle one a few
+    // microseconds after each closes (so some accepts land while a
+    // worker is between its close and its bookkeeping), then shut
+    // down on another connection: serveSocket must return while every
+    // idle client is still connected.  The race is narrow, so several
+    // daemons each take a few hundred closes.
+    const std::string socketPath =
+        ::testing::TempDir() + "service_e2e_churn.sock";
+    const std::string ping = "{\"op\":\"ping\",\"id\":\"p\"}";
+    for (int cycle = 0; cycle < 8; ++cycle) {
+        std::filesystem::remove(socketPath);
+        SweepServer server;
+        std::promise<Status> served;
+        std::future<Status> done = served.get_future();
+        std::thread daemon(
+            [&] { served.set_value(server.serveSocket(socketPath)); });
+        for (int i = 0; i < 2000 && !std::filesystem::exists(socketPath);
+             ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        if (!std::filesystem::exists(socketPath)) {
+            daemon.join(); // serveSocket returned its bind error
+            FAIL() << done.get().error().message();
+        }
+
+        std::vector<LineChannel> idle;
+        for (int i = 0; i < 256; ++i) {
+            connectUnixSocket(socketPath).value().close();
+            const auto until = std::chrono::steady_clock::now() +
+                               std::chrono::microseconds(i * 37 % 80);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+            idle.push_back(connectUnixSocket(socketPath).value());
+        }
+        // Every idle connection is accepted and blocked reading.
+        for (LineChannel &client : idle)
+            EXPECT_TRUE(isOk(ask(client, ping)));
+
+        LineChannel closer = connectUnixSocket(socketPath).value();
+        EXPECT_TRUE(isOk(
+            ask(closer, "{\"op\":\"shutdown\",\"id\":\"x\"}")));
+        EXPECT_EQ(done.wait_for(std::chrono::seconds(10)),
+                  std::future_status::ready)
+            << "serveSocket is still waiting on an idle connection, "
+               "cycle "
+            << cycle;
+
+        // Closing the clients releases any worker shutdown missed.
+        idle.clear();
+        closer.close();
+        daemon.join();
+        EXPECT_TRUE(done.get().ok());
+        EXPECT_FALSE(std::filesystem::exists(socketPath));
+        if (::testing::Test::HasFailure())
+            return;
+    }
 }
 
 } // namespace

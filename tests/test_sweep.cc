@@ -568,28 +568,37 @@ TEST(Sweep, FusedGroupPlanPartitionsJobsByStream)
 
 TEST(Sweep, ForcedSimdTargetsBitIdenticalThroughSweepScheme)
 {
+    // The host picks the kernel: sweepScheme batches up to 16 lanes,
+    // so a vector host runs its widest kernel, while one-lane groups
+    // always run the scalar one (one lane never pays for a vector
+    // pass).  Both must give the same surface, bit for bit.
     PreparedTrace t(sharedWorkload());
     SweepOptions base;
     base.minTotalBits = 4;
     base.maxTotalBits = 9;
     base.trackAliasing = false;
     base.bhtEntries = 64;
-    base.simd = SimdTarget::Scalar;
+    EXPECT_EQ(aliasBatchKernel(detectSimdTarget(), 1), SimdTarget::Scalar);
 
     for (SchemeKind kind : {SchemeKind::GAs, SchemeKind::Gshare,
                             SchemeKind::PAsFinite}) {
-        SweepResult scalar = sweepScheme(t, kind, base);
-        EXPECT_EQ(scalar.kernel.target, SimdTarget::Scalar);
-        for (SimdTarget target : supportedSimdTargets()) {
-            SweepOptions forced = base;
-            forced.simd = target;
-            SweepResult r = sweepScheme(t, kind, forced);
-            EXPECT_EQ(r.kernel.target, target);
-            expectSurfacesIdentical(scalar.misprediction,
-                                    r.misprediction,
-                                    simdTargetName(target));
-            EXPECT_EQ(scalar.bhtMissRate, r.bhtMissRate)
-                << simdTargetName(target);
+        const SweepResult swept = sweepScheme(t, kind, base);
+        EXPECT_EQ(swept.kernel.target, detectSimdTarget());
+        const std::vector<ConfigJob> jobs = planSweep(kind, base);
+        StreamCache cache(t, base);
+        std::vector<ConfigResult> slots(jobs.size());
+        for (std::size_t j = 0; j < jobs.size(); ++j)
+            runFusedGroup(singleJobGroup(jobs, j), jobs, cache,
+                          slots.data());
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            const ConfigJob &job = jobs[j];
+            EXPECT_EQ(*swept.misprediction.at(job.totalBits, job.rowBits),
+                      slots[j].mispRate)
+                << schemeKindName(kind) << " 2^" << job.rowBits
+                << " x 2^" << job.colBits;
+            if (kind == SchemeKind::PAsFinite) {
+                EXPECT_EQ(swept.bhtMissRate, slots[j].bhtMissRate);
+            }
         }
     }
 }
@@ -612,7 +621,7 @@ TEST(Sweep, KernelTelemetryDescribesFusedExecution)
     for (bool tracked : {false, true}) {
         o.trackAliasing = tracked;
         SweepResult r = sweepScheme(t, SchemeKind::GAs, o);
-        EXPECT_EQ(r.kernel.target, resolveSimdTarget(o.simd));
+        EXPECT_EQ(r.kernel.target, detectSimdTarget());
         EXPECT_EQ(r.kernel.fusedGroups, groups);
         EXPECT_EQ(r.kernel.lanes, jobs);
         EXPECT_EQ(r.kernel.laneBatches, groups * blocks);

@@ -194,8 +194,7 @@ TEST(SweepSession, ConfigKeyExcludesExecutionKnobs)
     SweepOptions a = smallSweep();
     SweepOptions b = smallSweep();
     b.threads = 8;
-    b.simd = SimdTarget::Scalar;
-    // Execution knobs are bit-identical: same key, cache may serve.
+    // The execution knob is bit-identical: same key, cache may serve.
     EXPECT_EQ(SweepSession::cacheConfigKey(SchemeKind::Gshare, a),
               SweepSession::cacheConfigKey(SchemeKind::Gshare, b));
 
@@ -622,7 +621,6 @@ TEST(SweepSession, EveryOptionIsClassified)
     };
     const Field execution_only[] = {
         {"threads", [](SweepOptions &o) { o.threads = 4; }},
-        {"simd", [](SweepOptions &o) { o.simd = SimdTarget::Scalar; }},
     };
     static_assert(aggregateFieldCount<SweepOptions>() ==
                       sizeof(result_affecting) / sizeof(Field) +
