@@ -45,26 +45,16 @@
  * model groups in the same modes; it lands in the same JSON under
  * "zoo".
  *
- * A second phase times the persistent result cache (sweep_session.hh):
- * the same table3-scale sweep set is run cold (compute + store), warm
- * (memory hits) and disk-warm (a fresh session reading .bpc files),
- * with every served surface verified bit-identical against the cold
- * run.  Timings, speedups and cache counters go to a separate JSON
- * report (default BENCH_cache.json).
- *
  * Knobs: branches=N (trace length, default 1000000 -- the paper's
  * profiles run 2-4M conditionals, so the default is sized to spill
  * the trace out of cache the way real runs do), reps=N (timed
- * repetitions, best-of, default 2), json=FILE, cache_json=FILE,
- * cache_dir=DIR (default: a scratch dir wiped before and after),
- * profile=NAME.
+ * repetitions, best-of, default 2), json=FILE, profile=NAME.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <ctime>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -386,9 +376,6 @@ main(int argc, char **argv)
         static_cast<unsigned>(cli::requireInt(cfg, "reps", 2));
     const std::string json_path =
         cfg.getString("json", "BENCH_sweep.json");
-    const std::string cache_json_path =
-        cfg.getString("cache_json", "BENCH_cache.json");
-    std::string cache_dir = cfg.getString("cache_dir", "");
     const std::string profile = cfg.getString("profile", "mpeg_play");
 
     const SimdTarget target = detectSimdTarget();
@@ -635,113 +622,5 @@ main(int argc, char **argv)
                  threaded_geo);
     std::fclose(json);
     std::printf("wrote %s\n", json_path.c_str());
-
-    // ---- Result-cache phase: cold vs warm vs disk-warm ----------
-    //
-    // The same table3-scale sweep set (every scheme, tiers 2^4..2^15)
-    // runs three times: cold (compute + .bpc store), warm (memory
-    // hits in the same session) and disk-warm (a fresh session whose
-    // registry is empty, so every answer must come from .bpc files).
-    // Every served surface is verified bit-identical to the cold run.
-    const bool scratch_cache = cache_dir.empty();
-    if (scratch_cache) {
-        cache_dir = (std::filesystem::temp_directory_path() /
-                     "bpsim_perf_sweep_cache")
-                        .string();
-    }
-    std::filesystem::remove_all(cache_dir);
-
-    std::printf("\n==== Result cache: cold vs warm vs disk-warm "
-                "(dir %s) ====\n",
-                cache_dir.c_str());
-    SweepOptions cache_opts = paperSweepOptions();
-    cache_opts.trackAliasing = false;
-    cache_opts.threads = 0;
-
-    auto run_phase = [&](SweepSession &s,
-                         std::vector<Surface> *surfaces,
-                         const std::vector<Surface> *expect) {
-        WallTimer timer;
-        std::size_t i = 0;
-        for (SchemeKind kind : kinds) {
-            SweepResult r = cli::orFatal(s.sweep(
-                SweepRequest{handle.hash, kind, cache_opts})).result;
-            if (surfaces)
-                surfaces->push_back(r.misprediction);
-            if (expect)
-                checkSurface(kind, (*expect)[i], r.misprediction);
-            ++i;
-        }
-        return timer.seconds();
-    };
-
-    std::vector<Surface> cold_surfaces;
-    SweepSession cold_session(cache_dir);
-    internProfile(cold_session, profile, branches);
-    const double cold_s =
-        run_phase(cold_session, &cold_surfaces, nullptr);
-    const double warm_s =
-        run_phase(cold_session, nullptr, &cold_surfaces);
-
-    SweepSession disk_session(cache_dir);
-    const double disk_s =
-        run_phase(disk_session, nullptr, &cold_surfaces);
-    const auto warm_stats = cold_session.cache().stats();
-    const auto disk_stats = disk_session.cache().stats();
-
-    const double warm_speedup = cold_s / warm_s;
-    const double disk_speedup = cold_s / disk_s;
-    std::printf("cold  %9.3f s (%zu sweeps computed and stored)\n",
-                cold_s, cold_surfaces.size());
-    std::printf("warm  %9.3f s (%7.1fx, memory hits %llu)\n", warm_s,
-                warm_speedup,
-                static_cast<unsigned long long>(
-                    warm_stats.memoryHits));
-    std::printf("disk  %9.3f s (%7.1fx, disk hits %llu, empty "
-                "registry)\n",
-                disk_s, disk_speedup,
-                static_cast<unsigned long long>(disk_stats.diskHits));
-    std::printf("(all cached surfaces verified bit-identical to the "
-                "cold run)\n");
-
-    FILE *cache_json = std::fopen(cache_json_path.c_str(), "w");
-    if (!cache_json)
-        bpsim_fatal("cannot write ", cache_json_path);
-    std::fprintf(cache_json, "{\n  \"bench\": \"perf_sweep_cache\",\n");
-    std::fprintf(cache_json, "  \"profile\": \"%s\",\n",
-                 profile.c_str());
-    std::fprintf(cache_json, "  \"branches\": %llu,\n",
-                 static_cast<unsigned long long>(trace->size()));
-    std::fprintf(cache_json, "  \"tiers\": [4, 15],\n");
-    std::fprintf(cache_json, "  \"schemes\": %zu,\n",
-                 cold_surfaces.size());
-    std::fprintf(cache_json, "  \"engine_version\": %u,\n",
-                 kEngineVersion);
-    std::fprintf(cache_json,
-                 "  \"cold\": {\"seconds\": %.6f, \"misses\": %llu, "
-                 "\"store_failures\": %llu},\n",
-                 cold_s,
-                 static_cast<unsigned long long>(warm_stats.misses),
-                 static_cast<unsigned long long>(
-                     warm_stats.storeFailures));
-    std::fprintf(cache_json,
-                 "  \"warm\": {\"seconds\": %.6f, \"speedup\": %.1f, "
-                 "\"memory_hits\": %llu},\n",
-                 warm_s, warm_speedup,
-                 static_cast<unsigned long long>(
-                     warm_stats.memoryHits));
-    std::fprintf(cache_json,
-                 "  \"disk\": {\"seconds\": %.6f, \"speedup\": %.1f, "
-                 "\"disk_hits\": %llu, \"corrupt\": %llu},\n",
-                 disk_s, disk_speedup,
-                 static_cast<unsigned long long>(disk_stats.diskHits),
-                 static_cast<unsigned long long>(disk_stats.corrupt));
-    std::fprintf(cache_json,
-                 "  \"verified\": \"bit-identical to cold run\"\n}\n");
-    std::fclose(cache_json);
-    std::printf("wrote %s\n", cache_json_path.c_str());
-
-    if (scratch_cache)
-        std::filesystem::remove_all(cache_dir);
     return 0;
 }

@@ -10,7 +10,7 @@
  * with socket=PATH an already-running daemon is used.  Verbs:
  *
  *   ping                      liveness probe
- *   catalog                   registered schemes and workloads
+ *   catalog                   accepted scheme and workload names
  *   stats                     server/cache/coalescing counters
  *   shutdown                  ask the daemon to stop
  *   intern  profile=N|file=F  materialise a trace, print its key

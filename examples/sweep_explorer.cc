@@ -8,8 +8,9 @@
  *                    [bht=1024] [assoc=4] [csv=0] [threads=0]
  *                    [cache=DIR]
  *
- * scheme: addr | GAg | GAs | gshare | path | PAs | PAsBht |
- *         tage | perceptron
+ * scheme: a name from the daemon's catalog (schemeKindFromName):
+ *         addr | GAg | GAs | gshare | path | pas | pas_bht | tage |
+ *         perceptron, ...
  * metric: misp | alias | harmless
  * threads: concurrent trace replays (0 = all hardware threads,
  *          1 = serial); the rendered surface is identical either way.
@@ -28,42 +29,13 @@
 
 using namespace bpsim;
 
-namespace {
-
-SchemeKind
-schemeFromName(const std::string &name)
-{
-    if (name == "addr")
-        return SchemeKind::AddressIndexed;
-    if (name == "GAg")
-        return SchemeKind::GAg;
-    if (name == "GAs")
-        return SchemeKind::GAs;
-    if (name == "gshare")
-        return SchemeKind::Gshare;
-    if (name == "path")
-        return SchemeKind::Path;
-    if (name == "PAs")
-        return SchemeKind::PAsPerfect;
-    if (name == "PAsBht")
-        return SchemeKind::PAsFinite;
-    if (name == "tage")
-        return SchemeKind::Tage;
-    if (name == "perceptron")
-        return SchemeKind::Perceptron;
-    bpsim_fatal("unknown scheme '", name,
-                "'; use addr, GAg, GAs, gshare, path, PAs, PAsBht, "
-                "tage or perceptron");
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     Config cfg = Config::parseArgs(argc, argv);
     std::string profile = cfg.getString("profile", "real_gcc");
-    SchemeKind kind = schemeFromName(cfg.getString("scheme", "GAs"));
+    SchemeKind kind =
+        cli::orFatal(schemeKindFromName(cfg.getString("scheme", "GAs")));
     std::string metric = cfg.getString("metric", "misp");
     auto branches =
         static_cast<std::uint64_t>(cli::requireInt(cfg, "branches", 1'000'000));

@@ -1,5 +1,7 @@
 #include "service/protocol.hh"
 
+#include <limits>
+
 namespace bpsim::service {
 
 namespace {
@@ -94,6 +96,81 @@ parseTraceRef(const JsonValue &v, const ProtocolLimits &limits)
     return ref;
 }
 
+/**
+ * Set @p field from a non-negative integer member in [min, max] (by
+ * default, every value the field's type holds).  A value the type
+ * cannot hold is an error, never a wrapped or truncated one.
+ */
+template <typename T>
+Status
+setUint(const JsonValue &v, const char *key, T &field,
+        std::uint64_t min = 0,
+        std::uint64_t max = std::numeric_limits<T>::max())
+{
+    Result<std::uint64_t> n = uintField(v, key, min, max);
+    if (!n.ok())
+        return n.error();
+    field = static_cast<T>(n.value());
+    return Status();
+}
+
+Status
+parseOption(const std::string &key, const JsonValue &value,
+            const ProtocolLimits &limits, SweepOptions &opts)
+{
+    // Only the protocol's own limits are checked here; every other
+    // range is SweepSession::validateOptions's, checked once after.
+    if (key == "min_bits")
+        return setUint(value, "min_bits", opts.minTotalBits, 1,
+                       limits.maxTotalBits);
+    if (key == "max_bits")
+        return setUint(value, "max_bits", opts.maxTotalBits, 1,
+                       limits.maxTotalBits);
+    // 1 = exact replay (the default resolution); > 1 opts the request
+    // into speculative segment-parallel replay, which is keyed
+    // separately in the result cache.
+    if (key == "segments")
+        return setUint(value, "segments", opts.segments, 1,
+                       SweepOptions::kMaxSegments);
+    if (key == "aliasing") {
+        Result<bool> b = boolField(value, "aliasing");
+        if (!b.ok())
+            return b.error();
+        opts.trackAliasing = b.value();
+        return Status();
+    }
+    if (key == "path_bits")
+        return setUint(value, "path_bits", opts.pathBitsPerTarget);
+    if (key == "bht_entries")
+        return setUint(value, "bht_entries", opts.bhtEntries);
+    if (key == "bht_assoc")
+        return setUint(value, "bht_assoc", opts.bhtAssoc);
+    if (key == "segment_warmup")
+        return setUint(value, "segment_warmup", opts.segmentWarmup);
+    if (key == "tage_tag_bits")
+        return setUint(value, "tage_tag_bits", opts.tageTagBits);
+    if (key == "perceptron_tables")
+        return setUint(value, "perceptron_tables",
+                       opts.perceptronTables);
+    if (key == "tage_histories") {
+        // A JSON array of per-component history lengths -- the one
+        // list-valued option in the protocol.
+        if (!value.isArray())
+            return BPSIM_ERROR("field \"tage_histories\" must be an "
+                               "array of lengths");
+        std::vector<unsigned> lengths(value.array().size());
+        for (std::size_t i = 0; i < lengths.size(); ++i) {
+            if (Status s = setUint(value.array()[i], "tage_histories[]",
+                                   lengths[i]);
+                !s.ok())
+                return s;
+        }
+        opts.tageHistories = std::move(lengths);
+        return Status();
+    }
+    return BPSIM_ERROR("unknown options field \"", key, "\"");
+}
+
 Status
 parseOptions(const JsonValue &v, const ProtocolLimits &limits,
              SweepOptions &opts)
@@ -101,99 +178,8 @@ parseOptions(const JsonValue &v, const ProtocolLimits &limits,
     if (!v.isObject())
         return BPSIM_ERROR("field \"options\" must be an object");
     for (const auto &[key, value] : v.object()) {
-        if (key == "min_bits") {
-            Result<std::uint64_t> n =
-                uintField(value, "min_bits", 1, limits.maxTotalBits);
-            if (!n.ok())
-                return n.error();
-            opts.minTotalBits = static_cast<unsigned>(n.value());
-        } else if (key == "max_bits") {
-            Result<std::uint64_t> n =
-                uintField(value, "max_bits", 1, limits.maxTotalBits);
-            if (!n.ok())
-                return n.error();
-            opts.maxTotalBits = static_cast<unsigned>(n.value());
-        } else if (key == "aliasing") {
-            Result<bool> b = boolField(value, "aliasing");
-            if (!b.ok())
-                return b.error();
-            opts.trackAliasing = b.value();
-        } else if (key == "path_bits") {
-            Result<std::uint64_t> n =
-                uintField(value, "path_bits", 1,
-                          PreparedTrace::kMaxPathBitsPerTarget);
-            if (!n.ok())
-                return n.error();
-            opts.pathBitsPerTarget = static_cast<unsigned>(n.value());
-        } else if (key == "bht_entries") {
-            Result<std::uint64_t> n =
-                uintField(value, "bht_entries", 1,
-                          SweepOptions::kMaxBhtEntries);
-            if (!n.ok())
-                return n.error();
-            opts.bhtEntries = static_cast<std::size_t>(n.value());
-        } else if (key == "bht_assoc") {
-            Result<std::uint64_t> n =
-                uintField(value, "bht_assoc", 1,
-                          SweepOptions::kMaxBhtAssoc);
-            if (!n.ok())
-                return n.error();
-            opts.bhtAssoc = static_cast<unsigned>(n.value());
-        } else if (key == "segments") {
-            // 1 = exact replay (the default resolution); > 1 opts the
-            // request into speculative segment-parallel replay, which
-            // is keyed separately in the result cache.
-            Result<std::uint64_t> n = uintField(
-                value, "segments", 1, SweepOptions::kMaxSegments);
-            if (!n.ok())
-                return n.error();
-            opts.segments = static_cast<unsigned>(n.value());
-        } else if (key == "segment_warmup") {
-            Result<std::uint64_t> n = uintField(
-                value, "segment_warmup", 0, SweepOptions::kMaxSegmentWarmup);
-            if (!n.ok())
-                return n.error();
-            opts.segmentWarmup =
-                static_cast<unsigned>(n.value());
-        } else if (key == "tage_tag_bits") {
-            Result<std::uint64_t> n =
-                uintField(value, "tage_tag_bits", TageParams::kMinTagBits,
-                          TageParams::kMaxTagBits);
-            if (!n.ok())
-                return n.error();
-            opts.tageTagBits = static_cast<unsigned>(n.value());
-        } else if (key == "tage_histories") {
-            // A JSON array of per-component history lengths, strictly
-            // ascending -- the one list-valued option in the protocol.
-            if (!value.isArray() || value.array().empty() ||
-                value.array().size() > TageParams::kMaxComponents)
-                return BPSIM_ERROR("field \"tage_histories\" must be "
-                                   "an array of 1..8 lengths");
-            std::vector<unsigned> lengths;
-            for (const JsonValue &item : value.array()) {
-                Result<std::uint64_t> n =
-                    uintField(item, "tage_histories[]", 1,
-                              TageParams::kMaxHistory);
-                if (!n.ok())
-                    return n.error();
-                if (!lengths.empty() && n.value() <= lengths.back())
-                    return BPSIM_ERROR(
-                        "field \"tage_histories\" must be strictly "
-                        "ascending");
-                lengths.push_back(static_cast<unsigned>(n.value()));
-            }
-            opts.tageHistories = std::move(lengths);
-        } else if (key == "perceptron_tables") {
-            Result<std::uint64_t> n =
-                uintField(value, "perceptron_tables",
-                          PerceptronParams::kMinTables,
-                          PerceptronParams::kMaxTables);
-            if (!n.ok())
-                return n.error();
-            opts.perceptronTables = static_cast<unsigned>(n.value());
-        } else {
-            return BPSIM_ERROR("unknown options field \"", key, "\"");
-        }
+        if (Status s = parseOption(key, value, limits, opts); !s.ok())
+            return s;
     }
     return SweepSession::validateOptions(opts);
 }

@@ -5,8 +5,9 @@
  *
  * One request is one line of JSON, one response is one line of JSON
  * (DESIGN.md "Sweep service").  The parser is deliberately strict:
- * unknown keys anywhere in a request are errors, every numeric field
- * is range-checked against ProtocolLimits, and malformed input of any
+ * unknown keys anywhere in a request are errors, a number that does
+ * not fit its field is an error (never truncated), every options
+ * object passes SweepSession::validateOptions, and malformed input of any
  * shape becomes a structured Error -- the daemon answers it with an
  * error response and keeps serving.  Being strict at the boundary is
  * what lets the interior stay simple: a Request that parses is a
@@ -63,7 +64,7 @@ enum class RequestOp
     Sweep,    ///< full configuration-space sweep (cached, coalesced)
     Point,    ///< one (row_bits, col_bits) configuration probe
     Stats,    ///< server/cache/coalescing counters
-    Catalog,  ///< registered scheme and workload names
+    Catalog,  ///< accepted scheme and workload names
     Shutdown, ///< stop serving after this response
 };
 
@@ -77,7 +78,7 @@ const char *requestOpName(RequestOp op);
  */
 struct TraceRef
 {
-    /** Workload name resolved through the WorkloadRegistry. */
+    /** Workload profile name (SweepSession::internProfile). */
     std::string profile;
     /** Profile form: target conditional count (0 = profile default). */
     std::uint64_t branches = 0;
@@ -99,7 +100,7 @@ struct Request
     std::string id;
     /** Trace reference (intern/sweep/point ops). */
     TraceRef trace;
-    /** Scheme name, resolved through the SchemeRegistry (sweep/point). */
+    /** Scheme name, resolved by schemeKindFromName (sweep/point). */
     std::string scheme;
     /** Sweep shape; defaults match SweepOptions (sweep/point). */
     SweepOptions options;

@@ -9,6 +9,8 @@
 #include <exception>
 #include <thread>
 
+#include "workload/profiles.hh"
+
 namespace bpsim::service {
 
 // ---------------------------------------------------------------------
@@ -81,18 +83,10 @@ BatchQueue::stats() const
 // ---------------------------------------------------------------------
 // SweepServer
 
-SweepServer::SweepServer(ServerOptions opts, SchemeRegistry schemes,
-                         WorkloadRegistry workloads)
-    : opts_(std::move(opts)), schemes_(std::move(schemes)),
-      workloads_(std::move(workloads)),
+SweepServer::SweepServer(ServerOptions opts)
+    : opts_(std::move(opts)),
       session_(opts_.cacheDir, opts_.cacheBudgetBytes),
       queue_(session_)
-{
-}
-
-SweepServer::SweepServer(ServerOptions opts)
-    : SweepServer(std::move(opts), SchemeRegistry::withBuiltins(),
-                  WorkloadRegistry::withBuiltins())
 {
 }
 
@@ -191,79 +185,71 @@ SweepServer::dispatch(const Request &req)
                          "unhandled op");
 }
 
-Result<TraceHash>
-SweepServer::resolveTraceKey(const TraceRef &ref)
+SweepServer::Names
+SweepServer::resolveNames(const Request &req)
 {
-    if (ref.byProfile()) {
-        Result<TraceHandle> handle =
-            workloads_.intern(ref.profile, session_, ref.branches);
-        if (!handle.ok())
-            return handle.error();
-        return handle.value().hash;
-    }
-    if (ref.byFile()) {
-        Result<TraceHandle> handle = session_.internFile(ref.file);
-        if (!handle.ok())
-            return handle.error();
-        return handle.value().hash;
+    Names names;
+    if (req.op == RequestOp::Sweep || req.op == RequestOp::Point) {
+        Result<SchemeKind> kind = schemeKindFromName(req.scheme);
+        if (!kind.ok()) {
+            names.error = errorResponse(req.id, errcode::kUnknownScheme,
+                                        kind.error().message());
+            return names;
+        }
+        names.kind = kind.value();
     }
     // Hash form: pass through unresolved.  A sweep against a warm
     // result cache needs no trace bytes at all; when it does miss,
     // the session reports the not-interned error.
-    return ref.hash;
+    names.trace = req.trace.hash;
+    if (req.trace.byHash())
+        return names;
+    Result<TraceHandle> handle =
+        req.trace.byProfile()
+            ? session_.internProfile(req.trace.profile,
+                                     req.trace.branches)
+            : session_.internFile(req.trace.file);
+    if (!handle.ok()) {
+        const char *code = req.trace.byProfile()
+                               ? errcode::kUnknownProfile
+                               : errcode::kFailed;
+        names.error =
+            errorResponse(req.id, code, handle.error().message());
+        return names;
+    }
+    names.trace = handle.value().hash;
+    return names;
 }
 
 JsonValue
 SweepServer::handleIntern(const Request &req)
 {
-    TraceHash hash;
-    std::uint64_t records = 0;
-    if (req.trace.byHash()) {
-        TraceHandle handle = session_.registry().lookup(req.trace.hash);
-        if (!handle.valid())
-            return errorResponse(req.id, errcode::kFailed,
-                                 "trace " + req.trace.hash.hex() +
-                                     " is not interned");
-        hash = handle.hash;
-        records = handle.trace->size();
-    } else {
-        Result<TraceHash> key = resolveTraceKey(req.trace);
-        if (!key.ok()) {
-            const char *code = req.trace.byProfile()
-                                   ? errcode::kUnknownProfile
-                                   : errcode::kFailed;
-            return errorResponse(req.id, code, key.error().message());
-        }
-        hash = key.value();
-        TraceHandle handle = session_.registry().lookup(hash);
-        if (handle.valid())
-            records = handle.trace->size();
-    }
+    Names names = resolveNames(req);
+    if (names.error)
+        return std::move(*names.error);
+    TraceHandle handle = session_.registry().lookup(names.trace);
+    if (!handle.valid())
+        return errorResponse(req.id, errcode::kFailed,
+                             "trace " + names.trace.hex() +
+                                 " is not interned");
     JsonValue response = okResponse(req.id, req.op);
-    response.object().emplace("trace", JsonValue(hash.hex()));
+    response.object().emplace("trace", JsonValue(handle.hash.hex()));
     response.object().emplace(
-        "records", JsonValue(static_cast<std::int64_t>(records)));
+        "records",
+        JsonValue(static_cast<std::int64_t>(handle.trace->size())));
     return response;
 }
 
 JsonValue
 SweepServer::handleSweep(const Request &req)
 {
-    Result<SchemeKind> kind = schemes_.resolve(req.scheme);
-    if (!kind.ok())
-        return errorResponse(req.id, errcode::kUnknownScheme,
-                             kind.error().message());
-    Result<TraceHash> trace = resolveTraceKey(req.trace);
-    if (!trace.ok()) {
-        const char *code = req.trace.byProfile()
-                               ? errcode::kUnknownProfile
-                               : errcode::kFailed;
-        return errorResponse(req.id, code, trace.error().message());
-    }
+    Names names = resolveNames(req);
+    if (names.error)
+        return std::move(*names.error);
 
     SweepRequest sweep;
-    sweep.trace = trace.value();
-    sweep.kind = kind.value();
+    sweep.trace = names.trace;
+    sweep.kind = names.kind;
     sweep.options = req.options;
     sweep.options.threads = opts_.threads;
     sweep.bypassCache = req.bypassCache;
@@ -286,29 +272,21 @@ SweepServer::handleSweep(const Request &req)
 JsonValue
 SweepServer::handlePoint(const Request &req)
 {
-    Result<SchemeKind> kind = schemes_.resolve(req.scheme);
-    if (!kind.ok())
-        return errorResponse(req.id, errcode::kUnknownScheme,
-                             kind.error().message());
-    Result<TraceHash> trace = resolveTraceKey(req.trace);
-    if (!trace.ok()) {
-        const char *code = req.trace.byProfile()
-                               ? errcode::kUnknownProfile
-                               : errcode::kFailed;
-        return errorResponse(req.id, code, trace.error().message());
-    }
+    Names names = resolveNames(req);
+    if (names.error)
+        return std::move(*names.error);
 
     Result<ConfigResult> point =
-        session_.point(trace.value(), kind.value(), req.rowBits,
+        session_.point(names.trace, names.kind, req.rowBits,
                        req.colBits, req.options);
     if (!point.ok())
         return errorResponse(req.id, errcode::kFailed,
                              point.error().message());
 
     JsonValue out = okResponse(req.id, req.op);
-    out.object().emplace("trace", JsonValue(trace.value().hex()));
+    out.object().emplace("trace", JsonValue(names.trace.hex()));
     out.object().emplace("scheme",
-                         JsonValue(schemeKindName(kind.value())));
+                         JsonValue(schemeKindName(names.kind)));
     out.object().emplace("misp_rate",
                          JsonValue(point.value().mispRate));
     out.object().emplace("alias_rate",
@@ -420,10 +398,12 @@ JsonValue
 SweepServer::handleCatalog(const Request &req)
 {
     JsonValue::Array schemes;
-    for (const std::string &name : schemes_.names())
+    for (const std::string &name : schemeNames())
         schemes.emplace_back(name);
+    std::vector<std::string> profiles = profileNames();
+    std::sort(profiles.begin(), profiles.end());
     JsonValue::Array workloads;
-    for (const std::string &name : workloads_.names())
+    for (const std::string &name : profiles)
         workloads.emplace_back(name);
 
     JsonValue out = okResponse(req.id, req.op);

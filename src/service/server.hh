@@ -5,7 +5,8 @@
  * Architecture (DESIGN.md "Sweep service"):
  *
  *   client line -> handleLine -> parse (json.hh, protocol.hh)
- *                             -> resolve names (registry.hh)
+ *                             -> resolve names (schemeKindFromName,
+ *                                SweepSession::internProfile)
  *                             -> BatchQueue -> SweepSession::sweepBatch
  *                             -> response line
  *
@@ -40,12 +41,12 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "service/protocol.hh"
-#include "service/registry.hh"
 #include "sim/sweep_session.hh"
 
 namespace bpsim::service {
@@ -132,13 +133,8 @@ struct ServerStats
 class SweepServer
 {
   public:
-    /** Daemon over the given registries (taken by value; register
-     *  extensions before constructing). */
-    SweepServer(ServerOptions opts, SchemeRegistry schemes,
-                WorkloadRegistry workloads);
-
-    /** Daemon over the builtin schemes and the fourteen paper
-     *  profiles. */
+    /** Daemon over the schemes of schemeKindFromName and the
+     *  fourteen paper profiles. */
     explicit SweepServer(ServerOptions opts = {});
 
     SweepServer(const SweepServer &) = delete;
@@ -154,7 +150,7 @@ class SweepServer
     /**
      * Serve one sweep through the coalescing queue -- the in-process
      * entry point the protocol's "sweep" verb uses, exposed for the
-     * stress tests and the service bench.
+     * stress tests.
      */
     Result<SweepResponse> submitSweep(const SweepRequest &request);
 
@@ -182,8 +178,6 @@ class SweepServer
 
     SweepSession &session() { return session_; }
     const ServerOptions &options() const { return opts_; }
-    const SchemeRegistry &schemes() const { return schemes_; }
-    const WorkloadRegistry &workloads() const { return workloads_; }
 
     ServerStats stats() const;
 
@@ -195,18 +189,26 @@ class SweepServer
     JsonValue handlePoint(const Request &req);
     JsonValue handleStats(const Request &req);
     JsonValue handleCatalog(const Request &req);
-    /** Resolve a TraceRef to the trace key a sweep needs.  The hash
-     *  form passes through unresolved -- a warm result cache can
-     *  answer for traces this process never materialised. */
-    Result<TraceHash> resolveTraceKey(const TraceRef &ref);
+    /** The scheme (sweep and point) and trace key a request names,
+     *  or the error response that answers it instead. */
+    struct Names
+    {
+        SchemeKind kind = SchemeKind::GAs;
+        TraceHash trace;
+        std::optional<JsonValue> error;
+    };
+    /** Resolve @p req's names: an unknown scheme is unknown_scheme; a
+     *  trace that fails to intern is unknown_profile for a profile and
+     *  failed otherwise.  The hash form passes through unresolved -- a
+     *  warm result cache can answer for traces this process never
+     *  materialised. */
+    Names resolveNames(const Request &req);
     void countError();
     void serveConnection(int fd);
     /** Wake every blocked transport read so shutdown can complete. */
     void interruptTransports();
 
     ServerOptions opts_;
-    SchemeRegistry schemes_;
-    WorkloadRegistry workloads_;
     SweepSession session_;
     BatchQueue queue_;
     std::atomic<bool> shutdown_{false};

@@ -768,6 +768,72 @@ schemeKindName(SchemeKind kind)
     return "?";
 }
 
+namespace {
+
+struct SchemeName
+{
+    const char *name;
+    SchemeKind kind;
+};
+
+/** The one scheme-name table, sorted by name. */
+constexpr SchemeName kSchemeNames[] = {
+    {"GAg", SchemeKind::GAg},
+    {"GAs", SchemeKind::GAs},
+    {"PAs(bht)", SchemeKind::PAsFinite},
+    {"PAs(inf)", SchemeKind::PAsPerfect},
+    {"addr", SchemeKind::AddressIndexed},
+    {"gag", SchemeKind::GAg},
+    {"gas", SchemeKind::GAs},
+    {"gshare", SchemeKind::Gshare},
+    {"pas", SchemeKind::PAsPerfect},
+    {"pas(bht)", SchemeKind::PAsFinite},
+    {"pas(inf)", SchemeKind::PAsPerfect},
+    {"pas_bht", SchemeKind::PAsFinite},
+    {"path", SchemeKind::Path},
+    {"perceptron", SchemeKind::Perceptron},
+    {"tage", SchemeKind::Tage},
+};
+
+} // namespace
+
+Result<SchemeKind>
+schemeKindFromName(std::string_view name)
+{
+    for (const SchemeName &entry : kSchemeNames) {
+        if (name == entry.name)
+            return entry.kind;
+    }
+    std::string known;
+    for (const SchemeName &entry : kSchemeNames) {
+        if (!known.empty())
+            known += ", ";
+        known += entry.name;
+    }
+    // A multi-component factory spec ("tage:12:10:8:4,8,16,32",
+    // "tournament(...)") is a different namespace: a sweep takes a
+    // bare scheme name plus structured options, so point the caller
+    // at the right shape instead of just listing names.
+    if (name.find_first_of(":(,") != std::string_view::npos)
+        return BPSIM_ERROR(
+            "unknown scheme \"", name,
+            "\" -- looks like a predictor spec string; a sweep takes "
+            "a bare scheme name (one of: ", known,
+            ") with per-scheme parameters in \"options\" (e.g. "
+            "tage_tag_bits, tage_histories, perceptron_tables)");
+    return BPSIM_ERROR("unknown scheme \"", name, "\" (one of: ", known,
+                       ")");
+}
+
+std::vector<std::string>
+schemeNames()
+{
+    std::vector<std::string> out;
+    for (const SchemeName &entry : kSchemeNames)
+        out.emplace_back(entry.name);
+    return out;
+}
+
 TageParams
 tageSweepParams(unsigned row_bits, unsigned col_bits,
                 const SweepOptions &opts)

@@ -51,8 +51,11 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/error.hh"
 #include "common/simd.hh"
 #include "predictor/perceptron.hh"
 #include "predictor/tage.hh"
@@ -91,6 +94,18 @@ enum class SchemeKind
 
 /** @return the scheme's display name ("GAs", "gshare", ...). */
 const char *schemeKindName(SchemeKind kind);
+
+/**
+ * The scheme a name selects: every display name (schemeKindName), its
+ * lowercase spelling, and "pas" / "pas_bht" for the two PAs variants.
+ * Errors on other names, listing the valid ones; a name shaped like a
+ * predictor spec string ("tage:12:10") also gets a pointer at the
+ * structured per-scheme options.
+ */
+Result<SchemeKind> schemeKindFromName(std::string_view name);
+
+/** Every name schemeKindFromName accepts, sorted. */
+std::vector<std::string> schemeNames();
 
 /** Sweep shape and per-scheme parameters. */
 struct SweepOptions

@@ -242,49 +242,7 @@ SweepSession::prepared(const TraceHash &trace)
 Result<SweepResponse>
 SweepSession::sweep(const SweepRequest &request)
 {
-    const auto start = std::chrono::steady_clock::now();
-    if (Status valid = validateOptions(request.options); !valid.ok())
-        return valid.error();
-    const CacheKey key = cacheKey(request);
-
-    if (!request.bypassCache) {
-        bool from_disk = false;
-        std::optional<CachedSweep> hit =
-            cache_.lookup(key, &from_disk);
-        if (hit) {
-            // Rehydrate: cached surfaces carry their full names, so
-            // the hit is byte-identical to the original result.
-            // Kernel telemetry stays zeroed -- nothing executed.
-            SweepResponse response(SweepResult("", ""));
-            response.result.misprediction = hit->misprediction;
-            response.result.aliasing = hit->aliasing;
-            response.result.harmless = hit->harmless;
-            response.result.bhtMissRate = hit->bhtMissRate;
-            response.cacheHit = true;
-            response.diskHit = from_disk;
-            response.seconds = secondsSince(start);
-            return response;
-        }
-    }
-
-    Result<std::shared_ptr<const PreparedTrace>> prep =
-        prepared(request.trace);
-    if (!prep.ok())
-        return prep.error();
-
-    SweepResponse response(
-        sweepScheme(*prep.value(), request.kind, request.options));
-    if (!request.bypassCache) {
-        CachedSweep payload{response.result.misprediction,
-                            response.result.aliasing,
-                            response.result.harmless,
-                            response.result.bhtMissRate};
-        // Disk-store failures are counted in cache().stats() but do
-        // not fail the sweep: the result in hand is correct.
-        static_cast<void>(cache_.store(key, payload));
-    }
-    response.seconds = secondsSince(start);
-    return response;
+    return std::move(sweepBatch({request}).front());
 }
 
 namespace {
@@ -329,6 +287,9 @@ SweepSession::sweepBatch(const std::vector<SweepRequest> &requests,
             std::optional<CachedSweep> hit =
                 cache_.lookup(cacheKey(req), &from_disk);
             if (hit) {
+                // Rehydrate: cached surfaces carry their full names,
+                // so the hit is byte-identical to the original result.
+                // Kernel telemetry stays zeroed -- nothing executed.
                 SweepResponse response(SweepResult("", ""));
                 response.result.misprediction = hit->misprediction;
                 response.result.aliasing = hit->aliasing;
@@ -392,6 +353,9 @@ SweepSession::sweepBatch(const std::vector<SweepRequest> &requests,
                 CachedSweep payload{sliced.misprediction,
                                     sliced.aliasing, sliced.harmless,
                                     sliced.bhtMissRate};
+                // Disk-store failures are counted in cache().stats()
+                // but do not fail the sweep: the result in hand is
+                // correct.
                 static_cast<void>(
                     cache_.store(cacheKey(req), payload));
             }
@@ -419,18 +383,14 @@ SweepSession::point(const TraceHash &trace, SchemeKind kind,
     // The 2-bit family tolerates degenerate (0-bit) axes; the zoo
     // schemes assert on them.  A daemon must answer a bad point
     // request with an error, not an abort, so pre-check here.
-    if (kind == SchemeKind::Tage &&
-        (row_bits < 1 || row_bits > 28 || col_bits < 1 ||
-         col_bits > 28))
+    // The table ceiling below bounds both axes from above.
+    if (kind == SchemeKind::Tage && (row_bits < 1 || col_bits < 1))
         return BPSIM_ERROR("tage point needs rows (tagged entry "
-                           "bits) and cols (base PHT bits) in 1..28; "
+                           "bits) >= 1 and cols (base PHT bits) >= 1; "
                            "got rows=", row_bits, " cols=", col_bits);
-    if (kind == SchemeKind::Perceptron &&
-        (row_bits < 1 || row_bits > 64 || col_bits > 28))
+    if (kind == SchemeKind::Perceptron && row_bits < 1)
         return BPSIM_ERROR("perceptron point needs rows (history "
-                           "bits) in 1..64 and cols (table entry "
-                           "bits) <= 28; got rows=", row_bits,
-                           " cols=", col_bits);
+                           "bits) >= 1; got rows=", row_bits);
     if (Status valid = validateOptions(opts); !valid.ok())
         return valid.error();
     if (Status ceiling = checkTableCeiling(std::uint64_t{row_bits} + col_bits);

@@ -181,9 +181,9 @@ class SweepSession
     Result<TraceHandle> internFile(const std::string &path);
 
     /**
-     * Serve one sweep request: result cache, then replay through the
-     * plan/fuse/SIMD machinery.  Results are bit-identical to a
-     * direct sweepScheme() call with the same options.  Errors when
+     * Serve one sweep request: sweepBatch() of a batch of one, so the
+     * in-process path is the daemon's.  Results are bit-identical to
+     * a direct sweepScheme() call with the same options.  Errors when
      * the options fail validateOptions(), or when the trace key is not
      * interned (and the cache cannot answer).
      */
@@ -195,8 +195,8 @@ class SweepSession
      * aliasing mode and scheme parameters, any tier range -- are
      * answered by ONE envelope replay spanning the union of their
      * tier ranges, then sliced per request.  The replay grid's
-     * grouping invariance makes every slice bit-identical to a
-     * standalone sweep() of the same request (pinned by tests), so
+     * grouping invariance makes every slice bit-identical to the
+     * same request served alone (pinned by tests), so
      * coalescing is purely a throughput optimisation: M clients
      * asking for overlapping lattices cost one trace replay.
      *

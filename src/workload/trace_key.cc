@@ -5,6 +5,23 @@
 
 namespace bpsim {
 
+namespace {
+
+Error
+unknownProfile(const std::string &profile)
+{
+    std::string known;
+    for (const std::string &name : profileNames()) {
+        if (!known.empty())
+            known += ", ";
+        known += name;
+    }
+    return BPSIM_ERROR("unknown workload profile '", profile,
+                       "' (one of: ", known, ")");
+}
+
+} // namespace
+
 TraceHash
 syntheticTraceKey(const WorkloadParams &p)
 {
@@ -57,7 +74,7 @@ profileTraceKey(const std::string &profile,
                 std::uint64_t target_conditionals)
 {
     if (!isProfileName(profile))
-        return BPSIM_ERROR("unknown workload profile '", profile, "'");
+        return unknownProfile(profile);
     return syntheticTraceKey(
         profileParams(profile, target_conditionals));
 }
@@ -67,7 +84,7 @@ internProfile(TraceRegistry &registry, const std::string &profile,
               std::uint64_t target_conditionals)
 {
     if (!isProfileName(profile))
-        return BPSIM_ERROR("unknown workload profile '", profile, "'");
+        return unknownProfile(profile);
     return internParams(registry,
                         profileParams(profile, target_conditionals));
 }

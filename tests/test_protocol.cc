@@ -16,6 +16,7 @@
 
 #include "service/json.hh"
 #include "service/protocol.hh"
+#include "service/server.hh"
 
 using namespace bpsim;
 using namespace bpsim::service;
@@ -292,6 +293,87 @@ TEST(Protocol, RejectsOptionsInvalidOnlyTogether)
                           "\"gcc\"},\"scheme\":\"PAs(bht)\",\"options\":"
                           "{\"bht_entries\":2,\"bht_assoc\":2}}")
                     .ok());
+}
+
+TEST(Protocol, OptionRangesAreBadRequestsAtBothEnds)
+{
+    // Every bounded option field just past each end of its range, and
+    // 2^32 + 1 for the integer fields: a value its C++ field cannot
+    // hold is rejected, never wrapped ("path_bits": 2^32 + 1 must not
+    // become 1).  Each is a bad_request; the in-range ends parse.
+    const char *bad[] = {
+        "\"min_bits\":0",
+        "\"min_bits\":25",
+        "\"min_bits\":4294967297",
+        "\"max_bits\":0",
+        "\"max_bits\":25",
+        "\"max_bits\":4294967297",
+        "\"segments\":0",
+        "\"segments\":65",
+        "\"segments\":4294967297",
+        "\"path_bits\":0",
+        "\"path_bits\":17",
+        "\"path_bits\":4294967297",
+        "\"bht_entries\":0",
+        "\"bht_entries\":33554432",
+        "\"bht_entries\":4294967297",
+        "\"bht_assoc\":0",
+        "\"bht_assoc\":65",
+        "\"bht_assoc\":4294967297",
+        "\"segment_warmup\":-1",
+        "\"segment_warmup\":1048577",
+        "\"segment_warmup\":4294967297",
+        "\"tage_tag_bits\":1",
+        "\"tage_tag_bits\":17",
+        "\"tage_tag_bits\":4294967297",
+        "\"tage_histories\":[]",
+        "\"tage_histories\":[1,2,3,4,5,6,7,8,9]",
+        "\"tage_histories\":[0]",
+        "\"tage_histories\":[65]",
+        "\"tage_histories\":[4294967297]",
+        "\"tage_histories\":[4,4]",
+        "\"perceptron_tables\":1",
+        "\"perceptron_tables\":17",
+        "\"perceptron_tables\":4294967297",
+    };
+    const char *good[] = {
+        "\"min_bits\":1",
+        "\"min_bits\":24,\"max_bits\":24",
+        "\"segments\":1",
+        "\"segments\":64",
+        "\"path_bits\":1",
+        "\"path_bits\":16",
+        "\"bht_entries\":1,\"bht_assoc\":1",
+        "\"bht_entries\":16777216",
+        "\"bht_assoc\":64",
+        "\"segment_warmup\":0",
+        "\"segment_warmup\":1048576",
+        "\"tage_tag_bits\":2",
+        "\"tage_tag_bits\":16",
+        "\"tage_histories\":[1]",
+        "\"tage_histories\":[57,58,59,60,61,62,63,64]",
+        "\"perceptron_tables\":2",
+        "\"perceptron_tables\":16",
+    };
+    auto line = [](const char *option) {
+        return std::string("{\"op\":\"sweep\",\"trace\":{\"profile\":"
+                           "\"compress\",\"branches\":2000},\"scheme\":"
+                           "\"gshare\",\"options\":{") +
+               option + "}}";
+    };
+    SweepServer server;
+    for (const char *option : bad) {
+        JsonValue response = parseOk(server.handleLine(line(option)));
+        const JsonValue *error = response.find("error");
+        ASSERT_NE(error, nullptr) << option;
+        EXPECT_EQ(error->find("code")->asString(), "bad_request")
+            << option;
+    }
+    for (const char *option : good) {
+        Result<Request> req = parseLine(line(option));
+        EXPECT_TRUE(req.ok())
+            << option << ": " << (req.ok() ? "" : req.error().message());
+    }
 }
 
 TEST(Protocol, ParsesTraceForms)

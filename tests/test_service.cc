@@ -3,9 +3,8 @@
  * In-process tests of the sweep daemon: every protocol verb through
  * SweepServer::handleLine, the central bit-identity contract (a sweep
  * served over the wire decodes to exactly the surfaces a direct
- * SweepSession computes), error classification, and the registry
- * extension points (a custom workload and a custom scheme alias are
- * served like builtins).
+ * SweepSession computes), error classification, and the exact
+ * scheme and workload names the catalog lists.
  */
 
 #include <gtest/gtest.h>
@@ -252,11 +251,14 @@ TEST(Service, ErrorClassification)
                   "\"compress\",\"branches\":20000},\"scheme\":"
                   "\"yags\"}")),
               "unknown_scheme");
-    EXPECT_EQ(errorCode(handle(
-                  server,
-                  "{\"op\":\"sweep\",\"trace\":{\"profile\":"
-                  "\"no_such_profile\"},\"scheme\":\"GAs\"}")),
-              "unknown_profile");
+    JsonValue no_profile = handle(
+        server, "{\"op\":\"sweep\",\"trace\":{\"profile\":"
+                "\"no_such_profile\"},\"scheme\":\"GAs\"}");
+    EXPECT_EQ(errorCode(no_profile), "unknown_profile");
+    // The message names the valid profiles.
+    EXPECT_NE(no_profile.find("error")->find("message")->asString().find(
+                  "real_gcc"),
+              std::string::npos);
     EXPECT_EQ(
         errorCode(handle(
             server,
@@ -339,8 +341,22 @@ TEST(Service, StatsAndCatalogReportState)
     const JsonValue *workloads = catalog.find("workloads");
     ASSERT_TRUE(schemes && schemes->isArray());
     ASSERT_TRUE(workloads && workloads->isArray());
-    EXPECT_GE(schemes->array().size(), 7u);
-    EXPECT_EQ(workloads->array().size(), 14u);
+    auto names = [](const JsonValue &array) {
+        std::vector<std::string> out;
+        for (const JsonValue &name : array.array())
+            out.push_back(name.asString());
+        return out;
+    };
+    EXPECT_EQ(names(*schemes),
+              (std::vector<std::string>{
+                  "GAg", "GAs", "PAs(bht)", "PAs(inf)", "addr", "gag",
+                  "gas", "gshare", "pas", "pas(bht)", "pas(inf)",
+                  "pas_bht", "path", "perceptron", "tage"}));
+    EXPECT_EQ(names(*workloads),
+              (std::vector<std::string>{
+                  "compress", "eqntott", "espresso", "gcc", "groff",
+                  "gs", "mpeg_play", "nroff", "real_gcc", "sc", "sdet",
+                  "verilog", "video_play", "xlisp"}));
 }
 
 TEST(Service, ShutdownSetsTheFlag)
@@ -351,50 +367,6 @@ TEST(Service, ShutdownSetsTheFlag)
         handle(server, "{\"op\":\"shutdown\",\"id\":\"bye\"}");
     EXPECT_TRUE(isOk(response));
     EXPECT_TRUE(server.shutdownRequested());
-}
-
-TEST(Service, CustomWorkloadAndSchemeAliasServeLikeBuiltins)
-{
-    // The extension point: a host registers a bespoke workload and
-    // its own scheme alias, and the protocol serves both.
-    WorkloadRegistry workloads = WorkloadRegistry::withBuiltins();
-    ASSERT_TRUE(workloads
-                    .registerWorkload(
-                        "tiny_loop",
-                        [](SweepSession &session, std::uint64_t n) {
-                            WorkloadParams params =
-                                profileParams("compress",
-                                              n ? n : 5000);
-                            return Result<TraceHandle>(
-                                session.internTrace(
-                                    generateTrace(params)));
-                        })
-                    .ok());
-    // Duplicate registration is refused.
-    EXPECT_FALSE(
-        workloads.registerWorkload("tiny_loop", nullptr).ok());
-
-    SchemeRegistry schemes = SchemeRegistry::withBuiltins();
-    ASSERT_TRUE(
-        schemes.registerScheme("mcfarling", SchemeKind::Gshare)
-            .ok());
-
-    SweepServer server(ServerOptions{}, std::move(schemes),
-                       std::move(workloads));
-    JsonValue response = handle(
-        server,
-        "{\"op\":\"sweep\",\"trace\":{\"profile\":\"tiny_loop\"},"
-        "\"scheme\":\"mcfarling\",\"options\":{\"min_bits\":4,"
-        "\"max_bits\":6}}");
-    EXPECT_TRUE(isOk(response));
-    EXPECT_EQ(response.find("scheme")->asString(), "gshare");
-
-    JsonValue catalog = handle(server, "{\"op\":\"catalog\"}");
-    bool found = false;
-    for (const JsonValue &name :
-         catalog.find("workloads")->array())
-        found = found || name.asString() == "tiny_loop";
-    EXPECT_TRUE(found);
 }
 
 TEST(Service, BatchQueueCountsSubmissions)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/thread_pool.hh"
 #include "predictor/factory.hh"
 #include "predictor/two_level.hh"
@@ -108,6 +110,30 @@ TEST(Sweep, SchemeNames)
     EXPECT_STREQ(schemeKindName(SchemeKind::Path), "path");
     EXPECT_STREQ(schemeKindName(SchemeKind::PAsPerfect), "PAs(inf)");
     EXPECT_STREQ(schemeKindName(SchemeKind::PAsFinite), "PAs(bht)");
+}
+
+TEST(Sweep, SchemeNamesResolveThroughOneTable)
+{
+    // Every display name resolves back to its kind, and every listed
+    // name resolves; the list is sorted.
+    for (SchemeKind kind :
+         {SchemeKind::AddressIndexed, SchemeKind::GAg, SchemeKind::GAs,
+          SchemeKind::Gshare, SchemeKind::Path, SchemeKind::PAsPerfect,
+          SchemeKind::PAsFinite, SchemeKind::Tage,
+          SchemeKind::Perceptron}) {
+        Result<SchemeKind> back = schemeKindFromName(schemeKindName(kind));
+        ASSERT_TRUE(back.ok()) << schemeKindName(kind);
+        EXPECT_EQ(back.value(), kind);
+    }
+    const std::vector<std::string> names = schemeNames();
+    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+    for (const std::string &name : names)
+        EXPECT_TRUE(schemeKindFromName(name).ok()) << name;
+    EXPECT_EQ(schemeKindFromName("pas").value(), SchemeKind::PAsPerfect);
+    EXPECT_EQ(schemeKindFromName("pas_bht").value(),
+              SchemeKind::PAsFinite);
+    EXPECT_FALSE(schemeKindFromName("PAsBht").ok());
+    EXPECT_FALSE(schemeKindFromName("").ok());
 }
 
 TEST(Sweep, BhtMissRateReported)

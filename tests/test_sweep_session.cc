@@ -483,6 +483,13 @@ TEST(SweepSession, TablesAboveTheEngineCeilingAreErrors)
     EXPECT_FALSE(
         session.point(trace, SchemeKind::GAs, over - 1, 1).ok());
     EXPECT_FALSE(session.point(trace, SchemeKind::Gshare, 0, over).ok());
+    // A zoo point has only floors of its own: the ceiling caps it.
+    Result<ConfigResult> tage =
+        session.point(trace, SchemeKind::Tage, 25, 2);
+    ASSERT_FALSE(tage.ok());
+    EXPECT_NE(tage.error().message().find("engine ceiling"),
+              std::string::npos)
+        << tage.error().message();
     EXPECT_TRUE(session.point(trace, SchemeKind::GAs, 4, 4).ok());
 }
 
