@@ -29,17 +29,9 @@
  * the committed BENCH_sweep.json seeds the perf trajectory, CI only
  * checks that the report is produced.  Each scheme's record carries
  * the kernel telemetry of its batched run (dispatch target,
- * lanes per group, blocks replayed, hot bytes per branch) so a perf
+ * lanes per group, blocks replayed) so a perf
  * regression can be traced to a dispatch or fusion change without
  * rerunning under a profiler.
- *
- * A within-group scaling phase then runs one representative scheme
- * (GAs) through the segments row (1/2/4/8) at threads=1, plus one
- * exact group-parallel cell (threads=0, segments=1).  Speculative
- * cells (segments>1) report their max per-point epsilon against the
- * exact surface; the threads=0 cell is asserted bit-identical to it.
- * The cells, speedups and worker utilizations land in the same JSON
- * under "within_group_scaling".
  *
  * A zoo phase times TAGE/perceptron model groups against one-lane
  * model groups in the same modes; it lands in the same JSON under
@@ -310,35 +302,6 @@ writeModes(FILE *json, const SchemeResult &r, const char *one_lane_key)
                  r.batchedThreadsSpeedup, r.batchedThreadsCores);
 }
 
-/** Largest per-point |delta| between two surfaces of the same plan:
- *  the auditable epsilon of a speculative segment-parallel run. */
-double
-maxSurfaceDelta(const Surface &expect, const Surface &got)
-{
-    double worst = 0.0;
-    const auto &a = expect.tiers();
-    const auto &b = got.tiers();
-    bpsim_assert(a.size() == b.size(), "tier count drift");
-    for (std::size_t t = 0; t < a.size(); ++t)
-        for (std::size_t p = 0; p < a[t].points.size(); ++p)
-            worst = std::max(worst, std::abs(a[t].points[p].value -
-                                             b[t].points[p].value));
-    return worst;
-}
-
-/** One cell of the within-group scaling row. */
-struct MatrixCell
-{
-    unsigned threads = 1;
-    unsigned segments = 1;
-    double seconds = 0.0;
-    double speedup = 0.0;
-    /** Max per-point |delta| vs exact (0 when segments == 1, where
-     *  bit-identity is asserted, not measured). */
-    double epsilon = 0.0;
-    double utilization = 0.0;
-};
-
 /** The host CPU's model name ("unknown" off Linux). */
 std::string
 cpuModel()
@@ -430,67 +393,6 @@ main(int argc, char **argv)
                 "verified bit-identical across modes; untracked "
                 "misprediction identical to tracked)\n");
 
-    // ---- Within-group scaling: segments row + group parallelism ---
-    //
-    // One representative scheme (GAs, the paper's centerpiece) run
-    // serially through every speculative segment count -- the only
-    // axis inside a group -- and once exact with its planner groups
-    // spread over every hardware thread (threads=0), the default
-    // parallel plan.  Speculative cells (segments > 1) report their
-    // max per-point epsilon against the exact surface; the threads=0
-    // cell must stay bit-identical.  The full 1/2/4/8 row always runs
-    // -- on hosts with fewer hardware threads the extra cells still
-    // verify determinism, but their speedups measure
-    // oversubscription, not scaling (interpret against
-    // "hardware_threads" in the JSON).
-    const SchemeKind matrix_kind = SchemeKind::GAs;
-    const SweepOptions &matrix_base = serial_opts;
-    std::vector<MatrixCell> matrix;
-    for (unsigned segs : {1u, 2u, 4u, 8u})
-        matrix.push_back(MatrixCell{1, segs});
-    matrix.push_back(MatrixCell{0, 1});
-
-    std::printf("\n==== Within-group scaling: %s, segments at "
-                "threads=1, exact at threads=0 (warmup %u) ====\n",
-                schemeKindName(matrix_kind),
-                matrix_base.segmentWarmup);
-    Surfaces matrix_exact;
-    double matrix_base_s = 0.0;
-    for (MatrixCell &cell : matrix) {
-        SweepOptions opts = matrix_base;
-        opts.threads = cell.threads;
-        opts.segments = cell.segments;
-        Surfaces surface;
-        KernelTelemetry kernel;
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            const double s = runOnce(session, handle.hash, matrix_kind,
-                                     opts, rep == 0 ? &surface : nullptr,
-                                     rep == 0 ? &kernel : nullptr);
-            cell.seconds = rep == 0 ? s : std::min(cell.seconds, s);
-        }
-        if (cell.threads == 1 && cell.segments == 1) {
-            matrix_exact = surface;
-            matrix_base_s = cell.seconds;
-        }
-        if (cell.segments == 1)
-            checkSurfaces(matrix_kind, matrix_exact, surface);
-        else
-            cell.epsilon = maxSurfaceDelta(matrix_exact.misprediction,
-                                           surface.misprediction);
-        cell.speedup = matrix_base_s / cell.seconds;
-        cell.utilization = kernel.workerUtilization();
-        std::printf("threads=%u segments=%u  %6.3fs %4.2fx  "
-                    "epsilon %.3e\n",
-                    cell.threads, cell.segments, cell.seconds,
-                    cell.speedup, cell.epsilon);
-    }
-    double matrix_max_eps = 0.0;
-    for (const MatrixCell &cell : matrix)
-        matrix_max_eps = std::max(matrix_max_eps, cell.epsilon);
-    std::printf("(segments=1 cells bit-identical to exact; max "
-                "speculative epsilon %.3e mispredict-rate points)\n",
-                matrix_max_eps);
-
     // ---- Zoo phase: batched model-lane replay vs per-config ------
     //
     // The modern-predictor zoo replays full TAGE/perceptron models,
@@ -552,43 +454,15 @@ main(int argc, char **argv)
             "     \"kernel\": {\"target\": \"%s\", "
             "\"fused_groups\": %llu,\n"
             "      \"lanes_per_group\": %.2f, \"lane_batches\": "
-            "%llu, \"blocks_replayed\": %llu,\n"
-            "      \"hot_bytes_per_branch\": %.2f, "
-            "\"segments_per_group\": %.2f,\n"
-            "      \"warmup_branches\": %llu, \"worker_utilization\": "
-            "%.3f}}%s\n",
+            "%llu, \"blocks_replayed\": %llu}}%s\n",
             simdTargetName(r.kernel.target),
             static_cast<unsigned long long>(r.kernel.fusedGroups),
             r.kernel.lanesPerGroup(),
             static_cast<unsigned long long>(r.kernel.laneBatches),
             static_cast<unsigned long long>(r.kernel.blocksReplayed),
-            r.kernel.hotBytesPerBranch(), r.kernel.segmentsPerGroup(),
-            static_cast<unsigned long long>(r.kernel.warmupBranches),
-            r.kernel.workerUtilization(),
             i + 1 < results.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");
-    std::fprintf(json,
-                 "  \"within_group_scaling\": {\"scheme\": \"%s\", "
-                 "\"segment_warmup\": %u,\n"
-                 "   \"max_speculative_epsilon\": %.3e,\n"
-                 "   \"note\": \"speedups above hardware_threads "
-                 "measure oversubscription, not scaling\",\n"
-                 "   \"cells\": [\n",
-                 schemeKindName(matrix_kind),
-                 matrix_base.segmentWarmup, matrix_max_eps);
-    for (std::size_t i = 0; i < matrix.size(); ++i) {
-        const MatrixCell &cell = matrix[i];
-        std::fprintf(json,
-                     "    {\"threads\": %u, \"segments\": %u, "
-                     "\"seconds\": %.6f, \"speedup\": %.3f, "
-                     "\"epsilon\": %.3e, \"worker_utilization\": "
-                     "%.3f}%s\n",
-                     cell.threads, cell.segments, cell.seconds,
-                     cell.speedup, cell.epsilon, cell.utilization,
-                     i + 1 < matrix.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]},\n");
     std::fprintf(json,
                  "  \"zoo\": {\"tiers\": [%u, %u],\n"
                  "   \"unit\": \"branch-config updates per second\",\n"
@@ -602,16 +476,13 @@ main(int argc, char **argv)
             "     \"kernel\": {\"target\": \"%s\", "
             "\"model_groups\": %llu, \"model_lanes\": %llu,\n"
             "      \"model_lanes_per_group\": %.2f, "
-            "\"model_batches\": %llu, \"blocks_replayed\": %llu,\n"
-            "      \"segments_per_group\": %.2f, "
-            "\"worker_utilization\": %.3f}}%s\n",
+            "\"model_batches\": %llu, \"blocks_replayed\": %llu}}%s\n",
             simdTargetName(r.kernel.target),
             static_cast<unsigned long long>(r.kernel.modelGroups),
             static_cast<unsigned long long>(r.kernel.modelLanes),
             r.kernel.modelLanesPerGroup(),
             static_cast<unsigned long long>(r.kernel.modelBatches),
             static_cast<unsigned long long>(r.kernel.blocksReplayed),
-            r.kernel.segmentsPerGroup(), r.kernel.workerUtilization(),
             i + 1 < zoo_results.size() ? "," : "");
     }
     std::fprintf(json, "  ]},\n");

@@ -126,12 +126,6 @@ parseOption(const std::string &key, const JsonValue &value,
     if (key == "max_bits")
         return setUint(value, "max_bits", opts.maxTotalBits, 1,
                        limits.maxTotalBits);
-    // 1 = exact replay (the default resolution); > 1 opts the request
-    // into speculative segment-parallel replay, which is keyed
-    // separately in the result cache.
-    if (key == "segments")
-        return setUint(value, "segments", opts.segments, 1,
-                       SweepOptions::kMaxSegments);
     if (key == "aliasing") {
         Result<bool> b = boolField(value, "aliasing");
         if (!b.ok())
@@ -145,8 +139,6 @@ parseOption(const std::string &key, const JsonValue &value,
         return setUint(value, "bht_entries", opts.bhtEntries);
     if (key == "bht_assoc")
         return setUint(value, "bht_assoc", opts.bhtAssoc);
-    if (key == "segment_warmup")
-        return setUint(value, "segment_warmup", opts.segmentWarmup);
     if (key == "tage_tag_bits")
         return setUint(value, "tage_tag_bits", opts.tageTagBits);
     if (key == "perceptron_tables")

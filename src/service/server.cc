@@ -337,14 +337,6 @@ SweepServer::handleStats(const Request &req)
                           kernel.fusedGroups)));
     kernelObj.emplace("lanes", JsonValue(static_cast<std::int64_t>(
                                    kernel.lanes)));
-    kernelObj.emplace("segments",
-                      JsonValue(static_cast<std::int64_t>(
-                          kernel.segments)));
-    kernelObj.emplace("segments_per_group",
-                      JsonValue(kernel.segmentsPerGroup()));
-    kernelObj.emplace("warmup_branches",
-                      JsonValue(static_cast<std::int64_t>(
-                          kernel.warmupBranches)));
     kernelObj.emplace("model_groups",
                       JsonValue(static_cast<std::int64_t>(
                           kernel.modelGroups)));
@@ -356,8 +348,6 @@ SweepServer::handleStats(const Request &req)
                           kernel.modelBatches)));
     kernelObj.emplace("model_lanes_per_group",
                       JsonValue(kernel.modelLanesPerGroup()));
-    kernelObj.emplace("worker_utilization",
-                      JsonValue(kernel.workerUtilization()));
 
     JsonValue::Object cacheObj;
     cacheObj.emplace("memory_hits", JsonValue(static_cast<std::int64_t>(

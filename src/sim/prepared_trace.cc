@@ -7,14 +7,12 @@
 
 namespace bpsim {
 
-PreparedTrace::PreparedTrace(const MemoryTrace &trace,
-                             bool need_path_history)
+PreparedTrace::PreparedTrace(const MemoryTrace &trace)
     : name_(trace.name())
 {
     std::size_t n = trace.conditionalCount();
     ids_.reserve(n);
-    if (need_path_history)
-        succBits_.reserve(n);
+    succBits_.reserve(n);
     takenBits_.reserve(n / 64 + 1);
     ghist.reserve(n);
     shist.reserve(n);
@@ -42,14 +40,12 @@ PreparedTrace::PreparedTrace(const MemoryTrace &trace,
         }
         const std::uint32_t id = slot->second;
         ids_.push_back(id);
-        if (need_path_history) {
-            // The successor already folds in the outcome, so the path
-            // column replaces the full 8-byte target address with the
-            // only bits pathHistoryStream can ever shift in.
-            const Addr successor = rec.taken ? rec.target : rec.pc + 4;
-            succBits_.push_back(static_cast<std::uint16_t>(
-                bits(wordIndex(successor), 16)));
-        }
+        // The successor already folds in the outcome, so the path
+        // column replaces the full 8-byte target address with the only
+        // bits pathHistoryStream can ever shift in.
+        const Addr successor = rec.taken ? rec.target : rec.pc + 4;
+        succBits_.push_back(static_cast<std::uint16_t>(
+            bits(wordIndex(successor), 16)));
         if ((k & 63) == 0)
             takenBits_.push_back(0);
         if (rec.taken)
@@ -83,8 +79,6 @@ PreparedTrace::pathHistoryStream(unsigned bits_per_target) const
     bpsim_assert(bits_per_target >= 1 &&
                      bits_per_target <= kMaxPathBitsPerTarget,
                  "bits per target out of range");
-    bpsim_assert(hasPathColumn(),
-                 "trace was prepared without the path column");
     std::vector<std::uint64_t> out;
     out.reserve(size());
     std::uint64_t reg = 0;

@@ -94,15 +94,8 @@ class BhtStream
 class PreparedTrace
 {
   public:
-    /**
-     * Extract and precompute from a materialised trace.
-     * @param need_path_history keep the 2-byte successor-bits column
-     *        that feeds pathHistoryStream (only Nair path-scheme
-     *        groups consume it); pass false to drop it when no lane
-     *        needs path history.
-     */
-    explicit PreparedTrace(const MemoryTrace &trace,
-                           bool need_path_history = true);
+    /** Extract and precompute from a materialised trace. */
+    explicit PreparedTrace(const MemoryTrace &trace);
 
     const std::string &name() const { return name_; }
     /** Number of conditional branch instances. */
@@ -158,13 +151,10 @@ class PreparedTrace
     /** Perfect per-branch self history BEFORE instance @p i. */
     std::uint64_t selfHistory(std::size_t i) const { return shist[i]; }
 
-    /** Whether the successor-bits column was kept at construction. */
-    bool hasPathColumn() const { return !succBits_.empty() || size() == 0; }
-
     /**
      * Per-branch column bytes divided by branch count: 4 (branch id) +
-     * 8 (ghist) + 8 (shist) + 1/8 (packed outcome bit)
-     * + 2 when the path column is kept.  The static-pc table (8 bytes
+     * 8 (ghist) + 8 (shist) + 1/8 (packed outcome bit) + 2 (path
+     * successor bits).  The static-pc table (8 bytes
      * per staticBranches()) does not grow with the trace and is not
      * counted.  Zero for an empty trace.
      */
@@ -172,8 +162,7 @@ class PreparedTrace
 
     /**
      * Path-history register value before each instance, shifting
-     * @p bits_per_target successor-address bits per branch.  Requires
-     * the path column (need_path_history at construction).
+     * @p bits_per_target successor-address bits per branch.
      */
     std::vector<std::uint64_t>
     pathHistoryStream(unsigned bits_per_target) const;

@@ -12,11 +12,10 @@ namespace bpsim {
 namespace {
 
 /**
- * Trace tile of the block-decoded engines and the grain of segment
- * cuts.  2048 branches keep the 2-bit engine's decoded block at
- * 26 KiB (13 bytes per branch), L1/L2-resident while every lane batch
- * streams it.  A multiple of 64 so blocks consume whole
- * packed-outcome words.
+ * Trace tile of the block-decoded engines.  2048 branches keep the
+ * 2-bit engine's decoded block at 26 KiB (13 bytes per branch),
+ * L1/L2-resident while every lane batch streams it.  A multiple of 64
+ * so blocks consume whole packed-outcome words.
  */
 constexpr std::size_t kBlockSize = 2048;
 static_assert(kBlockSize % 64 == 0, "blocks must consume whole taken words");
@@ -36,137 +35,49 @@ ratio(std::uint64_t num, std::uint64_t den)
                : 0.0;
 }
 
-/** Resolved within-group execution shape for one group replay. */
-struct ReplayExec
-{
-    /** Trace segments (resolveSegments, >= 1; 1 = exact). */
-    unsigned segments = 1;
-    /** Warm-up branches before each speculative segment. */
-    std::size_t warmup = 2048;
-};
-
 /**
- * One lane's counts over one task's counted span.  The aliasing fields
- * stay zero for engines that do not track last writers.
+ * One lane's counts over the trace.  The aliasing fields stay zero for
+ * engines that do not track last writers.
  */
 struct LaneCounts
 {
     std::uint64_t misses = 0;
-    std::uint64_t accesses = 0;
     std::uint64_t conflicts = 0;
     std::uint64_t harmless = 0;
 };
 
 /**
- * One grid task: every lane starts from cold private state, replays
- * [warmLo, segLo) uncounted, then counts [segLo, segHi).
- */
-struct TaskSpan
-{
-    std::size_t warmLo = 0;
-    std::size_t segLo = 0;
-    std::size_t segHi = 0;
-};
-
-/**
- * The replay grid every group runs through (DESIGN.md "Segment-parallel
- * replay").  A group's replay is decomposed into one task per trace
- * segment; every task steps all of the group's lanes.  Segments
- * partition the *trace* at block boundaries: segment k > 0 starts from
- * cold state, replays an uncounted warm-up window of exec.warmup
- * branches before its range, then counts its own range.  Segment
- * boundaries and warm-up depend only on (trace length, segments,
- * warmup), so speculative results are deterministic and independent of
- * worker counts; segments == 1 replays [0, n) cold-started exactly.
- * Parallelism across lanes comes from the planner's groups
- * (planFusedGroups), which the pool spreads over SweepOptions::threads.
- *
- * The per-(segment, lane) counts are reconciled in segment order into
- * each lane's ConfigResult slot: misprediction over the trace length,
- * aliasing over the counted accesses, harmless over the conflicts.
+ * Replay one group: the engine steps every lane over the whole trace
+ * [0, n) from cold state, and each lane's counts land in its member's
+ * ConfigResult slot -- misprediction and aliasing over the trace
+ * length, harmless over the conflicts.
  *
  * An Engine provides
  *   std::size_t lanes() const;          lanes in execution order
  *   std::size_t member(std::size_t lane) const;   its job index
- *   void run(const TaskSpan &, LaneCounts *, KernelTelemetry &) const;
- * where run() steps every lane over the task's spans, writes lane j's
- * counts to counts[j], and touches no state
- * another task can see.  The returned telemetry carries the grid's
- * shape, timing and the tasks' engine counters; callers add the
- * population counters.
+ *   void run(std::size_t n, LaneCounts *, KernelTelemetry &) const;
+ * where run() writes lane j's counts to counts[j] and touches no state
+ * another group can see.  The returned telemetry carries the engine's
+ * counters and busy time; callers add the population counters.
  */
 template <typename Engine>
 KernelTelemetry
-runGrid(const Engine &engine, std::size_t n, const ReplayExec &exec,
-        ConfigResult *slots)
+replayGroup(const Engine &engine, std::size_t n, ConfigResult *slots)
 {
-    // Segments never exceed the block count.  A balanced integer split
-    // keeps the partition deterministic.
-    const std::size_t lane_count = engine.lanes();
-    const std::size_t nblocks = (n + kBlockSize - 1) / kBlockSize;
-    const std::size_t segs = std::max<std::size_t>(
-        1, std::min<std::size_t>(exec.segments,
-                                 std::max<std::size_t>(nblocks, 1)));
-    const auto seg_begin = [&](std::size_t k) {
-        return std::min(n, k * nblocks / segs * kBlockSize);
-    };
-
-    // Task k writes only row k, so placement is deterministic and
-    // unsynchronised.
-    std::vector<LaneCounts> seg_counts(segs * lane_count);
-    std::vector<KernelTelemetry> task_tel(segs);
-    const auto run_task = [&](std::size_t k) {
-        const auto t0 = std::chrono::steady_clock::now();
-        TaskSpan span;
-        span.segLo = seg_begin(k);
-        span.segHi = seg_begin(k + 1);
-        // Segment 0 starts at the true trace start and needs no
-        // warm-up.
-        span.warmLo =
-            span.segLo > exec.warmup ? span.segLo - exec.warmup : 0;
-        KernelTelemetry &tel = task_tel[k];
-        tel.warmupBranches = span.segLo - span.warmLo;
-        engine.run(span, &seg_counts[k * lane_count], tel);
-        tel.busySeconds = secondsSince(t0);
-    };
-
-    // A speculative request wants its segments to run concurrently:
-    // one executor per segment, an execution choice results never
-    // depend on.
-    const auto span0 = std::chrono::steady_clock::now();
-    if (segs == 1) {
-        run_task(0);
-    } else {
-        ThreadPool::shared().parallelFor(
-            segs, static_cast<unsigned>(segs), run_task);
-    }
-
-    KernelTelemetry counters;
-    for (const KernelTelemetry &tel : task_tel)
-        counters.merge(tel);
-    counters.segments = segs;
-    counters.taskWorkers = segs;
-    counters.spanSeconds = secondsSince(span0);
-
-    // Reconcile: for segs == 1 this is exactly the serial total; for
-    // segs > 1 it is the speculative estimate whose delta against
-    // exact mode the bench and differential tests report.
-    for (std::size_t j = 0; j < lane_count; ++j) {
-        LaneCounts total;
-        for (std::size_t k = 0; k < segs; ++k) {
-            const LaneCounts &c = seg_counts[k * lane_count + j];
-            total.misses += c.misses;
-            total.accesses += c.accesses;
-            total.conflicts += c.conflicts;
-            total.harmless += c.harmless;
-        }
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<LaneCounts> counts(engine.lanes());
+    KernelTelemetry tel;
+    engine.run(n, counts.data(), tel);
+    tel.busySeconds = secondsSince(t0);
+    for (std::size_t j = 0; j < counts.size(); ++j) {
+        const LaneCounts &c = counts[j];
         ConfigResult &out = slots[engine.member(j)];
         out = ConfigResult{};
-        out.mispRate = ratio(total.misses, n);
-        out.aliasRate = ratio(total.conflicts, total.accesses);
-        out.harmlessFraction = ratio(total.harmless, total.conflicts);
+        out.mispRate = ratio(c.misses, n);
+        out.aliasRate = ratio(c.conflicts, n);
+        out.harmlessFraction = ratio(c.harmless, c.conflicts);
     }
-    return counters;
+    return tel;
 }
 
 /**
@@ -186,8 +97,7 @@ runGrid(const Engine &engine, std::size_t n, const ReplayExec &exec,
  * from one gathered word.  A conflict is harmless when the low rowBits
  * of pattern_of(i) -- the first-level history pattern in effect --
  * are all ones, i.e. countr_one(pattern) >= rowBits; schemes without
- * such a pattern pass a constant 0.  Warm-up spans train the slots
- * but are not counted.
+ * such a pattern pass a constant 0.
  */
 template <typename RowFn, typename PatternFn>
 class AliasLanes
@@ -205,11 +115,9 @@ class AliasLanes
     std::size_t member(std::size_t lane) const { return members_[lane]; }
 
     void
-    run(const TaskSpan &span, LaneCounts *counts,
-        KernelTelemetry &tel) const
+    run(std::size_t n, LaneCounts *counts, KernelTelemetry &tel) const
     {
-        // Private arenas per task, one per lane batch: speculative
-        // segments start cold.
+        // Private arenas, one per lane batch: every group starts cold.
         const std::size_t lane_count = lanes();
         std::vector<AliasBatch> batches(
             (lane_count + AliasBatch::kMaxLanes - 1) /
@@ -258,36 +166,21 @@ class AliasLanes
         std::vector<std::uint8_t> flags(kBlockSize);
         const AliasRecords records{rows.data(), cols.data(), tags.data(),
                                    flags.data()};
-        const auto replay = [&](std::size_t lo, std::size_t hi,
-                                bool count) {
-            for (std::size_t base = lo; base < hi; base += kBlockSize) {
-                const std::size_t m = std::min(kBlockSize, hi - base);
-                if (count)
-                    ++tel.blocksReplayed;
-                decode(base, m, rows.data(), cols.data(), tags.data(),
-                       flags.data());
-                for (AliasBatch &batch : batches) {
-                    replayAliasBatch(target_, records, m, batch);
-                    if (count)
-                        ++tel.laneBatches;
-                }
+        for (std::size_t base = 0; base < n; base += kBlockSize) {
+            const std::size_t m = std::min(kBlockSize, n - base);
+            ++tel.blocksReplayed;
+            decode(base, m, rows.data(), cols.data(), tags.data(),
+                   flags.data());
+            for (AliasBatch &batch : batches) {
+                replayAliasBatch(target_, records, m, batch);
+                ++tel.laneBatches;
             }
-        };
-        replay(span.warmLo, span.segLo, false);
-        for (AliasBatch &batch : batches) {
-            std::fill(std::begin(batch.misses), std::end(batch.misses), 0);
-            std::fill(std::begin(batch.conflicts),
-                      std::end(batch.conflicts), 0);
-            std::fill(std::begin(batch.harmless), std::end(batch.harmless),
-                      0);
         }
-        replay(span.segLo, span.segHi, true);
 
         for (std::size_t j = 0; j < lane_count; ++j) {
             const AliasBatch &batch = batches[j / AliasBatch::kMaxLanes];
             const std::size_t l = j % AliasBatch::kMaxLanes;
             counts[j].misses = batch.misses[l];
-            counts[j].accesses = span.segHi - span.segLo;
             counts[j].conflicts = batch.conflicts[l];
             counts[j].harmless = batch.harmless[l];
         }
@@ -379,7 +272,7 @@ class ModelLanes
         }
         // Keep entry-width classes contiguous (TAGE components and
         // perceptron tables are 2^entryBits entries: rowBits for TAGE,
-        // colBits for perceptron) so each task materialises as few
+        // colBits for perceptron) so each block materialises as few
         // index folds as possible.  Stable, execution placement only.
         const bool is_tage = isTage_;
         std::stable_sort(specs_.begin(), specs_.end(),
@@ -396,8 +289,7 @@ class ModelLanes
     }
 
     void
-    run(const TaskSpan &span, LaneCounts *counts,
-        KernelTelemetry &tel) const
+    run(std::size_t n, LaneCounts *counts, KernelTelemetry &tel) const
     {
         // Shared per-block decode: full 64-bit pc word index (the zoo
         // hashes fold all of it, unlike the 32-bit 2-bit columns), the
@@ -405,9 +297,9 @@ class ModelLanes
         // perceptron kernel consumes directly.
         Block block;
         if (isTage_) {
-            runTage(span, block, counts, tel);
+            runTage(n, block, counts, tel);
         } else {
-            runPerceptron(span, block, counts, tel);
+            runPerceptron(n, block, counts, tel);
         }
     }
 
@@ -441,7 +333,7 @@ class ModelLanes
     }
 
     void
-    runTage(const TaskSpan &span, Block &block, LaneCounts *counts,
+    runTage(std::size_t n, Block &block, LaneCounts *counts,
             KernelTelemetry &tel) const
     {
         const std::vector<std::uint64_t> &widx = block.widx;
@@ -469,76 +361,66 @@ class ModelLanes
         std::vector<std::uint16_t> wtagf(kBlockSize);
         std::vector<std::uint32_t> wfold(kBlockSize);
 
-        const auto replay_span = [&](std::size_t lo, std::size_t hi,
-                                     bool count) {
-            for (std::size_t base = lo; base < hi; base += kBlockSize) {
-                const std::size_t m = std::min(kBlockSize, hi - base);
-                if (count)
-                    ++tel.blocksReplayed;
-                decode(block, base, m);
-                for (std::size_t i = 0; i < m; ++i)
-                    wtagf[i] = static_cast<std::uint16_t>(
-                        xorFold(widx[i], tag_bits));
-                for (unsigned j = 0; j < ncomp; ++j) {
-                    std::uint16_t *out = tags.data() + j * kBlockSize;
-                    for (std::size_t i = 0; i < m; ++i) {
-                        const std::uint64_t h = gh[i] & hmask[j];
-                        out[i] = static_cast<std::uint16_t>(
-                            (wtagf[i] ^ xorFold(h, tag_bits) ^
-                             (xorFold(h, tag_bits - 1) << 1)) &
-                            mask(tag_bits));
-                    }
-                }
-                for (std::size_t first = 0; first < lane_count;) {
-                    const unsigned eb = specs_[first].rowBits;
-                    std::size_t last = first;
-                    while (last < lane_count && specs_[last].rowBits == eb)
-                        ++last;
-                    if (count)
-                        ++tel.modelBatches;
-                    const std::uint64_t eb_mask = mask(eb);
-                    for (std::size_t i = 0; i < m; ++i)
-                        wfold[i] = static_cast<std::uint32_t>(
-                            xorFold(widx[i], eb));
-                    for (unsigned j = 0; j < ncomp; ++j) {
-                        std::uint32_t *out = idxf.data() + j * kBlockSize;
-                        for (std::size_t i = 0; i < m; ++i)
-                            out[i] = static_cast<std::uint32_t>(
-                                (xorFold(gh[i] & hmask[j], eb) ^
-                                 wfold[i]) &
-                                eb_mask);
-                    }
-                    for (std::size_t j = first; j < last; ++j) {
-                        TageModel &model = models[j];
-                        const std::uint64_t base_mask =
-                            mask(specs_[j].colBits);
-                        std::uint64_t misses = 0;
-                        for (std::size_t i = 0; i < m; ++i) {
-                            const bool taken = block.tk[i] != 0;
-                            const bool pred =
-                                model
-                                    .stepWithKeys(
-                                        static_cast<std::size_t>(
-                                            widx[i] & base_mask),
-                                        idxf.data() + i, kBlockSize,
-                                        tags.data() + i, kBlockSize,
-                                        taken)
-                                    .prediction;
-                            misses += pred != taken;
-                        }
-                        if (count)
-                            counts[j].misses += misses;
-                    }
-                    first = last;
+        for (std::size_t base = 0; base < n; base += kBlockSize) {
+            const std::size_t m = std::min(kBlockSize, n - base);
+            ++tel.blocksReplayed;
+            decode(block, base, m);
+            for (std::size_t i = 0; i < m; ++i)
+                wtagf[i] =
+                    static_cast<std::uint16_t>(xorFold(widx[i], tag_bits));
+            for (unsigned j = 0; j < ncomp; ++j) {
+                std::uint16_t *out = tags.data() + j * kBlockSize;
+                for (std::size_t i = 0; i < m; ++i) {
+                    const std::uint64_t h = gh[i] & hmask[j];
+                    out[i] = static_cast<std::uint16_t>(
+                        (wtagf[i] ^ xorFold(h, tag_bits) ^
+                         (xorFold(h, tag_bits - 1) << 1)) &
+                        mask(tag_bits));
                 }
             }
-        };
-        replay_span(span.warmLo, span.segLo, false);
-        replay_span(span.segLo, span.segHi, true);
+            for (std::size_t first = 0; first < lane_count;) {
+                const unsigned eb = specs_[first].rowBits;
+                std::size_t last = first;
+                while (last < lane_count && specs_[last].rowBits == eb)
+                    ++last;
+                ++tel.modelBatches;
+                const std::uint64_t eb_mask = mask(eb);
+                for (std::size_t i = 0; i < m; ++i)
+                    wfold[i] =
+                        static_cast<std::uint32_t>(xorFold(widx[i], eb));
+                for (unsigned j = 0; j < ncomp; ++j) {
+                    std::uint32_t *out = idxf.data() + j * kBlockSize;
+                    for (std::size_t i = 0; i < m; ++i)
+                        out[i] = static_cast<std::uint32_t>(
+                            (xorFold(gh[i] & hmask[j], eb) ^ wfold[i]) &
+                            eb_mask);
+                }
+                for (std::size_t j = first; j < last; ++j) {
+                    TageModel &model = models[j];
+                    const std::uint64_t base_mask = mask(specs_[j].colBits);
+                    std::uint64_t misses = 0;
+                    for (std::size_t i = 0; i < m; ++i) {
+                        const bool taken = block.tk[i] != 0;
+                        const bool pred =
+                            model
+                                .stepWithKeys(
+                                    static_cast<std::size_t>(
+                                        widx[i] & base_mask),
+                                    idxf.data() + i, kBlockSize,
+                                    tags.data() + i, kBlockSize,
+                                    taken)
+                                .prediction;
+                        misses += pred != taken;
+                    }
+                    counts[j].misses += misses;
+                }
+                first = last;
+            }
+        }
     }
 
     void
-    runPerceptron(const TaskSpan &span, Block &block, LaneCounts *counts,
+    runPerceptron(std::size_t n, Block &block, LaneCounts *counts,
                   KernelTelemetry &tel) const
     {
         const std::vector<std::uint64_t> &widx = block.widx;
@@ -577,85 +459,75 @@ class ModelLanes
         std::vector<std::uint32_t> idxbuf(kTile * tables *
                                           PerceptronBatch::kMaxLanes);
 
-        const auto replay_span = [&](std::size_t lo, std::size_t hi,
-                                     bool count) {
-            for (std::size_t base = lo; base < hi; base += kBlockSize) {
-                const std::size_t m = std::min(kBlockSize, hi - base);
-                if (count)
-                    ++tel.blocksReplayed;
-                decode(block, base, m);
-                for (std::size_t b_lo = 0; b_lo < lane_count;
-                     b_lo += PerceptronBatch::kMaxLanes) {
-                    PerceptronBatch batch;
-                    batch.lanes = static_cast<unsigned>(
-                        std::min<std::size_t>(PerceptronBatch::kMaxLanes,
-                                              lane_count - b_lo));
-                    batch.tables = tables;
+        for (std::size_t base = 0; base < n; base += kBlockSize) {
+            const std::size_t m = std::min(kBlockSize, n - base);
+            ++tel.blocksReplayed;
+            decode(block, base, m);
+            for (std::size_t b_lo = 0; b_lo < lane_count;
+                 b_lo += PerceptronBatch::kMaxLanes) {
+                PerceptronBatch batch;
+                batch.lanes = static_cast<unsigned>(std::min<std::size_t>(
+                    PerceptronBatch::kMaxLanes, lane_count - b_lo));
+                batch.tables = tables;
+                for (unsigned l = 0; l < batch.lanes; ++l) {
+                    PerceptronLane &lane = lanes[b_lo + l];
+                    batch.weights[l] = lane.bank.data();
+                    batch.theta[l] = lane.theta;
+                }
+                ++tel.modelBatches;
+                std::uint32_t wfold[kTile];
+                for (std::size_t off = 0; off < m; off += kTile) {
+                    const std::size_t mt = std::min(kTile, m - off);
+                    int cur_eb = -1;
                     for (unsigned l = 0; l < batch.lanes; ++l) {
-                        PerceptronLane &lane = lanes[b_lo + l];
-                        batch.weights[l] = lane.bank.data();
-                        batch.theta[l] = lane.theta;
-                    }
-                    if (count)
-                        ++tel.modelBatches;
-                    std::uint32_t wfold[kTile];
-                    for (std::size_t off = 0; off < m; off += kTile) {
-                        const std::size_t mt = std::min(kTile, m - off);
-                        int cur_eb = -1;
-                        for (unsigned l = 0; l < batch.lanes; ++l) {
-                            const unsigned eb = lanes[b_lo + l].entryBits;
-                            const auto eb_mask =
-                                static_cast<std::uint32_t>(mask(eb));
-                            if (static_cast<int>(eb) != cur_eb) {
-                                cur_eb = static_cast<int>(eb);
-                                for (std::size_t i = 0; i < mt; ++i)
-                                    wfold[i] = static_cast<std::uint32_t>(
-                                        xorFold(widx[off + i], eb));
-                            }
-                            const unsigned h = specs_[b_lo + l].rowBits;
-                            const std::size_t stride =
-                                static_cast<std::size_t>(tables) *
-                                PerceptronBatch::kMaxLanes;
-                            std::uint32_t *col = idxbuf.data() + l;
+                        const unsigned eb = lanes[b_lo + l].entryBits;
+                        const auto eb_mask =
+                            static_cast<std::uint32_t>(mask(eb));
+                        if (static_cast<int>(eb) != cur_eb) {
+                            cur_eb = static_cast<int>(eb);
                             for (std::size_t i = 0; i < mt; ++i)
-                                col[i * stride] =
-                                    static_cast<std::uint32_t>(
-                                        widx[off + i]) &
-                                    eb_mask;
-                            const unsigned nseg = tables - 1;
-                            for (unsigned tb = 1; tb < tables; ++tb) {
-                                const unsigned seg_l = (tb - 1) * h / nseg;
-                                const unsigned seg_h = tb * h / nseg;
-                                const auto off_t =
-                                    static_cast<std::uint32_t>(tb) << eb;
-                                std::uint32_t *out =
-                                    idxbuf.data() +
-                                    tb * PerceptronBatch::kMaxLanes + l;
-                                for (std::size_t i = 0; i < mt; ++i) {
-                                    const std::uint64_t seg =
-                                        bitsAt(gh[off + i], seg_l,
-                                               seg_h - seg_l);
-                                    out[i * stride] =
-                                        ((static_cast<std::uint32_t>(
-                                              xorFold(seg, eb)) ^
-                                          wfold[i]) &
-                                         eb_mask) +
-                                        off_t;
-                                }
+                                wfold[i] = static_cast<std::uint32_t>(
+                                    xorFold(widx[off + i], eb));
+                        }
+                        const unsigned h = specs_[b_lo + l].rowBits;
+                        const std::size_t stride =
+                            static_cast<std::size_t>(tables) *
+                            PerceptronBatch::kMaxLanes;
+                        std::uint32_t *col = idxbuf.data() + l;
+                        for (std::size_t i = 0; i < mt; ++i)
+                            col[i * stride] =
+                                static_cast<std::uint32_t>(widx[off + i]) &
+                                eb_mask;
+                        const unsigned nseg = tables - 1;
+                        for (unsigned tb = 1; tb < tables; ++tb) {
+                            const unsigned seg_l = (tb - 1) * h / nseg;
+                            const unsigned seg_h = tb * h / nseg;
+                            const auto off_t =
+                                static_cast<std::uint32_t>(tb) << eb;
+                            std::uint32_t *out =
+                                idxbuf.data() +
+                                tb * PerceptronBatch::kMaxLanes + l;
+                            for (std::size_t i = 0; i < mt; ++i) {
+                                const std::uint64_t seg =
+                                    bitsAt(gh[off + i], seg_l,
+                                           seg_h - seg_l);
+                                out[i * stride] =
+                                    ((static_cast<std::uint32_t>(
+                                          xorFold(seg, eb)) ^
+                                      wfold[i]) &
+                                     eb_mask) +
+                                    off_t;
                             }
                         }
-                        replayPerceptronBatch(target_, idxbuf.data(),
-                                              block.tk.data() + off, mt,
-                                              batch);
                     }
-                    if (count)
-                        for (unsigned l = 0; l < batch.lanes; ++l)
-                            counts[b_lo + l].misses += batch.misses[l];
+                    replayPerceptronBatch(target_, idxbuf.data(),
+                                          block.tk.data() + off, mt,
+                                          batch);
                 }
+                for (unsigned l = 0; l < batch.lanes; ++l)
+                    counts[b_lo + l].misses += batch.misses[l];
             }
-        };
-        replay_span(span.warmLo, span.segLo, false);
-        replay_span(span.segLo, span.segHi, true);
+        }
     }
 
     const PreparedTrace &t_;
@@ -694,33 +566,6 @@ KernelTelemetry::modelLanesPerGroup() const
                        : 0.0;
 }
 
-double
-KernelTelemetry::hotBytesPerBranch() const
-{
-    // Every 2-bit lane reads one 13-byte alias record per branch.
-    return lanes ? 13.0 : 0.0;
-}
-
-double
-KernelTelemetry::segmentsPerGroup() const
-{
-    // Every group runs the segment grid, so the per-group mean
-    // averages over the combined population.
-    const std::uint64_t groups = fusedGroups + modelGroups;
-    return groups ? static_cast<double>(segments) /
-                        static_cast<double>(groups)
-                  : 0.0;
-}
-
-double
-KernelTelemetry::workerUtilization() const
-{
-    if (spanSeconds <= 0.0 || taskWorkers == 0)
-        return 0.0;
-    return busySeconds /
-           (spanSeconds * static_cast<double>(taskWorkers));
-}
-
 void
 KernelTelemetry::merge(const KernelTelemetry &other)
 {
@@ -732,23 +577,10 @@ KernelTelemetry::merge(const KernelTelemetry &other)
     lanes += other.lanes;
     laneBatches += other.laneBatches;
     blocksReplayed += other.blocksReplayed;
-    segments += other.segments;
-    warmupBranches += other.warmupBranches;
     modelGroups += other.modelGroups;
     modelLanes += other.modelLanes;
     modelBatches += other.modelBatches;
     busySeconds += other.busySeconds;
-    spanSeconds += other.spanSeconds;
-    // The widest task phase seen; utilisation divides busy time by
-    // span * this, so taking the max keeps the ratio conservative.
-    taskWorkers = std::max(taskWorkers, other.taskWorkers);
-}
-
-unsigned
-resolveSegments(const SweepOptions &opts)
-{
-    return std::max(1u, std::min(opts.segments,
-                                 SweepOptions::kMaxSegments));
 }
 
 const char *
@@ -1007,11 +839,6 @@ runFusedGroup(const FusedGroup &group,
     const PreparedTrace &t = cache.trace();
     const SweepOptions &opts = cache.options();
     const SimdTarget target = detectSimdTarget();
-    // The within-group execution shape: trace segments (speculative
-    // when > 1).
-    ReplayExec exec;
-    exec.segments = resolveSegments(opts);
-    exec.warmup = opts.segmentWarmup;
     // The 2-bit family.  row_of gives the raw row value before each
     // branch, pattern_of the first-level pattern whose all-ones value
     // makes a conflict harmless.  Aliasing is always measured;
@@ -1020,7 +847,7 @@ runFusedGroup(const FusedGroup &group,
     const auto two_bit = [&](auto row_of, auto pattern_of) {
         const AliasLanes<decltype(row_of), decltype(pattern_of)> engine(
             t, jobs, group.jobs, row_of, pattern_of, target);
-        counters = runGrid(engine, t.size(), exec, slots);
+        counters = replayGroup(engine, t.size(), slots);
         counters.fusedGroups = 1;
         counters.lanes = group.jobs.size();
         if (!opts.trackAliasing) {
@@ -1076,7 +903,7 @@ runFusedGroup(const FusedGroup &group,
       case SchemeKind::Tage:
       case SchemeKind::Perceptron: {
         const ModelLanes engine(t, opts, jobs, group.jobs, target);
-        counters = runGrid(engine, t.size(), exec, slots);
+        counters = replayGroup(engine, t.size(), slots);
         counters.modelGroups = 1;
         counters.modelLanes = group.jobs.size();
         break;

@@ -10,8 +10,9 @@
  * StreamCache builds every shared immutable input once, on first use
  * (the path-history stream, and one finite-BHT stream whose rows and
  * miss rate serve every row width).  The *execute* phase replays every
- * group through one replay grid, serially or on the shared ThreadPool,
- * governed by SweepOptions::threads (which distributes groups).
+ * group once over the whole trace, serially or on the shared
+ * ThreadPool, governed by SweepOptions::threads (which distributes
+ * groups).
  * Results land in per-job ConfigResult slots that are merged into
  * Surfaces in plan order, so every execution shape is bit-identical to
  * the serial one.
@@ -31,15 +32,9 @@
  *  - model: TAGE/perceptron lanes sharing the block decode and hash
  *    folds.
  *
- * Exact work has one parallel axis: the planner's groups, spread over
- * SweepOptions::threads.  Inside one group the only axis is
- * SweepOptions::segments (see DESIGN.md "Segment-parallel replay"),
- * shared by both engines: it speculatively splits the *trace* into K
- * ranges replayed concurrently from cold-start state behind a
- * segmentWarmup-branch warm-up window.  K > 1 trades a bounded,
- * auditable epsilon for parallelism; the exact K = 1 mode is the
- * default and speculative results depend only on (K, warmup), never on
- * thread or worker counts.
+ * Every group replays the whole trace once, exactly, from cold state.
+ * A sweep has one parallel axis: the planner's groups, spread over
+ * SweepOptions::threads.
  *
  * The sweep path is the fast counterpart of the online TwoLevelPredictor
  * (see prepared_trace.hh); their equivalence is pinned by tests.
@@ -152,39 +147,11 @@ struct SweepOptions
     /**
      * Concurrent group replays during execution: 0 = one per hardware
      * thread, 1 = serial.  The planner's groups (planFusedGroups) are
-     * the only partition of exact work, so this is the one parallel
-     * axis of an exact sweep.  Results are identical either way.
+     * the only partition of the work, so this is a sweep's one
+     * execution knob.  Results are identical either way.
      */
     unsigned threads = 1;
-    /**
-     * Speculative segment replay: split the trace into this many
-     * ranges, replay them concurrently from cold-start state after a
-     * segmentWarmup-branch uncounted warm-up window, and sum the
-     * per-segment counts.  0 (default) and 1 are the exact
-     * single-segment replay; K > 1 trades a bounded epsilon (2-bit
-     * counters converge after a handful of same-direction updates, so
-     * only the few warm-up-resistant counters at each boundary can
-     * disagree; last-writer state converges within one access per
-     * entry; zoo model state converges more slowly, so the zoo epsilon
-     * runs larger at the same warmup -- see EXPERIMENTS.md) for
-     * segment parallelism.  Applies to every lane engine, aliasing
-     * and harmless counts included.  Speculative results depend only
-     * on (K, segmentWarmup) -- never on thread or worker counts -- and
-     * are cached under a distinct key (sweep_session.cc).  Clamped to
-     * kMaxSegments; see resolveSegments().
-     */
-    unsigned segments = 0;
-    /**
-     * Warm-up branches replayed (uncounted) before each speculative
-     * segment to converge its cold counters; ignored when the
-     * resolved segment count is 1.  A window reaching back to the
-     * trace start makes the segment exact by construction.  At most
-     * kMaxSegmentWarmup.
-     */
-    unsigned segmentWarmup = 2048;
 
-    /** Hard ceiling on resolveSegments() (protocol limit too). */
-    static constexpr unsigned kMaxSegments = 64;
     /**
      * Largest table (rowBits + colBits) the engine replays: a full
      * 16-lane 2-bit batch keeps its slot arena (one 4-byte slot per
@@ -193,20 +160,10 @@ struct SweepOptions
      * service reject anything larger with a structured error.
      */
     static constexpr unsigned kMaxTotalBits = 26;
-    /** Request limits on the BHT geometry and the warm-up window. */
+    /** Request limits on the BHT geometry. */
     static constexpr std::size_t kMaxBhtEntries = std::size_t{1} << 24;
     static constexpr unsigned kMaxBhtAssoc = 64;
-    static constexpr unsigned kMaxSegmentWarmup = 1u << 20;
 };
-
-/**
- * The segment count a sweep actually uses: opts.segments clamped to
- * [1, SweepOptions::kMaxSegments], so 0 and 1 both mean exact.  It
- * depends on the request alone -- no environment override.
- * Result-cache keys use the same resolution (sweep_session.cc), so a
- * speculative run can never be served an exact result or vice versa.
- */
-unsigned resolveSegments(const SweepOptions &opts);
 
 /**
  * Observability counters for one sweep's kernel execution, reported in
@@ -224,23 +181,15 @@ struct KernelTelemetry
     std::uint64_t lanes = 0;
     /**
      * 2-bit lane batches (at most AliasBatch::kMaxLanes lanes each)
-     * dispatched per counted block.
+     * dispatched per block.
      */
     std::uint64_t laneBatches = 0;
     /** Decoded block tiles streamed through the lane batches. */
     std::uint64_t blocksReplayed = 0;
     /**
-     * Trace segments across groups (1/group = exact replay); each
-     * segment is one replay task.
-     */
-    std::uint64_t segments = 0;
-    /** Uncounted warm-up branches replayed by speculative segments. */
-    std::uint64_t warmupBranches = 0;
-    /**
      * Model groups (TAGE/perceptron zoo) replayed by the model engine.
-     * They run the same grid -- their segments/warm-up/
-     * blocks/timing fold into the shared counters above -- but step
-     * full predictor models instead of 2-bit tables, so their
+     * They share blocksReplayed and busySeconds with the 2-bit engine
+     * but step full predictor models instead of 2-bit tables, so their
      * population is counted apart from fusedGroups/lanes.
      */
     std::uint64_t modelGroups = 0;
@@ -252,31 +201,13 @@ struct KernelTelemetry
      * entry-bits class).
      */
     std::uint64_t modelBatches = 0;
-    /** Summed per-task execution time (busy seconds across workers). */
+    /** Summed per-group engine time (busy seconds across workers). */
     double busySeconds = 0.0;
-    /** Summed per-group wall time of the task phase. */
-    double spanSeconds = 0.0;
-    /** Peak concurrent executors any group's task phase could use. */
-    std::uint64_t taskWorkers = 0;
 
     /** Mean member configurations per 2-bit group. */
     double lanesPerGroup() const;
     /** Mean member configurations per model group. */
     double modelLanesPerGroup() const;
-    /** Mean trace segments per group (1.0 = exact everywhere). */
-    double segmentsPerGroup() const;
-    /**
-     * Fraction of the task phase's worker-seconds spent executing:
-     * busySeconds / (spanSeconds * taskWorkers).  1.0 means every
-     * executor was busy for the whole span; 0.0 when unmeasured.
-     */
-    double workerUtilization() const;
-    /**
-     * Bytes of shared decoded record the 2-bit lane inner loop reads
-     * per branch per lane: 13 (32-bit row, column and tag, flags byte)
-     * when any 2-bit lane ran, else 0.
-     */
-    double hotBytesPerBranch() const;
     /** Fold one group's counters into a sweep-level aggregate. */
     void merge(const KernelTelemetry &other);
 };
@@ -398,7 +329,7 @@ class StreamCache
 };
 
 /**
- * Execute one group through the replay grid, writing each member
+ * Replay one group over the whole trace, writing each member
  * job's result into slots[job index].  @p slots addresses the whole
  * planned job vector.  The lane engine follows from the group's kind:
  * model for the zoo, 2-bit otherwise; the host picks every engine's

@@ -63,8 +63,6 @@ SweepSession::validateOptions(const SweepOptions &opts)
                         SweepOptions::kMaxBhtEntries),
              checkRange("bht_assoc", opts.bhtAssoc, 1,
                         SweepOptions::kMaxBhtAssoc),
-             checkRange("segment_warmup", opts.segmentWarmup, 0,
-                        SweepOptions::kMaxSegmentWarmup),
              checkRange("tage_tag_bits", opts.tageTagBits,
                         TageParams::kMinTagBits, TageParams::kMaxTagBits),
              checkRange("tage_histories count", histories.size(), 1,
@@ -164,17 +162,6 @@ schemeOptionTokens(SchemeKind kind, const SweepOptions &opts)
         tokens.push_back("ptables=" +
                          std::to_string(opts.perceptronTables));
     }
-    // Speculative segment replay changes results, so a speculative
-    // sweep must never serve (or be served by) an exact one.  The
-    // resolved count is keyed -- not the raw option -- so segments=0
-    // and segments=1 share exact mode's historical key.  The warm-up
-    // width joins only alongside segments: it is read only when K > 1.
-    const unsigned segments = resolveSegments(opts);
-    if (segments > 1) {
-        tokens.push_back("segments=" + std::to_string(segments));
-        tokens.push_back("warmup=" +
-                         std::to_string(opts.segmentWarmup));
-    }
     return tokens;
 }
 
@@ -186,9 +173,7 @@ SweepSession::cacheConfigKey(SchemeKind kind, const SweepOptions &opts)
     // Only result-affecting options, and of those only the ones the
     // scheme reads: a gshare sweep must not miss because an unused
     // BHT knob changed.  threads is a bit-identical execution knob
-    // (pinned by the differential tests) and is deliberately absent;
-    // segments joins the key only when it resolves speculative (see
-    // schemeOptionTokens).
+    // (pinned by the differential tests) and is deliberately absent.
     std::vector<std::string> tokens = schemeOptionTokens(kind, opts);
     tokens.push_back("min=" + std::to_string(opts.minTotalBits));
     tokens.push_back("max=" + std::to_string(opts.maxTotalBits));

@@ -23,14 +23,12 @@
  *
  *  - The cache key is (trace key, scheme, canonical config key,
  *    kEngineVersion).  cacheConfigKey() serializes exactly the options
- *    that affect *results*: tier range, aliasing tracking, the
- *    per-scheme parameters the scheme actually reads, and -- only when
- *    a request resolves speculative (resolveSegments > 1) -- the
- *    segment count and warm-up width, so speculative and exact results
- *    never cross-serve.  The execution knob (threads) and the host's
- *    SIMD kernels are bit-identical by construction -- pinned by the
- *    differential tests -- and are excluded, so a sweep computed with
- *    8 threads is a hit for a serial rerun.
+ *    that affect *results*: tier range, aliasing tracking and the
+ *    per-scheme parameters the scheme actually reads.  The execution
+ *    knob (threads) and the host's SIMD kernels are bit-identical by
+ *    construction -- pinned by the differential tests -- and are
+ *    excluded, so a sweep computed with 8 threads is a hit for a
+ *    serial rerun.
  *
  *  - kEngineVersion MUST be bumped whenever replay semantics change
  *    (new tie-breaking, counter init, history seeding, ...): old .bpc
@@ -131,8 +129,7 @@ struct BatchCounters
      * Kernel telemetry summed over every envelope replay this batch
      * executed (cache hits contribute nothing -- nothing ran).  The
      * service stats op surfaces it so a long-lived daemon reports its
-     * cumulative dispatch target, segment shape and worker
-     * utilisation.
+     * cumulative dispatch target and group shape.
      */
     KernelTelemetry kernel;
 
@@ -194,7 +191,7 @@ class SweepSession
      * that share a first-level input stream -- same trace, scheme,
      * aliasing mode and scheme parameters, any tier range -- are
      * answered by ONE envelope replay spanning the union of their
-     * tier ranges, then sliced per request.  The replay grid's
+     * tier ranges, then sliced per request.  The engine's
      * grouping invariance makes every slice bit-identical to the
      * same request served alone (pinned by tests), so
      * coalescing is purely a throughput optimisation: M clients
@@ -252,7 +249,7 @@ class SweepSession
      * is an error, not an abort: a tier range that is not reversed and
      * stays within SweepOptions::kMaxTotalBits; every per-field range
      * the protocol documents (path bits, BHT size and associativity,
-     * segment warm-up, TAGE tag bits and history lengths, perceptron
+     * TAGE tag bits and history lengths, perceptron
      * tables), from the constants the protocol shares; and a BHT
      * geometry the first level accepts (a power-of-two entry count
      * that the associativity divides).  The service protocol calls it

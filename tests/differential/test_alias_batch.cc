@@ -10,7 +10,7 @@
  * 16-18, on traces with one or several branch pcs per instruction
  * word -- run through runFusedGroup as one group (several lane
  * batches per block) and as the planner's groups, on the host's
- * kernels, with segment counts 1 and K > 1.  The two group shapes
+ * kernels.  The two group shapes
  * batch lanes differently, so occupancy-aware dispatch runs a
  * composition on different kernels in each; both must be
  * bit-identical, and the exact results must match the naive reference
@@ -27,8 +27,8 @@
  * lists, planned exactly as sweepScheme plans them, to one-lane groups,
  * the tracked engine and the reference model.
  *
- * The tsan test preset's name filter includes "AliasBatch", so the
- * segment grid over alias lanes runs under the race detector.
+ * The tsan test preset's name filter includes "AliasBatch", so alias
+ * lane groups spread over the pool run under the race detector.
  * The 1000-composition campaign at the bottom additionally needs
  * BPSIM_SLOW_TESTS=1 (ctest -L slow).
  */
@@ -300,22 +300,19 @@ expectMatchesOracles(const MemoryTrace &trace, const Composition &c,
 }
 
 /**
- * The full check of one composition: the one-group exact replay is
- * the baseline; planner groups and a covering warm-up must reproduce
- * it bit for bit, speculative planner groups the speculative
- * one-group replay, and the baseline must match the oracles.
+ * The full check of one composition: the one-group replay is the
+ * baseline; planner groups must reproduce it bit for bit, and the
+ * baseline must match the oracles.
  */
 void
 checkComposition(const MemoryTrace &trace, const PreparedTrace &prepared,
-                 const Composition &c, Pcg32 &rng, bool oracles,
-                 const std::string &what)
+                 const Composition &c, const std::string &what)
 {
     const std::vector<ConfigResult> exact =
         runOneGroup(prepared, c, c.opts);
     expectSlotsIdentical(exact, runPlanned(prepared, c, c.opts),
                          what + " planned");
-    if (oracles)
-        expectMatchesOracles(trace, c, exact, what);
+    expectMatchesOracles(trace, c, exact, what);
 
     // Untracked: the same misprediction, the aliasing fields zeroed.
     SweepOptions untracked = c.opts;
@@ -327,21 +324,6 @@ checkComposition(const MemoryTrace &trace, const PreparedTrace &prepared,
     }
     expectSlotsIdentical(filtered, runOneGroup(prepared, c, untracked),
                          what + " untracked");
-
-    SweepOptions speculative = c.opts;
-    speculative.segments = 2 + rng.nextBounded(3);
-    speculative.segmentWarmup = 64u << rng.nextBounded(5);
-    expectSlotsIdentical(runOneGroup(prepared, c, speculative),
-                         runPlanned(prepared, c, speculative),
-                         what + " planned segments " +
-                             std::to_string(speculative.segments));
-
-    // A warm-up window reaching back to the trace start makes every
-    // segment exact by construction.
-    SweepOptions covering = speculative;
-    covering.segmentWarmup = static_cast<unsigned>(prepared.size());
-    expectSlotsIdentical(exact, runOneGroup(prepared, c, covering),
-                         what + " covering warm-up");
 }
 
 /** Fuzz @p count compositions, every scheme in rotation. */
@@ -356,7 +338,7 @@ runCampaign(std::uint64_t seed, std::size_t count,
             fuzzTrace(seed + round, min_branches + rng.nextBounded(span));
         const PreparedTrace prepared(trace);
         const Composition c = fuzzComposition(kind, rng);
-        checkComposition(trace, prepared, c, rng, true,
+        checkComposition(trace, prepared, c,
                          "round " + std::to_string(round));
         if (::testing::Test::HasFailure())
             return;
@@ -546,16 +528,15 @@ TEST(AliasBatchDifferential, FuzzedCompositionsAgreeAcrossTargetsAndOracles)
     // >= 100 fuzzed compositions, every 2-bit scheme in rotation, each
     // held to the oracles and replayed as one group and as planner
     // groups (different batch occupancies, so different kernels on a
-    // vector host), with segments 1 and K > 1.
+    // vector host).
     runCampaign(0xA1A5BA7CULL, 105, 1200, 2000);
 
     // Tables past 2^15 counters on a short trace.
-    Pcg32 rng(0x16171800ULL, 5);
     const MemoryTrace trace = fuzzTrace(16, 1500);
     const PreparedTrace prepared(trace);
     for (SchemeKind kind : kTwoBitKinds) {
         for (const Composition &c : wideCompositions(kind)) {
-            checkComposition(trace, prepared, c, rng, true,
+            checkComposition(trace, prepared, c,
                              std::string("wide ") +
                                  schemeKindName(kind));
             if (::testing::Test::HasFailure())

@@ -4,21 +4,17 @@
  * model group stepping the whole TAGE/perceptron zoo in one trace pass
  * must be bit-identical to the naive reference mirrors, configuration
  * by configuration, for every thread count and fuzzed group
- * composition; speculative segments must be
- * deterministic with a bounded epsilon and exact under a covering
- * warm-up.
+ * composition.
  *
  * The suite name is load-bearing: the tsan preset runs
- * "...|SegmentParallel|TageZoo|PerceptronZoo|ModelBatch", so the
- * groups x segments task grid and the shared per-task key blocks are
- * replayed under the race detector.  The long campaign at the bottom
- * additionally needs BPSIM_SLOW_TESTS=1 (the executable carries the
- * `zoo` ctest label).
+ * "...|TageZoo|PerceptronZoo|ModelBatch", so model groups spread over
+ * the pool are replayed under the race detector.  The long campaign
+ * at the bottom additionally needs BPSIM_SLOW_TESTS=1 (the executable
+ * carries the `zoo` ctest label).
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -155,21 +151,6 @@ pointCount(const SweepResult &r)
     for (const SurfaceTier &tier : r.misprediction.tiers())
         n += tier.points.size();
     return n;
-}
-
-/** Largest per-point |delta| between two sweeps of the same plan. */
-double
-maxPointDelta(const SweepResult &a, const SweepResult &b)
-{
-    double worst = 0.0;
-    for (std::size_t t = 0; t < a.misprediction.tiers().size(); ++t) {
-        const SurfaceTier &ta = a.misprediction.tiers()[t];
-        const SurfaceTier &tb = b.misprediction.tiers()[t];
-        for (std::size_t p = 0; p < ta.points.size(); ++p)
-            worst = std::max(worst, std::abs(ta.points[p].value -
-                                             tb.points[p].value));
-    }
-    return worst;
 }
 
 /**
@@ -432,104 +413,34 @@ TEST(ModelBatchDifferential, PerceptronKernelTargetsMatchScalar)
     }
 }
 
-TEST(ModelBatchDifferential, SpeculativeEpsilonBoundedAndDeterministic)
-{
-    // Speculative segments now apply to model groups too.  The zoo's
-    // warm-up epsilon is larger than the 2-bit family's (TAGE useful
-    // counters and perceptron weights converge more slowly than
-    // 2-bit counters -- see EXPERIMENTS.md "Zoo throughput"), so the
-    // bound here is looser than test_segment_parallel's 0.02; the
-    // determinism contract is identical: the epsilon depends only on
-    // (K, warmup), never on thread/worker/target shape.
-    MemoryTrace trace = fuzzTrace(6404, 24'000);
-    PreparedTrace prepared(trace);
-
-    for (SchemeKind kind : kZooKinds) {
-        SweepOptions exact;
-        exact.minTotalBits = 6;
-        exact.maxTotalBits = 9;
-        const SweepResult truth = sweepScheme(prepared, kind, exact);
-
-        SweepOptions spec = exact;
-        spec.segments = 4;
-        spec.segmentWarmup = 2048;
-        const SweepResult approx = sweepScheme(prepared, kind, spec);
-        EXPECT_LE(maxPointDelta(truth, approx), 0.05)
-            << schemeKindName(kind);
-
-        SweepOptions spec2 = spec;
-        spec2.threads = 3;
-        const SweepResult again = sweepScheme(prepared, kind, spec2);
-        expectSurfacesIdentical(approx, again, schemeKindName(kind));
-    }
-}
-
-TEST(ModelBatchDifferential, CoveringWarmupReproducesExactResults)
-{
-    // A warm-up window covering every segment start replays the full
-    // prefix (training, not counting) before counting, so the model
-    // state at each boundary is exactly the serial state: speculative
-    // mode must be bit-identical to exact mode.  Pins the zoo warm-up
-    // replay path itself.
-    MemoryTrace trace = fuzzTrace(6505, 12'000);
-    PreparedTrace prepared(trace);
-
-    for (SchemeKind kind : kZooKinds) {
-        SweepOptions exact;
-        exact.minTotalBits = 5;
-        exact.maxTotalBits = 8;
-        const SweepResult truth = sweepScheme(prepared, kind, exact);
-
-        SweepOptions spec = exact;
-        spec.segments = 3;
-        spec.segmentWarmup = 1u << 20; // covers any segment start
-        const SweepResult approx = sweepScheme(prepared, kind, spec);
-        expectSurfacesIdentical(truth, approx,
-                                schemeKindName(kind));
-    }
-}
-
 TEST(ModelBatchDifferential, TelemetryReportsModelGroupShape)
 {
     MemoryTrace trace = fuzzTrace(6606, 10'000);
     PreparedTrace prepared(trace);
+    // One exact pass per model group, block by block.
+    const std::size_t blocks = (prepared.size() + 2047) / 2048;
 
     SweepOptions opts;
     opts.minTotalBits = 5;
     opts.maxTotalBits = 8;
-    opts.segments = 3;
-    opts.segmentWarmup = 512;
-    const SweepResult r =
-        sweepScheme(prepared, SchemeKind::Tage, opts);
+    for (SchemeKind kind : kZooKinds) {
+        const SweepResult r = sweepScheme(prepared, kind, opts);
+        const char *name = schemeKindName(kind);
 
-    // Zoo groups are model groups, not 2-bit lane groups.
-    EXPECT_EQ(r.kernel.fusedGroups, 0u);
-    EXPECT_EQ(r.kernel.lanes, 0u);
-    EXPECT_EQ(r.kernel.laneBatches, 0u);
-    ASSERT_GT(r.kernel.modelGroups, 0u);
-    EXPECT_EQ(r.kernel.modelLanes,
-              planSweep(SchemeKind::Tage, opts).size());
-    EXPECT_GT(r.kernel.modelBatches, 0u);
-    EXPECT_GT(r.kernel.blocksReplayed, 0u);
-    // Per group, tasks = segments, one executor each.
-    EXPECT_EQ(r.kernel.segmentsPerGroup(), 3.0);
-    EXPECT_EQ(r.kernel.segments, 3 * r.kernel.modelGroups);
-    EXPECT_EQ(r.kernel.taskWorkers, 3u);
-    EXPECT_GT(r.kernel.warmupBranches, 0u);
-    EXPECT_GT(r.kernel.modelLanesPerGroup(), 0.0);
-    const double util = r.kernel.workerUtilization();
-    EXPECT_GT(util, 0.0);
-    EXPECT_LE(util, 1.0 + 1e-9);
-
-    // Exact serial zoo sweeps keep the degenerate shape.
-    SweepOptions serial;
-    serial.minTotalBits = 5;
-    serial.maxTotalBits = 8;
-    const SweepResult s =
-        sweepScheme(prepared, SchemeKind::Perceptron, serial);
-    ASSERT_GT(s.kernel.modelGroups, 0u);
-    EXPECT_EQ(s.kernel.segmentsPerGroup(), 1.0);
-    EXPECT_EQ(s.kernel.warmupBranches, 0u);
+        // Zoo groups are model groups, not 2-bit lane groups.
+        EXPECT_EQ(r.kernel.fusedGroups, 0u) << name;
+        EXPECT_EQ(r.kernel.lanes, 0u) << name;
+        EXPECT_EQ(r.kernel.laneBatches, 0u) << name;
+        ASSERT_GT(r.kernel.modelGroups, 0u) << name;
+        EXPECT_EQ(r.kernel.modelLanes, planSweep(kind, opts).size())
+            << name;
+        EXPECT_GE(r.kernel.modelBatches, r.kernel.blocksReplayed)
+            << name;
+        EXPECT_EQ(r.kernel.blocksReplayed,
+                  r.kernel.modelGroups * blocks)
+            << name;
+        EXPECT_GT(r.kernel.modelLanesPerGroup(), 0.0) << name;
+    }
 }
 
 TEST(ModelBatchSlow, CompositionCampaign)

@@ -225,47 +225,31 @@ TEST(Protocol, ParsesSweepRequest)
     EXPECT_TRUE(r.bypassCache);
 }
 
-TEST(Protocol, ParsesSegmentParallelOptions)
+TEST(Protocol, SegmentOptionsAreUnknownFields)
 {
-    Result<Request> req = parseLine(
-        "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
-        "\"scheme\":\"gshare\",\"options\":{\"segments\":4,"
-        "\"segment_warmup\":512}}");
-    ASSERT_TRUE(req.ok()) << (req.ok() ? "" : req.error().message());
-    EXPECT_EQ(req.value().options.segments, 4u);
-    EXPECT_EQ(req.value().options.segmentWarmup, 512u);
-
-    // Unset, the default stays: exact replay.
-    Result<Request> plain = parseLine(
-        "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
-        "\"scheme\":\"gshare\"}");
-    ASSERT_TRUE(plain.ok());
-    EXPECT_EQ(plain.value().options.segments, 0u);
-
-    // Lane sharding is not an option: planner groups are the only
-    // lane partition, so the retired lane-shard key is unknown.
-    const std::string retired = "fused_" "threads";
-    Result<Request> sharded = parseLine(
-        "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
-        "\"scheme\":\"gshare\",\"options\":{\"" +
-        retired + "\":8}}");
-    ASSERT_FALSE(sharded.ok());
-    EXPECT_NE(sharded.error().message().find("unknown options field \"" +
-                                             retired + "\""),
-              std::string::npos)
-        << sharded.error().message();
-
-    // Bounds: segments in [1, kMaxSegments].
-    const char *bad[] = {
-        "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
-        "\"scheme\":\"g\",\"options\":{\"segments\":0}}",
-        "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
-        "\"scheme\":\"g\",\"options\":{\"segments\":65}}",
-        "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
-        "\"scheme\":\"g\",\"options\":{\"segment_warmup\":-1}}",
-    };
-    for (const char *text : bad)
-        EXPECT_FALSE(parseLine(text).ok()) << text;
+    // Every sweep is exact and the pool's threads are the only
+    // execution knob: the retired speculative-segment keys and the
+    // retired lane-shard key are unknown options fields, each a
+    // bad_request that names the field.
+    const std::string retired[] = {"\"segments\":4",
+                                   "\"segment_warmup\":512",
+                                   "\"fused_" "threads\":8"};
+    SweepServer server;
+    for (const std::string &option : retired) {
+        const std::string field = option.substr(0, option.find(':'));
+        JsonValue response = parseOk(server.handleLine(
+            "{\"op\":\"sweep\",\"trace\":{\"profile\":\"compress\","
+            "\"branches\":2000},\"scheme\":\"gshare\",\"options\":{" +
+            option + "}}"));
+        const JsonValue *error = response.find("error");
+        ASSERT_NE(error, nullptr) << option;
+        EXPECT_EQ(error->find("code")->asString(), "bad_request")
+            << option;
+        EXPECT_NE(error->find("message")->asString().find(
+                      "unknown options field " + field),
+                  std::string::npos)
+            << error->find("message")->asString();
+    }
 }
 
 TEST(Protocol, RejectsOptionsInvalidOnlyTogether)
@@ -308,9 +292,6 @@ TEST(Protocol, OptionRangesAreBadRequestsAtBothEnds)
         "\"max_bits\":0",
         "\"max_bits\":25",
         "\"max_bits\":4294967297",
-        "\"segments\":0",
-        "\"segments\":65",
-        "\"segments\":4294967297",
         "\"path_bits\":0",
         "\"path_bits\":17",
         "\"path_bits\":4294967297",
@@ -320,9 +301,6 @@ TEST(Protocol, OptionRangesAreBadRequestsAtBothEnds)
         "\"bht_assoc\":0",
         "\"bht_assoc\":65",
         "\"bht_assoc\":4294967297",
-        "\"segment_warmup\":-1",
-        "\"segment_warmup\":1048577",
-        "\"segment_warmup\":4294967297",
         "\"tage_tag_bits\":1",
         "\"tage_tag_bits\":17",
         "\"tage_tag_bits\":4294967297",
@@ -339,15 +317,11 @@ TEST(Protocol, OptionRangesAreBadRequestsAtBothEnds)
     const char *good[] = {
         "\"min_bits\":1",
         "\"min_bits\":24,\"max_bits\":24",
-        "\"segments\":1",
-        "\"segments\":64",
         "\"path_bits\":1",
         "\"path_bits\":16",
         "\"bht_entries\":1,\"bht_assoc\":1",
         "\"bht_entries\":16777216",
         "\"bht_assoc\":64",
-        "\"segment_warmup\":0",
-        "\"segment_warmup\":1048576",
         "\"tage_tag_bits\":2",
         "\"tage_tag_bits\":16",
         "\"tage_histories\":[1]",

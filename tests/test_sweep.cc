@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <string>
 
+#include "common/random.hh"
 #include "common/thread_pool.hh"
 #include "predictor/factory.hh"
 #include "predictor/two_level.hh"
 #include "sim/engine.hh"
 #include "sim/sweep.hh"
+#include "sim/sweep_session.hh"
 #include "verify/differential.hh"
 #include "workload/synthetic.hh"
 
@@ -633,8 +637,8 @@ TEST(Sweep, KernelTelemetryDescribesFusedExecution)
 {
     // Every 2-bit sweep runs one group per lane batch (45 jobs -> 3
     // groups of 15), each decoding every block once and stepping its
-    // one batch per block, every lane reading the 13-byte alias
-    // record -- tracked or not, the execution is the same.
+    // one batch per block -- tracked or not, the execution is the
+    // same.
     PreparedTrace t(sharedWorkload());
     SweepOptions o;
     o.minTotalBits = 4;
@@ -652,11 +656,9 @@ TEST(Sweep, KernelTelemetryDescribesFusedExecution)
         EXPECT_EQ(r.kernel.lanes, jobs);
         EXPECT_EQ(r.kernel.laneBatches, groups * blocks);
         EXPECT_EQ(r.kernel.blocksReplayed, groups * blocks);
-        EXPECT_EQ(r.kernel.segments, groups); // exact: one per group
         EXPECT_DOUBLE_EQ(r.kernel.lanesPerGroup(),
                          static_cast<double>(jobs) /
                              static_cast<double>(groups));
-        EXPECT_DOUBLE_EQ(r.kernel.hotBytesPerBranch(), 13.0);
     }
 }
 
@@ -744,4 +746,136 @@ TEST(Sweep, SweepAgreesWithSimulateConfig)
         EXPECT_NEAR(*from_sweep, single.mispRate, 1e-12)
             << "rows 2^" << rbits;
     }
+}
+
+namespace {
+
+constexpr SchemeKind kTwoBitKinds[] = {
+    SchemeKind::AddressIndexed, SchemeKind::GAg,
+    SchemeKind::GAs,            SchemeKind::Gshare,
+    SchemeKind::Path,           SchemeKind::PAsPerfect,
+    SchemeKind::PAsFinite,
+};
+
+MemoryTrace
+fuzzTrace(std::uint64_t seed, std::uint64_t conditionals)
+{
+    WorkloadParams p;
+    p.name = "thread-fuzz-" + std::to_string(seed);
+    p.seed = seed;
+    p.staticBranches = 90;
+    p.functionCount = 9;
+    p.targetConditionals = conditionals;
+    return generateTrace(p);
+}
+
+/** All three surfaces and the BHT miss rate, bit for bit. */
+void
+expectSurfacesIdentical(const SweepResult &a, const SweepResult &b,
+                        const char *what)
+{
+    expectSurfacesIdentical(a.misprediction, b.misprediction, what);
+    expectSurfacesIdentical(a.aliasing, b.aliasing, what);
+    expectSurfacesIdentical(a.harmless, b.harmless, what);
+    ASSERT_EQ(a.bhtMissRate, b.bhtMissRate) << what;
+}
+
+std::size_t
+pointCount(const SweepResult &r)
+{
+    std::size_t n = 0;
+    for (const SurfaceTier &tier : r.misprediction.tiers())
+        n += tier.points.size();
+    return n;
+}
+
+/** A retired environment override; results must ignore it. */
+constexpr const char *kRetiredSegmentsVar = "BPSIM_" "SEGMENTS";
+
+} // namespace
+
+TEST(Sweep, ThreadCountsBitIdenticalAcrossFuzzedConfigs)
+{
+    // Planner groups are the only lane partition: spreading them over
+    // any thread count never changes any result.
+    // The zoo rounds also pin model-group chunking, which follows the
+    // thread count.  >= 100 fuzzed configurations accumulate across
+    // the rounds.
+    Pcg32 rng(0x5E63B0B5ULL, 17);
+    std::size_t configs_checked = 0;
+    for (int round = 0; round < 10; ++round) {
+        const SchemeKind kind =
+            round == 8   ? SchemeKind::Tage
+            : round == 9 ? SchemeKind::Perceptron
+                         : kTwoBitKinds[rng.nextBounded(7)];
+        MemoryTrace trace =
+            fuzzTrace(4200 + round, 8000 + rng.nextBounded(8000));
+        PreparedTrace prepared(trace);
+
+        SweepOptions base;
+        base.trackAliasing = false;
+        base.minTotalBits = 4 + rng.nextBounded(2);
+        base.maxTotalBits = base.minTotalBits + 3 + rng.nextBounded(3);
+        // Every BHT shape class (direct-mapped, 2-way, 4-way, fully
+        // associative) under every reset policy.
+        base.bhtEntries = 32u << rng.nextBounded(3);
+        const unsigned assoc[] = {1, 2, 4,
+                                  static_cast<unsigned>(base.bhtEntries)};
+        base.bhtAssoc = assoc[rng.nextBounded(4)];
+        const BhtResetPolicy policies[] = {
+            BhtResetPolicy::C3ffPrefix, BhtResetPolicy::Zeros,
+            BhtResetPolicy::Ones, BhtResetPolicy::Hold};
+        base.bhtResetPolicy = policies[rng.nextBounded(4)];
+        base.pathBitsPerTarget = 1 + rng.nextBounded(4);
+        base.threads = 1;
+
+        const SweepResult serial = sweepScheme(prepared, kind, base);
+        configs_checked += pointCount(serial);
+
+        for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
+            SweepOptions opts = base;
+            opts.threads = threads;
+            const SweepResult spread = sweepScheme(prepared, kind, opts);
+            expectSurfacesIdentical(
+                serial, spread,
+                ("threads=" + std::to_string(threads)).c_str());
+        }
+    }
+    EXPECT_GE(configs_checked, 100u);
+}
+
+TEST(Sweep, EnvironmentChangesNeitherResultsNorKeys)
+{
+    // A result depends only on the request: with the retired segments
+    // override set, a sweep stays exact and keeps its cache key,
+    // tracked or not.
+    MemoryTrace trace = fuzzTrace(98, 10'000);
+    PreparedTrace prepared(trace);
+    const char *prev = std::getenv(kRetiredSegmentsVar);
+    const std::string saved = prev ? prev : "";
+
+    for (bool aliasing : {true, false}) {
+        SweepOptions opts;
+        opts.trackAliasing = aliasing;
+        opts.minTotalBits = 4;
+        opts.maxTotalBits = 7;
+        ::unsetenv(kRetiredSegmentsVar);
+        const SweepResult truth =
+            sweepScheme(prepared, SchemeKind::GAs, opts);
+        const std::string key =
+            SweepSession::cacheConfigKey(SchemeKind::GAs, opts);
+
+        ::setenv(kRetiredSegmentsVar, "4", 1);
+        expectSurfacesIdentical(truth,
+                                sweepScheme(prepared, SchemeKind::GAs,
+                                            opts),
+                                aliasing ? "tracked" : "untracked");
+        EXPECT_EQ(SweepSession::cacheConfigKey(SchemeKind::GAs, opts),
+                  key);
+    }
+
+    if (prev)
+        ::setenv(kRetiredSegmentsVar, saved.c_str(), 1);
+    else
+        ::unsetenv(kRetiredSegmentsVar);
 }

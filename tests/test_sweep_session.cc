@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 #include "sim/experiment.hh"
 #include "sim/sweep_session.hh"
@@ -224,36 +225,29 @@ TEST(SweepSession, ConfigKeyExcludesExecutionKnobs)
               SweepSession::cacheConfigKey(SchemeKind::Path, f));
 }
 
-TEST(SweepSession, SpeculativeSegmentsSplitTheKey)
+TEST(SweepSession, ExactCacheKeysArePinned)
 {
-    const SweepOptions exact = smallSweep();
-
-    // Explicit exact (segments=1) keeps the historical key, so old
-    // .bpc entries stay valid.
-    SweepOptions explicit_exact = smallSweep();
-    explicit_exact.segments = 1;
-    EXPECT_EQ(SweepSession::cacheConfigKey(SchemeKind::Gshare, exact),
-              SweepSession::cacheConfigKey(SchemeKind::Gshare,
-                                           explicit_exact));
-
-    // Speculative mode must never cross-serve exact results: K and
-    // the warm-up width both split the key.
-    SweepOptions spec = smallSweep();
-    spec.segments = 4;
-    EXPECT_NE(SweepSession::cacheConfigKey(SchemeKind::Gshare, exact),
-              SweepSession::cacheConfigKey(SchemeKind::Gshare, spec));
-    SweepOptions spec_wide = spec;
-    spec_wide.segmentWarmup = 4096;
-    EXPECT_NE(
-        SweepSession::cacheConfigKey(SchemeKind::Gshare, spec),
-        SweepSession::cacheConfigKey(SchemeKind::Gshare, spec_wide));
-
-    // The batch-coalescing key splits the same way, so speculative
-    // and exact requests never share an envelope replay.
-    SweepRequest req_exact{TraceHash{3, 4}, SchemeKind::Gshare, exact};
-    SweepRequest req_spec{TraceHash{3, 4}, SchemeKind::Gshare, spec};
-    EXPECT_NE(SweepSession::batchGroupKey(req_exact),
-              SweepSession::batchGroupKey(req_spec));
+    // The literal default-option config key of every scheme.  Each
+    // feeds the digest that names a .bpc file and is stored in its
+    // body, so a change here orphans every entry an earlier build
+    // wrote: it must come with a kEngineVersion bump, never by
+    // accident.
+    const std::pair<SchemeKind, const char *> pinned[] = {
+        {SchemeKind::AddressIndexed, "alias=1;max=15;min=4"},
+        {SchemeKind::GAg, "alias=1;max=15;min=4"},
+        {SchemeKind::GAs, "alias=1;max=15;min=4"},
+        {SchemeKind::Gshare, "alias=1;max=15;min=4"},
+        {SchemeKind::Path, "alias=1;max=15;min=4;pathbits=2"},
+        {SchemeKind::PAsPerfect, "alias=1;max=15;min=4"},
+        {SchemeKind::PAsFinite,
+         "alias=1;assoc=4;bht=1024;max=15;min=4;reset=0"},
+        {SchemeKind::Tage,
+         "alias=1;histories=4,8,16,32;max=15;min=4;tagbits=8"},
+        {SchemeKind::Perceptron, "alias=1;max=15;min=4;ptables=4"},
+    };
+    for (const auto &[kind, key] : pinned)
+        EXPECT_EQ(SweepSession::cacheConfigKey(kind, SweepOptions{}), key)
+            << schemeKindName(kind);
 }
 
 TEST(SweepSession, PointMatchesSimulateConfig)
@@ -349,43 +343,35 @@ TEST(SweepSession, StaleEngineVersionEntriesNeverServe)
 {
     // Regression for the replay-semantics bumps: an entry stored under
     // an older engineVersion must never answer a current request, even
-    // when trace, scheme and config key all match.  Cases: a zoo sweep
-    // (v2 -> v3 batched the zoo) and an aliasing-tracked speculative
-    // sweep (v3 replayed it exactly under a segments=K key; v4 honours
-    // the segments).
+    // when trace, scheme and config key all match.  The case is a zoo
+    // sweep (v2 -> v3 batched the zoo).
     SweepSession session;
     auto handle = session.internProfile(kProfile, kBranches);
     ASSERT_TRUE(handle.ok());
-    SweepOptions aliasing_spec = smallSweep();
-    aliasing_spec.segments = 4;
-    for (const SweepRequest &request :
-         {SweepRequest{handle.value().hash, SchemeKind::Tage,
-                       smallSweep()},
-          SweepRequest{handle.value().hash, SchemeKind::GAs,
-                       aliasing_spec}}) {
-        const char *scheme = schemeKindName(request.kind);
-        CacheKey stale = SweepSession::cacheKey(request);
-        ASSERT_EQ(stale.engineVersion, kEngineVersion);
-        stale.engineVersion = kEngineVersion - 1;
-        // Poison pill: a recognizably wrong payload under the stale
-        // key.
-        CachedSweep poison;
-        poison.bhtMissRate = 0.75;
-        poison.misprediction = Surface("poison");
-        ASSERT_TRUE(session.cache().store(stale, poison).ok());
+    const SweepRequest request{handle.value().hash, SchemeKind::Tage,
+                               smallSweep()};
+    const char *scheme = schemeKindName(request.kind);
+    CacheKey stale = SweepSession::cacheKey(request);
+    ASSERT_EQ(stale.engineVersion, kEngineVersion);
+    stale.engineVersion = kEngineVersion - 1;
+    // Poison pill: a recognizably wrong payload under the stale
+    // key.
+    CachedSweep poison;
+    poison.bhtMissRate = 0.75;
+    poison.misprediction = Surface("poison");
+    ASSERT_TRUE(session.cache().store(stale, poison).ok());
 
-        auto resp = session.sweep(request);
-        ASSERT_TRUE(resp.ok());
-        EXPECT_FALSE(resp.value().cacheHit)
-            << scheme << ": a stale-version entry served a current "
-            << "request";
-        EXPECT_NE(resp.value().result.misprediction.name(), "poison");
+    auto resp = session.sweep(request);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_FALSE(resp.value().cacheHit)
+        << scheme << ": a stale-version entry served a current "
+        << "request";
+    EXPECT_NE(resp.value().result.misprediction.name(), "poison");
 
-        // Sanity: the same request under the CURRENT key does hit.
-        auto again = session.sweep(request);
-        ASSERT_TRUE(again.ok());
-        EXPECT_TRUE(again.value().cacheHit) << scheme;
-    }
+    // Sanity: the same request under the CURRENT key does hit.
+    auto again = session.sweep(request);
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(again.value().cacheHit) << scheme;
 }
 
 TEST(SweepSession, ZooConfigKeysCoverSchemeParameters)
@@ -545,8 +531,6 @@ TEST(SweepSession, InvalidOptionsAreErrorsNotAborts)
              o.bhtAssoc = 128;
          }),
          bht, "bht_assoc must be in [1, 64], got 128"},
-        {with([](SweepOptions &o) { o.segmentWarmup = (1u << 20) + 1; }),
-         SchemeKind::GAs, "segment_warmup must be in [0, 1048576]"},
         {with([](SweepOptions &o) { o.tageTagBits = 1; }),
          SchemeKind::Tage, "tage_tag_bits must be in [2, 16], got 1"},
         {with([](SweepOptions &o) { o.tageTagBits = 17; }),
@@ -623,8 +607,6 @@ TEST(SweepSession, EveryOptionIsClassified)
          [](SweepOptions &o) { o.tageHistories = {3, 9, 27}; }},
         {"perceptronTables",
          [](SweepOptions &o) { o.perceptronTables = 3; }},
-        {"segments", [](SweepOptions &o) { o.segments = 4; }},
-        {"segmentWarmup", [](SweepOptions &o) { o.segmentWarmup = 512; }},
     };
     const Field execution_only[] = {
         {"threads", [](SweepOptions &o) { o.threads = 4; }},
@@ -642,15 +624,13 @@ TEST(SweepSession, EveryOptionIsClassified)
         SchemeKind::PAsFinite,      SchemeKind::Tage,
         SchemeKind::Perceptron,
     };
-    // A speculative base, so the warm-up width is read at all.
-    SweepOptions spec = smallSweep();
-    spec.segments = 2;
+    const SweepOptions defaults = smallSweep();
     for (const Field &field : result_affecting) {
-        SweepOptions changed = spec;
+        SweepOptions changed = defaults;
         field.change(changed);
         bool splits = false;
         for (SchemeKind kind : kinds)
-            splits |= SweepSession::cacheConfigKey(kind, spec) !=
+            splits |= SweepSession::cacheConfigKey(kind, defaults) !=
                       SweepSession::cacheConfigKey(kind, changed);
         EXPECT_TRUE(splits) << field.name
                             << " is result-affecting but no cache key "
@@ -660,7 +640,7 @@ TEST(SweepSession, EveryOptionIsClassified)
     PreparedTrace trace(generateProfileTrace(kProfile, kBranches));
     SweepOptions untracked = smallSweep();
     untracked.trackAliasing = false;
-    for (const SweepOptions &base : {smallSweep(), untracked, spec}) {
+    for (const SweepOptions &base : {smallSweep(), untracked}) {
         for (SchemeKind kind :
              {SchemeKind::GAs, SchemeKind::PAsFinite, SchemeKind::Tage}) {
             const SweepResult expected = sweepScheme(trace, kind, base);

@@ -167,9 +167,10 @@ TEST(ThreadPool, InWorkerThreadDistinguishesPoolWorkers)
 
 TEST(ThreadPool, NestedGroupsTimesShardsShapeDrains)
 {
-    // The segment-parallel sweep shape: sweepScheme distributes fused
-    // groups on the shared pool (outer), and every group's replay
-    // distributes its segment tasks on the same pool (inner).
+    // The nested sweep shape: SweepSession::bestConfigs distributes
+    // Table 3's scheme sweeps on the shared pool (outer), and every
+    // sweep's sweepScheme distributes its groups on the same pool
+    // (inner).
     // Both levels go through ThreadPool::shared() -- exactly what the
     // tsan preset replays -- and must drain with every task run once.
     constexpr std::size_t groups = 6, tasks = 8;
