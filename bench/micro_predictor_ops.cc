@@ -14,6 +14,7 @@
 #include "common/random.hh"
 #include "common/simd.hh"
 #include "predictor/factory.hh"
+#include "predictor/tage.hh"
 #include "sim/prepared_trace.hh"
 #include "sim/sweep.hh"
 #include "workload/executor.hh"
@@ -326,6 +327,110 @@ aliasBatchReplay(benchmark::State &state, SimdTarget kernel)
                             state.range(0));
 }
 
+/**
+ * The TAGE inner loop in isolation: keys hashed from the first 2048
+ * branches of the shared workload (TageModel's own hash hooks, the
+ * default 4 components and 8-bit tags) for a batch of state.range(0)
+ * live tier-12 lanes (entry widths 2..11 in turn, base tables the
+ * rest of the tier), laid out in one padded arena as the sweep engine
+ * lays them out, replayed on exactly one kernel in the sweep engine's
+ * 64-branch key tiles (so the keys stay cache-resident, as the
+ * engine's freshly built tiles are).  Items processed
+ * counts lane-updates (branches x live lanes), so across the
+ * 1/2/3/4/5/8/9/16-lane rows the avx512/scalar ratio is the occupancy
+ * break-even that tageBatchKernel's dispatch threshold comes from.
+ */
+void
+tageBatchReplay(benchmark::State &state, SimdTarget kernel)
+{
+    if (!simdTargetSupported(kernel)) {
+        state.SkipWithError("dispatch target not supported on host");
+        return;
+    }
+    constexpr unsigned kLanes = TageBatch::kMaxLanes;
+    constexpr unsigned totalBits = 12;
+    constexpr std::size_t kPad = 16;
+    constexpr std::size_t n = 2048;
+    constexpr std::size_t kTile = 64;
+    const auto lanes = static_cast<unsigned>(state.range(0));
+    const TageParams defaults;
+    const auto ncomp = static_cast<unsigned>(defaults.histories.size());
+    const auto entry_bits = [](unsigned l) { return 2 + l % 10; };
+
+    // Lane l: base table at base[l], component c at
+    // comp[l] + c * ((1 << entryBits) + kPad).
+    std::uint32_t base[kLanes];
+    std::uint32_t comp[kLanes];
+    std::size_t slots = 0;
+    for (unsigned l = 0; l < kLanes; ++l) {
+        const unsigned eb = entry_bits(l);
+        base[l] = static_cast<std::uint32_t>(slots);
+        slots += (std::size_t{1} << (totalBits - eb)) + kPad;
+        comp[l] = static_cast<std::uint32_t>(slots);
+        slots += ncomp * ((std::size_t{1} << eb) + kPad);
+    }
+    static const std::vector<std::uint32_t> keys = [&] {
+        const PreparedTrace &t = prepared();
+        std::vector<std::uint32_t> v(n * (ncomp + 1) * kLanes);
+        for (unsigned l = 0; l < kLanes; ++l) {
+            TageParams p = defaults;
+            p.entryBits = entry_bits(l);
+            p.baseBits = totalBits - p.entryBits;
+            const TageModel model(p);
+            for (std::size_t i = 0; i < n; ++i) {
+                std::uint32_t *row = v.data() + i * (ncomp + 1) * kLanes;
+                row[l] = base[l] + static_cast<std::uint32_t>(
+                                       model.baseIndex(t.pc(i)));
+                for (unsigned c = 0; c < ncomp; ++c)
+                    row[(c + 1) * kLanes + l] =
+                        comp[l] +
+                        static_cast<std::uint32_t>(
+                            c * ((std::size_t{1} << p.entryBits) + kPad) +
+                            model.taggedIndex(c, t.pc(i),
+                                              t.globalHistory(i)));
+            }
+        }
+        return v;
+    }();
+    static const std::vector<std::uint16_t> tags = [&] {
+        const PreparedTrace &t = prepared();
+        const TageModel model(defaults);
+        std::vector<std::uint16_t> v(n * ncomp);
+        for (std::size_t i = 0; i < n; ++i)
+            for (unsigned c = 0; c < ncomp; ++c)
+                v[i * ncomp + c] =
+                    model.taggedTag(c, t.pc(i), t.globalHistory(i));
+        return v;
+    }();
+    static const std::vector<std::uint8_t> taken = [] {
+        const PreparedTrace &t = prepared();
+        std::vector<std::uint8_t> v(n);
+        for (std::size_t i = 0; i < n; ++i)
+            v[i] = static_cast<std::uint8_t>(t.taken(i));
+        return v;
+    }();
+
+    std::vector<std::uint32_t> arena(slots, TageBatch::kFreshEntry);
+    for (unsigned l = 0; l < kLanes; ++l)
+        std::fill(arena.begin() + base[l], arena.begin() + comp[l],
+                  TageBatch::kFreshBase);
+    TageBatch batch;
+    batch.entries = arena.data();
+    batch.lanes = lanes;
+    batch.components = ncomp;
+    for (auto _ : state) {
+        for (std::size_t off = 0; off < n; off += kTile)
+            replayTageBatchOn(
+                kernel,
+                TageKeys{keys.data() + off * (ncomp + 1) * kLanes,
+                         tags.data() + off * ncomp, taken.data() + off},
+                kTile, batch);
+        benchmark::DoNotOptimize(batch.misses[0]);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(n) * state.range(0));
+}
+
 void
 traceGeneration(benchmark::State &state)
 {
@@ -374,5 +479,11 @@ BENCHMARK_CAPTURE(aliasBatchReplay, scalar, SimdTarget::Scalar)
     ->ArgNames({"lanes"});
 BENCHMARK_CAPTURE(aliasBatchReplay, avx512, SimdTarget::AVX512)
     ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(16)
+    ->ArgNames({"lanes"});
+BENCHMARK_CAPTURE(tageBatchReplay, scalar, SimdTarget::Scalar)
+    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8)->Arg(9)->Arg(16)
+    ->ArgNames({"lanes"});
+BENCHMARK_CAPTURE(tageBatchReplay, avx512, SimdTarget::AVX512)
+    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8)->Arg(9)->Arg(16)
     ->ArgNames({"lanes"});
 BENCHMARK(traceGeneration)->Arg(100'000);

@@ -120,6 +120,111 @@ replayPerceptronBatchScalar(const std::uint32_t *idx,
     }
 }
 
+/** Tagged-slot bits a tag match compares: the valid bit and the tag. */
+constexpr std::uint32_t kTageMatchMask =
+    (0xFFFFu << TageBatch::kTagShift) | TageBatch::kValid;
+
+/** The matched bits of a valid tagged slot holding @p tag. */
+constexpr std::uint32_t
+tageTagWord(std::uint16_t tag)
+{
+    return (std::uint32_t{tag} << TageBatch::kTagShift) |
+           TageBatch::kValid;
+}
+
+/**
+ * The TAGE reference kernel, lane-major: each lane walks the span's
+ * keys against its own slots, step for step as TageModel::step.  The
+ * AVX-512 kernel is held to this loop bit for bit.
+ */
+void
+replayTageBatchScalar(const TageKeys &keys, std::size_t n,
+                      TageBatch &batch)
+{
+    constexpr unsigned kLanes = TageBatch::kMaxLanes;
+    const int ncomp = static_cast<int>(batch.components);
+    const std::size_t stride =
+        static_cast<std::size_t>(ncomp + 1) * kLanes;
+    std::uint32_t *const arena = batch.entries;
+    for (unsigned l = 0; l < batch.lanes; ++l) {
+        std::uint64_t misses = 0;
+        const std::uint32_t *row = keys.slot + l;
+        for (std::size_t i = 0; i < n; ++i, row += stride) {
+            const std::uint16_t *tag = keys.tag + i * batch.components;
+            const std::uint32_t taken = keys.taken[i];
+            const auto entry = [&](int c) -> std::uint32_t & {
+                return arena[row[(c + 1) * kLanes]];
+            };
+
+            // Provider = longest-history match; altpred = next match
+            // below it; either falls back to the base counter.
+            int provider = -1;
+            int alt = -1;
+            for (int c = ncomp - 1; c >= 0; --c) {
+                if ((entry(c) & kTageMatchMask) != tageTagWord(tag[c]))
+                    continue;
+                if (provider < 0) {
+                    provider = c;
+                } else {
+                    alt = c;
+                    break;
+                }
+            }
+            std::uint32_t &base = arena[row[0]];
+            const auto says_taken = [&](int c) {
+                return c < 0 ? base >> 1 : (entry(c) >> 2) & 1u;
+            };
+            const std::uint32_t pred = says_taken(provider);
+            const std::uint32_t alt_pred = says_taken(alt);
+            const bool correct = pred == taken;
+            misses += !correct;
+
+            // The provider's useful counter tracks whether it beats
+            // its altpred; the provider (only) trains.
+            if (provider >= 0) {
+                std::uint32_t &e = entry(provider);
+                std::uint32_t useful =
+                    (e & TageBatch::kUsefulMask) >> TageBatch::kUsefulShift;
+                if (pred != alt_pred)
+                    useful = correct ? useful + (useful < 3)
+                                     : useful - (useful > 0);
+                std::uint32_t ctr = e & TageBatch::kCounterMask;
+                ctr = taken ? ctr + (ctr < 7) : ctr - (ctr > 0);
+                e = (e & ~(TageBatch::kCounterMask |
+                           TageBatch::kUsefulMask)) |
+                    (useful << TageBatch::kUsefulShift) | ctr;
+            } else {
+                base = taken ? base + (base < 3) : base - (base > 0);
+            }
+
+            // On a mispredict, allocate the first not-useful entry
+            // above the provider, weakly toward the outcome; if every
+            // candidate is useful, age them all.
+            if (!correct && provider + 1 < ncomp) {
+                int victim = -1;
+                for (int c = provider + 1; c < ncomp; ++c) {
+                    const std::uint32_t e = entry(c);
+                    if ((e & TageBatch::kValid) == 0 ||
+                        (e & TageBatch::kUsefulMask) == 0) {
+                        victim = c;
+                        break;
+                    }
+                }
+                if (victim >= 0) {
+                    entry(victim) = tageTagWord(tag[victim]) | (3 + taken);
+                } else {
+                    for (int c = provider + 1; c < ncomp; ++c) {
+                        std::uint32_t &e = entry(c);
+                        if ((e & TageBatch::kUsefulMask) != 0)
+                            e -= 1u << TageBatch::kUsefulShift;
+                    }
+                }
+            }
+        }
+        batch.misses[l] += misses;
+    }
+}
+
 #if BPSIM_SIMD_X86
 
 // ---------------------------------------------------------------------
@@ -511,6 +616,185 @@ replayAliasBatchAvx512(const AliasRecords &rec, std::size_t n,
     }
 }
 
+/**
+ * The 16-lane TAGE kernel for @p NC tagged components (unrolled, so
+ * the component vectors and masks stay in registers).  Per branch: one
+ * masked gather per component and one for the base; a tag compare
+ * per component gives its match mask; a scan of the masks from the
+ * longest history down yields each lane's provider and altpred and
+ * the "above the provider" masks; running-OR candidate masks pick
+ * each mispredicting lane's first not-useful entry above its provider.
+ * Writes go out in at most two masked scatters: the trained provider
+ * entry or base counter (one slot per lane), then the allocated
+ * victims; only the rare age-them-all path scatters per component.
+ * The slots a lane writes lie in different tables, lanes own disjoint
+ * slots, so no scatter collides, and x86 orders each branch's gathers
+ * after the previous branch's scatters.
+ */
+template <unsigned NC>
+__attribute__((target("avx512f"))) void
+tageLanes16Avx512(const TageKeys &keys, std::size_t n, TageBatch &batch)
+{
+    constexpr std::size_t kStride = (NC + 1) * TageBatch::kMaxLanes;
+    const __mmask16 live =
+        static_cast<__mmask16>((1u << batch.lanes) - 1u);
+    int *const arena = reinterpret_cast<int *>(batch.entries);
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i one = _mm512_set1_epi32(1);
+    const __m512i three = _mm512_set1_epi32(3);
+    const __m512i seven = _mm512_set1_epi32(TageBatch::kCounterMask);
+    const __m512i match = _mm512_set1_epi32(kTageMatchMask);
+    const __m512i ctr_taken = _mm512_set1_epi32(4);
+    const __m512i base_taken = _mm512_set1_epi32(2);
+    const __m512i valid = _mm512_set1_epi32(TageBatch::kValid);
+    const __m512i useful_mask = _mm512_set1_epi32(TageBatch::kUsefulMask);
+    const __m512i useful_one =
+        _mm512_set1_epi32(1 << TageBatch::kUsefulShift);
+
+    __m512i acc = zero;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t *row = keys.slot + i * kStride;
+        const std::uint16_t *tag = keys.tag + i * NC;
+        const bool tk = keys.taken[i] != 0;
+        const __mmask16 taken_k = tk ? live : 0;
+
+        const __m512i bslot = _mm512_loadu_si512(row);
+        const __m512i b =
+            _mm512_mask_i32gather_epi32(zero, live, bslot, arena, 4);
+        __m512i slot[NC];
+        __m512i e[NC];
+        __mmask16 hit_at[NC];
+#pragma GCC unroll 8
+        for (unsigned c = 0; c < NC; ++c) {
+            slot[c] = _mm512_loadu_si512(row + (c + 1) *
+                                                   TageBatch::kMaxLanes);
+            e[c] = _mm512_mask_i32gather_epi32(zero, live, slot[c],
+                                               arena, 4);
+            hit_at[c] = _mm512_mask_cmpeq_epi32_mask(
+                live, _mm512_and_si512(e[c], match),
+                _mm512_set1_epi32(static_cast<int>(tageTagWord(tag[c]))));
+        }
+
+        // Scan from the longest history down: the first hit is the
+        // provider, the second the altpred; components scanned before
+        // any hit lie above the provider.  The provider's slot and
+        // entry are blended over the base's as the scan goes.
+        __mmask16 hit = 0;
+        __mmask16 has_alt = 0;
+        __mmask16 pred = 0;
+        __mmask16 alt_pred = 0;
+        __mmask16 above[NC];
+        __m512i pslot = bslot;
+        __m512i pentry = zero;
+#pragma GCC unroll 8
+        for (unsigned k = 0; k < NC; ++k) {
+            const unsigned c = NC - 1 - k;
+            const __mmask16 says =
+                _mm512_test_epi32_mask(e[c], ctr_taken);
+            const __mmask16 prov = hit_at[c] & ~hit;
+            const __mmask16 alt = hit_at[c] & hit & ~has_alt;
+            pred |= prov & says;
+            alt_pred |= alt & says;
+            has_alt |= alt;
+            hit |= hit_at[c];
+            above[c] = live & ~hit;
+            pslot = _mm512_mask_mov_epi32(pslot, prov, slot[c]);
+            pentry = _mm512_mask_mov_epi32(pentry, prov, e[c]);
+        }
+        const __mmask16 base_says =
+            _mm512_mask_test_epi32_mask(live, b, base_taken);
+        pred |= base_says & ~hit;
+        alt_pred |= base_says & ~has_alt;
+        const __mmask16 miss = (pred ^ taken_k) & live;
+        acc = _mm512_mask_add_epi32(acc, miss, acc, one);
+
+        // Train: the provider's counter steps toward the outcome
+        // unless saturated, and its useful counter moves where it
+        // disagreed with the altpred (up when right, down when wrong);
+        // lanes without a provider step the base counter.  Every step
+        // is a masked add or subtract on the whole slot word.
+        const __mmask16 moved = hit & (pred ^ alt_pred);
+        const __m512i ctr = _mm512_and_si512(pentry, seven);
+        const __m512i useful = _mm512_and_si512(pentry, useful_mask);
+        const __mmask16 ctr_up =
+            tk ? _mm512_cmpneq_epi32_mask(ctr, seven) : 0;
+        const __mmask16 ctr_down =
+            tk ? 0 : _mm512_test_epi32_mask(ctr, ctr);
+        __m512i trained =
+            _mm512_mask_add_epi32(pentry, ctr_up, pentry, one);
+        trained = _mm512_mask_sub_epi32(trained, ctr_down, trained, one);
+        trained = _mm512_mask_add_epi32(
+            trained,
+            moved & ~miss & _mm512_cmpneq_epi32_mask(useful, useful_mask),
+            trained, useful_one);
+        trained = _mm512_mask_sub_epi32(
+            trained, moved & miss & _mm512_test_epi32_mask(useful, useful),
+            trained, useful_one);
+        const __mmask16 base_up =
+            tk ? _mm512_cmpneq_epi32_mask(b, three) : 0;
+        const __mmask16 base_down = tk ? 0 : _mm512_test_epi32_mask(b, b);
+        __m512i base = _mm512_mask_add_epi32(b, base_up, b, one);
+        base = _mm512_mask_sub_epi32(base, base_down, base, one);
+        trained = _mm512_mask_mov_epi32(base, hit, trained);
+        _mm512_mask_i32scatter_epi32(arena, live, pslot, trained, 4);
+
+        // Allocate on a mispredict: the first free (invalid or not
+        // useful) entry above the provider, weakly toward the outcome.
+        __mmask16 chosen = 0;
+        __m512i vslot = zero;
+        __m512i ventry = zero;
+#pragma GCC unroll 8
+        for (unsigned c = 0; c < NC; ++c) {
+            const __mmask16 free_k =
+                _mm512_testn_epi32_mask(e[c], valid) |
+                _mm512_testn_epi32_mask(e[c], useful_mask);
+            const __mmask16 victim = miss & above[c] & free_k & ~chosen;
+            chosen |= victim;
+            vslot = _mm512_mask_mov_epi32(vslot, victim, slot[c]);
+            ventry = _mm512_mask_mov_epi32(
+                ventry, victim,
+                _mm512_set1_epi32(static_cast<int>(
+                    tageTagWord(tag[c]) | (tk ? 4u : 3u))));
+        }
+        if (chosen != 0)
+            _mm512_mask_i32scatter_epi32(arena, chosen, vslot, ventry, 4);
+
+        // Mispredicting lanes with no free entry age every one above.
+        const __mmask16 age = miss & ~chosen;
+        if (age == 0)
+            continue;
+#pragma GCC unroll 8
+        for (unsigned c = 0; c < NC; ++c) {
+            const __mmask16 aged =
+                age & above[c] & _mm512_test_epi32_mask(e[c], useful_mask);
+            if (aged != 0)
+                _mm512_mask_i32scatter_epi32(
+                    arena, aged, slot[c],
+                    _mm512_sub_epi32(e[c], useful_one), 4);
+        }
+    }
+    alignas(64) std::uint32_t out[16];
+    _mm512_store_si512(out, acc);
+    for (unsigned l = 0; l < batch.lanes; ++l)
+        batch.misses[l] += out[l];
+}
+
+void
+replayTageBatchAvx512(const TageKeys &keys, std::size_t n,
+                      TageBatch &batch)
+{
+    switch (batch.components) {
+      case 1: tageLanes16Avx512<1>(keys, n, batch); break;
+      case 2: tageLanes16Avx512<2>(keys, n, batch); break;
+      case 3: tageLanes16Avx512<3>(keys, n, batch); break;
+      case 4: tageLanes16Avx512<4>(keys, n, batch); break;
+      case 5: tageLanes16Avx512<5>(keys, n, batch); break;
+      case 6: tageLanes16Avx512<6>(keys, n, batch); break;
+      case 7: tageLanes16Avx512<7>(keys, n, batch); break;
+      default: tageLanes16Avx512<8>(keys, n, batch); break;
+    }
+}
+
 #endif // BPSIM_HAVE_AVX512
 
 #endif // BPSIM_SIMD_X86
@@ -704,6 +988,57 @@ replayAliasBatch(SimdTarget target, const AliasRecords &records,
 {
     replayAliasBatchOn(aliasBatchKernel(target, batch.lanes), records, n,
                        batch);
+}
+
+SimdTarget
+tageBatchKernel(SimdTarget target, unsigned lanes)
+{
+    bpsim_assert(target != SimdTarget::Auto,
+                 "tageBatchKernel needs a resolved target");
+    // Occupancy break-even from the tageBatchReplay rows of
+    // bench/micro_predictor_ops: the 16-wide gathers and scatters cost
+    // the same per branch however many lanes are live, and they
+    // overtake the scalar lane-major loop at kTageAvx512MinLanes.
+    constexpr unsigned kTageAvx512MinLanes = 5;
+#if defined(BPSIM_SIMD_X86) && defined(BPSIM_HAVE_AVX512)
+    if (target == SimdTarget::AVX512 && lanes >= kTageAvx512MinLanes)
+        return SimdTarget::AVX512;
+#else
+    (void)lanes;
+#endif
+    return SimdTarget::Scalar;
+}
+
+void
+replayTageBatchOn(SimdTarget kernel, const TageKeys &keys, std::size_t n,
+                  TageBatch &batch)
+{
+    bpsim_assert(batch.lanes >= 1 && batch.lanes <= TageBatch::kMaxLanes,
+                 "tage batch width ", batch.lanes, " out of range");
+    bpsim_assert(batch.components >= 1 &&
+                     batch.components <= TageBatch::kMaxComponents,
+                 "tage batch components ", batch.components,
+                 " out of range");
+    bpsim_assert(n < (std::size_t{1} << 30), "tage batch span ", n,
+                 " overflows the per-call miss accumulator");
+#if defined(BPSIM_SIMD_X86) && defined(BPSIM_HAVE_AVX512)
+    if (kernel == SimdTarget::AVX512 &&
+        simdTargetSupported(SimdTarget::AVX512)) {
+        replayTageBatchAvx512(keys, n, batch);
+        return;
+    }
+#else
+    (void)kernel;
+#endif
+    replayTageBatchScalar(keys, n, batch);
+}
+
+void
+replayTageBatch(SimdTarget target, const TageKeys &keys, std::size_t n,
+                TageBatch &batch)
+{
+    replayTageBatchOn(tageBatchKernel(target, batch.lanes), keys, n,
+                      batch);
 }
 
 } // namespace bpsim

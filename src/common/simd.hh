@@ -5,7 +5,7 @@
  * The sweep replay (sim/sweep.cc) trains one private table per
  * configuration "lane", and every lane in a batch updates *disjoint*
  * state from the same per-branch decoded record -- so the per-branch
- * work is data-parallel across lanes.  This header exposes two such
+ * work is data-parallel across lanes.  This header exposes three such
  * kernels behind a dispatch target chosen once at runtime:
  *
  *   AliasBatch       the 2-bit family (Figures 2-10): fused
@@ -20,6 +20,17 @@
  *   PerceptronBatch  the hashed-perceptron zoo: int8 weight banks, one
  *                    kernel per target (Scalar, AVX2 at 8 lanes with
  *                    hardware gathers, AVX-512 at 16).
+ *   TageBatch        the TAGE zoo: one uint32 slot per tagged entry or
+ *                    base counter.  Two implementations: the scalar
+ *                    reference and an AVX-512 kernel that steps 16
+ *                    lanes per branch with one masked gather per
+ *                    table, the provider, altpred and victim choices
+ *                    as mask arithmetic, and two masked scatters.  It
+ *                    earns its place: TAGE is the costliest zoo
+ *                    request, and from 5 live lanes the kernel beats
+ *                    the scalar loop -- 6.0x at 16 (EXPERIMENTS "TAGE
+ *                    kernel ledger").  AVX2 runs the scalar kernel, as
+ *                    for the 2-bit family.
  *
  * Every vector kernel is bit-identical to its scalar reference
  * (tests/test_simd.cc, tests/differential/test_alias_batch.cc,
@@ -29,12 +40,14 @@
  * runtime CPUID -- no ISA flags are baked into any build, so one
  * binary runs everywhere and selects the widest kernel the host
  * supports -- and each batch then drops to the narrowest kernel that
- * pays for its live lanes (aliasBatchKernel, perceptronBatchKernel).
+ * pays for its live lanes (aliasBatchKernel, perceptronBatchKernel,
+ * tageBatchKernel).
  * The AVX-512 kernels are compiled only when the toolchain
  * understands the avx512f target attribute (CMake probe ->
  * BPSIM_HAVE_AVX512); otherwise the target reports unsupported and
  * dispatch clamps to AVX2.  Tests and benches reach one kernel
- * directly through replayAliasBatchOn / replayPerceptronBatchOn.
+ * directly through replayAliasBatchOn / replayPerceptronBatchOn /
+ * replayTageBatchOn.
  */
 
 #ifndef BPSIM_COMMON_SIMD_HH
@@ -236,6 +249,94 @@ void replayAliasBatchOn(SimdTarget kernel, const AliasRecords &records,
  */
 void replayAliasBatch(SimdTarget target, const AliasRecords &records,
                       std::size_t n, AliasBatch &batch);
+
+/**
+ * One batch of TAGE lanes (TageModel, predictor/tage.hh) in one
+ * shared arena of uint32 slots.  A lane owns a base table of 2-bit
+ * counters, one slot each, and `components` tagged tables; lanes own
+ * pairwise-disjoint slots, so a lane's entry width and base size are
+ * the caller's business -- the kernel only sees slot numbers
+ * (TageKeys), and lanes of different geometry share one batch.
+ *
+ * A tagged slot packs one entry: the 3-bit counter in bits 0..2, the
+ * 2-bit useful counter in bits 3..4, the valid bit (kValid) and the
+ * tag in bits 16..31.  A fresh tagged slot is kFreshEntry (invalid);
+ * a fresh base slot is kFreshBase (weakly taken).
+ */
+struct TageBatch
+{
+    static constexpr unsigned kMaxLanes = 16;
+    static constexpr unsigned kMaxComponents = 8;
+    static constexpr std::uint32_t kCounterMask = 7;
+    static constexpr unsigned kUsefulShift = 3;
+    static constexpr std::uint32_t kUsefulMask = 3u << kUsefulShift;
+    static constexpr std::uint32_t kValid = 1u << 5;
+    static constexpr unsigned kTagShift = 16;
+    static constexpr std::uint32_t kFreshEntry = 0;
+    static constexpr std::uint32_t kFreshBase = 2;
+    /** The arena; signed 32-bit slot numbers must reach every slot. */
+    std::uint32_t *entries = nullptr;
+    /** Live lanes (1..kMaxLanes). */
+    unsigned lanes = 0;
+    /** Tagged components per lane -- shared across the batch (1..8). */
+    unsigned components = 0;
+    /** Per-lane mispredict accumulators. */
+    std::uint64_t misses[kMaxLanes] = {};
+};
+
+/**
+ * The per-branch keys of a TageBatch replay: hashes already reduced
+ * to arena slots, so the kernel needs no per-lane geometry.  For
+ * branch i, with K = components + 1:
+ *   slot[(i * K) * kMaxLanes + l]            lane l's base slot;
+ *   slot[(i * K + 1 + c) * kMaxLanes + l]    lane l's slot in tagged
+ *                                            component c;
+ *   tag[i * components + c]                  component c's tag, which
+ *                                            every lane shares (tags
+ *                                            depend on tagBits and the
+ *                                            histories only);
+ *   taken[i]                                 the outcome (0/1).
+ */
+struct TageKeys
+{
+    const std::uint32_t *slot = nullptr;
+    const std::uint16_t *tag = nullptr;
+    const std::uint8_t *taken = nullptr;
+};
+
+/**
+ * The kernel replayTageBatch runs for a @p lanes-wide batch under the
+ * concrete @p target: AVX512 (one masked 16-wide gather per component
+ * and one masked scatter per written component) once enough lanes are
+ * live to pay for the full-width gathers, Scalar otherwise (the
+ * tageBatchReplay rows of bench/micro_predictor_ops set the
+ * break-even).  AVX2 resolves to Scalar: it has no scatter.
+ */
+SimdTarget tageBatchKernel(SimdTarget target, unsigned lanes);
+
+/**
+ * Replay @p n branches through every lane of @p batch on exactly the
+ * @p kernel implementation (Scalar or AVX512; other targets run
+ * Scalar).  Per branch each lane does what TageModel::step does: the
+ * longest matching component provides and the next match below is
+ * the altpred (the base table when none); the provider's useful
+ * counter moves when it disagreed with the altpred; the provider (or
+ * the base) trains; and on a mispredict the first not-useful entry
+ * above the provider is allocated, or every entry above it ages.
+ * Every kernel is bit-identical: identical final arena words and
+ * identical miss counts.  @p n must stay below 2^30 (per-call int32
+ * miss accumulators).  Tests and benches call this to exercise a
+ * kernel at any occupancy; the sweep engine calls replayTageBatch.
+ */
+void replayTageBatchOn(SimdTarget kernel, const TageKeys &keys,
+                       std::size_t n, TageBatch &batch);
+
+/**
+ * Occupancy-aware replay: runs tageBatchKernel(target, batch.lanes).
+ * @p target must be concrete (resolveSimdTarget).
+ */
+void replayTageBatch(SimdTarget target, const TageKeys &keys,
+                     std::size_t n, TageBatch &batch);
 
 } // namespace bpsim
 

@@ -69,27 +69,11 @@ TageStep
 TageModel::step(Addr pc, std::uint64_t ghist, bool taken)
 {
     const unsigned ncomp = static_cast<unsigned>(components_.size());
-    std::uint32_t idx[8];
-    std::uint16_t tag[8];
+    std::size_t idx[TageParams::kMaxComponents];
+    std::uint16_t tag[TageParams::kMaxComponents];
     for (unsigned j = 0; j < ncomp; ++j) {
-        idx[j] = static_cast<std::uint32_t>(taggedIndex(j, pc, ghist));
+        idx[j] = taggedIndex(j, pc, ghist);
         tag[j] = taggedTag(j, pc, ghist);
-    }
-    return stepWithKeys(baseIndex(pc), idx, 1, tag, 1, taken);
-}
-
-TageStep
-TageModel::stepWithKeys(std::size_t base_idx, const std::uint32_t *idx_s,
-                        std::size_t idx_stride,
-                        const std::uint16_t *tag_s,
-                        std::size_t tag_stride, bool taken)
-{
-    const unsigned ncomp = static_cast<unsigned>(components_.size());
-    std::size_t idx[8];
-    std::uint16_t tag[8];
-    for (unsigned j = 0; j < ncomp; ++j) {
-        idx[j] = idx_s[j * idx_stride];
-        tag[j] = tag_s[j * tag_stride];
     }
 
     // Provider = longest-history match; altpred = next match below it.
@@ -107,7 +91,7 @@ TageModel::stepWithKeys(std::size_t base_idx, const std::uint32_t *idx_s,
         }
     }
 
-    const std::size_t bidx = base_idx;
+    const std::size_t bidx = baseIndex(pc);
     bool basePred = base_[bidx].predict();
     bool altPred = alt >= 0 ? components_[alt][idx[alt]].ctr.predict()
                             : basePred;

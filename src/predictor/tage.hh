@@ -73,9 +73,11 @@ struct TageStep
 
 /**
  * The replayable TAGE core: all state plus a step() that consumes an
- * externally maintained global history.  Both the online TagePredictor
- * and the sweep engine's per-config replay drive this one class, so the
- * two paths cannot drift.
+ * externally maintained global history.  The online TagePredictor and
+ * the interference analysis (sim/interference.cc) drive this class.
+ * The sweep engine replays the same rules on packed lane slots through
+ * the TageBatch kernels (common/simd.hh); the model-batch differential
+ * tests hold those to this class's results and to the NaiveTage mirror.
  */
 class TageModel
 {
@@ -100,32 +102,6 @@ class TageModel
      * @param taken  the actual outcome
      */
     TageStep step(Addr pc, std::uint64_t ghist, bool taken);
-
-    /**
-     * Predict and train with externally computed hash keys: the base
-     * index plus one (entry index, tag) pair per tagged component,
-     * read strided so callers can keep them in component-major
-     * structure-of-arrays blocks.  The batched model-lane replay
-     * (sim/sweep.cc) computes the keys ONCE per branch for a whole
-     * group of models sharing tagBits/histories and hands each model
-     * its slice; step() itself delegates here after hashing, so the
-     * two paths share every line of predict/train/allocate logic and
-     * cannot drift.  The keys must equal baseIndex()/taggedIndex()/
-     * taggedTag() for the stepped branch -- pinned by the model-batch
-     * differential tests.
-     *
-     * @param base_idx    baseIndex(pc)
-     * @param idx         idx[j * idx_stride] = taggedIndex(j, pc, ghist)
-     * @param idx_stride  element stride between components
-     * @param tag         tag[j * tag_stride] = taggedTag(j, pc, ghist)
-     * @param tag_stride  element stride between components
-     * @param taken       the actual outcome
-     */
-    TageStep stepWithKeys(std::size_t base_idx,
-                          const std::uint32_t *idx,
-                          std::size_t idx_stride,
-                          const std::uint16_t *tag,
-                          std::size_t tag_stride, bool taken);
 
     void reset();
 

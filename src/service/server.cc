@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <thread>
 
 #include "workload/profiles.hh"
@@ -497,7 +498,15 @@ SweepServer::serveSocket(const std::string &path)
     }
     listenFd_.store(fd, std::memory_order_release);
 
-    std::vector<std::thread> workers;
+    // One thread per connection.  Each accept first joins the workers
+    // whose connection has closed, so a long-lived daemon holds only
+    // the threads (and stacks) of its open connections.
+    struct Worker
+    {
+        std::thread thread;
+        std::unique_ptr<std::atomic<bool>> done;
+    };
+    std::vector<Worker> workers;
     while (!shutdownRequested()) {
         int conn = ::accept(fd, nullptr, nullptr);
         if (conn < 0) {
@@ -507,19 +516,31 @@ SweepServer::serveSocket(const std::string &path)
                 break;
             break; // listener failed; stop accepting
         }
+        std::erase_if(workers, [](Worker &worker) {
+            if (!worker.done->load(std::memory_order_acquire))
+                return false;
+            worker.thread.join();
+            return true;
+        });
         {
             std::lock_guard<std::mutex> lock(connMutex_);
             connFds_.push_back(conn);
         }
-        workers.emplace_back(
-            [this, conn] { serveConnection(conn); });
+        auto done = std::make_unique<std::atomic<bool>>(false);
+        std::atomic<bool> *flag = done.get();
+        workers.push_back(Worker{std::thread([this, conn, flag] {
+                                     serveConnection(conn);
+                                     flag->store(true,
+                                                 std::memory_order_release);
+                                 }),
+                                 std::move(done)});
     }
 
     listenFd_.store(-1, std::memory_order_release);
     ::close(fd);
     ::unlink(path.c_str());
-    for (std::thread &worker : workers)
-        worker.join();
+    for (Worker &worker : workers)
+        worker.thread.join();
     return Status();
 }
 

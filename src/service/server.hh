@@ -164,7 +164,8 @@ class SweepServer
     /**
      * Accept clients on a unix socket at @p path (an existing file at
      * that path is replaced), one thread per connection, until a
-     * shutdown request arrives on any connection.  The socket file is
+     * shutdown request arrives on any connection.  Threads of closed
+     * connections are joined at the next accept.  The socket file is
      * removed on return.
      */
     Status serveSocket(const std::string &path);

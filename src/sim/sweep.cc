@@ -236,9 +236,10 @@ class AliasLanes
  * in the same 2048-branch tiles, decodes each block once, materialises
  * the hash keys once per (block, shared-geometry class), and then:
  *
- *  - TAGE lanes replay through TageModel::stepWithKeys on the
- *    component-major key blocks -- the predict/train/allocate logic is
- *    the model's own, so the batched replay and the model cannot drift;
+ *  - TAGE lanes pack each entry into one uint32 arena slot and replay
+ *    TageBatch::kMaxLanes at a time through the runtime-dispatched
+ *    TAGE kernel (common/simd.hh), which takes the keys as arena slot
+ *    numbers in a lane-major tile -- bit-identical to TageModel::step;
  *  - perceptron lanes drop their weights into int8 structure-of-arrays
  *    banks and replay PerceptronBatch::kMaxLanes at a time through the
  *    runtime-dispatched SIMD dot-product/update kernel
@@ -304,6 +305,20 @@ class ModelLanes
     }
 
   private:
+    /**
+     * Branches per key tile of both zoo engines: a tile of 64
+     * branches' slot or weight numbers at kMaxLanes stride stays
+     * L1-resident (TAGE: 20 KiB at 4 components).
+     */
+    static constexpr std::size_t kTile = 64;
+
+    /** Arena slots of a TAGE table of 2^bits entries plus its pad. */
+    static constexpr std::size_t
+    tableSlots(unsigned bits)
+    {
+        return (std::size_t{1} << bits) + 16;
+    }
+
     struct Spec
     {
         std::size_t member;
@@ -336,86 +351,215 @@ class ModelLanes
     runTage(std::size_t n, Block &block, LaneCounts *counts,
             KernelTelemetry &tel) const
     {
+        constexpr unsigned kLanes = TageBatch::kMaxLanes;
         const std::vector<std::uint64_t> &widx = block.widx;
         const std::vector<std::uint64_t> &gh = block.gh;
         const auto ncomp =
             static_cast<unsigned>(opts_.tageHistories.size());
         const unsigned tag_bits = opts_.tageTagBits;
-        std::uint64_t hmask[8];
-        for (unsigned j = 0; j < ncomp && j < 8; ++j)
-            hmask[j] = mask(opts_.tageHistories[j]);
 
+        // Lane tables in execution order: a lane's base table, then
+        // its component c at c * tableSlots(entryBits) past the base's
+        // end.  Every table ends in a cache-line pad (AliasLanes::
+        // kLanePad says why; here it also staggers a lane's own
+        // components).  A batch closes at kMaxLanes lanes, or early
+        // when its arena would outgrow the kernels' signed 32-bit slot
+        // numbers.  Unused lanes keep zero offsets and masks.  Lanes
+        // are sorted by entry width, so a batch's lanes form runs of
+        // equal width, each run sharing one set of index folds.
+        struct Plan
+        {
+            std::size_t firstLane = 0;
+            std::size_t slots = 0;
+            std::uint32_t baseAt[kLanes] = {};
+            std::uint32_t baseMask[kLanes] = {};
+            std::uint32_t compAt[TageBatch::kMaxComponents][kLanes] = {};
+            unsigned runs = 0;
+            unsigned runWidth[kLanes] = {};
+            unsigned run[kLanes] = {};
+        };
+        constexpr std::size_t kMaxSlots = (std::size_t{1} << 31) - 1;
         const std::size_t lane_count = specs_.size();
-        std::vector<TageModel> models;
-        models.reserve(lane_count);
-        for (const Spec &spec : specs_)
-            models.emplace_back(
-                tageSweepParams(spec.rowBits, spec.colBits, opts_));
+        std::vector<TageBatch> batches;
+        std::vector<Plan> plans;
+        for (std::size_t j = 0; j < lane_count; ++j) {
+            const Spec &spec = specs_[j];
+            // Validate through the real params (geometry errors surface
+            // exactly as TageModel would raise them).
+            tageSweepParams(spec.rowBits, spec.colBits, opts_).validate();
+            const std::size_t base_slots = tableSlots(spec.colBits);
+            const std::size_t lane_slots =
+                base_slots + ncomp * tableSlots(spec.rowBits);
+            bpsim_assert(lane_slots <= kMaxSlots,
+                         "tage lane tables exceed 2^31 slots");
+            if (batches.empty() || batches.back().lanes == kLanes ||
+                plans.back().slots + lane_slots > kMaxSlots) {
+                batches.emplace_back();
+                batches.back().components = ncomp;
+                plans.emplace_back();
+                plans.back().firstLane = j;
+            }
+            Plan &plan = plans.back();
+            const unsigned l = batches.back().lanes++;
+            plan.baseAt[l] = static_cast<std::uint32_t>(plan.slots);
+            plan.baseMask[l] =
+                static_cast<std::uint32_t>(mask(spec.colBits));
+            for (unsigned c = 0; c < ncomp; ++c)
+                plan.compAt[c][l] = static_cast<std::uint32_t>(
+                    plan.slots + base_slots +
+                    c * tableSlots(spec.rowBits));
+            if (plan.runs == 0 ||
+                plan.runWidth[plan.runs - 1] != spec.rowBits)
+                plan.runWidth[plan.runs++] = spec.rowBits;
+            plan.run[l] = plan.runs - 1;
+            plan.slots += lane_slots;
+        }
+        // Private arenas, one per lane batch: every group starts cold.
+        std::vector<std::vector<std::uint32_t>> arenas(batches.size());
+        for (std::size_t b = 0; b < batches.size(); ++b) {
+            const Plan &plan = plans[b];
+            arenas[b].assign(plan.slots, TageBatch::kFreshEntry);
+            for (unsigned l = 0; l < batches[b].lanes; ++l)
+                std::fill(arenas[b].begin() + plan.baseAt[l],
+                          arenas[b].begin() + plan.compAt[0][l],
+                          TageBatch::kFreshBase);
+            batches[b].entries = arenas[b].data();
+        }
 
-        // Component-major key blocks, shared across lanes: tags depend
-        // only on (tagBits, histories) -- group-wide -- and entry
-        // indices additionally on entryBits, so they are materialised
-        // once per (block, entry-width class).
-        std::vector<std::uint16_t> tags(ncomp * kBlockSize);
-        std::vector<std::uint32_t> idxf(ncomp * kBlockSize);
-        std::vector<std::uint16_t> wtagf(kBlockSize);
-        std::vector<std::uint32_t> wfold(kBlockSize);
+        // Tags depend only on (tagBits, histories), so they are
+        // group-wide: one branch-major tile per block.  Entry indices
+        // additionally depend on entryBits: each lane-batch sub-tile
+        // folds them once per run, then writes the lane-major key
+        // tile the kernel gathers through one 16-lane row at a time.
+        const std::size_t row_keys = std::size_t{ncomp + 1} * kLanes;
+        const std::size_t run_folds = std::size_t{ncomp} * kTile;
+        std::vector<std::uint16_t> tags(kBlockSize * ncomp);
+        std::vector<std::uint32_t> slots(kTile * row_keys);
+        std::vector<std::uint32_t> folds(kLanes * run_folds);
+        std::uint64_t hmask[TageBatch::kMaxComponents];
+        for (unsigned c = 0; c < ncomp; ++c)
+            hmask[c] = mask(opts_.tageHistories[c]);
 
         for (std::size_t base = 0; base < n; base += kBlockSize) {
             const std::size_t m = std::min(kBlockSize, n - base);
             ++tel.blocksReplayed;
             decode(block, base, m);
-            for (std::size_t i = 0; i < m; ++i)
-                wtagf[i] =
-                    static_cast<std::uint16_t>(xorFold(widx[i], tag_bits));
-            for (unsigned j = 0; j < ncomp; ++j) {
-                std::uint16_t *out = tags.data() + j * kBlockSize;
-                for (std::size_t i = 0; i < m; ++i) {
-                    const std::uint64_t h = gh[i] & hmask[j];
-                    out[i] = static_cast<std::uint16_t>(
-                        (wtagf[i] ^ xorFold(h, tag_bits) ^
+            for (std::size_t i = 0; i < m; ++i) {
+                const std::uint64_t wtag = xorFold(widx[i], tag_bits);
+                for (unsigned c = 0; c < ncomp; ++c) {
+                    const std::uint64_t h = gh[i] & hmask[c];
+                    tags[i * ncomp + c] = static_cast<std::uint16_t>(
+                        (wtag ^ xorFold(h, tag_bits) ^
                          (xorFold(h, tag_bits - 1) << 1)) &
                         mask(tag_bits));
                 }
             }
-            for (std::size_t first = 0; first < lane_count;) {
-                const unsigned eb = specs_[first].rowBits;
-                std::size_t last = first;
-                while (last < lane_count && specs_[last].rowBits == eb)
-                    ++last;
+            for (std::size_t b = 0; b < batches.size(); ++b) {
+                // A local copy: the key stores below cannot alias it.
+                const Plan plan = plans[b];
+                const unsigned live = batches[b].lanes;
+                const std::uint32_t *fold[kLanes];
+                for (unsigned l = 0; l < live; ++l)
+                    fold[l] = folds.data() + plan.run[l] * run_folds;
                 ++tel.modelBatches;
-                const std::uint64_t eb_mask = mask(eb);
-                for (std::size_t i = 0; i < m; ++i)
-                    wfold[i] =
-                        static_cast<std::uint32_t>(xorFold(widx[i], eb));
-                for (unsigned j = 0; j < ncomp; ++j) {
-                    std::uint32_t *out = idxf.data() + j * kBlockSize;
-                    for (std::size_t i = 0; i < m; ++i)
-                        out[i] = static_cast<std::uint32_t>(
-                            (xorFold(gh[i] & hmask[j], eb) ^ wfold[i]) &
-                            eb_mask);
-                }
-                for (std::size_t j = first; j < last; ++j) {
-                    TageModel &model = models[j];
-                    const std::uint64_t base_mask = mask(specs_[j].colBits);
-                    std::uint64_t misses = 0;
-                    for (std::size_t i = 0; i < m; ++i) {
-                        const bool taken = block.tk[i] != 0;
-                        const bool pred =
-                            model
-                                .stepWithKeys(
-                                    static_cast<std::size_t>(
-                                        widx[i] & base_mask),
-                                    idxf.data() + i, kBlockSize,
-                                    tags.data() + i, kBlockSize,
-                                    taken)
-                                .prediction;
-                        misses += pred != taken;
+                for (std::size_t off = 0; off < m; off += kTile) {
+                    const std::size_t mt = std::min(kTile, m - off);
+                    for (unsigned r = 0; r < plan.runs; ++r)
+                        foldIndices(widx.data() + off, gh.data() + off, mt,
+                                    hmask, ncomp, plan.runWidth[r],
+                                    folds.data() + r * run_folds);
+                    for (std::size_t i = 0; i < mt; ++i) {
+                        std::uint32_t *row = slots.data() + i * row_keys;
+                        const auto w =
+                            static_cast<std::uint32_t>(widx[off + i]);
+                        for (unsigned l = 0; l < kLanes; ++l)
+                            row[l] = plan.baseAt[l] + (w & plan.baseMask[l]);
+                        for (unsigned c = 0; c < ncomp; ++c) {
+                            std::uint32_t *out = row + (c + 1) * kLanes;
+                            for (unsigned l = 0; l < live; ++l)
+                                out[l] = plan.compAt[c][l] +
+                                         fold[l][c * kTile + i];
+                        }
                     }
-                    counts[j].misses += misses;
+                    replayTageBatch(
+                        target_,
+                        TageKeys{slots.data(), tags.data() + off * ncomp,
+                                 block.tk.data() + off},
+                        mt, batches[b]);
                 }
-                first = last;
             }
+        }
+
+        for (std::size_t b = 0; b < batches.size(); ++b)
+            for (unsigned l = 0; l < batches[b].lanes; ++l)
+                counts[plans[b].firstLane + l].misses =
+                    batches[b].misses[l];
+    }
+
+    /**
+     * Component c's entry index at entry width @p eb for each of
+     * @p m <= kTile branches: out[c * kTile + i].
+     * TageModel::taggedIndex's hash.
+     */
+    static void
+    foldIndices(const std::uint64_t *widx, const std::uint64_t *gh,
+                std::size_t m, const std::uint64_t *hmask,
+                unsigned ncomp, unsigned eb, std::uint32_t *out)
+    {
+        std::uint64_t any = 0;
+        for (std::size_t i = 0; i < m; ++i)
+            any |= widx[i];
+        std::uint32_t wfold[kTile];
+        foldColumn(widx, ~std::uint64_t{0}, std::bit_width(any), eb, m,
+                   wfold);
+        for (unsigned c = 0; c < ncomp; ++c) {
+            std::uint32_t *folded = out + c * kTile;
+            foldColumn(gh, hmask[c], std::bit_width(hmask[c]), eb, m,
+                       folded);
+            for (std::size_t i = 0; i < m; ++i)
+                folded[i] ^= wfold[i];
+        }
+    }
+
+    /**
+     * out[i] = xorFold(v[i] & vmask, eb) for @p m <= kTile values
+     * below 2^bits.  The fold is linear and chunk-aligned, so XORing
+     * the high chunks onto the low ones at a chunk boundary keeps it:
+     * halving the chunk count each step reaches one chunk in
+     * ceil(log2(ceil(bits / eb))) steps, where xorFold's own loop
+     * takes a step per chunk and a mispredicted exit per value.  Every
+     * value takes the same steps, so each runs branch-free across the
+     * tile and vectorises -- on 32-bit words once the value fits them
+     * (histories up to 32 bits and pc word indices fit from the start).
+     */
+    static void
+    foldColumn(const std::uint64_t *v, std::uint64_t vmask,
+               unsigned bits, unsigned eb, std::size_t m,
+               std::uint32_t *out)
+    {
+        unsigned chunks = (bits + eb - 1) / eb;
+        if (bits > 32) {
+            std::uint64_t wide[kTile];
+            for (std::size_t i = 0; i < m; ++i)
+                wide[i] = v[i] & vmask;
+            while (chunks * eb > 32) {
+                chunks = (chunks + 1) / 2;
+                const unsigned shift = chunks * eb;
+                for (std::size_t i = 0; i < m; ++i)
+                    wide[i] = (wide[i] & mask(shift)) ^ (wide[i] >> shift);
+            }
+            for (std::size_t i = 0; i < m; ++i)
+                out[i] = static_cast<std::uint32_t>(wide[i]);
+        } else {
+            for (std::size_t i = 0; i < m; ++i)
+                out[i] = static_cast<std::uint32_t>(v[i] & vmask);
+        }
+        while (chunks > 1) {
+            chunks = (chunks + 1) / 2;
+            const unsigned shift = chunks * eb;
+            const auto low = static_cast<std::uint32_t>(mask(shift));
+            for (std::size_t i = 0; i < m; ++i)
+                out[i] = (out[i] & low) ^ (out[i] >> shift);
         }
     }
 
@@ -453,9 +597,8 @@ class ModelLanes
             lanes.push_back(std::move(lane));
         }
 
-        // Sub-tile the block for the pre-offset index buffer: 64
+        // Sub-tile the block for the pre-offset index buffer: kTile
         // branches x tables x kMaxLanes stays L1-resident.
-        constexpr std::size_t kTile = 64;
         std::vector<std::uint32_t> idxbuf(kTile * tables *
                                           PerceptronBatch::kMaxLanes);
 

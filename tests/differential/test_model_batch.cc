@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -23,8 +24,10 @@
 
 #include "common/random.hh"
 #include "common/simd.hh"
+#include "predictor/tage.hh"
 #include "sim/sweep.hh"
 #include "verify/differential.hh"
+#include "verify/reference_model.hh"
 #include "workload/synthetic.hh"
 
 using namespace bpsim;
@@ -178,6 +181,136 @@ checkComposition(const PreparedTrace &prepared,
     }
 }
 
+/**
+ * One fuzzed TageBatch replay: lanes of mixed entry and base widths in
+ * one arena (each table followed by a fuzzed pad) and the keys of a
+ * fuzzed branch stream, hashed with TageModel's own hooks exactly as
+ * the sweep engine lays them out.  The stream mixes history-correlated
+ * and coin-flip branches over a few dozen pcs, so lanes mispredict
+ * often: allocation, the age-them-all path and useful saturation all
+ * run.
+ */
+struct TageKernelCase
+{
+    unsigned lanes = 0;
+    unsigned components = 0;
+    unsigned tagBits = 0;
+    std::vector<unsigned> histories;
+    std::vector<TageParams> params;
+    std::vector<std::uint32_t> fresh;
+    std::vector<std::uint32_t> slot;
+    std::vector<std::uint16_t> tag;
+    std::vector<std::uint8_t> taken;
+    std::vector<RefBranch> branches;
+};
+
+TageKernelCase
+makeTageKernelCase(Pcg32 &rng, unsigned lanes, unsigned ncomp,
+                   unsigned tag_bits, bool narrowest_entries)
+{
+    constexpr unsigned kLanes = TageBatch::kMaxLanes;
+    TageKernelCase k;
+    k.lanes = lanes;
+    k.components = ncomp;
+    k.tagBits = tag_bits;
+    // A strictly ascending ladder of ncomp lengths in 1..64.
+    std::vector<unsigned> pool(64);
+    for (unsigned h = 0; h < 64; ++h)
+        pool[h] = h + 1;
+    for (unsigned c = 0; c < ncomp; ++c)
+        std::swap(pool[c], pool[c + rng.nextBounded(64 - c)]);
+    k.histories.assign(pool.begin(), pool.begin() + ncomp);
+    std::sort(k.histories.begin(), k.histories.end());
+
+    std::vector<std::uint32_t> base_at(lanes);
+    std::vector<std::vector<std::uint32_t>> comp_at(lanes);
+    std::size_t slots = 0;
+    for (unsigned l = 0; l < lanes; ++l) {
+        TageParams p;
+        p.entryBits = narrowest_entries && l == 0
+                          ? 1
+                          : 1 + rng.nextBounded(7); // 1..7
+        p.baseBits = 1 + rng.nextBounded(7);
+        p.tagBits = tag_bits;
+        p.histories = k.histories;
+        k.params.push_back(p);
+        base_at[l] = static_cast<std::uint32_t>(slots);
+        slots += (std::size_t{1} << p.baseBits) + rng.nextBounded(17);
+        for (unsigned c = 0; c < ncomp; ++c) {
+            comp_at[l].push_back(static_cast<std::uint32_t>(slots));
+            slots += (std::size_t{1} << p.entryBits) + rng.nextBounded(17);
+        }
+    }
+    k.fresh.assign(slots, TageBatch::kFreshEntry);
+    for (unsigned l = 0; l < lanes; ++l)
+        std::fill(k.fresh.begin() + base_at[l],
+                  k.fresh.begin() + comp_at[l][0], TageBatch::kFreshBase);
+
+    std::vector<TageModel> hooks;
+    for (const TageParams &p : k.params)
+        hooks.emplace_back(p);
+    const unsigned pcs = 2 + rng.nextBounded(40);
+    const std::size_t n = 500 + rng.nextBounded(700);
+    k.slot.assign(n * (ncomp + 1) * kLanes, 0);
+    k.tag.resize(n * ncomp);
+    std::uint64_t ghist = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const unsigned site = rng.nextBounded(pcs);
+        const Addr pc = 0x400000 + (site * 0x9E3779B1ull & 0xFFFFFCull);
+        // Every third site is a coin flip; the rest follow history.
+        const bool tk = site % 3 == 0
+                            ? rng.nextBounded(2) != 0
+                            : (((ghist >> (site % 7)) ^ site) & 1) != 0;
+        std::uint32_t *row = k.slot.data() + i * (ncomp + 1) * kLanes;
+        for (unsigned l = 0; l < lanes; ++l) {
+            row[l] = base_at[l] +
+                     static_cast<std::uint32_t>(hooks[l].baseIndex(pc));
+            for (unsigned c = 0; c < ncomp; ++c)
+                row[(c + 1) * kLanes + l] =
+                    comp_at[l][c] + static_cast<std::uint32_t>(
+                                        hooks[l].taggedIndex(c, pc, ghist));
+        }
+        for (unsigned c = 0; c < ncomp; ++c)
+            k.tag[i * ncomp + c] = hooks[0].taggedTag(c, pc, ghist);
+        k.taken.push_back(static_cast<std::uint8_t>(tk));
+        k.branches.push_back(RefBranch{pc, pc + 64, tk});
+        ghist = (ghist << 1) | static_cast<std::uint64_t>(tk);
+    }
+    return k;
+}
+
+/**
+ * Replay @p k on exactly @p kernel in fuzzed call spans (so state
+ * carries across calls as it does across the engine's key tiles);
+ * returns the final arena, the misses in @p misses.
+ */
+std::vector<std::uint32_t>
+replayTageCase(const TageKernelCase &k, SimdTarget kernel,
+               std::uint64_t *misses, Pcg32 &spans)
+{
+    std::vector<std::uint32_t> arena = k.fresh;
+    TageBatch batch;
+    batch.entries = arena.data();
+    batch.lanes = k.lanes;
+    batch.components = k.components;
+    const std::size_t n = k.taken.size();
+    for (std::size_t off = 0; off < n;) {
+        const std::size_t len =
+            std::min<std::size_t>(n - off, 1 + spans.nextBounded(200));
+        replayTageBatchOn(
+            kernel,
+            TageKeys{k.slot.data() +
+                         off * (k.components + 1) * TageBatch::kMaxLanes,
+                     k.tag.data() + off * k.components,
+                     k.taken.data() + off},
+            len, batch);
+        off += len;
+    }
+    for (unsigned l = 0; l < k.lanes; ++l)
+        misses[l] = batch.misses[l];
+    return arena;
+}
+
 } // namespace
 
 TEST(ModelBatchDifferential, BatchedSweepBitIdenticalToPerConfig)
@@ -256,6 +389,41 @@ TEST(ModelBatchDifferential, FuzzedGroupCompositionsAgreeWithPerConfig)
         ++compositions;
     }
     EXPECT_GE(compositions, 100u);
+}
+
+TEST(ModelBatchDifferential, HighAddressesAgreeWithReferenceMirrors)
+{
+    // The sweep engine folds pc word indices and histories of any
+    // width: relocate a program above 2^46 (word indices wider than
+    // 32 bits) and give TAGE a 64-bit history, and both zoo sweeps
+    // must still match the reference mirrors exactly.
+    const MemoryTrace base = fuzzTrace(6304, 2500);
+    MemoryTrace trace("modelbatch-high");
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        BranchRecord rec = base[i];
+        rec.pc += 0x7FFF00000000ull;
+        rec.target += 0x7FFF00000000ull;
+        trace.append(rec);
+    }
+    PreparedTrace prepared(trace);
+
+    SweepOptions opts;
+    opts.minTotalBits = 5;
+    opts.maxTotalBits = 7;
+    opts.tageHistories = {3, 17, 40, 64};
+    for (SchemeKind kind : kZooKinds) {
+        const SweepResult batched = sweepScheme(prepared, kind, opts);
+        for (const SurfaceTier &tier : batched.misprediction.tiers()) {
+            for (const SurfacePoint &pt : tier.points) {
+                ConfigJob job{kind, tier.totalBits, pt.rowBits,
+                              tier.totalBits - pt.rowBits};
+                EXPECT_EQ(pt.value, referenceMispRate(
+                                        sweepRefConfig(job, opts), trace))
+                    << schemeKindName(kind) << " r=" << pt.rowBits
+                    << " c=" << job.colBits;
+            }
+        }
+    }
 }
 
 TEST(ModelBatchDifferential, BatchedReplayAgreesWithReferenceMirrors)
@@ -413,33 +581,155 @@ TEST(ModelBatchDifferential, PerceptronKernelTargetsMatchScalar)
     }
 }
 
+TEST(TageBatchKernel, DispatchIsOccupancyAware)
+{
+    for (unsigned lanes = 1; lanes <= TageBatch::kMaxLanes; ++lanes) {
+        EXPECT_EQ(tageBatchKernel(SimdTarget::Scalar, lanes),
+                  SimdTarget::Scalar);
+        // No scatter, so AVX2 keeps the scalar kernel.
+        EXPECT_EQ(tageBatchKernel(SimdTarget::AVX2, lanes),
+                  SimdTarget::Scalar);
+    }
+    if (!simdTargetSupported(SimdTarget::AVX512))
+        GTEST_SKIP() << "host has no AVX-512 kernel";
+    // The tageBatchReplay ledger's break-even (EXPERIMENTS "TAGE
+    // kernel ledger"): the 16-wide kernel pays for itself from 5 live
+    // lanes, so grid-sized batches of 9-16 lanes always run it.
+    for (unsigned lanes = 1; lanes <= TageBatch::kMaxLanes; ++lanes)
+        EXPECT_EQ(tageBatchKernel(SimdTarget::AVX512, lanes),
+                  lanes >= 5 ? SimdTarget::AVX512 : SimdTarget::Scalar)
+            << lanes << " lanes";
+}
+
+TEST(ModelBatchDifferential, TageKernelTargetsMatchScalar)
+{
+    // The TAGE kernels in isolation: replayTageBatchOn on every
+    // supported kernel, at every lane count from 1 to 16, must leave a
+    // bit-identical arena (pads included: no kernel writes outside the
+    // keyed slots) and identical miss counts against the scalar kernel;
+    // and the scalar kernel's misses must match the NaiveTage mirror.  The rounds cover 1 and 8 components, tag widths 2
+    // and 16, entry width 1 and mixed entry widths in one batch.
+    const std::vector<SimdTarget> targets = supportedSimdTargets();
+    Pcg32 rng(0x7A6EB47CULL, 13);
+    std::uint64_t allocations = 0;
+    std::uint64_t agings = 0;
+    std::uint64_t saturated = 0;
+
+    for (int round = 0; round < 32; ++round) {
+        const unsigned lanes = 1 + round % TageBatch::kMaxLanes;
+        const unsigned ncomp = round % 4 == 0   ? 1
+                               : round % 4 == 1 ? 8
+                                                : 2 + rng.nextBounded(6);
+        const unsigned tag_bits = round % 3 == 0   ? 2
+                                  : round % 3 == 1 ? 16
+                                                   : 2 + rng.nextBounded(15);
+        const TageKernelCase k =
+            makeTageKernelCase(rng, lanes, ncomp, tag_bits, round % 2 == 0);
+        const std::string what = "round " + std::to_string(round) +
+                                 " lanes=" + std::to_string(lanes) +
+                                 " components=" + std::to_string(ncomp) +
+                                 " tagBits=" + std::to_string(tag_bits);
+
+        const std::uint64_t span_seed = rng.nextBounded(1u << 30);
+        std::uint64_t truth[TageBatch::kMaxLanes] = {};
+        Pcg32 truth_spans(span_seed, 1);
+        const std::vector<std::uint32_t> truth_arena =
+            replayTageCase(k, SimdTarget::Scalar, truth, truth_spans);
+
+        for (unsigned l = 0; l < lanes; ++l) {
+            // The naive mirror is slow by design: hold every fourth
+            // lane to it, a different quarter each round.
+            if ((l + round) % 4 == 0) {
+                RefConfig cfg;
+                cfg.scheme = RefScheme::Tage;
+                cfg.rowBits = k.params[l].entryBits;
+                cfg.colBits = k.params[l].baseBits;
+                cfg.tagBits = tag_bits;
+                cfg.tageHistories = k.histories;
+                const auto naive = makeReferencePredictor(cfg);
+                std::uint64_t misses = 0;
+                for (const RefBranch &branch : k.branches)
+                    misses +=
+                        naive->predictAndTrain(branch) != branch.taken;
+                EXPECT_EQ(truth[l], misses) << what << " lane " << l;
+            }
+
+            // Coverage: the online model names the events.
+            TageModel model(k.params[l]);
+            std::uint64_t ghist = 0;
+            for (const RefBranch &branch : k.branches) {
+                const TageStep step =
+                    model.step(branch.pc, ghist, branch.taken);
+                allocations += step.allocated;
+                agings += step.prediction != branch.taken &&
+                          step.provider < ncomp && !step.allocated;
+                ghist = (ghist << 1) | static_cast<std::uint64_t>(
+                                           branch.taken);
+            }
+        }
+        for (std::uint32_t word : truth_arena)
+            saturated += (word & TageBatch::kValid) != 0 &&
+                         (word & TageBatch::kUsefulMask) ==
+                             TageBatch::kUsefulMask;
+
+        for (SimdTarget target : targets) {
+            if (target == SimdTarget::Scalar)
+                continue;
+            std::uint64_t misses[TageBatch::kMaxLanes] = {};
+            Pcg32 spans(span_seed, 1);
+            const std::vector<std::uint32_t> arena =
+                replayTageCase(k, target, misses, spans);
+            for (unsigned l = 0; l < lanes; ++l)
+                EXPECT_EQ(misses[l], truth[l])
+                    << simdTargetName(target) << " lane " << l << ", "
+                    << what;
+            EXPECT_EQ(std::memcmp(arena.data(), truth_arena.data(),
+                                  arena.size() * sizeof(std::uint32_t)),
+                      0)
+                << simdTargetName(target) << " arena diverged, " << what;
+        }
+    }
+    EXPECT_GT(allocations, 0u);
+    EXPECT_GT(agings, 0u);
+    EXPECT_GT(saturated, 0u);
+}
+
 TEST(ModelBatchDifferential, TelemetryReportsModelGroupShape)
 {
     MemoryTrace trace = fuzzTrace(6606, 10'000);
     PreparedTrace prepared(trace);
-    // One exact pass per model group, block by block.
+    // One exact pass per model group, block by block, and one kernel
+    // batch of up to 16 lanes per (block, lane batch of a group).
     const std::size_t blocks = (prepared.size() + 2047) / 2048;
 
     SweepOptions opts;
     opts.minTotalBits = 5;
     opts.maxTotalBits = 8;
-    for (SchemeKind kind : kZooKinds) {
-        const SweepResult r = sweepScheme(prepared, kind, opts);
-        const char *name = schemeKindName(kind);
+    for (unsigned threads : {1u, 3u}) {
+        opts.threads = threads;
+        for (SchemeKind kind : kZooKinds) {
+            const SweepResult r = sweepScheme(prepared, kind, opts);
+            const std::string name = std::string(schemeKindName(kind)) +
+                                     " threads=" + std::to_string(threads);
+            std::size_t lane_batches = 0;
+            for (const FusedGroup &group :
+                 planFusedGroups(planSweep(kind, opts), threads))
+                lane_batches += (group.jobs.size() + 15) / 16;
 
-        // Zoo groups are model groups, not 2-bit lane groups.
-        EXPECT_EQ(r.kernel.fusedGroups, 0u) << name;
-        EXPECT_EQ(r.kernel.lanes, 0u) << name;
-        EXPECT_EQ(r.kernel.laneBatches, 0u) << name;
-        ASSERT_GT(r.kernel.modelGroups, 0u) << name;
-        EXPECT_EQ(r.kernel.modelLanes, planSweep(kind, opts).size())
-            << name;
-        EXPECT_GE(r.kernel.modelBatches, r.kernel.blocksReplayed)
-            << name;
-        EXPECT_EQ(r.kernel.blocksReplayed,
-                  r.kernel.modelGroups * blocks)
-            << name;
-        EXPECT_GT(r.kernel.modelLanesPerGroup(), 0.0) << name;
+            // Zoo groups are model groups, not 2-bit lane groups.
+            EXPECT_EQ(r.kernel.fusedGroups, 0u) << name;
+            EXPECT_EQ(r.kernel.lanes, 0u) << name;
+            EXPECT_EQ(r.kernel.laneBatches, 0u) << name;
+            ASSERT_GT(r.kernel.modelGroups, 0u) << name;
+            EXPECT_EQ(r.kernel.modelLanes, planSweep(kind, opts).size())
+                << name;
+            EXPECT_EQ(r.kernel.modelBatches, blocks * lane_batches)
+                << name;
+            EXPECT_EQ(r.kernel.blocksReplayed,
+                      r.kernel.modelGroups * blocks)
+                << name;
+            EXPECT_GT(r.kernel.modelLanesPerGroup(), 0.0) << name;
+        }
     }
 }
 

@@ -10,17 +10,29 @@
  *
  * Run under the tsan preset (test name filter "ServiceStress") to pin
  * the queue's locking discipline.
+ *
+ * Also checks that the unix-socket transport joins the threads of
+ * closed connections instead of keeping them until shutdown.
  */
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 #include <atomic>
 #include <barrier>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <future>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "service/client.hh"
 #include "service/server.hh"
 #include "sim/sweep_session.hh"
 
@@ -195,6 +207,119 @@ TEST(ServiceStress, ContendedQueueFormsFusedGroups)
             client.join();
     }
     EXPECT_GE(coalesced.load(), 1u);
+}
+
+/** This process's live threads: the entries of /proc/self/task. */
+std::size_t
+liveThreads()
+{
+    std::size_t n = 0;
+    for (auto it = std::filesystem::directory_iterator("/proc/self/task");
+         it != std::filesystem::directory_iterator(); ++it)
+        ++n;
+    return n;
+}
+
+/**
+ * Thread stacks this process has mapped: a std::thread's stack is one
+ * read-write mapping of exactly @p stack bytes behind a guard page,
+ * and it stays mapped until the thread is joined (glibc then caches a
+ * few for reuse).
+ */
+std::size_t
+mappedStacks(std::size_t stack)
+{
+    std::ifstream maps("/proc/self/maps");
+    std::string line;
+    std::size_t n = 0;
+    while (std::getline(maps, line)) {
+        unsigned long lo = 0;
+        unsigned long hi = 0;
+        char perms[5] = {};
+        if (std::sscanf(line.c_str(), "%lx-%lx %4s", &lo, &hi, perms) == 3 &&
+            std::strcmp(perms, "rw-p") == 0 && hi - lo == stack)
+            ++n;
+    }
+    return n;
+}
+
+TEST(ServiceStress, FinishedConnectionsAreReaped)
+{
+    // A long-lived daemon serves many short connections.  Each closed
+    // connection's thread must be joined, not parked until shutdown:
+    // an exited thread leaves /proc/self/task at once, but until it is
+    // joined its stack stays mapped.  After 256 connect/ping/close
+    // cycles and one more accept, both the thread count and the mapped stacks
+    // must be back near where they started.
+    if (!std::filesystem::exists("/proc/self/maps"))
+        GTEST_SKIP() << "no /proc on this host";
+    const std::string socketPath =
+        ::testing::TempDir() + "service_stress_reap.sock";
+    std::filesystem::remove(socketPath);
+    SweepServer server;
+    std::promise<Status> served;
+    std::future<Status> done = served.get_future();
+    std::thread daemon(
+        [&] { served.set_value(server.serveSocket(socketPath)); });
+    for (int i = 0; i < 2000 && !std::filesystem::exists(socketPath); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (!std::filesystem::exists(socketPath)) {
+        daemon.join(); // serveSocket returned its bind error
+        FAIL() << done.get().error().message();
+    }
+    const auto settle = [](std::size_t bound) {
+        for (int i = 0; i < 500 && liveThreads() > bound; ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    };
+    const std::string ping = "{\"op\":\"ping\",\"id\":\"p\"}";
+
+    // The stack a std::thread -- so a connection worker -- maps.
+    std::size_t stack = 0;
+    std::thread([&stack] {
+        pthread_attr_t attr;
+        if (pthread_getattr_np(pthread_self(), &attr) == 0) {
+            pthread_attr_getstacksize(&attr, &stack);
+            pthread_attr_destroy(&attr);
+        }
+    }).join();
+    ASSERT_GT(stack, 0u);
+
+    // One served connection first, so one-time costs of the first
+    // worker are in the baseline.
+    const std::size_t idle = liveThreads();
+    LineChannel first = connectUnixSocket(socketPath).value();
+    ASSERT_TRUE(roundTrip(first, ping).ok());
+    first.close();
+    settle(idle);
+    const std::size_t threads0 = liveThreads();
+    const std::size_t stacks0 = mappedStacks(stack);
+
+    // Each cycle is served (a ping) before it closes, so every
+    // connection has been accepted -- none waits in the listen backlog
+    // -- when the worker count settles.
+    constexpr int kCycles = 256;
+    for (int i = 0; i < kCycles; ++i) {
+        LineChannel client = connectUnixSocket(socketPath).value();
+        ASSERT_TRUE(roundTrip(client, ping).ok()) << "cycle " << i;
+        client.close();
+    }
+    settle(threads0);
+    EXPECT_LE(liveThreads(), threads0);
+
+    // The next accept joins every finished worker.  Parked workers
+    // would hold kCycles stacks; joined ones leave at most glibc's
+    // small stack cache.
+    LineChannel closer = connectUnixSocket(socketPath).value();
+    ASSERT_TRUE(roundTrip(closer, ping).ok());
+    EXPECT_LE(liveThreads(), threads0 + 1);
+    EXPECT_LE(mappedStacks(stack), stacks0 + 16)
+        << "closed connections still hold their thread stacks";
+
+    EXPECT_TRUE(
+        roundTrip(closer, "{\"op\":\"shutdown\",\"id\":\"x\"}").ok());
+    closer.close();
+    daemon.join();
+    EXPECT_TRUE(done.get().ok());
 }
 
 } // namespace
