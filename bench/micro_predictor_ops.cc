@@ -188,8 +188,8 @@ zooModelStep(benchmark::State &state, SchemeKind kind, bool batched)
  * state.range(0) live lanes over a synthetic pre-offset index stream
  * on exactly one kernel.  Items processed counts lane-updates
  * (branches x live lanes), so across the 1..5/8/9/16-lane rows the
- * kernel ratios are the occupancy break-evens that
- * perceptronBatchKernel's dispatch thresholds come from.
+ * avx512/scalar ratio is the occupancy break-even that
+ * perceptronBatchKernel's dispatch threshold comes from.
  */
 void
 perceptronBatchReplay(benchmark::State &state, SimdTarget kernel)
@@ -466,9 +466,6 @@ BENCHMARK_CAPTURE(zooModelStep, perceptron_per_config,
 BENCHMARK_CAPTURE(zooModelStep, perceptron_batched,
                   SchemeKind::Perceptron, true);
 BENCHMARK_CAPTURE(perceptronBatchReplay, scalar, SimdTarget::Scalar)
-    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8)->Arg(9)->Arg(16)
-    ->ArgNames({"lanes"});
-BENCHMARK_CAPTURE(perceptronBatchReplay, avx2, SimdTarget::AVX2)
     ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8)->Arg(9)->Arg(16)
     ->ArgNames({"lanes"});
 BENCHMARK_CAPTURE(perceptronBatchReplay, avx512, SimdTarget::AVX512)

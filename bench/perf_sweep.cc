@@ -13,8 +13,8 @@
  * The 2-bit phase runs the default-option (aliasing-tracked) sweeps of
  * all seven paper schemes, tiers 2^4..2^15, on the 2-bit lane engine:
  * lane batches of up to 16 configurations over a shared 13-byte
- * decoded record, on the scalar or AVX-512 alias kernel (AVX2 resolves
- * to scalar).  Each scheme is also swept once untracked, and
+ * decoded record, on the scalar or AVX-512 alias kernel.  Each scheme
+ * is also swept once untracked, and
  * its misprediction surface is asserted identical to the tracked one.
  *
  * One unit of work is a single branch instance simulated through a
@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/simd.hh"
 #include "sim/sweep.hh"
 
 using namespace bpsim;
@@ -455,7 +456,7 @@ main(int argc, char **argv)
             "\"fused_groups\": %llu,\n"
             "      \"lanes_per_group\": %.2f, \"lane_batches\": "
             "%llu, \"blocks_replayed\": %llu}}%s\n",
-            simdTargetName(r.kernel.target),
+            simdTargetName(target),
             static_cast<unsigned long long>(r.kernel.fusedGroups),
             r.kernel.lanesPerGroup(),
             static_cast<unsigned long long>(r.kernel.laneBatches),
@@ -477,7 +478,7 @@ main(int argc, char **argv)
             "\"model_groups\": %llu, \"model_lanes\": %llu,\n"
             "      \"model_lanes_per_group\": %.2f, "
             "\"model_batches\": %llu, \"blocks_replayed\": %llu}}%s\n",
-            simdTargetName(r.kernel.target),
+            simdTargetName(target),
             static_cast<unsigned long long>(r.kernel.modelGroups),
             static_cast<unsigned long long>(r.kernel.modelLanes),
             r.kernel.modelLanesPerGroup(),

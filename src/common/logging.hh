@@ -31,7 +31,7 @@ std::string
 concat(Args &&...args)
 {
     std::ostringstream os;
-    (os << ... << std::forward<Args>(args));
+    ((os << std::forward<Args>(args)), ...);
     return os.str();
 }
 

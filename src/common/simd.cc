@@ -4,24 +4,13 @@
 
 #include "common/logging.hh"
 
-#if defined(__x86_64__) || defined(__i386__)
-#define BPSIM_SIMD_X86 1
+#if defined(BPSIM_HAVE_AVX512)
 #include <immintrin.h>
 #endif
 
 namespace bpsim {
 
 namespace {
-
-/** The next narrower concrete target (clamping order). */
-SimdTarget
-narrower(SimdTarget target)
-{
-    switch (target) {
-      case SimdTarget::AVX512: return SimdTarget::AVX2;
-      default: return SimdTarget::Scalar;
-    }
-}
 
 // ---------------------------------------------------------------------
 // Scalar kernels: the reference semantics every vector variant is held
@@ -225,183 +214,42 @@ replayTageBatchScalar(const TageKeys &keys, std::size_t n,
     }
 }
 
-#if BPSIM_SIMD_X86
-
-// ---------------------------------------------------------------------
-// AVX2: 8 lanes per 256-bit vector with variable shifts and hardware
-// gathers.  The gather addresses are absolute (base pointer null,
-// scale 1): per-lane bank base + byte index, loading 4 bytes at the
-// addressed byte -- which is why every bank carries
-// PerceptronBatch::kGatherSlack padding.  Stores are scalar (x86 has
-// no AVX2 scatter).
-
-/**
- * 8-lane perceptron inner body.  Weight reads are hardware gathers on
- * absolute addresses (the int8 sign extension is slli/srai on the
- * gathered dword); updates stay scalar byte stores -- no AVX2 scatter
- * exists, and adjacent int8 weights rule out 4-byte writebacks anyway
- * (a neighbouring table's weight can sit inside the window).
- */
-__attribute__((target("avx2"))) void
-perceptronLanes8Avx2(const std::uint32_t *idx, unsigned tables,
-                     const std::uint8_t *taken, std::size_t n,
-                     std::int8_t *const bases[8],
-                     const std::uint32_t live[8],
-                     const std::int32_t thetas[8],
-                     std::uint64_t misses[8])
-{
-    const __m256i live_v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(live));
-    const __m256i theta_v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(thetas));
-    const __m256i base_lo = _mm256_set_epi64x(
-        reinterpret_cast<long long>(bases[3]),
-        reinterpret_cast<long long>(bases[2]),
-        reinterpret_cast<long long>(bases[1]),
-        reinterpret_cast<long long>(bases[0]));
-    const __m256i base_hi = _mm256_set_epi64x(
-        reinterpret_cast<long long>(bases[7]),
-        reinterpret_cast<long long>(bases[6]),
-        reinterpret_cast<long long>(bases[5]),
-        reinterpret_cast<long long>(bases[4]));
-    const __m256i zero = _mm256_setzero_si256();
-    const __m256i one = _mm256_set1_epi32(1);
-    const __m256i allones = _mm256_set1_epi32(-1);
-    const __m256i over =
-        _mm256_set1_epi32(PerceptronBatch::kWeightMax + 1);
-    const __m256i under =
-        _mm256_set1_epi32(PerceptronBatch::kWeightMin - 1);
-
-    alignas(32) std::uint32_t ixa[PerceptronBatch::kMaxTables][8];
-    alignas(32) std::int32_t wa[PerceptronBatch::kMaxTables][8];
-    alignas(32) std::int32_t nb[8];
-    alignas(32) std::uint32_t acc_out[8];
-
-    const std::size_t stride =
-        static_cast<std::size_t>(tables) * PerceptronBatch::kMaxLanes;
-    __m256i acc = zero;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t *row = idx + i * stride;
-        __m256i sum = zero;
-        for (unsigned t = 0; t < tables; ++t) {
-            const __m256i iv = _mm256_and_si256(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                    row + t * PerceptronBatch::kMaxLanes)),
-                live_v);
-            _mm256_store_si256(reinterpret_cast<__m256i *>(ixa[t]),
-                               iv);
-            const __m256i addr_lo = _mm256_add_epi64(
-                base_lo, _mm256_cvtepu32_epi64(
-                             _mm256_castsi256_si128(iv)));
-            const __m256i addr_hi = _mm256_add_epi64(
-                base_hi, _mm256_cvtepu32_epi64(
-                             _mm256_extracti128_si256(iv, 1)));
-            const __m128i g_lo = _mm256_i64gather_epi32(
-                static_cast<const int *>(nullptr), addr_lo, 1);
-            const __m128i g_hi = _mm256_i64gather_epi32(
-                static_cast<const int *>(nullptr), addr_hi, 1);
-            // Sign-extend the gathered low byte: << 24 then >> 24.
-            const __m256i w = _mm256_srai_epi32(
-                _mm256_slli_epi32(_mm256_set_m128i(g_hi, g_lo), 24),
-                24);
-            _mm256_store_si256(reinterpret_cast<__m256i *>(wa[t]), w);
-            sum = _mm256_add_epi32(sum, w);
-        }
-        const std::uint32_t tk = taken[i] & 1u;
-        const __m256i miss01 = _mm256_xor_si256(
-            _mm256_srli_epi32(sum, 31),
-            _mm256_set1_epi32(static_cast<int>(tk ^ 1u)));
-        acc = _mm256_add_epi32(acc, miss01);
-        const __m256i abs = _mm256_abs_epi32(sum);
-        const __m256i missm = _mm256_sub_epi32(zero, miss01);
-        const __m256i lowconf = _mm256_xor_si256(
-            _mm256_cmpgt_epi32(abs, theta_v), allones);
-        const __m256i trainm = _mm256_and_si256(
-            _mm256_or_si256(missm, lowconf), live_v);
-        if (_mm256_movemask_epi8(trainm) == 0)
-            continue;
-        const __m256i delta = _mm256_and_si256(
-            _mm256_set1_epi32(tk ? 1 : -1), trainm);
-        for (unsigned t = 0; t < tables; ++t) {
-            __m256i next = _mm256_add_epi32(
-                _mm256_load_si256(
-                    reinterpret_cast<const __m256i *>(wa[t])),
-                delta);
-            next = _mm256_sub_epi32(
-                next,
-                _mm256_and_si256(_mm256_cmpeq_epi32(next, over),
-                                 one));
-            next = _mm256_add_epi32(
-                next,
-                _mm256_and_si256(_mm256_cmpeq_epi32(next, under),
-                                 one));
-            _mm256_store_si256(reinterpret_cast<__m256i *>(nb), next);
-            bases[0][ixa[t][0]] = static_cast<std::int8_t>(nb[0]);
-            bases[1][ixa[t][1]] = static_cast<std::int8_t>(nb[1]);
-            bases[2][ixa[t][2]] = static_cast<std::int8_t>(nb[2]);
-            bases[3][ixa[t][3]] = static_cast<std::int8_t>(nb[3]);
-            bases[4][ixa[t][4]] = static_cast<std::int8_t>(nb[4]);
-            bases[5][ixa[t][5]] = static_cast<std::int8_t>(nb[5]);
-            bases[6][ixa[t][6]] = static_cast<std::int8_t>(nb[6]);
-            bases[7][ixa[t][7]] = static_cast<std::int8_t>(nb[7]);
-        }
-    }
-    _mm256_store_si256(reinterpret_cast<__m256i *>(acc_out), acc);
-    for (unsigned l = 0; l < 8; ++l)
-        misses[l] += acc_out[l];
-}
-
-void
-replayPerceptronBatchAvx2(const std::uint32_t *idx,
-                          const std::uint8_t *taken, std::size_t n,
-                          PerceptronBatch &batch)
-{
-    for (unsigned l0 = 0; l0 < batch.lanes; l0 += 8) {
-        alignas(32) std::int8_t dummy[8] = {};
-        std::int8_t *bases[8];
-        alignas(32) std::uint32_t live[8];
-        alignas(32) std::int32_t thetas[8];
-        std::uint64_t misses[8] = {};
-        const unsigned live_count = std::min(8u, batch.lanes - l0);
-        for (unsigned l = 0; l < 8; ++l) {
-            bases[l] = l < live_count ? batch.weights[l0 + l] : dummy;
-            live[l] = l < live_count ? 0xFFFFFFFFu : 0u;
-            thetas[l] = l < live_count ? batch.theta[l0 + l] : -1;
-        }
-        perceptronLanes8Avx2(idx + l0, batch.tables, taken, n, bases,
-                             live, thetas, misses);
-        for (unsigned l = 0; l < live_count; ++l)
-            batch.misses[l0 + l] += misses[l];
-    }
-}
-
 #if defined(BPSIM_HAVE_AVX512)
 
 // ---------------------------------------------------------------------
 // AVX-512: 16 lanes per 512-bit vector.  Only avx512f intrinsics are
 // used, so one CPUID feature gates execution and one probe gates
-// compilation.
+// compilation.  Where GCC's unmasked form of an intrinsic merges into
+// an undefined source (and so trips -Wmaybe-uninitialized), the
+// kernels use its zero-masked form instead.  The perceptron gathers
+// use absolute addresses (base pointer null, scale 1): per-lane bank
+// base + byte index, loading 4 bytes at the addressed byte -- which is
+// why every bank carries PerceptronBatch::kGatherSlack padding.
 
 /**
- * 16-lane perceptron inner body.  Updates CANNOT use vpscatterqd:
+ * The 16-lane perceptron kernel.  Updates CANNOT use vpscatterqd:
  * weights are adjacent int8 bytes, so the 4-byte scatter window would
  * clobber three neighbouring weights -- including, when two of a
  * lane's own table indices land within 4 bytes of each other, a weight
- * this very branch just trained.  Stores stay scalar per byte;
- * everything else is vector, with the train decision carried in mask
- * registers.
+ * this very branch just trained.  Stores stay scalar per byte, one per
+ * live lane and table; everything else is vector, with the train
+ * decision carried in mask registers.  Dead lanes neither gather nor
+ * store, so a part-full batch costs less than a full one.
  */
 __attribute__((target("avx512f"))) void
-perceptronLanes16Avx512(const std::uint32_t *idx, unsigned tables,
-                        const std::uint8_t *taken, std::size_t n,
-                        std::int8_t *const bases[16],
-                        const std::uint32_t live[16],
-                        const std::int32_t thetas[16],
-                        std::uint64_t misses[16])
+replayPerceptronBatchAvx512(const std::uint32_t *idx,
+                            const std::uint8_t *taken, std::size_t n,
+                            PerceptronBatch &batch)
 {
-    const __m512i live_v = _mm512_loadu_si512(live);
-    const __m512i theta_v = _mm512_loadu_si512(thetas);
-    const __mmask16 live_k = _mm512_test_epi32_mask(live_v, live_v);
+    constexpr unsigned kLanes = PerceptronBatch::kMaxLanes;
+    const unsigned lanes = batch.lanes;
+    const unsigned tables = batch.tables;
+    std::int8_t *bases[kLanes];
+    std::copy(batch.weights, batch.weights + kLanes, bases);
+    const __mmask16 live = static_cast<__mmask16>((1u << lanes) - 1u);
+    const __mmask8 live_lo = static_cast<__mmask8>(live);
+    const __mmask8 live_hi = static_cast<__mmask8>(live >> 8);
+    const __m512i theta = _mm512_loadu_si512(batch.theta);
     const __m512i base_lo = _mm512_set_epi64(
         reinterpret_cast<long long>(bases[7]),
         reinterpret_cast<long long>(bases[6]),
@@ -421,42 +269,47 @@ perceptronLanes16Avx512(const std::uint32_t *idx, unsigned tables,
         reinterpret_cast<long long>(bases[9]),
         reinterpret_cast<long long>(bases[8]));
     const __m512i zero = _mm512_setzero_si512();
+    const __m256i zero256 = _mm256_setzero_si256();
     const __m512i over =
         _mm512_set1_epi32(PerceptronBatch::kWeightMax + 1);
     const __m512i under =
         _mm512_set1_epi32(PerceptronBatch::kWeightMin - 1);
 
-    alignas(64) std::uint32_t ixa[PerceptronBatch::kMaxTables][16];
-    alignas(64) std::int32_t wa[PerceptronBatch::kMaxTables][16];
-    alignas(64) std::int32_t nb[16];
-    alignas(64) std::uint32_t acc_out[16];
+    alignas(64) std::int32_t wa[PerceptronBatch::kMaxTables][kLanes];
+    alignas(64) std::int32_t nb[kLanes];
 
-    const std::size_t stride =
-        static_cast<std::size_t>(tables) * PerceptronBatch::kMaxLanes;
+    const std::size_t stride = static_cast<std::size_t>(tables) * kLanes;
     __m512i acc = zero;
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t *row = idx + i * stride;
         __m512i sum = zero;
         for (unsigned t = 0; t < tables; ++t) {
-            const __m512i iv = _mm512_and_si512(
-                _mm512_loadu_si512(
-                    row + t * PerceptronBatch::kMaxLanes),
-                live_v);
-            _mm512_store_si512(ixa[t], iv);
+            const auto *ix =
+                reinterpret_cast<const __m256i *>(row + t * kLanes);
             const __m512i addr_lo = _mm512_add_epi64(
-                base_lo, _mm512_cvtepu32_epi64(
-                             _mm512_castsi512_si256(iv)));
-            const __m512i addr_hi = _mm512_add_epi64(
-                base_hi, _mm512_cvtepu32_epi64(
-                             _mm512_extracti64x4_epi64(iv, 1)));
-            const __m256i g_lo = _mm512_i64gather_epi32(
-                addr_lo, static_cast<const int *>(nullptr), 1);
-            const __m256i g_hi = _mm512_i64gather_epi32(
-                addr_hi, static_cast<const int *>(nullptr), 1);
-            const __m512i w = _mm512_srai_epi32(
-                _mm512_slli_epi32(
-                    _mm512_inserti64x4(_mm512_castsi256_si512(g_lo),
-                                       g_hi, 1),
+                base_lo, _mm512_maskz_cvtepu32_epi64(
+                             live_lo, _mm256_loadu_si256(ix)));
+            const __m256i g_lo = _mm512_mask_i64gather_epi32(
+                zero256, live_lo, addr_lo,
+                static_cast<const int *>(nullptr), 1);
+            // Batches of at most 8 lanes skip the upper gather.
+            const __m256i g_hi =
+                live_hi == 0
+                    ? zero256
+                    : _mm512_mask_i64gather_epi32(
+                          zero256, live_hi,
+                          _mm512_add_epi64(
+                              base_hi, _mm512_maskz_cvtepu32_epi64(
+                                           live_hi,
+                                           _mm256_loadu_si256(ix + 1))),
+                          static_cast<const int *>(nullptr), 1);
+            // Sign-extend the gathered low byte: << 24 then >> 24.
+            const __m512i w = _mm512_maskz_srai_epi32(
+                live,
+                _mm512_maskz_slli_epi32(
+                    live,
+                    _mm512_maskz_inserti64x4(
+                        0xFF, _mm512_castsi256_si512(g_lo), g_hi, 1),
                     24),
                 24);
             _mm512_store_si512(wa[t], w);
@@ -464,14 +317,14 @@ perceptronLanes16Avx512(const std::uint32_t *idx, unsigned tables,
         }
         const std::uint32_t tk = taken[i] & 1u;
         const __m512i miss01 = _mm512_xor_si512(
-            _mm512_srli_epi32(sum, 31),
+            _mm512_maskz_srli_epi32(live, sum, 31),
             _mm512_set1_epi32(static_cast<int>(tk ^ 1u)));
         acc = _mm512_add_epi32(acc, miss01);
         const __mmask16 missk =
             _mm512_test_epi32_mask(miss01, miss01);
-        const __mmask16 lowk =
-            _mm512_cmple_epi32_mask(_mm512_abs_epi32(sum), theta_v);
-        const __mmask16 traink = (missk | lowk) & live_k;
+        const __mmask16 lowk = _mm512_cmple_epi32_mask(
+            _mm512_maskz_abs_epi32(live, sum), theta);
+        const __mmask16 traink = (missk | lowk) & live;
         if (traink == 0)
             continue;
         const __m512i delta = _mm512_maskz_mov_epi32(
@@ -486,37 +339,16 @@ perceptronLanes16Avx512(const std::uint32_t *idx, unsigned tables,
                 next, _mm512_cmpeq_epi32_mask(next, under), next,
                 _mm512_set1_epi32(1));
             _mm512_store_si512(nb, next);
-            for (unsigned l = 0; l < 16; ++l)
-                bases[l][ixa[t][l]] = static_cast<std::int8_t>(nb[l]);
+            const std::uint32_t *ix = row + t * kLanes;
+#pragma GCC unroll 16
+            for (unsigned l = 0; l < lanes; ++l)
+                bases[l][ix[l]] = static_cast<std::int8_t>(nb[l]);
         }
     }
-    _mm512_store_si512(acc_out, acc);
-    for (unsigned l = 0; l < 16; ++l)
-        misses[l] += acc_out[l];
-}
-
-void
-replayPerceptronBatchAvx512(const std::uint32_t *idx,
-                            const std::uint8_t *taken, std::size_t n,
-                            PerceptronBatch &batch)
-{
-    for (unsigned l0 = 0; l0 < batch.lanes; l0 += 16) {
-        alignas(64) std::int8_t dummy[8] = {};
-        std::int8_t *bases[16];
-        alignas(64) std::uint32_t live[16];
-        alignas(64) std::int32_t thetas[16];
-        std::uint64_t misses[16] = {};
-        const unsigned live_count = std::min(16u, batch.lanes - l0);
-        for (unsigned l = 0; l < 16; ++l) {
-            bases[l] = l < live_count ? batch.weights[l0 + l] : dummy;
-            live[l] = l < live_count ? 0xFFFFFFFFu : 0u;
-            thetas[l] = l < live_count ? batch.theta[l0 + l] : -1;
-        }
-        perceptronLanes16Avx512(idx + l0, batch.tables, taken, n,
-                                bases, live, thetas, misses);
-        for (unsigned l = 0; l < live_count; ++l)
-            batch.misses[l0 + l] += misses[l];
-    }
+    alignas(64) std::uint32_t out[kLanes];
+    _mm512_store_si512(out, acc);
+    for (unsigned l = 0; l < lanes; ++l)
+        batch.misses[l] += out[l];
 }
 
 /**
@@ -536,6 +368,8 @@ replayAliasBatchAvx512(const AliasRecords &rec, std::size_t n,
 {
     const __mmask16 live =
         static_cast<__mmask16>((1u << batch.lanes) - 1u);
+    // Zero-masking under every lane folds to the unmasked instruction.
+    constexpr __mmask16 all = 0xFFFF;
     const __m512i offset = _mm512_loadu_si512(batch.offset);
     const __m512i row_mask = _mm512_loadu_si512(batch.rowMask);
     const __m512i col_mask = _mm512_loadu_si512(batch.colMask);
@@ -569,8 +403,8 @@ replayAliasBatchAvx512(const AliasRecords &rec, std::size_t n,
             const __m512i slot = _mm512_add_epi32(
                 offset,
                 _mm512_or_si512(
-                    _mm512_sllv_epi32(_mm512_and_si512(row, row_mask),
-                                      col_bits),
+                    _mm512_maskz_sllv_epi32(
+                        all, _mm512_and_si512(row, row_mask), col_bits),
                     _mm512_and_si512(col, col_mask)));
             const __m512i entry = _mm512_mask_i32gather_epi32(
                 zero, live, slot, entries, 4);
@@ -585,11 +419,13 @@ replayAliasBatchAvx512(const AliasRecords &rec, std::size_t n,
                 _mm512_set1_epi32(static_cast<int>(flags & 0x7Fu)));
             const __m512i counter = _mm512_and_si512(entry, three);
             const __mmask16 miss = _mm512_mask_cmpneq_epi32_mask(
-                live, _mm512_srli_epi32(counter, 1),
+                live, _mm512_maskz_srli_epi32(all, counter, 1),
                 _mm512_set1_epi32(taken));
             // Saturating step: +1 toward taken, -1 toward not-taken.
-            const __m512i next = _mm512_min_epi32(
-                _mm512_max_epi32(
+            const __m512i next = _mm512_maskz_min_epi32(
+                all,
+                _mm512_maskz_max_epi32(
+                    all,
                     _mm512_add_epi32(counter,
                                      _mm512_set1_epi32(2 * taken - 1)),
                     zero),
@@ -797,8 +633,6 @@ replayTageBatchAvx512(const TageKeys &keys, std::size_t n,
 
 #endif // BPSIM_HAVE_AVX512
 
-#endif // BPSIM_SIMD_X86
-
 } // namespace
 
 const char *
@@ -807,7 +641,6 @@ simdTargetName(SimdTarget target)
     switch (target) {
       case SimdTarget::Auto: return "auto";
       case SimdTarget::Scalar: return "scalar";
-      case SimdTarget::AVX2: return "avx2";
       case SimdTarget::AVX512: return "avx512";
     }
     return "?";
@@ -820,19 +653,12 @@ simdTargetSupported(SimdTarget target)
       case SimdTarget::Auto:
       case SimdTarget::Scalar:
         return true;
-#if BPSIM_SIMD_X86
-      case SimdTarget::AVX2:
-        return __builtin_cpu_supports("avx2") != 0;
       case SimdTarget::AVX512:
 #if defined(BPSIM_HAVE_AVX512)
         return __builtin_cpu_supports("avx512f") != 0;
 #else
-        // Toolchain could not compile the kernel; report unsupported
-        // so dispatch clamps to AVX2 even on capable hardware.
-        return false;
-#endif
-#else
-      default:
+        // The toolchain could not compile the kernels (or the host is
+        // not x86): report unsupported, so dispatch clamps to Scalar.
         return false;
 #endif
     }
@@ -843,16 +669,11 @@ SimdTarget
 detectSimdTarget()
 {
     static const SimdTarget cached = [] {
-#if BPSIM_SIMD_X86
-        __builtin_cpu_init();
 #if defined(BPSIM_HAVE_AVX512)
-        if (__builtin_cpu_supports("avx512f"))
-            return SimdTarget::AVX512;
+        __builtin_cpu_init();
 #endif
-        if (__builtin_cpu_supports("avx2"))
-            return SimdTarget::AVX2;
-#endif
-        return SimdTarget::Scalar;
+        return simdTargetSupported(SimdTarget::AVX512) ? SimdTarget::AVX512
+                                                       : SimdTarget::Scalar;
     }();
     return cached;
 }
@@ -860,22 +681,17 @@ detectSimdTarget()
 SimdTarget
 resolveSimdTarget(SimdTarget requested)
 {
-    SimdTarget want = requested;
-    if (want == SimdTarget::Auto)
-        want = detectSimdTarget();
-    while (want != SimdTarget::Scalar && !simdTargetSupported(want))
-        want = narrower(want);
-    return want;
+    const SimdTarget want =
+        requested == SimdTarget::Auto ? detectSimdTarget() : requested;
+    return simdTargetSupported(want) ? want : SimdTarget::Scalar;
 }
 
 std::vector<SimdTarget>
 supportedSimdTargets()
 {
     std::vector<SimdTarget> targets{SimdTarget::Scalar};
-    for (SimdTarget t : {SimdTarget::AVX2, SimdTarget::AVX512}) {
-        if (simdTargetSupported(t))
-            targets.push_back(t);
-    }
+    if (simdTargetSupported(SimdTarget::AVX512))
+        targets.push_back(SimdTarget::AVX512);
     return targets;
 }
 
@@ -884,20 +700,18 @@ perceptronBatchKernel(SimdTarget target, unsigned lanes)
 {
     bpsim_assert(target != SimdTarget::Auto,
                  "perceptronBatchKernel needs a resolved target");
-    // Occupancy break-evens from the perceptronBatchReplay rows of
-    // bench/micro_predictor_ops: the 8-wide AVX2 kernel overtakes the
-    // scalar lane-major loop at 4 live lanes, and the 16-wide AVX-512
-    // kernel overtakes AVX2 once more than one 8-lane chunk is live.
-    constexpr unsigned kPerceptronAvx2MinLanes = 4;
-    constexpr unsigned kPerceptronAvx512MinLanes = 9;
+    // Occupancy break-even from the perceptronBatchReplay rows of
+    // bench/micro_predictor_ops: the 16-wide gathers cost the same per
+    // branch however many lanes are live, and they overtake the scalar
+    // lane-major loop at kPerceptronAvx512MinLanes.
+    constexpr unsigned kPerceptronAvx512MinLanes = 2;
 #if defined(BPSIM_HAVE_AVX512)
     if (target == SimdTarget::AVX512 &&
         lanes >= kPerceptronAvx512MinLanes)
         return SimdTarget::AVX512;
+#else
+    (void)lanes;
 #endif
-    if ((target == SimdTarget::AVX512 || target == SimdTarget::AVX2) &&
-        lanes >= kPerceptronAvx2MinLanes)
-        return SimdTarget::AVX2;
     return SimdTarget::Scalar;
 }
 
@@ -917,17 +731,10 @@ replayPerceptronBatchOn(SimdTarget kernel, const std::uint32_t *idx,
     bpsim_assert(n < (std::size_t{1} << 30),
                  "perceptron batch span ", n,
                  " overflows the per-call miss accumulator");
-#if defined(BPSIM_SIMD_X86)
 #if defined(BPSIM_HAVE_AVX512)
     if (kernel == SimdTarget::AVX512 &&
         simdTargetSupported(SimdTarget::AVX512)) {
         replayPerceptronBatchAvx512(idx, taken, n, batch);
-        return;
-    }
-#endif
-    if (kernel == SimdTarget::AVX2 &&
-        simdTargetSupported(SimdTarget::AVX2)) {
-        replayPerceptronBatchAvx2(idx, taken, n, batch);
         return;
     }
 #else
@@ -955,7 +762,7 @@ aliasBatchKernel(SimdTarget target, unsigned lanes)
     // same per branch however many lanes are live, and it overtakes
     // the scalar lane-major loop at kAliasAvx512MinLanes live lanes.
     constexpr unsigned kAliasAvx512MinLanes = 3;
-#if defined(BPSIM_SIMD_X86) && defined(BPSIM_HAVE_AVX512)
+#if defined(BPSIM_HAVE_AVX512)
     if (target == SimdTarget::AVX512 && lanes >= kAliasAvx512MinLanes)
         return SimdTarget::AVX512;
 #else
@@ -970,7 +777,7 @@ replayAliasBatchOn(SimdTarget kernel, const AliasRecords &records,
 {
     bpsim_assert(batch.lanes >= 1 && batch.lanes <= AliasBatch::kMaxLanes,
                  "alias batch width ", batch.lanes, " out of range");
-#if defined(BPSIM_SIMD_X86) && defined(BPSIM_HAVE_AVX512)
+#if defined(BPSIM_HAVE_AVX512)
     if (kernel == SimdTarget::AVX512 &&
         simdTargetSupported(SimdTarget::AVX512)) {
         replayAliasBatchAvx512(records, n, batch);
@@ -1000,7 +807,7 @@ tageBatchKernel(SimdTarget target, unsigned lanes)
     // the same per branch however many lanes are live, and they
     // overtake the scalar lane-major loop at kTageAvx512MinLanes.
     constexpr unsigned kTageAvx512MinLanes = 5;
-#if defined(BPSIM_SIMD_X86) && defined(BPSIM_HAVE_AVX512)
+#if defined(BPSIM_HAVE_AVX512)
     if (target == SimdTarget::AVX512 && lanes >= kTageAvx512MinLanes)
         return SimdTarget::AVX512;
 #else
@@ -1021,7 +828,7 @@ replayTageBatchOn(SimdTarget kernel, const TageKeys &keys, std::size_t n,
                  " out of range");
     bpsim_assert(n < (std::size_t{1} << 30), "tage batch span ", n,
                  " overflows the per-call miss accumulator");
-#if defined(BPSIM_SIMD_X86) && defined(BPSIM_HAVE_AVX512)
+#if defined(BPSIM_HAVE_AVX512)
     if (kernel == SimdTarget::AVX512 &&
         simdTargetSupported(SimdTarget::AVX512)) {
         replayTageBatchAvx512(keys, n, batch);

@@ -6,31 +6,29 @@
  * configuration "lane", and every lane in a batch updates *disjoint*
  * state from the same per-branch decoded record -- so the per-branch
  * work is data-parallel across lanes.  This header exposes three such
- * kernels behind a dispatch target chosen once at runtime:
+ * kernels behind a dispatch target chosen once at runtime.  Each ships
+ * exactly two implementations: the scalar reference and an AVX-512
+ * kernel that steps 16 lanes per branch.
  *
  *   AliasBatch       the 2-bit family (Figures 2-10): fused
  *                    last-writer+counter slot words, misprediction,
- *                    conflicts and harmless conflicts per lane.  Two
- *                    implementations: the scalar reference and an
- *                    AVX-512 kernel that steps 16 lanes per branch with
- *                    one masked 32-bit gather and one masked scatter.
- *                    AVX2 runs the scalar kernel: without a hardware
- *                    scatter the per-lane read-modify-write is the
- *                    whole cost.
- *   PerceptronBatch  the hashed-perceptron zoo: int8 weight banks, one
- *                    kernel per target (Scalar, AVX2 at 8 lanes with
- *                    hardware gathers, AVX-512 at 16).
+ *                    conflicts and harmless conflicts per lane.  The
+ *                    AVX-512 kernel does one masked 32-bit gather and
+ *                    one masked scatter per branch.
+ *   PerceptronBatch  the hashed-perceptron zoo: int8 weight banks.  The
+ *                    AVX-512 kernel gathers each table's 16 weights at
+ *                    once and trains them with scalar byte stores.
  *   TageBatch        the TAGE zoo: one uint32 slot per tagged entry or
- *                    base counter.  Two implementations: the scalar
- *                    reference and an AVX-512 kernel that steps 16
- *                    lanes per branch with one masked gather per
- *                    table, the provider, altpred and victim choices
- *                    as mask arithmetic, and two masked scatters.  It
- *                    earns its place: TAGE is the costliest zoo
- *                    request, and from 5 live lanes the kernel beats
- *                    the scalar loop -- 6.0x at 16 (EXPERIMENTS "TAGE
- *                    kernel ledger").  AVX2 runs the scalar kernel, as
- *                    for the 2-bit family.
+ *                    base counter.  The AVX-512 kernel does one masked
+ *                    gather per table, the provider, altpred and victim
+ *                    choices as mask arithmetic, and two masked
+ *                    scatters.  It earns its place: TAGE is the
+ *                    costliest zoo request, and from 5 live lanes the
+ *                    kernel beats the scalar loop -- 6.0x at 16
+ *                    (EXPERIMENTS "TAGE kernel ledger").
+ *
+ * A host without AVX-512 (an AVX2 host included) runs the scalar
+ * kernel for every engine.
  *
  * Every vector kernel is bit-identical to its scalar reference
  * (tests/test_simd.cc, tests/differential/test_alias_batch.cc,
@@ -38,14 +36,12 @@
  *
  * Only the host and the batch occupancy choose a kernel.  Dispatch is
  * runtime CPUID -- no ISA flags are baked into any build, so one
- * binary runs everywhere and selects the widest kernel the host
- * supports -- and each batch then drops to the narrowest kernel that
- * pays for its live lanes (aliasBatchKernel, perceptronBatchKernel,
- * tageBatchKernel).
- * The AVX-512 kernels are compiled only when the toolchain
- * understands the avx512f target attribute (CMake probe ->
+ * binary runs everywhere -- and each under-occupied batch then drops
+ * to the scalar kernel (aliasBatchKernel, perceptronBatchKernel,
+ * tageBatchKernel).  The AVX-512 kernels are compiled only when the
+ * toolchain understands the avx512f target attribute (CMake probe ->
  * BPSIM_HAVE_AVX512); otherwise the target reports unsupported and
- * dispatch clamps to AVX2.  Tests and benches reach one kernel
+ * dispatch clamps to Scalar.  Tests and benches reach one kernel
  * directly through replayAliasBatchOn / replayPerceptronBatchOn /
  * replayTageBatchOn.
  */
@@ -64,23 +60,22 @@ enum class SimdTarget
 {
     Auto,   ///< pick the widest target the host supports
     Scalar, ///< reference loop, always available
-    AVX2,   ///< 8 lanes per vector, hardware gathers
     AVX512, ///< 16 lanes per vector, hardware gathers and scatters
 };
 
-/** @return "auto", "scalar", "avx2" or "avx512". */
+/** @return "auto", "scalar" or "avx512". */
 const char *simdTargetName(SimdTarget target);
 
 /** @return whether this host can execute @p target (Auto: true). */
 bool simdTargetSupported(SimdTarget target);
 
-/** Widest target the host supports (CPUID probe, cached). */
+/** AVX512 when the host supports it, else Scalar (CPUID, cached). */
 SimdTarget detectSimdTarget();
 
 /**
  * The target a kernel invocation may run: Auto is the host's own
- * (detectSimdTarget); an unsupported request clamps to the widest
- * supported narrower target, so the result is always executable.
+ * (detectSimdTarget); an unsupported request clamps to Scalar, so the
+ * result is always executable.
  * Never returns Auto.
  */
 SimdTarget resolveSimdTarget(SimdTarget requested = SimdTarget::Auto);
@@ -94,8 +89,8 @@ std::vector<SimdTarget> supportedSimdTargets();
  * int8 weight bank at weights[l]: all of its tables concatenated, the
  * weight for (table t, entry e) at byte (t << entryBits) + e.  Banks
  * must be pairwise disjoint and carry kGatherSlack writable padding
- * bytes past the last weight (the AVX2/AVX-512 kernels gather
- * a 4-byte window at each addressed weight; updates are written back
+ * bytes past the last weight (the AVX-512 kernel gathers a
+ * 4-byte window at each addressed weight; updates are written back
  * as single-byte stores, so the padding is only ever read).  The bank
  * is int8 because the model clamps weights to [kWeightMin, kWeightMax]
  * -- the same constants as PerceptronModel, pinned by a static_assert
@@ -109,8 +104,8 @@ struct PerceptronBatch
     static constexpr int kWeightMax = 63;
     /**
      * Padding bytes every bank carries past its last weight: the
-     * AVX2/AVX-512 kernels read a 4-byte window at each addressed
-     * weight, so the highest weight needs 3 readable bytes after it.
+     * AVX-512 kernel reads a 4-byte window at each addressed weight,
+     * so the highest weight needs 3 readable bytes after it.
      * The slack's value is never interpreted.
      */
     static constexpr std::size_t kGatherSlack = 3;
@@ -127,11 +122,10 @@ struct PerceptronBatch
 
 /**
  * The kernel replayPerceptronBatch runs for a @p lanes-wide batch
- * under the concrete @p target.  A vector kernel pays for its full
- * width however many lanes are live, so an under-occupied batch drops
- * to the next narrower kernel: AVX512 from 9 live lanes, AVX2 from 4,
- * Scalar below (the perceptronBatchReplay rows of
- * bench/micro_predictor_ops set both break-evens).
+ * under the concrete @p target: AVX512 (one 16-wide gather pair per
+ * table) once enough lanes are live to pay for the full-width
+ * gathers, Scalar otherwise (the perceptronBatchReplay rows of
+ * bench/micro_predictor_ops set the break-even).
  */
 SimdTarget perceptronBatchKernel(SimdTarget target, unsigned lanes);
 
@@ -148,8 +142,7 @@ SimdTarget perceptronBatchKernel(SimdTarget target, unsigned lanes);
  * weight by +/-1 clamped to [kWeightMin, kWeightMax] -- exactly
  * PerceptronModel::step.  All targets are bit-identical: identical
  * final weight banks, identical miss counts (integer sums are
- * order-free and every update is a single-byte store).  Batches wider
- * than a kernel's native width run in native-width chunks.  @p n must
+ * order-free and every update is a single-byte store).  @p n must
  * stay below 2^30 (per-call int32 miss accumulators); the sweep
  * engine's block tiles are 4 orders of magnitude smaller.  Tests and
  * benches call this to exercise a kernel at any occupancy; the sweep
@@ -226,9 +219,7 @@ struct AliasBatch
  * The kernel replayAliasBatch runs for a @p lanes-wide batch under the
  * concrete @p target: AVX512 (one masked 16-wide gather and scatter
  * per branch) once enough lanes are live to pay for the full-width
- * gather, Scalar otherwise.  AVX2 resolves to Scalar: it has no
- * scatter, and without one the fused entry's read-modify-write stays
- * scalar.
+ * gather, Scalar otherwise.
  */
 SimdTarget aliasBatchKernel(SimdTarget target, unsigned lanes);
 
@@ -310,7 +301,7 @@ struct TageKeys
  * and one masked scatter per written component) once enough lanes are
  * live to pay for the full-width gathers, Scalar otherwise (the
  * tageBatchReplay rows of bench/micro_predictor_ops set the
- * break-even).  AVX2 resolves to Scalar: it has no scatter.
+ * break-even).
  */
 SimdTarget tageBatchKernel(SimdTarget target, unsigned lanes);
 

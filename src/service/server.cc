@@ -10,6 +10,7 @@
 #include <memory>
 #include <thread>
 
+#include "common/simd.hh"
 #include "workload/profiles.hh"
 
 namespace bpsim::service {
@@ -327,12 +328,13 @@ SweepServer::handleStats(const Request &req)
                   JsonValue(static_cast<std::int64_t>(
                       server.queue.batch.coalescedRequests)));
 
-    // Cumulative kernel telemetry over every envelope replay the
-    // daemon has executed (cache hits contribute nothing).
+    // The host's dispatch target, then cumulative kernel telemetry
+    // over every envelope replay the daemon has executed (cache hits
+    // contribute nothing).
     const KernelTelemetry &kernel = server.queue.batch.kernel;
     JsonValue::Object kernelObj;
     kernelObj.emplace("target",
-                      JsonValue(simdTargetName(kernel.target)));
+                      JsonValue(simdTargetName(detectSimdTarget())));
     kernelObj.emplace("fused_groups",
                       JsonValue(static_cast<std::int64_t>(
                           kernel.fusedGroups)));

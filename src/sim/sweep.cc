@@ -5,6 +5,7 @@
 #include <chrono>
 
 #include "common/logging.hh"
+#include "common/simd.hh"
 #include "common/thread_pool.hh"
 
 namespace bpsim {
@@ -712,10 +713,6 @@ KernelTelemetry::modelLanesPerGroup() const
 void
 KernelTelemetry::merge(const KernelTelemetry &other)
 {
-    // Only a record that replayed something knows its dispatch target;
-    // an empty one (a cache-hit-only drain) must not reset it.
-    if (other.fusedGroups + other.modelGroups > 0)
-        target = other.target;
     fusedGroups += other.fusedGroups;
     lanes += other.lanes;
     laneBatches += other.laneBatches;
@@ -1052,7 +1049,6 @@ runFusedGroup(const FusedGroup &group,
         break;
       }
     }
-    counters.target = target;
     if (telemetry)
         telemetry->merge(counters);
 }
@@ -1090,11 +1086,10 @@ sweepScheme(const PreparedTrace &trace, SchemeKind kind,
             runFusedGroup(groups[g], jobs, cache, slots.data(),
                           &group_telemetry[g]);
         });
-    // Aggregate: every group resolved the same dispatch target, so
-    // merging in any order yields one coherent telemetry record.
+    // Aggregate: the counters are sums, so merging in any order yields
+    // one coherent telemetry record.
     for (const KernelTelemetry &group : group_telemetry)
         result.kernel.merge(group);
-    result.kernel.target = detectSimdTarget();
 
     // Merge in plan order: bit-identical to the serial sweep.
     for (std::size_t i = 0; i < jobs.size(); ++i) {

@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "common/error.hh"
-#include "common/simd.hh"
 #include "predictor/perceptron.hh"
 #include "predictor/tage.hh"
 #include "sim/prepared_trace.hh"
@@ -172,9 +171,6 @@ struct SweepOptions
  */
 struct KernelTelemetry
 {
-    /** The host's dispatch target (detectSimdTarget); each lane batch
-     *  runs it or, when under-occupied, a narrower kernel. */
-    SimdTarget target = SimdTarget::Scalar;
     /** 2-bit groups replayed by the 2-bit engine. */
     std::uint64_t fusedGroups = 0;
     /** Member configurations replayed by 2-bit groups. */
@@ -197,8 +193,8 @@ struct KernelTelemetry
     std::uint64_t modelLanes = 0;
     /**
      * Batched inner-kernel invocations by model groups: one per
-     * (block tile x perceptron lane batch) or (block tile x TAGE
-     * entry-bits class).
+     * (block tile x lane batch of at most 16 lanes), for TAGE and
+     * perceptron groups alike.
      */
     std::uint64_t modelBatches = 0;
     /** Summed per-group engine time (busy seconds across workers). */

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/random.hh"
+#include "common/simd.hh"
 #include "predictor/factory.hh"
 #include "sim/sweep.hh"
 #include "workload/synthetic.hh"

@@ -221,7 +221,6 @@ runOneGroup(const PreparedTrace &t, const Composition &c,
     KernelTelemetry tel;
     runFusedGroup(group, c.jobs, cache, slots.data(), &tel);
     EXPECT_EQ(tel.lanes, c.jobs.size());
-    EXPECT_EQ(tel.target, detectSimdTarget());
     return slots;
 }
 
@@ -404,13 +403,9 @@ runOneLane(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
 
 TEST(AliasBatchKernel, DispatchIsOccupancyAware)
 {
-    for (unsigned lanes = 1; lanes <= AliasBatch::kMaxLanes; ++lanes) {
+    for (unsigned lanes = 1; lanes <= AliasBatch::kMaxLanes; ++lanes)
         EXPECT_EQ(aliasBatchKernel(SimdTarget::Scalar, lanes),
                   SimdTarget::Scalar);
-        // No scatter below AVX-512: the fused slot update stays scalar.
-        EXPECT_EQ(aliasBatchKernel(SimdTarget::AVX2, lanes),
-                  SimdTarget::Scalar);
-    }
     if (!simdTargetSupported(SimdTarget::AVX512))
         GTEST_SKIP() << "host has no AVX-512 kernel";
     EXPECT_EQ(aliasBatchKernel(SimdTarget::AVX512, 1), SimdTarget::Scalar);
@@ -581,7 +576,6 @@ TEST(AliasBatchDifferential, WholeSweepsMatchOnlinePredictorPerTarget)
         SweepOptions threaded = opts;
         threaded.threads = 3;
         const SweepResult r = sweepScheme(prepared, kind, threaded);
-        EXPECT_EQ(r.kernel.target, detectSimdTarget());
         for (const auto &[a, b] :
              {std::pair{&base.misprediction, &r.misprediction},
               std::pair{&base.aliasing, &r.aliasing},

@@ -468,24 +468,17 @@ TEST(ModelBatchDifferential, BatchedReplayAgreesWithReferenceMirrors)
 TEST(PerceptronBatchKernel, DispatchIsOccupancyAware)
 {
     for (unsigned lanes = 1; lanes <= PerceptronBatch::kMaxLanes;
-         ++lanes) {
+         ++lanes)
         EXPECT_EQ(perceptronBatchKernel(SimdTarget::Scalar, lanes),
                   SimdTarget::Scalar);
-        // The 8-wide AVX2 kernel pays for itself from 4 live lanes.
-        EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX2, lanes),
-                  lanes >= 4 ? SimdTarget::AVX2 : SimdTarget::Scalar);
-    }
     if (!simdTargetSupported(SimdTarget::AVX512))
         GTEST_SKIP() << "host has no AVX-512 kernel";
+    // The perceptronBatchReplay ledger's break-even (EXPERIMENTS
+    // "Perceptron kernel ledger"): the 16-wide kernel pays for itself
+    // from 2 live lanes.
     EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX512, 1),
               SimdTarget::Scalar);
-    EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX512, 3),
-              SimdTarget::Scalar);
-    EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX512, 4),
-              SimdTarget::AVX2);
-    EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX512, 8),
-              SimdTarget::AVX2);
-    EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX512, 9),
+    EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX512, 2),
               SimdTarget::AVX512);
     EXPECT_EQ(perceptronBatchKernel(SimdTarget::AVX512, 16),
               SimdTarget::AVX512);
@@ -583,13 +576,9 @@ TEST(ModelBatchDifferential, PerceptronKernelTargetsMatchScalar)
 
 TEST(TageBatchKernel, DispatchIsOccupancyAware)
 {
-    for (unsigned lanes = 1; lanes <= TageBatch::kMaxLanes; ++lanes) {
+    for (unsigned lanes = 1; lanes <= TageBatch::kMaxLanes; ++lanes)
         EXPECT_EQ(tageBatchKernel(SimdTarget::Scalar, lanes),
                   SimdTarget::Scalar);
-        // No scatter, so AVX2 keeps the scalar kernel.
-        EXPECT_EQ(tageBatchKernel(SimdTarget::AVX2, lanes),
-                  SimdTarget::Scalar);
-    }
     if (!simdTargetSupported(SimdTarget::AVX512))
         GTEST_SKIP() << "host has no AVX-512 kernel";
     // The tageBatchReplay ledger's break-even (EXPERIMENTS "TAGE

