@@ -431,6 +431,78 @@ tageBatchReplay(benchmark::State &state, SimdTarget kernel)
                             static_cast<std::int64_t>(n) * state.range(0));
 }
 
+/**
+ * The zoo's key builder in isolation: the default perceptron shape (4
+ * tables) for a batch of state.range(0) live tier-12 lanes (history
+ * lengths 1..12 in turn, entry widths the rest of the tier), building
+ * the lane-major index tile of the first 2048 branches of the shared
+ * workload in the sweep engine's 64-branch tiles on exactly one
+ * builder (buildLaneKeysOn).  Items processed counts lane-keys rows
+ * (branches x live lanes), so across the 1/2/4/8/16-lane rows the
+ * avx512/scalar ratio is the occupancy break-even that
+ * laneKeysKernel's dispatch threshold comes from.
+ */
+void
+laneKeys(benchmark::State &state, SimdTarget kernel)
+{
+    if (!simdTargetSupported(kernel)) {
+        state.SkipWithError("dispatch target not supported on host");
+        return;
+    }
+    constexpr unsigned kLanes = LaneKeyPlan::kMaxLanes;
+    constexpr unsigned tables = 4;
+    constexpr unsigned totalBits = 12;
+    constexpr std::size_t n = 2048;
+    constexpr std::size_t kTile = 64;
+    const auto lanes = static_cast<unsigned>(state.range(0));
+    const auto history_bits = [](unsigned l) { return 1 + l % totalBits; };
+
+    LaneKeyPlan plan(tables);
+    for (unsigned l = 0; l < lanes; ++l) {
+        const unsigned h = history_bits(l);
+        const unsigned eb = totalBits - h;
+        plan.setRaw(l, eb, 0);
+        for (unsigned tb = 1; tb < tables; ++tb)
+            plan.setFold(tb, l, (tb - 1) * h / (tables - 1),
+                         tb * h / (tables - 1) - (tb - 1) * h / (tables - 1),
+                         eb, tb << eb);
+    }
+    static const std::vector<std::uint64_t> widx = [] {
+        const PreparedTrace &t = prepared();
+        std::vector<std::uint64_t> v(n);
+        for (std::size_t i = 0; i < n; ++i)
+            v[i] = wordIndex(t.pc(i));
+        return v;
+    }();
+    static const std::vector<std::uint64_t> gh = [] {
+        const PreparedTrace &t = prepared();
+        std::vector<std::uint64_t> v(n);
+        for (std::size_t i = 0; i < n; ++i)
+            v[i] = t.globalHistory(i);
+        return v;
+    }();
+    static const std::vector<std::uint32_t> pc_fold = [&] {
+        std::vector<std::uint32_t> v(n * kLanes);
+        for (std::size_t i = 0; i < n; ++i)
+            for (unsigned l = 0; l < kLanes; ++l)
+                v[i * kLanes + l] = static_cast<std::uint32_t>(
+                    xorFold(widx[i], totalBits - history_bits(l)));
+        return v;
+    }();
+
+    std::vector<std::uint32_t> keys(kTile * tables * kLanes);
+    for (auto _ : state) {
+        for (std::size_t off = 0; off < n; off += kTile)
+            buildLaneKeysOn(kernel, plan, widx.data() + off,
+                            gh.data() + off, pc_fold.data() + off * kLanes,
+                            kTile, keys.data());
+        benchmark::DoNotOptimize(keys.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(n) * state.range(0));
+}
+
 void
 traceGeneration(benchmark::State &state)
 {
@@ -482,5 +554,11 @@ BENCHMARK_CAPTURE(tageBatchReplay, scalar, SimdTarget::Scalar)
     ->ArgNames({"lanes"});
 BENCHMARK_CAPTURE(tageBatchReplay, avx512, SimdTarget::AVX512)
     ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8)->Arg(9)->Arg(16)
+    ->ArgNames({"lanes"});
+BENCHMARK_CAPTURE(laneKeys, scalar, SimdTarget::Scalar)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
+    ->ArgNames({"lanes"});
+BENCHMARK_CAPTURE(laneKeys, avx512, SimdTarget::AVX512)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->ArgNames({"lanes"});
 BENCHMARK(traceGeneration)->Arg(100'000);

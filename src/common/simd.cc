@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bitutil.hh"
 #include "common/logging.hh"
 
 #if defined(BPSIM_HAVE_AVX512)
@@ -106,6 +107,52 @@ replayPerceptronBatchScalar(const std::uint32_t *idx,
             }
         }
         batch.misses[l] += misses;
+    }
+}
+
+/**
+ * The reference key builder: one live lane at a time, each (table,
+ * lane) folding only its own steps (a finished lane's shift 64 would
+ * be undefined here), so its cost scales with the live lanes.  The
+ * AVX-512 builder is held to this loop bit for bit.
+ */
+void
+buildLaneKeysScalar(const LaneKeyPlan &plan, const std::uint64_t *widx,
+                    const std::uint64_t *gh, const std::uint32_t *pcFold,
+                    std::size_t n, std::uint32_t *keys)
+{
+    constexpr unsigned kLanes = LaneKeyPlan::kMaxLanes;
+    const auto tables = static_cast<unsigned>(plan.tables.size());
+    const std::size_t stride = std::size_t{tables} * kLanes;
+    const LaneKeyPlan::Table &raw = plan.tables[0];
+    for (unsigned l = 0; l < plan.lanes; ++l) {
+        const std::uint32_t entry_mask = raw.entryMask[l];
+        const std::uint32_t offset = raw.offset[l];
+        for (std::size_t i = 0; i < n; ++i)
+            keys[i * stride + l] =
+                (static_cast<std::uint32_t>(widx[i]) & entry_mask) + offset;
+    }
+    for (unsigned t = 1; t < tables; ++t) {
+        const LaneKeyPlan::Table &p = plan.tables[t];
+        for (unsigned l = 0; l < plan.lanes; ++l) {
+            unsigned steps = 0;
+            while (steps < plan.steps && p.shift[steps][l] < 64)
+                ++steps;
+            const std::uint64_t start = p.start[l];
+            const std::uint64_t seg_mask = p.segMask[l];
+            const std::uint32_t entry_mask = p.entryMask[l];
+            const std::uint32_t offset = p.offset[l];
+            std::uint32_t *out = keys + t * kLanes + l;
+            for (std::size_t i = 0; i < n; ++i) {
+                std::uint64_t v = (gh[i] >> start) & seg_mask;
+                for (unsigned s = 0; s < steps; ++s)
+                    v = (v & p.low[s][l]) ^ (v >> p.shift[s][l]);
+                out[i * stride] = ((static_cast<std::uint32_t>(v) ^
+                                    pcFold[i * kLanes + l]) &
+                                   entry_mask) +
+                                  offset;
+            }
+        }
     }
 }
 
@@ -631,6 +678,114 @@ replayTageBatchAvx512(const TageKeys &keys, std::size_t n,
     }
 }
 
+/**
+ * The 16-lane key builder: table 0 of every branch, the raw word index
+ * masked and offset per lane in one row.
+ */
+__attribute__((target("avx512f"))) void
+rawKeysAvx512(const LaneKeyPlan &plan, const std::uint64_t *widx,
+              std::size_t n, std::uint32_t *keys)
+{
+    const std::size_t stride =
+        plan.tables.size() * std::size_t{LaneKeyPlan::kMaxLanes};
+    const LaneKeyPlan::Table &raw = plan.tables[0];
+    const __m512i entry_mask = _mm512_loadu_si512(raw.entryMask);
+    const __m512i offset = _mm512_loadu_si512(raw.offset);
+    for (std::size_t i = 0; i < n; ++i)
+        _mm512_storeu_si512(
+            keys + i * stride,
+            _mm512_add_epi32(
+                _mm512_and_si512(
+                    _mm512_set1_epi32(static_cast<int>(widx[i])),
+                    entry_mask),
+                offset));
+}
+
+/** The 16 uint64 lanes at @p v narrowed to one vector of uint32. */
+__attribute__((target("avx512f"))) inline __m512i
+narrowLanes(const std::uint64_t *v)
+{
+    constexpr __mmask8 all = 0xFF;
+    return _mm512_maskz_inserti64x4(
+        all,
+        _mm512_castsi256_si512(
+            _mm512_maskz_cvtepi64_epi32(all, _mm512_loadu_si512(v))),
+        _mm512_maskz_cvtepi64_epi32(all, _mm512_loadu_si512(v + 8)), 1);
+}
+
+/**
+ * The 16-lane key builder: the folded tables for @p S fold steps
+ * (unrolled, so a table's plan vectors stay in registers across the
+ * branches) of a plan whose every segment lies in history bits 0..31
+ * (LaneKeyPlan::fits32), so the whole fold runs on one vector of
+ * 32-bit lanes.  The plan narrows losslessly: its segments, masks and
+ * live shifts fit 32 bits, and a finished lane's shift 64 still
+ * shifts a 32-bit lane to 0.  Per branch and table: the broadcast
+ * history shifted and masked per lane, S tree-fold steps, the lanes'
+ * pc folds XORed on, masked, offset, and one 64-byte row stored.
+ * Dead lanes have zero plans, so they store key 0.
+ */
+template <unsigned S>
+__attribute__((target("avx512f"))) void
+foldKeysAvx512(const LaneKeyPlan &plan, const std::uint64_t *gh,
+               const std::uint32_t *pcFold, std::size_t n,
+               std::uint32_t *keys)
+{
+    constexpr unsigned kLanes = LaneKeyPlan::kMaxLanes;
+    constexpr __mmask16 all = 0xFFFF;
+    const auto tables = static_cast<unsigned>(plan.tables.size());
+    const std::size_t stride = std::size_t{tables} * kLanes;
+    for (unsigned t = 1; t < tables; ++t) {
+        const LaneKeyPlan::Table &p = plan.tables[t];
+        const __m512i start = narrowLanes(p.start);
+        const __m512i seg = narrowLanes(p.segMask);
+        __m512i low[S + 1], shift[S + 1];
+#pragma GCC unroll 6
+        for (unsigned s = 0; s < S; ++s) {
+            low[s] = narrowLanes(p.low[s]);
+            shift[s] = narrowLanes(p.shift[s]);
+        }
+        const __m512i entry_mask = _mm512_loadu_si512(p.entryMask);
+        const __m512i offset = _mm512_loadu_si512(p.offset);
+        std::uint32_t *out = keys + t * kLanes;
+        for (std::size_t i = 0; i < n; ++i) {
+            __m512i v = _mm512_and_si512(
+                _mm512_maskz_srlv_epi32(
+                    all, _mm512_set1_epi32(static_cast<int>(gh[i])), start),
+                seg);
+#pragma GCC unroll 6
+            for (unsigned s = 0; s < S; ++s)
+                v = _mm512_xor_si512(
+                    _mm512_and_si512(v, low[s]),
+                    _mm512_maskz_srlv_epi32(all, v, shift[s]));
+            _mm512_storeu_si512(
+                out + i * stride,
+                _mm512_add_epi32(
+                    _mm512_and_si512(
+                        _mm512_xor_si512(
+                            v, _mm512_loadu_si512(pcFold + i * kLanes)),
+                        entry_mask),
+                    offset));
+        }
+    }
+}
+
+void
+buildLaneKeysAvx512(const LaneKeyPlan &plan, const std::uint64_t *widx,
+                    const std::uint64_t *gh, const std::uint32_t *pcFold,
+                    std::size_t n, std::uint32_t *keys)
+{
+    using FoldKeys = void (*)(const LaneKeyPlan &, const std::uint64_t *,
+                              const std::uint32_t *, std::size_t,
+                              std::uint32_t *);
+    static constexpr FoldKeys kFold[LaneKeyPlan::kMaxSteps + 1] = {
+        foldKeysAvx512<0>, foldKeysAvx512<1>, foldKeysAvx512<2>,
+        foldKeysAvx512<3>, foldKeysAvx512<4>, foldKeysAvx512<5>,
+        foldKeysAvx512<6>};
+    rawKeysAvx512(plan, widx, n, keys);
+    kFold[plan.steps](plan, gh, pcFold, n, keys);
+}
+
 #endif // BPSIM_HAVE_AVX512
 
 } // namespace
@@ -693,6 +848,104 @@ supportedSimdTargets()
     if (simdTargetSupported(SimdTarget::AVX512))
         targets.push_back(SimdTarget::AVX512);
     return targets;
+}
+
+LaneKeyPlan::LaneKeyPlan(unsigned tables) : tables(tables)
+{
+    bpsim_assert(tables >= 1 && tables <= kMaxTables, "lane key plan of ",
+                 tables, " tables");
+}
+
+void
+LaneKeyPlan::setRaw(unsigned lane, unsigned entryBits, std::uint32_t offset)
+{
+    bpsim_assert(lane < kMaxLanes, "lane key plan lane ", lane);
+    tables[0].entryMask[lane] = static_cast<std::uint32_t>(mask(entryBits));
+    tables[0].offset[lane] = offset;
+    lanes = std::max(lanes, lane + 1);
+}
+
+void
+LaneKeyPlan::setFold(unsigned table, unsigned lane, unsigned start,
+                     unsigned bits, unsigned entryBits, std::uint32_t offset)
+{
+    bpsim_assert(table >= 1 && table < tables.size() && lane < kMaxLanes &&
+                     start + bits <= 64 &&
+                     (table == 1 || pcBits[lane] == entryBits),
+                 "lane key plan fold (", table, ", ", lane, ", ", start,
+                 ", ", bits, ", ", entryBits, ")");
+    pcBits[lane] = entryBits;
+    Table &p = tables[table];
+    p.start[lane] = bits == 0 ? 0 : start; // keep shifts below 64
+    p.segMask[lane] = mask(bits);
+    p.entryMask[lane] = static_cast<std::uint32_t>(mask(entryBits));
+    p.offset[lane] = offset;
+    // Halve the chunk count per step until one chunk is left (an
+    // entry width of 0 masks the key to 0 whatever the fold).
+    unsigned chunks = entryBits == 0 ? 1 : (bits + entryBits - 1) / entryBits;
+    unsigned s = 0;
+    for (; chunks > 1; ++s) {
+        chunks = (chunks + 1) / 2;
+        const unsigned shift = chunks * entryBits;
+        p.low[s][lane] = mask(shift);
+        p.shift[s][lane] = shift;
+    }
+    steps = std::max(steps, s);
+    fits32 = fits32 && p.start[lane] + bits <= 32;
+    for (; s < kMaxSteps; ++s) {
+        p.low[s][lane] = ~std::uint64_t{0};
+        p.shift[s][lane] = 64;
+    }
+}
+
+SimdTarget
+laneKeysKernel(SimdTarget target, const LaneKeyPlan &plan)
+{
+    bpsim_assert(target != SimdTarget::Auto,
+                 "laneKeysKernel needs a resolved target");
+    // Occupancy break-even from the laneKeys rows of
+    // bench/micro_predictor_ops: the AVX-512 builder costs the same
+    // per branch however many lanes are live, the scalar one scales
+    // with them, and the AVX-512 one wins from kLaneKeysAvx512MinLanes.
+    constexpr unsigned kLaneKeysAvx512MinLanes = 2;
+#if defined(BPSIM_HAVE_AVX512)
+    if (target == SimdTarget::AVX512 && plan.fits32 &&
+        plan.lanes >= kLaneKeysAvx512MinLanes)
+        return SimdTarget::AVX512;
+#else
+    (void)plan;
+#endif
+    return SimdTarget::Scalar;
+}
+
+void
+buildLaneKeysOn(SimdTarget kernel, const LaneKeyPlan &plan,
+                const std::uint64_t *widx, const std::uint64_t *gh,
+                const std::uint32_t *pcFold, std::size_t n,
+                std::uint32_t *keys)
+{
+    bpsim_assert(plan.lanes >= 1 && plan.lanes <= LaneKeyPlan::kMaxLanes,
+                 "lane key plan width ", plan.lanes, " out of range");
+#if defined(BPSIM_HAVE_AVX512)
+    if (kernel == SimdTarget::AVX512 && plan.fits32 &&
+        simdTargetSupported(SimdTarget::AVX512)) {
+        buildLaneKeysAvx512(plan, widx, gh, pcFold, n, keys);
+        return;
+    }
+#else
+    (void)kernel;
+#endif
+    buildLaneKeysScalar(plan, widx, gh, pcFold, n, keys);
+}
+
+void
+buildLaneKeys(SimdTarget target, const LaneKeyPlan &plan,
+              const std::uint64_t *widx, const std::uint64_t *gh,
+              const std::uint32_t *pcFold, std::size_t n,
+              std::uint32_t *keys)
+{
+    buildLaneKeysOn(laneKeysKernel(target, plan), plan, widx, gh, pcFold,
+                    n, keys);
 }
 
 SimdTarget
@@ -761,6 +1014,9 @@ aliasBatchKernel(SimdTarget target, unsigned lanes)
     // bench/micro_predictor_ops: the 16-wide gather/scatter costs the
     // same per branch however many lanes are live, and it overtakes
     // the scalar lane-major loop at kAliasAvx512MinLanes live lanes.
+    // The ledger also reads AVX-512 ahead at 2 lanes, but no end-to-end
+    // PAs(bht) sweep or paper_cold run shows it (EXPERIMENTS "2-bit
+    // lane batches: the kernel"), so the threshold stays at 3.
     constexpr unsigned kAliasAvx512MinLanes = 3;
 #if defined(BPSIM_HAVE_AVX512)
     if (target == SimdTarget::AVX512 && lanes >= kAliasAvx512MinLanes)

@@ -27,6 +27,12 @@
  *                    kernel beats the scalar loop -- 6.0x at 16
  *                    (EXPERIMENTS "TAGE kernel ledger").
  *
+ * Both zoo kernels take their keys pre-hashed in a lane-major tile, one
+ * 16-lane row per (branch, table).  One builder pair makes both tiles
+ * from a LaneKeyPlan per batch: buildLaneKeys folds each lane's
+ * history segment and pc into its table key, the AVX-512 builder one
+ * row per vector chain (EXPERIMENTS "Zoo key-builder ledger").
+ *
  * A host without AVX-512 (an AVX2 host included) runs the scalar
  * kernel for every engine.
  *
@@ -38,12 +44,12 @@
  * runtime CPUID -- no ISA flags are baked into any build, so one
  * binary runs everywhere -- and each under-occupied batch then drops
  * to the scalar kernel (aliasBatchKernel, perceptronBatchKernel,
- * tageBatchKernel).  The AVX-512 kernels are compiled only when the
- * toolchain understands the avx512f target attribute (CMake probe ->
- * BPSIM_HAVE_AVX512); otherwise the target reports unsupported and
- * dispatch clamps to Scalar.  Tests and benches reach one kernel
- * directly through replayAliasBatchOn / replayPerceptronBatchOn /
- * replayTageBatchOn.
+ * tageBatchKernel, laneKeysKernel).  The AVX-512 kernels are compiled
+ * only when the toolchain understands the avx512f target attribute
+ * (CMake probe -> BPSIM_HAVE_AVX512); otherwise the target reports
+ * unsupported and dispatch clamps to Scalar.  Tests and benches reach
+ * one kernel directly through replayAliasBatchOn /
+ * replayPerceptronBatchOn / replayTageBatchOn / buildLaneKeysOn.
  */
 
 #ifndef BPSIM_COMMON_SIMD_HH
@@ -121,6 +127,116 @@ struct PerceptronBatch
 };
 
 /**
+ * The per-batch fold plan of the zoo's lane-major key builders
+ * (buildLaneKeys): for each (table, lane) of one lane batch, how to
+ * turn a branch's pc word index and global history into that lane's
+ * table key.  Table 0 is the raw word index, masked and offset
+ * (perceptron's bias table, TAGE's base table):
+ *   key = (widx & entryMask) + offset.
+ * Every other table folds a history segment (the bits [start, start +
+ * bits) of the history) down to entryBits and XORs the lane's folded
+ * pc onto it (perceptron's history tables, TAGE's tagged components):
+ *   key = ((xorFold(segment, entryBits) ^ pcFold) & entryMask) + offset.
+ * The fold runs as up to kMaxSteps tree steps v = (v & low) ^ (v >>
+ * shift), one per halving of the chunk count -- xorFold is linear and
+ * chunk-aligned, so XORing the high chunks onto the low ones at a
+ * chunk boundary keeps it.  Lanes differ in their step counts; a lane
+ * whose fold has finished takes low = ~0 and shift 64 (vpsrlvq turns
+ * that into 0).  Dead lanes keep all-zero entries and so key 0.
+ */
+struct LaneKeyPlan
+{
+    static constexpr unsigned kMaxLanes = 16;
+    /** Tables per lane: perceptron's 16, TAGE's base + 8 components. */
+    static constexpr unsigned kMaxTables = 16;
+    /** Tree-fold steps of a 64-bit segment at entryBits 1. */
+    static constexpr unsigned kMaxSteps = 6;
+    /** One table's plan, per lane. */
+    struct Table
+    {
+        std::uint64_t start[kMaxLanes] = {};
+        std::uint64_t segMask[kMaxLanes] = {};
+        std::uint64_t low[kMaxSteps][kMaxLanes] = {};
+        std::uint64_t shift[kMaxSteps][kMaxLanes] = {};
+        std::uint32_t entryMask[kMaxLanes] = {};
+        std::uint32_t offset[kMaxLanes] = {};
+    };
+
+    /** A plan of @p tables tables (1..kMaxTables) and no live lane. */
+    explicit LaneKeyPlan(unsigned tables);
+
+    /** Live lanes: every lane up to the highest one setRaw was given. */
+    unsigned lanes = 0;
+    /** Fold steps of the batch's deepest (table, lane). */
+    unsigned steps = 0;
+    /**
+     * Every segment lies in history bits 0..31.  Only such plans run
+     * the AVX-512 builder (on 32-bit lanes); a wider plan (a history
+     * of more than 32 bits) runs the scalar one.
+     */
+    bool fits32 = true;
+    /**
+     * The entry width of each lane's folded tables: the width its
+     * pcFold entries are folded to (every folded table of a lane
+     * shares one).
+     */
+    unsigned pcBits[kMaxLanes] = {};
+    /** Table 0 is raw; tables[t] for t >= 1 fold a segment. */
+    std::vector<Table> tables;
+
+    /**
+     * Table 0 of @p lane: widx masked to @p entryBits, plus @p offset.
+     * Makes lanes 0..@p lane live.
+     */
+    void setRaw(unsigned lane, unsigned entryBits, std::uint32_t offset);
+    /**
+     * Table @p table (>= 1) of @p lane: history bits [start, start +
+     * bits) folded to @p entryBits, XORed with the lane's pc fold,
+     * masked, plus @p offset.  @p start + @p bits <= 64.
+     */
+    void setFold(unsigned table, unsigned lane, unsigned start,
+                 unsigned bits, unsigned entryBits, std::uint32_t offset);
+};
+
+/**
+ * The builder buildLaneKeys runs for @p plan under the concrete
+ * @p target: AVX512 (one 16-lane row per branch and table, whatever
+ * the occupancy) for a fits32 plan once enough lanes are live to pay
+ * for it, Scalar (one key per live lane) otherwise (the laneKeys rows
+ * of bench/micro_predictor_ops set the break-even).
+ */
+SimdTarget laneKeysKernel(SimdTarget target, const LaneKeyPlan &plan);
+
+/**
+ * Build the lane-major key tile of @p n branches on exactly the
+ * @p kernel builder (an unsupported kernel, or AVX512 for a plan that
+ * is not fits32, runs Scalar): with T =
+ * plan.tables.size(),
+ *   keys[(i * T + t) * kMaxLanes + l]   lane l's key for table t
+ * from widx[i] (the pc word index), gh[i] (the global history) and
+ * pcFold[i * kMaxLanes + l] (xorFold(widx[i], plan.pcBits[l])).
+ * This is the `idx` tile replayPerceptronBatch takes and the
+ * TageKeys::slot tile replayTageBatch takes.  Both builders write
+ * every live lane's keys, bit-identical; the AVX-512 builder writes
+ * dead lanes' keys too (0), the scalar one leaves them alone (no
+ * kernel reads them).  Tests and benches call this to exercise a
+ * builder at any occupancy; the sweep engine calls buildLaneKeys.
+ */
+void buildLaneKeysOn(SimdTarget kernel, const LaneKeyPlan &plan,
+                     const std::uint64_t *widx, const std::uint64_t *gh,
+                     const std::uint32_t *pcFold, std::size_t n,
+                     std::uint32_t *keys);
+
+/**
+ * Occupancy-aware build: runs laneKeysKernel(target, plan).
+ * @p target must be concrete (resolveSimdTarget).
+ */
+void buildLaneKeys(SimdTarget target, const LaneKeyPlan &plan,
+                   const std::uint64_t *widx, const std::uint64_t *gh,
+                   const std::uint32_t *pcFold, std::size_t n,
+                   std::uint32_t *keys);
+
+/**
  * The kernel replayPerceptronBatch runs for a @p lanes-wide batch
  * under the concrete @p target: AVX512 (one 16-wide gather pair per
  * table) once enough lanes are live to pay for the full-width
@@ -135,7 +251,9 @@ SimdTarget perceptronBatchKernel(SimdTarget target, unsigned lanes);
  * idx[(i * batch.tables + t) * PerceptronBatch::kMaxLanes + l] holds
  * lane l's PRE-OFFSET weight index for branch i and table t -- i.e.
  * (t << entryBits_l) + tableIndex -- so the kernel needs no per-lane
- * geometry: the weight read is weights[l][idx...].  taken[i] is the
+ * geometry: the weight read is weights[l][idx...].  The sweep engine
+ * builds this tile lane-major with buildLaneKeys, one 16-lane row per
+ * (branch, table), from a LaneKeyPlan per batch.  taken[i] is the
  * branch outcome (0/1).  Per branch each lane sums its tables' signed
  * weights, predicts sum >= 0, counts a mispredict into batch.misses,
  * and on a mispredict or |sum| <= theta[l] trains every addressed
@@ -287,6 +405,8 @@ struct TageBatch
  *                                            depend on tagBits and the
  *                                            histories only);
  *   taken[i]                                 the outcome (0/1).
+ * The sweep engine builds the slot tile with buildLaneKeys (table 0
+ * the base, table c + 1 component c).
  */
 struct TageKeys
 {

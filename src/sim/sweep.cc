@@ -230,12 +230,17 @@ class AliasLanes
  * replay").  The multi-table zoo has no 2-bit-counter form, but it
  * shares the 2-bit engine's two amortisable costs: the per-branch
  * decode (pc word index, global history, outcome) is identical for
- * every member, and the xorFold hash chains depend only on shared
- * geometry -- every member of a sweep shares tagBits/histories (TAGE)
- * or the table count (perceptron), and members sharing an entry width
- * share their index folds exactly.  So the pass block-tiles the trace
- * in the same 2048-branch tiles, decodes each block once, materialises
- * the hash keys once per (block, shared-geometry class), and then:
+ * every member, and the xorFold hash chains are the same for every
+ * member up to its geometry -- every member of a sweep shares
+ * tagBits/histories (TAGE) or the table count (perceptron), so TAGE's
+ * tags are shared outright, and a member's table keys differ from its
+ * neighbours' only in segment bounds, entry width and table offsets.
+ * So the pass block-tiles the trace in the same 2048-branch tiles,
+ * decodes each block once, and per 64-branch tile and lane batch folds
+ * the pc word index once per entry width, then builds the batch's key
+ * tile lane-major -- one 16-lane row per (branch, table) -- with the
+ * dispatched key builder (common/simd.hh buildLaneKeys) from a
+ * LaneKeyPlan made once per batch.  Then:
  *
  *  - TAGE lanes pack each entry into one uint32 arena slot and replay
  *    TageBatch::kMaxLanes at a time through the runtime-dispatched
@@ -274,8 +279,10 @@ class ModelLanes
         }
         // Keep entry-width classes contiguous (TAGE components and
         // perceptron tables are 2^entryBits entries: rowBits for TAGE,
-        // colBits for perceptron) so each block materialises as few
-        // index folds as possible.  Stable, execution placement only.
+        // colBits for perceptron): lanes of one width share their pc
+        // fold per tile, and a batch of similar widths takes similar
+        // fold depths, so its key plan's step count (its deepest
+        // lane's) stays low.  Stable, execution placement only.
         const bool is_tage = isTage_;
         std::stable_sort(specs_.begin(), specs_.end(),
                          [is_tage](const Spec &a, const Spec &b) {
@@ -348,6 +355,37 @@ class ModelLanes
         }
     }
 
+    /**
+     * The key tile of branches [off, off + m) of @p block for one lane
+     * batch: the pc word index folded once per run of equal entry
+     * widths (lanes are sorted by width) and laid out lane-major in
+     * @p pc_fold, then every (branch, table) row built by the
+     * dispatched key builder into @p keys.
+     */
+    void
+    keyTile(const LaneKeyPlan &keys, const Block &block, std::size_t off,
+            std::size_t m, std::uint32_t *pc_fold,
+            std::uint32_t *out) const
+    {
+        constexpr unsigned kLanes = LaneKeyPlan::kMaxLanes;
+        const std::uint64_t *widx = block.widx.data() + off;
+        std::uint64_t any = 0;
+        for (std::size_t i = 0; i < m; ++i)
+            any |= widx[i];
+        std::uint32_t wfold[kTile] = {};
+        for (unsigned l = 0; l < keys.lanes; ++l) {
+            const unsigned eb = keys.pcBits[l];
+            // Entry width 0 masks every key to its offset: no fold.
+            if (eb != 0 && (l == 0 || eb != keys.pcBits[l - 1]))
+                foldColumn(widx, ~std::uint64_t{0}, std::bit_width(any), eb,
+                           m, wfold);
+            for (std::size_t i = 0; i < m; ++i)
+                pc_fold[i * kLanes + l] = wfold[i];
+        }
+        buildLaneKeys(target_, keys, widx, block.gh.data() + off, pc_fold,
+                      m, out);
+    }
+
     void
     runTage(std::size_t n, Block &block, LaneCounts *counts,
             KernelTelemetry &tel) const
@@ -365,19 +403,13 @@ class ModelLanes
         // kLanePad says why; here it also staggers a lane's own
         // components).  A batch closes at kMaxLanes lanes, or early
         // when its arena would outgrow the kernels' signed 32-bit slot
-        // numbers.  Unused lanes keep zero offsets and masks.  Lanes
-        // are sorted by entry width, so a batch's lanes form runs of
-        // equal width, each run sharing one set of index folds.
+        // numbers.  Each batch's key plan maps a lane's table 0 to its
+        // base slots and table c + 1 to component c's.
         struct Plan
         {
-            std::size_t firstLane = 0;
-            std::size_t slots = 0;
-            std::uint32_t baseAt[kLanes] = {};
-            std::uint32_t baseMask[kLanes] = {};
-            std::uint32_t compAt[TageBatch::kMaxComponents][kLanes] = {};
-            unsigned runs = 0;
-            unsigned runWidth[kLanes] = {};
-            unsigned run[kLanes] = {};
+            std::size_t firstLane;
+            std::size_t slots;
+            LaneKeyPlan keys;
         };
         constexpr std::size_t kMaxSlots = (std::size_t{1} << 31) - 1;
         const std::size_t lane_count = specs_.size();
@@ -397,46 +429,40 @@ class ModelLanes
                 plans.back().slots + lane_slots > kMaxSlots) {
                 batches.emplace_back();
                 batches.back().components = ncomp;
-                plans.emplace_back();
-                plans.back().firstLane = j;
+                plans.push_back(Plan{j, 0, LaneKeyPlan(ncomp + 1)});
             }
             Plan &plan = plans.back();
             const unsigned l = batches.back().lanes++;
-            plan.baseAt[l] = static_cast<std::uint32_t>(plan.slots);
-            plan.baseMask[l] =
-                static_cast<std::uint32_t>(mask(spec.colBits));
+            plan.keys.setRaw(l, spec.colBits,
+                             static_cast<std::uint32_t>(plan.slots));
             for (unsigned c = 0; c < ncomp; ++c)
-                plan.compAt[c][l] = static_cast<std::uint32_t>(
-                    plan.slots + base_slots +
-                    c * tableSlots(spec.rowBits));
-            if (plan.runs == 0 ||
-                plan.runWidth[plan.runs - 1] != spec.rowBits)
-                plan.runWidth[plan.runs++] = spec.rowBits;
-            plan.run[l] = plan.runs - 1;
+                plan.keys.setFold(
+                    c + 1, l, 0, opts_.tageHistories[c], spec.rowBits,
+                    static_cast<std::uint32_t>(
+                        plan.slots + base_slots +
+                        c * tableSlots(spec.rowBits)));
             plan.slots += lane_slots;
         }
         // Private arenas, one per lane batch: every group starts cold.
         std::vector<std::vector<std::uint32_t>> arenas(batches.size());
         for (std::size_t b = 0; b < batches.size(); ++b) {
-            const Plan &plan = plans[b];
-            arenas[b].assign(plan.slots, TageBatch::kFreshEntry);
+            const LaneKeyPlan &keys = plans[b].keys;
+            arenas[b].assign(plans[b].slots, TageBatch::kFreshEntry);
             for (unsigned l = 0; l < batches[b].lanes; ++l)
-                std::fill(arenas[b].begin() + plan.baseAt[l],
-                          arenas[b].begin() + plan.compAt[0][l],
+                std::fill(arenas[b].begin() + keys.tables[0].offset[l],
+                          arenas[b].begin() + keys.tables[1].offset[l],
                           TageBatch::kFreshBase);
             batches[b].entries = arenas[b].data();
         }
 
         // Tags depend only on (tagBits, histories), so they are
-        // group-wide: one branch-major tile per block.  Entry indices
-        // additionally depend on entryBits: each lane-batch sub-tile
-        // folds them once per run, then writes the lane-major key
-        // tile the kernel gathers through one 16-lane row at a time.
-        const std::size_t row_keys = std::size_t{ncomp + 1} * kLanes;
-        const std::size_t run_folds = std::size_t{ncomp} * kTile;
+        // group-wide: one branch-major tile per block.  Slots depend on
+        // each lane's geometry: every lane-batch sub-tile builds its
+        // lane-major slot tile, which the kernel gathers through one
+        // 16-lane row at a time.
         std::vector<std::uint16_t> tags(kBlockSize * ncomp);
-        std::vector<std::uint32_t> slots(kTile * row_keys);
-        std::vector<std::uint32_t> folds(kLanes * run_folds);
+        std::vector<std::uint32_t> slots(kTile * (ncomp + 1) * kLanes);
+        std::vector<std::uint32_t> pc_fold(kTile * kLanes);
         std::uint64_t hmask[TageBatch::kMaxComponents];
         for (unsigned c = 0; c < ncomp; ++c)
             hmask[c] = mask(opts_.tageHistories[c]);
@@ -456,32 +482,11 @@ class ModelLanes
                 }
             }
             for (std::size_t b = 0; b < batches.size(); ++b) {
-                // A local copy: the key stores below cannot alias it.
-                const Plan plan = plans[b];
-                const unsigned live = batches[b].lanes;
-                const std::uint32_t *fold[kLanes];
-                for (unsigned l = 0; l < live; ++l)
-                    fold[l] = folds.data() + plan.run[l] * run_folds;
                 ++tel.modelBatches;
                 for (std::size_t off = 0; off < m; off += kTile) {
                     const std::size_t mt = std::min(kTile, m - off);
-                    for (unsigned r = 0; r < plan.runs; ++r)
-                        foldIndices(widx.data() + off, gh.data() + off, mt,
-                                    hmask, ncomp, plan.runWidth[r],
-                                    folds.data() + r * run_folds);
-                    for (std::size_t i = 0; i < mt; ++i) {
-                        std::uint32_t *row = slots.data() + i * row_keys;
-                        const auto w =
-                            static_cast<std::uint32_t>(widx[off + i]);
-                        for (unsigned l = 0; l < kLanes; ++l)
-                            row[l] = plan.baseAt[l] + (w & plan.baseMask[l]);
-                        for (unsigned c = 0; c < ncomp; ++c) {
-                            std::uint32_t *out = row + (c + 1) * kLanes;
-                            for (unsigned l = 0; l < live; ++l)
-                                out[l] = plan.compAt[c][l] +
-                                         fold[l][c * kTile + i];
-                        }
-                    }
+                    keyTile(plans[b].keys, block, off, mt, pc_fold.data(),
+                            slots.data());
                     replayTageBatch(
                         target_,
                         TageKeys{slots.data(), tags.data() + off * ncomp,
@@ -498,40 +503,15 @@ class ModelLanes
     }
 
     /**
-     * Component c's entry index at entry width @p eb for each of
-     * @p m <= kTile branches: out[c * kTile + i].
-     * TageModel::taggedIndex's hash.
-     */
-    static void
-    foldIndices(const std::uint64_t *widx, const std::uint64_t *gh,
-                std::size_t m, const std::uint64_t *hmask,
-                unsigned ncomp, unsigned eb, std::uint32_t *out)
-    {
-        std::uint64_t any = 0;
-        for (std::size_t i = 0; i < m; ++i)
-            any |= widx[i];
-        std::uint32_t wfold[kTile];
-        foldColumn(widx, ~std::uint64_t{0}, std::bit_width(any), eb, m,
-                   wfold);
-        for (unsigned c = 0; c < ncomp; ++c) {
-            std::uint32_t *folded = out + c * kTile;
-            foldColumn(gh, hmask[c], std::bit_width(hmask[c]), eb, m,
-                       folded);
-            for (std::size_t i = 0; i < m; ++i)
-                folded[i] ^= wfold[i];
-        }
-    }
-
-    /**
      * out[i] = xorFold(v[i] & vmask, eb) for @p m <= kTile values
-     * below 2^bits.  The fold is linear and chunk-aligned, so XORing
-     * the high chunks onto the low ones at a chunk boundary keeps it:
-     * halving the chunk count each step reaches one chunk in
+     * below 2^bits, @p eb >= 1.  The fold is linear and chunk-aligned,
+     * so XORing the high chunks onto the low ones at a chunk boundary
+     * keeps it: halving the chunk count each step reaches one chunk in
      * ceil(log2(ceil(bits / eb))) steps, where xorFold's own loop
      * takes a step per chunk and a mispredicted exit per value.  Every
      * value takes the same steps, so each runs branch-free across the
      * tile and vectorises -- on 32-bit words once the value fits them
-     * (histories up to 32 bits and pc word indices fit from the start).
+     * (pc word indices up to 32 bits fit from the start).
      */
     static void
     foldColumn(const std::uint64_t *v, std::uint64_t vmask,
@@ -568,110 +548,73 @@ class ModelLanes
     runPerceptron(std::size_t n, Block &block, LaneCounts *counts,
                   KernelTelemetry &tel) const
     {
-        const std::vector<std::uint64_t> &widx = block.widx;
-        const std::vector<std::uint64_t> &gh = block.gh;
+        constexpr unsigned kLanes = PerceptronBatch::kMaxLanes;
         const unsigned tables = opts_.perceptronTables;
-        struct PerceptronLane
-        {
-            std::vector<std::int8_t> bank;
-            std::int32_t theta;
-            unsigned entryBits;
-        };
+        const unsigned nseg = tables - 1;
         const std::size_t lane_count = specs_.size();
-        std::vector<PerceptronLane> lanes;
-        lanes.reserve(lane_count);
-        for (const Spec &spec : specs_) {
+        // Lane batches of kMaxLanes in execution order, each with its
+        // SoA banks and its key plan: a lane's table 0 is the bias
+        // table, table tb >= 1 hashes the history bits [(tb - 1) * h /
+        // nseg, tb * h / nseg) (PerceptronModel::tableIndex), and table
+        // tb's weights start at tb << entryBits in the lane's bank.
+        std::vector<std::vector<std::int8_t>> banks(lane_count);
+        std::vector<PerceptronBatch> batches;
+        std::vector<LaneKeyPlan> plans;
+        for (std::size_t j = 0; j < lane_count; ++j) {
+            const Spec &spec = specs_[j];
             // Validate through the real params (geometry errors surface
             // exactly as PerceptronModel would raise them).
             perceptronSweepParams(spec.rowBits, spec.colBits, opts_)
                 .validate();
-            PerceptronLane lane;
-            lane.entryBits = spec.colBits;
+            const unsigned h = spec.rowBits;
+            const unsigned eb = spec.colBits;
             // The SoA bank: table t's weight e at (t << eb) + e, gather
             // slack past the last weight (simd.hh).
-            lane.bank.assign((static_cast<std::size_t>(tables)
-                              << lane.entryBits) +
-                                 PerceptronBatch::kGatherSlack,
-                             0);
-            lane.theta = static_cast<std::int32_t>(
-                (193u * spec.rowBits) / 100u + 14u);
-            lanes.push_back(std::move(lane));
+            banks[j].assign((static_cast<std::size_t>(tables) << eb) +
+                                PerceptronBatch::kGatherSlack,
+                            0);
+            if (j % kLanes == 0) {
+                batches.emplace_back();
+                batches.back().tables = tables;
+                plans.emplace_back(tables);
+            }
+            PerceptronBatch &batch = batches.back();
+            LaneKeyPlan &keys = plans.back();
+            const unsigned l = batch.lanes++;
+            batch.weights[l] = banks[j].data();
+            batch.theta[l] =
+                static_cast<std::int32_t>((193u * h) / 100u + 14u);
+            keys.setRaw(l, eb, 0);
+            for (unsigned tb = 1; tb < tables; ++tb) {
+                const unsigned seg_l = (tb - 1) * h / nseg;
+                const unsigned seg_h = tb * h / nseg;
+                keys.setFold(tb, l, seg_l, seg_h - seg_l, eb,
+                             static_cast<std::uint32_t>(tb) << eb);
+            }
         }
 
-        // Sub-tile the block for the pre-offset index buffer: kTile
+        // Sub-tile the block for the pre-offset index tile: kTile
         // branches x tables x kMaxLanes stays L1-resident.
-        std::vector<std::uint32_t> idxbuf(kTile * tables *
-                                          PerceptronBatch::kMaxLanes);
-
+        std::vector<std::uint32_t> idx(kTile * tables * kLanes);
+        std::vector<std::uint32_t> pc_fold(kTile * kLanes);
         for (std::size_t base = 0; base < n; base += kBlockSize) {
             const std::size_t m = std::min(kBlockSize, n - base);
             ++tel.blocksReplayed;
             decode(block, base, m);
-            for (std::size_t b_lo = 0; b_lo < lane_count;
-                 b_lo += PerceptronBatch::kMaxLanes) {
-                PerceptronBatch batch;
-                batch.lanes = static_cast<unsigned>(std::min<std::size_t>(
-                    PerceptronBatch::kMaxLanes, lane_count - b_lo));
-                batch.tables = tables;
-                for (unsigned l = 0; l < batch.lanes; ++l) {
-                    PerceptronLane &lane = lanes[b_lo + l];
-                    batch.weights[l] = lane.bank.data();
-                    batch.theta[l] = lane.theta;
-                }
+            for (std::size_t b = 0; b < batches.size(); ++b) {
                 ++tel.modelBatches;
-                std::uint32_t wfold[kTile];
                 for (std::size_t off = 0; off < m; off += kTile) {
                     const std::size_t mt = std::min(kTile, m - off);
-                    int cur_eb = -1;
-                    for (unsigned l = 0; l < batch.lanes; ++l) {
-                        const unsigned eb = lanes[b_lo + l].entryBits;
-                        const auto eb_mask =
-                            static_cast<std::uint32_t>(mask(eb));
-                        if (static_cast<int>(eb) != cur_eb) {
-                            cur_eb = static_cast<int>(eb);
-                            for (std::size_t i = 0; i < mt; ++i)
-                                wfold[i] = static_cast<std::uint32_t>(
-                                    xorFold(widx[off + i], eb));
-                        }
-                        const unsigned h = specs_[b_lo + l].rowBits;
-                        const std::size_t stride =
-                            static_cast<std::size_t>(tables) *
-                            PerceptronBatch::kMaxLanes;
-                        std::uint32_t *col = idxbuf.data() + l;
-                        for (std::size_t i = 0; i < mt; ++i)
-                            col[i * stride] =
-                                static_cast<std::uint32_t>(widx[off + i]) &
-                                eb_mask;
-                        const unsigned nseg = tables - 1;
-                        for (unsigned tb = 1; tb < tables; ++tb) {
-                            const unsigned seg_l = (tb - 1) * h / nseg;
-                            const unsigned seg_h = tb * h / nseg;
-                            const auto off_t =
-                                static_cast<std::uint32_t>(tb) << eb;
-                            std::uint32_t *out =
-                                idxbuf.data() +
-                                tb * PerceptronBatch::kMaxLanes + l;
-                            for (std::size_t i = 0; i < mt; ++i) {
-                                const std::uint64_t seg =
-                                    bitsAt(gh[off + i], seg_l,
-                                           seg_h - seg_l);
-                                out[i * stride] =
-                                    ((static_cast<std::uint32_t>(
-                                          xorFold(seg, eb)) ^
-                                      wfold[i]) &
-                                     eb_mask) +
-                                    off_t;
-                            }
-                        }
-                    }
-                    replayPerceptronBatch(target_, idxbuf.data(),
+                    keyTile(plans[b], block, off, mt, pc_fold.data(),
+                            idx.data());
+                    replayPerceptronBatch(target_, idx.data(),
                                           block.tk.data() + off, mt,
-                                          batch);
+                                          batches[b]);
                 }
-                for (unsigned l = 0; l < batch.lanes; ++l)
-                    counts[b_lo + l].misses += batch.misses[l];
             }
         }
+        for (std::size_t j = 0; j < lane_count; ++j)
+            counts[j].misses = batches[j / kLanes].misses[j % kLanes];
     }
 
     const PreparedTrace &t_;

@@ -22,8 +22,10 @@
 #include <string>
 #include <vector>
 
+#include "common/bitutil.hh"
 #include "common/random.hh"
 #include "common/simd.hh"
+#include "predictor/perceptron.hh"
 #include "predictor/tage.hh"
 #include "sim/sweep.hh"
 #include "verify/differential.hh"
@@ -569,6 +571,300 @@ TEST(ModelBatchDifferential, PerceptronKernelTargetsMatchScalar)
                           0)
                     << simdTargetName(target) << " lane " << l
                     << " bank diverged, round " << round;
+            }
+        }
+    }
+}
+
+TEST(LaneKeysKernel, DispatchIsOccupancyAware)
+{
+    // Two-table plans of 1..16 lanes folding history bits [0, 32) (the
+    // AVX-512 builder's reach) and [0, 33) (past it).
+    const auto plan = [](unsigned lanes, unsigned bits) {
+        LaneKeyPlan p(2);
+        for (unsigned l = 0; l < lanes; ++l) {
+            p.setRaw(l, 8, 0);
+            p.setFold(1, l, 0, bits, 8, 1u << 8);
+        }
+        return p;
+    };
+    for (unsigned lanes = 1; lanes <= LaneKeyPlan::kMaxLanes; ++lanes) {
+        ASSERT_TRUE(plan(lanes, 32).fits32);
+        ASSERT_FALSE(plan(lanes, 33).fits32);
+        EXPECT_EQ(laneKeysKernel(SimdTarget::Scalar, plan(lanes, 32)),
+                  SimdTarget::Scalar);
+    }
+    if (!simdTargetSupported(SimdTarget::AVX512))
+        GTEST_SKIP() << "host has no AVX-512 kernel";
+    // The laneKeys ledger's break-even (EXPERIMENTS "Zoo key-builder
+    // ledger"): the 16-lane builder pays for itself from 2 live lanes;
+    // a plan wider than 32 bits always runs the scalar builder.
+    for (unsigned lanes = 1; lanes <= LaneKeyPlan::kMaxLanes; ++lanes) {
+        EXPECT_EQ(laneKeysKernel(SimdTarget::AVX512, plan(lanes, 32)),
+                  lanes >= 2 ? SimdTarget::AVX512 : SimdTarget::Scalar)
+            << lanes << " lanes";
+        EXPECT_EQ(laneKeysKernel(SimdTarget::AVX512, plan(lanes, 33)),
+                  SimdTarget::Scalar)
+            << lanes << " lanes";
+    }
+}
+
+namespace {
+
+/** One fuzzed key-builder case: a plan and its expected keys. */
+struct LaneKeyCase
+{
+    LaneKeyPlan plan{1};
+    std::vector<std::uint64_t> widx;
+    std::vector<std::uint64_t> gh;
+    std::vector<std::uint32_t> pcFold;
+    /** expect[(i * T + t) * kMaxLanes + l] for the live lanes. */
+    std::vector<std::uint32_t> expect;
+    std::string what;
+};
+
+/** A 64-bit value whose width is itself fuzzed (1..64 bits). */
+std::uint64_t
+fuzzWord(Pcg32 &rng)
+{
+    const std::uint64_t v =
+        (std::uint64_t{rng.next()} << 32) | rng.next();
+    return v & mask(1 + rng.nextBounded(64));
+}
+
+/**
+ * Branches with 62-bit pc word indices and 64-bit histories, plus the
+ * lane-major pc folds the engine lays out for the plan's lanes.
+ */
+void
+fuzzBranches(LaneKeyCase &k, Pcg32 &rng)
+{
+    const std::size_t n = 1 + rng.nextBounded(96);
+    for (std::size_t i = 0; i < n; ++i) {
+        k.widx.push_back(wordIndex(fuzzWord(rng)));
+        k.gh.push_back(fuzzWord(rng));
+    }
+    k.pcFold.assign(n * LaneKeyPlan::kMaxLanes, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        for (unsigned l = 0; l < k.plan.lanes; ++l)
+            k.pcFold[i * LaneKeyPlan::kMaxLanes + l] =
+                static_cast<std::uint32_t>(
+                    xorFold(k.widx[i], k.plan.pcBits[l]));
+}
+
+/**
+ * Perceptron lanes of fuzzed (history, entry width) pairs; the keys
+ * expected are (t << entryBits) + PerceptronModel::tableIndex.  A
+ * @p narrow case keeps every history within 32 bits (a fits32 plan)
+ * and gives lane 0 a 32-bit history at entry width 1, the deepest
+ * fold such a plan has.
+ */
+LaneKeyCase
+perceptronKeyCase(Pcg32 &rng, unsigned lanes, unsigned tables,
+                  bool full_history, bool narrow)
+{
+    LaneKeyCase k;
+    k.plan = LaneKeyPlan(tables);
+    PerceptronParams params[LaneKeyPlan::kMaxLanes];
+    unsigned eb[LaneKeyPlan::kMaxLanes] = {};
+    const unsigned max_history = narrow ? 32 : 64;
+    for (unsigned l = 0; l < lanes; ++l) {
+        // Lane 0 takes entry width 0 (1 when narrow), lane 1 width 25,
+        // and with full_history lane 2 the longest history (one
+        // segment of it when tables == 2).
+        params[l].tables = tables;
+        params[l].historyBits =
+            (full_history && l == 2) || (narrow && l == 0)
+                ? max_history
+                : 1 + rng.nextBounded(max_history);
+        params[l].entryBits = l == 0   ? (narrow ? 1 : 0)
+                              : l == 1 ? 25
+                                       : rng.nextBounded(26);
+        eb[l] = params[l].entryBits;
+        const unsigned h = params[l].historyBits;
+        const unsigned nseg = tables - 1;
+        k.plan.setRaw(l, eb[l], 0);
+        for (unsigned tb = 1; tb < tables; ++tb) {
+            const unsigned lo = (tb - 1) * h / nseg;
+            k.plan.setFold(tb, l, lo, tb * h / nseg - lo, eb[l],
+                           static_cast<std::uint32_t>(tb) << eb[l]);
+        }
+    }
+    fuzzBranches(k, rng);
+    k.expect.assign(k.widx.size() * tables * LaneKeyPlan::kMaxLanes, 0);
+    for (unsigned l = 0; l < lanes; ++l) {
+        // The model allocates its tables: hold narrow lanes to it, and
+        // every lane to its hash, which tableIndex is.
+        const bool model_sized = eb[l] <= 12;
+        const std::unique_ptr<PerceptronModel> model =
+            model_sized ? std::make_unique<PerceptronModel>(params[l])
+                        : nullptr;
+        const unsigned h = params[l].historyBits;
+        const unsigned nseg = tables - 1;
+        for (std::size_t i = 0; i < k.widx.size(); ++i) {
+            const Addr pc = k.widx[i] << 2;
+            for (unsigned tb = 0; tb < tables; ++tb) {
+                const unsigned lo = (tb - 1) * h / nseg;
+                const std::uint64_t hash =
+                    tb == 0 ? wordIndex(pc) & mask(eb[l])
+                            : (xorFold(bitsAt(k.gh[i], lo,
+                                              tb * h / nseg - lo),
+                                       eb[l]) ^
+                               xorFold(wordIndex(pc), eb[l])) &
+                                  mask(eb[l]);
+                if (model) {
+                    EXPECT_EQ(hash, model->tableIndex(tb, pc, k.gh[i]));
+                }
+                k.expect[(i * tables + tb) * LaneKeyPlan::kMaxLanes + l] =
+                    (static_cast<std::uint32_t>(tb) << eb[l]) +
+                    static_cast<std::uint32_t>(hash);
+            }
+        }
+    }
+    return k;
+}
+
+/**
+ * TAGE lanes of fuzzed (entry, base) widths at fuzzed arena offsets;
+ * the keys expected are the offsets plus TageModel's baseIndex and
+ * taggedIndex.  A @p narrow case's longest history is 32 bits (a
+ * fits32 plan, like the default {4, 8, 16, 32}), otherwise 64.
+ */
+LaneKeyCase
+tageKeyCase(Pcg32 &rng, unsigned lanes, unsigned ncomp, bool narrow)
+{
+    LaneKeyCase k;
+    k.plan = LaneKeyPlan(ncomp + 1);
+    // Strictly ascending histories, the longest one max_history bits.
+    const unsigned max_history = narrow ? 32 : 64;
+    std::vector<unsigned> histories{max_history};
+    while (histories.size() < ncomp) {
+        const unsigned h = 1 + rng.nextBounded(max_history - 1);
+        if (std::find(histories.begin(), histories.end(), h) ==
+            histories.end())
+            histories.push_back(h);
+    }
+    std::sort(histories.begin(), histories.end());
+    TageParams params[LaneKeyPlan::kMaxLanes];
+    unsigned eb[LaneKeyPlan::kMaxLanes] = {};
+    std::uint32_t base_at[LaneKeyPlan::kMaxLanes] = {};
+    std::uint32_t comp_at[LaneKeyPlan::kMaxLanes] = {};
+    for (unsigned l = 0; l < lanes; ++l) {
+        params[l].histories = histories;
+        params[l].entryBits =
+            l == 0 ? 1 : l == 1 ? 25 : 1 + rng.nextBounded(25);
+        params[l].baseBits = 1 + rng.nextBounded(25);
+        eb[l] = params[l].entryBits;
+        base_at[l] = rng.nextBounded(1u << 30);
+        comp_at[l] = rng.nextBounded(1u << 30);
+        k.plan.setRaw(l, params[l].baseBits, base_at[l]);
+        for (unsigned c = 0; c < ncomp; ++c)
+            k.plan.setFold(c + 1, l, 0, histories[c], eb[l],
+                           comp_at[l] + (c << 26));
+    }
+    fuzzBranches(k, rng);
+    const std::size_t row = std::size_t{ncomp + 1} * LaneKeyPlan::kMaxLanes;
+    k.expect.assign(k.widx.size() * row, 0);
+    for (unsigned l = 0; l < lanes; ++l) {
+        const bool model_sized = eb[l] <= 12 && params[l].baseBits <= 12;
+        const std::unique_ptr<TageModel> model =
+            model_sized ? std::make_unique<TageModel>(params[l]) : nullptr;
+        for (std::size_t i = 0; i < k.widx.size(); ++i) {
+            const Addr pc = k.widx[i] << 2;
+            const std::uint64_t base = wordIndex(pc) & mask(params[l].baseBits);
+            if (model) {
+                EXPECT_EQ(base, model->baseIndex(pc));
+            }
+            k.expect[i * row + l] =
+                base_at[l] + static_cast<std::uint32_t>(base);
+            for (unsigned c = 0; c < ncomp; ++c) {
+                const std::uint64_t hash =
+                    (xorFold(k.gh[i] & mask(histories[c]), eb[l]) ^
+                     xorFold(wordIndex(pc), eb[l])) &
+                    mask(eb[l]);
+                if (model) {
+                    EXPECT_EQ(hash, model->taggedIndex(c, pc, k.gh[i]));
+                }
+                k.expect[i * row + (c + 1) * LaneKeyPlan::kMaxLanes + l] =
+                    comp_at[l] + (c << 26) +
+                    static_cast<std::uint32_t>(hash);
+            }
+        }
+    }
+    return k;
+}
+
+} // namespace
+
+TEST(ModelBatchDifferential, LaneKeyBuildersMatchModelHashes)
+{
+    // The key builders in isolation: buildLaneKeysOn on every supported
+    // builder, at every lane count from 1 to 16, must produce exactly
+    // the keys the models hash (PerceptronModel::tableIndex, TageModel's
+    // baseIndex/taggedIndex, or their xorFold expression where a model
+    // would be too large to allocate) for every live lane, for mixed
+    // (history, entry width) pairs per batch, entry widths 0..25,
+    // histories and segments of 1..64 bits and 62-bit pc word indices.
+    // Each (scheme, lane count) runs narrow plans (histories of at most
+    // 32 bits, folded by the AVX-512 builder) and wide ones (up to 64
+    // bits, which every builder hands to the scalar one).  Dead lanes:
+    // the AVX-512 builder writes key 0, the scalar one leaves them
+    // alone.
+    constexpr std::uint32_t kUntouched = 0xDEADBEEFu;
+    const std::vector<SimdTarget> targets = supportedSimdTargets();
+    Pcg32 rng(0x1A9EC0DEULL, 17);
+    for (int round = 0; round < 128; ++round) {
+        const unsigned lanes = 1 + round % LaneKeyPlan::kMaxLanes;
+        const bool perceptron = round / 16 % 2 == 0;
+        const bool narrow = round / 32 % 2 == 1;
+        LaneKeyCase k;
+        if (perceptron) {
+            const unsigned tables =
+                round % 3 == 0 ? 2 : 2 + rng.nextBounded(15); // 2..16
+            k = perceptronKeyCase(rng, lanes, tables, round % 2 == 0,
+                                  narrow);
+            k.what = "perceptron tables=" + std::to_string(tables);
+        } else {
+            const unsigned ncomp = 1 + rng.nextBounded(8);
+            k = tageKeyCase(rng, lanes, ncomp, narrow);
+            k.what = "tage components=" + std::to_string(ncomp);
+        }
+        k.what += " lanes=" + std::to_string(lanes) +
+                  (narrow ? " narrow" : " wide") + " round " +
+                  std::to_string(round);
+        ASSERT_EQ(k.plan.lanes, lanes) << k.what;
+        if (narrow) {
+            // Lane 0 folds a 32-bit segment (perceptron tables == 2) or
+            // history (TAGE) at entry width 1, or shorter segments of
+            // more tables: the 32-bit builder runs fold steps.
+            ASSERT_TRUE(k.plan.fits32) << k.what;
+            ASSERT_GT(k.plan.steps, 0u) << k.what;
+        } else if (!perceptron) {
+            ASSERT_FALSE(k.plan.fits32) << k.what;
+        }
+        const auto tables = static_cast<unsigned>(k.plan.tables.size());
+
+        for (SimdTarget target : targets) {
+            const bool vector_builder =
+                target == SimdTarget::AVX512 && k.plan.fits32;
+            std::vector<std::uint32_t> keys(k.expect.size(), kUntouched);
+            buildLaneKeysOn(target, k.plan, k.widx.data(), k.gh.data(),
+                            k.pcFold.data(), k.widx.size(), keys.data());
+            for (std::size_t i = 0; i < k.widx.size(); ++i) {
+                for (unsigned t = 0; t < tables; ++t) {
+                    for (unsigned l = 0; l < LaneKeyPlan::kMaxLanes; ++l) {
+                        const std::size_t at =
+                            (i * tables + t) * LaneKeyPlan::kMaxLanes + l;
+                        const std::uint32_t want =
+                            l < lanes        ? k.expect[at]
+                            : vector_builder ? 0u
+                                             : kUntouched;
+                        ASSERT_EQ(keys[at], want)
+                            << simdTargetName(target) << " branch " << i
+                            << " table " << t << " lane " << l << ", "
+                            << k.what;
+                    }
+                }
             }
         }
     }
