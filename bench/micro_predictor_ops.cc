@@ -1,20 +1,26 @@
 /**
  * @file
  * Google-benchmark microbenchmarks: throughput of each predictor's
- * predict-and-train operation and of the sweep kernel, the quantities
- * that bound how fast the figure reproductions run.
+ * predict-and-train operation, of each lane kernel, and of every
+ * scheme's whole sweep, the quantities that bound how fast the figure
+ * reproductions run.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
+#include <ctime>
+#include <string>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/simd.hh"
 #include "predictor/factory.hh"
 #include "predictor/tage.hh"
+#include "sim/experiment.hh"
 #include "sim/prepared_trace.hh"
 #include "sim/sweep.hh"
 #include "workload/executor.hh"
@@ -77,8 +83,8 @@ BENCHMARK_CAPTURE(predictorThroughput, pas_1k_bht, "PAs:10:2:1024");
 BENCHMARK_CAPTURE(predictorThroughput, tournament,
                   "tournament(addr:11,gshare:11:0):11");
 // The zoo's per-step scalar costs: one full model stepped alone.
-// Compare with the zooModelStep rows below (trace-normalised
-// model-steps/s) to see what batching buys per step.
+// Compare with the sweepScheme rows below (branch-config updates/s)
+// to see what batching buys per step.
 BENCHMARK_CAPTURE(predictorThroughput, tage_1k_base_256e,
                   "tage:10:8");
 BENCHMARK_CAPTURE(predictorThroughput, perceptron_h24_256e,
@@ -132,52 +138,61 @@ sweepKernelFiniteBht(benchmark::State &state)
 }
 
 /**
- * The zoo step cost at sweep granularity: one tier of TAGE or
- * perceptron configurations replayed per-config (one one-lane model
- * group, so one trace pass, per lane) vs batched (the planned model
- * groups, one decoded block stepped by every lane).  Items processed
- * counts model-steps (branches x lanes), so the per-config/batched
- * ratio is the batching speedup per step.  A smaller trace than
- * workload() keeps the per-config rows affordable.
+ * Sweep throughput: one scheme's default sweep (tiers 2^4..2^15,
+ * aliasing tracked) over a 1M-branch real_gcc trace, the trace the
+ * ROADMAP baseline tables use, in one of three modes --
+ *
+ *   one_lane   every planned job as its own one-lane group, one trace
+ *              pass per configuration, on the calling thread: the
+ *              no-batching baseline
+ *   threads:1  sweepScheme's planned groups, serially
+ *   threads:0  sweepScheme's planned groups on every hardware thread
+ *
+ * Items processed counts branch-config updates (branches x configs),
+ * comparable across schemes, modes and hosts.  cores_used is process
+ * CPU seconds per wall second over the timed loop, so a threads:0
+ * row that stayed on one core (a shared host) reads about 1.
  */
 const PreparedTrace &
-zooPrepared()
+sweepTrace()
 {
-    static const MemoryTrace trace = [] {
+    static const PreparedTrace t = [] {
         setQuiet(true);
-        WorkloadParams p;
-        p.name = "micro-zoo";
-        p.seed = 4321;
-        p.staticBranches = 900;
-        p.functionCount = 80;
-        p.targetConditionals = 50'000;
-        return generateTrace(p);
+        return prepareProfile("real_gcc", 1'000'000);
     }();
-    static const PreparedTrace t{trace};
     return t;
 }
 
+/** The `threads` of a sweep row; kOneLane selects one-lane groups. */
+constexpr int kOneLane = -1;
+
 void
-zooModelStep(benchmark::State &state, SchemeKind kind, bool batched)
+sweepRow(benchmark::State &state, SchemeKind kind, int threads)
 {
-    const PreparedTrace &t = zooPrepared();
+    const PreparedTrace &t = sweepTrace();
     SweepOptions o;
-    o.minTotalBits = 12;
-    o.maxTotalBits = 12;
+    o.threads = threads == kOneLane ? 1 : static_cast<unsigned>(threads);
     const std::vector<ConfigJob> jobs = planSweep(kind, o);
+    const std::clock_t cpu0 = std::clock();
+    const auto wall0 = std::chrono::steady_clock::now();
     for (auto _ : state) {
-        if (batched) {
-            SweepResult r = sweepScheme(t, kind, o);
-            benchmark::DoNotOptimize(r.bhtMissRate);
-        } else {
+        if (threads == kOneLane) {
             StreamCache cache(t, o);
             std::vector<ConfigResult> slots(jobs.size());
             for (std::size_t i = 0; i < jobs.size(); ++i)
                 runFusedGroup(singleJobGroup(jobs, i), jobs, cache,
                               slots.data());
             benchmark::DoNotOptimize(slots.front().mispRate);
+        } else {
+            SweepResult r = sweepScheme(t, kind, o);
+            benchmark::DoNotOptimize(r.bhtMissRate);
         }
     }
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - wall0)
+                            .count();
+    state.counters["cores_used"] =
+        static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC / wall;
     state.SetItemsProcessed(
         state.iterations() *
         static_cast<std::int64_t>(t.size() * jobs.size()));
@@ -530,13 +545,6 @@ traceGeneration(benchmark::State &state)
 
 BENCHMARK(sweepKernel)->Arg(0)->Arg(1)->ArgNames({"aliasing"});
 BENCHMARK(sweepKernelFiniteBht)->Arg(0)->Arg(1)->ArgNames({"cached"});
-BENCHMARK_CAPTURE(zooModelStep, tage_per_config, SchemeKind::Tage,
-                  false);
-BENCHMARK_CAPTURE(zooModelStep, tage_batched, SchemeKind::Tage, true);
-BENCHMARK_CAPTURE(zooModelStep, perceptron_per_config,
-                  SchemeKind::Perceptron, false);
-BENCHMARK_CAPTURE(zooModelStep, perceptron_batched,
-                  SchemeKind::Perceptron, true);
 BENCHMARK_CAPTURE(perceptronBatchReplay, scalar, SimdTarget::Scalar)
     ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8)->Arg(9)->Arg(16)
     ->ArgNames({"lanes"});
@@ -562,3 +570,32 @@ BENCHMARK_CAPTURE(laneKeys, avx512, SimdTarget::AVX512)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->ArgNames({"lanes"});
 BENCHMARK(traceGeneration)->Arg(100'000);
+
+namespace {
+
+/** sweepScheme/<scheme>/<mode> for all nine schemes and three modes. */
+[[maybe_unused]] const bool kSweepRowsRegistered = [] {
+    const std::pair<const char *, SchemeKind> schemes[] = {
+        {"addr", SchemeKind::AddressIndexed},
+        {"gag", SchemeKind::GAg},
+        {"gas", SchemeKind::GAs},
+        {"gshare", SchemeKind::Gshare},
+        {"path", SchemeKind::Path},
+        {"pas_inf", SchemeKind::PAsPerfect},
+        {"pas_bht", SchemeKind::PAsFinite},
+        {"tage", SchemeKind::Tage},
+        {"perceptron", SchemeKind::Perceptron},
+    };
+    const std::pair<const char *, int> modes[] = {
+        {"one_lane", kOneLane}, {"threads:1", 1}, {"threads:0", 0}};
+    for (const auto &[scheme, kind] : schemes)
+        for (const auto &[mode, threads] : modes)
+            benchmark::RegisterBenchmark(
+                (std::string("sweepScheme/") + scheme + "/" + mode).c_str(),
+                sweepRow, kind, threads)
+                ->UseRealTime()
+                ->Unit(benchmark::kMillisecond);
+    return true;
+}();
+
+} // namespace

@@ -939,13 +939,12 @@ buildLaneKeysOn(SimdTarget kernel, const LaneKeyPlan &plan,
 }
 
 void
-buildLaneKeys(SimdTarget target, const LaneKeyPlan &plan,
-              const std::uint64_t *widx, const std::uint64_t *gh,
-              const std::uint32_t *pcFold, std::size_t n,
-              std::uint32_t *keys)
+buildLaneKeys(const LaneKeyPlan &plan, const std::uint64_t *widx,
+              const std::uint64_t *gh, const std::uint32_t *pcFold,
+              std::size_t n, std::uint32_t *keys)
 {
-    buildLaneKeysOn(laneKeysKernel(target, plan), plan, widx, gh, pcFold,
-                    n, keys);
+    buildLaneKeysOn(laneKeysKernel(detectSimdTarget(), plan), plan, widx,
+                    gh, pcFold, n, keys);
 }
 
 SimdTarget
@@ -997,12 +996,12 @@ replayPerceptronBatchOn(SimdTarget kernel, const std::uint32_t *idx,
 }
 
 void
-replayPerceptronBatch(SimdTarget target, const std::uint32_t *idx,
-                      const std::uint8_t *taken, std::size_t n,
-                      PerceptronBatch &batch)
+replayPerceptronBatch(const std::uint32_t *idx, const std::uint8_t *taken,
+                      std::size_t n, PerceptronBatch &batch)
 {
-    replayPerceptronBatchOn(perceptronBatchKernel(target, batch.lanes),
-                            idx, taken, n, batch);
+    replayPerceptronBatchOn(
+        perceptronBatchKernel(detectSimdTarget(), batch.lanes), idx, taken,
+        n, batch);
 }
 
 SimdTarget
@@ -1046,11 +1045,11 @@ replayAliasBatchOn(SimdTarget kernel, const AliasRecords &records,
 }
 
 void
-replayAliasBatch(SimdTarget target, const AliasRecords &records,
-                 std::size_t n, AliasBatch &batch)
+replayAliasBatch(const AliasRecords &records, std::size_t n,
+                 AliasBatch &batch)
 {
-    replayAliasBatchOn(aliasBatchKernel(target, batch.lanes), records, n,
-                       batch);
+    replayAliasBatchOn(aliasBatchKernel(detectSimdTarget(), batch.lanes),
+                       records, n, batch);
 }
 
 SimdTarget
@@ -1097,11 +1096,10 @@ replayTageBatchOn(SimdTarget kernel, const TageKeys &keys, std::size_t n,
 }
 
 void
-replayTageBatch(SimdTarget target, const TageKeys &keys, std::size_t n,
-                TageBatch &batch)
+replayTageBatch(const TageKeys &keys, std::size_t n, TageBatch &batch)
 {
-    replayTageBatchOn(tageBatchKernel(target, batch.lanes), keys, n,
-                      batch);
+    replayTageBatchOn(tageBatchKernel(detectSimdTarget(), batch.lanes),
+                      keys, n, batch);
 }
 
 } // namespace bpsim

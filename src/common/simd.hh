@@ -228,13 +228,12 @@ void buildLaneKeysOn(SimdTarget kernel, const LaneKeyPlan &plan,
                      std::uint32_t *keys);
 
 /**
- * Occupancy-aware build: runs laneKeysKernel(target, plan).
- * @p target must be concrete (resolveSimdTarget).
+ * Occupancy-aware build on the host's builder: runs
+ * laneKeysKernel(detectSimdTarget(), plan).
  */
-void buildLaneKeys(SimdTarget target, const LaneKeyPlan &plan,
-                   const std::uint64_t *widx, const std::uint64_t *gh,
-                   const std::uint32_t *pcFold, std::size_t n,
-                   std::uint32_t *keys);
+void buildLaneKeys(const LaneKeyPlan &plan, const std::uint64_t *widx,
+                   const std::uint64_t *gh, const std::uint32_t *pcFold,
+                   std::size_t n, std::uint32_t *keys);
 
 /**
  * The kernel replayPerceptronBatch runs for a @p lanes-wide batch
@@ -271,10 +270,10 @@ void replayPerceptronBatchOn(SimdTarget kernel, const std::uint32_t *idx,
                              PerceptronBatch &batch);
 
 /**
- * Occupancy-aware replay: runs perceptronBatchKernel(target,
- * batch.lanes).  @p target must be concrete (resolveSimdTarget).
+ * Occupancy-aware replay on the host's kernels: runs
+ * perceptronBatchKernel(detectSimdTarget(), batch.lanes).
  */
-void replayPerceptronBatch(SimdTarget target, const std::uint32_t *idx,
+void replayPerceptronBatch(const std::uint32_t *idx,
                            const std::uint8_t *taken, std::size_t n,
                            PerceptronBatch &batch);
 
@@ -353,11 +352,11 @@ void replayAliasBatchOn(SimdTarget kernel, const AliasRecords &records,
                         std::size_t n, AliasBatch &batch);
 
 /**
- * Occupancy-aware replay: runs aliasBatchKernel(target, batch.lanes).
- * @p target must be concrete (resolveSimdTarget).
+ * Occupancy-aware replay on the host's kernels: runs
+ * aliasBatchKernel(detectSimdTarget(), batch.lanes).
  */
-void replayAliasBatch(SimdTarget target, const AliasRecords &records,
-                      std::size_t n, AliasBatch &batch);
+void replayAliasBatch(const AliasRecords &records, std::size_t n,
+                      AliasBatch &batch);
 
 /**
  * One batch of TAGE lanes (TageModel, predictor/tage.hh) in one
@@ -443,11 +442,11 @@ void replayTageBatchOn(SimdTarget kernel, const TageKeys &keys,
                        std::size_t n, TageBatch &batch);
 
 /**
- * Occupancy-aware replay: runs tageBatchKernel(target, batch.lanes).
- * @p target must be concrete (resolveSimdTarget).
+ * Occupancy-aware replay on the host's kernels: runs
+ * tageBatchKernel(detectSimdTarget(), batch.lanes).
  */
-void replayTageBatch(SimdTarget target, const TageKeys &keys,
-                     std::size_t n, TageBatch &batch);
+void replayTageBatch(const TageKeys &keys, std::size_t n,
+                     TageBatch &batch);
 
 } // namespace bpsim
 

@@ -106,9 +106,9 @@ class AliasLanes
   public:
     AliasLanes(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
                const std::vector<std::size_t> &members, RowFn row_of,
-               PatternFn pattern_of, SimdTarget target)
+               PatternFn pattern_of)
         : t_(t), jobs_(jobs), members_(members), rowOf_(row_of),
-          patternOf_(pattern_of), target_(target)
+          patternOf_(pattern_of)
     {
     }
 
@@ -173,7 +173,7 @@ class AliasLanes
             decode(base, m, rows.data(), cols.data(), tags.data(),
                    flags.data());
             for (AliasBatch &batch : batches) {
-                replayAliasBatch(target_, records, m, batch);
+                replayAliasBatch(records, m, batch);
                 ++tel.laneBatches;
             }
         }
@@ -221,7 +221,6 @@ class AliasLanes
     const std::vector<std::size_t> &members_;
     RowFn rowOf_;
     PatternFn patternOf_;
-    SimdTarget target_;
 };
 
 /**
@@ -256,8 +255,8 @@ class ModelLanes
   public:
     ModelLanes(const PreparedTrace &t, const SweepOptions &opts,
                const std::vector<ConfigJob> &jobs,
-               const std::vector<std::size_t> &members, SimdTarget target)
-        : t_(t), opts_(opts), target_(target)
+               const std::vector<std::size_t> &members)
+        : t_(t), opts_(opts)
     {
         static_assert(
             PerceptronBatch::kWeightMin == PerceptronModel::kWeightMin &&
@@ -382,8 +381,7 @@ class ModelLanes
             for (std::size_t i = 0; i < m; ++i)
                 pc_fold[i * kLanes + l] = wfold[i];
         }
-        buildLaneKeys(target_, keys, widx, block.gh.data() + off, pc_fold,
-                      m, out);
+        buildLaneKeys(keys, widx, block.gh.data() + off, pc_fold, m, out);
     }
 
     void
@@ -456,29 +454,41 @@ class ModelLanes
         }
 
         // Tags depend only on (tagBits, histories), so they are
-        // group-wide: one branch-major tile per block.  Slots depend on
-        // each lane's geometry: every lane-batch sub-tile builds its
-        // lane-major slot tile, which the kernel gathers through one
-        // 16-lane row at a time.
+        // group-wide: one branch-major tile per block, folded per
+        // 64-branch tile as TageModel::taggedTag does -- the pc folded
+        // to tagBits, XOR the component's history folded to tagBits and
+        // (shifted up one) to tagBits - 1 (>= 1: tagBits >= 2), every
+        // term below 2^tagBits.  Slots depend on each lane's geometry:
+        // every lane-batch sub-tile builds its lane-major slot tile,
+        // which the kernel gathers through one 16-lane row at a time.
         std::vector<std::uint16_t> tags(kBlockSize * ncomp);
         std::vector<std::uint32_t> slots(kTile * (ncomp + 1) * kLanes);
         std::vector<std::uint32_t> pc_fold(kTile * kLanes);
-        std::uint64_t hmask[TageBatch::kMaxComponents];
-        for (unsigned c = 0; c < ncomp; ++c)
-            hmask[c] = mask(opts_.tageHistories[c]);
+        std::uint32_t wtag[kTile] = {};
+        std::uint32_t htag[kTile] = {};
+        std::uint32_t hshift[kTile] = {};
 
         for (std::size_t base = 0; base < n; base += kBlockSize) {
             const std::size_t m = std::min(kBlockSize, n - base);
             ++tel.blocksReplayed;
             decode(block, base, m);
-            for (std::size_t i = 0; i < m; ++i) {
-                const std::uint64_t wtag = xorFold(widx[i], tag_bits);
+            for (std::size_t off = 0; off < m; off += kTile) {
+                const std::size_t mt = std::min(kTile, m - off);
+                std::uint64_t any = 0;
+                for (std::size_t i = 0; i < mt; ++i)
+                    any |= widx[off + i];
+                foldColumn(widx.data() + off, ~std::uint64_t{0},
+                           std::bit_width(any), tag_bits, mt, wtag);
                 for (unsigned c = 0; c < ncomp; ++c) {
-                    const std::uint64_t h = gh[i] & hmask[c];
-                    tags[i * ncomp + c] = static_cast<std::uint16_t>(
-                        (wtag ^ xorFold(h, tag_bits) ^
-                         (xorFold(h, tag_bits - 1) << 1)) &
-                        mask(tag_bits));
+                    const unsigned h = opts_.tageHistories[c];
+                    foldColumn(gh.data() + off, mask(h), h, tag_bits, mt,
+                               htag);
+                    foldColumn(gh.data() + off, mask(h), h, tag_bits - 1,
+                               mt, hshift);
+                    for (std::size_t i = 0; i < mt; ++i)
+                        tags[(off + i) * ncomp + c] =
+                            static_cast<std::uint16_t>(
+                                wtag[i] ^ htag[i] ^ (hshift[i] << 1));
                 }
             }
             for (std::size_t b = 0; b < batches.size(); ++b) {
@@ -488,7 +498,6 @@ class ModelLanes
                     keyTile(plans[b].keys, block, off, mt, pc_fold.data(),
                             slots.data());
                     replayTageBatch(
-                        target_,
                         TageKeys{slots.data(), tags.data() + off * ncomp,
                                  block.tk.data() + off},
                         mt, batches[b]);
@@ -607,9 +616,8 @@ class ModelLanes
                     const std::size_t mt = std::min(kTile, m - off);
                     keyTile(plans[b], block, off, mt, pc_fold.data(),
                             idx.data());
-                    replayPerceptronBatch(target_, idx.data(),
-                                          block.tk.data() + off, mt,
-                                          batches[b]);
+                    replayPerceptronBatch(idx.data(), block.tk.data() + off,
+                                          mt, batches[b]);
                 }
             }
         }
@@ -619,7 +627,6 @@ class ModelLanes
 
     const PreparedTrace &t_;
     const SweepOptions &opts_;
-    SimdTarget target_;
     bool isTage_ = false;
     std::vector<Spec> specs_;
 };
@@ -636,14 +643,6 @@ bucketWidth(const ConfigJob &job)
 }
 
 } // namespace
-
-double
-KernelTelemetry::lanesPerGroup() const
-{
-    return fusedGroups ? static_cast<double>(lanes) /
-                             static_cast<double>(fusedGroups)
-                       : 0.0;
-}
 
 double
 KernelTelemetry::modelLanesPerGroup() const
@@ -921,7 +920,6 @@ runFusedGroup(const FusedGroup &group,
 {
     const PreparedTrace &t = cache.trace();
     const SweepOptions &opts = cache.options();
-    const SimdTarget target = detectSimdTarget();
     // The 2-bit family.  row_of gives the raw row value before each
     // branch, pattern_of the first-level pattern whose all-ones value
     // makes a conflict harmless.  Aliasing is always measured;
@@ -929,7 +927,7 @@ runFusedGroup(const FusedGroup &group,
     KernelTelemetry counters;
     const auto two_bit = [&](auto row_of, auto pattern_of) {
         const AliasLanes<decltype(row_of), decltype(pattern_of)> engine(
-            t, jobs, group.jobs, row_of, pattern_of, target);
+            t, jobs, group.jobs, row_of, pattern_of);
         counters = replayGroup(engine, t.size(), slots);
         counters.fusedGroups = 1;
         counters.lanes = group.jobs.size();
@@ -985,7 +983,7 @@ runFusedGroup(const FusedGroup &group,
       }
       case SchemeKind::Tage:
       case SchemeKind::Perceptron: {
-        const ModelLanes engine(t, opts, jobs, group.jobs, target);
+        const ModelLanes engine(t, opts, jobs, group.jobs);
         counters = replayGroup(engine, t.size(), slots);
         counters.modelGroups = 1;
         counters.modelLanes = group.jobs.size();

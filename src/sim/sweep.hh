@@ -166,8 +166,9 @@ struct SweepOptions
 
 /**
  * Observability counters for one sweep's kernel execution, reported in
- * SweepResult::kernel and surfaced by bench/perf_sweep so recorded
- * BENCH_sweep.json trajectories are self-describing.
+ * SweepResult::kernel and surfaced by the service `stats` op and the
+ * perfbench records, so a throughput change can be traced to a
+ * grouping or batching change without a profiler.
  */
 struct KernelTelemetry
 {
@@ -200,8 +201,6 @@ struct KernelTelemetry
     /** Summed per-group engine time (busy seconds across workers). */
     double busySeconds = 0.0;
 
-    /** Mean member configurations per 2-bit group. */
-    double lanesPerGroup() const;
     /** Mean member configurations per model group. */
     double modelLanesPerGroup() const;
     /** Fold one group's counters into a sweep-level aggregate. */

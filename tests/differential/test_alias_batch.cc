@@ -462,12 +462,10 @@ TEST(AliasBatchKernel, EveryKernelLeavesIdenticalArenas)
                 AliasBatch got = proto;
                 got.entries = arena.data();
                 for (std::size_t from = 0; from < 3000; from += 1000) {
-                    if (dispatched)
-                        replayAliasBatch(target, records.view(from), 1000,
-                                         got);
-                    else
-                        replayAliasBatchOn(target, records.view(from),
-                                           1000, got);
+                    replayAliasBatchOn(
+                        dispatched ? aliasBatchKernel(target, got.lanes)
+                                   : target,
+                        records.view(from), 1000, got);
                 }
                 const std::string what =
                     std::string(simdTargetName(target)) +

@@ -139,8 +139,8 @@ expectBitIdentical(SimdTarget target, const RecordBlock &records,
                    const std::vector<Geometry> &lanes, const char *what)
 {
     LaneSetup actual(lanes);
-    replayAliasBatch(target, records.view(), records.size(),
-                     actual.batch);
+    replayAliasBatchOn(aliasBatchKernel(target, actual.batch.lanes),
+                       records.view(), records.size(), actual.batch);
     const Reference expected(lanes, records);
 
     for (unsigned l = 0; l < actual.batch.lanes; ++l) {
@@ -261,9 +261,11 @@ TEST(Simd, SaturatedCountersLandOnTheRail)
         }
         LaneSetup taken(lanes);
         LaneSetup not_taken(lanes);
-        replayAliasBatch(target, up.view(), up.size(), taken.batch);
-        replayAliasBatch(target, down.view(), down.size(),
-                         not_taken.batch);
+        const SimdTarget kernel =
+            aliasBatchKernel(target, AliasBatch::kMaxLanes);
+        replayAliasBatchOn(kernel, up.view(), up.size(), taken.batch);
+        replayAliasBatchOn(kernel, down.view(), down.size(),
+                           not_taken.batch);
         for (unsigned l = 0; l < AliasBatch::kMaxLanes; ++l) {
             EXPECT_EQ(taken.counter(l, 3), 3u) << simdTargetName(target);
             EXPECT_EQ(not_taken.counter(l, 3), 0u)

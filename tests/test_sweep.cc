@@ -17,6 +17,7 @@
 #include "predictor/factory.hh"
 #include "predictor/two_level.hh"
 #include "sim/engine.hh"
+#include "sim/experiment.hh"
 #include "sim/sweep.hh"
 #include "sim/sweep_session.hh"
 #include "verify/differential.hh"
@@ -633,6 +634,69 @@ TEST(Sweep, ForcedSimdTargetsBitIdenticalThroughSweepScheme)
     }
 }
 
+TEST(Sweep, PlannedGroupsMatchOneLaneGroupsAtFullTiers)
+{
+    // Every scheme over its full tier range -- the paper's 2^4..2^15,
+    // aliasing tracked, and the zoo's 2^10..2^18, which spans every
+    // fig_tage_aliasing budget -- run three ways: every planned job as
+    // its own one-lane group, the planned groups on one thread, and
+    // the planned groups on every hardware thread.  All three surfaces
+    // must agree bit for bit, and an untracked sweep must report the
+    // tracked misprediction surface and no aliasing.
+    const PreparedTrace t = prepareProfile("mpeg_play", 8000);
+    for (SchemeKind kind :
+         {SchemeKind::AddressIndexed, SchemeKind::GAg, SchemeKind::GAs,
+          SchemeKind::Gshare, SchemeKind::Path, SchemeKind::PAsPerfect,
+          SchemeKind::PAsFinite, SchemeKind::Tage,
+          SchemeKind::Perceptron}) {
+        const char *name = schemeKindName(kind);
+        SweepOptions serial;
+        if (kind == SchemeKind::Tage || kind == SchemeKind::Perceptron) {
+            serial.minTotalBits = 10;
+            serial.maxTotalBits = 18;
+        }
+        SweepOptions all_threads = serial;
+        all_threads.threads = 0;
+        SweepOptions untracked = serial;
+        untracked.trackAliasing = false;
+
+        const std::vector<ConfigJob> jobs = planSweep(kind, serial);
+        StreamCache cache(t, serial);
+        std::vector<ConfigResult> slots(jobs.size());
+        for (std::size_t j = 0; j < jobs.size(); ++j)
+            runFusedGroup(singleJobGroup(jobs, j), jobs, cache,
+                          slots.data());
+        SweepResult one_lane(name, t.name());
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            const ConfigJob &job = jobs[j];
+            one_lane.misprediction.add(job.totalBits, job.rowBits,
+                                       job.colBits, slots[j].mispRate);
+            one_lane.aliasing.add(job.totalBits, job.rowBits, job.colBits,
+                                  slots[j].aliasRate);
+            one_lane.harmless.add(job.totalBits, job.rowBits, job.colBits,
+                                  slots[j].harmlessFraction);
+        }
+
+        for (const SweepOptions &o : {serial, all_threads}) {
+            const SweepResult planned = sweepScheme(t, kind, o);
+            expectSurfacesIdentical(one_lane.misprediction,
+                                    planned.misprediction, name);
+            expectSurfacesIdentical(one_lane.aliasing, planned.aliasing,
+                                    name);
+            expectSurfacesIdentical(one_lane.harmless, planned.harmless,
+                                    name);
+            if (kind == SchemeKind::PAsFinite) {
+                EXPECT_EQ(planned.bhtMissRate, slots.front().bhtMissRate);
+            }
+        }
+        const SweepResult filtered = sweepScheme(t, kind, untracked);
+        expectSurfacesIdentical(one_lane.misprediction,
+                                filtered.misprediction, name);
+        EXPECT_TRUE(filtered.aliasing.tiers().empty()) << name;
+        EXPECT_TRUE(filtered.harmless.tiers().empty()) << name;
+    }
+}
+
 TEST(Sweep, KernelTelemetryDescribesFusedExecution)
 {
     // Every 2-bit sweep runs one group per lane batch (45 jobs -> 3
@@ -655,7 +719,8 @@ TEST(Sweep, KernelTelemetryDescribesFusedExecution)
         EXPECT_EQ(r.kernel.lanes, jobs);
         EXPECT_EQ(r.kernel.laneBatches, groups * blocks);
         EXPECT_EQ(r.kernel.blocksReplayed, groups * blocks);
-        EXPECT_DOUBLE_EQ(r.kernel.lanesPerGroup(),
+        EXPECT_DOUBLE_EQ(static_cast<double>(r.kernel.lanes) /
+                             static_cast<double>(r.kernel.fusedGroups),
                          static_cast<double>(jobs) /
                              static_cast<double>(groups));
     }
