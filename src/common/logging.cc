@@ -59,13 +59,4 @@ warnImpl(const std::string &msg, const char *file, int line)
         detail::logMessage("warn", msg, file, line);
 }
 
-void
-informImpl(const std::string &msg)
-{
-    if (!quiet()) {
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-        std::fflush(stderr);
-    }
-}
-
 } // namespace bpsim

@@ -7,7 +7,6 @@
  * fatal()  -- the simulation cannot continue because of user input
  *             (bad configuration, unreadable trace file); exits cleanly.
  * warn()   -- something suspicious but survivable.
- * inform() -- plain status output.
  */
 
 #ifndef BPSIM_COMMON_LOGGING_HH
@@ -48,9 +47,6 @@ concat(Args &&...args)
 /** Print a warning; execution continues. */
 void warnImpl(const std::string &msg, const char *file, int line);
 
-/** Print an informational message. */
-void informImpl(const std::string &msg);
-
 /**
  * Suppress all non-fatal log output (used by tests and by benches that
  * must keep their stdout machine-readable).
@@ -71,8 +67,6 @@ bool quiet();
 #define bpsim_warn(...) \
     ::bpsim::warnImpl(::bpsim::detail::concat(__VA_ARGS__), __FILE__, \
                       __LINE__)
-#define bpsim_inform(...) \
-    ::bpsim::informImpl(::bpsim::detail::concat(__VA_ARGS__))
 
 /** panic() unless the stated internal invariant holds. */
 #define bpsim_assert(cond, ...) \

@@ -94,36 +94,6 @@ Pcg32::geometric(double mean)
     return k == 0 ? 1 : k;
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double s)
-{
-    bpsim_assert(n > 0, "ZipfSampler over zero ranks");
-    cdf.resize(n);
-    double total = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-        total += 1.0 / std::pow(static_cast<double>(k + 1), s);
-        cdf[k] = total;
-    }
-    for (auto &v : cdf)
-        v /= total;
-}
-
-std::size_t
-ZipfSampler::sample(Pcg32 &rng) const
-{
-    double u = rng.nextDouble();
-    auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    if (it == cdf.end())
-        return cdf.size() - 1;
-    return static_cast<std::size_t>(it - cdf.begin());
-}
-
-double
-ZipfSampler::pmf(std::size_t k) const
-{
-    bpsim_assert(k < cdf.size(), "pmf rank out of range");
-    return k == 0 ? cdf[0] : cdf[k] - cdf[k - 1];
-}
-
 DiscreteSampler::DiscreteSampler(const std::vector<double> &weights)
 {
     bpsim_assert(!weights.empty(), "DiscreteSampler over no weights");

@@ -56,36 +56,6 @@ class Pcg32
 };
 
 /**
- * Sampler for a Zipf-like (power-law) distribution over ranks
- * 0..n-1: P(rank k) proportional to 1 / (k + 1)^s.
- *
- * Used to give static branches the heavily skewed dynamic execution
- * frequencies characterised in Table 2 of the paper.  Sampling is by
- * binary search over the precomputed CDF: O(log n) per draw.
- */
-class ZipfSampler
-{
-  public:
-    /**
-     * @param n number of ranks (> 0)
-     * @param s skew exponent (>= 0; 0 degenerates to uniform)
-     */
-    ZipfSampler(std::size_t n, double s);
-
-    /** Draw a rank in [0, n). */
-    std::size_t sample(Pcg32 &rng) const;
-
-    /** @return the probability mass of rank @p k. */
-    double pmf(std::size_t k) const;
-
-    /** @return number of ranks. */
-    std::size_t size() const { return cdf.size(); }
-
-  private:
-    std::vector<double> cdf;
-};
-
-/**
  * Sampler over an arbitrary discrete weight vector (weights need not be
  * normalised).  O(log n) per draw via CDF binary search.
  */

@@ -821,24 +821,18 @@ simdTargetSupported(SimdTarget target)
 }
 
 SimdTarget
-detectSimdTarget()
+resolveSimdTarget(SimdTarget requested)
 {
-    static const SimdTarget cached = [] {
+    static const SimdTarget host = [] {
 #if defined(BPSIM_HAVE_AVX512)
         __builtin_cpu_init();
 #endif
         return simdTargetSupported(SimdTarget::AVX512) ? SimdTarget::AVX512
                                                        : SimdTarget::Scalar;
     }();
-    return cached;
-}
-
-SimdTarget
-resolveSimdTarget(SimdTarget requested)
-{
-    const SimdTarget want =
-        requested == SimdTarget::Auto ? detectSimdTarget() : requested;
-    return simdTargetSupported(want) ? want : SimdTarget::Scalar;
+    if (requested == SimdTarget::Auto)
+        return host;
+    return simdTargetSupported(requested) ? requested : SimdTarget::Scalar;
 }
 
 std::vector<SimdTarget>
@@ -943,7 +937,7 @@ buildLaneKeys(const LaneKeyPlan &plan, const std::uint64_t *widx,
               const std::uint64_t *gh, const std::uint32_t *pcFold,
               std::size_t n, std::uint32_t *keys)
 {
-    buildLaneKeysOn(laneKeysKernel(detectSimdTarget(), plan), plan, widx,
+    buildLaneKeysOn(laneKeysKernel(resolveSimdTarget(), plan), plan, widx,
                     gh, pcFold, n, keys);
 }
 
@@ -1000,7 +994,7 @@ replayPerceptronBatch(const std::uint32_t *idx, const std::uint8_t *taken,
                       std::size_t n, PerceptronBatch &batch)
 {
     replayPerceptronBatchOn(
-        perceptronBatchKernel(detectSimdTarget(), batch.lanes), idx, taken,
+        perceptronBatchKernel(resolveSimdTarget(), batch.lanes), idx, taken,
         n, batch);
 }
 
@@ -1048,7 +1042,7 @@ void
 replayAliasBatch(const AliasRecords &records, std::size_t n,
                  AliasBatch &batch)
 {
-    replayAliasBatchOn(aliasBatchKernel(detectSimdTarget(), batch.lanes),
+    replayAliasBatchOn(aliasBatchKernel(resolveSimdTarget(), batch.lanes),
                        records, n, batch);
 }
 
@@ -1098,7 +1092,7 @@ replayTageBatchOn(SimdTarget kernel, const TageKeys &keys, std::size_t n,
 void
 replayTageBatch(const TageKeys &keys, std::size_t n, TageBatch &batch)
 {
-    replayTageBatchOn(tageBatchKernel(detectSimdTarget(), batch.lanes),
+    replayTageBatchOn(tageBatchKernel(resolveSimdTarget(), batch.lanes),
                       keys, n, batch);
 }
 

@@ -75,13 +75,11 @@ const char *simdTargetName(SimdTarget target);
 /** @return whether this host can execute @p target (Auto: true). */
 bool simdTargetSupported(SimdTarget target);
 
-/** AVX512 when the host supports it, else Scalar (CPUID, cached). */
-SimdTarget detectSimdTarget();
-
 /**
  * The target a kernel invocation may run: Auto is the host's own
- * (detectSimdTarget); an unsupported request clamps to Scalar, so the
- * result is always executable.
+ * (AVX512 when the host supports it, else Scalar; CPUID is probed once
+ * and cached, so the lane engines ask per batch); an unsupported
+ * request clamps to Scalar, so the result is always executable.
  * Never returns Auto.
  */
 SimdTarget resolveSimdTarget(SimdTarget requested = SimdTarget::Auto);
@@ -229,7 +227,7 @@ void buildLaneKeysOn(SimdTarget kernel, const LaneKeyPlan &plan,
 
 /**
  * Occupancy-aware build on the host's builder: runs
- * laneKeysKernel(detectSimdTarget(), plan).
+ * laneKeysKernel(resolveSimdTarget(), plan).
  */
 void buildLaneKeys(const LaneKeyPlan &plan, const std::uint64_t *widx,
                    const std::uint64_t *gh, const std::uint32_t *pcFold,
@@ -271,7 +269,7 @@ void replayPerceptronBatchOn(SimdTarget kernel, const std::uint32_t *idx,
 
 /**
  * Occupancy-aware replay on the host's kernels: runs
- * perceptronBatchKernel(detectSimdTarget(), batch.lanes).
+ * perceptronBatchKernel(resolveSimdTarget(), batch.lanes).
  */
 void replayPerceptronBatch(const std::uint32_t *idx,
                            const std::uint8_t *taken, std::size_t n,
@@ -353,7 +351,7 @@ void replayAliasBatchOn(SimdTarget kernel, const AliasRecords &records,
 
 /**
  * Occupancy-aware replay on the host's kernels: runs
- * aliasBatchKernel(detectSimdTarget(), batch.lanes).
+ * aliasBatchKernel(resolveSimdTarget(), batch.lanes).
  */
 void replayAliasBatch(const AliasRecords &records, std::size_t n,
                       AliasBatch &batch);
@@ -443,7 +441,7 @@ void replayTageBatchOn(SimdTarget kernel, const TageKeys &keys,
 
 /**
  * Occupancy-aware replay on the host's kernels: runs
- * tageBatchKernel(detectSimdTarget(), batch.lanes).
+ * tageBatchKernel(resolveSimdTarget(), batch.lanes).
  */
 void replayTageBatch(const TageKeys &keys, std::size_t n,
                      TageBatch &batch);

@@ -1,5 +1,9 @@
 #include "common/thread_pool.hh"
 
+#include <algorithm>
+#include <exception>
+#include <memory>
+
 #include "common/logging.hh"
 
 namespace bpsim {

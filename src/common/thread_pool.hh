@@ -23,11 +23,8 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace bpsim {
@@ -77,19 +74,6 @@ class ThreadPool
      */
     void parallelFor(std::size_t n, unsigned max_threads,
                      const std::function<void(std::size_t)> &fn);
-
-    /** Queue one task; the future carries its result or exception. */
-    template <typename F>
-    auto
-    submit(F &&f) -> std::future<std::invoke_result_t<std::decay_t<F>>>
-    {
-        using R = std::invoke_result_t<std::decay_t<F>>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(f));
-        std::future<R> fut = task->get_future();
-        enqueue([task] { (*task)(); });
-        return fut;
-    }
 
   private:
     struct Batch;

@@ -334,7 +334,7 @@ SweepServer::handleStats(const Request &req)
     const KernelTelemetry &kernel = server.queue.batch.kernel;
     JsonValue::Object kernelObj;
     kernelObj.emplace("target",
-                      JsonValue(simdTargetName(detectSimdTarget())));
+                      JsonValue(simdTargetName(resolveSimdTarget())));
     kernelObj.emplace("fused_groups",
                       JsonValue(static_cast<std::int64_t>(
                           kernel.fusedGroups)));

@@ -1,7 +1,5 @@
 #include "sim/engine.hh"
 
-#include "common/logging.hh"
-
 namespace bpsim {
 
 PredictionStats
@@ -15,25 +13,6 @@ runPredictor(TraceSource &source, BranchPredictor &predictor,
             continue;
         bool prediction = predictor.onBranch(rec);
         stats.record(rec.pc, rec.taken, prediction);
-    }
-    return stats;
-}
-
-std::vector<PredictionStats>
-runPredictors(TraceSource &source,
-              const std::vector<BranchPredictor *> &predictors)
-{
-    for (auto *p : predictors)
-        bpsim_assert(p != nullptr, "null predictor");
-    std::vector<PredictionStats> stats(predictors.size());
-    BranchRecord rec;
-    while (source.next(rec)) {
-        if (!rec.isConditional())
-            continue;
-        for (std::size_t i = 0; i < predictors.size(); ++i) {
-            bool prediction = predictors[i]->onBranch(rec);
-            stats[i].record(rec.pc, rec.taken, prediction);
-        }
     }
     return stats;
 }

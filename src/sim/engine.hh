@@ -24,14 +24,6 @@ PredictionStats runPredictor(TraceSource &source,
                              BranchPredictor &predictor,
                              bool track_sites = false);
 
-/**
- * Replay @p source through several predictors in lock-step (they all see
- * the same stream; useful for head-to-head example output).
- */
-std::vector<PredictionStats>
-runPredictors(TraceSource &source,
-              const std::vector<BranchPredictor *> &predictors);
-
 } // namespace bpsim
 
 #endif // BPSIM_SIM_ENGINE_HH

@@ -3,7 +3,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/logging.hh"
 #include "common/sat_counter.hh"
 
 namespace bpsim {
@@ -30,6 +29,65 @@ struct PrivateKeyHash
         return static_cast<std::size_t>(h);
     }
 };
+
+/**
+ * Lock-step decomposition for one 2-bit configuration: @p row_of gives
+ * the raw first-level row before each branch; the private twin gives
+ * every (counter index, branch) pair its own counter.
+ */
+template <typename RowFn>
+InterferenceResult
+analyzeTwoBitInterference(const PreparedTrace &trace, RowFn row_of,
+                          unsigned row_bits, unsigned col_bits)
+{
+    const std::uint64_t row_mask = mask(row_bits);
+    const std::uint64_t col_mask = mask(col_bits);
+
+    std::vector<TwoBitCounter> shared(
+        std::size_t{1} << (row_bits + col_bits));
+    std::unordered_map<PrivateKey, TwoBitCounter, PrivateKeyHash>
+        privateTable;
+    privateTable.reserve(trace.size() / 16 + 16);
+
+    InterferenceResult out;
+    out.instances = trace.size();
+
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        std::uint64_t row = row_of(i) & row_mask;
+        std::uint64_t col = wordIndex(trace.pc(i)) & col_mask;
+        auto idx =
+            static_cast<std::size_t>((row << col_bits) | col);
+        bool taken = trace.taken(i);
+
+        bool shared_pred = shared[idx].predict();
+        shared[idx].update(taken);
+
+        const PrivateKey key{idx, trace.pc(i)};
+        // A map miss means this (index, pc) pair has never trained:
+        // a both-wrong miss here is a cold (first-touch) miss.
+        const bool private_fresh =
+            privateTable.find(key) == privateTable.end();
+        TwoBitCounter &priv = privateTable[key];
+        bool private_pred = priv.predict();
+        priv.update(taken);
+
+        bool shared_wrong = shared_pred != taken;
+        bool private_wrong = private_pred != taken;
+        out.sharedMispredicts += shared_wrong;
+        out.privateMispredicts += private_wrong;
+        if (shared_wrong && !private_wrong) {
+            ++out.destructive;
+        } else if (!shared_wrong && private_wrong) {
+            ++out.constructive;
+        } else if (shared_wrong && private_wrong) {
+            if (private_fresh)
+                ++out.coldMispredicts;
+            else
+                ++out.capacityMispredicts;
+        }
+    }
+    return out;
+}
 
 /**
  * Lock-step decomposition for the multi-table zoo: the shared model
@@ -104,84 +162,12 @@ analyzeInterference(const PreparedTrace &trace, SchemeKind kind,
             });
     }
 
-    const std::uint64_t row_mask = mask(row_bits);
-    const std::uint64_t col_mask = mask(col_bits);
-
-    // First-level streams, shared with the sweep semantics (and pinned
-    // equivalent by the sweep tests).
-    std::vector<std::uint64_t> path;
-    BhtStream bht;
-    if (kind == SchemeKind::Path)
-        path = trace.pathHistoryStream(opts.pathBitsPerTarget);
-    if (kind == SchemeKind::PAsFinite)
-        bht = trace.bhtStream(opts.bhtEntries, opts.bhtAssoc,
-                              opts.bhtResetPolicy);
-
-    auto row_of = [&](std::size_t i) -> std::uint64_t {
-        switch (kind) {
-          case SchemeKind::AddressIndexed:
-            return 0;
-          case SchemeKind::GAg:
-          case SchemeKind::GAs:
-            return trace.globalHistory(i);
-          case SchemeKind::Gshare:
-            return trace.globalHistory(i) ^ wordIndex(trace.pc(i));
-          case SchemeKind::PAsPerfect:
-            return trace.selfHistory(i);
-          case SchemeKind::Path:
-            return path[i];
-          case SchemeKind::PAsFinite:
-            return bht.row(i, row_bits);
-          case SchemeKind::Tage:
-          case SchemeKind::Perceptron:
-            break; // handled by the model path above
-        }
-        bpsim_panic("unreachable scheme kind");
-    };
-
-    std::vector<TwoBitCounter> shared(
-        std::size_t{1} << (row_bits + col_bits));
-    std::unordered_map<PrivateKey, TwoBitCounter, PrivateKeyHash>
-        privateTable;
-    privateTable.reserve(trace.size() / 16 + 16);
-
+    // The shared table's rows are the sweep's (withTwoBitRows).
+    StreamCache cache(trace, opts);
     InterferenceResult out;
-    out.instances = trace.size();
-
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        std::uint64_t row = row_of(i) & row_mask;
-        std::uint64_t col = wordIndex(trace.pc(i)) & col_mask;
-        auto idx =
-            static_cast<std::size_t>((row << col_bits) | col);
-        bool taken = trace.taken(i);
-
-        bool shared_pred = shared[idx].predict();
-        shared[idx].update(taken);
-
-        const PrivateKey key{idx, trace.pc(i)};
-        // A map miss means this (index, pc) pair has never trained:
-        // a both-wrong miss here is a cold (first-touch) miss.
-        const bool private_fresh =
-            privateTable.find(key) == privateTable.end();
-        TwoBitCounter &priv = privateTable[key];
-        bool private_pred = priv.predict();
-        priv.update(taken);
-
-        bool shared_wrong = shared_pred != taken;
-        bool private_wrong = private_pred != taken;
-        out.sharedMispredicts += shared_wrong;
-        out.privateMispredicts += private_wrong;
-        if (shared_wrong && !private_wrong) {
-            ++out.destructive;
-        } else if (!shared_wrong && private_wrong) {
-            ++out.constructive;
-        } else if (shared_wrong && private_wrong) {
-            if (private_fresh)
-                ++out.coldMispredicts;
-            else
-                ++out.capacityMispredicts;
-        }
-    }
+    withTwoBitRows(cache, kind, row_bits, [&](auto row_of, auto) {
+        out = analyzeTwoBitInterference(trace, row_of, row_bits, col_bits);
+    });
     return out;
 }
 

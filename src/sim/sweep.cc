@@ -920,10 +920,9 @@ runFusedGroup(const FusedGroup &group,
 {
     const PreparedTrace &t = cache.trace();
     const SweepOptions &opts = cache.options();
-    // The 2-bit family.  row_of gives the raw row value before each
-    // branch, pattern_of the first-level pattern whose all-ones value
-    // makes a conflict harmless.  Aliasing is always measured;
-    // trackAliasing only decides whether it is reported.
+    // The 2-bit family, over withTwoBitRows' mapping.  Aliasing is
+    // always measured; trackAliasing only decides whether it is
+    // reported.
     KernelTelemetry counters;
     const auto two_bit = [&](auto row_of, auto pattern_of) {
         const AliasLanes<decltype(row_of), decltype(pattern_of)> engine(
@@ -938,57 +937,26 @@ runFusedGroup(const FusedGroup &group,
             }
         }
     };
-    const auto none = [](std::size_t) { return std::uint64_t{0}; };
-    const auto global = [&](std::size_t i) { return t.globalHistory(i); };
-
-    switch (group.kind) {
-      case SchemeKind::AddressIndexed:
-        two_bit(none, none);
-        break;
-      case SchemeKind::GAg:
-      case SchemeKind::GAs:
-        two_bit(global, global);
-        break;
-      case SchemeKind::Gshare:
-        // Harmlessness keys on the outcome pattern itself.
-        two_bit(
-            [&](std::size_t i) {
-                return t.globalHistory(i) ^ wordIndex(t.pc(i));
-            },
-            global);
-        break;
-      case SchemeKind::Path: {
-        const std::vector<std::uint64_t> &path = cache.pathStream();
-        two_bit([&](std::size_t i) { return path[i]; }, none);
-        break;
-      }
-      case SchemeKind::PAsPerfect: {
-        const auto self = [&](std::size_t i) { return t.selfHistory(i); };
-        two_bit(self, self);
-        break;
-      }
-      case SchemeKind::PAsFinite: {
-        // The decode derives one width's rows, so every member must
-        // share it (planFusedGroups buckets them so).
-        const BhtStream &bht = cache.bhtStream();
-        const unsigned width = jobs[group.jobs.front()].rowBits;
-        for (std::size_t member : group.jobs)
-            bpsim_assert(jobs[member].rowBits == width,
-                         "finite-PAs group mixes row widths");
-        const auto rows = [&](std::size_t i) { return bht.row(i, width); };
-        two_bit(rows, rows);
-        for (std::size_t member : group.jobs)
-            slots[member].bhtMissRate = bht.missRate();
-        break;
-      }
-      case SchemeKind::Tage:
-      case SchemeKind::Perceptron: {
+    if (group.kind == SchemeKind::Tage ||
+        group.kind == SchemeKind::Perceptron) {
         const ModelLanes engine(t, opts, jobs, group.jobs);
         counters = replayGroup(engine, t.size(), slots);
         counters.modelGroups = 1;
         counters.modelLanes = group.jobs.size();
-        break;
-      }
+    } else {
+        // A PAsFinite decode derives one width's rows, so every member
+        // must share it (planFusedGroups buckets them so).
+        const unsigned width = jobs[group.jobs.front()].rowBits;
+        if (group.kind == SchemeKind::PAsFinite) {
+            for (std::size_t member : group.jobs)
+                bpsim_assert(jobs[member].rowBits == width,
+                             "finite-PAs group mixes row widths");
+        }
+        withTwoBitRows(cache, group.kind, width, two_bit);
+        if (group.kind == SchemeKind::PAsFinite) {
+            for (std::size_t member : group.jobs)
+                slots[member].bhtMissRate = cache.bhtStream().missRate();
+        }
     }
     if (telemetry)
         telemetry->merge(counters);

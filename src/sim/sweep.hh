@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "common/error.hh"
+#include "common/logging.hh"
 #include "predictor/perceptron.hh"
 #include "predictor/tage.hh"
 #include "sim/prepared_trace.hh"
@@ -322,6 +323,65 @@ class StreamCache
     std::optional<BhtStream> bht_;
     std::size_t streamBuilds_ = 0;
 };
+
+/**
+ * Call fn(row_of, pattern_of) with 2-bit scheme @p kind's first-level
+ * mapping over the cache's trace: row_of(i) is the raw row value
+ * before branch i, pattern_of(i) the first-level pattern whose
+ * all-ones value makes a conflict harmless.  PAsFinite derives its
+ * rows at @p row_bits.  The one row mapping of the 2-bit family,
+ * shared by the lane engine and the interference analyzer; the
+ * callables are distinct types, so each scheme's loop is compiled
+ * with its mapping inlined.
+ */
+template <typename Fn>
+void
+withTwoBitRows(StreamCache &cache, SchemeKind kind, unsigned row_bits,
+               Fn &&fn)
+{
+    const PreparedTrace &t = cache.trace();
+    const auto none = [](std::size_t) { return std::uint64_t{0}; };
+    const auto global = [&t](std::size_t i) { return t.globalHistory(i); };
+
+    switch (kind) {
+      case SchemeKind::AddressIndexed:
+        fn(none, none);
+        return;
+      case SchemeKind::GAg:
+      case SchemeKind::GAs:
+        fn(global, global);
+        return;
+      case SchemeKind::Gshare:
+        // Harmlessness keys on the outcome pattern itself.
+        fn([&t](std::size_t i) {
+               return t.globalHistory(i) ^ wordIndex(t.pc(i));
+           },
+           global);
+        return;
+      case SchemeKind::Path: {
+        const std::vector<std::uint64_t> &path = cache.pathStream();
+        fn([&path](std::size_t i) { return path[i]; }, none);
+        return;
+      }
+      case SchemeKind::PAsPerfect: {
+        const auto self = [&t](std::size_t i) { return t.selfHistory(i); };
+        fn(self, self);
+        return;
+      }
+      case SchemeKind::PAsFinite: {
+        const BhtStream &bht = cache.bhtStream();
+        const auto rows = [&bht, row_bits](std::size_t i) {
+            return bht.row(i, row_bits);
+        };
+        fn(rows, rows);
+        return;
+      }
+      case SchemeKind::Tage:
+      case SchemeKind::Perceptron:
+        break;
+    }
+    bpsim_panic(schemeKindName(kind), " is not a 2-bit scheme");
+}
 
 /**
  * Replay one group over the whole trace, writing each member

@@ -58,45 +58,4 @@ kernelOnly(TraceSource &source)
         source.name() + ".kernel");
 }
 
-FilteredTrace
-conditionalOnly(TraceSource &source)
-{
-    return FilteredTrace(
-        source,
-        [](const BranchRecord &r) { return r.isConditional(); },
-        source.name() + ".cond");
-}
-
-WindowedTrace::WindowedTrace(TraceSource &source_, std::uint64_t skip_,
-                             std::uint64_t limit_, std::string name)
-    : source(source_), skip(skip_), limit(limit_),
-      name_(std::move(name))
-{
-}
-
-bool
-WindowedTrace::next(BranchRecord &out)
-{
-    BranchRecord rec;
-    while (skipped < skip) {
-        if (!source.next(rec))
-            return false;
-        ++skipped;
-    }
-    if (limit != 0 && delivered >= limit)
-        return false;
-    if (!source.next(out))
-        return false;
-    ++delivered;
-    return true;
-}
-
-void
-WindowedTrace::reset()
-{
-    source.reset();
-    skipped = 0;
-    delivered = 0;
-}
-
 } // namespace bpsim

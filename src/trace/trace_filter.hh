@@ -1,11 +1,10 @@
 /**
  * @file
- * Trace-stream filters and transforms.
+ * Trace-stream filters.
  *
- * The paper's methodology needs several stream manipulations: IBS traces
- * mix user and kernel records (Section 2 discusses their separability),
- * warm-up instances are sometimes excluded, and studies routinely window
- * long traces.  These adaptors wrap any TraceSource without copying it.
+ * IBS traces mix user and kernel records (the paper's Section 2
+ * discusses their separability).  These adaptors split them without
+ * copying the underlying TraceSource.
  */
 
 #ifndef BPSIM_TRACE_TRACE_FILTER_HH
@@ -54,33 +53,6 @@ FilteredTrace userOnly(TraceSource &source);
 
 /** Keep only kernel-mode records. */
 FilteredTrace kernelOnly(TraceSource &source);
-
-/** Keep only conditional branches. */
-FilteredTrace conditionalOnly(TraceSource &source);
-
-/**
- * Stream adaptor exposing a window of the underlying stream: skip the
- * first @p skip records (warm-up), then deliver at most @p limit
- * records (0 = unlimited).
- */
-class WindowedTrace : public TraceSource
-{
-  public:
-    WindowedTrace(TraceSource &source, std::uint64_t skip,
-                  std::uint64_t limit, std::string name = "window");
-
-    bool next(BranchRecord &out) override;
-    void reset() override;
-    const std::string &name() const override { return name_; }
-
-  private:
-    TraceSource &source;
-    std::uint64_t skip;
-    std::uint64_t limit;
-    std::string name_;
-    std::uint64_t skipped = 0;
-    std::uint64_t delivered = 0;
-};
 
 } // namespace bpsim
 

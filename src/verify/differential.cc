@@ -615,7 +615,7 @@ runDifferentialFuzzer(const FuzzOptions &options)
                         continue;
                     std::ostringstream os;
                     os << "untracked "
-                       << simdTargetName(detectSimdTarget())
+                       << simdTargetName(resolveSimdTarget())
                        << " lane batch disagrees with reference for "
                        << schemeKindName(*kind) << " r="
                        << config.rowBits << " c=" << config.colBits

@@ -71,8 +71,6 @@ class BiasedPredicate : public Predicate
         return p >= 0.9 || p <= 0.1 ? "biased-high" : "biased-low";
     }
 
-    double takenProbability() const { return p; }
-
   private:
     double p;
 };

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "predictor/static_pred.hh"
-#include "predictor/two_level.hh"
 #include "sim/engine.hh"
 #include "trace/memory_trace.hh"
 
@@ -61,28 +60,6 @@ TEST(Engine, SiteTrackingPassedThrough)
     EXPECT_EQ(stats.sites().at(0x400100).executed, 20u);
 }
 
-TEST(Engine, LockstepMatchesIndividualRuns)
-{
-    MemoryTrace t = mixedTrace();
-    auto a1 = makeGAg(4);
-    auto b1 = makeAddressIndexed(4);
-    t.reset();
-    std::vector<PredictionStats> joint =
-        runPredictors(t, {a1.get(), b1.get()});
-
-    auto a2 = makeGAg(4);
-    auto b2 = makeAddressIndexed(4);
-    t.reset();
-    PredictionStats sa = runPredictor(t, *a2);
-    t.reset();
-    PredictionStats sb = runPredictor(t, *b2);
-
-    ASSERT_EQ(joint.size(), 2u);
-    EXPECT_EQ(joint[0].mispredicts(), sa.mispredicts());
-    EXPECT_EQ(joint[1].mispredicts(), sb.mispredicts());
-    EXPECT_EQ(joint[0].lookups(), sa.lookups());
-}
-
 TEST(Engine, EmptyTraceYieldsEmptyStats)
 {
     MemoryTrace t("empty");
@@ -102,10 +79,4 @@ TEST(Engine, EngineDoesNotResetTheSource)
     PredictionStats second = runPredictor(t, p);
     EXPECT_EQ(first.lookups(), 20u);
     EXPECT_EQ(second.lookups(), 0u);
-}
-
-TEST(EngineDeathTest, NullPredictorInLockstepPanics)
-{
-    MemoryTrace t = mixedTrace();
-    EXPECT_DEATH(runPredictors(t, {nullptr}), "null predictor");
 }

@@ -45,13 +45,38 @@ TEST(Interference, CountsAreConsistent)
 
 TEST(Interference, SharedMispRateMatchesSweep)
 {
+    // The shared table is the sweep's table: every 2-bit scheme's rows
+    // must come out as the sweep derives them.
+    const auto expect_match = [](SchemeKind kind, unsigned rows,
+                                 unsigned cols, SweepOptions o) {
+        o.trackAliasing = false;
+        ConfigResult sweep =
+            simulateConfig(workload(), kind, rows, cols, o);
+        InterferenceResult r =
+            analyzeInterference(workload(), kind, rows, cols, o);
+        EXPECT_NEAR(r.sharedMispRate(), sweep.mispRate, 1e-12)
+            << schemeKindName(kind) << " " << rows << "x" << cols
+            << " reset " << bhtResetPolicyName(o.bhtResetPolicy);
+    };
+    for (SchemeKind kind :
+         {SchemeKind::AddressIndexed, SchemeKind::GAg, SchemeKind::GAs,
+          SchemeKind::Gshare, SchemeKind::Path, SchemeKind::PAsPerfect,
+          SchemeKind::PAsFinite}) {
+        const unsigned rows = kind == SchemeKind::AddressIndexed ? 0 : 6;
+        const unsigned cols = kind == SchemeKind::GAg ? 0 : 4;
+        expect_match(kind, rows, cols, {});
+    }
+    // A small BHT misses often, so each reset pattern reaches the rows.
     SweepOptions o;
-    o.trackAliasing = false;
-    ConfigResult sweep =
-        simulateConfig(workload(), SchemeKind::GAs, 6, 4, o);
-    InterferenceResult r =
-        analyzeInterference(workload(), SchemeKind::GAs, 6, 4, o);
-    EXPECT_NEAR(r.sharedMispRate(), sweep.mispRate, 1e-12);
+    o.bhtEntries = 64;
+    o.bhtAssoc = 2;
+    for (BhtResetPolicy policy :
+         {BhtResetPolicy::C3ffPrefix, BhtResetPolicy::Zeros,
+          BhtResetPolicy::Ones, BhtResetPolicy::Hold}) {
+        o.bhtResetPolicy = policy;
+        expect_match(SchemeKind::PAsFinite, 6, 4, o);
+        expect_match(SchemeKind::PAsFinite, 11, 1, o);
+    }
 }
 
 TEST(Interference, VanishesForPrivateEnoughTables)

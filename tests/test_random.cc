@@ -155,52 +155,6 @@ TEST(Pcg32, GeometricHitsItsMean)
     }
 }
 
-TEST(ZipfSampler, PmfSumsToOne)
-{
-    ZipfSampler z(100, 1.0);
-    double total = 0;
-    for (std::size_t k = 0; k < z.size(); ++k)
-        total += z.pmf(k);
-    EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(ZipfSampler, PmfIsMonotoneDecreasing)
-{
-    ZipfSampler z(50, 1.2);
-    for (std::size_t k = 1; k < z.size(); ++k)
-        EXPECT_GE(z.pmf(k - 1), z.pmf(k)) << "rank " << k;
-}
-
-TEST(ZipfSampler, ZeroExponentIsUniform)
-{
-    ZipfSampler z(10, 0.0);
-    for (std::size_t k = 0; k < 10; ++k)
-        EXPECT_NEAR(z.pmf(k), 0.1, 1e-9);
-}
-
-TEST(ZipfSampler, SampleFrequenciesMatchPmf)
-{
-    Pcg32 rng(47);
-    ZipfSampler z(20, 1.0);
-    std::vector<int> counts(20, 0);
-    const int draws = 100'000;
-    for (int i = 0; i < draws; ++i)
-        ++counts[z.sample(rng)];
-    for (std::size_t k = 0; k < 5; ++k) {
-        double expect = z.pmf(k) * draws;
-        EXPECT_NEAR(counts[k], expect, expect * 0.1 + 30)
-            << "rank " << k;
-    }
-}
-
-TEST(ZipfSampler, SingleRank)
-{
-    Pcg32 rng(53);
-    ZipfSampler z(1, 2.0);
-    for (int i = 0; i < 20; ++i)
-        EXPECT_EQ(z.sample(rng), 0u);
-}
-
 TEST(DiscreteSampler, RespectsWeights)
 {
     Pcg32 rng(59);

@@ -532,7 +532,7 @@ TEST(Service, KernelTargetIsTheHostsBeforeAnySweep)
     const JsonValue *kernel = stats.find("kernel");
     ASSERT_NE(kernel, nullptr);
     EXPECT_EQ(kernel->find("target")->asString(),
-              simdTargetName(detectSimdTarget()));
+              simdTargetName(resolveSimdTarget()));
     EXPECT_EQ(kernel->find("fused_groups")->asInt(), 0);
 }
 
@@ -552,7 +552,7 @@ TEST(Service, KernelTargetSurvivesCacheHitDrains)
     const JsonValue *kernel = stats.find("kernel");
     ASSERT_NE(kernel, nullptr);
     EXPECT_EQ(kernel->find("target")->asString(),
-              simdTargetName(detectSimdTarget()));
+              simdTargetName(resolveSimdTarget()));
     EXPECT_GE(kernel->find("fused_groups")->asInt(), 1);
 }
 

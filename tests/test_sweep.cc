@@ -610,7 +610,7 @@ TEST(Sweep, ForcedSimdTargetsBitIdenticalThroughSweepScheme)
     base.maxTotalBits = 9;
     base.trackAliasing = false;
     base.bhtEntries = 64;
-    EXPECT_EQ(aliasBatchKernel(detectSimdTarget(), 1), SimdTarget::Scalar);
+    EXPECT_EQ(aliasBatchKernel(resolveSimdTarget(), 1), SimdTarget::Scalar);
 
     for (SchemeKind kind : {SchemeKind::GAs, SchemeKind::Gshare,
                             SchemeKind::PAsFinite}) {

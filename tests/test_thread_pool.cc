@@ -2,7 +2,7 @@
  * @file
  * Tests for the shared worker pool behind the sweep engine: exact
  * once-per-index execution, deterministic result slots, exception
- * propagation, nested-batch liveness, and submit() futures.
+ * propagation and nested-batch liveness.
  */
 
 #include <gtest/gtest.h>
@@ -184,21 +184,6 @@ TEST(ThreadPool, NestedGroupsTimesShardsShapeDrains)
         for (std::size_t t = 0; t < tasks; ++t)
             ASSERT_EQ(runs[g][t].load(), 1)
                 << "group " << g << " task " << t;
-}
-
-TEST(ThreadPool, SubmitDeliversResultThroughFuture)
-{
-    ThreadPool pool(2);
-    auto fut = pool.submit([] { return 6 * 7; });
-    EXPECT_EQ(fut.get(), 42);
-}
-
-TEST(ThreadPool, SubmitDeliversExceptionThroughFuture)
-{
-    ThreadPool pool(2);
-    auto fut = pool.submit(
-        []() -> int { throw std::runtime_error("submitted"); });
-    EXPECT_THROW(fut.get(), std::runtime_error);
 }
 
 TEST(ThreadPool, StressManySmallRandomizedBatches)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the trace filter / window adaptors.
+ * Tests for the user/kernel trace filters.
  */
 
 #include <gtest/gtest.h>
@@ -70,16 +70,6 @@ TEST(FilteredTrace, KernelOnlyKeepsKernelRecords)
     EXPECT_EQ(n, 10);
 }
 
-TEST(FilteredTrace, ConditionalOnlyDropsOtherTypes)
-{
-    MemoryTrace t = mixedTrace();
-    FilteredTrace f = conditionalOnly(t);
-    BranchRecord rec;
-    while (f.next(rec))
-        EXPECT_TRUE(rec.isConditional());
-    EXPECT_EQ(f.dropped(), 4u); // the i % 3 == 0 kernel calls
-}
-
 TEST(FilteredTrace, DroppedInstructionsFoldIntoGaps)
 {
     // Total dynamic instructions must be preserved by filtering (the
@@ -131,63 +121,4 @@ TEST(FilteredTrace, TrailingDroppedRecordsEndTheStream)
     BranchRecord out;
     EXPECT_FALSE(f.next(out));
     EXPECT_EQ(f.dropped(), 1u);
-}
-
-TEST(WindowedTrace, SkipAndLimit)
-{
-    MemoryTrace t = mixedTrace(); // 20 records
-    WindowedTrace w(t, 5, 3);
-    BranchRecord rec;
-    int n = 0;
-    while (w.next(rec))
-        ++n;
-    EXPECT_EQ(n, 3);
-}
-
-TEST(WindowedTrace, ZeroLimitMeansUnbounded)
-{
-    MemoryTrace t = mixedTrace();
-    WindowedTrace w(t, 18, 0);
-    BranchRecord rec;
-    int n = 0;
-    while (w.next(rec))
-        ++n;
-    EXPECT_EQ(n, 2);
-}
-
-TEST(WindowedTrace, SkipBeyondEndYieldsNothing)
-{
-    MemoryTrace t = mixedTrace();
-    WindowedTrace w(t, 100, 5);
-    BranchRecord rec;
-    EXPECT_FALSE(w.next(rec));
-}
-
-TEST(WindowedTrace, ResetReplays)
-{
-    MemoryTrace t = mixedTrace();
-    WindowedTrace w(t, 2, 2);
-    BranchRecord first_run[2], second_run[2];
-    ASSERT_TRUE(w.next(first_run[0]));
-    ASSERT_TRUE(w.next(first_run[1]));
-    w.reset();
-    ASSERT_TRUE(w.next(second_run[0]));
-    ASSERT_TRUE(w.next(second_run[1]));
-    EXPECT_EQ(first_run[0], second_run[0]);
-    EXPECT_EQ(first_run[1], second_run[1]);
-}
-
-TEST(WindowedTrace, ComposesWithFilters)
-{
-    MemoryTrace t = mixedTrace();
-    FilteredTrace user = userOnly(t);
-    WindowedTrace w(user, 1, 4, "user-window");
-    BranchRecord rec;
-    int n = 0;
-    while (w.next(rec)) {
-        EXPECT_FALSE(rec.kernel);
-        ++n;
-    }
-    EXPECT_EQ(n, 4);
-    EXPECT_EQ(w.name(), "user-window");
 }
