@@ -201,9 +201,10 @@ sweepRow(benchmark::State &state, SchemeKind kind, int threads)
 
 /**
  * The batched perceptron inner loop in isolation: a batch of
- * state.range(0) live lanes over a synthetic pre-offset index stream
- * on exactly one kernel.  Items processed counts lane-updates
- * (branches x live lanes), so across the 1..5/8/9/16-lane rows the
+ * state.range(0) live lanes, laid out in one arena by the sweep
+ * engine's packer, over a synthetic arena-offset index stream on
+ * exactly one kernel.  Items processed counts lane-updates
+ * (branches x live lanes), so across the 1..16-lane rows the
  * avx512/scalar ratio is the occupancy break-even that
  * perceptronBatchKernel's dispatch threshold comes from.
  */
@@ -218,6 +219,12 @@ perceptronBatchReplay(benchmark::State &state, SimdTarget kernel)
     constexpr unsigned tables = 4;
     constexpr unsigned entryBits = 10;
     constexpr std::size_t n = 1u << 14;
+    static const LaneBatchLayout layout =
+        packLaneBatches(std::vector<std::size_t>(
+                            PerceptronBatch::kMaxLanes * tables,
+                            std::size_t{1} << entryBits),
+                        tables, sizeof(std::int8_t))
+            .front();
     static const std::vector<std::uint32_t> idx = [] {
         Pcg32 rng(0xF005BA11ULL, 9);
         std::vector<std::uint32_t> v(n * tables *
@@ -227,7 +234,7 @@ perceptronBatchReplay(benchmark::State &state, SimdTarget kernel)
                 for (unsigned l = 0; l < PerceptronBatch::kMaxLanes;
                      ++l)
                     v[(i * tables + tb) * PerceptronBatch::kMaxLanes +
-                      l] = (tb << entryBits) +
+                      l] = layout.at(l, tb) +
                            rng.nextBounded(1u << entryBits);
         return v;
     }();
@@ -239,17 +246,13 @@ perceptronBatchReplay(benchmark::State &state, SimdTarget kernel)
         return v;
     }();
 
-    std::vector<std::vector<std::int8_t>> banks(lanes);
+    std::vector<std::int8_t> arena(layout.elements, 0);
     PerceptronBatch batch;
+    batch.weights = arena.data();
     batch.lanes = lanes;
     batch.tables = tables;
-    for (unsigned l = 0; l < lanes; ++l) {
-        banks[l].assign((std::size_t{tables} << entryBits) +
-                            PerceptronBatch::kGatherSlack,
-                        0);
-        batch.weights[l] = banks[l].data();
+    for (unsigned l = 0; l < lanes; ++l)
         batch.theta[l] = 60;
-    }
 
     for (auto _ : state) {
         replayPerceptronBatchOn(kernel, idx.data(), taken.data(), n,
@@ -311,17 +314,21 @@ aliasBatchReplay(benchmark::State &state, SimdTarget kernel)
     constexpr unsigned totalBits = 12;
     AliasBatch batch;
     batch.lanes = static_cast<unsigned>(state.range(0));
+    // Laid out as the sweep engine lays out its arenas.
+    const LaneBatchLayout layout =
+        packLaneBatches(std::vector<std::size_t>(
+                            batch.lanes, std::size_t{1} << totalBits),
+                        1, sizeof(std::uint32_t))
+            .front();
     for (unsigned l = 0; l < batch.lanes; ++l) {
         const unsigned r = 2 + l % (totalBits - 1);
-        // Staggered like the sweep engine's arenas (sim/sweep.cc).
-        batch.offset[l] = l * ((1u << totalBits) + 16);
+        batch.offset[l] = layout.at(l, 0);
         batch.rowMask[l] = (1u << r) - 1;
         batch.colMask[l] = (1u << (totalBits - r)) - 1;
         batch.colBits[l] = totalBits - r;
         batch.harmlessOnes[l] = r;
     }
-    std::vector<std::uint32_t> arena(std::size_t{batch.lanes} *
-                                         ((1u << totalBits) + 16),
+    std::vector<std::uint32_t> arena(layout.elements,
                                      AliasBatch::kFreshEntry);
     batch.entries = arena.data();
 
@@ -348,8 +355,8 @@ aliasBatchReplay(benchmark::State &state, SimdTarget kernel)
  * branches of the shared workload (TageModel's own hash hooks, the
  * default 4 components and 8-bit tags) for a batch of state.range(0)
  * live tier-12 lanes (entry widths 2..11 in turn, base tables the
- * rest of the tier), laid out in one padded arena as the sweep engine
- * lays them out, replayed on exactly one kernel in the sweep engine's
+ * rest of the tier), laid out in one arena by the sweep engine's
+ * packer, replayed on exactly one kernel in the sweep engine's
  * 64-branch key tiles (so the keys stay cache-resident, as the
  * engine's freshly built tiles are).  Items processed
  * counts lane-updates (branches x live lanes), so across the
@@ -365,7 +372,6 @@ tageBatchReplay(benchmark::State &state, SimdTarget kernel)
     }
     constexpr unsigned kLanes = TageBatch::kMaxLanes;
     constexpr unsigned totalBits = 12;
-    constexpr std::size_t kPad = 16;
     constexpr std::size_t n = 2048;
     constexpr std::size_t kTile = 64;
     const auto lanes = static_cast<unsigned>(state.range(0));
@@ -373,18 +379,17 @@ tageBatchReplay(benchmark::State &state, SimdTarget kernel)
     const auto ncomp = static_cast<unsigned>(defaults.histories.size());
     const auto entry_bits = [](unsigned l) { return 2 + l % 10; };
 
-    // Lane l: base table at base[l], component c at
-    // comp[l] + c * ((1 << entryBits) + kPad).
-    std::uint32_t base[kLanes];
-    std::uint32_t comp[kLanes];
-    std::size_t slots = 0;
-    for (unsigned l = 0; l < kLanes; ++l) {
-        const unsigned eb = entry_bits(l);
-        base[l] = static_cast<std::uint32_t>(slots);
-        slots += (std::size_t{1} << (totalBits - eb)) + kPad;
-        comp[l] = static_cast<std::uint32_t>(slots);
-        slots += ncomp * ((std::size_t{1} << eb) + kPad);
-    }
+    // Lane l: the base table, then its components.
+    static const LaneBatchLayout layout = [&] {
+        std::vector<std::size_t> entries;
+        for (unsigned l = 0; l < kLanes; ++l) {
+            entries.push_back(std::size_t{1} << (totalBits - entry_bits(l)));
+            entries.insert(entries.end(), ncomp,
+                           std::size_t{1} << entry_bits(l));
+        }
+        return packLaneBatches(entries, ncomp + 1, sizeof(std::uint32_t))
+            .front();
+    }();
     static const std::vector<std::uint32_t> keys = [&] {
         const PreparedTrace &t = prepared();
         std::vector<std::uint32_t> v(n * (ncomp + 1) * kLanes);
@@ -395,15 +400,13 @@ tageBatchReplay(benchmark::State &state, SimdTarget kernel)
             const TageModel model(p);
             for (std::size_t i = 0; i < n; ++i) {
                 std::uint32_t *row = v.data() + i * (ncomp + 1) * kLanes;
-                row[l] = base[l] + static_cast<std::uint32_t>(
-                                       model.baseIndex(t.pc(i)));
+                row[l] = layout.at(l, 0) + static_cast<std::uint32_t>(
+                                               model.baseIndex(t.pc(i)));
                 for (unsigned c = 0; c < ncomp; ++c)
                     row[(c + 1) * kLanes + l] =
-                        comp[l] +
-                        static_cast<std::uint32_t>(
-                            c * ((std::size_t{1} << p.entryBits) + kPad) +
-                            model.taggedIndex(c, t.pc(i),
-                                              t.globalHistory(i)));
+                        layout.at(l, c + 1) +
+                        static_cast<std::uint32_t>(model.taggedIndex(
+                            c, t.pc(i), t.globalHistory(i)));
             }
         }
         return v;
@@ -426,10 +429,12 @@ tageBatchReplay(benchmark::State &state, SimdTarget kernel)
         return v;
     }();
 
-    std::vector<std::uint32_t> arena(slots, TageBatch::kFreshEntry);
+    std::vector<std::uint32_t> arena(layout.elements,
+                                     TageBatch::kFreshEntry);
     for (unsigned l = 0; l < kLanes; ++l)
-        std::fill(arena.begin() + base[l], arena.begin() + comp[l],
-                  TageBatch::kFreshBase);
+        std::fill_n(arena.begin() + layout.at(l, 0),
+                    std::size_t{1} << (totalBits - entry_bits(l)),
+                    TageBatch::kFreshBase);
     TageBatch batch;
     batch.entries = arena.data();
     batch.lanes = lanes;
@@ -547,11 +552,9 @@ traceGeneration(benchmark::State &state)
 BENCHMARK(sweepKernel);
 BENCHMARK(sweepKernelFiniteBht)->Arg(0)->Arg(1)->ArgNames({"cached"});
 BENCHMARK_CAPTURE(perceptronBatchReplay, scalar, SimdTarget::Scalar)
-    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8)->Arg(9)->Arg(16)
-    ->ArgNames({"lanes"});
+    ->DenseRange(1, 16)->ArgNames({"lanes"});
 BENCHMARK_CAPTURE(perceptronBatchReplay, avx512, SimdTarget::AVX512)
-    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8)->Arg(9)->Arg(16)
-    ->ArgNames({"lanes"});
+    ->DenseRange(1, 16)->ArgNames({"lanes"});
 BENCHMARK_CAPTURE(aliasBatchReplay, scalar, SimdTarget::Scalar)
     ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(16)
     ->ArgNames({"lanes"});

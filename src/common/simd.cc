@@ -79,15 +79,15 @@ replayPerceptronBatchScalar(const std::uint32_t *idx,
     const unsigned tables = batch.tables;
     const std::size_t stride =
         static_cast<std::size_t>(tables) * PerceptronBatch::kMaxLanes;
+    std::int8_t *const arena = batch.weights;
     for (unsigned l = 0; l < batch.lanes; ++l) {
-        std::int8_t *bank = batch.weights[l];
         const int theta = batch.theta[l];
         std::uint64_t misses = 0;
         const std::uint32_t *row = idx + l;
         for (std::size_t i = 0; i < n; ++i, row += stride) {
             int sum = 0;
             for (unsigned t = 0; t < tables; ++t)
-                sum += bank[row[t * PerceptronBatch::kMaxLanes]];
+                sum += arena[row[t * PerceptronBatch::kMaxLanes]];
             const bool pred = sum >= 0;
             const bool tk = taken[i] != 0;
             misses += pred != tk;
@@ -96,7 +96,7 @@ replayPerceptronBatchScalar(const std::uint32_t *idx,
                 const int delta = tk ? 1 : -1;
                 for (unsigned t = 0; t < tables; ++t) {
                     std::int8_t &w =
-                        bank[row[t * PerceptronBatch::kMaxLanes]];
+                        arena[row[t * PerceptronBatch::kMaxLanes]];
                     int next = w + delta;
                     if (next > PerceptronBatch::kWeightMax)
                         next = PerceptronBatch::kWeightMax;
@@ -268,55 +268,33 @@ replayTageBatchScalar(const TageKeys &keys, std::size_t n,
 // used, so one CPUID feature gates execution and one probe gates
 // compilation.  Where GCC's unmasked form of an intrinsic merges into
 // an undefined source (and so trips -Wmaybe-uninitialized), the
-// kernels use its zero-masked form instead.  The perceptron gathers
-// use absolute addresses (base pointer null, scale 1): per-lane bank
-// base + byte index, loading 4 bytes at the addressed byte -- which is
-// why every bank carries PerceptronBatch::kGatherSlack padding.
+// kernels use its zero-masked form instead.
 
 /**
- * The 16-lane perceptron kernel.  Updates CANNOT use vpscatterqd:
- * weights are adjacent int8 bytes, so the 4-byte scatter window would
- * clobber three neighbouring weights -- including, when two of a
- * lane's own table indices land within 4 bytes of each other, a weight
- * this very branch just trained.  Stores stay scalar per byte, one per
- * live lane and table; everything else is vector, with the train
- * decision carried in mask registers.  Dead lanes neither gather nor
- * store, so a part-full batch costs less than a full one.
+ * The 16-lane perceptron kernel.  Per table one masked vpgatherdd
+ * (scale 1, base the int8 arena; the table pad is the window's slack)
+ * reads each live lane's weight as the low byte of a 4-byte window.
+ * Updates CANNOT use vpscatterdd: its 4-byte window would clobber
+ * three neighbouring int8 weights -- including, when two of a lane's
+ * own table indices land within 4 bytes of each other, a weight this
+ * very branch just trained.  Stores stay scalar per byte, one per live
+ * lane and table; everything else is vector, with the train decision
+ * carried in mask registers.  Dead lanes neither gather nor store.
  */
 __attribute__((target("avx512f"))) void
 replayPerceptronBatchAvx512(const std::uint32_t *idx,
                             const std::uint8_t *taken, std::size_t n,
                             PerceptronBatch &batch)
 {
+    static_assert(LaneBatchLayout::kPadBytes >= sizeof(int) - 1,
+                  "the table pad must cover the 4-byte gather window");
     constexpr unsigned kLanes = PerceptronBatch::kMaxLanes;
     const unsigned lanes = batch.lanes;
     const unsigned tables = batch.tables;
-    std::int8_t *bases[kLanes];
-    std::copy(batch.weights, batch.weights + kLanes, bases);
+    std::int8_t *const arena = batch.weights;
     const __mmask16 live = static_cast<__mmask16>((1u << lanes) - 1u);
-    const __mmask8 live_lo = static_cast<__mmask8>(live);
-    const __mmask8 live_hi = static_cast<__mmask8>(live >> 8);
     const __m512i theta = _mm512_loadu_si512(batch.theta);
-    const __m512i base_lo = _mm512_set_epi64(
-        reinterpret_cast<long long>(bases[7]),
-        reinterpret_cast<long long>(bases[6]),
-        reinterpret_cast<long long>(bases[5]),
-        reinterpret_cast<long long>(bases[4]),
-        reinterpret_cast<long long>(bases[3]),
-        reinterpret_cast<long long>(bases[2]),
-        reinterpret_cast<long long>(bases[1]),
-        reinterpret_cast<long long>(bases[0]));
-    const __m512i base_hi = _mm512_set_epi64(
-        reinterpret_cast<long long>(bases[15]),
-        reinterpret_cast<long long>(bases[14]),
-        reinterpret_cast<long long>(bases[13]),
-        reinterpret_cast<long long>(bases[12]),
-        reinterpret_cast<long long>(bases[11]),
-        reinterpret_cast<long long>(bases[10]),
-        reinterpret_cast<long long>(bases[9]),
-        reinterpret_cast<long long>(bases[8]));
     const __m512i zero = _mm512_setzero_si512();
-    const __m256i zero256 = _mm256_setzero_si256();
     const __m512i over =
         _mm512_set1_epi32(PerceptronBatch::kWeightMax + 1);
     const __m512i under =
@@ -331,34 +309,12 @@ replayPerceptronBatchAvx512(const std::uint32_t *idx,
         const std::uint32_t *row = idx + i * stride;
         __m512i sum = zero;
         for (unsigned t = 0; t < tables; ++t) {
-            const auto *ix =
-                reinterpret_cast<const __m256i *>(row + t * kLanes);
-            const __m512i addr_lo = _mm512_add_epi64(
-                base_lo, _mm512_maskz_cvtepu32_epi64(
-                             live_lo, _mm256_loadu_si256(ix)));
-            const __m256i g_lo = _mm512_mask_i64gather_epi32(
-                zero256, live_lo, addr_lo,
-                static_cast<const int *>(nullptr), 1);
-            // Batches of at most 8 lanes skip the upper gather.
-            const __m256i g_hi =
-                live_hi == 0
-                    ? zero256
-                    : _mm512_mask_i64gather_epi32(
-                          zero256, live_hi,
-                          _mm512_add_epi64(
-                              base_hi, _mm512_maskz_cvtepu32_epi64(
-                                           live_hi,
-                                           _mm256_loadu_si256(ix + 1))),
-                          static_cast<const int *>(nullptr), 1);
+            const __m512i g = _mm512_mask_i32gather_epi32(
+                zero, live, _mm512_loadu_si512(row + t * kLanes), arena,
+                1);
             // Sign-extend the gathered low byte: << 24 then >> 24.
             const __m512i w = _mm512_maskz_srai_epi32(
-                live,
-                _mm512_maskz_slli_epi32(
-                    live,
-                    _mm512_maskz_inserti64x4(
-                        0xFF, _mm512_castsi256_si512(g_lo), g_hi, 1),
-                    24),
-                24);
+                live, _mm512_maskz_slli_epi32(live, g, 24), 24);
             _mm512_store_si512(wa[t], w);
             sum = _mm512_add_epi32(sum, w);
         }
@@ -389,7 +345,7 @@ replayPerceptronBatchAvx512(const std::uint32_t *idx,
             const std::uint32_t *ix = row + t * kLanes;
 #pragma GCC unroll 16
             for (unsigned l = 0; l < lanes; ++l)
-                bases[l][ix[l]] = static_cast<std::int8_t>(nb[l]);
+                arena[ix[l]] = static_cast<std::int8_t>(nb[l]);
         }
     }
     alignas(64) std::uint32_t out[kLanes];
@@ -788,6 +744,26 @@ buildLaneKeysAvx512(const LaneKeyPlan &plan, const std::uint64_t *widx,
 
 #endif // BPSIM_HAVE_AVX512
 
+/**
+ * Every engine's occupancy-aware dispatch: under the concrete @p target,
+ * AVX512 from @p min_lanes live lanes (the engine's break-even in its
+ * bench/micro_predictor_ops ledger rows), Scalar below.
+ */
+SimdTarget
+occupancyKernel(SimdTarget target, unsigned lanes, unsigned min_lanes)
+{
+    bpsim_assert(target != SimdTarget::Auto,
+                 "lane kernel dispatch needs a resolved target");
+#if defined(BPSIM_HAVE_AVX512)
+    if (target == SimdTarget::AVX512 && lanes >= min_lanes)
+        return SimdTarget::AVX512;
+#else
+    (void)lanes;
+    (void)min_lanes;
+#endif
+    return SimdTarget::Scalar;
+}
+
 } // namespace
 
 const char *
@@ -844,6 +820,40 @@ supportedSimdTargets()
     return targets;
 }
 
+std::vector<LaneBatchLayout>
+packLaneBatches(const std::vector<std::size_t> &entries, unsigned tables,
+                std::size_t elementBytes)
+{
+    using Layout = LaneBatchLayout;
+    bpsim_assert(tables >= 1 && entries.size() % tables == 0 &&
+                     elementBytes >= 1 &&
+                     Layout::kPadBytes % elementBytes == 0,
+                 "lane batch packing of ", entries.size(), " tables at ",
+                 tables, " per lane, ", elementBytes, "-byte elements");
+    const std::size_t pad = Layout::kPadBytes / elementBytes;
+    std::vector<Layout> batches;
+    for (std::size_t j = 0; j < entries.size() / tables; ++j) {
+        const std::size_t *sizes = entries.data() + j * tables;
+        std::size_t lane_elements = 0;
+        for (unsigned t = 0; t < tables; ++t)
+            lane_elements += sizes[t] + pad;
+        bpsim_assert(lane_elements <= Layout::kMaxElements, "lane ", j,
+                     " needs ", lane_elements,
+                     " arena elements, past the 2^31 - 1 cap");
+        if (batches.empty() || batches.back().lanes == Layout::kMaxLanes ||
+            batches.back().elements + lane_elements > Layout::kMaxElements)
+            batches.push_back(Layout{j, 0, tables, 0, {}});
+        Layout &batch = batches.back();
+        ++batch.lanes;
+        for (unsigned t = 0; t < tables; ++t) {
+            batch.offset.push_back(
+                static_cast<std::uint32_t>(batch.elements));
+            batch.elements += sizes[t] + pad;
+        }
+    }
+    return batches;
+}
+
 LaneKeyPlan::LaneKeyPlan(unsigned tables) : tables(tables)
 {
     bpsim_assert(tables >= 1 && tables <= kMaxTables, "lane key plan of ",
@@ -895,21 +905,13 @@ LaneKeyPlan::setFold(unsigned table, unsigned lane, unsigned start,
 SimdTarget
 laneKeysKernel(SimdTarget target, const LaneKeyPlan &plan)
 {
-    bpsim_assert(target != SimdTarget::Auto,
-                 "laneKeysKernel needs a resolved target");
-    // Occupancy break-even from the laneKeys rows of
-    // bench/micro_predictor_ops: the AVX-512 builder costs the same
-    // per branch however many lanes are live, the scalar one scales
-    // with them, and the AVX-512 one wins from kLaneKeysAvx512MinLanes.
+    // The AVX-512 builder costs the same per branch however many lanes
+    // are live, the scalar one scales with them, and the AVX-512 one
+    // wins from kLaneKeysAvx512MinLanes (the laneKeys rows).
     constexpr unsigned kLaneKeysAvx512MinLanes = 2;
-#if defined(BPSIM_HAVE_AVX512)
-    if (target == SimdTarget::AVX512 && plan.fits32 &&
-        plan.lanes >= kLaneKeysAvx512MinLanes)
-        return SimdTarget::AVX512;
-#else
-    (void)plan;
-#endif
-    return SimdTarget::Scalar;
+    const SimdTarget kernel =
+        occupancyKernel(target, plan.lanes, kLaneKeysAvx512MinLanes);
+    return plan.fits32 ? kernel : SimdTarget::Scalar;
 }
 
 void
@@ -944,21 +946,11 @@ buildLaneKeys(const LaneKeyPlan &plan, const std::uint64_t *widx,
 SimdTarget
 perceptronBatchKernel(SimdTarget target, unsigned lanes)
 {
-    bpsim_assert(target != SimdTarget::Auto,
-                 "perceptronBatchKernel needs a resolved target");
-    // Occupancy break-even from the perceptronBatchReplay rows of
-    // bench/micro_predictor_ops: the 16-wide gathers cost the same per
-    // branch however many lanes are live, and they overtake the scalar
-    // lane-major loop at kPerceptronAvx512MinLanes.
+    // The 16-wide gathers cost the same per branch however many lanes
+    // are live, and they overtake the scalar lane-major loop at
+    // kPerceptronAvx512MinLanes (the perceptronBatchReplay rows).
     constexpr unsigned kPerceptronAvx512MinLanes = 2;
-#if defined(BPSIM_HAVE_AVX512)
-    if (target == SimdTarget::AVX512 &&
-        lanes >= kPerceptronAvx512MinLanes)
-        return SimdTarget::AVX512;
-#else
-    (void)lanes;
-#endif
-    return SimdTarget::Scalar;
+    return occupancyKernel(target, lanes, kPerceptronAvx512MinLanes);
 }
 
 void
@@ -1001,23 +993,14 @@ replayPerceptronBatch(const std::uint32_t *idx, const std::uint8_t *taken,
 SimdTarget
 aliasBatchKernel(SimdTarget target, unsigned lanes)
 {
-    bpsim_assert(target != SimdTarget::Auto,
-                 "aliasBatchKernel needs a resolved target");
-    // Occupancy break-even from the aliasBatchReplay rows of
-    // bench/micro_predictor_ops: the 16-wide gather/scatter costs the
-    // same per branch however many lanes are live, and it overtakes
-    // the scalar lane-major loop at kAliasAvx512MinLanes live lanes.
-    // The ledger also reads AVX-512 ahead at 2 lanes, but no end-to-end
-    // PAs(bht) sweep or paper_cold run shows it (EXPERIMENTS "2-bit
-    // lane batches: the kernel"), so the threshold stays at 3.
+    // The 16-wide gather/scatter costs the same per branch however
+    // many lanes are live, and it overtakes the scalar lane-major loop
+    // at kAliasAvx512MinLanes (the aliasBatchReplay rows).  The ledger
+    // also reads AVX-512 ahead at 2 lanes, but no end-to-end PAs(bht)
+    // sweep or paper_cold run shows it (EXPERIMENTS "2-bit lane
+    // batches: the kernel"), so the threshold stays at 3.
     constexpr unsigned kAliasAvx512MinLanes = 3;
-#if defined(BPSIM_HAVE_AVX512)
-    if (target == SimdTarget::AVX512 && lanes >= kAliasAvx512MinLanes)
-        return SimdTarget::AVX512;
-#else
-    (void)lanes;
-#endif
-    return SimdTarget::Scalar;
+    return occupancyKernel(target, lanes, kAliasAvx512MinLanes);
 }
 
 void
@@ -1049,20 +1032,11 @@ replayAliasBatch(const AliasRecords &records, std::size_t n,
 SimdTarget
 tageBatchKernel(SimdTarget target, unsigned lanes)
 {
-    bpsim_assert(target != SimdTarget::Auto,
-                 "tageBatchKernel needs a resolved target");
-    // Occupancy break-even from the tageBatchReplay rows of
-    // bench/micro_predictor_ops: the 16-wide gathers and scatters cost
-    // the same per branch however many lanes are live, and they
-    // overtake the scalar lane-major loop at kTageAvx512MinLanes.
+    // The 16-wide gathers and scatters cost the same per branch however
+    // many lanes are live, and they overtake the scalar lane-major loop
+    // at kTageAvx512MinLanes (the tageBatchReplay rows).
     constexpr unsigned kTageAvx512MinLanes = 5;
-#if defined(BPSIM_HAVE_AVX512)
-    if (target == SimdTarget::AVX512 && lanes >= kTageAvx512MinLanes)
-        return SimdTarget::AVX512;
-#else
-    (void)lanes;
-#endif
-    return SimdTarget::Scalar;
+    return occupancyKernel(target, lanes, kTageAvx512MinLanes);
 }
 
 void

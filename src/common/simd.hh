@@ -15,9 +15,9 @@
  *                    conflicts and harmless conflicts per lane.  The
  *                    AVX-512 kernel does one masked 32-bit gather and
  *                    one masked scatter per branch.
- *   PerceptronBatch  the hashed-perceptron zoo: int8 weight banks.  The
- *                    AVX-512 kernel gathers each table's 16 weights at
- *                    once and trains them with scalar byte stores.
+ *   PerceptronBatch  the hashed-perceptron zoo: int8 weights.  The
+ *                    AVX-512 kernel does one masked gather per table
+ *                    and trains the weights with scalar byte stores.
  *   TageBatch        the TAGE zoo: one uint32 slot per tagged entry or
  *                    base counter.  The AVX-512 kernel does one masked
  *                    gather per table, the provider, altpred and victim
@@ -26,6 +26,9 @@
  *                    costliest zoo request, and from 5 live lanes the
  *                    kernel beats the scalar loop -- 6.0x at 16
  *                    (EXPERIMENTS "TAGE kernel ledger").
+ *
+ * Every kernel keeps a batch's tables in one arena addressed by signed
+ * 32-bit element offsets, laid out by one packer (packLaneBatches).
  *
  * Both zoo kernels take their keys pre-hashed in a lane-major tile, one
  * 16-lane row per (branch, table).  One builder pair makes both tiles
@@ -88,37 +91,77 @@ SimdTarget resolveSimdTarget(SimdTarget requested = SimdTarget::Auto);
 std::vector<SimdTarget> supportedSimdTargets();
 
 /**
+ * The arena layout of one lane batch: its lanes' tables back to back
+ * in execution order, each followed by kPadBytes of padding, addressed
+ * by signed 32-bit element offsets.  The pad keeps power-of-two tables
+ * from putting every lane's entry e at the same address modulo 4 KiB
+ * (a gather behind a scatter to such an address stalls as a possible
+ * store-forward hazard, 2x slower at 16 lanes), and it is the readable
+ * slack behind a table's last weight for the perceptron kernel's
+ * 4-byte gather window.
+ */
+struct LaneBatchLayout
+{
+    /** Lanes per batch: one 512-bit vector of 32-bit lanes. */
+    static constexpr unsigned kMaxLanes = 16;
+    /** Padding after every table, in bytes. */
+    static constexpr std::size_t kPadBytes = 64;
+    /** Elements an arena may hold, so every offset fits a signed int32. */
+    static constexpr std::size_t kMaxElements = (std::size_t{1} << 31) - 1;
+
+    /** The batch's first lane, in execution order. */
+    std::size_t firstLane = 0;
+    /** Lanes in the batch (1..kMaxLanes). */
+    unsigned lanes = 0;
+    /** Tables per lane. */
+    unsigned tables = 0;
+    /** Arena elements, every pad included. */
+    std::size_t elements = 0;
+    /** offset[l * tables + t]: the first element of lane l's table t. */
+    std::vector<std::uint32_t> offset;
+
+    /** The first arena element of table @p table of lane @p lane. */
+    std::uint32_t
+    at(unsigned lane, unsigned table) const
+    {
+        return offset[lane * tables + table];
+    }
+};
+
+/**
+ * Pack lanes into lane batches, the one layout of every lane engine:
+ * @p entries holds each lane's @p tables table sizes in
+ * @p elementBytes-byte elements, lane after lane in execution order.
+ * A batch closes at kMaxLanes lanes, or early when the next lane
+ * would take its arena past kMaxElements; a lane that cannot fit an
+ * arena on its own panics.  The caller sizes each arena to elements.
+ */
+std::vector<LaneBatchLayout>
+packLaneBatches(const std::vector<std::size_t> &entries, unsigned tables,
+                std::size_t elementBytes);
+
+/**
  * One batch of hashed-perceptron model lanes in structure-of-arrays
- * form, for the batched zoo replay (sim/sweep.cc).  Lane l owns an
- * int8 weight bank at weights[l]: all of its tables concatenated, the
- * weight for (table t, entry e) at byte (t << entryBits) + e.  Banks
- * must be pairwise disjoint and carry kGatherSlack writable padding
- * bytes past the last weight (the AVX-512 kernel gathers a
- * 4-byte window at each addressed weight; updates are written back
- * as single-byte stores, so the padding is only ever read).  The bank
- * is int8 because the model clamps weights to [kWeightMin, kWeightMax]
- * -- the same constants as PerceptronModel, pinned by a static_assert
- * at the sweep integration point.
+ * form, for the batched zoo replay (sim/sweep.cc).  Every lane's
+ * tables live in one int8 arena laid out by packLaneBatches, and the
+ * kernel sees only arena offsets (the idx tile).  The arena is int8
+ * because the model clamps weights to [kWeightMin, kWeightMax] -- the
+ * same constants as PerceptronModel, pinned by a static_assert at the
+ * sweep integration point.
  */
 struct PerceptronBatch
 {
-    static constexpr unsigned kMaxLanes = 16;
+    static constexpr unsigned kMaxLanes = LaneBatchLayout::kMaxLanes;
     static constexpr unsigned kMaxTables = 16;
     static constexpr int kWeightMin = -64;
     static constexpr int kWeightMax = 63;
-    /**
-     * Padding bytes every bank carries past its last weight: the
-     * AVX-512 kernel reads a 4-byte window at each addressed weight,
-     * so the highest weight needs 3 readable bytes after it.
-     * The slack's value is never interpreted.
-     */
-    static constexpr std::size_t kGatherSlack = 3;
+    /** The arena; signed 32-bit offsets must reach every weight. */
+    std::int8_t *weights = nullptr;
     /** Live lanes (1..kMaxLanes); vector kernels pad the rest. */
     unsigned lanes = 0;
     /** Weight tables per lane -- shared across the batch (1..16). */
     unsigned tables = 0;
-    std::int8_t *weights[kMaxLanes] = {};
-    /** Per-lane integer training threshold ((193 * h) / 100 + 14). */
+    /** Per-lane training threshold (PerceptronParams::threshold). */
     std::int32_t theta[kMaxLanes] = {};
     /** Per-lane mispredict accumulators. */
     std::uint64_t misses[kMaxLanes] = {};
@@ -144,7 +187,7 @@ struct PerceptronBatch
  */
 struct LaneKeyPlan
 {
-    static constexpr unsigned kMaxLanes = 16;
+    static constexpr unsigned kMaxLanes = LaneBatchLayout::kMaxLanes;
     /** Tables per lane: perceptron's 16, TAGE's base + 8 components. */
     static constexpr unsigned kMaxTables = 16;
     /** Tree-fold steps of a 64-bit segment at entryBits 1. */
@@ -235,7 +278,7 @@ void buildLaneKeys(const LaneKeyPlan &plan, const std::uint64_t *widx,
 
 /**
  * The kernel replayPerceptronBatch runs for a @p lanes-wide batch
- * under the concrete @p target: AVX512 (one 16-wide gather pair per
+ * under the concrete @p target: AVX512 (one masked 16-wide gather per
  * table) once enough lanes are live to pay for the full-width
  * gathers, Scalar otherwise (the perceptronBatchReplay rows of
  * bench/micro_predictor_ops set the break-even).
@@ -246,9 +289,9 @@ SimdTarget perceptronBatchKernel(SimdTarget target, unsigned lanes);
  * Replay @p n branches through every lane of @p batch on exactly the
  * @p kernel implementation (an unsupported kernel runs Scalar).
  * idx[(i * batch.tables + t) * PerceptronBatch::kMaxLanes + l] holds
- * lane l's PRE-OFFSET weight index for branch i and table t -- i.e.
- * (t << entryBits_l) + tableIndex -- so the kernel needs no per-lane
- * geometry: the weight read is weights[l][idx...].  The sweep engine
+ * lane l's arena offset for branch i and table t -- its table's first
+ * element plus the table index -- so the kernel needs no per-lane
+ * geometry: the weight read is weights[idx...].  The sweep engine
  * builds this tile lane-major with buildLaneKeys, one 16-lane row per
  * (branch, table), from a LaneKeyPlan per batch.  taken[i] is the
  * branch outcome (0/1).  Per branch each lane sums its tables' signed
@@ -256,7 +299,7 @@ SimdTarget perceptronBatchKernel(SimdTarget target, unsigned lanes);
  * and on a mispredict or |sum| <= theta[l] trains every addressed
  * weight by +/-1 clamped to [kWeightMin, kWeightMax] -- exactly
  * PerceptronModel::step.  All targets are bit-identical: identical
- * final weight banks, identical miss counts (integer sums are
+ * final weights, identical miss counts (integer sums are
  * order-free and every update is a single-byte store).  @p n must
  * stay below 2^30 (per-call int32 miss accumulators); the sweep
  * engine's block tiles are 4 orders of magnitude smaller.  Tests and
@@ -295,12 +338,12 @@ struct AliasRecords
 
 /**
  * One batch of aliasing 2-bit lanes (Figure 5) in structure-of-arrays
- * form.  Every lane's table lives in one shared arena: lane l's slot
- * s is entries[offset[l] + s], and lanes own pairwise-disjoint slot
- * ranges.  A slot is one uint32 fusing the last writer and the 2-bit
- * counter, tag | counter with tag = (branchId + 1) << 2, so tag 0
- * means "never written"; a fresh slot holds kFreshEntry (untouched,
- * weakly taken).  Per branch each lane indexes slot
+ * form.  Every lane's table lives in one arena laid out by
+ * packLaneBatches: lane l's slot s is entries[offset[l] + s].  A slot
+ * is one uint32 fusing the last writer and the 2-bit counter, tag |
+ * counter with tag = (branchId + 1) << 2, so tag 0 means "never
+ * written"; a fresh slot holds kFreshEntry (untouched, weakly taken).
+ * Per branch each lane indexes slot
  * ((row & rowMask[l]) << colBits[l]) | (col & colMask[l]), counts a
  * conflict when the slot was written by a different branch, counts
  * it harmless as well when the branch's trailing-ones count reaches
@@ -311,7 +354,7 @@ struct AliasRecords
  */
 struct AliasBatch
 {
-    static constexpr unsigned kMaxLanes = 16;
+    static constexpr unsigned kMaxLanes = LaneBatchLayout::kMaxLanes;
     /** Initial slot value: no last writer, counter weakly taken. */
     static constexpr std::uint32_t kFreshEntry = 2;
     /** harmlessOnes for lanes whose conflicts are never harmless. */
@@ -357,11 +400,11 @@ void replayAliasBatch(const AliasRecords &records, std::size_t n,
                       AliasBatch &batch);
 
 /**
- * One batch of TAGE lanes (TageModel, predictor/tage.hh) in one
- * shared arena of uint32 slots.  A lane owns a base table of 2-bit
- * counters, one slot each, and `components` tagged tables; lanes own
- * pairwise-disjoint slots, so a lane's entry width and base size are
- * the caller's business -- the kernel only sees slot numbers
+ * One batch of TAGE lanes (TageModel, predictor/tage.hh) in one arena
+ * of uint32 slots laid out by packLaneBatches.  A lane owns a base
+ * table of 2-bit counters, one slot each, and `components` tagged
+ * tables; lanes own pairwise-disjoint slots, so a lane's entry width
+ * and base size are the caller's business -- the kernel only sees slot numbers
  * (TageKeys), and lanes of different geometry share one batch.
  *
  * A tagged slot packs one entry: the 3-bit counter in bits 0..2, the
@@ -371,7 +414,7 @@ void replayAliasBatch(const AliasRecords &records, std::size_t n,
  */
 struct TageBatch
 {
-    static constexpr unsigned kMaxLanes = 16;
+    static constexpr unsigned kMaxLanes = LaneBatchLayout::kMaxLanes;
     static constexpr unsigned kMaxComponents = 8;
     static constexpr std::uint32_t kCounterMask = 7;
     static constexpr unsigned kUsefulShift = 3;

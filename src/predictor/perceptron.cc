@@ -22,7 +22,6 @@ PerceptronModel::PerceptronModel(const PerceptronParams &params)
     : params_(params)
 {
     params_.validate();
-    theta_ = static_cast<int>((193u * params_.historyBits) / 100u) + 14;
     tables_.assign(params_.tables,
                    std::vector<int>(std::size_t{1} << params_.entryBits,
                                     0));
@@ -63,7 +62,7 @@ PerceptronModel::step(Addr pc, std::uint64_t ghist, bool taken)
     out.prediction = sum >= 0;
 
     int magnitude = sum < 0 ? -sum : sum;
-    if (out.prediction != taken || magnitude <= theta_) {
+    if (out.prediction != taken || magnitude <= threshold()) {
         for (unsigned t = 0; t < params_.tables; ++t) {
             int &w = tables_[t][idx[t]];
             w += taken ? 1 : -1;

@@ -47,6 +47,13 @@ struct PerceptronParams
 
     /** bpsim_assert that the geometry is well-formed. */
     void validate() const;
+
+    /** The integer training threshold: (193 * h) / 100 + 14. */
+    int
+    threshold() const
+    {
+        return static_cast<int>((193u * historyBits) / 100u) + 14;
+    }
 };
 
 /** What one predict-and-train step did (analysis and test hooks). */
@@ -86,8 +93,8 @@ class PerceptronModel
 
     const PerceptronParams &params() const { return params_; }
 
-    /** The integer training threshold: (193 * h) / 100 + 14. */
-    int threshold() const { return theta_; }
+    /** PerceptronParams::threshold of the model's geometry. */
+    int threshold() const { return params_.threshold(); }
 
     /** Total weights across all tables. */
     std::size_t counterCount() const
@@ -110,7 +117,6 @@ class PerceptronModel
 
   private:
     PerceptronParams params_;
-    int theta_;
     std::vector<std::vector<int>> tables_;
     std::uint64_t updates_ = 0;
 };

@@ -30,8 +30,9 @@
  * at 16) instead of full 8-byte target addresses.  bytesPerBranch()
  * reports the resulting per-branch footprint so tests can pin it.
  *
- * A test (test_sweep_equivalence) pins the equivalence between this fast
- * path and the online TwoLevelPredictor.
+ * SweepEquivalence.FastPathMatchesOnlinePredictor (tests/test_sweep.cc)
+ * pins the equivalence between this fast path and the online
+ * TwoLevelPredictor.
  */
 
 #ifndef BPSIM_SIM_PREPARED_TRACE_HH

@@ -91,8 +91,8 @@ replayGroup(const Engine &engine, std::size_t n, ConfigResult *slots)
  * bits of the row value and of the word index, the branch's tag
  * ((dense id + 1) << 2) and a flags byte with the outcome and
  * countr_one of the first-level pattern -- and then every lane
- * batch of up to AliasBatch::kMaxLanes lanes replays the block through
- * the dispatched alias kernel (common/simd.hh).  A lane's slot is one
+ * batch packLaneBatches lays out replays the block through the
+ * dispatched alias kernel (common/simd.hh).  A lane's slot is one
  * uint32 fusing its last writer and its 2-bit counter, so the
  * conflict, harmless and miss tests and the counter update all come
  * from one gathered word.  A conflict is harmless when the low rowBits
@@ -120,25 +120,28 @@ class AliasLanes
     {
         // Private arenas, one per lane batch: every group starts cold.
         const std::size_t lane_count = lanes();
-        std::vector<AliasBatch> batches(
-            (lane_count + AliasBatch::kMaxLanes - 1) /
-            AliasBatch::kMaxLanes);
-        std::vector<std::vector<std::uint32_t>> arenas(batches.size());
-        for (std::size_t b = 0; b < batches.size(); ++b) {
+        std::vector<std::size_t> entries(lane_count);
+        for (std::size_t j = 0; j < lane_count; ++j) {
+            const ConfigJob &job = jobs_[members_[j]];
+            // The kernels index with signed 32-bit slot offsets, which
+            // also keeps every row and column value a lane reads inside
+            // the decoded 32 bits.
+            bpsim_assert(job.rowBits + job.colBits <= 30,
+                         "aliasing lane table exceeds 2^30 slots");
+            entries[j] = std::size_t{1} << (job.rowBits + job.colBits);
+        }
+        const std::vector<LaneBatchLayout> layouts =
+            packLaneBatches(entries, 1, sizeof(std::uint32_t));
+        std::vector<AliasBatch> batches(layouts.size());
+        std::vector<std::vector<std::uint32_t>> arenas(layouts.size());
+        for (std::size_t b = 0; b < layouts.size(); ++b) {
+            const LaneBatchLayout &layout = layouts[b];
             AliasBatch &batch = batches[b];
-            batch.lanes = static_cast<unsigned>(std::min<std::size_t>(
-                AliasBatch::kMaxLanes,
-                lane_count - b * AliasBatch::kMaxLanes));
-            std::size_t slots = 0;
+            batch.lanes = layout.lanes;
             for (unsigned l = 0; l < batch.lanes; ++l) {
                 const ConfigJob &job =
-                    jobs_[members_[b * AliasBatch::kMaxLanes + l]];
-                // The kernels index with signed 32-bit slot offsets,
-                // which also keeps every row and column value a lane
-                // reads inside the decoded 32 bits.
-                bpsim_assert(job.rowBits + job.colBits <= 30,
-                             "aliasing lane table exceeds 2^30 slots");
-                batch.offset[l] = static_cast<std::uint32_t>(slots);
+                    jobs_[members_[layout.firstLane + l]];
+                batch.offset[l] = layout.at(l, 0);
                 batch.rowMask[l] =
                     static_cast<std::uint32_t>(mask(job.rowBits));
                 batch.colMask[l] =
@@ -147,18 +150,8 @@ class AliasLanes
                 batch.harmlessOnes[l] = job.rowBits > 0
                                             ? job.rowBits
                                             : AliasBatch::kNeverHarmless;
-                // Pad each table by one cache line: power-of-two
-                // tables would otherwise put every lane's slot s at the
-                // same address modulo 4 KiB, and the CPU treats a
-                // gather behind a scatter to such an address as a
-                // possible store-forward hazard (4K aliasing) -- 2x
-                // slower at 16 lanes.
-                slots += (std::size_t{1} << (job.rowBits + job.colBits)) +
-                         kLanePad;
-                bpsim_assert(slots <= (std::size_t{1} << 31) - 1,
-                             "aliasing lane batch exceeds 2^31 slots");
             }
-            arenas[b].assign(slots, AliasBatch::kFreshEntry);
+            arenas[b].assign(layout.elements, AliasBatch::kFreshEntry);
             batch.entries = arenas[b].data();
         }
 
@@ -178,19 +171,14 @@ class AliasLanes
             }
         }
 
-        for (std::size_t j = 0; j < lane_count; ++j) {
-            const AliasBatch &batch = batches[j / AliasBatch::kMaxLanes];
-            const std::size_t l = j % AliasBatch::kMaxLanes;
-            counts[j].misses = batch.misses[l];
-            counts[j].conflicts = batch.conflicts[l];
-            counts[j].harmless = batch.harmless[l];
-        }
+        for (std::size_t b = 0; b < layouts.size(); ++b)
+            for (unsigned l = 0; l < batches[b].lanes; ++l)
+                counts[layouts[b].firstLane + l] =
+                    LaneCounts{batches[b].misses[l], batches[b].conflicts[l],
+                               batches[b].harmless[l]};
     }
 
   private:
-    /** Slots between consecutive lane tables in an arena (64 bytes). */
-    static constexpr std::size_t kLanePad = 16;
-
     void
     decode(std::size_t base, std::size_t m, std::uint32_t *rows,
            std::uint32_t *cols, std::uint32_t *tags,
@@ -239,16 +227,12 @@ class AliasLanes
  * the pc word index once per entry width, then builds the batch's key
  * tile lane-major -- one 16-lane row per (branch, table) -- with the
  * dispatched key builder (common/simd.hh buildLaneKeys) from a
- * LaneKeyPlan made once per batch.  Then:
- *
- *  - TAGE lanes pack each entry into one uint32 arena slot and replay
- *    TageBatch::kMaxLanes at a time through the runtime-dispatched
- *    TAGE kernel (common/simd.hh), which takes the keys as arena slot
- *    numbers in a lane-major tile -- bit-identical to TageModel::step;
- *  - perceptron lanes drop their weights into int8 structure-of-arrays
- *    banks and replay PerceptronBatch::kMaxLanes at a time through the
- *    runtime-dispatched SIMD dot-product/update kernel
- *    (common/simd.hh), bit-identical to PerceptronModel::step.
+ * LaneKeyPlan made once per batch.  TAGE lanes pack each entry into
+ * one uint32 arena slot, perceptron lanes each weight into one int8
+ * arena byte, both laid out by packLaneBatches, and each lane batch
+ * replays through its runtime-dispatched kernel (common/simd.hh),
+ * which takes the keys as arena offsets -- bit-identical to
+ * TageModel::step and PerceptronModel::step.
  */
 class ModelLanes
 {
@@ -319,13 +303,6 @@ class ModelLanes
      */
     static constexpr std::size_t kTile = 64;
 
-    /** Arena slots of a TAGE table of 2^bits entries plus its pad. */
-    static constexpr std::size_t
-    tableSlots(unsigned bits)
-    {
-        return (std::size_t{1} << bits) + 16;
-    }
-
     struct Spec
     {
         std::size_t member;
@@ -384,73 +361,92 @@ class ModelLanes
         buildLaneKeys(keys, widx, block.gh.data() + off, pc_fold, m, out);
     }
 
+    /**
+     * The block loop both zoo engines share: decode each block once,
+     * run @p on_block(m) over its m branches, then per lane batch and
+     * kTile-branch tile build the batch's key tile and replay it with
+     * @p replay(keys, off, mt, batch).  Each lane's misses land in
+     * @p counts.
+     */
+    template <typename Batch, typename OnBlock, typename Replay>
+    void
+    replayBatches(std::size_t n, Block &block,
+                  const std::vector<LaneBatchLayout> &layouts,
+                  const std::vector<LaneKeyPlan> &plans,
+                  std::vector<Batch> &batches, LaneCounts *counts,
+                  KernelTelemetry &tel, OnBlock on_block,
+                  Replay replay) const
+    {
+        constexpr unsigned kLanes = LaneKeyPlan::kMaxLanes;
+        std::vector<std::uint32_t> keys(kTile * layouts.front().tables *
+                                        kLanes);
+        std::vector<std::uint32_t> pc_fold(kTile * kLanes);
+        for (std::size_t base = 0; base < n; base += kBlockSize) {
+            const std::size_t m = std::min(kBlockSize, n - base);
+            ++tel.blocksReplayed;
+            decode(block, base, m);
+            on_block(m);
+            for (std::size_t b = 0; b < batches.size(); ++b) {
+                ++tel.modelBatches;
+                for (std::size_t off = 0; off < m; off += kTile) {
+                    const std::size_t mt = std::min(kTile, m - off);
+                    keyTile(plans[b], block, off, mt, pc_fold.data(),
+                            keys.data());
+                    replay(keys.data(), off, mt, batches[b]);
+                }
+            }
+        }
+        for (std::size_t b = 0; b < batches.size(); ++b)
+            for (unsigned l = 0; l < batches[b].lanes; ++l)
+                counts[layouts[b].firstLane + l].misses =
+                    batches[b].misses[l];
+    }
+
     void
     runTage(std::size_t n, Block &block, LaneCounts *counts,
             KernelTelemetry &tel) const
     {
-        constexpr unsigned kLanes = TageBatch::kMaxLanes;
         const std::vector<std::uint64_t> &widx = block.widx;
         const std::vector<std::uint64_t> &gh = block.gh;
         const auto ncomp =
             static_cast<unsigned>(opts_.tageHistories.size());
         const unsigned tag_bits = opts_.tageTagBits;
 
-        // Lane tables in execution order: a lane's base table, then
-        // its component c at c * tableSlots(entryBits) past the base's
-        // end.  Every table ends in a cache-line pad (AliasLanes::
-        // kLanePad says why; here it also staggers a lane's own
-        // components).  A batch closes at kMaxLanes lanes, or early
-        // when its arena would outgrow the kernels' signed 32-bit slot
-        // numbers.  Each batch's key plan maps a lane's table 0 to its
-        // base slots and table c + 1 to component c's.
-        struct Plan
-        {
-            std::size_t firstLane;
-            std::size_t slots;
-            LaneKeyPlan keys;
-        };
-        constexpr std::size_t kMaxSlots = (std::size_t{1} << 31) - 1;
-        const std::size_t lane_count = specs_.size();
-        std::vector<TageBatch> batches;
-        std::vector<Plan> plans;
-        for (std::size_t j = 0; j < lane_count; ++j) {
-            const Spec &spec = specs_[j];
+        // A lane's tables: its base table, then its components.  Each
+        // batch's key plan maps table 0 to the base, c + 1 to component c.
+        std::vector<std::size_t> entries;
+        for (const Spec &spec : specs_) {
             // Validate through the real params (geometry errors surface
             // exactly as TageModel would raise them).
             tageSweepParams(spec.rowBits, spec.colBits, opts_).validate();
-            const std::size_t base_slots = tableSlots(spec.colBits);
-            const std::size_t lane_slots =
-                base_slots + ncomp * tableSlots(spec.rowBits);
-            bpsim_assert(lane_slots <= kMaxSlots,
-                         "tage lane tables exceed 2^31 slots");
-            if (batches.empty() || batches.back().lanes == kLanes ||
-                plans.back().slots + lane_slots > kMaxSlots) {
-                batches.emplace_back();
-                batches.back().components = ncomp;
-                plans.push_back(Plan{j, 0, LaneKeyPlan(ncomp + 1)});
-            }
-            Plan &plan = plans.back();
-            const unsigned l = batches.back().lanes++;
-            plan.keys.setRaw(l, spec.colBits,
-                             static_cast<std::uint32_t>(plan.slots));
-            for (unsigned c = 0; c < ncomp; ++c)
-                plan.keys.setFold(
-                    c + 1, l, 0, opts_.tageHistories[c], spec.rowBits,
-                    static_cast<std::uint32_t>(
-                        plan.slots + base_slots +
-                        c * tableSlots(spec.rowBits)));
-            plan.slots += lane_slots;
+            entries.push_back(std::size_t{1} << spec.colBits);
+            entries.insert(entries.end(), ncomp,
+                           std::size_t{1} << spec.rowBits);
         }
+        const std::vector<LaneBatchLayout> layouts = packLaneBatches(
+            entries, ncomp + 1, sizeof(std::uint32_t));
         // Private arenas, one per lane batch: every group starts cold.
-        std::vector<std::vector<std::uint32_t>> arenas(batches.size());
-        for (std::size_t b = 0; b < batches.size(); ++b) {
-            const LaneKeyPlan &keys = plans[b].keys;
-            arenas[b].assign(plans[b].slots, TageBatch::kFreshEntry);
-            for (unsigned l = 0; l < batches[b].lanes; ++l)
-                std::fill(arenas[b].begin() + keys.tables[0].offset[l],
-                          arenas[b].begin() + keys.tables[1].offset[l],
-                          TageBatch::kFreshBase);
+        std::vector<TageBatch> batches(layouts.size());
+        std::vector<LaneKeyPlan> plans;
+        std::vector<std::vector<std::uint32_t>> arenas(layouts.size());
+        for (std::size_t b = 0; b < layouts.size(); ++b) {
+            const LaneBatchLayout &layout = layouts[b];
+            LaneKeyPlan &keys = plans.emplace_back(ncomp + 1);
+            arenas[b].assign(layout.elements, TageBatch::kFreshEntry);
+            for (unsigned l = 0; l < layout.lanes; ++l) {
+                const Spec &spec = specs_[layout.firstLane + l];
+                const std::uint32_t base = layout.at(l, 0);
+                keys.setRaw(l, spec.colBits, base);
+                for (unsigned c = 0; c < ncomp; ++c)
+                    keys.setFold(c + 1, l, 0, opts_.tageHistories[c],
+                                 spec.rowBits, layout.at(l, c + 1));
+                std::fill_n(arenas[b].begin() + base,
+                            std::size_t{1} << spec.colBits,
+                            TageBatch::kFreshBase);
+            }
             batches[b].entries = arenas[b].data();
+            batches[b].lanes = layout.lanes;
+            batches[b].components = ncomp;
         }
 
         // Tags depend only on (tagBits, histories), so they are
@@ -462,16 +458,10 @@ class ModelLanes
         // every lane-batch sub-tile builds its lane-major slot tile,
         // which the kernel gathers through one 16-lane row at a time.
         std::vector<std::uint16_t> tags(kBlockSize * ncomp);
-        std::vector<std::uint32_t> slots(kTile * (ncomp + 1) * kLanes);
-        std::vector<std::uint32_t> pc_fold(kTile * kLanes);
         std::uint32_t wtag[kTile] = {};
         std::uint32_t htag[kTile] = {};
         std::uint32_t hshift[kTile] = {};
-
-        for (std::size_t base = 0; base < n; base += kBlockSize) {
-            const std::size_t m = std::min(kBlockSize, n - base);
-            ++tel.blocksReplayed;
-            decode(block, base, m);
+        const auto fold_tags = [&](std::size_t m) {
             for (std::size_t off = 0; off < m; off += kTile) {
                 const std::size_t mt = std::min(kTile, m - off);
                 std::uint64_t any = 0;
@@ -491,24 +481,15 @@ class ModelLanes
                                 wtag[i] ^ htag[i] ^ (hshift[i] << 1));
                 }
             }
-            for (std::size_t b = 0; b < batches.size(); ++b) {
-                ++tel.modelBatches;
-                for (std::size_t off = 0; off < m; off += kTile) {
-                    const std::size_t mt = std::min(kTile, m - off);
-                    keyTile(plans[b].keys, block, off, mt, pc_fold.data(),
-                            slots.data());
-                    replayTageBatch(
-                        TageKeys{slots.data(), tags.data() + off * ncomp,
-                                 block.tk.data() + off},
-                        mt, batches[b]);
-                }
-            }
-        }
-
-        for (std::size_t b = 0; b < batches.size(); ++b)
-            for (unsigned l = 0; l < batches[b].lanes; ++l)
-                counts[plans[b].firstLane + l].misses =
-                    batches[b].misses[l];
+        };
+        replayBatches(
+            n, block, layouts, plans, batches, counts, tel, fold_tags,
+            [&](const std::uint32_t *slots, std::size_t off,
+                std::size_t mt, TageBatch &batch) {
+                replayTageBatch(TageKeys{slots, tags.data() + off * ncomp,
+                                         block.tk.data() + off},
+                                mt, batch);
+            });
     }
 
     /**
@@ -557,72 +538,58 @@ class ModelLanes
     runPerceptron(std::size_t n, Block &block, LaneCounts *counts,
                   KernelTelemetry &tel) const
     {
-        constexpr unsigned kLanes = PerceptronBatch::kMaxLanes;
         const unsigned tables = opts_.perceptronTables;
         const unsigned nseg = tables - 1;
-        const std::size_t lane_count = specs_.size();
-        // Lane batches of kMaxLanes in execution order, each with its
-        // SoA banks and its key plan: a lane's table 0 is the bias
-        // table, table tb >= 1 hashes the history bits [(tb - 1) * h /
-        // nseg, tb * h / nseg) (PerceptronModel::tableIndex), and table
-        // tb's weights start at tb << entryBits in the lane's bank.
-        std::vector<std::vector<std::int8_t>> banks(lane_count);
-        std::vector<PerceptronBatch> batches;
-        std::vector<LaneKeyPlan> plans;
-        for (std::size_t j = 0; j < lane_count; ++j) {
-            const Spec &spec = specs_[j];
+        // A lane's table 0 is the bias table; table tb >= 1 hashes the
+        // history bits [(tb - 1) * h / nseg, tb * h / nseg)
+        // (PerceptronModel::tableIndex).
+        std::vector<std::size_t> entries;
+        for (const Spec &spec : specs_) {
             // Validate through the real params (geometry errors surface
             // exactly as PerceptronModel would raise them).
             perceptronSweepParams(spec.rowBits, spec.colBits, opts_)
                 .validate();
-            const unsigned h = spec.rowBits;
-            const unsigned eb = spec.colBits;
-            // The SoA bank: table t's weight e at (t << eb) + e, gather
-            // slack past the last weight (simd.hh).
-            banks[j].assign((static_cast<std::size_t>(tables) << eb) +
-                                PerceptronBatch::kGatherSlack,
-                            0);
-            if (j % kLanes == 0) {
-                batches.emplace_back();
-                batches.back().tables = tables;
-                plans.emplace_back(tables);
-            }
-            PerceptronBatch &batch = batches.back();
-            LaneKeyPlan &keys = plans.back();
-            const unsigned l = batch.lanes++;
-            batch.weights[l] = banks[j].data();
-            batch.theta[l] =
-                static_cast<std::int32_t>((193u * h) / 100u + 14u);
-            keys.setRaw(l, eb, 0);
-            for (unsigned tb = 1; tb < tables; ++tb) {
-                const unsigned seg_l = (tb - 1) * h / nseg;
-                const unsigned seg_h = tb * h / nseg;
-                keys.setFold(tb, l, seg_l, seg_h - seg_l, eb,
-                             static_cast<std::uint32_t>(tb) << eb);
-            }
+            entries.insert(entries.end(), tables,
+                           std::size_t{1} << spec.colBits);
         }
-
-        // Sub-tile the block for the pre-offset index tile: kTile
-        // branches x tables x kMaxLanes stays L1-resident.
-        std::vector<std::uint32_t> idx(kTile * tables * kLanes);
-        std::vector<std::uint32_t> pc_fold(kTile * kLanes);
-        for (std::size_t base = 0; base < n; base += kBlockSize) {
-            const std::size_t m = std::min(kBlockSize, n - base);
-            ++tel.blocksReplayed;
-            decode(block, base, m);
-            for (std::size_t b = 0; b < batches.size(); ++b) {
-                ++tel.modelBatches;
-                for (std::size_t off = 0; off < m; off += kTile) {
-                    const std::size_t mt = std::min(kTile, m - off);
-                    keyTile(plans[b], block, off, mt, pc_fold.data(),
-                            idx.data());
-                    replayPerceptronBatch(idx.data(), block.tk.data() + off,
-                                          mt, batches[b]);
+        const std::vector<LaneBatchLayout> layouts =
+            packLaneBatches(entries, tables, sizeof(std::int8_t));
+        // Private arenas, one per lane batch: every group starts cold.
+        std::vector<PerceptronBatch> batches(layouts.size());
+        std::vector<LaneKeyPlan> plans;
+        std::vector<std::vector<std::int8_t>> arenas(layouts.size());
+        for (std::size_t b = 0; b < layouts.size(); ++b) {
+            const LaneBatchLayout &layout = layouts[b];
+            PerceptronBatch &batch = batches[b];
+            LaneKeyPlan &keys = plans.emplace_back(tables);
+            for (unsigned l = 0; l < layout.lanes; ++l) {
+                const Spec &spec = specs_[layout.firstLane + l];
+                const unsigned h = spec.rowBits;
+                const unsigned eb = spec.colBits;
+                batch.theta[l] = perceptronSweepParams(h, eb, opts_)
+                                     .threshold();
+                keys.setRaw(l, eb, layout.at(l, 0));
+                for (unsigned tb = 1; tb < tables; ++tb) {
+                    const unsigned seg_l = (tb - 1) * h / nseg;
+                    const unsigned seg_h = tb * h / nseg;
+                    keys.setFold(tb, l, seg_l, seg_h - seg_l, eb,
+                                 layout.at(l, tb));
                 }
             }
+            arenas[b].assign(layout.elements, 0);
+            batch.weights = arenas[b].data();
+            batch.lanes = layout.lanes;
+            batch.tables = tables;
         }
-        for (std::size_t j = 0; j < lane_count; ++j)
-            counts[j].misses = batches[j / kLanes].misses[j % kLanes];
+
+        replayBatches(
+            n, block, layouts, plans, batches, counts, tel,
+            [](std::size_t) {},
+            [&](const std::uint32_t *idx, std::size_t off, std::size_t mt,
+                PerceptronBatch &batch) {
+                replayPerceptronBatch(idx, block.tk.data() + off, mt,
+                                      batch);
+            });
     }
 
     const PreparedTrace &t_;

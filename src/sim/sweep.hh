@@ -404,7 +404,7 @@ struct SweepResult
     Surface harmless;
     /** PAsFinite only: the BHT tag miss rate (identical across tiers). */
     double bhtMissRate = 0.0;
-    /** How the sweep executed (dispatch target, lanes, blocks). */
+    /** How the sweep executed (groups, lanes, batches, blocks). */
     KernelTelemetry kernel;
 
     SweepResult(const std::string &scheme_name,

@@ -129,7 +129,7 @@ struct BatchCounters
      * Kernel telemetry summed over every envelope replay this batch
      * executed (cache hits contribute nothing -- nothing ran).  The
      * service stats op surfaces it so a long-lived daemon reports its
-     * cumulative dispatch target and group shape.
+     * cumulative group shape and replay work.
      */
     KernelTelemetry kernel;
 
@@ -141,7 +141,7 @@ struct BatchCounters
         fusedGroupsFormed += other.fusedGroupsFormed;
         coalescedRequests += other.coalescedRequests;
         // A hit-only batch's record is empty, and merging an empty
-        // record changes nothing (not even the dispatch target).
+        // record changes nothing.
         kernel.merge(other.kernel);
     }
 };

@@ -489,11 +489,16 @@ TEST(PerceptronBatchKernel, DispatchIsOccupancyAware)
 TEST(ModelBatchDifferential, PerceptronKernelTargetsMatchScalar)
 {
     // The SIMD kernels in isolation: replayPerceptronBatchOn on every
-    // supported kernel, at every lane count from 1 to 16, must leave
-    // bit-identical weight banks (gather-slack padding included -- it
-    // is read-only by contract) and miss counts against the scalar
+    // supported kernel, at every lane count from 1 to 16, must leave a
+    // bit-identical weight arena (table pads included -- they are
+    // read-only by contract) and miss counts against the scalar
     // kernel, for fuzzed table counts, per-lane entry widths, weights
-    // and outcomes.
+    // and outcomes.  The arena is laid out by the sweep engine's
+    // packer and sized exactly to the layout, and the last branch
+    // addresses the last weight of the last lane, so the AVX-512
+    // gather window runs into the arena's final pad.  ASan does not
+    // see inside a hardware gather, so the window is checked against
+    // the layout too: a packer that drops the final pad fails here.
     const std::vector<SimdTarget> targets = supportedSimdTargets();
     Pcg32 rng(0x9E2CE974ULL, 7);
 
@@ -503,22 +508,26 @@ TEST(ModelBatchDifferential, PerceptronKernelTargetsMatchScalar)
         const std::size_t n = 64 + rng.nextBounded(512);
 
         std::vector<unsigned> eb(lanes);
-        std::vector<std::vector<std::int8_t>> init(lanes);
+        std::vector<std::size_t> entries;
         std::vector<std::int32_t> theta(lanes);
         for (unsigned l = 0; l < lanes; ++l) {
             eb[l] = rng.nextBounded(7); // 0..6
-            init[l].resize((std::size_t{tables} << eb[l]) +
-                           PerceptronBatch::kGatherSlack);
-            for (std::size_t b = 0; b < init[l].size(); ++b)
-                init[l][b] = static_cast<std::int8_t>(
-                    static_cast<int>(rng.nextBounded(128)) - 64);
+            entries.insert(entries.end(), tables, std::size_t{1} << eb[l]);
             const unsigned h = 1 + rng.nextBounded(40);
             theta[l] =
                 static_cast<std::int32_t>((193u * h) / 100u + 14);
         }
+        const std::vector<LaneBatchLayout> layouts =
+            packLaneBatches(entries, tables, sizeof(std::int8_t));
+        ASSERT_EQ(layouts.size(), 1u);
+        const LaneBatchLayout &layout = layouts[0];
+        std::vector<std::int8_t> init(layout.elements);
+        for (std::int8_t &w : init)
+            w = static_cast<std::int8_t>(
+                static_cast<int>(rng.nextBounded(128)) - 64);
 
-        // Pre-offset index layout: (t << entryBits_l) + tableIndex at
-        // stride kMaxLanes, exactly as the sweep engine fills it.
+        // Arena offsets at stride kMaxLanes, exactly as the sweep
+        // engine's key builder fills them.
         std::vector<std::uint32_t> idx(
             n * tables * PerceptronBatch::kMaxLanes, 0);
         std::vector<std::uint8_t> taken(n);
@@ -526,52 +535,50 @@ TEST(ModelBatchDifferential, PerceptronKernelTargetsMatchScalar)
             taken[i] = static_cast<std::uint8_t>(rng.nextBounded(2));
             for (unsigned t = 0; t < tables; ++t)
                 for (unsigned l = 0; l < lanes; ++l)
-                    idx[(i * tables + t) *
-                            PerceptronBatch::kMaxLanes +
-                        l] = (t << eb[l]) +
-                             rng.nextBounded(1u << eb[l]);
+                    idx[(i * tables + t) * PerceptronBatch::kMaxLanes + l] =
+                        layout.at(l, t) + rng.nextBounded(1u << eb[l]);
         }
+        const unsigned last = lanes - 1;
+        const std::uint32_t last_weight =
+            layout.at(last, tables - 1) + (1u << eb[last]) - 1;
+        ASSERT_LE(last_weight + sizeof(std::int32_t), layout.elements);
+        idx[((n - 1) * tables + tables - 1) * PerceptronBatch::kMaxLanes +
+            last] = last_weight;
 
         const auto replay_on = [&](SimdTarget target,
-                                   std::vector<std::vector<
-                                       std::int8_t>> &banks,
+                                   std::vector<std::int8_t> &arena,
                                    std::uint64_t *misses) {
+            arena = init;
             PerceptronBatch batch;
+            batch.weights = arena.data();
             batch.lanes = lanes;
             batch.tables = tables;
-            for (unsigned l = 0; l < lanes; ++l) {
-                banks[l] = init[l];
-                batch.weights[l] = banks[l].data();
+            for (unsigned l = 0; l < lanes; ++l)
                 batch.theta[l] = theta[l];
-            }
             replayPerceptronBatchOn(target, idx.data(), taken.data(), n,
                                     batch);
             for (unsigned l = 0; l < lanes; ++l)
                 misses[l] = batch.misses[l];
         };
 
-        std::vector<std::vector<std::int8_t>> truth_banks(lanes);
+        std::vector<std::int8_t> truth_arena;
         std::uint64_t truth_misses[PerceptronBatch::kMaxLanes] = {};
-        replay_on(SimdTarget::Scalar, truth_banks, truth_misses);
+        replay_on(SimdTarget::Scalar, truth_arena, truth_misses);
 
         for (SimdTarget target : targets) {
             if (target == SimdTarget::Scalar)
                 continue;
-            std::vector<std::vector<std::int8_t>> banks(lanes);
+            std::vector<std::int8_t> arena;
             std::uint64_t misses[PerceptronBatch::kMaxLanes] = {};
-            replay_on(target, banks, misses);
-            for (unsigned l = 0; l < lanes; ++l) {
+            replay_on(target, arena, misses);
+            for (unsigned l = 0; l < lanes; ++l)
                 EXPECT_EQ(misses[l], truth_misses[l])
                     << simdTargetName(target) << " lane " << l
                     << " lanes=" << lanes << " tables=" << tables
                     << " eb=" << eb[l] << " round " << round;
-                EXPECT_EQ(std::memcmp(banks[l].data(),
-                                      truth_banks[l].data(),
-                                      banks[l].size()),
-                          0)
-                    << simdTargetName(target) << " lane " << l
-                    << " bank diverged, round " << round;
-            }
+            EXPECT_EQ(arena, truth_arena)
+                << simdTargetName(target) << " arena diverged, round "
+                << round;
         }
     }
 }

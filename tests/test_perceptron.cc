@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "predictor/perceptron.hh"
 #include "sim/engine.hh"
 #include "sim/interference.hh"
@@ -51,10 +53,14 @@ TEST(PerceptronZoo, ThresholdIsIntegerJimenezFormula)
     // theta = floor(1.93 h) + 14, computed as (193 * h) / 100 + 14 in
     // integer arithmetic so no float rounding can diverge between the
     // engine and the naive reference model.
-    EXPECT_EQ(PerceptronModel(params(1, 4, 2)).threshold(), 15);
-    EXPECT_EQ(PerceptronModel(params(16, 4, 2)).threshold(), 44);
-    EXPECT_EQ(PerceptronModel(params(59, 4, 2)).threshold(), 127);
-    EXPECT_EQ(PerceptronModel(params(64, 4, 2)).threshold(), 137);
+    // The model and the batched sweep engine both read it from
+    // PerceptronParams::threshold.
+    for (const auto &[h, theta] :
+         {std::pair{1u, 15}, {16u, 44}, {59u, 127}, {64u, 137}}) {
+        EXPECT_EQ(params(h, 4, 2).threshold(), theta) << "h=" << h;
+        EXPECT_EQ(PerceptronModel(params(h, 4, 2)).threshold(), theta)
+            << "h=" << h;
+    }
 }
 
 TEST(PerceptronZoo, WeightsSaturateAtClampBounds)

@@ -1,18 +1,20 @@
 /**
  * @file
  * Unit tests for the lane-batched SIMD layer: target naming and
- * dispatch resolution, and the 2-bit alias lane kernel on every
- * dispatch target this host supports, held bit for bit to a plain
- * per-lane loop over SatCounter<2> tables and last-writer ids on the
- * boundary outcome patterns (all zeros, all ones, alternating,
- * saturating runs pinning counters at 0b00 and 0b11) and under seeded
- * fuzz across lane counts and table geometries.
+ * dispatch resolution, the lane-batch packer (on sizes only), and the
+ * 2-bit alias lane kernel on every dispatch target this host
+ * supports, held bit for bit to a plain per-lane loop over
+ * SatCounter<2> tables and last-writer ids on the boundary outcome
+ * patterns (all zeros, all ones, alternating, saturating runs pinning
+ * counters at 0b00 and 0b11) and under seeded fuzz across lane counts
+ * and table geometries.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitutil.hh"
@@ -58,7 +60,7 @@ struct Geometry
     unsigned colBits;
 };
 
-/** One batch over a private arena, lane tables packed back to back. */
+/** One batch over a private arena, laid out as the sweep engine does. */
 struct LaneSetup
 {
     std::vector<std::uint32_t> arena;
@@ -66,19 +68,23 @@ struct LaneSetup
 
     explicit LaneSetup(const std::vector<Geometry> &lanes)
     {
+        std::vector<std::size_t> entries;
+        for (const Geometry &g : lanes)
+            entries.push_back(std::size_t{1} << (g.rowBits + g.colBits));
+        const std::vector<LaneBatchLayout> layouts =
+            packLaneBatches(entries, 1, sizeof(std::uint32_t));
+        EXPECT_EQ(layouts.size(), 1u);
         batch.lanes = static_cast<unsigned>(lanes.size());
-        std::size_t slots = 0;
         for (unsigned l = 0; l < batch.lanes; ++l) {
             const Geometry &g = lanes[l];
-            batch.offset[l] = static_cast<std::uint32_t>(slots);
+            batch.offset[l] = layouts[0].at(l, 0);
             batch.rowMask[l] = static_cast<std::uint32_t>(mask(g.rowBits));
             batch.colMask[l] = static_cast<std::uint32_t>(mask(g.colBits));
             batch.colBits[l] = g.colBits;
             batch.harmlessOnes[l] =
                 g.rowBits > 0 ? g.rowBits : AliasBatch::kNeverHarmless;
-            slots += std::size_t{1} << (g.rowBits + g.colBits);
         }
-        arena.assign(slots, AliasBatch::kFreshEntry);
+        arena.assign(layouts[0].elements, AliasBatch::kFreshEntry);
         batch.entries = arena.data();
     }
 
@@ -334,27 +340,36 @@ TEST(Simd, FuzzedReplayBitIdenticalOnEveryTarget)
 
 TEST(Simd, GatherReachesTheLastTableByte)
 {
-    // The highest weight of a perceptron bank is exactly where the
-    // AVX-512 4-byte gathers need PerceptronBatch::kGatherSlack
-    // padding; address it on every kernel at every occupancy to prove
-    // the slack is there (ASan would flag a miss).  One table of 16
-    // weights per lane, every branch hitting weight 15.
+    // The AVX-512 perceptron kernel gathers a 4-byte window at each
+    // weight, so the last weight of the last lane needs the arena's
+    // final pad behind it.  Lay lanes of one 16-weight table out with
+    // the packer, size the arena exactly to the layout, and address
+    // every lane's last weight on every kernel at every occupancy.
+    // ASan does not see inside a hardware gather, so the window is
+    // checked against the layout: a packer that drops the final pad
+    // fails the check.
     constexpr std::size_t kWeights = 16;
-    const std::vector<std::uint32_t> idx(PerceptronBatch::kMaxLanes,
-                                         kWeights - 1);
     const std::uint8_t taken[1] = {1};
     for (SimdTarget target : supportedSimdTargets()) {
         for (unsigned lanes = 1; lanes <= PerceptronBatch::kMaxLanes;
              ++lanes) {
-            std::vector<std::vector<std::int8_t>> banks(
-                lanes, std::vector<std::int8_t>(
-                           kWeights + PerceptronBatch::kGatherSlack, 0));
+            const std::vector<LaneBatchLayout> layouts = packLaneBatches(
+                std::vector<std::size_t>(lanes, kWeights), 1,
+                sizeof(std::int8_t));
+            ASSERT_EQ(layouts.size(), 1u);
+            const LaneBatchLayout &layout = layouts[0];
+            const std::uint32_t last = layout.at(lanes - 1, 0) + kWeights - 1;
+            ASSERT_LE(last + sizeof(std::int32_t), layout.elements)
+                << "lanes=" << lanes;
+            std::vector<std::int8_t> arena(layout.elements, 0);
+            std::vector<std::uint32_t> idx(PerceptronBatch::kMaxLanes, 0);
             PerceptronBatch batch;
+            batch.weights = arena.data();
             batch.lanes = lanes;
             batch.tables = 1;
             for (unsigned l = 0; l < lanes; ++l) {
-                banks[l][kWeights - 1] = 5;
-                batch.weights[l] = banks[l].data();
+                idx[l] = layout.at(l, 0) + kWeights - 1;
+                arena[idx[l]] = 5;
                 batch.theta[l] = 0;
             }
             replayPerceptronBatchOn(target, idx.data(), taken, 1, batch);
@@ -362,9 +377,88 @@ TEST(Simd, GatherReachesTheLastTableByte)
                 // Sum 5 >= 0 predicts taken: a hit above theta, no train.
                 EXPECT_EQ(batch.misses[l], 0u)
                     << simdTargetName(target) << " lanes=" << lanes;
-                EXPECT_EQ(banks[l][kWeights - 1], 5)
+                EXPECT_EQ(arena[idx[l]], 5)
                     << simdTargetName(target) << " lanes=" << lanes;
             }
         }
     }
+}
+
+TEST(LanePacker, BatchClosesAtSixteenLanes)
+{
+    // 40 lanes of two 8-entry tables: batches of 16, 16 and 8 in
+    // execution order.
+    const std::vector<LaneBatchLayout> layouts = packLaneBatches(
+        std::vector<std::size_t>(40 * 2, 8), 2, sizeof(std::uint32_t));
+    ASSERT_EQ(layouts.size(), 3u);
+    const std::size_t first[] = {0, 16, 32};
+    const unsigned lanes[] = {16, 16, 8};
+    for (std::size_t b = 0; b < 3; ++b) {
+        EXPECT_EQ(layouts[b].firstLane, first[b]);
+        EXPECT_EQ(layouts[b].lanes, lanes[b]);
+        EXPECT_EQ(layouts[b].tables, 2u);
+        EXPECT_EQ(layouts[b].offset.size(), lanes[b] * 2u);
+    }
+}
+
+TEST(LanePacker, EveryTableIsFollowedByTheSixtyFourBytePad)
+{
+    // Tables lie back to back in execution order, each followed by
+    // 64 bytes: 16 uint32 slots, or 64 int8 weights.
+    const std::vector<std::size_t> entries = {4, 1, 8, 0, 2, 32};
+    for (const auto &[bytes, pad] :
+         {std::pair{sizeof(std::uint32_t), std::size_t{16}},
+          {sizeof(std::int8_t), std::size_t{64}}}) {
+        const std::vector<LaneBatchLayout> layouts =
+            packLaneBatches(entries, 2, bytes);
+        ASSERT_EQ(layouts.size(), 1u);
+        const LaneBatchLayout &layout = layouts[0];
+        EXPECT_EQ(layout.lanes, 3u);
+        std::size_t next = 0;
+        for (unsigned l = 0; l < 3; ++l) {
+            for (unsigned t = 0; t < 2; ++t) {
+                EXPECT_EQ(layout.at(l, t), next) << "lane " << l;
+                next += entries[l * 2 + t] + pad;
+            }
+        }
+        EXPECT_EQ(layout.elements, next) << bytes << "-byte elements";
+    }
+}
+
+TEST(LanePacker, BatchClosesEarlyAtTheElementCap)
+{
+    // Lanes of 2^29 uint32 slots (plus the 16-slot pad): the fourth
+    // would take the arena past 2^31 - 1, so it opens a second batch.
+    const std::vector<LaneBatchLayout> big = packLaneBatches(
+        std::vector<std::size_t>(5, std::size_t{1} << 29), 1,
+        sizeof(std::uint32_t));
+    ASSERT_EQ(big.size(), 2u);
+    EXPECT_EQ(big[0].lanes, 3u);
+    EXPECT_EQ(big[0].elements, 3 * ((std::size_t{1} << 29) + 16));
+    EXPECT_EQ(big[1].firstLane, 3u);
+    EXPECT_EQ(big[1].lanes, 2u);
+
+    // An arena of exactly 2^31 - 1 elements is allowed; one more
+    // element is not.
+    const std::size_t pad = LaneBatchLayout::kPadBytes;
+    const std::size_t half = std::size_t{1} << 30;
+    const std::vector<LaneBatchLayout> exact = packLaneBatches(
+        {half - pad, half - 1 - pad, 0}, 1, sizeof(std::int8_t));
+    ASSERT_EQ(exact.size(), 2u);
+    EXPECT_EQ(exact[0].lanes, 2u);
+    EXPECT_EQ(exact[0].elements, LaneBatchLayout::kMaxElements);
+    EXPECT_EQ(exact[1].firstLane, 2u);
+    EXPECT_EQ(exact[1].elements, pad);
+}
+
+TEST(LanePackerDeathTest, LaneLargerThanTheCapIsRejected)
+{
+    // A lane whose own tables and pads pass 2^31 - 1 elements fits no
+    // arena.
+    EXPECT_DEATH(packLaneBatches({LaneBatchLayout::kMaxElements}, 1,
+                                 sizeof(std::int8_t)),
+                 "2\\^31 - 1 cap");
+    EXPECT_DEATH(packLaneBatches({std::size_t{1} << 30, std::size_t{1} << 30},
+                                 2, sizeof(std::int8_t)),
+                 "2\\^31 - 1 cap");
 }
